@@ -391,19 +391,6 @@ impl CertifierLink {
         self.available_at = self.available_at.max(now) + us;
     }
 
-    /// Accounts the delivery of `pending` writesets to `replica`, adding to
-    /// the shipped/saved counters (see [`delivery_bytes`]).
-    fn account_delivery(
-        &mut self,
-        replica: usize,
-        pending: &[CommittedWriteset],
-        placement: Option<&PlacementMap>,
-    ) {
-        let (sent, saved) = delivery_bytes(replica, pending, placement);
-        self.sent_bytes += sent;
-        self.saved_bytes += saved;
-    }
-
     /// The wrapped unified certifier (tests and metrics; meaningful only
     /// under unified certification — the sharded engine keeps its own log).
     pub fn inner(&self) -> &Certifier {
@@ -758,16 +745,18 @@ impl CertifierLink {
         if node.applied() >= version {
             return now;
         }
-        let pending: Vec<CommittedWriteset> = self
-            .log_since(node.applied())
-            .iter()
-            .filter(|cw| cw.version < version)
-            .cloned()
-            .collect();
-        self.account_delivery(node.id(), &pending, placement);
-        let t = node.apply_writesets(now, &pending);
+        let (done, sent, saved) = {
+            // The log is in version order, so the entries below `version`
+            // are a prefix.
+            let since = self.log_since(node.applied());
+            let pending = &since[..since.partition_point(|cw| cw.version < version)];
+            let (sent, saved) = delivery_bytes(node.id(), pending, placement);
+            (node.apply_writesets(now, pending), sent, saved)
+        };
+        self.sent_bytes += sent;
+        self.saved_bytes += saved;
         node.commit_local(version);
-        t
+        done
     }
 
     /// Recovery catch-up (§3 standard recovery): replays onto `node` every

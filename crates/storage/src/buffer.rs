@@ -5,8 +5,16 @@
 //! that behaviour. The pool tracks residency, reference bits, and dirty bits.
 //! It never holds page *contents* — the simulation only needs to know *which*
 //! pages are resident and what that costs.
-
-use std::collections::HashMap;
+//!
+//! # Representation
+//!
+//! The frames are a `Vec<GlobalPageId>` in clock order (8 B per frame). Each
+//! page's resident, referenced and dirty bits live in one state byte, in a
+//! per-relation `Vec<u8>` indexed by page number that grows to the highest
+//! page touched and is released when the relation is evicted as a whole.
+//! A 512 MB pool of 65,536 frames therefore costs 512 KB of host memory
+//! plus about 1 B per page of every relation it has touched, and a page
+//! lookup is two array indexes rather than a hash probe.
 
 use crate::ids::{GlobalPageId, RelationId};
 
@@ -51,12 +59,17 @@ impl BufferStats {
     }
 }
 
-#[derive(Debug, Clone)]
-struct Frame {
-    page: GlobalPageId,
-    referenced: bool,
-    dirty: bool,
-}
+/// Marks a frame emptied by [`BufferPool::evict_relation`]. Relation ids are
+/// dense catalog indices, so `u32::MAX` never names a real page.
+const FREE: GlobalPageId = GlobalPageId {
+    rel: RelationId(u32::MAX),
+    page: u32::MAX,
+};
+
+/// State-byte bits. A page's byte is zero exactly when it is not resident.
+const RESIDENT: u8 = 1;
+const REFERENCED: u8 = 2;
+const DIRTY: u8 = 4;
 
 /// A fixed-capacity page cache with clock-sweep replacement.
 ///
@@ -79,9 +92,11 @@ struct Frame {
 #[derive(Debug, Clone)]
 pub struct BufferPool {
     capacity: usize,
-    frames: Vec<Option<Frame>>,
+    /// Resident pages in clock order; [`FREE`] marks a slot listed in `free`.
+    frames: Vec<GlobalPageId>,
     free: Vec<u32>,
-    page_table: HashMap<GlobalPageId, u32>,
+    /// State bytes indexed by relation id, then page number.
+    state: Vec<Vec<u8>>,
     hand: usize,
     dirty_count: usize,
     stats: BufferStats,
@@ -99,7 +114,7 @@ impl BufferPool {
             capacity,
             frames: Vec::new(),
             free: Vec::new(),
-            page_table: HashMap::new(),
+            state: Vec::new(),
             hand: 0,
             dirty_count: 0,
             stats: BufferStats::default(),
@@ -118,7 +133,7 @@ impl BufferPool {
 
     /// Current number of resident pages.
     pub fn resident(&self) -> usize {
-        self.page_table.len()
+        self.frames.len() - self.free.len()
     }
 
     /// Current number of dirty resident pages.
@@ -133,18 +148,33 @@ impl BufferPool {
 
     /// Whether `page` is resident.
     pub fn is_resident(&self, page: GlobalPageId) -> bool {
-        self.page_table.contains_key(&page)
+        self.state
+            .get(page.rel.0 as usize)
+            .and_then(|s| s.get(page.page as usize))
+            .is_some_and(|s| s & RESIDENT != 0)
+    }
+
+    /// The state byte of `page`, if its relation's bytes reach it.
+    fn slot(&mut self, page: GlobalPageId) -> Option<&mut u8> {
+        self.state
+            .get_mut(page.rel.0 as usize)?
+            .get_mut(page.page as usize)
+    }
+
+    /// The state byte of a page that has been touched before.
+    fn state_mut(&mut self, page: GlobalPageId) -> &mut u8 {
+        &mut self.state[page.rel.0 as usize][page.page as usize]
     }
 
     /// References `page`, installing it on a miss and evicting if full.
     pub fn touch(&mut self, page: GlobalPageId) -> Touch {
-        if let Some(&idx) = self.page_table.get(&page) {
-            let frame = self.frames[idx as usize]
-                .as_mut()
-                .expect("page table points at occupied frame");
-            frame.referenced = true;
-            self.stats.hits += 1;
-            return Touch::Hit;
+        debug_assert_ne!(page.rel, FREE.rel, "relation id reserved for free frames");
+        if let Some(s) = self.slot(page) {
+            if *s & RESIDENT != 0 {
+                *s |= REFERENCED;
+                self.stats.hits += 1;
+                return Touch::Hit;
+            }
         }
         self.stats.misses += 1;
         let evicted = self.install(page);
@@ -153,57 +183,48 @@ impl BufferPool {
 
     /// Marks a resident page dirty; returns `false` when the page is absent.
     pub fn mark_dirty(&mut self, page: GlobalPageId) -> bool {
-        match self.page_table.get(&page) {
-            Some(&idx) => {
-                let frame = self.frames[idx as usize]
-                    .as_mut()
-                    .expect("page table points at occupied frame");
-                if !frame.dirty {
-                    frame.dirty = true;
+        match self.slot(page) {
+            Some(s) if *s & RESIDENT != 0 => {
+                if *s & DIRTY == 0 {
+                    *s |= DIRTY;
                     self.dirty_count += 1;
                 }
                 true
             }
-            None => false,
+            _ => false,
         }
     }
 
     fn install(&mut self, page: GlobalPageId) -> Option<(GlobalPageId, bool)> {
-        if let Some(idx) = self.free.pop() {
-            self.frames[idx as usize] = Some(Frame {
-                page,
-                referenced: true,
-                dirty: false,
-            });
-            self.page_table.insert(page, idx);
-            return None;
+        let evicted = if let Some(idx) = self.free.pop() {
+            self.frames[idx as usize] = page;
+            None
+        } else if self.frames.len() < self.capacity {
+            self.frames.push(page);
+            None
+        } else {
+            let victim_idx = self.sweep();
+            let victim = std::mem::replace(&mut self.frames[victim_idx], page);
+            let dirty = std::mem::take(self.state_mut(victim)) & DIRTY != 0;
+            self.stats.evictions += 1;
+            if dirty {
+                self.dirty_count -= 1;
+                self.stats.dirty_evictions += 1;
+            }
+            Some((victim, dirty))
+        };
+        // Grow the relation's state bytes to cover `page` on first touch.
+        let rel = page.rel.0 as usize;
+        if self.state.len() <= rel {
+            self.state.resize_with(rel + 1, Vec::new);
         }
-        if self.frames.len() < self.capacity {
-            let idx = self.frames.len() as u32;
-            self.frames.push(Some(Frame {
-                page,
-                referenced: true,
-                dirty: false,
-            }));
-            self.page_table.insert(page, idx);
-            return None;
+        let pages = &mut self.state[rel];
+        let p = page.page as usize;
+        if pages.len() <= p {
+            pages.resize(p + 1, 0);
         }
-        let victim_idx = self.sweep();
-        let victim = self.frames[victim_idx]
-            .replace(Frame {
-                page,
-                referenced: true,
-                dirty: false,
-            })
-            .expect("sweep returns occupied frame");
-        self.page_table.remove(&victim.page);
-        self.page_table.insert(page, victim_idx as u32);
-        self.stats.evictions += 1;
-        if victim.dirty {
-            self.dirty_count -= 1;
-            self.stats.dirty_evictions += 1;
-        }
-        Some((victim.page, victim.dirty))
+        pages[p] = RESIDENT | REFERENCED;
+        evicted
     }
 
     /// Clock-sweep: advance the hand, clearing reference bits, until an
@@ -214,9 +235,9 @@ impl BufferPool {
         loop {
             let idx = self.hand;
             self.hand = (self.hand + 1) % self.frames.len();
-            let frame = self.frames[idx].as_mut().expect("pool is full");
-            if frame.referenced {
-                frame.referenced = false;
+            let s = self.state_mut(self.frames[idx]);
+            if *s & REFERENCED != 0 {
+                *s &= !REFERENCED;
             } else {
                 return idx;
             }
@@ -236,18 +257,22 @@ impl BufferPool {
         }
         let n = self.frames.len();
         let start = self.hand % n;
-        for off in 0..n {
-            if out.len() >= max {
+        for idx in (start..n).chain(0..start) {
+            // Once the last dirty page is out, the rest of the scan finds
+            // nothing; stopping keeps a sparse round cheap.
+            if out.len() >= max || self.dirty_count == 0 {
                 break;
             }
-            let idx = (start + off) % n;
-            if let Some(frame) = self.frames[idx].as_mut() {
-                if frame.dirty {
-                    frame.dirty = false;
-                    self.dirty_count -= 1;
-                    self.stats.flushed += 1;
-                    out.push(frame.page);
-                }
+            let page = self.frames[idx];
+            if page == FREE {
+                continue;
+            }
+            let s = self.state_mut(page);
+            if *s & DIRTY != 0 {
+                *s &= !DIRTY;
+                self.dirty_count -= 1;
+                self.stats.flushed += 1;
+                out.push(page);
             }
         }
         out
@@ -260,18 +285,22 @@ impl BufferPool {
         let mut clean = 0;
         let mut dirty = 0;
         for idx in 0..self.frames.len() {
-            let matches = self.frames[idx].as_ref().is_some_and(|f| f.page.rel == rel);
-            if matches {
-                let frame = self.frames[idx].take().expect("checked above");
-                self.page_table.remove(&frame.page);
+            let page = self.frames[idx];
+            if page != FREE && page.rel == rel {
+                self.frames[idx] = FREE;
                 self.free.push(idx as u32);
-                if frame.dirty {
+                if std::mem::take(self.state_mut(page)) & DIRTY != 0 {
                     self.dirty_count -= 1;
                     dirty += 1;
                 } else {
                     clean += 1;
                 }
             }
+        }
+        // Every state byte of `rel` is now zero. A replica that stops
+        // serving a table may never touch it again, so release them.
+        if let Some(pages) = self.state.get_mut(rel.0 as usize) {
+            *pages = Vec::new();
         }
         (clean, dirty)
     }
@@ -280,7 +309,7 @@ impl BufferPool {
     pub fn resident_of(&self, rel: RelationId) -> usize {
         self.frames
             .iter()
-            .filter(|f| f.as_ref().is_some_and(|f| f.page.rel == rel))
+            .filter(|p| **p != FREE && p.rel == rel)
             .count()
     }
 }

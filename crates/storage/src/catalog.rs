@@ -8,6 +8,7 @@
 //! sets.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use crate::ids::{GlobalPageId, PageId, RelationId, RowId, PAGE_SIZE};
 
@@ -76,8 +77,11 @@ impl Relation {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct Catalog {
-    relations: Vec<Relation>,
-    by_name: HashMap<String, RelationId>,
+    // Shared so that the copy every replica holds costs two reference
+    // counts rather than a string allocation per relation; `add` copies on
+    // write.
+    relations: Arc<Vec<Relation>>,
+    by_name: Arc<HashMap<String, RelationId>>,
 }
 
 impl Catalog {
@@ -90,11 +94,13 @@ impl Catalog {
         let id = RelationId(self.relations.len() as u32);
         rel.id = id;
         assert!(
-            self.by_name.insert(rel.name.clone(), id).is_none(),
+            Arc::make_mut(&mut self.by_name)
+                .insert(rel.name.clone(), id)
+                .is_none(),
             "duplicate relation name {:?}",
             rel.name
         );
-        self.relations.push(rel);
+        Arc::make_mut(&mut self.relations).push(rel);
         id
     }
 
