@@ -128,6 +128,50 @@ fn bench_certifier(c: &mut Criterion) {
             BatchSize::SmallInput,
         )
     });
+
+    // A log shaped like ordering-malb-uf's at the end of a run: 41.5k
+    // entries, 79% of 2 items, 20% of 6 and 1% of 4, every row distinct.
+    // The probe conflicts only with the newest entry, so the check walks
+    // the whole suffix after its snapshot: 28 entries (the mean on
+    // ordering-malb-uf) or 869 (its maximum). A conflict appends nothing,
+    // so the log stays the same size across iterations.
+    let item = |i: u64, k: u64| WritesetItem {
+        rel: RelationId(((i + k) % 10) as u32),
+        row: i * 8 + k,
+    };
+    let mut cert = tashkent_certifier::Certifier::default();
+    for i in 0..41_500u64 {
+        let n = match i % 100 {
+            0..=78 => 2,
+            79..=98 => 6,
+            _ => 4,
+        };
+        let ws = Writeset::new(
+            TxnId(i),
+            TxnTypeId(0),
+            Snapshot::at(cert.version()),
+            (0..n).map(|k| item(i, k)).collect(),
+        );
+        cert.certify(SimTime::ZERO, ws);
+    }
+    let head = cert.version().0;
+    for lag in [28, 869] {
+        let probe = Writeset::new(
+            TxnId(head),
+            TxnTypeId(0),
+            Snapshot::at(Version(head - lag)),
+            vec![
+                item(head - 1, 0),
+                WritesetItem {
+                    rel: RelationId(0),
+                    row: u64::MAX,
+                },
+            ],
+        );
+        c.bench_function(&format!("certify_ordering_log_lag_{lag}"), |b| {
+            b.iter(|| cert.certify(SimTime::ZERO, probe.clone()))
+        });
+    }
 }
 
 fn bench_dispatch(c: &mut Criterion) {

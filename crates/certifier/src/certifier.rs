@@ -1,9 +1,9 @@
 //! Certification and the global commit log.
 
-use std::collections::HashMap;
-
-use tashkent_engine::{Version, Writeset, WritesetItem};
+use tashkent_engine::{Version, Writeset};
 use tashkent_sim::SimTime;
+
+use crate::log::CommitLog;
 
 /// Timing parameters for the certifier's service model.
 #[derive(Debug, Clone, Copy)]
@@ -39,16 +39,6 @@ pub struct CertifierStats {
     pub log_bytes: u64,
 }
 
-/// A writeset that passed certification, stamped with its commit version.
-#[derive(Debug, Clone)]
-pub struct CommittedWriteset {
-    /// Position in the global commit order (1-based: the first committed
-    /// writeset has version 1).
-    pub version: Version,
-    /// The writeset itself.
-    pub writeset: Writeset,
-}
-
 /// Outcome of certifying one writeset.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CertifyOutcome {
@@ -69,9 +59,10 @@ pub enum CertifyOutcome {
 ///
 /// Certification under GSI: a writeset with snapshot version `s` commits iff
 /// no writeset with version `> s` intersects it (write-write conflict
-/// detection, §4.1). The full log is retained — it is the paper's persistent
-/// log, also used for replica recovery — while an item→last-writer index
-/// keeps certification O(|writeset|).
+/// detection, §4.1). The check scans the log entries committed since the
+/// snapshot, as the paper states it; that suffix is short (tens of entries
+/// on the TPC-W mixes). The full log is retained — it is the paper's
+/// persistent log, also used for propagation and replica recovery.
 ///
 /// # Examples
 ///
@@ -94,10 +85,7 @@ pub enum CertifyOutcome {
 #[derive(Debug, Clone)]
 pub struct Certifier {
     params: CertifierParams,
-    /// Full commit log; entry `i` has version `i + 1`.
-    log: Vec<CommittedWriteset>,
-    /// Last writer version per item, for O(1) conflict probes.
-    last_writer: HashMap<WritesetItem, Version>,
+    log: CommitLog,
     stats: CertifierStats,
     /// Completion horizon of the certification CPU (serial service).
     busy_until: SimTime,
@@ -114,8 +102,7 @@ impl Certifier {
     pub fn new(params: CertifierParams) -> Self {
         Certifier {
             params,
-            log: Vec::new(),
-            last_writer: HashMap::new(),
+            log: CommitLog::default(),
             stats: CertifierStats::default(),
             busy_until: SimTime::ZERO,
         }
@@ -123,7 +110,12 @@ impl Certifier {
 
     /// Latest committed version (log head).
     pub fn version(&self) -> Version {
-        Version(self.log.len() as u64)
+        self.log.head()
+    }
+
+    /// The persistent commit log.
+    pub fn log(&self) -> &CommitLog {
+        &self.log
     }
 
     /// Activity counters.
@@ -148,26 +140,14 @@ impl Certifier {
             };
         }
 
-        let snapshot = ws.snapshot.version;
-        let conflict = ws
-            .items
-            .iter()
-            .any(|item| self.last_writer.get(item).is_some_and(|v| *v > snapshot));
-        if conflict {
+        if self.log.conflicts(ws.snapshot.version, &ws.items) {
             self.stats.conflicts += 1;
             return CertifyOutcome::Conflict;
         }
 
-        let version = self.version().next();
-        for item in &ws.items {
-            self.last_writer.insert(*item, version);
-        }
+        let version = self.log.append(&ws.items);
         self.stats.committed += 1;
         self.stats.log_bytes += ws.bytes();
-        self.log.push(CommittedWriteset {
-            version,
-            writeset: ws,
-        });
 
         // Group commit: the log write completes at the end of the window the
         // check fell into, plus the write itself.
@@ -180,35 +160,16 @@ impl Certifier {
         }
     }
 
-    /// Committed writesets with versions in `(after, head]` — what a replica
-    /// at version `after` must apply to catch up.
-    pub fn writesets_since(&self, after: Version) -> &[CommittedWriteset] {
-        let idx = (after.0 as usize).min(self.log.len());
-        &self.log[idx..]
-    }
-
     /// How many commits a replica at `applied` is behind the log head.
     pub fn lag_of(&self, applied: Version) -> u64 {
         self.version().0.saturating_sub(applied.0)
-    }
-
-    /// Rebuilds the conflict index keeping only writers newer than
-    /// `horizon` (the oldest snapshot still active anywhere). Bounds index
-    /// growth on long runs without touching the persistent log.
-    pub fn prune_index(&mut self, horizon: Version) {
-        self.last_writer.retain(|_, v| *v > horizon);
-    }
-
-    /// Number of entries in the conflict index (for tests and metrics).
-    pub fn index_len(&self) -> usize {
-        self.last_writer.len()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tashkent_engine::{Snapshot, TxnId, TxnTypeId};
+    use tashkent_engine::{Snapshot, TxnId, TxnTypeId, WritesetItem};
     use tashkent_storage::RelationId;
 
     fn ws(txn: u64, snap: u64, items: &[(u32, u64)]) -> Writeset {
@@ -287,12 +248,12 @@ mod tests {
         for i in 0..5 {
             c.certify(SimTime::ZERO, ws(i, i, &[(0, i)]));
         }
-        let tail = c.writesets_since(Version(3));
+        let tail = c.log().since(Version(3));
         assert_eq!(tail.len(), 2);
-        assert_eq!(tail[0].version, Version(4));
-        assert_eq!(tail[1].version, Version(5));
-        assert!(c.writesets_since(Version(99)).is_empty());
-        assert_eq!(c.writesets_since(Version(0)).len(), 5);
+        assert_eq!(tail.get(0).0, Version(4));
+        assert_eq!(tail.get(1).0, Version(5));
+        assert!(c.log().since(Version(99)).is_empty());
+        assert_eq!(c.log().since(Version(0)).len(), 5);
     }
 
     #[test]
@@ -357,22 +318,6 @@ mod tests {
             }
             _ => panic!(),
         }
-    }
-
-    #[test]
-    fn prune_index_keeps_recent_writers_only() {
-        let mut c = Certifier::default();
-        for i in 0..10 {
-            c.certify(SimTime::ZERO, ws(i, i, &[(0, i)]));
-        }
-        assert_eq!(c.index_len(), 10);
-        c.prune_index(Version(8));
-        assert_eq!(c.index_len(), 2);
-        // Conflicts against surviving index entries still detected.
-        assert_eq!(
-            c.certify(SimTime::ZERO, ws(99, 8, &[(0, 9)])),
-            CertifyOutcome::Conflict
-        );
     }
 
     #[test]

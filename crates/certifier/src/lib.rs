@@ -11,21 +11,23 @@
 //! techniques all the more interesting when they still pay off.
 //!
 //! Modules:
-//! * [`certifier`] — the certification state machine and the commit log,
-//! * [`sharded`] — per-relation-group certification shards (group-local
-//!   conflict checks; the decide half stays with the coordinator),
+//! * [`certifier`] — the certification state machine,
+//! * [`log`] — the persistent commit log, one flat item arena whose suffix
+//!   after a snapshot is what a conflict check scans,
+//! * [`sharded`] — per-relation-group certification shards (per-group
+//!   service queues; the verdict and decide stay with the coordinator),
 //! * [`propagation`] — the pull/prod trigger policy (500 ms pull, 25-commit
 //!   prod),
 //! * [`group`] — the leader/backup certifier group used for fault tolerance.
 
 pub mod certifier;
 pub mod group;
+pub mod log;
 pub mod propagation;
 pub mod sharded;
 
-pub use certifier::{
-    Certifier, CertifierParams, CertifierStats, CertifyOutcome, CommittedWriteset,
-};
+pub use certifier::{Certifier, CertifierParams, CertifierStats, CertifyOutcome};
 pub use group::{CertifierGroup, GroupEvent};
+pub use log::{CommitLog, Entries, LogView};
 pub use propagation::{PropagationAction, PropagationPolicy};
 pub use sharded::{CertShard, ShardCheck};

@@ -1,7 +1,9 @@
 //! Property-based tests for GSI certification.
 
+use std::collections::HashMap;
+
 use proptest::prelude::*;
-use tashkent_certifier::{Certifier, CertifyOutcome};
+use tashkent_certifier::{Certifier, CertifierParams, CertifyOutcome};
 use tashkent_engine::{Snapshot, TxnId, TxnTypeId, Version, Writeset, WritesetItem};
 use tashkent_sim::SimTime;
 use tashkent_storage::RelationId;
@@ -21,7 +23,105 @@ fn ws(txn: u64, snap: u64, items: &[(u32, u64)]) -> Writeset {
     )
 }
 
+/// A certifier built on a per-item last-writer index instead of a log scan:
+/// a writeset conflicts iff some item's last writer is newer than its
+/// snapshot. Kept as the reference model [`Certifier`] must match exactly —
+/// outcome, version and durability time — on every history.
+struct IndexCertifier {
+    params: CertifierParams,
+    head: u64,
+    last_writer: HashMap<WritesetItem, u64>,
+    busy_until: SimTime,
+}
+
+impl IndexCertifier {
+    fn new(params: CertifierParams) -> Self {
+        IndexCertifier {
+            params,
+            head: 0,
+            last_writer: HashMap::new(),
+            busy_until: SimTime::ZERO,
+        }
+    }
+
+    fn certify(&mut self, now: SimTime, ws: &Writeset) -> CertifyOutcome {
+        let checked_at = self.busy_until.max(now) + self.params.check_us;
+        self.busy_until = checked_at;
+        if ws.is_empty() {
+            return CertifyOutcome::Committed {
+                version: Version(self.head),
+                durable_at: checked_at,
+            };
+        }
+        let snapshot = ws.snapshot.version.0;
+        if ws
+            .items
+            .iter()
+            .any(|item| self.last_writer.get(item).is_some_and(|v| *v > snapshot))
+        {
+            return CertifyOutcome::Conflict;
+        }
+        self.head += 1;
+        for item in &ws.items {
+            self.last_writer.insert(*item, self.head);
+        }
+        let w = self.params.group_window_us.max(1);
+        let boundary = checked_at.as_micros().div_ceil(w) * w;
+        CertifyOutcome::Committed {
+            version: Version(self.head),
+            durable_at: SimTime::from_micros(boundary + self.params.log_write_us),
+        }
+    }
+}
+
 proptest! {
+    /// The log-scan certifier and the last-writer-index reference agree on
+    /// every request of random histories: 1–4 relations over few rows (so
+    /// conflicts are common), duplicate rows, empty writesets, snapshot
+    /// lags from 0 to past the head, bursty arrivals, and random service
+    /// parameters. The log holds exactly the committed writesets' items.
+    #[test]
+    fn matches_reference_model(
+        rels in 1u32..5,
+        params in (1u64..200, 0u64..3_000, 0u64..4_000),
+        history in proptest::collection::vec(
+            (
+                0u64..48, // snapshot lag behind the head
+                0u64..400, // gap since the previous arrival, µs
+                proptest::collection::vec((0u32..4, 0u64..16), 0..7),
+            ),
+            1..150,
+        ),
+    ) {
+        let (check_us, log_write_us, group_window_us) = params;
+        let params = CertifierParams { check_us, log_write_us, group_window_us };
+        let mut cert = Certifier::new(params);
+        let mut reference = IndexCertifier::new(params);
+        let mut committed: Vec<Vec<WritesetItem>> = Vec::new();
+        let mut now = 0u64;
+        for (i, (lag, gap, items)) in history.iter().enumerate() {
+            now += gap;
+            let items: Vec<(u32, u64)> = items.iter().map(|(r, row)| (r % rels, *row)).collect();
+            let snap = cert.version().0.saturating_sub(*lag);
+            let w = ws(i as u64, snap, &items);
+            let expected = reference.certify(SimTime::from_micros(now), &w);
+            let got = cert.certify(SimTime::from_micros(now), w.clone());
+            prop_assert_eq!(got, expected, "request {} diverged", i);
+            if matches!(got, CertifyOutcome::Committed { .. }) && !w.is_empty() {
+                committed.push(w.items);
+            }
+        }
+        prop_assert_eq!(cert.version(), Version(reference.head));
+        prop_assert_eq!(cert.stats().committed, committed.len() as u64);
+        let logged: Vec<Vec<WritesetItem>> = cert
+            .log()
+            .since(Version(0))
+            .iter()
+            .map(|(_, items)| items.to_vec())
+            .collect();
+        prop_assert_eq!(logged, committed);
+    }
+
     /// Commit versions are dense and strictly increasing, regardless of the
     /// conflict pattern.
     #[test]
@@ -55,46 +155,12 @@ proptest! {
             let head = cert.version().0;
             cert.certify(SimTime::from_micros(i), ws(i, head, &[(0, i)]));
         }
-        let suffix = cert.writesets_since(Version(after));
+        let suffix = cert.log().since(Version(after));
         let expect_len = cert.version().0.saturating_sub(after) as usize;
         prop_assert_eq!(suffix.len(), expect_len);
-        for (k, cw) in suffix.iter().enumerate() {
-            prop_assert_eq!(cw.version.0, after + 1 + k as u64);
-        }
-    }
-
-    /// Pruning the conflict index at any horizon at or below every active
-    /// snapshot never changes certification outcomes.
-    #[test]
-    fn pruning_preserves_outcomes(rows in proptest::collection::vec(0u64..20, 5..30),
-                                  horizon_frac in 0.0f64..1.0) {
-        // Build the same history twice; prune one; compare the outcome of a
-        // probe whose snapshot is at or above the prune horizon.
-        let build = || {
-            let mut cert = Certifier::default();
-            for (i, row) in rows.iter().enumerate() {
-                let head = cert.version().0;
-                cert.certify(SimTime::from_micros(i as u64), ws(i as u64, head, &[(0, *row)]));
-            }
-            cert
-        };
-        let mut pruned = build();
-        let mut intact = build();
-        let head = pruned.version().0;
-        let horizon = (head as f64 * horizon_frac) as u64;
-        pruned.prune_index(Version(horizon));
-        // Probe every row with a snapshot at the horizon (a legal snapshot:
-        // nothing older is active).
-        for row in 0..20u64 {
-            let probe = |c: &mut Certifier| {
-                matches!(
-                    c.certify(SimTime::from_secs(1), ws(10_000 + row, horizon, &[(0, row)])),
-                    CertifyOutcome::Conflict
-                )
-            };
-            prop_assert_eq!(probe(&mut pruned), probe(&mut intact), "row {}", row);
-            // Keep the two logs in lockstep: committing in one must commit
-            // in the other (same outcome ⇒ same state evolution).
+        for (k, (version, items)) in suffix.iter().enumerate() {
+            prop_assert_eq!(version.0, after + 1 + k as u64);
+            prop_assert_eq!(items, &[WritesetItem { rel: RelationId(0), row: version.0 - 1 }][..]);
         }
     }
 

@@ -1,11 +1,10 @@
 //! The replicas' round-trip to the certifier.
 
 use std::collections::{BTreeSet, VecDeque};
-use std::sync::Arc;
 
 use tashkent_certifier::{
-    CertShard, Certifier, CertifierGroup, CertifierParams, CertifyOutcome, CommittedWriteset,
-    GroupEvent, PropagationAction, PropagationPolicy, ShardCheck,
+    CertShard, Certifier, CertifierGroup, CertifierParams, CertifyOutcome, CommitLog, GroupEvent,
+    LogView, PropagationAction, PropagationPolicy, ShardCheck,
 };
 use tashkent_engine::{TxnId, Version, Writeset, WS_HEADER_BYTES, WS_ITEM_BYTES};
 use tashkent_sim::{EventQueue, SimTime};
@@ -13,7 +12,7 @@ use tashkent_storage::RelationId;
 
 use crate::components::ClusterNode;
 use crate::events::Ev;
-use crate::placement::{CertMap, PlacementMap, WS_TICK_BYTES};
+use crate::placement::{PlacementMap, WS_TICK_BYTES};
 use crate::trace::{TraceData, Tracer};
 
 /// A certification request parked while every member of a touched group is
@@ -28,25 +27,23 @@ struct WaitingCert {
     groups: u64,
 }
 
-/// The sharded-certification engine: per-relation-group [`CertShard`]s for
-/// conflict checks, per-group leader+backups membership, and the
-/// coordinator-side decide state — the *global* total-order log, version
-/// assignment, and each group's ascending list of global commit versions.
+/// The sharded-certification engine: per-relation-group [`CertShard`]
+/// service queues, per-group leader+backups membership, and the
+/// coordinator-side decide state — the *global* total-order log, the
+/// conflict verdict, version assignment, and each group's ascending list of
+/// global commit versions.
 ///
-/// The check half of a single-group request (`CertShard::check`) is the
-/// part a driver may lease to a pool worker; everything in this struct
-/// beyond the shard slots is decide-side and never leaves the coordinator.
+/// The service-time half of a single-group request
+/// ([`CertShard::reserve_check`]) is the part a driver may lease to a pool
+/// worker; everything in this struct beyond the shard slots is decide-side
+/// and never leaves the coordinator.
 pub struct ShardedCert {
-    map: Arc<CertMap>,
     params: CertifierParams,
-    /// The global commit order; entry `i` has version `i + 1`. Propagation,
-    /// recovery replay, and backfill all read this log, exactly as they
-    /// read the unified certifier's.
-    log: Vec<CommittedWriteset>,
-    /// Per-group ascending global commit versions — the group-local order.
-    /// `group_commits[g].len()` is group `g`'s `gseq` head; the embedding
-    /// into the global order is monotone, which is what makes the
-    /// group-local conflict probe exact (see `tashkent_certifier::sharded`).
+    /// The global commit order. Conflict checks, propagation, recovery
+    /// replay, and backfill all read this log, exactly as they read the
+    /// unified certifier's.
+    log: CommitLog,
+    /// Per-group ascending global commit versions.
     group_commits: Vec<Vec<u64>>,
     /// Leasable check state, one slot per group (`None` while a driver has
     /// the shard out at a pool worker).
@@ -61,12 +58,10 @@ pub struct ShardedCert {
 }
 
 impl ShardedCert {
-    fn new(params: CertifierParams, map: Arc<CertMap>) -> Self {
-        let n = map.group_count();
+    fn new(params: CertifierParams, n: usize) -> Self {
         ShardedCert {
-            map,
             params,
-            log: Vec::new(),
+            log: CommitLog::default(),
             group_commits: vec![Vec::new(); n],
             shards: (0..n)
                 .map(|_| Some(Box::new(CertShard::new(params))))
@@ -79,20 +74,10 @@ impl ShardedCert {
         }
     }
 
-    /// Group `g`'s commits visible at `snapshot`: the number of entries in
-    /// its ascending global-version list that are `<= snapshot` — the
-    /// `gsnap` the group-local conflict probe runs against. Exact whenever
-    /// `snapshot` is at or below the current global head, which holds both
-    /// at handling time and at the parallel driver's window formation
-    /// (snapshots are taken before their send event is scheduled).
-    fn gsnap(&self, g: usize, snapshot: Version) -> u64 {
-        self.group_commits[g].partition_point(|v| *v <= snapshot.0) as u64
-    }
-
-    /// The decide half of a single-group certification: global version
-    /// assignment, log append, group-commit durability, and the response
-    /// back to the origin replica. Returns the request's effective arrival
-    /// time (for `last_contact`).
+    /// The decide half of a single-group certification: the conflict
+    /// verdict, global version assignment, log append, group-commit
+    /// durability, and the response back to the origin replica. Returns the
+    /// request's effective arrival time (for `last_contact`).
     #[allow(clippy::too_many_arguments)]
     fn decide_single(
         &mut self,
@@ -105,7 +90,7 @@ impl ShardedCert {
         tracer: &mut Tracer,
         queue: &mut EventQueue<Ev>,
     ) -> SimTime {
-        if !check.committed {
+        if self.log.conflicts(ws.snapshot.version, &ws.items) {
             self.conflicts += 1;
             tracer.emit(
                 check.eff_now,
@@ -135,7 +120,7 @@ impl ShardedCert {
                     txn: txn.0,
                     groups: 1 << g,
                     committed: true,
-                    version: Some(self.log.len() as u64),
+                    version: Some(self.log.head().0),
                 },
             );
             queue.schedule(
@@ -143,12 +128,12 @@ impl ShardedCert {
                 Ev::CertifyReturn {
                     replica,
                     txn,
-                    version: Some(Version(self.log.len() as u64)),
+                    version: Some(self.log.head()),
                 },
             );
             return check.eff_now;
         }
-        let version = Version(self.log.len() as u64 + 1);
+        let version = self.log.head().next();
         tracer.emit(
             check.checked_at,
             TraceData::Certify {
@@ -158,24 +143,17 @@ impl ShardedCert {
                 version: Some(version.0),
             },
         );
-        self.commit(
-            &[g],
-            version,
-            ws,
-            check.checked_at,
-            replica,
-            txn,
-            lan_hop_us,
-            queue,
-        );
+        self.commit(&[g], &ws, check.checked_at, replica, txn, lan_hop_us, queue);
         check.eff_now
     }
 
     /// The cross-group atomic-commitment round: every touched group charges
-    /// a vote (a conflict check on the items it owns), the decide waits for
-    /// the slowest vote plus two LAN hops (vote collection + decision
-    /// broadcast), and a commit installs into every touched group under one
-    /// global version. Returns the effective arrival time.
+    /// a vote (a conflict check on the items it owns) on its own queue, the
+    /// decide waits for the slowest vote plus two LAN hops (vote collection
+    /// and decision broadcast), and a commit lands in every touched group
+    /// under one global version. The votes' OR is one scan of the log
+    /// suffix (see `tashkent_certifier::sharded`). Returns the effective
+    /// arrival time.
     #[allow(clippy::too_many_arguments)]
     fn decide_cross(
         &mut self,
@@ -199,25 +177,14 @@ impl ShardedCert {
         });
         // Votes: each group's check runs on its own shard queue, started at
         // the coordinated arrival time.
-        let mut vote_done = SimTime::ZERO;
-        let mut conflict = false;
-        for &g in &touched {
-            let gsnap = self.gsnap(g, ws.snapshot.version);
-            let shard = self.shards[g]
+        let vote_done = touched.iter().fold(SimTime::ZERO, |t, g| {
+            let shard = self.shards[*g]
                 .as_mut()
                 .expect("cert shard leased to a driver");
-            let (_, checked_at) = shard.reserve_check(eff_now);
-            vote_done = vote_done.max(checked_at);
-            let map = &self.map;
-            if shard.probe(
-                ws.items.iter().filter(|i| map.group_of_rel(i.rel) == g),
-                gsnap,
-            ) {
-                conflict = true;
-            }
-        }
+            t.max(shard.reserve_check(eff_now).checked_at)
+        });
         let decide_at = vote_done + 2 * lan_hop_us;
-        if conflict {
+        if self.log.conflicts(ws.snapshot.version, &ws.items) {
             self.conflicts += 1;
             tracer.emit(
                 decide_at,
@@ -238,54 +205,38 @@ impl ShardedCert {
             );
             return eff_now;
         }
-        let version = Version(self.log.len() as u64 + 1);
         tracer.emit(
             decide_at,
             TraceData::Certify {
                 txn: txn.0,
                 groups: mask,
                 committed: true,
-                version: Some(version.0),
+                version: Some(self.log.head().next().0),
             },
         );
-        self.commit(
-            &touched, version, ws, decide_at, replica, txn, lan_hop_us, queue,
-        );
+        self.commit(&touched, &ws, decide_at, replica, txn, lan_hop_us, queue);
         eff_now
     }
 
-    /// Shared commit tail: installs the owned items into every touched
-    /// group's shard, appends one entry to the global log and each touched
-    /// group's version list, and schedules the durable response.
+    /// Shared commit tail: appends one entry to the global log and each
+    /// touched group's version list, and schedules the durable response.
     #[allow(clippy::too_many_arguments)]
     fn commit(
         &mut self,
         touched: &[usize],
-        version: Version,
-        ws: Writeset,
+        ws: &Writeset,
         commit_point: SimTime,
         replica: usize,
         txn: TxnId,
         lan_hop_us: u64,
         queue: &mut EventQueue<Ev>,
     ) {
+        let version = self.log.append(&ws.items);
         for &g in touched {
-            if touched.len() > 1 {
-                let map = &self.map;
-                let shard = self.shards[g]
-                    .as_mut()
-                    .expect("cert shard leased to a driver");
-                shard.install(ws.items.iter().filter(|i| map.group_of_rel(i.rel) == g));
-            }
-            // Single-group installs already happened inside the shard check.
             self.group_commits[g].push(version.0);
         }
         self.committed += 1;
         self.log_bytes += ws.bytes();
-        self.log.push(CommittedWriteset {
-            version,
-            writeset: ws,
-        });
         let w = self.params.group_window_us.max(1);
         let durable_at = SimTime::from_micros(
             commit_point.as_micros().div_ceil(w) * w + self.params.log_write_us,
@@ -362,16 +313,16 @@ impl CertifierLink {
     }
 
     /// Builds the sharded-certification link: one leader+backups group and
-    /// one [`CertShard`] per `map` relation group, a group-local order per
-    /// group, and the coordinator-side global log.
+    /// one [`CertShard`] per relation group (`groups` of them), each group's
+    /// commit-version list, and the coordinator-side global log.
     pub fn new_sharded(
         params: CertifierParams,
         replicas: usize,
         lan_hop_us: u64,
-        map: Arc<CertMap>,
+        groups: usize,
     ) -> Self {
         let mut link = Self::new(params, replicas, lan_hop_us);
-        link.sharded = Some(ShardedCert::new(params, map));
+        link.sharded = Some(ShardedCert::new(params, groups));
         link
     }
 
@@ -439,16 +390,6 @@ impl CertifierLink {
                 .sharded
                 .as_ref()
                 .map_or(0, |s| s.wait.iter().map(VecDeque::len).sum())
-    }
-
-    /// Group `g`'s `gsnap` for a snapshot version — how many of the group's
-    /// commits the snapshot sees (the parallel driver computes this at
-    /// window formation to ship checks to pool workers).
-    pub fn cert_gsnap(&self, g: usize, snapshot: Version) -> u64 {
-        self.sharded
-            .as_ref()
-            .expect("gsnap queried under unified certification")
-            .gsnap(g, snapshot)
     }
 
     /// Leases group `g`'s certification shard out (to a driver worker).
@@ -560,20 +501,14 @@ impl CertifierLink {
 
     /// Head of the global commit order.
     pub fn version(&self) -> Version {
-        match &self.sharded {
-            Some(s) => Version(s.log.len() as u64),
-            None => self.certifier.version(),
-        }
+        self.log().head()
     }
 
-    /// The global log's entries with versions in `(after, head]`.
-    fn log_since(&self, after: Version) -> &[CommittedWriteset] {
+    /// The global commit log.
+    fn log(&self) -> &CommitLog {
         match &self.sharded {
-            Some(s) => {
-                let idx = (after.0 as usize).min(s.log.len());
-                &s.log[idx..]
-            }
-            None => self.certifier.writesets_since(after),
+            Some(s) => &s.log,
+            None => self.certifier.log(),
         }
     }
 
@@ -659,9 +594,9 @@ impl CertifierLink {
         self.last_contact[replica] = now;
     }
 
-    /// Sharded certification: a single-group request runs the group's shard
-    /// check then the coordinator decide; a cross-group request runs the
-    /// atomic-commitment round across the touched groups.
+    /// Sharded certification: a single-group request reserves the group's
+    /// shard check then runs the coordinator decide; a cross-group request
+    /// runs the atomic-commitment round across the touched groups.
     #[allow(clippy::too_many_arguments)]
     fn on_send_sharded(
         &mut self,
@@ -690,11 +625,10 @@ impl CertifierLink {
         }
         let eff_now = if groups.count_ones() == 1 {
             let g = groups.trailing_zeros() as usize;
-            let gsnap = s.gsnap(g, ws.snapshot.version);
             let check = s.shards[g]
                 .as_mut()
                 .expect("cert shard leased to a driver")
-                .check(now, &ws, gsnap);
+                .reserve_check(now);
             s.decide_single(g, replica, txn, ws, check, lan, tracer, queue)
         } else {
             s.decide_cross(groups, replica, txn, ws, now, lan, tracer, queue)
@@ -702,11 +636,13 @@ impl CertifierLink {
         self.last_contact[replica] = eff_now;
     }
 
-    /// The decide half of a worker-executed single-group check: the
+    /// The decide half of a worker-reserved single-group check: the
     /// parallel driver ships the shard to a pool worker, the worker runs
-    /// [`CertShard::check`], and the coordinator replays the decision here
-    /// at the event's exact slot — global version assignment and response
-    /// scheduling are bit-identical to the inline path.
+    /// [`CertShard::reserve_check`], and the coordinator replays the
+    /// decision here at the event's exact slot — the log then holds exactly
+    /// the commits that precede the send, so the verdict, global version
+    /// assignment and response scheduling are bit-identical to the inline
+    /// path.
     #[allow(clippy::too_many_arguments)]
     pub fn certify_decide(
         &mut self,
@@ -746,10 +682,7 @@ impl CertifierLink {
             return now;
         }
         let (done, sent, saved) = {
-            // The log is in version order, so the entries below `version`
-            // are a prefix.
-            let since = self.log_since(node.applied());
-            let pending = &since[..since.partition_point(|cw| cw.version < version)];
+            let pending = self.log().since(node.applied()).before(version);
             let (sent, saved) = delivery_bytes(node.id(), pending, placement);
             (node.apply_writesets(now, pending), sent, saved)
         };
@@ -772,7 +705,7 @@ impl CertifierLink {
         placement: Option<&PlacementMap>,
     ) -> SimTime {
         let (done, sent, saved) = {
-            let pending = self.log_since(node.applied());
+            let pending = self.log().since(node.applied());
             if pending.is_empty() {
                 (now, 0, 0)
             } else {
@@ -807,7 +740,7 @@ impl CertifierLink {
     /// widens). Fixed when a staged backfill starts, so the chunks have a
     /// stable target.
     pub fn backfill_upto(&self, node: &ClusterNode) -> usize {
-        (node.applied().0 as usize).min(self.log_since(Version(0)).len())
+        (node.applied().0 as usize).min(self.log().len())
     }
 
     /// One bandwidth-capped slice of a backfill: re-applies log entries
@@ -827,7 +760,7 @@ impl CertifierLink {
     ) -> (SimTime, u64, usize) {
         let before = node.replica().stats();
         let (done, next) = {
-            let log = self.log_since(Version(0));
+            let log = self.log().since(Version(0));
             let upto = upto.min(log.len());
             let from = from.min(upto);
             // Pick the chunk end by the same byte formula the accounting
@@ -837,9 +770,9 @@ impl CertifierLink {
             let mut used = 0u64;
             let mut shipped_any = false;
             while end < upto {
-                let items = log[end]
-                    .writeset
-                    .items
+                let items = log
+                    .get(end)
+                    .1
                     .iter()
                     .filter(|i| rels.contains(&i.rel))
                     .count() as u64;
@@ -858,7 +791,10 @@ impl CertifierLink {
                     break;
                 }
             }
-            (node.backfill_writesets(now, &log[from..end], rels), end)
+            (
+                node.backfill_writesets(now, log.slice(from..end), rels),
+                end,
+            )
         };
         // The node's backfill counters are the single source of truth for
         // what was actually re-applied; the shipped bytes derive from them.
@@ -889,7 +825,7 @@ impl CertifierLink {
         );
         if action != PropagationAction::None {
             let (applied, sent, saved) = {
-                let pending = self.log_since(node.applied());
+                let pending = self.log().since(node.applied());
                 if pending.is_empty() {
                     (false, 0, 0)
                 } else {
@@ -914,24 +850,19 @@ impl CertifierLink {
 /// (`placement` absent) everything ships and nothing is saved.
 fn delivery_bytes(
     replica: usize,
-    pending: &[CommittedWriteset],
+    pending: LogView<'_>,
     placement: Option<&PlacementMap>,
 ) -> (u64, u64) {
     let (mut sent, mut saved) = (0u64, 0u64);
-    for cw in pending {
-        let total = cw.writeset.items.len() as u64;
+    for (_, items) in pending {
+        let total = items.len() as u64;
         let held = match placement {
             None => total,
-            Some(p) => cw
-                .writeset
-                .items
-                .iter()
-                .filter(|i| p.holds(replica, i.rel))
-                .count() as u64,
+            Some(p) => items.iter().filter(|i| p.holds(replica, i.rel)).count() as u64,
         };
         if total > 0 && held == 0 {
             sent += WS_TICK_BYTES;
-            saved += cw.writeset.bytes() - WS_TICK_BYTES;
+            saved += WS_HEADER_BYTES + total * WS_ITEM_BYTES - WS_TICK_BYTES;
         } else {
             sent += WS_HEADER_BYTES + held * WS_ITEM_BYTES;
             saved += (total - held) * WS_ITEM_BYTES;

@@ -113,7 +113,7 @@ impl ClusterNode {
     pub fn apply_writesets(
         &mut self,
         now: SimTime,
-        writesets: &[tashkent_certifier::CommittedWriteset],
+        writesets: tashkent_certifier::LogView<'_>,
     ) -> SimTime {
         self.node.apply_writesets(now, writesets)
     }
@@ -129,7 +129,7 @@ impl ClusterNode {
     pub fn backfill_writesets(
         &mut self,
         now: SimTime,
-        writesets: &[tashkent_certifier::CommittedWriteset],
+        writesets: tashkent_certifier::LogView<'_>,
         rels: &std::collections::BTreeSet<tashkent_storage::RelationId>,
     ) -> SimTime {
         self.node.backfill_writesets(now, writesets, rels)

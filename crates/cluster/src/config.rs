@@ -46,7 +46,8 @@ pub enum CertifierSharding {
     Unified,
     /// Sharded certification (Sutra & Shapiro direction): each relation
     /// group from the [`crate::placement::CertMap`] is certified by its own
-    /// leader+backups group with a group-local order; cross-group
+    /// leader+backups group and service queue, against the one global
+    /// commit log; cross-group
     /// transactions run an atomic-commitment round (vote/decide) among the
     /// touched groups, paying extra LAN hops. `max_groups = 1` degenerates
     /// to a single group and reproduces `Unified` results bit for bit.

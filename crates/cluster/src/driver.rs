@@ -157,16 +157,17 @@
 //! # Sharded certification in the window
 //!
 //! Under [`crate::config::CertifierSharding::Sharded`], certification
-//! itself shards across the pool: each certifier group's conflict state
+//! itself shards across the pool: each certifier group's service queue
 //! ([`CertShard`]) leases to a stable worker exactly like a replica node
 //! (lease slot `replicas + group`, affinity `(replicas + group) %
 //! workers`), and a pooled window's eligible `CertifySend`s ship to that
-//! worker as a *cert job*. The worker runs the group-local conflict checks
-//! ([`CertShard::check`]: availability wait, service-time reservation,
-//! probe, install); the merge replays each *decision* — global version
-//! assignment, log append, per-group commit list, response scheduling —
-//! inline at the send's exact pop rank via [`ClusterState::certify_decide`].
-//! A send is eligible only when all of these hold:
+//! worker as a *cert job*. The worker runs only the group's service-time
+//! reservations ([`CertShard::reserve_check`]: availability wait, serial
+//! CPU queue); the merge replays each *decision* — the conflict verdict,
+//! global version assignment, log append, per-group commit list, response
+//! scheduling — inline at the send's exact pop rank via
+//! [`ClusterState::certify_decide`]. A send is eligible only when all of
+//! these hold:
 //!
 //! * it touches exactly one group (cross-group sends run an atomic
 //!   commitment round against several shards and always replay inline);
@@ -178,20 +179,18 @@
 //!   lan_hop_us`, with a junior rank at a tie);
 //! * no earlier-popped send destined for inline handling touched its group.
 //!
-//! The last two rules make the worker-side checks of a group exactly the
-//! *senior prefix* of that group's sequential check order for the window:
-//! every inline send touching the group is junior to every dispatched
-//! check, and its handler recalls the shard first
+//! The last two rules make the worker-side reservations of a group exactly
+//! the *senior prefix* of that group's sequential check order for the
+//! window: every inline send touching the group is junior to every
+//! dispatched check, and its handler recalls the shard first
 //! ([`crate::events::NodeDemand::CertGroups`]) — the worker's job lane is
 //! FIFO, so the recalled shard reflects precisely the window's checks,
-//! which is its sequential state at the inline send's slot. The group-local
-//! snapshot position (`gsnap`) each check needs is computed at formation:
-//! a transaction's snapshot predates the window, so commits the merge
-//! appends mid-window carry strictly larger global versions and cannot
-//! shift the partition point. The decision half consumes only
-//! coordinator-owned state (the global log) in exact pop order, so version
-//! assignment is bit-identical to the sequential driver; the degenerate
-//! one-group configuration reproduces the unified certifier bit-for-bit.
+//! which is its sequential state at the inline send's slot. The decision
+//! half consumes only coordinator-owned state (the global log) in exact pop
+//! order: at the send's rank the log holds every earlier commit and nothing
+//! later, so the conflict scan and version assignment are bit-identical to
+//! the sequential driver; the degenerate one-group configuration reproduces
+//! the unified certifier bit-for-bit.
 //!
 //! Failure events (`ReplicaCrash`, `ReplicaRecover`, `CertifierKill`,
 //! `Rereplicate`) are `Footprint::Global` and still bound windows as true
@@ -529,9 +528,9 @@ enum WinItem {
         ws: Writeset,
         groups: u64,
     },
-    /// A dispatched certification check: the worker runs the group-local
-    /// conflict check; the merge consumes the check record at this exact
-    /// pop rank and replays the decision inline.
+    /// A dispatched certification check: the worker reserves the group's
+    /// check service time; the merge consumes the check record at this
+    /// exact pop rank and replays the decision inline.
     CertCheck { group: usize },
 }
 
@@ -544,16 +543,13 @@ struct CertCheckItem {
     replica: usize,
     txn: TxnId,
     ws: Writeset,
-    /// The group-local snapshot position, computed at formation (exact:
-    /// see the module docs).
-    gsnap: u64,
 }
 
 /// One certifier group's share of a pooled window, leased to its worker
 /// like a replica [`Job`]. `checks` and `recs` are recycled buffers.
 struct CertJob {
     group: usize,
-    /// The group's conflict shard — or `None` when the assigned worker
+    /// The group's service queue — or `None` when the assigned worker
     /// already racks it under a lease from the previous pooled window.
     shard: Option<Box<CertShard>>,
     /// This group's checks, key-ascending (= pop order).
@@ -1595,12 +1591,12 @@ impl Drop for WorkerPool {
     }
 }
 
-/// Runs one cert group's window checks in pop order against the group's
-/// conflict shard, recording the outcome of each (the decide half replays
-/// on the coordinator).
+/// Reserves one cert group's window checks in pop order on the group's
+/// service queue, recording when each ran (the verdict and the rest of the
+/// decide replay on the coordinator).
 fn run_cert_job(shard: &mut CertShard, job: &mut CertJob) {
     for item in job.checks.drain(..) {
-        let check = shard.check(item.key.at, &item.ws, item.gsnap);
+        let check = shard.reserve_check(item.key.at);
         job.recs.push(Some(CertRec {
             replica: item.replica,
             txn: item.txn,
@@ -2012,12 +2008,12 @@ impl ParallelDriver {
                         .is_available() =>
                 {
                     // Worker-checkable (see the module docs, "Sharded
-                    // certification in the window"): the group's shard runs
-                    // the conflict check on its pool worker; the decision
-                    // replays inline at this exact rank. The certifier's
-                    // answer still reaches the origin no earlier than one
-                    // hop out, so the origin's barrier is the same as for a
-                    // deferred send.
+                    // certification in the window"): the group's shard
+                    // reserves the check's service time on its pool worker;
+                    // the decision replays inline at this exact rank. The
+                    // certifier's answer still reaches the origin no earlier
+                    // than one hop out, so the origin's barrier is the same
+                    // as for a deferred send.
                     let key = Key {
                         at: t + lan_hop_us,
                         rank,
@@ -2157,7 +2153,6 @@ impl ParallelDriver {
                             recs: self.merge.recs_pool.pop().unwrap_or_default(),
                         });
                     }
-                    let gsnap = state.cert_gsnap(g, ws.snapshot.version);
                     cert_jobs[self.cert_job_of[g]].checks.push(CertCheckItem {
                         key: Key {
                             at: *at,
@@ -2166,7 +2161,6 @@ impl ParallelDriver {
                         replica,
                         txn,
                         ws,
-                        gsnap,
                     });
                 }
             }

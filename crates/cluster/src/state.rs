@@ -216,8 +216,8 @@ impl ClusterState {
         }
         // Sharded certification: derive the relation → certifier-group map
         // from the workload, stamp it onto every node (so outgoing
-        // `CertifySend`s carry their touched-group bitmask), and build the
-        // sharded link around it.
+        // `CertifySend`s carry their touched-group bitmask), and give the
+        // sharded link one certifier group per map group.
         let cert_map = match config.certifier_sharding {
             CertifierSharding::Unified => None,
             CertifierSharding::Sharded { max_groups } => {
@@ -235,7 +235,7 @@ impl ClusterState {
                     config.certifier,
                     config.replicas,
                     config.lan_hop_us,
-                    Arc::clone(map),
+                    map.group_count(),
                 )
             }
             None => CertifierLink::new(config.certifier, config.replicas, config.lan_hop_us),
@@ -476,12 +476,6 @@ impl ClusterState {
         self.certifier.cert_group_count()
     }
 
-    /// Group `g`'s `gsnap` for a snapshot version (sharded certification;
-    /// see [`CertifierLink::cert_gsnap`]).
-    pub fn cert_gsnap(&self, g: usize, snapshot: Version) -> u64 {
-        self.certifier.cert_gsnap(g, snapshot)
-    }
-
     /// Leases certifier group `g`'s shard out (to a driver worker).
     pub fn take_cert_shard(&mut self, g: usize) -> Box<CertShard> {
         self.certifier.take_cert_shard(g)
@@ -492,7 +486,7 @@ impl ClusterState {
         self.certifier.put_cert_shard(g, shard)
     }
 
-    /// Replays the coordinator decide for a worker-executed single-group
+    /// Replays the coordinator decide for a worker-reserved single-group
     /// certification check (see [`CertifierLink::certify_decide`]).
     pub fn certify_decide(
         &mut self,

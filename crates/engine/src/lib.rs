@@ -23,4 +23,4 @@ pub use executor::{PageTouch, TxnExecutor};
 pub use explain::{ExplainAccess, ExplainPlan, ExplainStep};
 pub use plan::{Access, CpuCosts, PlanStep, TxnPlan, TxnType, WriteKind, WriteSpec};
 pub use types::{Snapshot, TxnId, TxnTypeId, Version};
-pub use writeset::{Writeset, WritesetItem, WS_HEADER_BYTES, WS_ITEM_BYTES};
+pub use writeset::{items_intersect, Writeset, WritesetItem, WS_HEADER_BYTES, WS_ITEM_BYTES};

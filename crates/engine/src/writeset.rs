@@ -76,18 +76,8 @@ impl Writeset {
     }
 
     /// Whether two writesets write any common row (write-write conflict).
-    ///
-    /// Both item lists are sorted, so this is a linear merge.
     pub fn conflicts_with(&self, other: &Writeset) -> bool {
-        let (mut i, mut j) = (0, 0);
-        while i < self.items.len() && j < other.items.len() {
-            match self.items[i].cmp(&other.items[j]) {
-                std::cmp::Ordering::Equal => return true,
-                std::cmp::Ordering::Less => i += 1,
-                std::cmp::Ordering::Greater => j += 1,
-            }
-        }
-        false
+        items_intersect(&self.items, &other.items)
     }
 
     /// Restricts the writeset to relations accepted by `keep`, returning the
@@ -97,6 +87,20 @@ impl Writeset {
     pub fn filtered(&self, keep: impl Fn(RelationId) -> bool) -> Vec<WritesetItem> {
         self.items.iter().copied().filter(|i| keep(i.rel)).collect()
     }
+}
+
+/// Whether two sorted item lists share an item: a linear merge that stops
+/// at the first common row or when either list runs out.
+pub fn items_intersect(a: &[WritesetItem], b: &[WritesetItem]) -> bool {
+    let (mut i, mut j) = (0, 0);
+    while i < a.len() && j < b.len() {
+        match a[i].cmp(&b[j]) {
+            std::cmp::Ordering::Equal => return true,
+            std::cmp::Ordering::Less => i += 1,
+            std::cmp::Ordering::Greater => j += 1,
+        }
+    }
+    false
 }
 
 #[cfg(test)]

@@ -27,7 +27,7 @@ use tashkent_storage::{
     WriterConfig,
 };
 
-use tashkent_certifier::CommittedWriteset;
+use tashkent_certifier::LogView;
 
 use crate::cpu::CpuServer;
 use crate::daemon::{LoadDaemon, LoadReport};
@@ -331,23 +331,22 @@ impl ReplicaNode {
     /// Filtered items are dropped at the proxy: no CPU, no page touches, no
     /// disk. The version still advances — the replica stays a consistent
     /// prefix *for the tables it maintains*.
-    pub fn apply_writesets(&mut self, now: SimTime, writesets: &[CommittedWriteset]) -> SimTime {
+    pub fn apply_writesets(&mut self, now: SimTime, writesets: LogView<'_>) -> SimTime {
         let mut cpu_us: u64 = 0;
         let mut last_io = now;
-        for cw in writesets {
-            if cw.version <= self.applied {
+        for (version, items) in writesets {
+            if version <= self.applied {
                 continue; // Already applied (duplicate delivery).
             }
             assert_eq!(
-                cw.version,
+                version,
                 self.applied.next(),
-                "writeset gap: applying {} over {}",
-                cw.version,
+                "writeset gap: applying {version} over {}",
                 self.applied
             );
-            self.applied = cw.version;
+            self.applied = version;
             let mut any = false;
-            for item in &cw.writeset.items {
+            for item in items {
                 if !self.filter.accepts(item.rel) {
                     self.stats.items_filtered += 1;
                     continue;
@@ -379,11 +378,12 @@ impl ReplicaNode {
         item: &tashkent_engine::WritesetItem,
         last_io: &mut SimTime,
     ) {
-        let mut pages = vec![self.catalog.get(item.rel).page_of_row(item.row)];
-        for idx in self.catalog.indices_of(item.rel) {
-            pages.push(idx.page_of_row(item.row));
-        }
-        for page in pages {
+        let heap = self.catalog.get(item.rel).page_of_row(item.row);
+        let index_pages = self
+            .catalog
+            .indices_of(item.rel)
+            .map(|idx| idx.page_of_row(item.row));
+        for page in std::iter::once(heap).chain(index_pages) {
             match self.pool.touch(page) {
                 Touch::Hit => {}
                 Touch::Miss { evicted } => {
@@ -423,14 +423,14 @@ impl ReplicaNode {
     pub fn backfill_writesets(
         &mut self,
         now: SimTime,
-        writesets: &[CommittedWriteset],
+        writesets: LogView<'_>,
         rels: &std::collections::BTreeSet<tashkent_storage::RelationId>,
     ) -> SimTime {
         let mut cpu_us: u64 = 0;
         let mut last_io = now;
-        for cw in writesets {
+        for (_, items) in writesets {
             let mut any = false;
-            for item in &cw.writeset.items {
+            for item in items {
                 if !rels.contains(&item.rel) {
                     continue;
                 }
@@ -483,9 +483,9 @@ impl ReplicaNode {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tashkent_certifier::CommitLog;
     use tashkent_engine::{
-        Access, PlanStep, Snapshot, TxnId, TxnPlan, TxnTypeId, WriteKind, WriteSpec, Writeset,
-        WritesetItem,
+        Access, PlanStep, TxnId, TxnPlan, TxnTypeId, WriteKind, WriteSpec, WritesetItem,
     };
     use tashkent_storage::RelationId;
 
@@ -613,31 +613,28 @@ mod tests {
         node.commit_local(Version(3));
     }
 
-    fn committed(version: u64, items: Vec<(u32, u64)>) -> CommittedWriteset {
-        CommittedWriteset {
-            version: Version(version),
-            writeset: Writeset::new(
-                TxnId(100 + version),
-                TxnTypeId(9),
-                Snapshot::at(Version(version - 1)),
-                items
-                    .into_iter()
-                    .map(|(r, row)| WritesetItem {
-                        rel: RelationId(r),
-                        row,
-                    })
-                    .collect(),
-            ),
+    /// A commit log whose entry `i` (version `i + 1`) writes `entries[i]`.
+    fn log_of(entries: &[&[(u32, u64)]]) -> CommitLog {
+        let mut log = CommitLog::default();
+        for items in entries {
+            let mut items: Vec<WritesetItem> = items
+                .iter()
+                .map(|&(r, row)| WritesetItem {
+                    rel: RelationId(r),
+                    row,
+                })
+                .collect();
+            items.sort_unstable();
+            log.append(&items);
         }
+        log
     }
 
     #[test]
     fn apply_writesets_advances_version_and_dirties() {
         let mut node = node_with_mem(128);
-        let done = node.apply_writesets(
-            SimTime::ZERO,
-            &[committed(1, vec![(0, 10)]), committed(2, vec![(2, 5)])],
-        );
+        let log = log_of(&[&[(0, 10)], &[(2, 5)]]);
+        let done = node.apply_writesets(SimTime::ZERO, log.since(Version(0)));
         assert!(done > SimTime::ZERO);
         assert_eq!(node.applied(), Version(2));
         assert_eq!(node.stats().writesets_applied, 2);
@@ -650,9 +647,9 @@ mod tests {
     #[test]
     fn duplicate_writesets_are_skipped() {
         let mut node = node_with_mem(128);
-        let ws = vec![committed(1, vec![(0, 10)])];
-        node.apply_writesets(SimTime::ZERO, &ws);
-        node.apply_writesets(SimTime::ZERO, &ws);
+        let log = log_of(&[&[(0, 10)]]);
+        node.apply_writesets(SimTime::ZERO, log.since(Version(0)));
+        node.apply_writesets(SimTime::ZERO, log.since(Version(0)));
         assert_eq!(node.applied(), Version(1));
         assert_eq!(node.stats().writesets_applied, 1);
     }
@@ -661,7 +658,8 @@ mod tests {
     #[should_panic(expected = "writeset gap")]
     fn writeset_gap_panics() {
         let mut node = node_with_mem(128);
-        node.apply_writesets(SimTime::ZERO, &[committed(3, vec![(0, 1)])]);
+        let log = log_of(&[&[(0, 1)], &[(0, 2)], &[(0, 3)]]);
+        node.apply_writesets(SimTime::ZERO, log.since(Version(2)));
     }
 
     #[test]
@@ -669,13 +667,9 @@ mod tests {
         let mut node = node_with_mem(128);
         let item_rel = node.catalog().by_name("item").unwrap().id;
         node.set_filter(UpdateFilter::only([item_rel]));
-        node.apply_writesets(
-            SimTime::ZERO,
-            &[
-                committed(1, vec![(0, 10)]), // orders: filtered
-                committed(2, vec![(2, 5)]),  // item: applied
-            ],
-        );
+        // Version 1 writes orders (filtered), version 2 writes item (applied).
+        let log = log_of(&[&[(0, 10)], &[(2, 5)]]);
+        node.apply_writesets(SimTime::ZERO, log.since(Version(0)));
         assert_eq!(node.applied(), Version(2), "version advances regardless");
         assert_eq!(node.stats().items_filtered, 1);
         assert_eq!(node.stats().items_applied, 1);
@@ -725,13 +719,13 @@ mod tests {
         let item_rel = node.catalog().by_name("item").unwrap().id;
         let orders_rel = node.catalog().by_name("orders").unwrap().id;
         node.set_filter(UpdateFilter::only([item_rel]));
-        let log = vec![committed(1, vec![(0, 10)]), committed(2, vec![(2, 5)])];
-        node.apply_writesets(SimTime::ZERO, &log);
+        let log = log_of(&[&[(0, 10)], &[(2, 5)]]);
+        node.apply_writesets(SimTime::ZERO, log.since(Version(0)));
         assert_eq!(node.stats().items_filtered, 1);
         let reads_before = node.disk_stats().read_pages;
         // Backfill the orders group from the log: re-applies only its items.
         let rels: std::collections::BTreeSet<_> = [orders_rel].into_iter().collect();
-        let done = node.backfill_writesets(SimTime::from_secs(1), &log, &rels);
+        let done = node.backfill_writesets(SimTime::from_secs(1), log.since(Version(0)), &rels);
         assert!(done > SimTime::from_secs(1));
         assert_eq!(node.stats().items_backfilled, 1);
         assert_eq!(node.stats().writesets_backfilled, 1);
@@ -775,7 +769,7 @@ mod tests {
     fn crash_drops_state_and_recovery_restores_version() {
         let mut node = node_with_mem(128);
         let c = node.catalog().clone();
-        node.apply_writesets(SimTime::ZERO, &[committed(1, vec![(0, 1)])]);
+        node.apply_writesets(SimTime::ZERO, log_of(&[&[(0, 1)]]).since(Version(0)));
         let ex = TxnExecutor::new(
             TxnId(9),
             TxnTypeId(0),
@@ -793,7 +787,8 @@ mod tests {
     #[test]
     fn maintenance_flushes_dirty_pages_to_disk() {
         let mut node = node_with_mem(128);
-        node.apply_writesets(SimTime::ZERO, &[committed(1, vec![(0, 10), (2, 3)])]);
+        let log = log_of(&[&[(0, 10), (2, 3)]]);
+        node.apply_writesets(SimTime::ZERO, log.since(Version(0)));
         let period = tashkent_storage::WriterConfig::default().period;
         let flushed = node.maintenance(period);
         // Heap pages of both rows plus the orders_pk maintenance page.

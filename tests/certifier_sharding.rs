@@ -1,13 +1,20 @@
 //! Sharded-certification integration tests: atomicity across certifier
 //! groups, per-group log contiguity, decide-order determinism under random
 //! per-group leader kills, and the degenerate single-group configuration
-//! reproducing the unified certifier bit for bit — on both drivers.
+//! reproducing the unified certifier bit for bit — on both drivers — plus
+//! the sharded link's verdicts against a last-writer-index reference.
 
+use std::collections::HashMap;
+
+use proptest::prelude::*;
+use tashkent::certifier::CertifierParams;
 use tashkent::cluster::{
-    run, run_scenario, DriverKind, Ev, FaultKind, RunResult, Scenario, ScenarioKnobs,
-    TpcwSteadyState,
+    run, run_scenario, CertifierLink, DriverKind, Ev, FaultKind, RunResult, Scenario,
+    ScenarioKnobs, TpcwSteadyState, TraceConfig, Tracer,
 };
-use tashkent::sim::SimTime;
+use tashkent::engine::{Snapshot, TxnId, TxnTypeId, Version, Writeset, WritesetItem};
+use tashkent::sim::{EventQueue, SimTime};
+use tashkent::storage::RelationId;
 
 /// The observable result of a run under sharded certification, exact to
 /// the bit: the base commit/abort/timing counters plus the per-group
@@ -47,12 +54,14 @@ fn sharded_knobs(seed: u64) -> ScenarioKnobs {
 
 #[test]
 fn sharded_runs_agree_across_drivers_and_widths() {
-    for (scenario, seed) in [
-        ("tpcw-steady-state", 1),
-        ("tpcw-steady-state", 42),
-        ("rubis-auction", 11),
+    for (scenario, seed, groups) in [
+        ("tpcw-steady-state", 1, 4),
+        ("tpcw-steady-state", 42, 4),
+        ("tpcw-steady-state", 42, 3),
+        ("tpcw-steady-state", 7, 2),
+        ("rubis-auction", 11, 4),
     ] {
-        let knobs = sharded_knobs(seed);
+        let knobs = sharded_knobs(seed).with_cert_groups(Some(groups));
         let sequential = run_scenario(scenario, &knobs.clone().with_driver(DriverKind::Sequential))
             .expect("sequential sharded run completes");
         assert!(
@@ -84,27 +93,31 @@ fn no_partial_commit_across_groups() {
     // 1..=head with no gaps — a partially-committed cross-group txn would
     // leave its version missing from some touched group and the gap check
     // would not see it, so also require every version's holder set to be
-    // non-empty and consistent across both drivers.
-    for driver in [DriverKind::Sequential, DriverKind::Parallel { threads: 2 }] {
-        let r = run_scenario("tpcw-steady-state", &sharded_knobs(42).with_driver(driver))
-            .expect("sharded run completes");
-        let mut all: Vec<u64> = Vec::new();
-        for (g, log) in r.cert_group_commits.iter().enumerate() {
-            assert!(
-                log.windows(2).all(|w| w[0] < w[1]),
-                "group {g} log is not strictly ascending under {driver:?}"
+    // non-empty and consistent across both drivers. One to four groups:
+    // from no cross-group rounds at all to the most of them.
+    for groups in 1..=4 {
+        for driver in [DriverKind::Sequential, DriverKind::Parallel { threads: 2 }] {
+            let knobs = sharded_knobs(42).with_cert_groups(Some(groups));
+            let r = run_scenario("tpcw-steady-state", &knobs.with_driver(driver))
+                .expect("sharded run completes");
+            let mut all: Vec<u64> = Vec::new();
+            for (g, log) in r.cert_group_commits.iter().enumerate() {
+                assert!(
+                    log.windows(2).all(|w| w[0] < w[1]),
+                    "group {g} log is not strictly ascending under {driver:?}"
+                );
+                all.extend_from_slice(log);
+            }
+            all.sort_unstable();
+            all.dedup();
+            let head = *all.last().expect("updates committed");
+            assert_eq!(
+                all,
+                (1..=head).collect::<Vec<u64>>(),
+                "global commit sequence has gaps under {driver:?}: some group \
+                 recorded a version another group's atomic round aborted"
             );
-            all.extend_from_slice(log);
         }
-        all.sort_unstable();
-        all.dedup();
-        let head = *all.last().expect("updates committed");
-        assert_eq!(
-            all,
-            (1..=head).collect::<Vec<u64>>(),
-            "global commit sequence has gaps under {driver:?}: some group \
-             recorded a version another group's atomic round aborted"
-        );
     }
 }
 
@@ -264,4 +277,68 @@ fn pooled_windows_shard_certification_checks() {
         p.certifier_inline,
         i.certifier_inline
     );
+}
+
+proptest! {
+    /// The sharded link's verdicts and versions match a last-writer-index
+    /// certifier (a writeset conflicts iff some item's last writer is newer
+    /// than its snapshot) on random histories over 1–4 groups: relation `r`
+    /// belongs to group `r % groups`, so multi-relation writesets run
+    /// cross-group atomic-commitment rounds. Snapshot lags reach past the
+    /// head, and rows repeat within and across writesets.
+    #[test]
+    fn sharded_verdicts_match_a_last_writer_reference(
+        groups in 1usize..5,
+        history in proptest::collection::vec(
+            (
+                0u64..40, // snapshot lag behind the head
+                0u64..300, // gap since the previous arrival, µs
+                proptest::collection::vec((0u32..8, 0u64..12), 1..6),
+            ),
+            1..120,
+        ),
+    ) {
+        let mut link = CertifierLink::new_sharded(CertifierParams::default(), 1, 100, groups);
+        let mut tracer = Tracer::new(&TraceConfig::default());
+        let mut queue = EventQueue::new();
+        let mut last_writer: HashMap<WritesetItem, u64> = HashMap::new();
+        let mut expected = Vec::new();
+        let mut now = 0u64;
+        for (i, (lag, gap, rows)) in history.iter().enumerate() {
+            now += gap;
+            let snap = link.version().0.saturating_sub(*lag);
+            let items = rows
+                .iter()
+                .map(|&(r, row)| WritesetItem { rel: RelationId(r), row })
+                .collect();
+            let txn = TxnId(i as u64);
+            let ws = Writeset::new(txn, TxnTypeId(0), Snapshot::at(Version(snap)), items);
+            let mask = ws
+                .items
+                .iter()
+                .fold(0u64, |m, it| m | 1 << (it.rel.0 as usize % groups));
+            let conflict = ws
+                .items
+                .iter()
+                .any(|it| last_writer.get(it).is_some_and(|v| *v > snap));
+            expected.push((!conflict).then(|| {
+                let version = link.version().0 + 1;
+                for it in &ws.items {
+                    last_writer.insert(*it, version);
+                }
+                Version(version)
+            }));
+            let at = SimTime::from_micros(now);
+            link.on_send(at, 0, txn, ws, mask, &mut tracer, &mut queue);
+        }
+        let mut got = vec![None; expected.len()];
+        while let Some((_, ev)) = queue.pop() {
+            match ev {
+                Ev::CertifyReturn { txn, version, .. } => got[txn.0 as usize] = Some(version),
+                other => panic!("unexpected event {other:?}"),
+            }
+        }
+        let expected: Vec<Option<Option<Version>>> = expected.into_iter().map(Some).collect();
+        prop_assert_eq!(got, expected, "groups {}", groups);
+    }
 }

@@ -49,13 +49,13 @@ fn replica_recovers_from_certifier_log() {
         SimRng::seed_from(1),
     );
     commit_n(&mut cert, 40);
-    node.apply_writesets(SimTime::from_secs(1), cert.writesets_since(Version(0)));
+    node.apply_writesets(SimTime::from_secs(1), cert.log().since(Version(0)));
     assert_eq!(node.applied(), Version(40));
 
     // Crash loses the cache and in-flight work, not durable state.
     node.crash();
     node.recover(Version(25)); // restored from a checkpointed copy
-    let missed = cert.writesets_since(node.applied());
+    let missed = cert.log().since(node.applied());
     assert_eq!(missed.len(), 15);
     node.apply_writesets(SimTime::from_secs(2), missed);
     assert_eq!(node.applied(), cert.version());
@@ -70,12 +70,12 @@ fn recovered_replica_rereads_pages_cold() {
         SimRng::seed_from(2),
     );
     commit_n(&mut cert, 10);
-    node.apply_writesets(SimTime::from_secs(1), cert.writesets_since(Version(0)));
+    node.apply_writesets(SimTime::from_secs(1), cert.log().since(Version(0)));
     let reads_before = node.disk_stats().read_pages;
     node.crash();
     node.recover(Version(0));
     // Re-applying after the crash must hit disk again (cold cache).
-    node.apply_writesets(SimTime::from_secs(2), cert.writesets_since(Version(0)));
+    node.apply_writesets(SimTime::from_secs(2), cert.log().since(Version(0)));
     assert!(node.disk_stats().read_pages > reads_before);
 }
 
@@ -601,11 +601,10 @@ fn client_timeouts_rescue_updates_stranded_by_a_partition() {
 
 #[test]
 fn certification_still_correct_across_checkpointing() {
-    // Pruning the conflict index must never lose conflicts newer than the
-    // horizon.
+    // Certifying against a long log must never lose conflicts newer than
+    // the snapshot.
     let mut cert = Certifier::default();
     commit_n(&mut cert, 30);
-    cert.prune_index(Version(20));
     // A stale snapshot writing a recently-written row conflicts.
     let ws = Writeset::new(
         TxnId(99),

@@ -64,10 +64,10 @@ proptest! {
         commit_n(&mut cert, commits);
         // No committed transaction is lost: the persistent log is a
         // contiguous prefix 1..=commits.
-        let log = cert.writesets_since(Version(0));
+        let log = cert.log().since(Version(0));
         prop_assert_eq!(log.len() as u64, commits);
-        for (i, cw) in log.iter().enumerate() {
-            prop_assert_eq!(cw.version, Version(i as u64 + 1));
+        for (i, (version, _)) in log.iter().enumerate() {
+            prop_assert_eq!(version, Version(i as u64 + 1));
         }
 
         let mut node = ReplicaNode::new(
@@ -82,7 +82,7 @@ proptest! {
         node.crash();
         let checkpoint = Version(commits * checkpoint_permille / 1000);
         node.recover(checkpoint);
-        node.apply_writesets(SimTime::from_secs(2), cert.writesets_since(checkpoint));
+        node.apply_writesets(SimTime::from_secs(2), cert.log().since(checkpoint));
         prop_assert_eq!(node.applied(), cert.version());
         prop_assert_eq!(node.outstanding(), 0, "crash drained the admission queue");
     }
