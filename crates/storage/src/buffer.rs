@@ -8,15 +8,21 @@
 //!
 //! # Representation
 //!
-//! The frames are a `Vec<GlobalPageId>` in clock order (8 B per frame). Each
-//! page's resident, referenced and dirty bits live in one state byte, in a
-//! per-relation `Vec<u8>` indexed by page number that grows to the highest
-//! page touched and is released when the relation is evicted as a whole.
-//! A 512 MB pool of 65,536 frames therefore costs 512 KB of host memory
-//! plus about 1 B per page of every relation it has touched, and a page
-//! lookup is two array indexes rather than a hash probe.
+//! The frames are a `Vec<u32>` in clock order (4 B per frame): each packs a
+//! page's relation id into its top 8 bits and its page number into the low
+//! 24, the widths [`MAX_RELATIONS`] and [`MAX_RELATION_PAGES`] that the
+//! [`Catalog`](crate::Catalog) enforces. Each page's resident, referenced
+//! and dirty bits live in a per-relation `Vec` of 64-page blocks, one `u64`
+//! per bit, so page `p` owns bit `p % 64` of block `p / 64`. A relation's
+//! blocks grow to cover the highest page touched and are released when the
+//! relation is evicted as a whole. A 512 MB pool of 65,536 frames therefore
+//! costs 256 KB of host memory plus 3 bits per page of every relation it
+//! has touched, and a page lookup is two array indexes and a mask rather
+//! than a hash probe.
 
-use crate::ids::{GlobalPageId, RelationId};
+use std::ops::ControlFlow;
+
+use crate::ids::{GlobalPageId, RelationId, MAX_RELATIONS, MAX_RELATION_PAGES};
 
 /// Result of touching a page in the pool.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -59,17 +65,59 @@ impl BufferStats {
     }
 }
 
-/// Marks a frame emptied by [`BufferPool::evict_relation`]. Relation ids are
-/// dense catalog indices, so `u32::MAX` never names a real page.
-const FREE: GlobalPageId = GlobalPageId {
-    rel: RelationId(u32::MAX),
-    page: u32::MAX,
-};
+/// Bits of a frame word that hold the page number.
+const PAGE_BITS: u32 = MAX_RELATION_PAGES.trailing_zeros();
 
-/// State-byte bits. A page's byte is zero exactly when it is not resident.
-const RESIDENT: u8 = 1;
-const REFERENCED: u8 = 2;
-const DIRTY: u8 = 4;
+/// Marks a frame emptied by [`BufferPool::evict_relation`]. It decodes to
+/// relation 255, which [`pack`] rejects, so a free frame never names a page.
+const FREE: u32 = u32::MAX;
+
+const _: () = assert!(MAX_RELATION_PAGES == 1 << PAGE_BITS && MAX_RELATIONS <= FREE >> PAGE_BITS);
+
+/// Packs `page` into a frame word.
+///
+/// # Panics
+///
+/// Panics if the relation id or page number does not fit its field. The
+/// check runs on every miss before any frame or state bit changes, so a
+/// page it cannot index never becomes resident.
+fn pack(page: GlobalPageId) -> u32 {
+    assert!(
+        page.rel.0 < MAX_RELATIONS && page.page < MAX_RELATION_PAGES,
+        "page {page} is outside the buffer pool's index: relation ids must be \
+         below {MAX_RELATIONS} and page numbers below {MAX_RELATION_PAGES}"
+    );
+    page.rel.0 << PAGE_BITS | page.page
+}
+
+/// The page a frame word names.
+fn unpack(frame: u32) -> GlobalPageId {
+    GlobalPageId::new(
+        RelationId(frame >> PAGE_BITS),
+        frame & (MAX_RELATION_PAGES - 1),
+    )
+}
+
+/// The state bits of 64 consecutive pages of one relation; page `p` owns
+/// bit `p % 64` of block `p / 64`. A page's three bits are all clear
+/// exactly when it is not resident.
+#[derive(Debug, Clone, Copy, Default)]
+struct Block {
+    resident: u64,
+    referenced: u64,
+    dirty: u64,
+}
+
+/// Pages per [`Block`].
+const BLOCK_PAGES: u32 = u64::BITS;
+
+/// `page`'s block index within its relation, and its bit in that block.
+fn locate(page: GlobalPageId) -> (usize, u64) {
+    (
+        (page.page / BLOCK_PAGES) as usize,
+        1 << (page.page % BLOCK_PAGES),
+    )
+}
 
 /// A fixed-capacity page cache with clock-sweep replacement.
 ///
@@ -92,11 +140,12 @@ const DIRTY: u8 = 4;
 #[derive(Debug, Clone)]
 pub struct BufferPool {
     capacity: usize,
-    /// Resident pages in clock order; [`FREE`] marks a slot listed in `free`.
-    frames: Vec<GlobalPageId>,
+    /// Resident pages in clock order, packed by [`pack`]; [`FREE`] marks a
+    /// slot listed in `free`.
+    frames: Vec<u32>,
     free: Vec<u32>,
-    /// State bytes indexed by relation id, then page number.
-    state: Vec<Vec<u8>>,
+    /// State blocks indexed by relation id, then block index.
+    state: Vec<Vec<Block>>,
     hand: usize,
     dirty_count: usize,
     stats: BufferStats,
@@ -148,30 +197,52 @@ impl BufferPool {
 
     /// Whether `page` is resident.
     pub fn is_resident(&self, page: GlobalPageId) -> bool {
+        let (block, bit) = locate(page);
         self.state
             .get(page.rel.0 as usize)
-            .and_then(|s| s.get(page.page as usize))
-            .is_some_and(|s| s & RESIDENT != 0)
+            .and_then(|s| s.get(block))
+            .is_some_and(|b| b.resident & bit != 0)
     }
 
-    /// The state byte of `page`, if its relation's bytes reach it.
-    fn slot(&mut self, page: GlobalPageId) -> Option<&mut u8> {
-        self.state
-            .get_mut(page.rel.0 as usize)?
-            .get_mut(page.page as usize)
+    /// The block holding `page`'s bits, if its relation's blocks reach it,
+    /// and the page's bit in it.
+    fn slot(&mut self, page: GlobalPageId) -> Option<(&mut Block, u64)> {
+        let (block, bit) = locate(page);
+        let b = self.state.get_mut(page.rel.0 as usize)?.get_mut(block)?;
+        Some((b, bit))
     }
 
-    /// The state byte of a page that has been touched before.
-    fn state_mut(&mut self, page: GlobalPageId) -> &mut u8 {
-        &mut self.state[page.rel.0 as usize][page.page as usize]
+    /// The block and bit of a page that has been touched before.
+    fn state_mut(&mut self, page: GlobalPageId) -> (&mut Block, u64) {
+        let (block, bit) = locate(page);
+        (&mut self.state[page.rel.0 as usize][block], bit)
+    }
+
+    /// Clears all three bits of a resident page and counts it out of
+    /// `dirty_count`, returning whether it was dirty. A stale dirty bit
+    /// would make the page dirty when reinstalled.
+    fn clear(&mut self, page: GlobalPageId) -> bool {
+        let (b, bit) = self.state_mut(page);
+        let dirty = b.dirty & bit != 0;
+        b.resident &= !bit;
+        b.referenced &= !bit;
+        b.dirty &= !bit;
+        if dirty {
+            self.dirty_count -= 1;
+        }
+        dirty
     }
 
     /// References `page`, installing it on a miss and evicting if full.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a miss if the page's relation id is [`MAX_RELATIONS`] or
+    /// more, or its page number [`MAX_RELATION_PAGES`] or more.
     pub fn touch(&mut self, page: GlobalPageId) -> Touch {
-        debug_assert_ne!(page.rel, FREE.rel, "relation id reserved for free frames");
-        if let Some(s) = self.slot(page) {
-            if *s & RESIDENT != 0 {
-                *s |= REFERENCED;
+        if let Some((b, bit)) = self.slot(page) {
+            if b.resident & bit != 0 {
+                b.referenced |= bit;
                 self.stats.hits += 1;
                 return Touch::Hit;
             }
@@ -184,9 +255,9 @@ impl BufferPool {
     /// Marks a resident page dirty; returns `false` when the page is absent.
     pub fn mark_dirty(&mut self, page: GlobalPageId) -> bool {
         match self.slot(page) {
-            Some(s) if *s & RESIDENT != 0 => {
-                if *s & DIRTY == 0 {
-                    *s |= DIRTY;
+            Some((b, bit)) if b.resident & bit != 0 => {
+                if b.dirty & bit == 0 {
+                    b.dirty |= bit;
                     self.dirty_count += 1;
                 }
                 true
@@ -196,34 +267,35 @@ impl BufferPool {
     }
 
     fn install(&mut self, page: GlobalPageId) -> Option<(GlobalPageId, bool)> {
+        let frame = pack(page);
         let evicted = if let Some(idx) = self.free.pop() {
-            self.frames[idx as usize] = page;
+            self.frames[idx as usize] = frame;
             None
         } else if self.frames.len() < self.capacity {
-            self.frames.push(page);
+            self.frames.push(frame);
             None
         } else {
             let victim_idx = self.sweep();
-            let victim = std::mem::replace(&mut self.frames[victim_idx], page);
-            let dirty = std::mem::take(self.state_mut(victim)) & DIRTY != 0;
+            let victim = unpack(std::mem::replace(&mut self.frames[victim_idx], frame));
+            let dirty = self.clear(victim);
             self.stats.evictions += 1;
             if dirty {
-                self.dirty_count -= 1;
                 self.stats.dirty_evictions += 1;
             }
             Some((victim, dirty))
         };
-        // Grow the relation's state bytes to cover `page` on first touch.
+        // Grow the relation's blocks to cover `page` on first touch.
         let rel = page.rel.0 as usize;
         if self.state.len() <= rel {
             self.state.resize_with(rel + 1, Vec::new);
         }
-        let pages = &mut self.state[rel];
-        let p = page.page as usize;
-        if pages.len() <= p {
-            pages.resize(p + 1, 0);
+        let blocks = &mut self.state[rel];
+        let (block, bit) = locate(page);
+        if blocks.len() <= block {
+            blocks.resize(block + 1, Block::default());
         }
-        pages[p] = RESIDENT | REFERENCED;
+        blocks[block].resident |= bit;
+        blocks[block].referenced |= bit;
         evicted
     }
 
@@ -235,9 +307,9 @@ impl BufferPool {
         loop {
             let idx = self.hand;
             self.hand = (self.hand + 1) % self.frames.len();
-            let s = self.state_mut(self.frames[idx]);
-            if *s & REFERENCED != 0 {
-                *s &= !REFERENCED;
+            let (b, bit) = self.state_mut(unpack(self.frames[idx]));
+            if b.referenced & bit != 0 {
+                b.referenced &= !bit;
             } else {
                 return idx;
             }
@@ -245,8 +317,9 @@ impl BufferPool {
     }
 
     /// Hands up to `max` dirty pages to the caller for write-back, clearing
-    /// their dirty bits. The scan resumes from where the previous call left
-    /// off, so successive calls cycle fairly through the pool.
+    /// their dirty bits. Every call scans frames in clock order from the
+    /// clock hand, which only evictions move, so calls between two
+    /// evictions start at the same frame.
     ///
     /// Clearing at collection time models write coalescing: a page updated
     /// many times between two writer rounds is written once.
@@ -255,26 +328,31 @@ impl BufferPool {
         if self.dirty_count == 0 || max == 0 || self.frames.is_empty() {
             return out;
         }
-        let n = self.frames.len();
-        let start = self.hand % n;
-        for idx in (start..n).chain(0..start) {
-            // Once the last dirty page is out, the rest of the scan finds
-            // nothing; stopping keeps a sparse round cheap.
-            if out.len() >= max || self.dirty_count == 0 {
-                break;
+        let start = self.hand % self.frames.len();
+        let (before, after) = self.frames.split_at(start);
+        let (state, dirty_count) = (&mut self.state, &mut self.dirty_count);
+        // A `for` loop over a `Chain` re-checks which half it is in on every
+        // frame; `try_for_each` runs one loop per half.
+        let _ = after.iter().chain(before).try_for_each(|&frame| {
+            if frame == FREE {
+                return ControlFlow::Continue(());
             }
-            let page = self.frames[idx];
-            if page == FREE {
-                continue;
-            }
-            let s = self.state_mut(page);
-            if *s & DIRTY != 0 {
-                *s &= !DIRTY;
-                self.dirty_count -= 1;
-                self.stats.flushed += 1;
+            let page = unpack(frame);
+            let (block, bit) = locate(page);
+            let b = &mut state[page.rel.0 as usize][block];
+            if b.dirty & bit != 0 {
+                b.dirty &= !bit;
+                *dirty_count -= 1;
                 out.push(page);
+                // Once the last dirty page is out, the rest of the scan
+                // finds nothing; stopping keeps a sparse round cheap.
+                if out.len() == max || *dirty_count == 0 {
+                    return ControlFlow::Break(());
+                }
             }
-        }
+            ControlFlow::Continue(())
+        });
+        self.stats.flushed += out.len() as u64;
         out
     }
 
@@ -285,22 +363,21 @@ impl BufferPool {
         let mut clean = 0;
         let mut dirty = 0;
         for idx in 0..self.frames.len() {
-            let page = self.frames[idx];
-            if page != FREE && page.rel == rel {
+            let frame = self.frames[idx];
+            if frame != FREE && unpack(frame).rel == rel {
                 self.frames[idx] = FREE;
                 self.free.push(idx as u32);
-                if std::mem::take(self.state_mut(page)) & DIRTY != 0 {
-                    self.dirty_count -= 1;
+                if self.clear(unpack(frame)) {
                     dirty += 1;
                 } else {
                     clean += 1;
                 }
             }
         }
-        // Every state byte of `rel` is now zero. A replica that stops
-        // serving a table may never touch it again, so release them.
-        if let Some(pages) = self.state.get_mut(rel.0 as usize) {
-            *pages = Vec::new();
+        // Every bit of `rel` is now clear. A replica that stops serving a
+        // table may never touch it again, so release its blocks.
+        if let Some(blocks) = self.state.get_mut(rel.0 as usize) {
+            *blocks = Vec::new();
         }
         (clean, dirty)
     }
@@ -309,7 +386,7 @@ impl BufferPool {
     pub fn resident_of(&self, rel: RelationId) -> usize {
         self.frames
             .iter()
-            .filter(|p| **p != FREE && p.rel == rel)
+            .filter(|&&f| f != FREE && unpack(f).rel == rel)
             .count()
     }
 }
@@ -400,6 +477,14 @@ mod tests {
         }
         assert_eq!(pool.dirty_count(), 0);
         assert_eq!(pool.stats().dirty_evictions, 1);
+        // Page 0 comes back clean: eviction left no stale dirty bit.
+        pool.touch(p(0, 0));
+        assert_eq!(
+            pool.touch(p(0, 1)),
+            Touch::Miss {
+                evicted: Some((p(0, 0), false))
+            }
+        );
     }
 
     #[test]
@@ -469,6 +554,36 @@ mod tests {
         pool.touch(p(0, 0));
         pool.touch(p(0, 1));
         assert!((pool.stats().hit_ratio() - 0.5).abs() < 1e-12);
+    }
+
+    #[test]
+    fn pack_round_trips_at_both_ends() {
+        for page in [p(0, 0), p(MAX_RELATIONS - 1, MAX_RELATION_PAGES - 1)] {
+            assert_ne!(pack(page), FREE);
+            assert_eq!(unpack(pack(page)), page);
+        }
+    }
+
+    /// Touches `page` on a fresh pool, checks that the pool allocated
+    /// nothing before panicking, and passes the panic on.
+    fn touch_unindexable(page: GlobalPageId) {
+        let mut pool = BufferPool::new(4);
+        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| pool.touch(page)))
+            .expect_err("an unindexable page must be rejected");
+        assert!(pool.frames.is_empty() && pool.state.is_empty());
+        std::panic::resume_unwind(err);
+    }
+
+    #[test]
+    #[should_panic(expected = "outside the buffer pool's index")]
+    fn relation_255_rejected_before_state_grows() {
+        touch_unindexable(p(MAX_RELATIONS, 0));
+    }
+
+    #[test]
+    #[should_panic(expected = "outside the buffer pool's index")]
+    fn page_2_pow_24_rejected_before_state_grows() {
+        touch_unindexable(p(0, MAX_RELATION_PAGES));
     }
 
     #[test]

@@ -10,7 +10,9 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use crate::ids::{GlobalPageId, PageId, RelationId, RowId, PAGE_SIZE};
+use crate::ids::{
+    GlobalPageId, PageId, RelationId, RowId, MAX_RELATIONS, MAX_RELATION_PAGES, PAGE_SIZE,
+};
 
 /// Whether a relation is a base table or an index.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -91,6 +93,18 @@ impl Catalog {
     }
 
     fn add(&mut self, mut rel: Relation) -> RelationId {
+        // The buffer pool indexes pages within these limits; a schema past
+        // them fails here rather than at its first cache miss.
+        assert!(
+            self.relations.len() < MAX_RELATIONS as usize,
+            "a catalog holds at most {MAX_RELATIONS} relations"
+        );
+        assert!(
+            rel.pages <= MAX_RELATION_PAGES,
+            "relation {:?} has {} pages; at most {MAX_RELATION_PAGES} fit",
+            rel.name,
+            rel.pages
+        );
         let id = RelationId(self.relations.len() as u32);
         rel.id = id;
         assert!(
@@ -108,7 +122,9 @@ impl Catalog {
     ///
     /// # Panics
     ///
-    /// Panics if the name is already taken.
+    /// Panics if the name is already taken, the catalog already holds
+    /// [`MAX_RELATIONS`] relations, or `pages` exceeds
+    /// [`MAX_RELATION_PAGES`].
     pub fn add_table(&mut self, name: &str, pages: PageId, rows: RowId) -> RelationId {
         self.add(Relation {
             id: RelationId(0),
@@ -124,7 +140,9 @@ impl Catalog {
     ///
     /// # Panics
     ///
-    /// Panics if the name is already taken.
+    /// Panics if the name is already taken, the catalog already holds
+    /// [`MAX_RELATIONS`] relations, or `pages` exceeds
+    /// [`MAX_RELATION_PAGES`].
     pub fn add_index(
         &mut self,
         name: &str,
@@ -246,6 +264,24 @@ mod tests {
         let mut c = Catalog::new();
         c.add_table("t", 1, 1);
         c.add_table("t", 2, 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 255 relations")]
+    fn relation_count_limited_to_what_the_pool_indexes() {
+        let mut c = Catalog::new();
+        for i in 0..MAX_RELATIONS {
+            c.add_table(&format!("t{i}"), 1, 1);
+        }
+        c.add_table("one_too_many", 1, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 16777216 fit")]
+    fn page_count_limited_to_what_the_pool_indexes() {
+        let mut c = Catalog::new();
+        c.add_table("largest", MAX_RELATION_PAGES, 1);
+        c.add_table("too_large", MAX_RELATION_PAGES + 1, 1);
     }
 
     #[test]

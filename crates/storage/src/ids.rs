@@ -5,6 +5,15 @@ use std::fmt;
 /// Size of a database page in bytes (PostgreSQL default, paper §4.2.2).
 pub const PAGE_SIZE: u64 = 8 * 1024;
 
+/// Most relations one schema may hold. The buffer pool packs a page into a
+/// `u32` frame word: the relation id takes the top 8 bits, and id 255 is
+/// reserved to mark free frames, so relation ids run from 0 to 254.
+pub const MAX_RELATIONS: u32 = 255;
+
+/// Most pages one relation may hold: the page number takes the low 24 bits
+/// of the buffer pool's frame word.
+pub const MAX_RELATION_PAGES: PageId = 1 << 24;
+
 /// Identifies a relation (table or index) within a database schema.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct RelationId(pub u32);

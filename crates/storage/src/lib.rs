@@ -24,5 +24,7 @@ pub mod writer;
 pub use buffer::{BufferPool, BufferStats, Touch};
 pub use catalog::{Catalog, Relation, RelationKind};
 pub use disk::{DiskModel, DiskParams, DiskRequest, DiskStats, ReqKind};
-pub use ids::{GlobalPageId, PageId, RelationId, RowId, PAGE_SIZE};
+pub use ids::{
+    GlobalPageId, PageId, RelationId, RowId, MAX_RELATIONS, MAX_RELATION_PAGES, PAGE_SIZE,
+};
 pub use writer::{BackgroundWriter, WriterConfig};

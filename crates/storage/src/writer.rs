@@ -35,10 +35,11 @@ impl Default for WriterConfig {
     /// This mirrors PostgreSQL's background writer plus a spread-out
     /// checkpoint: small bursts bound the read latency behind the shared
     /// FIFO channel, while coalescing stays strong because a page stays
-    /// dirty (absorbing repeated updates) until the writer's round-robin
-    /// sweep reaches it — with a steady dirty population the effective
-    /// coalescing window is tens of seconds, matching checkpoint-scale
-    /// behaviour.
+    /// dirty (absorbing repeated updates) until a round collects it. Each
+    /// round scans from the pool's clock hand, which only evictions move,
+    /// so it takes the dirty pages nearest after the hand first — with a
+    /// steady dirty population the effective coalescing window is tens of
+    /// seconds, matching checkpoint-scale behaviour.
     fn default() -> Self {
         WriterConfig {
             period: SimTime::from_millis(250),

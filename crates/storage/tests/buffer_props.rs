@@ -5,8 +5,9 @@ use proptest::prelude::*;
 use tashkent_storage::{BufferPool, GlobalPageId, RelationId, Touch};
 
 /// A clock-sweep pool kept as simple as possible: a hashed page table over
-/// `Option<Frame>` slots. [`BufferPool`] stores the same state in per-page
-/// bytes; every observable result of the two must agree.
+/// `Option<Frame>` slots. [`BufferPool`] stores the same state in packed
+/// frame words and per-page state bits; every observable result of the two
+/// must agree.
 mod reference {
     use std::collections::HashMap;
     use tashkent_storage::{BufferStats, GlobalPageId, RelationId, Touch};
@@ -202,11 +203,13 @@ fn sparse_rel() -> impl Strategy<Value = u32> {
     (0usize..SPARSE_RELS.len()).prop_map(|i| SPARSE_RELS[i])
 }
 
-/// Mostly a small page range (so the pool both hits and evicts), sometimes a
-/// page far past any touched before (so per-relation state must grow).
+/// Mostly a small page range (so the pool both hits and evicts), sometimes
+/// pages across the 64- and 128-page block edges, and sometimes a page far
+/// past any touched before (so per-relation state must grow).
 fn spread_page() -> impl Strategy<Value = u32> {
     prop_oneof![
         8 => 0u32..48,
+        2 => 48u32..200,
         1 => 1_000u32..200_000,
     ]
 }
