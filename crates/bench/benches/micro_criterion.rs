@@ -117,10 +117,7 @@ fn bench_certifier(c: &mut Criterion) {
                         TxnId(i),
                         TxnTypeId(0),
                         Snapshot::at(Version(i)),
-                        vec![WritesetItem {
-                            rel: RelationId((i % 7) as u32),
-                            row: i * 13,
-                        }],
+                        vec![WritesetItem::new(RelationId((i % 7) as u32), i * 13)],
                     );
                     cert.certify(SimTime::from_micros(i), ws);
                 }
@@ -133,12 +130,11 @@ fn bench_certifier(c: &mut Criterion) {
     // entries, 79% of 2 items, 20% of 6 and 1% of 4, every row distinct.
     // The probe conflicts only with the newest entry, so the check walks
     // the whole suffix after its snapshot: 28 entries (the mean on
-    // ordering-malb-uf) or 869 (its maximum). A conflict appends nothing,
-    // so the log stays the same size across iterations.
-    let item = |i: u64, k: u64| WritesetItem {
-        rel: RelationId(((i + k) % 10) as u32),
-        row: i * 8 + k,
-    };
+    // ordering-malb-uf) or 869 (its maximum). Its second item holds the
+    // largest row an item can, so it sorts after every logged row of
+    // relation 0. A conflict appends nothing, so the log stays the same
+    // size across iterations.
+    let item = |i: u64, k: u64| WritesetItem::new(RelationId(((i + k) % 10) as u32), i * 8 + k);
     let mut cert = tashkent_certifier::Certifier::default();
     for i in 0..41_500u64 {
         let n = match i % 100 {
@@ -162,10 +158,7 @@ fn bench_certifier(c: &mut Criterion) {
             Snapshot::at(Version(head - lag)),
             vec![
                 item(head - 1, 0),
-                WritesetItem {
-                    rel: RelationId(0),
-                    row: u64::MAX,
-                },
+                WritesetItem::new(RelationId(0), (1 << 56) - 1),
             ],
         );
         c.bench_function(&format!("certify_ordering_log_lag_{lag}"), |b| {

@@ -73,7 +73,7 @@ pub enum CertifyOutcome {
 /// use tashkent_storage::RelationId;
 ///
 /// let mut cert = Certifier::default();
-/// let item = WritesetItem { rel: RelationId(0), row: 7 };
+/// let item = WritesetItem::new(RelationId(0), 7);
 /// let ws = |snap| Writeset::new(TxnId(0), TxnTypeId(0), Snapshot::at(snap), vec![item]);
 ///
 /// // First writer commits...
@@ -179,10 +179,7 @@ mod tests {
             Snapshot::at(Version(snap)),
             items
                 .iter()
-                .map(|(r, row)| WritesetItem {
-                    rel: RelationId(*r),
-                    row: *row,
-                })
+                .map(|&(r, row)| WritesetItem::new(RelationId(r), row))
                 .collect(),
         )
     }

@@ -9,7 +9,7 @@ use tashkent_engine::{items_intersect, Version, WritesetItem};
 ///
 /// Entry `i` has version `i + 1` and owns `items[ends[i - 1]..ends[i]]`
 /// (from 0 for the first entry). Nothing after commit reads a writeset's
-/// transaction, type or snapshot, so only its sorted items are kept: 16 B per
+/// transaction, type or snapshot, so only its sorted items are kept: 8 B per
 /// item plus 4 B per entry.
 ///
 /// # Examples
@@ -19,7 +19,7 @@ use tashkent_engine::{items_intersect, Version, WritesetItem};
 /// use tashkent_engine::{Version, WritesetItem};
 /// use tashkent_storage::RelationId;
 ///
-/// let item = |row| WritesetItem { rel: RelationId(0), row };
+/// let item = |row| WritesetItem::new(RelationId(0), row);
 /// let mut log = CommitLog::default();
 /// assert_eq!(log.append(&[item(1), item(2)]), Version(1));
 /// assert_eq!(log.append(&[item(3)]), Version(2));
@@ -205,10 +205,7 @@ mod tests {
 
     fn items(rows: &[u64]) -> Vec<WritesetItem> {
         rows.iter()
-            .map(|&row| WritesetItem {
-                rel: RelationId(0),
-                row,
-            })
+            .map(|&row| WritesetItem::new(RelationId(0), row))
             .collect()
     }
 
@@ -222,7 +219,7 @@ mod tests {
 
     fn rows(view: LogView<'_>) -> Vec<(u64, Vec<u64>)> {
         view.iter()
-            .map(|(v, items)| (v.0, items.iter().map(|i| i.row).collect()))
+            .map(|(v, items)| (v.0, items.iter().map(|i| i.row()).collect()))
             .collect()
     }
 

@@ -92,10 +92,7 @@ mod tests {
             Snapshot::at(Version(snap)),
             items
                 .iter()
-                .map(|(r, row)| WritesetItem {
-                    rel: RelationId(*r),
-                    row: *row,
-                })
+                .map(|&(r, row)| WritesetItem::new(RelationId(r), row))
                 .collect(),
         )
     }

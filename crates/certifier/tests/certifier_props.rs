@@ -15,10 +15,7 @@ fn ws(txn: u64, snap: u64, items: &[(u32, u64)]) -> Writeset {
         Snapshot::at(Version(snap)),
         items
             .iter()
-            .map(|(r, row)| WritesetItem {
-                rel: RelationId(*r),
-                row: *row,
-            })
+            .map(|&(r, row)| WritesetItem::new(RelationId(r), row))
             .collect(),
     )
 }
@@ -160,7 +157,7 @@ proptest! {
         prop_assert_eq!(suffix.len(), expect_len);
         for (k, (version, items)) in suffix.iter().enumerate() {
             prop_assert_eq!(version.0, after + 1 + k as u64);
-            prop_assert_eq!(items, &[WritesetItem { rel: RelationId(0), row: version.0 - 1 }][..]);
+            prop_assert_eq!(items, &[WritesetItem::new(RelationId(0), version.0 - 1)][..]);
         }
     }
 

@@ -774,7 +774,7 @@ impl CertifierLink {
                     .get(end)
                     .1
                     .iter()
-                    .filter(|i| rels.contains(&i.rel))
+                    .filter(|i| rels.contains(&i.rel()))
                     .count() as u64;
                 let cost = if items > 0 {
                     WS_HEADER_BYTES + items * WS_ITEM_BYTES
@@ -858,7 +858,7 @@ fn delivery_bytes(
         let total = items.len() as u64;
         let held = match placement {
             None => total,
-            Some(p) => items.iter().filter(|i| p.holds(replica, i.rel)).count() as u64,
+            Some(p) => items.iter().filter(|i| p.holds(replica, i.rel())).count() as u64,
         };
         if total > 0 && held == 0 {
             sent += WS_TICK_BYTES;

@@ -44,7 +44,7 @@
 //!    generated events at their generation positions — executing deferred
 //!    stoppers and pre-stopper emissions inline through
 //!    [`ClusterState::handle`] and interleaving any events that handling
-//!    schedules (see [`merge_window`]). Emissions at or past the true
+//!    schedules (see `merge_window`). Emissions at or past the true
 //!    stopper re-enter the queue at their sequential insertion position.
 //!    The replay starts as soon as the jobs are dispatched — it does not
 //!    wait for the shards — and *streams* their transcripts in: a shard's

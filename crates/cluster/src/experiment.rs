@@ -124,7 +124,7 @@ pub fn run(exp: Experiment) -> Result<RunResult, RunError> {
     }
     world.run_to_end()?;
     world.export_traces().expect("trace export failed");
-    Ok(world.finish_result())
+    Ok(world.into_result())
 }
 
 /// Scale and tuning knobs a [`Scenario`] combines with its own recipe.

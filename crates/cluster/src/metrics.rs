@@ -290,6 +290,11 @@ impl Metrics {
         self.aborts
     }
 
+    /// Moves the completion timestamps out, leaving none behind.
+    pub(crate) fn take_completions(&mut self) -> Vec<SimTime> {
+        std::mem::take(&mut self.completions)
+    }
+
     /// Finalizes the run into a [`RunResult`].
     pub fn finish(
         &self,

@@ -468,7 +468,7 @@ impl CertMap {
         }
         let mut mask = 0u64;
         for item in &ws.items {
-            mask |= 1 << self.group_of_rel(item.rel);
+            mask |= 1 << self.group_of_rel(item.rel());
         }
         mask
     }
@@ -695,10 +695,7 @@ mod tests {
             TxnId(1),
             TxnTypeId(0),
             Snapshot::at(Version(0)),
-            vec![WritesetItem {
-                rel: RelationId(3),
-                row: 9,
-            }],
+            vec![WritesetItem::new(RelationId(3), 9)],
         );
         assert_eq!(cert.mask_for(&ws), 1);
         let empty = Writeset::new(TxnId(2), TxnTypeId(0), Snapshot::at(Version(0)), Vec::new());

@@ -264,8 +264,9 @@ impl<T> Receiver<T> {
 
     /// Registers the calling thread as the lane's consumer so producers can
     /// unpark it. Called automatically by [`Receiver::recv`]; poll-style
-    /// consumers (one thread draining several lanes with [`try_recv`] and
-    /// parking itself) must call it once per lane before their first park.
+    /// consumers (one thread draining several lanes with
+    /// [`Receiver::try_recv`] and parking itself) must call it once per lane
+    /// before their first park.
     pub fn register(&self) {
         self.ring.consumer.get_or_init(std::thread::current);
     }

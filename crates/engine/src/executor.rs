@@ -225,10 +225,8 @@ impl TxnExecutor {
                     return Some(PageTouch {
                         page,
                         cpu_us: cpu.per_page_us,
-                        write: Some(WritesetItem {
-                            rel: page.rel,
-                            row: 0, // Index pages carry no writeset row.
-                        }),
+                        // Index pages carry no writeset row.
+                        write: Some(WritesetItem::new(page.rel, 0)),
                     });
                 }
                 if *remaining == 0 {
@@ -242,7 +240,7 @@ impl TxnExecutor {
                 let row = choose_written_row(&spec, catalog, rng);
                 let rel = catalog.get(spec.rel);
                 let page = rel.page_of_row(row);
-                let item = WritesetItem { rel: spec.rel, row };
+                let item = WritesetItem::new(spec.rel, row);
                 self.items.push(item);
                 *pending_index = catalog
                     .indices_of(spec.rel)
@@ -423,7 +421,7 @@ mod tests {
         assert_eq!(ws.txn, TxnId(7));
         assert!(!ws.is_empty());
         assert!(ws.items.len() <= 3, "dedup may collapse repeats");
-        assert!(ws.items.iter().all(|i| i.rel == item));
+        assert!(ws.items.iter().all(|i| i.rel() == item));
     }
 
     #[test]
@@ -451,7 +449,7 @@ mod tests {
         }
         assert_eq!(touches.len(), 16, "8 heap + 8 index touches");
         // Fresh row ids beyond the existing rows: inserts cannot conflict.
-        assert!(ws.items.iter().all(|i| i.row >= 10_000));
+        assert!(ws.items.iter().all(|i| i.row() >= 10_000));
     }
 
     #[test]

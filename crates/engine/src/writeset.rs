@@ -8,7 +8,9 @@
 //! reports an average writeset size of ~275 bytes; the byte model below
 //! reproduces that for the TPC-W write shapes.
 
-use tashkent_storage::RelationId;
+use std::fmt;
+
+use tashkent_storage::{RelationId, RowId, MAX_RELATIONS};
 
 use crate::types::{Snapshot, TxnId, TxnTypeId};
 
@@ -17,13 +19,55 @@ pub const WS_HEADER_BYTES: u64 = 64;
 /// Serialized-size model: bytes per written row (identifiers + new values).
 pub const WS_ITEM_BYTES: u64 = 70;
 
-/// One written row.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct WritesetItem {
+/// Bits of a [`WritesetItem`] that hold the row.
+const ROW_BITS: u32 = 56;
+
+/// One written row, packed into one word: the relation id in the top 8 bits
+/// and the row in the low 56.
+///
+/// The derived order on the word is (relation, row) order, so sorting,
+/// deduplication and [`items_intersect`] compare one word per item. Rows
+/// fit with room to spare: inserts draw row ids from below `rows + 2^40`.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct WritesetItem(u64);
+
+const _: () = assert!(std::mem::size_of::<WritesetItem>() == 8);
+const _: () = assert!(MAX_RELATIONS as u64 <= 1 << (u64::BITS - ROW_BITS));
+
+impl WritesetItem {
+    /// The item for `row` of `rel`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rel` is not below [`MAX_RELATIONS`] or `row` not below
+    /// 2^56.
+    pub fn new(rel: RelationId, row: RowId) -> Self {
+        assert!(
+            rel.0 < MAX_RELATIONS && row >> ROW_BITS == 0,
+            "writeset item {rel}:{row} does not pack: relation ids must be \
+             below {MAX_RELATIONS} and rows below 2^{ROW_BITS}"
+        );
+        WritesetItem(u64::from(rel.0) << ROW_BITS | row)
+    }
+
     /// Relation written.
-    pub rel: RelationId,
+    pub fn rel(self) -> RelationId {
+        RelationId((self.0 >> ROW_BITS) as u32)
+    }
+
     /// Row written.
-    pub row: u64,
+    pub fn row(self) -> RowId {
+        self.0 & ((1 << ROW_BITS) - 1)
+    }
+}
+
+impl fmt::Debug for WritesetItem {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("WritesetItem")
+            .field("rel", &self.rel())
+            .field("row", &self.row())
+            .finish()
+    }
 }
 
 /// The writeset of one update transaction.
@@ -68,24 +112,9 @@ impl Writeset {
         WS_HEADER_BYTES + self.items.len() as u64 * WS_ITEM_BYTES
     }
 
-    /// Relations this writeset touches, deduplicated, in sorted order.
-    pub fn relations(&self) -> Vec<RelationId> {
-        let mut rels: Vec<RelationId> = self.items.iter().map(|i| i.rel).collect();
-        rels.dedup(); // Items are sorted by (rel, row), so dedup suffices.
-        rels
-    }
-
     /// Whether two writesets write any common row (write-write conflict).
     pub fn conflicts_with(&self, other: &Writeset) -> bool {
         items_intersect(&self.items, &other.items)
-    }
-
-    /// Restricts the writeset to relations accepted by `keep`, returning the
-    /// filtered items. This is the proxy-side half of update filtering (§3):
-    /// the proxy "only forwards the writesets for those tables to the
-    /// replica".
-    pub fn filtered(&self, keep: impl Fn(RelationId) -> bool) -> Vec<WritesetItem> {
-        self.items.iter().copied().filter(|i| keep(i.rel)).collect()
     }
 }
 
@@ -107,6 +136,7 @@ pub fn items_intersect(a: &[WritesetItem], b: &[WritesetItem]) -> bool {
 mod tests {
     use super::*;
     use crate::types::Version;
+    use proptest::prelude::*;
 
     fn ws(items: Vec<(u32, u64)>) -> Writeset {
         Writeset::new(
@@ -115,10 +145,7 @@ mod tests {
             Snapshot::at(Version(0)),
             items
                 .into_iter()
-                .map(|(r, row)| WritesetItem {
-                    rel: RelationId(r),
-                    row,
-                })
+                .map(|(r, row)| WritesetItem::new(RelationId(r), row))
                 .collect(),
         )
     }
@@ -126,7 +153,7 @@ mod tests {
     #[test]
     fn items_are_normalized() {
         let w = ws(vec![(2, 5), (1, 9), (2, 5), (1, 3)]);
-        let rows: Vec<(u32, u64)> = w.items.iter().map(|i| (i.rel.0, i.row)).collect();
+        let rows: Vec<(u32, u64)> = w.items.iter().map(|i| (i.rel().0, i.row())).collect();
         assert_eq!(rows, vec![(1, 3), (1, 9), (2, 5)]);
     }
 
@@ -159,17 +186,36 @@ mod tests {
         assert!((200..350).contains(&w.bytes()));
     }
 
-    #[test]
-    fn relations_are_deduplicated() {
-        let w = ws(vec![(2, 1), (1, 4), (1, 2), (2, 9)]);
-        assert_eq!(w.relations(), vec![RelationId(1), RelationId(2)]);
+    proptest! {
+        /// Packing keeps both fields, and the word's order is (relation,
+        /// row) order, which sorting, deduplication and conflict scans
+        /// rely on.
+        #[test]
+        fn packing_round_trips_and_orders_by_relation_then_row(
+            a in (0..MAX_RELATIONS, 0..1u64 << ROW_BITS),
+            b in (0..MAX_RELATIONS, 0..1u64 << ROW_BITS),
+        ) {
+            let item = |(rel, row): (u32, u64)| WritesetItem::new(RelationId(rel), row);
+            for (rel, row) in [a, b] {
+                prop_assert_eq!(item((rel, row)).rel(), RelationId(rel));
+                prop_assert_eq!(item((rel, row)).row(), row);
+            }
+            // Also compare within one relation, which random draws rarely do.
+            for (x, y) in [(a, b), (a, (a.0, b.1))] {
+                prop_assert_eq!(item(x).cmp(&item(y)), x.cmp(&y));
+            }
+        }
     }
 
     #[test]
-    fn filtered_drops_other_relations() {
-        let w = ws(vec![(1, 1), (2, 2), (3, 3)]);
-        let kept = w.filtered(|r| r.0 != 2);
-        assert_eq!(kept.len(), 2);
-        assert!(kept.iter().all(|i| i.rel != RelationId(2)));
+    #[should_panic(expected = "does not pack")]
+    fn relation_255_rejected() {
+        WritesetItem::new(RelationId(MAX_RELATIONS), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "does not pack")]
+    fn row_2_pow_56_rejected() {
+        WritesetItem::new(RelationId(0), 1 << 56);
     }
 }

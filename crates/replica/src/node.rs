@@ -346,8 +346,8 @@ impl ReplicaNode {
             );
             self.applied = version;
             let mut any = false;
-            for item in items {
-                if !self.filter.accepts(item.rel) {
+            for &item in items {
+                if !self.filter.accepts(item.rel()) {
                     self.stats.items_filtered += 1;
                     continue;
                 }
@@ -375,14 +375,12 @@ impl ReplicaNode {
     fn apply_item_pages(
         &mut self,
         now: SimTime,
-        item: &tashkent_engine::WritesetItem,
+        item: tashkent_engine::WritesetItem,
         last_io: &mut SimTime,
     ) {
-        let heap = self.catalog.get(item.rel).page_of_row(item.row);
-        let index_pages = self
-            .catalog
-            .indices_of(item.rel)
-            .map(|idx| idx.page_of_row(item.row));
+        let (rel, row) = (item.rel(), item.row());
+        let heap = self.catalog.get(rel).page_of_row(row);
+        let index_pages = self.catalog.indices_of(rel).map(|idx| idx.page_of_row(row));
         for page in std::iter::once(heap).chain(index_pages) {
             match self.pool.touch(page) {
                 Touch::Hit => {}
@@ -430,8 +428,8 @@ impl ReplicaNode {
         let mut last_io = now;
         for (_, items) in writesets {
             let mut any = false;
-            for item in items {
-                if !rels.contains(&item.rel) {
+            for &item in items {
+                if !rels.contains(&item.rel()) {
                     continue;
                 }
                 any = true;
@@ -619,10 +617,7 @@ mod tests {
         for items in entries {
             let mut items: Vec<WritesetItem> = items
                 .iter()
-                .map(|&(r, row)| WritesetItem {
-                    rel: RelationId(r),
-                    row,
-                })
+                .map(|&(r, row)| WritesetItem::new(RelationId(r), row))
                 .collect();
             items.sort_unstable();
             log.append(&items);

@@ -11,16 +11,17 @@
 //! The frames are a `Vec<u32>` in clock order (4 B per frame): each packs a
 //! page's relation id into its top 8 bits and its page number into the low
 //! 24, the widths [`MAX_RELATIONS`] and [`MAX_RELATION_PAGES`] that the
-//! [`Catalog`](crate::Catalog) enforces. Each page's resident, referenced
-//! and dirty bits live in a per-relation `Vec` of 64-page blocks, one `u64`
-//! per bit, so page `p` owns bit `p % 64` of block `p / 64`. A relation's
-//! blocks grow to cover the highest page touched and are released when the
-//! relation is evicted as a whole. A 512 MB pool of 65,536 frames therefore
-//! costs 256 KB of host memory plus 3 bits per page of every relation it
-//! has touched, and a page lookup is two array indexes and a mask rather
-//! than a hash probe.
-
-use std::ops::ControlFlow;
+//! [`Catalog`](crate::Catalog) enforces. A frame emptied by
+//! [`BufferPool::evict_relation`] holds relation 255, which names no page,
+//! and in its low 24 bits the index of the next free frame: the free list
+//! lives in the free frames themselves, and the pool keeps only its head
+//! and length. Each page's resident, referenced and dirty bits live in a
+//! per-relation `Vec` of 64-page blocks, one `u64` per bit, so page `p`
+//! owns bit `p % 64` of block `p / 64`. A relation's blocks grow to cover
+//! the highest page touched and are released when the relation is evicted
+//! as a whole. A 512 MB pool of 65,536 frames therefore costs 256 KB of
+//! host memory plus 3 bits per page of every relation it has touched, and
+//! a page lookup is two array indexes and a mask rather than a hash probe.
 
 use crate::ids::{GlobalPageId, RelationId, MAX_RELATIONS, MAX_RELATION_PAGES};
 
@@ -68,11 +69,19 @@ impl BufferStats {
 /// Bits of a frame word that hold the page number.
 const PAGE_BITS: u32 = MAX_RELATION_PAGES.trailing_zeros();
 
-/// Marks a frame emptied by [`BufferPool::evict_relation`]. It decodes to
-/// relation 255, which [`pack`] rejects, so a free frame never names a page.
-const FREE: u32 = u32::MAX;
+/// Tags a frame emptied by [`BufferPool::evict_relation`]: relation 255,
+/// which [`pack`] rejects, so a free frame never names a page (see
+/// [`page_of`]). Its low 24 bits hold the index of the next free frame, or
+/// [`END`].
+const FREE: u32 = MAX_RELATIONS << PAGE_BITS;
 
-const _: () = assert!(MAX_RELATION_PAGES == 1 << PAGE_BITS && MAX_RELATIONS <= FREE >> PAGE_BITS);
+/// Ends the free list: the link in its last frame, and its head when empty.
+/// No frame has this index, because [`BufferPool::new`] caps the capacity
+/// below it.
+const END: u32 = MAX_RELATION_PAGES - 1;
+
+const _: () =
+    assert!(MAX_RELATION_PAGES == 1 << PAGE_BITS && MAX_RELATIONS == u32::MAX >> PAGE_BITS);
 
 /// Packs `page` into a frame word.
 ///
@@ -96,6 +105,12 @@ fn unpack(frame: u32) -> GlobalPageId {
         RelationId(frame >> PAGE_BITS),
         frame & (MAX_RELATION_PAGES - 1),
     )
+}
+
+/// The page a frame word names, or `None` for a free frame.
+fn page_of(frame: u32) -> Option<GlobalPageId> {
+    let page = unpack(frame);
+    (page.rel.0 != MAX_RELATIONS).then_some(page)
 }
 
 /// The state bits of 64 consecutive pages of one relation; page `p` owns
@@ -140,10 +155,13 @@ fn locate(page: GlobalPageId) -> (usize, u64) {
 #[derive(Debug, Clone)]
 pub struct BufferPool {
     capacity: usize,
-    /// Resident pages in clock order, packed by [`pack`]; [`FREE`] marks a
-    /// slot listed in `free`.
+    /// Frames in clock order: resident pages packed by [`pack`], and free
+    /// frames tagged [`FREE`] and linked into a list.
     frames: Vec<u32>,
-    free: Vec<u32>,
+    /// The free frame the next miss fills, or [`END`].
+    free_head: u32,
+    /// Frames on the free list.
+    free_len: usize,
     /// State blocks indexed by relation id, then block index.
     state: Vec<Vec<Block>>,
     hand: usize,
@@ -156,13 +174,18 @@ impl BufferPool {
     ///
     /// # Panics
     ///
-    /// Panics if `capacity` is zero.
+    /// Panics if `capacity` is zero, or not below 2^24 - 1 frames (128 GB).
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "buffer pool needs at least one frame");
+        assert!(
+            capacity < END as usize,
+            "buffer pool capacity {capacity} is not below {END} frames"
+        );
         BufferPool {
             capacity,
             frames: Vec::new(),
-            free: Vec::new(),
+            free_head: END,
+            free_len: 0,
             state: Vec::new(),
             hand: 0,
             dirty_count: 0,
@@ -171,6 +194,10 @@ impl BufferPool {
     }
 
     /// Creates a pool sized for `bytes` of memory (rounded down to pages).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `bytes` covers 2^24 - 1 pages (128 GB) or more.
     pub fn with_capacity_bytes(bytes: u64) -> Self {
         Self::new(((bytes / crate::ids::PAGE_SIZE) as usize).max(1))
     }
@@ -182,7 +209,7 @@ impl BufferPool {
 
     /// Current number of resident pages.
     pub fn resident(&self) -> usize {
-        self.frames.len() - self.free.len()
+        self.frames.len() - self.free_len
     }
 
     /// Current number of dirty resident pages.
@@ -268,8 +295,12 @@ impl BufferPool {
 
     fn install(&mut self, page: GlobalPageId) -> Option<(GlobalPageId, bool)> {
         let frame = pack(page);
-        let evicted = if let Some(idx) = self.free.pop() {
-            self.frames[idx as usize] = frame;
+        let evicted = if self.free_head != END {
+            // Pop the list's head; the low bits of its old word link to the
+            // next free frame.
+            let idx = self.free_head as usize;
+            self.free_head = std::mem::replace(&mut self.frames[idx], frame) & END;
+            self.free_len -= 1;
             None
         } else if self.frames.len() < self.capacity {
             self.frames.push(frame);
@@ -330,28 +361,29 @@ impl BufferPool {
         }
         let start = self.hand % self.frames.len();
         let (before, after) = self.frames.split_at(start);
-        let (state, dirty_count) = (&mut self.state, &mut self.dirty_count);
-        // A `for` loop over a `Chain` re-checks which half it is in on every
-        // frame; `try_for_each` runs one loop per half.
-        let _ = after.iter().chain(before).try_for_each(|&frame| {
-            if frame == FREE {
-                return ControlFlow::Continue(());
-            }
-            let page = unpack(frame);
-            let (block, bit) = locate(page);
-            let b = &mut state[page.rel.0 as usize][block];
-            if b.dirty & bit != 0 {
-                b.dirty &= !bit;
-                *dirty_count -= 1;
-                out.push(page);
-                // Once the last dirty page is out, the rest of the scan
-                // finds nothing; stopping keeps a sparse round cheap.
-                if out.len() == max || *dirty_count == 0 {
-                    return ControlFlow::Break(());
+        // One plain loop per half of the clock. A loop over a `Chain`
+        // re-checks which half it is in on every frame, and a closure passed
+        // to `try_for_each` is left out of line in one of the two loops
+        // unless the optimizer happens to inline it.
+        'scan: for half in [after, before] {
+            for &frame in half {
+                let Some(page) = page_of(frame) else {
+                    continue;
+                };
+                let (block, bit) = locate(page);
+                let b = &mut self.state[page.rel.0 as usize][block];
+                if b.dirty & bit != 0 {
+                    b.dirty &= !bit;
+                    self.dirty_count -= 1;
+                    out.push(page);
+                    // Once the last dirty page is out, the rest of the scan
+                    // finds nothing; stopping keeps a sparse round cheap.
+                    if out.len() == max || self.dirty_count == 0 {
+                        break 'scan;
+                    }
                 }
             }
-            ControlFlow::Continue(())
-        });
+        }
         self.stats.flushed += out.len() as u64;
         out
     }
@@ -363,11 +395,13 @@ impl BufferPool {
         let mut clean = 0;
         let mut dirty = 0;
         for idx in 0..self.frames.len() {
-            let frame = self.frames[idx];
-            if frame != FREE && unpack(frame).rel == rel {
-                self.frames[idx] = FREE;
-                self.free.push(idx as u32);
-                if self.clear(unpack(frame)) {
+            if let Some(page) = page_of(self.frames[idx]).filter(|p| p.rel == rel) {
+                // Push the frame on the free list; `install` pops the frame
+                // freed last first.
+                self.frames[idx] = FREE | self.free_head;
+                self.free_head = idx as u32;
+                self.free_len += 1;
+                if self.clear(page) {
                     dirty += 1;
                 } else {
                     clean += 1;
@@ -386,7 +420,7 @@ impl BufferPool {
     pub fn resident_of(&self, rel: RelationId) -> usize {
         self.frames
             .iter()
-            .filter(|&&f| f != FREE && unpack(f).rel == rel)
+            .filter(|&&f| page_of(f).is_some_and(|p| p.rel == rel))
             .count()
     }
 }
@@ -559,7 +593,7 @@ mod tests {
     #[test]
     fn pack_round_trips_at_both_ends() {
         for page in [p(0, 0), p(MAX_RELATIONS - 1, MAX_RELATION_PAGES - 1)] {
-            assert_ne!(pack(page), FREE);
+            assert!(pack(page) < FREE);
             assert_eq!(unpack(pack(page)), page);
         }
     }
@@ -590,6 +624,13 @@ mod tests {
     #[should_panic(expected = "at least one frame")]
     fn zero_capacity_rejected() {
         BufferPool::new(0);
+    }
+
+    #[test]
+    #[should_panic(expected = "is not below")]
+    fn capacity_2_pow_24_minus_1_rejected() {
+        // Frame index 2^24 - 1 is the free list's end marker.
+        BufferPool::new((1 << 24) - 1);
     }
 
     #[test]

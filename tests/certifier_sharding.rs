@@ -309,14 +309,14 @@ proptest! {
             let snap = link.version().0.saturating_sub(*lag);
             let items = rows
                 .iter()
-                .map(|&(r, row)| WritesetItem { rel: RelationId(r), row })
+                .map(|&(r, row)| WritesetItem::new(RelationId(r), row))
                 .collect();
             let txn = TxnId(i as u64);
             let ws = Writeset::new(txn, TxnTypeId(0), Snapshot::at(Version(snap)), items);
             let mask = ws
                 .items
                 .iter()
-                .fold(0u64, |m, it| m | 1 << (it.rel.0 as usize % groups));
+                .fold(0u64, |m, it| m | 1 << (it.rel().0 as usize % groups));
             let conflict = ws
                 .items
                 .iter()

@@ -28,10 +28,7 @@ fn commit_n(cert: &mut Certifier, n: u64) {
             TxnId(i),
             TxnTypeId(0),
             Snapshot::at(Version(cert.version().0)),
-            vec![WritesetItem {
-                rel: RelationId(0),
-                row: i,
-            }],
+            vec![WritesetItem::new(RelationId(0), i)],
         );
         assert!(matches!(
             cert.certify(SimTime::from_millis(i), ws),
@@ -610,10 +607,7 @@ fn certification_still_correct_across_checkpointing() {
         TxnId(99),
         TxnTypeId(0),
         Snapshot::at(Version(22)),
-        vec![WritesetItem {
-            rel: RelationId(0),
-            row: 25,
-        }],
+        vec![WritesetItem::new(RelationId(0), 25)],
     );
     assert_eq!(
         cert.certify(SimTime::from_secs(1), ws),

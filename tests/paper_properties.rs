@@ -87,7 +87,7 @@ proptest! {
                 TxnId(i as u64),
                 TxnTypeId(0),
                 Snapshot::at(snapshot),
-                vec![WritesetItem { rel: RelationId(0), row: *row }],
+                vec![WritesetItem::new(RelationId(0), *row)],
             );
             // Fresh snapshot ⇒ certification must succeed.
             match cert.certify(SimTime::from_micros(i as u64), ws) {
@@ -102,7 +102,7 @@ proptest! {
                 TxnId(9_999),
                 TxnTypeId(0),
                 Snapshot::at(stale),
-                vec![WritesetItem { rel: RelationId(0), row: *row }],
+                vec![WritesetItem::new(RelationId(0), *row)],
             );
             let outcome = cert.certify(SimTime::from_secs(1), ws);
             let later_write = committed.iter().any(|(r, v)| r == row && v.0 > stale.0);
@@ -123,7 +123,7 @@ proptest! {
             TxnId(0),
             TxnTypeId(0),
             Snapshot::at(Version(0)),
-            items.iter().map(|(r, row)| WritesetItem { rel: RelationId(*r), row: *row }).collect(),
+            items.iter().map(|&(r, row)| WritesetItem::new(RelationId(r), row)).collect(),
         );
         let wa = mk(&a);
         let wb = mk(&b);

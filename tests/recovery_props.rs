@@ -41,10 +41,7 @@ fn commit_n(cert: &mut Certifier, n: u64) {
             TxnId(i),
             TxnTypeId(0),
             Snapshot::at(Version(cert.version().0)),
-            vec![WritesetItem {
-                rel: RelationId(0),
-                row: i % 97,
-            }],
+            vec![WritesetItem::new(RelationId(0), i % 97)],
         );
         cert.certify(SimTime::from_millis(i), ws);
     }
