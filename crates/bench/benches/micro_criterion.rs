@@ -1,7 +1,10 @@
 //! Criterion microbenchmarks for the core algorithmic components: bin
-//! packing, buffer-pool touches, certification, and dispatch decisions.
+//! packing, buffer-pool touches, certification, dispatch decisions, and
+//! the partial-replication and certifier-sharding set-up.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
+use tashkent_cluster::placement::CertMap;
+use tashkent_cluster::{ReplicationPlanner, TypeGroups};
 use tashkent_core::{
     pack_groups, EstimationMode, Lard, LardConfig, WorkingSet, WorkingSetEstimator,
 };
@@ -205,9 +208,29 @@ fn bench_estimation(c: &mut Criterion) {
     });
 }
 
+/// What a cluster build spends on partial placement and certifier sharding
+/// for the `partial-faults` configuration: TPC-W MidDB on 16 replicas at
+/// two copies, with four certifier groups.
+fn bench_placement(c: &mut Criterion) {
+    let workload = tpcw::workload(TpcwScale::Mid);
+    c.bench_function("placement_tpcw_mid_16x2", |b| {
+        b.iter(|| {
+            let groups = TypeGroups::derive(&workload);
+            let map = ReplicationPlanner::new(2).plan(&workload.catalog, &groups, 16);
+            let masks = map.type_masks(workload.types.len());
+            let filters: Vec<_> = (0..16).map(|r| map.filter_for(r)).collect();
+            (masks, filters)
+        })
+    });
+    let groups = TypeGroups::derive(&workload);
+    c.bench_function("cert_map_tpcw_mid_4", |b| {
+        b.iter(|| CertMap::build(&groups, 4))
+    });
+}
+
 criterion_group!(
     name = micro;
     config = Criterion::default().sample_size(20).warm_up_time(std::time::Duration::from_millis(300)).measurement_time(std::time::Duration::from_secs(1));
-    targets = bench_packing, bench_buffer_pool, bench_certifier, bench_dispatch, bench_estimation
+    targets = bench_packing, bench_buffer_pool, bench_certifier, bench_dispatch, bench_estimation, bench_placement
 );
 criterion_main!(micro);

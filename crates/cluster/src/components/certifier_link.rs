@@ -1,6 +1,6 @@
 //! The replicas' round-trip to the certifier.
 
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::VecDeque;
 
 use tashkent_certifier::{
     CertShard, Certifier, CertifierGroup, CertifierParams, CertifyOutcome, CommitLog, GroupEvent,
@@ -8,7 +8,7 @@ use tashkent_certifier::{
 };
 use tashkent_engine::{TxnId, Version, Writeset, WS_HEADER_BYTES, WS_ITEM_BYTES};
 use tashkent_sim::{EventQueue, SimTime};
-use tashkent_storage::RelationId;
+use tashkent_storage::RelationSet;
 
 use crate::components::ClusterNode;
 use crate::events::Ev;
@@ -728,7 +728,7 @@ impl CertifierLink {
         &mut self,
         now: SimTime,
         node: &mut ClusterNode,
-        rels: &BTreeSet<RelationId>,
+        rels: RelationSet,
     ) -> (SimTime, u64) {
         let upto = self.backfill_upto(node);
         let (done, bytes, _) = self.backfill_chunk(now, node, rels, 0, upto, u64::MAX);
@@ -753,7 +753,7 @@ impl CertifierLink {
         &mut self,
         now: SimTime,
         node: &mut ClusterNode,
-        rels: &BTreeSet<RelationId>,
+        rels: RelationSet,
         from: usize,
         upto: usize,
         max_bytes: u64,
@@ -774,7 +774,7 @@ impl CertifierLink {
                     .get(end)
                     .1
                     .iter()
-                    .filter(|i| rels.contains(&i.rel()))
+                    .filter(|i| rels.contains(i.rel()))
                     .count() as u64;
                 let cost = if items > 0 {
                     WS_HEADER_BYTES + items * WS_ITEM_BYTES

@@ -5,6 +5,7 @@ use std::sync::Arc;
 use tashkent_engine::{Snapshot, TxnExecutor, TxnId, Version};
 use tashkent_replica::{LoadReport, ReplicaNode, StepOutcome, UpdateFilter};
 use tashkent_sim::{EventQueue, SimTime};
+use tashkent_storage::RelationSet;
 
 use crate::events::Ev;
 use crate::placement::CertMap;
@@ -130,7 +131,7 @@ impl ClusterNode {
         &mut self,
         now: SimTime,
         writesets: tashkent_certifier::LogView<'_>,
-        rels: &std::collections::BTreeSet<tashkent_storage::RelationId>,
+        rels: RelationSet,
     ) -> SimTime {
         self.node.backfill_writesets(now, writesets, rels)
     }

@@ -63,7 +63,7 @@ pub use experiment::{
 };
 pub use metrics::{FaultEvent, FaultKind, GroupSnapshot, Metrics, RunResult};
 pub use partial::PartialReplication;
-pub use placement::{PlacementMap, RelationGroup, ReplicationPlanner, WS_TICK_BYTES};
+pub use placement::{PlacementMap, RelationGroup, ReplicationPlanner, TypeGroups, WS_TICK_BYTES};
 pub use rebalance::Rebalance;
 pub use state::ClusterState;
 pub use trace::{TraceConfig, TraceData, TraceEvent, TraceSummary, Tracer};

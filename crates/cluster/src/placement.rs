@@ -30,34 +30,98 @@
 //! Full replication is the `min_copies = cluster size` degenerate case:
 //! every replica holds every group, the eligibility masks are all-true, and
 //! runs reproduce the fully-replicated results bit for bit.
-
-use std::collections::{BTreeMap, BTreeSet};
+//!
+//! The groups come from one derivation, [`TypeGroups::derive`], which a
+//! cluster runs once per build and hands to both the [`ReplicationPlanner`]
+//! and the certifier-sharding map [`CertMap`]. Every relation set here —
+//! a group's members, a replica's held and pending relations, the update
+//! filter it installs, a backfill's relations — is a
+//! [`tashkent_storage::RelationSet`] bitmap.
 
 use tashkent_core::WorkingSetEstimator;
 use tashkent_engine::{TxnTypeId, Writeset};
 use tashkent_replica::UpdateFilter;
-use tashkent_storage::RelationId;
+use tashkent_storage::{Catalog, RelationId, RelationSet, MAX_RELATIONS};
 use tashkent_workloads::Workload;
 
 /// Bytes of a version tick — the durability notification a non-holder
 /// receives instead of a writeset's pages (a version number plus framing).
 pub const WS_TICK_BYTES: u64 = 16;
 
+/// The relation groups of a workload: the distinct non-empty relation sets
+/// its transaction types touch, in first-seen type order, and each type's
+/// group. Both the [`ReplicationPlanner`] (which places the groups) and
+/// [`CertMap`] (which folds them into certifier groups) start from this one
+/// derivation, so placement groups and certifier owners agree by
+/// construction; a cluster derives it once per build.
+///
+/// A type's relation set is what EXPLAIN plus the working-set estimator
+/// report for it — the same channel §3's filter lists are built from — with
+/// each index brought along with its base table and each table with its
+/// indices, so writeset application always finds both.
+#[derive(Debug)]
+pub struct TypeGroups {
+    /// The distinct relation sets, in first-seen type order.
+    sets: Vec<RelationSet>,
+    /// Index into `sets` per transaction type (`None` for types touching
+    /// no relation).
+    of_type: Vec<Option<usize>>,
+}
+
+impl TypeGroups {
+    /// Derives the relation groups of `workload`.
+    pub fn derive(workload: &Workload) -> Self {
+        let catalog = &workload.catalog;
+        let estimator = WorkingSetEstimator::new(catalog);
+        let mut sets: Vec<RelationSet> = Vec::new();
+        let mut of_type = vec![None; workload.types.len()];
+        for t in &workload.types {
+            let ws = estimator.estimate(t.id, &workload.explain(t.id));
+            let mut rels = RelationSet::new();
+            for &rel in ws.relations.keys() {
+                rels.insert(rel);
+                if let Some(table) = catalog.get(rel).table {
+                    rels.insert(table);
+                }
+                rels.extend(catalog.indices_of(rel).map(|idx| idx.id));
+            }
+            if rels.is_empty() {
+                continue;
+            }
+            let group = match sets.iter().position(|s| *s == rels) {
+                Some(g) => g,
+                None => {
+                    sets.push(rels);
+                    sets.len() - 1
+                }
+            };
+            of_type[t.id.0 as usize] = Some(group);
+        }
+        TypeGroups { sets, of_type }
+    }
+}
+
 /// One unit of placement: the relations one or more transaction types
 /// touch together (types with identical relation sets share a group), plus
 /// each referenced index alongside its base table.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RelationGroup {
-    /// The transaction types this group serves.
+    /// The transaction types this group serves, ascending.
     pub types: Vec<TxnTypeId>,
-    /// Member relations (tables and their indices), sorted.
-    pub relations: BTreeSet<RelationId>,
+    /// Member relations (tables and their indices); iteration is in
+    /// ascending id order.
+    pub relations: RelationSet,
     /// Combined size in pages (catalog `relpages`), the placement weight.
     pub pages: u64,
 }
 
 /// Where every relation group lives: the group → holder-set assignment the
 /// cluster threads through dispatch, propagation, and failover.
+///
+/// Every per-replica relation set is a [`RelationSet`] bitmap, so the
+/// per-item questions of the hot paths ([`PlacementMap::holds`] for each
+/// shipped item, [`PlacementMap::eligible`] for each dispatch) are a few
+/// word operations.
 #[derive(Debug, Clone)]
 pub struct PlacementMap {
     n_replicas: usize,
@@ -69,17 +133,23 @@ pub struct PlacementMap {
     /// Holder replica indices per group, sorted ascending.
     holders: Vec<Vec<usize>>,
     /// Cached per-replica held relations: the union over assigned groups.
-    held: Vec<BTreeSet<RelationId>>,
+    held: Vec<RelationSet>,
     /// Relations a replica has been assigned but whose pages are still in
     /// flight from a capped backfill. A pending relation is *held* (the
     /// filter accepts foreground propagation so the copy converges) but the
     /// replica is not dispatch-eligible for any type touching it until the
     /// backfill completes.
-    pending: Vec<BTreeSet<RelationId>>,
+    pending: Vec<RelationSet>,
     /// Every relation referenced by some group (relations outside this set
-    /// never appear in a writeset and count as held everywhere), with its
-    /// size in pages (catalog `relpages`).
-    referenced: BTreeMap<RelationId, u64>,
+    /// never appear in a writeset and count as held everywhere).
+    referenced: RelationSet,
+    /// Size in pages (catalog `relpages`) per relation id.
+    pages: Vec<u64>,
+}
+
+/// Combined size in pages of `rels`, from a per-relation page table.
+fn pages_of(pages: &[u64], rels: RelationSet) -> u64 {
+    rels.iter().map(|rel| pages[rel.0 as usize]).sum()
 }
 
 impl PlacementMap {
@@ -119,7 +189,7 @@ impl PlacementMap {
     /// Whether `replica` keeps `rel` current (relations referenced by no
     /// group never change, so they count as held everywhere).
     pub fn holds(&self, replica: usize, rel: RelationId) -> bool {
-        self.held[replica].contains(&rel) || !self.referenced.contains_key(&rel)
+        self.held[replica].contains(rel) || !self.referenced.contains(rel)
     }
 
     /// Whether `replica` may serve transactions of `txn_type`: its held set
@@ -129,9 +199,10 @@ impl PlacementMap {
     /// backfilled — a still-backfilling holder must never receive dispatch.
     pub fn eligible(&self, txn_type: TxnTypeId, replica: usize) -> bool {
         match self.group_of_type(txn_type) {
-            Some(g) => self.groups[g].relations.iter().all(|rel| {
-                self.held[replica].contains(rel) && !self.pending[replica].contains(rel)
-            }),
+            Some(g) => {
+                let rels = self.groups[g].relations;
+                rels.is_subset(self.held[replica]) && !rels.intersects(self.pending[replica])
+            }
             None => true,
         }
     }
@@ -149,8 +220,7 @@ impl PlacementMap {
             Ok(_) => false,
             Err(pos) => {
                 self.holders[group].insert(pos, replica);
-                let rels: Vec<RelationId> = self.groups[group].relations.iter().copied().collect();
-                self.held[replica].extend(rels);
+                self.held[replica] = self.held[replica].union(self.groups[group].relations);
                 true
             }
         }
@@ -166,13 +236,12 @@ impl PlacementMap {
             Err(_) => false,
             Ok(pos) => {
                 self.holders[group].remove(pos);
-                let mut held = BTreeSet::new();
-                for (g, holders) in self.holders.iter().enumerate() {
-                    if holders.binary_search(&replica).is_ok() {
-                        held.extend(self.groups[g].relations.iter().copied());
-                    }
-                }
-                self.pending[replica].retain(|rel| held.contains(rel));
+                let held = (0..self.groups.len())
+                    .filter(|g| self.holds_group(replica, *g))
+                    .fold(RelationSet::new(), |held, g| {
+                        held.union(self.groups[g].relations)
+                    });
+                self.pending[replica] = self.pending[replica].intersection(held);
                 self.held[replica] = held;
                 true
             }
@@ -181,45 +250,36 @@ impl PlacementMap {
 
     /// Marks `rels` on `replica` as backfill-in-flight: held (the filter
     /// keeps the copy converging) but not dispatch-eligible.
-    pub fn mark_pending(&mut self, replica: usize, rels: &BTreeSet<RelationId>) {
-        self.pending[replica].extend(rels.iter().copied());
+    pub fn mark_pending(&mut self, replica: usize, rels: RelationSet) {
+        self.pending[replica] = self.pending[replica].union(rels);
     }
 
     /// Clears the backfill-in-flight mark for `rels` on `replica`: the
     /// pages have arrived and the replica may serve types touching them.
-    pub fn complete_backfill(&mut self, replica: usize, rels: &BTreeSet<RelationId>) {
-        for rel in rels {
-            self.pending[replica].remove(rel);
-        }
+    pub fn complete_backfill(&mut self, replica: usize, rels: RelationSet) {
+        self.pending[replica] = self.pending[replica].difference(rels);
     }
 
     /// Relations still being backfilled onto `replica`.
-    pub fn pending_relations(&self, replica: usize) -> &BTreeSet<RelationId> {
-        &self.pending[replica]
+    pub fn pending_relations(&self, replica: usize) -> RelationSet {
+        self.pending[replica]
     }
 
     /// Relations `replica` keeps current (union over its groups).
-    pub fn held_relations(&self, replica: usize) -> &BTreeSet<RelationId> {
-        &self.held[replica]
+    pub fn held_relations(&self, replica: usize) -> RelationSet {
+        self.held[replica]
     }
 
     /// Relations of `group` that `replica` does *not* yet hold — what a
     /// re-replication backfill must ship.
-    pub fn missing_relations(&self, replica: usize, group: usize) -> BTreeSet<RelationId> {
-        self.groups[group]
-            .relations
-            .difference(&self.held[replica])
-            .copied()
-            .collect()
+    pub fn missing_relations(&self, replica: usize, group: usize) -> RelationSet {
+        self.groups[group].relations.difference(self.held[replica])
     }
 
     /// Pages resident on `replica` under this placement (re-replication
     /// target selection weight).
     pub fn held_pages(&self, replica: usize) -> u64 {
-        self.held[replica]
-            .iter()
-            .map(|rel| self.referenced.get(rel).copied().unwrap_or(0))
-            .sum()
+        pages_of(&self.pages, self.held[replica])
     }
 
     /// The update filter partial replication installs on `replica`:
@@ -229,7 +289,7 @@ impl PlacementMap {
         if (0..self.groups.len()).all(|g| self.holds_group(replica, g)) {
             UpdateFilter::all()
         } else {
-            UpdateFilter::only(self.held[replica].iter().copied())
+            UpdateFilter::Only(self.held[replica])
         }
     }
 
@@ -247,9 +307,9 @@ impl PlacementMap {
     }
 }
 
-/// Computes a [`PlacementMap`] for a workload: one relation group per
-/// distinct transaction-type relation set, holder sets by overlap-aware
-/// balance under the `min_copies` durability constraint.
+/// Computes a [`PlacementMap`] from a workload's [`TypeGroups`]: one
+/// relation group per distinct transaction-type relation set, holder sets
+/// by overlap-aware balance under the `min_copies` durability constraint.
 #[derive(Debug, Clone, Copy)]
 pub struct ReplicationPlanner {
     /// Minimum up-to-date copies per relation group (clamped to
@@ -263,7 +323,8 @@ impl ReplicationPlanner {
         ReplicationPlanner { min_copies }
     }
 
-    /// Plans placement for `workload` over `replicas` nodes.
+    /// Plans placement of `groups` (derived from a workload over
+    /// `catalog`) over `replicas` nodes.
     ///
     /// Groups are assigned heaviest-first; each picks the `min_copies`
     /// replicas minimizing the resulting held pages (`held + newly added`,
@@ -276,68 +337,41 @@ impl ReplicationPlanner {
     /// # Panics
     ///
     /// Panics if `replicas` is zero.
-    pub fn plan(&self, workload: &Workload, replicas: usize) -> PlacementMap {
+    pub fn plan(&self, catalog: &Catalog, groups: &TypeGroups, replicas: usize) -> PlacementMap {
         assert!(replicas > 0, "placement needs at least one replica");
         let min_copies = self.min_copies.clamp(1, replicas);
-        let catalog = &workload.catalog;
-        let estimator = WorkingSetEstimator::new(catalog);
-
-        // One group per distinct relation set; each index travels with its
-        // base table so writeset application always finds both.
-        let mut groups: Vec<RelationGroup> = Vec::new();
-        let mut group_of_rels: BTreeMap<BTreeSet<RelationId>, usize> = BTreeMap::new();
-        let mut group_of_type: Vec<Option<usize>> = vec![None; workload.types.len()];
-        let mut referenced: BTreeMap<RelationId, u64> = BTreeMap::new();
-        for t in &workload.types {
-            let ws = estimator.estimate(t.id, &workload.explain(t.id));
-            let mut rels: BTreeSet<RelationId> = ws.relations.keys().copied().collect();
-            for rel in rels.clone() {
-                let meta = catalog.get(rel);
-                if let Some(table) = meta.table {
-                    rels.insert(table);
-                }
-                for idx in catalog.indices_of(rel) {
-                    rels.insert(idx.id);
-                }
+        let pages: Vec<u64> = catalog.relations().iter().map(|r| r.pages as u64).collect();
+        let mut placed: Vec<RelationGroup> = groups
+            .sets
+            .iter()
+            .map(|&relations| RelationGroup {
+                types: Vec::new(),
+                relations,
+                pages: pages_of(&pages, relations),
+            })
+            .collect();
+        for (t, g) in groups.of_type.iter().enumerate() {
+            if let Some(g) = g {
+                placed[*g].types.push(TxnTypeId(t as u32));
             }
-            if rels.is_empty() {
-                continue;
-            }
-            let gi = *group_of_rels.entry(rels.clone()).or_insert_with(|| {
-                let mut pages = 0;
-                for r in &rels {
-                    let p = catalog.get(*r).pages as u64;
-                    referenced.insert(*r, p);
-                    pages += p;
-                }
-                groups.push(RelationGroup {
-                    types: Vec::new(),
-                    pages,
-                    relations: rels.clone(),
-                });
-                groups.len() - 1
-            });
-            groups[gi].types.push(t.id);
-            group_of_type[t.id.0 as usize] = Some(gi);
         }
+        let referenced = groups
+            .sets
+            .iter()
+            .fold(RelationSet::new(), |all, rels| all.union(*rels));
 
         // Holder assignment: heaviest group first; each onto the
         // `min_copies` replicas minimizing resulting held pages.
-        let mut order: Vec<usize> = (0..groups.len()).collect();
-        order.sort_by_key(|g| (std::cmp::Reverse(groups[*g].pages), *g));
-        let mut held: Vec<BTreeSet<RelationId>> = vec![BTreeSet::new(); replicas];
+        let mut order: Vec<usize> = (0..placed.len()).collect();
+        order.sort_by_key(|g| (std::cmp::Reverse(placed[*g].pages), *g));
+        let mut held = vec![RelationSet::new(); replicas];
         let mut held_pages = vec![0u64; replicas];
-        let mut holders: Vec<Vec<usize>> = vec![Vec::new(); groups.len()];
+        let mut holders: Vec<Vec<usize>> = vec![Vec::new(); placed.len()];
         for g in order {
-            let added: Vec<u64> = (0..replicas)
-                .map(|r| {
-                    groups[g]
-                        .relations
-                        .iter()
-                        .filter(|rel| !held[r].contains(*rel))
-                        .map(|rel| referenced[rel])
-                        .sum()
-                })
+            let rels = placed[g].relations;
+            let added: Vec<u64> = held
+                .iter()
+                .map(|h| pages_of(&pages, rels.difference(*h)))
                 .collect();
             let mut ranked: Vec<usize> = (0..replicas).collect();
             ranked.sort_by_key(|r| (held_pages[*r] + added[*r], *r));
@@ -345,8 +379,7 @@ impl ReplicationPlanner {
             chosen.sort_unstable();
             for &r in &chosen {
                 held_pages[r] += added[r];
-                let rels: Vec<RelationId> = groups[g].relations.iter().copied().collect();
-                held[r].extend(rels);
+                held[r] = held[r].union(rels);
             }
             holders[g] = chosen;
         }
@@ -354,30 +387,30 @@ impl ReplicationPlanner {
         PlacementMap {
             n_replicas: replicas,
             min_copies,
-            groups,
-            group_of_type,
+            groups: placed,
+            group_of_type: groups.of_type.clone(),
             holders,
             held,
-            pending: vec![BTreeSet::new(); replicas],
+            pending: vec![RelationSet::new(); replicas],
             referenced,
+            pages,
         }
     }
 }
 
 /// Assigns every relation to exactly one *certifier group* — the sharding
-/// unit of certification. Groups are derived from the same distinct
-/// transaction-type relation sets the [`ReplicationPlanner`] places (the
-/// PR 4 placement unit), folded down to at most `max_groups` groups; a
-/// relation shared by several relation sets is owned by the lowest-indexed
-/// one, so ownership is a function — each item has exactly one certifying
-/// group, which is what makes the sharded conflict probe equivalent to the
-/// global one.
+/// unit of certification. Groups are the [`TypeGroups`] the
+/// [`ReplicationPlanner`] places, folded down to at most `max_groups`
+/// groups; a relation shared by several relation sets is owned by the
+/// lowest-indexed one, so ownership is a function — each item has exactly
+/// one certifying group, which is what makes the sharded conflict probe
+/// equivalent to the global one.
 #[derive(Debug, Clone)]
 pub struct CertMap {
     n_groups: usize,
-    /// Owning certifier group per referenced relation; unreferenced
-    /// relations (never written) default to group 0.
-    owner: BTreeMap<RelationId, usize>,
+    /// Owning certifier group per relation id; unreferenced relations
+    /// (never written) belong to group 0.
+    owner: [u8; MAX_RELATIONS as usize],
 }
 
 /// Hard cap on certifier groups: touched-group sets travel as `u64`
@@ -385,64 +418,40 @@ pub struct CertMap {
 pub const MAX_CERT_GROUPS: usize = 64;
 
 impl CertMap {
-    /// Derives the certifier-group map for `workload`, folding the distinct
-    /// relation sets down to at most `max_groups` (clamped to
-    /// `[1, MAX_CERT_GROUPS]`) groups round-robin by relation-set index.
-    pub fn build(workload: &Workload, max_groups: usize) -> Self {
-        let catalog = &workload.catalog;
-        let estimator = WorkingSetEstimator::new(catalog);
-        // The same distinct-relation-set derivation as
-        // `ReplicationPlanner::plan`, in first-seen type order.
-        let mut rel_sets: Vec<BTreeSet<RelationId>> = Vec::new();
-        let mut seen: BTreeMap<BTreeSet<RelationId>, usize> = BTreeMap::new();
-        for t in &workload.types {
-            let ws = estimator.estimate(t.id, &workload.explain(t.id));
-            let mut rels: BTreeSet<RelationId> = ws.relations.keys().copied().collect();
-            for rel in rels.clone() {
-                let meta = catalog.get(rel);
-                if let Some(table) = meta.table {
-                    rels.insert(table);
-                }
-                for idx in catalog.indices_of(rel) {
-                    rels.insert(idx.id);
-                }
-            }
-            if rels.is_empty() {
-                continue;
-            }
-            if !seen.contains_key(&rels) {
-                seen.insert(rels.clone(), rel_sets.len());
-                rel_sets.push(rels);
-            }
-        }
-        let fold = rel_sets
+    /// Builds the certifier-group map from a workload's relation groups,
+    /// folding the distinct relation sets down to at most `max_groups`
+    /// (clamped to `[1, MAX_CERT_GROUPS]`) groups round-robin by
+    /// relation-set index.
+    pub fn build(groups: &TypeGroups, max_groups: usize) -> Self {
+        let fold = groups
+            .sets
             .len()
             .min(max_groups.clamp(1, MAX_CERT_GROUPS))
             .max(1);
-        let mut owner: BTreeMap<RelationId, usize> = BTreeMap::new();
-        for (idx, rels) in rel_sets.iter().enumerate() {
-            for rel in rels {
-                owner.entry(*rel).or_insert(idx % fold);
+        // The first relation set to claim a relation owns it.
+        let mut owner = [0u8; MAX_RELATIONS as usize];
+        let mut claimed = RelationSet::new();
+        let mut owns_any = [false; MAX_CERT_GROUPS];
+        for (idx, rels) in groups.sets.iter().enumerate() {
+            for rel in rels.difference(claimed).iter() {
+                owner[rel.0 as usize] = (idx % fold) as u8;
+                owns_any[idx % fold] = true;
             }
+            claimed = claimed.union(*rels);
         }
         // Compact away groups left owning nothing (every relation of their
         // sets was claimed by a lower-indexed set): each surviving group
         // must own at least one relation or it would never see traffic.
-        let mut remap = vec![usize::MAX; fold];
+        let mut remap = [0u8; MAX_CERT_GROUPS];
         let mut n_groups = 0;
-        for g in owner.values() {
-            if remap[*g] == usize::MAX {
-                remap[*g] = 0; // mark; ids assigned in ascending group order
-            }
-        }
-        for slot in &mut remap {
-            if *slot == 0 {
-                *slot = n_groups;
+        for (g, owns) in owns_any[..fold].iter().enumerate() {
+            if *owns {
+                remap[g] = n_groups as u8;
                 n_groups += 1;
             }
         }
-        for g in owner.values_mut() {
-            *g = remap[*g];
+        for rel in claimed.iter() {
+            owner[rel.0 as usize] = remap[owner[rel.0 as usize] as usize];
         }
         CertMap {
             n_groups: n_groups.max(1),
@@ -457,7 +466,7 @@ impl CertMap {
 
     /// The certifier group owning `rel`.
     pub fn group_of_rel(&self, rel: RelationId) -> usize {
-        self.owner.get(&rel).copied().unwrap_or(0)
+        self.owner.get(rel.0 as usize).map_or(0, |g| *g as usize)
     }
 
     /// Bitmask of the certifier groups `ws` touches. Empty writesets
@@ -481,7 +490,8 @@ mod tests {
 
     fn tpcw_map(replicas: usize, min_copies: usize) -> PlacementMap {
         let (workload, _) = tpcw::workload_with_mix(TpcwScale::Small, "ordering");
-        ReplicationPlanner::new(min_copies).plan(&workload, replicas)
+        let groups = TypeGroups::derive(&workload);
+        ReplicationPlanner::new(min_copies).plan(&workload.catalog, &groups, replicas)
     }
 
     #[test]
@@ -494,9 +504,9 @@ mod tests {
                 .unwrap_or_else(|| panic!("{} has no group", t.name));
             assert!(map.groups()[g].types.contains(&t.id));
             // Every table in the group brings its indices and vice versa.
-            for rel in &map.groups()[g].relations {
-                if let Some(table) = workload.catalog.get(*rel).table {
-                    assert!(map.groups()[g].relations.contains(&table));
+            for rel in map.groups()[g].relations.iter() {
+                if let Some(table) = workload.catalog.get(rel).table {
+                    assert!(map.groups()[g].relations.contains(table));
                 }
             }
         }
@@ -545,14 +555,14 @@ mod tests {
     fn partial_placement_filters_and_spreads() {
         let map = tpcw_map(8, 2);
         assert!(!map.is_full());
-        let total: u64 = map.referenced.values().sum();
+        let total: u64 = pages_of(&map.pages, map.referenced);
         let mut any_filtering = false;
         for r in 0..8 {
             let filter = map.filter_for(r);
             if filter.is_filtering() {
                 any_filtering = true;
-                for rel in map.held_relations(r) {
-                    assert!(filter.accepts(*rel));
+                for rel in map.held_relations(r).iter() {
+                    assert!(filter.accepts(rel));
                 }
                 assert!(map.held_pages(r) < total, "filtering replica holds all");
             }
@@ -576,8 +586,8 @@ mod tests {
         let missing = map.missing_relations(outsider, g);
         assert!(map.add_holder(g, outsider));
         assert!(map.holds_group(outsider, g));
-        for rel in &missing {
-            assert!(map.holds(outsider, *rel), "backfilled relation not held");
+        for rel in missing.iter() {
+            assert!(map.holds(outsider, rel), "backfilled relation not held");
         }
         assert!(!map.add_holder(g, outsider), "idempotent");
         assert_eq!(map.holders(g).len(), 3);
@@ -605,13 +615,13 @@ mod tests {
         assert!(!map.remove_holder(g, outsider), "idempotent");
         // Held is exactly the union over the remaining groups: relations
         // shared with another held group stay, group-exclusive ones go.
-        let mut expect = BTreeSet::new();
+        let mut expect = RelationSet::new();
         for (og, group) in map.groups().iter().enumerate() {
             if map.holds_group(outsider, og) {
-                expect.extend(group.relations.iter().copied());
+                expect = expect.union(group.relations);
             }
         }
-        assert_eq!(*map.held_relations(outsider), expect);
+        assert_eq!(map.held_relations(outsider), expect);
     }
 
     #[test]
@@ -626,11 +636,11 @@ mod tests {
             .find(|(_, _, missing)| !missing.is_empty())
             .expect("some non-holder misses relations of some group");
         map.add_holder(g, outsider);
-        map.mark_pending(outsider, &missing);
+        map.mark_pending(outsider, missing);
         // Held (the filter must accept propagation) but not eligible.
-        for rel in &missing {
-            assert!(map.holds(outsider, *rel));
-            assert!(map.filter_for(outsider).accepts(*rel));
+        for rel in missing.iter() {
+            assert!(map.holds(outsider, rel));
+            assert!(map.filter_for(outsider).accepts(rel));
         }
         for t in &map.groups()[g].types.clone() {
             assert!(!map.eligible(*t, outsider), "pending holder dispatched");
@@ -639,7 +649,7 @@ mod tests {
         for t in &map.groups()[g].types {
             assert!(!masks[t.0 as usize][outsider]);
         }
-        map.complete_backfill(outsider, &missing);
+        map.complete_backfill(outsider, missing);
         assert!(map.pending_relations(outsider).is_empty());
         for t in &map.groups()[g].types {
             assert!(map.eligible(*t, outsider), "completed holder stays barred");
@@ -667,7 +677,7 @@ mod tests {
 
     fn tpcw_cert_map(max_groups: usize) -> CertMap {
         let (workload, _) = tpcw::workload_with_mix(TpcwScale::Small, "ordering");
-        CertMap::build(&workload, max_groups)
+        CertMap::build(&TypeGroups::derive(&workload), max_groups)
     }
 
     #[test]
@@ -675,8 +685,8 @@ mod tests {
         let cert = tpcw_cert_map(8);
         assert!(cert.group_count() >= 2, "TPC-W must shard into >1 group");
         assert!(cert.group_count() <= MAX_CERT_GROUPS);
-        for g in cert.owner.values() {
-            assert!(*g < cert.group_count());
+        for g in cert.owner {
+            assert!((g as usize) < cert.group_count());
         }
         // Unreferenced relations fall to group 0.
         assert_eq!(cert.group_of_rel(RelationId(10_000)), 0);
@@ -706,13 +716,14 @@ mod tests {
     #[test]
     fn cert_masks_cover_every_type_and_are_deterministic() {
         let (workload, _) = tpcw::workload_with_mix(TpcwScale::Small, "ordering");
-        let a = CertMap::build(&workload, 8);
-        let b = CertMap::build(&workload, 8);
+        let groups = TypeGroups::derive(&workload);
+        let a = CertMap::build(&groups, 8);
+        let b = CertMap::build(&TypeGroups::derive(&workload), 8);
         assert_eq!(a.group_count(), b.group_count());
         let mut union = 0u64;
-        for rel in &a.owner {
-            assert_eq!(Some(rel.1), b.owner.get(rel.0));
-            union |= 1 << *rel.1;
+        for rel in groups.sets.iter().flat_map(|rels| rels.iter()) {
+            assert_eq!(a.group_of_rel(rel), b.group_of_rel(rel));
+            union |= 1 << a.group_of_rel(rel);
         }
         assert_eq!(
             union.count_ones() as usize,

@@ -15,7 +15,7 @@
 //! this is the seam the sequential and parallel drivers (and future async
 //! runtimes) plug into.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use tashkent_certifier::{CertShard, Certifier, ShardCheck};
@@ -23,7 +23,7 @@ use tashkent_core::{LoadBalancer, ReplicaId, ResourceLoad};
 use tashkent_engine::{TxnExecutor, TxnId, TxnTypeId, Version};
 use tashkent_replica::{ReplicaNode, UpdateFilter};
 use tashkent_sim::{EventQueue, SimRng, SimTime};
-use tashkent_storage::RelationId;
+use tashkent_storage::RelationSet;
 use tashkent_workloads::{ClientPool, Mix, Workload};
 
 use crate::components::{BalancerCtl, CertifierLink, ClusterNode, HealthTransition, ReplicaHealth};
@@ -31,7 +31,7 @@ use crate::config::{CertifierSharding, ClusterConfig, PlacementSpec};
 use crate::driver::DriverStats;
 use crate::events::{Ev, CONTROL_NODE};
 use crate::metrics::{FaultKind, GroupSnapshot, Metrics};
-use crate::placement::{CertMap, PlacementMap, ReplicationPlanner};
+use crate::placement::{CertMap, PlacementMap, ReplicationPlanner, TypeGroups};
 use crate::trace::{TraceData, Tracer};
 
 /// Bookkeeping for one in-flight transaction.
@@ -72,7 +72,7 @@ struct BackfillTask {
     group: usize,
     target: usize,
     /// Relations being copied (the ones the target did not already hold).
-    rels: BTreeSet<RelationId>,
+    rels: RelationSet,
     /// Next certifier-log index to ship.
     next: usize,
     /// Log index the copy must reach — fixed at task creation; later
@@ -196,15 +196,26 @@ impl ClusterState {
                 )))
             })
             .collect();
+        // Placement and certifier sharding both start from the workload's
+        // relation groups; derive them once, and only when one of the two
+        // needs them.
+        let type_groups = match (config.placement, config.certifier_sharding) {
+            (PlacementSpec::Full, CertifierSharding::Unified) => None,
+            _ => Some(TypeGroups::derive(&workload)),
+        };
         // Partial replication: plan the group → holder-set assignment, then
         // thread it through the layers — placement filters on the nodes (the
         // "must not receive" tier) and per-type eligibility masks on the
         // balancer (dispatch routes only to holders).
-        let placement = match config.placement {
-            PlacementSpec::Full => None,
-            PlacementSpec::Partial { min_copies } => {
-                Some(ReplicationPlanner::new(min_copies).plan(&workload, config.replicas))
+        let placement = match (config.placement, &type_groups) {
+            (PlacementSpec::Partial { min_copies }, Some(groups)) => {
+                Some(ReplicationPlanner::new(min_copies).plan(
+                    &workload.catalog,
+                    groups,
+                    config.replicas,
+                ))
             }
+            _ => None,
         };
         if let Some(p) = &placement {
             for (r, slot) in nodes.iter_mut().enumerate() {
@@ -218,11 +229,11 @@ impl ClusterState {
         // from the workload, stamp it onto every node (so outgoing
         // `CertifySend`s carry their touched-group bitmask), and give the
         // sharded link one certifier group per map group.
-        let cert_map = match config.certifier_sharding {
-            CertifierSharding::Unified => None,
-            CertifierSharding::Sharded { max_groups } => {
-                Some(Arc::new(CertMap::build(&workload, max_groups)))
+        let cert_map = match (config.certifier_sharding, &type_groups) {
+            (CertifierSharding::Sharded { max_groups }, Some(groups)) => {
+                Some(Arc::new(CertMap::build(groups, max_groups)))
             }
+            _ => None,
         };
         let certifier = match &cert_map {
             Some(map) => {
@@ -984,10 +995,10 @@ impl ClusterState {
             if t.target != replica || t.done || t.cancelled {
                 continue;
             }
-            let (group, rels) = (t.group, t.rels.clone());
+            let (group, rels) = (t.group, t.rels);
             self.backfills[task].cancelled = true;
             let p = self.placement.as_mut().expect("placement checked above");
-            p.complete_backfill(replica, &rels);
+            p.complete_backfill(replica, rels);
             p.remove_holder(group, replica);
             rolled_back = true;
         }
@@ -1040,7 +1051,7 @@ impl ClusterState {
             // cheap, exactly like §3's standby choice.
             (target, p.missing_relations(target, group))
         };
-        self.widen_holder(group, target, &rels);
+        self.widen_holder(group, target, rels);
         self.start_backfill(now, group, target, rels, None, queue);
         Some(target)
     }
@@ -1049,7 +1060,7 @@ impl ClusterState {
     /// widens now (foreground propagation keeps the copy converging during
     /// the backfill) while the recomputed eligibility masks exclude the
     /// still-pending holder from dispatch.
-    fn widen_holder(&mut self, group: usize, target: usize, rels: &BTreeSet<RelationId>) {
+    fn widen_holder(&mut self, group: usize, target: usize, rels: RelationSet) {
         let (filter, masks) = {
             let p = self
                 .placement
@@ -1079,7 +1090,7 @@ impl ClusterState {
         now: SimTime,
         group: usize,
         target: usize,
-        rels: BTreeSet<RelationId>,
+        rels: RelationSet,
         drop_source: Option<usize>,
         queue: &mut EventQueue<Ev>,
     ) {
@@ -1110,11 +1121,11 @@ impl ClusterState {
             // historical semantics, where a crash-triggered re-replication
             // leaves the new holder dispatch-eligible before the orphan
             // sweep retries its clients.
-            let rels = t.rels.clone();
+            let rels = t.rels;
             let node = self.nodes[target]
                 .as_mut()
                 .expect("node leased to a driver shard");
-            let (done, bytes) = self.certifier.backfill(now, node, &rels);
+            let (done, bytes) = self.certifier.backfill(now, node, rels);
             let t = &mut self.backfills[task];
             t.bytes = bytes;
             t.next = t.upto;
@@ -1146,14 +1157,14 @@ impl ClusterState {
         }
         let (from, upto, rels) = {
             let t = &self.backfills[task];
-            (t.next, t.upto, t.rels.clone())
+            (t.next, t.upto, t.rels)
         };
         let node = self.nodes[target]
             .as_mut()
             .expect("node leased to a driver shard");
         let (_applied_at, bytes, next) =
             self.certifier
-                .backfill_chunk(now, node, &rels, from, upto, BACKFILL_CHUNK_BYTES);
+                .backfill_chunk(now, node, rels, from, upto, BACKFILL_CHUNK_BYTES);
         let t = &mut self.backfills[task];
         t.bytes += bytes;
         t.next = next;
@@ -1182,7 +1193,7 @@ impl ClusterState {
         t.done = true;
         let (group, target, bytes, started, drop_source) =
             (t.group, t.target, t.bytes, t.started, t.drop_source);
-        let rels = t.rels.clone();
+        let rels = t.rels;
         self.migration_us += now.saturating_since(started);
         self.migration_bytes += bytes;
         // Migration: drop the donor now that the copy is complete — never
@@ -1193,7 +1204,7 @@ impl ClusterState {
                 .placement
                 .as_mut()
                 .expect("backfill tasks only exist under partial placement");
-            p.complete_backfill(target, &rels);
+            p.complete_backfill(target, rels);
             let dropped = match drop_source {
                 Some(src)
                     if p.holds_group(src, group) && p.holders(group).len() > p.min_copies() =>
@@ -1261,7 +1272,7 @@ impl ClusterState {
                 migration: Some((hot, src, dst)),
             },
         );
-        self.widen_holder(hot, dst, &rels);
+        self.widen_holder(hot, dst, rels);
         self.start_backfill(now, hot, dst, rels, Some(src), queue);
         // Restart the skew window so the next tick judges post-migration
         // traffic, not the history that triggered this move.
@@ -1275,7 +1286,7 @@ impl ClusterState {
     /// live non-holder, all ties to the lowest id. Returns `None` when
     /// there is no skew signal, no candidate pair, or the imbalance is
     /// within the hysteresis band.
-    fn pick_migration(&self) -> Option<(usize, usize, usize, BTreeSet<RelationId>)> {
+    fn pick_migration(&self) -> Option<(usize, usize, usize, RelationSet)> {
         let p = self.placement.as_ref()?;
         if p.is_full() {
             return None;
@@ -1420,10 +1431,10 @@ impl ClusterState {
                 let victim = match pending_task {
                     Some(task) => {
                         let target = self.backfills[task].target;
-                        let rels = self.backfills[task].rels.clone();
+                        let rels = self.backfills[task].rels;
                         self.backfills[task].cancelled = true;
                         let p = self.placement.as_mut().expect("placement checked above");
-                        p.complete_backfill(target, &rels);
+                        p.complete_backfill(target, rels);
                         target
                     }
                     None => {

@@ -6,21 +6,21 @@
 //! the list go out of date at this replica and can be dropped from its
 //! cache entirely.
 
-use std::collections::BTreeSet;
-
-use tashkent_storage::RelationId;
+use tashkent_storage::{RelationId, RelationSet};
 
 /// The set of relations a replica keeps up to date.
 ///
 /// `UpdateFilter::all()` is the pass-through default (no filtering, the base
-/// Tashkent behaviour).
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
+/// Tashkent behaviour). The table list is a [`RelationSet`] bitmap, so the
+/// filter is `Copy` and [`UpdateFilter::accepts`], asked once per applied
+/// writeset item, tests one bit.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum UpdateFilter {
     /// Accept updates to every relation (filtering disabled).
     #[default]
     All,
     /// Accept updates only to these relations.
-    Only(BTreeSet<RelationId>),
+    Only(RelationSet),
 }
 
 impl UpdateFilter {
@@ -29,7 +29,8 @@ impl UpdateFilter {
         UpdateFilter::All
     }
 
-    /// Filter accepting exactly `rels`.
+    /// Filter accepting exactly `rels` (how the balancer's `BTreeSet`
+    /// table lists become filters).
     pub fn only(rels: impl IntoIterator<Item = RelationId>) -> Self {
         UpdateFilter::Only(rels.into_iter().collect())
     }
@@ -38,7 +39,7 @@ impl UpdateFilter {
     pub fn accepts(&self, rel: RelationId) -> bool {
         match self {
             UpdateFilter::All => true,
-            UpdateFilter::Only(set) => set.contains(&rel),
+            UpdateFilter::Only(set) => set.contains(rel),
         }
     }
 
@@ -55,7 +56,7 @@ impl UpdateFilter {
     ) -> Vec<RelationId> {
         match self {
             UpdateFilter::All => Vec::new(),
-            UpdateFilter::Only(set) => universe.into_iter().filter(|r| !set.contains(r)).collect(),
+            UpdateFilter::Only(set) => universe.into_iter().filter(|r| !set.contains(*r)).collect(),
         }
     }
 }

@@ -23,8 +23,8 @@ use std::collections::HashMap;
 use tashkent_engine::{Snapshot, TxnExecutor, TxnId, Version, Writeset};
 use tashkent_sim::{SimRng, SimTime};
 use tashkent_storage::{
-    BackgroundWriter, BufferPool, Catalog, DiskModel, DiskParams, DiskRequest, ReqKind, Touch,
-    WriterConfig,
+    BackgroundWriter, BufferPool, Catalog, DiskModel, DiskParams, DiskRequest, RelationSet,
+    ReqKind, Touch, WriterConfig,
 };
 
 use tashkent_certifier::LogView;
@@ -422,14 +422,14 @@ impl ReplicaNode {
         &mut self,
         now: SimTime,
         writesets: LogView<'_>,
-        rels: &std::collections::BTreeSet<tashkent_storage::RelationId>,
+        rels: RelationSet,
     ) -> SimTime {
         let mut cpu_us: u64 = 0;
         let mut last_io = now;
         for (_, items) in writesets {
             let mut any = false;
             for &item in items {
-                if !rels.contains(&item.rel()) {
+                if !rels.contains(item.rel()) {
                     continue;
                 }
                 any = true;
@@ -719,8 +719,8 @@ mod tests {
         assert_eq!(node.stats().items_filtered, 1);
         let reads_before = node.disk_stats().read_pages;
         // Backfill the orders group from the log: re-applies only its items.
-        let rels: std::collections::BTreeSet<_> = [orders_rel].into_iter().collect();
-        let done = node.backfill_writesets(SimTime::from_secs(1), log.since(Version(0)), &rels);
+        let rels: RelationSet = [orders_rel].into_iter().collect();
+        let done = node.backfill_writesets(SimTime::from_secs(1), log.since(Version(0)), rels);
         assert!(done > SimTime::from_secs(1));
         assert_eq!(node.stats().items_backfilled, 1);
         assert_eq!(node.stats().writesets_backfilled, 1);

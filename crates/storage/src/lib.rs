@@ -25,6 +25,7 @@ pub use buffer::{BufferPool, BufferStats, Touch};
 pub use catalog::{Catalog, Relation, RelationKind};
 pub use disk::{DiskModel, DiskParams, DiskRequest, DiskStats, ReqKind};
 pub use ids::{
-    GlobalPageId, PageId, RelationId, RowId, MAX_RELATIONS, MAX_RELATION_PAGES, PAGE_SIZE,
+    GlobalPageId, PageId, RelationId, RelationSet, RowId, MAX_RELATIONS, MAX_RELATION_PAGES,
+    PAGE_SIZE,
 };
 pub use writer::{BackgroundWriter, WriterConfig};

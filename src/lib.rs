@@ -88,7 +88,7 @@ pub mod prelude {
         calibrate_standalone, registry, run, run_scenario, scenario, ClusterConfig, DriverKind, Ev,
         Experiment, Failover, FailoverSchedule, FaultEvent, FaultKind, PartialReplication,
         PlacementMap, PlacementSpec, PolicySpec, ReplicationPlanner, RunError, RunResult, Scenario,
-        ScenarioKnobs, World,
+        ScenarioKnobs, TypeGroups, World,
     };
     pub use tashkent_core::{EstimationMode, LoadBalancer, MalbConfig, WorkingSetEstimator};
     pub use tashkent_engine::{TxnTypeId, Version};

@@ -6,7 +6,8 @@
 use tashkent::certifier::{Certifier, CertifierGroup, CertifyOutcome, GroupEvent};
 use tashkent::cluster::{
     run, ClusterConfig, Detection, Ev, Failover, FaultKind, PartialReplication, PolicySpec,
-    ReplicaHealth, ReplicationPlanner, RunResult, Scenario, ScenarioKnobs, World, CONTROL_NODE,
+    ReplicaHealth, ReplicationPlanner, RunResult, Scenario, ScenarioKnobs, TypeGroups, World,
+    CONTROL_NODE,
 };
 use tashkent::core::LoadBalancer;
 use tashkent::engine::{Snapshot, TxnId, TxnTypeId, Version, Writeset, WritesetItem};
@@ -334,7 +335,9 @@ fn migration_window_introduces_no_spurious_aborts() {
     // Pick a group whose injected copy ships real bytes and completes only
     // inside the extra window; overlap can make some groups' copies free.
     let (workload, _) = tpcw::workload_with_mix(TpcwScale::Small, "ordering");
-    let groups = ReplicationPlanner::new(2).plan(&workload, 4).group_count();
+    let groups = ReplicationPlanner::new(2)
+        .plan(&workload.catalog, &TypeGroups::derive(&workload), 4)
+        .group_count();
     let (group, long) = (0..groups)
         .find_map(|g| {
             let r = migration_truncation(LONG_MEASURED, g);

@@ -61,9 +61,9 @@ fn assert_durable(state: &ClusterState, deep: bool) {
                 if !state.node(r).is_up() {
                     continue;
                 }
-                for rel in &p.groups()[g].relations {
+                for rel in p.groups()[g].relations.iter() {
                     assert!(
-                        state.replica(r).filter().accepts(*rel),
+                        state.replica(r).filter().accepts(rel),
                         "live holder {r} filters out {rel} of its group {g}"
                     );
                 }
@@ -172,8 +172,8 @@ fn rereplicate_event_widens_the_holder_set() {
     for t in &p.groups()[0].types {
         assert!(p.eligible(*t, added), "new holder not eligible for {t}");
     }
-    for rel in &p.groups()[0].relations {
-        assert!(state.replica(added).filter().accepts(*rel));
+    for rel in p.groups()[0].relations.iter() {
+        assert!(state.replica(added).filter().accepts(rel));
     }
 }
 

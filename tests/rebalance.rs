@@ -16,7 +16,7 @@
 
 use tashkent::cluster::{
     run, ClusterState, Ev, Experiment, FaultKind, PartialReplication, ReplicationPlanner, Scenario,
-    ScenarioKnobs,
+    ScenarioKnobs, TypeGroups,
 };
 use tashkent::sim::{EventQueue, SimTime};
 use tashkent::workloads::tpcw::{self, TpcwScale};
@@ -44,7 +44,8 @@ fn knobs(cap: Option<u64>) -> ScenarioKnobs {
 /// with a deterministic uncapped run and take the first that ships.
 fn group_that_ships_bytes() -> usize {
     let (workload, _) = tpcw::workload_with_mix(TpcwScale::Small, "ordering");
-    let p = ReplicationPlanner::new(MIN_COPIES).plan(&workload, REPLICAS);
+    let groups = TypeGroups::derive(&workload);
+    let p = ReplicationPlanner::new(MIN_COPIES).plan(&workload.catalog, &groups, REPLICAS);
     (0..p.group_count())
         .find(|g| {
             let r = run(experiment(None, *g)).expect("probe run completes");
