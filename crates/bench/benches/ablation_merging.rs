@@ -4,14 +4,15 @@
 //! drops MALB-S from 73 to 66 tps and MALB-SC from 76 to 70 tps — merging
 //! compensates for conservative estimates creating many small groups.
 
-use tashkent_bench::{print_table, run_exp, save_csv, sweep_driver, tpcw_config, window, Row};
+use tashkent_bench::{print_table, run_exps, save_csv, tpcw_config, window, Row};
 use tashkent_cluster::{Experiment, PolicySpec};
 use tashkent_core::EstimationMode;
 use tashkent_workloads::tpcw::TpcwScale;
 
 fn main() {
     let (warmup, measured) = window();
-    let mut rows = Vec::new();
+    let mut labels = Vec::new();
+    let mut exps = Vec::new();
     for (mode, label, paper_on, paper_off) in [
         (EstimationMode::Size, "MALB-S", 73.0, 66.0),
         (EstimationMode::SizeContent, "MALB-SC", 76.0, 70.0),
@@ -26,25 +27,24 @@ fn main() {
                 // A zero threshold disqualifies every merge candidate.
                 config.merge_threshold_override = Some(0.0);
             }
-            let r = run_exp(
-                Experiment::new(config, workload, mix)
-                    .with_window(warmup, measured)
-                    .with_driver(sweep_driver()),
-            );
-            rows.push(Row {
-                label: format!(
-                    "{label} {}",
-                    if merging {
-                        "with merging"
-                    } else {
-                        "without merging"
-                    }
-                ),
-                paper,
-                measured: r.tps,
-            });
+            exps.push(Experiment::new(config, workload, mix).with_window(warmup, measured));
+            let variant = if merging {
+                "with merging"
+            } else {
+                "without merging"
+            };
+            labels.push((format!("{label} {variant}"), paper));
         }
     }
+    let rows: Vec<Row> = labels
+        .into_iter()
+        .zip(run_exps(exps))
+        .map(|((label, paper), r)| Row {
+            label,
+            paper,
+            measured: r.tps,
+        })
+        .collect();
     let csv = print_table(
         "§5.3 ablation: merging of under-utilized groups",
         "tps",

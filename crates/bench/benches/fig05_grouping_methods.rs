@@ -5,7 +5,7 @@
 //! all MALB variants beat the baselines, the lower-bound SCAP estimate
 //! over-packs and trails the conservative estimators.
 
-use tashkent_bench::{print_table, run_exp, save_csv, sweep_driver, tpcw_config, window, Row};
+use tashkent_bench::{print_table, run_exps, save_csv, tpcw_config, window, Row};
 use tashkent_cluster::{Experiment, PolicySpec};
 use tashkent_core::EstimationMode;
 use tashkent_workloads::tpcw::TpcwScale;
@@ -31,14 +31,15 @@ fn main() {
         ),
         (PolicySpec::malb_sc(), 76.0),
     ];
+    let exps = policies
+        .iter()
+        .map(|(policy, _)| {
+            let (config, workload, mix) = tpcw_config(*policy, 512, TpcwScale::Mid, "ordering");
+            Experiment::new(config, workload, mix).with_window(warmup, measured)
+        })
+        .collect();
     let mut rows = Vec::new();
-    for (policy, paper_tps) in policies {
-        let (config, workload, mix) = tpcw_config(policy, 512, TpcwScale::Mid, "ordering");
-        let r = run_exp(
-            Experiment::new(config, workload, mix)
-                .with_window(warmup, measured)
-                .with_driver(sweep_driver()),
-        );
+    for ((policy, paper_tps), r) in policies.into_iter().zip(run_exps(exps)) {
         println!(
             "  {:<12} groups={} read/txn={:.0}KB",
             policy.label(),

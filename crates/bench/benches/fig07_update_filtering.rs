@@ -5,9 +5,7 @@
 //! tps, with filtering cutting writes from 12 to 9 KB/txn and reads from 20
 //! to 18 KB/txn (Table 5).
 
-use tashkent_bench::{
-    print_table, run_exp, run_standalone, save_csv, sweep_driver, tpcw_config, window, Row,
-};
+use tashkent_bench::{print_table, run_exps, run_standalone, save_csv, tpcw_config, window, Row};
 use tashkent_cluster::{Experiment, PolicySpec};
 use tashkent_workloads::tpcw::TpcwScale;
 
@@ -35,14 +33,15 @@ fn main() {
         (PolicySpec::malb_sc(), 76.0, (12.0, 20.0)),
         (PolicySpec::malb_sc_uf(), 113.0, (9.0, 18.0)),
     ];
+    let exps = policies
+        .iter()
+        .map(|(policy, _, _)| {
+            let (config, workload, mix) = tpcw_config(*policy, 512, TpcwScale::Mid, "ordering");
+            Experiment::new(config, workload, mix).with_window(warmup, measured)
+        })
+        .collect();
     let mut uf_tps = 0.0;
-    for (policy, paper_tps, (paper_w, paper_r)) in policies {
-        let (config, workload, mix) = tpcw_config(policy, 512, TpcwScale::Mid, "ordering");
-        let r = run_exp(
-            Experiment::new(config, workload, mix)
-                .with_window(warmup, measured)
-                .with_driver(sweep_driver()),
-        );
+    for ((policy, paper_tps, (paper_w, paper_r)), r) in policies.into_iter().zip(run_exps(exps)) {
         if matches!(
             policy,
             PolicySpec::Malb {

@@ -5,7 +5,7 @@
 //! 42/44/44 at 1024 MB — MALB helps below 1 GB; at 1 GB the working sets
 //! fit everywhere and the methods converge.
 
-use tashkent_bench::{print_table, rubis_config, run_exp, save_csv, sweep_driver, window, Row};
+use tashkent_bench::{print_table, rubis_config, run_exps, save_csv, window, Row};
 use tashkent_cluster::{Experiment, PolicySpec};
 
 fn main() {
@@ -20,22 +20,31 @@ fn main() {
         PolicySpec::malb_sc(),
         PolicySpec::malb_sc_uf(),
     ];
-    let mut rows = Vec::new();
-    for (ram, paper_vals) in paper {
-        for (policy, paper_tps) in policies.iter().zip(paper_vals) {
-            let (config, workload, mix) = rubis_config(*policy, ram, "bidding");
-            let r = run_exp(
-                Experiment::new(config, workload, mix)
-                    .with_window(warmup, measured)
-                    .with_driver(sweep_driver()),
-            );
-            rows.push(Row {
-                label: format!("{}MB {}", ram, policy.label()),
-                paper: paper_tps,
-                measured: r.tps,
-            });
-        }
-    }
+    let cells: Vec<(u64, PolicySpec, f64)> = paper
+        .iter()
+        .flat_map(|(ram, paper_vals)| {
+            policies
+                .iter()
+                .zip(paper_vals)
+                .map(|(policy, paper_tps)| (*ram, *policy, *paper_tps))
+        })
+        .collect();
+    let exps = cells
+        .iter()
+        .map(|(ram, policy, _)| {
+            let (config, workload, mix) = rubis_config(*policy, *ram, "bidding");
+            Experiment::new(config, workload, mix).with_window(warmup, measured)
+        })
+        .collect();
+    let rows: Vec<Row> = cells
+        .iter()
+        .zip(run_exps(exps))
+        .map(|((ram, policy, paper_tps), r)| Row {
+            label: format!("{}MB {}", ram, policy.label()),
+            paper: *paper_tps,
+            measured: r.tps,
+        })
+        .collect();
     let csv = print_table(
         "Figure 8: RUBiS bidding across memory sizes (16 replicas)",
         "tps",

@@ -7,7 +7,7 @@
 //! (memory-rich either way). This bench *measures* that map on the TPC-W
 //! ordering mix and renders it from data.
 
-use tashkent_bench::{run_exp, save_csv, sweep_driver, tpcw_config, window};
+use tashkent_bench::{run_exps, save_csv, tpcw_config, window};
 use tashkent_cluster::{Experiment, PolicySpec};
 use tashkent_workloads::tpcw::TpcwScale;
 
@@ -19,25 +19,23 @@ fn main() {
 
     println!("== Figure 9: measured phase map (TPC-W ordering; MALB-SC tps / LC tps) ==");
     println!("rows: database size (small → large); columns: memory (small → large)");
+    let mut exps = Vec::new();
+    for scale in scales {
+        for ram in rams {
+            for policy in [PolicySpec::LeastConnections, PolicySpec::malb_sc()] {
+                let (config, workload, mix) = tpcw_config(policy, ram, scale, "ordering");
+                exps.push(Experiment::new(config, workload, mix).with_window(warmup, measured));
+            }
+        }
+    }
+    let mut results = run_exps(exps).into_iter();
     let mut csv = String::from("db,ram_mb,lc_tps,malb_tps,gain\n");
     let mut grid = Vec::new();
     for scale in scales {
         let mut row = Vec::new();
         for ram in rams {
-            let (config, workload, mix) =
-                tpcw_config(PolicySpec::LeastConnections, ram, scale, "ordering");
-            let lc = run_exp(
-                Experiment::new(config, workload, mix)
-                    .with_window(warmup, measured)
-                    .with_driver(sweep_driver()),
-            );
-            let (config, workload, mix) =
-                tpcw_config(PolicySpec::malb_sc(), ram, scale, "ordering");
-            let malb = run_exp(
-                Experiment::new(config, workload, mix)
-                    .with_window(warmup, measured)
-                    .with_driver(sweep_driver()),
-            );
+            let lc = results.next().expect("one LC run per cell");
+            let malb = results.next().expect("one MALB-SC run per cell");
             let gain = malb.tps / lc.tps.max(1e-9);
             csv.push_str(&format!(
                 "{},{},{:.2},{:.2},{:.2}\n",

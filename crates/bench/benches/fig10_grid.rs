@@ -9,7 +9,7 @@
 //!
 //! Set `TASHKENT_BENCH_WINDOW=quick` to shorten the sweep.
 
-use tashkent_bench::{run_exp, save_csv, sweep_driver, tpcw_config, window};
+use tashkent_bench::{run_exps, save_csv, tpcw_config, window};
 use tashkent_cluster::{Experiment, PolicySpec};
 use tashkent_workloads::tpcw::TpcwScale;
 
@@ -46,6 +46,23 @@ fn main() {
         PolicySpec::malb_sc_uf(),
     ];
 
+    // The grid is 81 runs; trim each a little to keep the sweep tractable.
+    let mut exps = Vec::new();
+    for scale in &scales {
+        for mix_name in &mixes {
+            for ram in &rams {
+                for policy in &policies {
+                    let (config, workload, mix) = tpcw_config(*policy, *ram, *scale, mix_name);
+                    exps.push(
+                        Experiment::new(config, workload, mix)
+                            .with_window(warmup.min(60), measured.min(120)),
+                    );
+                }
+            }
+        }
+    }
+    let mut results = run_exps(exps).into_iter();
+
     let mut csv = String::from("db,mix,ram_mb,policy,paper_tps,measured_tps\n");
     let mut wins = 0usize;
     let mut cells = 0usize;
@@ -60,14 +77,7 @@ fn main() {
                 let mut line = format!("{:<6}", format!("{ram}MB"));
                 let mut cell = [0.0f64; 3];
                 for (pi, policy) in policies.iter().enumerate() {
-                    let (config, workload, mix) = tpcw_config(*policy, *ram, *scale, mix_name);
-                    // The grid is 81 runs; trim each a little to keep the
-                    // sweep tractable.
-                    let r = run_exp(
-                        Experiment::new(config, workload, mix)
-                            .with_window(warmup.min(60), measured.min(120))
-                            .with_driver(sweep_driver()),
-                    );
+                    let r = results.next().expect("one run per grid cell");
                     cell[pi] = r.tps;
                     let paper = PAPER[di][mi][ri][pi];
                     line.push_str(&format!(" {:>10.1} (p {:>5.0})", r.tps, paper));

@@ -2,13 +2,17 @@
 //!
 //! Every bench target (one per table/figure, `harness = false`) uses these
 //! helpers to build the paper's configurations, run experiments, and print
-//! paper-vs-measured rows. CSV copies land in `bench_results/`.
+//! paper-vs-measured rows. CSV copies land in `bench_results/`. A figure
+//! that runs several independent configurations builds them all first and
+//! hands the list to [`run_exps`], which runs one experiment per core.
 
 use std::fs;
 use std::path::PathBuf;
 
 pub use tashkent_cluster::ScenarioKnobs;
-use tashkent_cluster::{run, ClusterConfig, DriverKind, Experiment, PolicySpec, RunResult};
+use tashkent_cluster::{
+    run, run_sweep, ClusterConfig, Experiment, PolicySpec, RunError, RunResult,
+};
 use tashkent_sim::SimTime;
 use tashkent_workloads::tpcw::TpcwScale;
 use tashkent_workloads::{rubis, tpcw, Mix, Workload};
@@ -18,47 +22,34 @@ pub const WARMUP_SECS: u64 = 120;
 /// Measured portion of each run (seconds).
 pub const MEASURED_SECS: u64 = 180;
 
-/// The simulated `(warmup, measured)` window, in seconds.
+/// The simulated `(warmup, measured)` window, in seconds, read from
+/// `TASHKENT_BENCH_WINDOW` (see [`parse_window`]).
 ///
-/// Controlled by `TASHKENT_BENCH_WINDOW`: `full` (120 s + 180 s, the default
-/// for single-figure runs), `quick` (60 s + 120 s, used by the wide
-/// parameter sweeps), or `smoke` (10 s + 20 s, the CI bench-smoke job that
-/// only guards against bit-rot).
+/// # Panics
+///
+/// Panics on a value other than `full`, `quick` or `smoke`.
 pub fn window() -> (u64, u64) {
-    match std::env::var("TASHKENT_BENCH_WINDOW").as_deref() {
-        Ok("full") => (WARMUP_SECS, MEASURED_SECS),
-        Ok("quick") => (60, 120),
-        Ok("smoke") => (10, 20),
-        _ => (90, 150),
-    }
+    parse_window(std::env::var("TASHKENT_BENCH_WINDOW").ok().as_deref())
 }
 
-/// The event-loop driver the bench targets run under.
+/// The `(warmup, measured)` window a `TASHKENT_BENCH_WINDOW` value names:
+/// unset gives 90 s + 150 s; `full` 120 s + 180 s; `quick` 60 s + 120 s,
+/// for the wide parameter sweeps; `smoke` 10 s + 20 s, for the CI
+/// bench-smoke job that only guards against bit-rot.
 ///
-/// Multi-config sweeps (the fig 8/9/10 grids) are embarrassingly long on
-/// one core; the windowed [`tashkent_cluster::ParallelDriver`] produces
-/// bit-identical results and uses the host's spare cores, so it is the
-/// default whenever more than one core is available. Override with
-/// `TASHKENT_BENCH_DRIVER=sequential|parallel`.
-pub fn sweep_driver() -> DriverKind {
-    match std::env::var("TASHKENT_BENCH_DRIVER").as_deref() {
-        Ok("sequential") => DriverKind::Sequential,
-        Ok("parallel") => DriverKind::parallel(),
-        // A typo silently running the wrong driver would defeat the
-        // documented way to force the reference driver — fail loudly.
-        Ok(other) => {
-            panic!("TASHKENT_BENCH_DRIVER must be `sequential` or `parallel`, got {other:?}")
-        }
-        Err(_) => {
-            let cores = std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1);
-            if cores >= 2 {
-                DriverKind::parallel()
-            } else {
-                DriverKind::Sequential
-            }
-        }
+/// # Panics
+///
+/// Panics on any other value: a typo such as `Quick` silently running the
+/// default window would cost minutes and mislabel the results.
+pub fn parse_window(value: Option<&str>) -> (u64, u64) {
+    match value {
+        None => (90, 150),
+        Some("full") => (WARMUP_SECS, MEASURED_SECS),
+        Some("quick") => (60, 120),
+        Some("smoke") => (10, 20),
+        Some(other) => panic!(
+            "TASHKENT_BENCH_WINDOW must be `full`, `quick` or `smoke` (or unset), got {other:?}"
+        ),
     }
 }
 
@@ -105,7 +96,6 @@ pub fn paper_knobs(policy: PolicySpec, ram_mb: u64, workload: &str, mix: &str) -
         ram_mb,
         warmup_secs: warmup,
         measured_secs: measured,
-        driver: sweep_driver(),
         ..ScenarioKnobs::default()
     }
     .with_policy(policy)
@@ -155,19 +145,22 @@ pub fn rubis_config(policy: PolicySpec, ram_mb: u64, mix: &str) -> (ClusterConfi
 /// Runs one experiment to completion, bailing out with a readable message
 /// on a mis-scheduled run (drained event queue) instead of a panic trace.
 pub fn run_exp(exp: Experiment) -> RunResult {
-    run(exp).unwrap_or_else(|e| {
-        eprintln!("bench experiment failed: {e}");
-        std::process::exit(1);
-    })
+    run(exp).unwrap_or_else(|e| bail(e))
 }
 
-/// Runs one experiment with the standard window.
-pub fn run_standard(config: ClusterConfig, workload: Workload, mix: Mix) -> RunResult {
-    run_exp(
-        Experiment::new(config, workload, mix)
-            .with_window(WARMUP_SECS, MEASURED_SECS)
-            .with_driver(sweep_driver()),
-    )
+/// Runs independent experiments one per core ([`run_sweep`]) and returns
+/// their results in input order, bailing out as [`run_exp`] does if any
+/// run drains its event queue.
+pub fn run_exps(exps: Vec<Experiment>) -> Vec<RunResult> {
+    run_sweep(exps)
+        .into_iter()
+        .map(|r| r.unwrap_or_else(|e| bail(e)))
+        .collect()
+}
+
+fn bail(e: RunError) -> ! {
+    eprintln!("bench experiment failed: {e}");
+    std::process::exit(1);
 }
 
 /// Runs a standalone (single-replica) experiment with the standard window.
@@ -216,47 +209,32 @@ pub fn print_table(title: &str, unit: &str, rows: &[Row]) -> String {
 
 /// Writes CSV results under `bench_results/`.
 pub fn save_csv(name: &str, body: &str) {
-    save_with_ext(name, "csv", body);
-}
-
-/// Writes a JSON report under `bench_results/` (machine-readable bench
-/// output, e.g. `driver_bench.json`).
-pub fn save_json(name: &str, body: &str) {
-    save_with_ext(name, "json", body);
-}
-
-fn save_with_ext(name: &str, ext: &str, body: &str) {
     let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../bench_results");
     if fs::create_dir_all(&dir).is_ok() {
-        let _ = fs::write(dir.join(format!("{name}.{ext}")), body);
+        let _ = fs::write(dir.join(format!("{name}.csv")), body);
     }
-}
-
-/// Appends one JSON object to a JSON-array file at the repository root —
-/// the cross-PR perf trajectory (`BENCH_driver.json`). The file is a plain
-/// JSON array; the new entry is spliced in before the closing bracket, so
-/// each PR's bench run appends one element and the history accumulates. A
-/// missing or malformed file starts a fresh array rather than failing the
-/// bench.
-pub fn append_repo_root_json(file: &str, entry: &str) {
-    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("../..")
-        .join(file);
-    let fresh = format!("[\n{entry}\n]\n");
-    let body = match fs::read_to_string(&path) {
-        Ok(existing) => match existing.trim_end().strip_suffix(']') {
-            // An empty array gets its first element; a populated one gets
-            // a comma-separated append.
-            Some(prefix) if prefix.trim_end().ends_with('[') => fresh,
-            Some(prefix) => format!("{},\n{entry}\n]\n", prefix.trim_end()),
-            None => fresh,
-        },
-        Err(_) => fresh,
-    };
-    let _ = fs::write(&path, body);
 }
 
 /// Pretty time for logs.
 pub fn fmt_time(t: SimTime) -> String {
     format!("{:.0}s", t.as_secs_f64())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn unset_window_is_90_plus_150_and_names_pick_theirs() {
+        assert_eq!(parse_window(None), (90, 150));
+        assert_eq!(parse_window(Some("full")), (WARMUP_SECS, MEASURED_SECS));
+        assert_eq!(parse_window(Some("quick")), (60, 120));
+        assert_eq!(parse_window(Some("smoke")), (10, 20));
+    }
+
+    #[test]
+    #[should_panic(expected = "must be `full`, `quick` or `smoke`")]
+    fn unknown_window_panics_instead_of_falling_back() {
+        parse_window(Some("Quick"));
+    }
 }

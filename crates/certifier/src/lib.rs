@@ -15,7 +15,7 @@
 //! * [`log`] — the persistent commit log, one flat item arena whose suffix
 //!   after a snapshot is what a conflict check scans,
 //! * [`sharded`] — per-relation-group certification shards (per-group
-//!   service queues; the verdict and decide stay with the coordinator),
+//!   service queues; the verdict and decide stay with the caller),
 //! * [`propagation`] — the pull/prod trigger policy (500 ms pull, 25-commit
 //!   prod),
 //! * [`group`] — the leader/backup certifier group used for fault tolerance.

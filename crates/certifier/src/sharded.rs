@@ -4,10 +4,10 @@
 //! certifier's serial service queue into one queue per relation group, so
 //! checks for different groups no longer wait behind one another. A shard
 //! holds only that queue and its leader's failover horizon; it answers "when
-//! does this check's CPU work finish?" — the part a driver may run on a pool
-//! worker, since it depends only on the order of the group's checks.
+//! does this check's CPU work finish?" — which depends only on the order of
+//! the group's checks.
 //!
-//! The conflict verdict stays with the coordinator-side decide step, next to
+//! The conflict verdict stays with the decide step, next to
 //! the global log, version assignment and durability accounting: it scans
 //! the log entries committed after the writeset's snapshot
 //! ([`crate::CommitLog::conflicts`]). Every item belongs to exactly one

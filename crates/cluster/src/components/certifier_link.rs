@@ -28,15 +28,12 @@ struct WaitingCert {
 }
 
 /// The sharded-certification engine: per-relation-group [`CertShard`]
-/// service queues, per-group leader+backups membership, and the
-/// coordinator-side decide state — the *global* total-order log, the
-/// conflict verdict, version assignment, and each group's ascending list of
-/// global commit versions.
+/// service queues, per-group leader+backups membership, and the decide
+/// state — the *global* total-order log, the conflict verdict, version
+/// assignment, and each group's ascending list of global commit versions.
 ///
-/// The service-time half of a single-group request
-/// ([`CertShard::reserve_check`]) is the part a driver may lease to a pool
-/// worker; everything in this struct beyond the shard slots is decide-side
-/// and never leaves the coordinator.
+/// A single-group request first reserves its group's service time
+/// ([`CertShard::reserve_check`]), then decides against the global log.
 pub struct ShardedCert {
     params: CertifierParams,
     /// The global commit order. Conflict checks, propagation, recovery
@@ -45,9 +42,8 @@ pub struct ShardedCert {
     log: CommitLog,
     /// Per-group ascending global commit versions.
     group_commits: Vec<Vec<u64>>,
-    /// Leasable check state, one slot per group (`None` while a driver has
-    /// the shard out at a pool worker).
-    shards: Vec<Option<Box<CertShard>>>,
+    /// Per-group check service queues.
+    shards: Vec<CertShard>,
     /// Per-group leader/backups membership.
     groups: Vec<CertifierGroup>,
     /// Per-group queue-and-wait parking lot (all members dead).
@@ -63,9 +59,7 @@ impl ShardedCert {
             params,
             log: CommitLog::default(),
             group_commits: vec![Vec::new(); n],
-            shards: (0..n)
-                .map(|_| Some(Box::new(CertShard::new(params))))
-                .collect(),
+            shards: (0..n).map(|_| CertShard::new(params)).collect(),
             groups: (0..n).map(|_| CertifierGroup::paper_default()).collect(),
             wait: vec![VecDeque::new(); n],
             committed: 0,
@@ -167,21 +161,13 @@ impl ShardedCert {
         queue: &mut EventQueue<Ev>,
     ) -> SimTime {
         let touched: Vec<usize> = group_bits(mask).collect();
-        let eff_now = touched.iter().fold(now, |t, g| {
-            t.max(
-                self.shards[*g]
-                    .as_ref()
-                    .expect("cert shard leased to a driver")
-                    .available_at(),
-            )
-        });
+        let eff_now = touched
+            .iter()
+            .fold(now, |t, g| t.max(self.shards[*g].available_at()));
         // Votes: each group's check runs on its own shard queue, started at
         // the coordinated arrival time.
         let vote_done = touched.iter().fold(SimTime::ZERO, |t, g| {
-            let shard = self.shards[*g]
-                .as_mut()
-                .expect("cert shard leased to a driver");
-            t.max(shard.reserve_check(eff_now).checked_at)
+            t.max(self.shards[*g].reserve_check(eff_now).checked_at)
         });
         let decide_at = vote_done + 2 * lan_hop_us;
         if self.log.conflicts(ws.snapshot.version, &ws.items) {
@@ -314,7 +300,7 @@ impl CertifierLink {
 
     /// Builds the sharded-certification link: one leader+backups group and
     /// one [`CertShard`] per relation group (`groups` of them), each group's
-    /// commit-version list, and the coordinator-side global log.
+    /// commit-version list, and the global log.
     pub fn new_sharded(
         params: CertifierParams,
         replicas: usize,
@@ -362,12 +348,6 @@ impl CertifierLink {
         self.group_of(0)
     }
 
-    /// Number of certifier groups under sharded certification (0 under the
-    /// unified certifier).
-    pub fn cert_group_count(&self) -> usize {
-        self.sharded.as_ref().map_or(0, |s| s.groups.len())
-    }
-
     /// Per-group ascending global commit versions (empty under unified
     /// certification) — part of the run's observable result.
     pub fn cert_group_commits(&self) -> Vec<Vec<u64>> {
@@ -392,31 +372,6 @@ impl CertifierLink {
                 .map_or(0, |s| s.wait.iter().map(VecDeque::len).sum())
     }
 
-    /// Leases group `g`'s certification shard out (to a driver worker).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the shard is already leased out or the link is unified.
-    pub fn take_cert_shard(&mut self, g: usize) -> Box<CertShard> {
-        self.sharded
-            .as_mut()
-            .expect("cert shards exist only under sharded certification")
-            .shards[g]
-            .take()
-            .expect("cert shard already leased to a driver")
-    }
-
-    /// Returns a leased certification shard.
-    pub fn put_cert_shard(&mut self, g: usize, shard: Box<CertShard>) {
-        let slot = &mut self
-            .sharded
-            .as_mut()
-            .expect("cert shards exist only under sharded certification")
-            .shards[g];
-        debug_assert!(slot.is_none(), "returning a cert shard never leased");
-        *slot = Some(shard);
-    }
-
     /// Kills member `member` of certifier group `group`. A leader kill
     /// elects a backup and delays the group's responses until the new
     /// leader serves; the log — and thus every commit — survives (it is
@@ -429,10 +384,7 @@ impl CertifierLink {
                 }
                 let ev = s.groups[group].kill(now, member);
                 if let Some(GroupEvent::FailedOver { available_at, .. }) = ev {
-                    s.shards[group]
-                        .as_mut()
-                        .expect("cert shard leased to a driver")
-                        .set_available_at(available_at);
+                    s.shards[group].set_available_at(available_at);
                 }
                 ev
             }
@@ -465,10 +417,7 @@ impl CertifierLink {
                 }
                 let ev = s.groups[group].revive(now, member);
                 if let Some(GroupEvent::FailedOver { available_at, .. }) = ev {
-                    s.shards[group]
-                        .as_mut()
-                        .expect("cert shard leased to a driver")
-                        .set_available_at(available_at);
+                    s.shards[group].set_available_at(available_at);
                 }
                 let drained = if s.groups[group].is_available() {
                     std::mem::take(&mut s.wait[group])
@@ -595,7 +544,7 @@ impl CertifierLink {
     }
 
     /// Sharded certification: a single-group request reserves the group's
-    /// shard check then runs the coordinator decide; a cross-group request
+    /// shard check then decides against the global log; a cross-group request
     /// runs the atomic-commitment round across the touched groups.
     #[allow(clippy::too_many_arguments)]
     fn on_send_sharded(
@@ -625,41 +574,11 @@ impl CertifierLink {
         }
         let eff_now = if groups.count_ones() == 1 {
             let g = groups.trailing_zeros() as usize;
-            let check = s.shards[g]
-                .as_mut()
-                .expect("cert shard leased to a driver")
-                .reserve_check(now);
+            let check = s.shards[g].reserve_check(now);
             s.decide_single(g, replica, txn, ws, check, lan, tracer, queue)
         } else {
             s.decide_cross(groups, replica, txn, ws, now, lan, tracer, queue)
         };
-        self.last_contact[replica] = eff_now;
-    }
-
-    /// The decide half of a worker-reserved single-group check: the
-    /// parallel driver ships the shard to a pool worker, the worker runs
-    /// [`CertShard::reserve_check`], and the coordinator replays the
-    /// decision here at the event's exact slot — the log then holds exactly
-    /// the commits that precede the send, so the verdict, global version
-    /// assignment and response scheduling are bit-identical to the inline
-    /// path.
-    #[allow(clippy::too_many_arguments)]
-    pub fn certify_decide(
-        &mut self,
-        group: usize,
-        replica: usize,
-        txn: TxnId,
-        ws: Writeset,
-        check: ShardCheck,
-        tracer: &mut Tracer,
-        queue: &mut EventQueue<Ev>,
-    ) {
-        let lan = self.lan_hop_us;
-        let s = self
-            .sharded
-            .as_mut()
-            .expect("certify_decide under unified certification");
-        let eff_now = s.decide_single(group, replica, txn, ws, check, lan, tracer, queue);
         self.last_contact[replica] = eff_now;
     }
 

@@ -1,6 +1,6 @@
 //! Per-component event handlers.
 //!
-//! The cluster event loop ([`crate::world::World`]) owns three component
+//! The cluster state ([`crate::state::ClusterState`]) owns three component
 //! handlers and reduces every [`crate::events::Ev`] arm to a thin delegate:
 //!
 //! * [`ClusterNode`] — a replica node inside the cluster: admission,
@@ -11,10 +11,8 @@
 //!   applies re-allocations and installs update filters.
 //!
 //! Components own their state and translate outcomes into scheduled events;
-//! the `World` keeps only cross-cutting bookkeeping (clients, transaction
-//! metadata, metrics). This is the seam future runtimes (async, threaded,
-//! partial replication) plug into: a different driver can own the same
-//! components and schedule their events differently.
+//! [`crate::state::ClusterState`] keeps only cross-cutting bookkeeping
+//! (clients, transaction metadata, metrics).
 
 mod balancer_ctl;
 mod certifier_link;

@@ -9,7 +9,7 @@ use tashkent_storage::RelationSet;
 
 use crate::events::Ev;
 use crate::placement::CertMap;
-use crate::trace::{TraceData, TraceEvent};
+use crate::trace::{TraceData, Tracer};
 
 /// Wraps a [`ReplicaNode`] with its cluster identity and network position,
 /// translating execution outcomes into scheduled events.
@@ -22,14 +22,6 @@ pub struct ClusterNode {
     /// each outgoing [`Ev::CertifySend`] with its touched-group bitmask.
     /// `None` under unified certification (mask 0).
     cert_map: Option<Arc<CertMap>>,
-    /// Whether step events are recorded into `trace_buf`.
-    trace_on: bool,
-    /// Step trace events buffered node-side. Under the parallel driver the
-    /// node is owned by a worker thread for the window, so `step_child`
-    /// cannot reach the coordinator's `Tracer`; it buffers here and the
-    /// driver replays the buffer at the step's exact sequential pop slot
-    /// (the sequential driver drains it immediately after each step).
-    trace_buf: Vec<TraceEvent>,
 }
 
 impl ClusterNode {
@@ -42,20 +34,7 @@ impl ClusterNode {
             lan_hop_us,
             up: true,
             cert_map: None,
-            trace_on: false,
-            trace_buf: Vec::new(),
         }
-    }
-
-    /// Enables or disables step-event tracing on this node.
-    pub fn set_tracing(&mut self, on: bool) {
-        self.trace_on = on;
-    }
-
-    /// Takes the buffered step trace events (empty when tracing is off —
-    /// `std::mem::take` of an empty `Vec` does not allocate).
-    pub fn take_trace(&mut self) -> Vec<TraceEvent> {
-        std::mem::take(&mut self.trace_buf)
     }
 
     /// Installs the certification map (sharded mode); subsequent
@@ -95,7 +74,7 @@ impl ClusterNode {
         &self.node
     }
 
-    /// Mutable access for failure injection and recovery drivers.
+    /// Mutable access for failure injection and recovery.
     pub fn replica_mut(&mut self) -> &mut ReplicaNode {
         &mut self.node
     }
@@ -163,43 +142,32 @@ impl ClusterNode {
         // If queued, the Gatekeeper will admit it when a slot frees.
     }
 
-    /// Advances a transaction by one quantum and schedules what follows:
-    /// another step, local completion, or the certifier round-trip. Stale
-    /// steps (transactions a crash dropped) schedule nothing.
-    pub fn on_step(&mut self, now: SimTime, txn: TxnId, queue: &mut EventQueue<Ev>) {
-        if let Some((at, ev)) = self.step_child(now, txn) {
-            queue.schedule(at, ev);
-        }
-    }
-
-    /// Advances a transaction by one quantum and returns the single
-    /// follow-up event instead of scheduling it, or `None` for a *stale*
-    /// step — one whose transaction a crash dropped (its step event was
-    /// already queued when the replica went down).
-    ///
-    /// This is the queue-free core of [`ClusterNode::on_step`]: the parallel
-    /// driver runs it on worker threads (each worker owns the node for the
-    /// window) and merges the produced event streams back into the shared
-    /// queue deterministically. Returning `None` for stale steps keeps the
-    /// method total, so both drivers skip them identically.
-    pub fn step_child(&mut self, now: SimTime, txn: TxnId) -> Option<(SimTime, Ev)> {
+    /// Advances a transaction by one quantum, traces the step, and
+    /// schedules what follows: another step, local completion, or the
+    /// certifier round-trip. A *stale* step — one whose transaction a crash
+    /// dropped while its step event was already queued — does nothing.
+    pub fn on_step(
+        &mut self,
+        now: SimTime,
+        txn: TxnId,
+        tracer: &mut Tracer,
+        queue: &mut EventQueue<Ev>,
+    ) {
         if !self.node.is_running(txn) {
-            return None;
+            return;
         }
         let replica = self.id;
-        let (outcome, ws_bytes, child) = match self.node.step(txn, now) {
-            StepOutcome::Busy(t) => ("exec", 0, (t, Ev::StepTxn { replica, txn })),
+        let (outcome, ws_bytes, at, ev) = match self.node.step(txn, now) {
+            StepOutcome::Busy(t) => ("exec", 0, t, Ev::StepTxn { replica, txn }),
             StepOutcome::Done(t) => (
                 "done",
                 0,
-                (
-                    t,
-                    Ev::TxnComplete {
-                        replica,
-                        txn,
-                        committed: true,
-                    },
-                ),
+                t,
+                Ev::TxnComplete {
+                    replica,
+                    txn,
+                    committed: true,
+                },
             ),
             StepOutcome::ReadyToCommit(t, ws) => {
                 let groups = self.cert_map.as_ref().map_or(0, |m| m.mask_for(&ws));
@@ -207,31 +175,27 @@ impl ClusterNode {
                 (
                     "cert",
                     bytes,
-                    (
-                        t + self.lan_hop_us,
-                        Ev::CertifySend {
-                            replica,
-                            txn,
-                            ws,
-                            groups,
-                        },
-                    ),
+                    t + self.lan_hop_us,
+                    Ev::CertifySend {
+                        replica,
+                        txn,
+                        ws,
+                        groups,
+                    },
                 )
             }
         };
-        if self.trace_on {
-            self.trace_buf.push(TraceEvent {
-                at: now,
-                data: TraceData::Step {
-                    txn: txn.0,
-                    replica,
-                    outcome,
-                    next_at: child.0.as_micros(),
-                    ws_bytes,
-                },
-            });
-        }
-        Some(child)
+        tracer.emit(
+            now,
+            TraceData::Step {
+                txn: txn.0,
+                replica,
+                outcome,
+                next_at: at.as_micros(),
+                ws_bytes,
+            },
+        );
+        queue.schedule(at, ev);
     }
 
     /// Frees the Gatekeeper slot after a completion; a queued transaction

@@ -23,9 +23,10 @@
 //!    before heartbeats answer again and trust is restored.
 //!
 //! Timings derive from [`ScenarioKnobs`] like every other scenario, and the
-//! injections are plain events, so both drivers observe identical failure
-//! timing — the cross-driver equivalence suite runs this scenario too,
-//! fault log (with detection latencies) included.
+//! injections are plain events, so failure timing is as deterministic as
+//! the rest of the run — the determinism suite
+//! (`tests/driver_equivalence.rs`) runs this scenario too, fault log (with
+//! detection latencies) included.
 
 use tashkent_sim::SimTime;
 use tashkent_workloads::tpcw::{self, TpcwScale};
@@ -126,8 +127,7 @@ impl Scenario for Detection {
         }
         let sched = Self::schedule(knobs);
         let mut exp = Experiment::new(config, workload, mix)
-            .with_window(knobs.warmup_secs, knobs.measured_secs)
-            .with_driver(knobs.driver);
+            .with_window(knobs.warmup_secs, knobs.measured_secs);
         // Both injections need a survivor; a single-replica cluster gets
         // neither (nothing to route around).
         if knobs.replicas >= 2 {

@@ -21,9 +21,8 @@
 //! replays the certifier log and rejoins dispatch with a cold cache, and
 //! `CertifierKill` kills a certifier-group member (a leader kill triggers
 //! the §4.4 backup election). Because they are ordinary events handled by
-//! [`crate::state::ClusterState::handle`], every driver observes identical
-//! failure timing; the parallel driver treats them — like every other
-//! [`Footprint::Global`] event — as window barriers.
+//! [`crate::state::ClusterState::handle`], failure timing is as
+//! deterministic as the rest of a run.
 
 use tashkent_engine::{TxnId, TxnTypeId, Version, Writeset};
 use tashkent_sim::SimTime;
@@ -33,100 +32,6 @@ use tashkent_sim::SimTime;
 /// replica `r` off from heartbeats, certification traffic, and propagation
 /// pulls without killing it — the deterministic false-suspicion injection.
 pub const CONTROL_NODE: usize = usize::MAX;
-
-/// The *replica-node* state an event's handler touches — the classification
-/// the parallel driver's window formation runs on.
-///
-/// [`crate::state::ClusterState::handle`] routes every event to exactly one
-/// handler; the footprint summarizes which [`crate::components::ClusterNode`]
-/// state that handler can read or write. Coordinator-only state (the
-/// balancer, the certifier link, client/transaction metadata, metrics, the
-/// experiment RNG) is *not* part of a footprint: the driver executes every
-/// non-`StepTxn` handler on the coordinator in exact sequential order, so
-/// only contention with replica state leased to worker shards matters.
-///
-/// The mapping must stay in lock-step with the routing in
-/// `ClusterState::handle`; each variant documents the handler behaviour it
-/// encodes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Footprint {
-    /// The handler touches exactly one replica's node, at the event's own
-    /// timestamp (`StepTxn`, `CertifyReturn`, committed `TxnComplete`,
-    /// `Maintenance`). The parallel driver may defer such an event into the
-    /// merge if it bars that replica's shard from the event's key onward.
-    Replica(usize),
-    /// The handler touches only certifier-side state; its consequence (a
-    /// `CertifyReturn`) reaches `origin`'s node no earlier than one LAN hop
-    /// after the event (`CertifySend`). Deferrable with a barrier on
-    /// `origin` at `t + lan_hop_us`. Under sharded certification `groups`
-    /// is the bitmask of certifier groups the writeset touches (the
-    /// handler's conflict checks run against exactly those shards, which
-    /// may be leased to pool workers); `0` means the unified certifier,
-    /// whose state never leaves the coordinator.
-    Certifier {
-        /// Touched certifier groups (bitmask; `0` = unified certifier).
-        groups: u64,
-        /// The replica the certifier's answer returns to.
-        origin: usize,
-    },
-    /// The handler dispatches a new submission through the balancer *now*,
-    /// but its immediate node touches are shard-invisible (Gatekeeper
-    /// admission, transaction registration, a snapshot of the applied
-    /// version — none of it read by a worker stepping other transactions);
-    /// the earliest shard-visible consequence is the submitted
-    /// transaction's first step, two LAN hops later, on whichever replica
-    /// the balancer picks (`ClientArrive`, `TxnRetry`). Deferrable with a
-    /// barrier on *every* shard at `t + 2·lan_hop_us`.
-    Dispatch,
-    /// The handler can immediately touch arbitrary replicas or
-    /// cross-cutting state that shards read (balancer epochs installing
-    /// filters that evict pool pages, faults, placement changes, warm-up
-    /// and run boundaries). Always a window barrier. Note client dispatch
-    /// is *not* here: its immediate effects are shard-invisible, which is
-    /// exactly what [`Footprint::Dispatch`] encodes.
-    Global,
-}
-
-/// Which replica nodes must be *physically present* in
-/// [`crate::state::ClusterState`] before an event's handler may run — the
-/// recall key the parallel driver's shard leases are built on.
-///
-/// [`Footprint`] answers "may this event defer past a shard?"; `NodeDemand`
-/// answers the complementary question for the pipelined pool: once a node
-/// has been leased to a persistent worker across a window boundary, which
-/// coordinator-side handlers force the driver to recall it first. The two
-/// classifications differ only for [`Footprint::Dispatch`]: dispatch may
-/// *defer* behind a two-hop barrier, but when its handler finally runs it
-/// routes through the balancer and touches whichever node it admits on, at
-/// that same instant — so it demands every node home even though it never
-/// stops a window.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum NodeDemand {
-    /// The handler reads no replica node (certifier-side bookkeeping).
-    NoNode,
-    /// The handler touches exactly this replica's node.
-    Node(usize),
-    /// The handler touches the certifier shards in this group bitmask
-    /// (sharded certification: the shards may be leased to pool workers
-    /// and must come home first). It reads no replica node.
-    CertGroups(u64),
-    /// The handler may touch any node (balancer dispatch, faults,
-    /// placement changes, run control).
-    AllNodes,
-}
-
-impl Footprint {
-    /// The node-presence requirement of the handler this footprint
-    /// classifies (see [`NodeDemand`]).
-    pub fn demand(&self) -> NodeDemand {
-        match self {
-            Footprint::Replica(r) => NodeDemand::Node(*r),
-            Footprint::Certifier { groups: 0, .. } => NodeDemand::NoNode,
-            Footprint::Certifier { groups, .. } => NodeDemand::CertGroups(*groups),
-            Footprint::Dispatch | Footprint::Global => NodeDemand::AllNodes,
-        }
-    }
-}
 
 /// Events driving the simulation.
 ///
@@ -182,11 +87,10 @@ pub enum Ev {
     /// abort response (which travelled replica → balancer → client, two
     /// LAN hops after the completion). Keeping the resubmission a separate
     /// event — instead of the historical instantaneous retry inside the
-    /// completion handler — both models the client round-trip faithfully
-    /// and is what makes *every* `TxnComplete` single-replica: the earliest
-    /// a retry can touch another replica is four hops after the original
-    /// completion (two for the response, two for the new submission), the
-    /// bound the parallel driver's lookahead horizon is built on.
+    /// completion handler — models the client round-trip faithfully: the
+    /// earliest a retry can touch another replica is four hops after the
+    /// original completion (two for the response, two for the new
+    /// submission).
     TxnRetry {
         /// Retrying client.
         client: usize,
@@ -254,8 +158,7 @@ pub enum Ev {
     /// when every live replica already holds the group. The crash handler
     /// re-replicates under-`min_copies` groups synchronously (so dispatch
     /// never lacks a holder); this event is the injectable form for
-    /// scenarios and tests. Like every non-`StepTxn` event, the parallel
-    /// driver treats it as a window barrier.
+    /// scenarios and tests.
     Rereplicate {
         /// Relation-group index in the run's `PlacementMap`.
         group: usize,
@@ -326,259 +229,4 @@ pub enum Ev {
     EndWarmup,
     /// End of run.
     End,
-}
-
-impl Ev {
-    /// Classifies the event by the replica-node state its handler touches
-    /// (see [`Footprint`]). Mirrors the routing in
-    /// [`crate::state::ClusterState::handle`]:
-    ///
-    /// * `StepTxn { replica }` runs `ClusterNode::on_step` — that node only.
-    /// * `CertifySend { replica }` runs `CertifierLink::on_send` — certifier
-    ///   state only; the scheduled `CertifyReturn` reaches `replica` at
-    ///   least one LAN hop later (conflicts return after one hop, commits
-    ///   after durability plus one hop).
-    /// * `CertifyReturn { replica }` applies remote writesets and commits on
-    ///   `replica` (or drops an orphan), scheduling a same-replica
-    ///   `TxnComplete`.
-    /// * `TxnComplete { replica }` frees the Gatekeeper slot on `replica`
-    ///   (possibly starting its next queued transaction at the same
-    ///   instant); the outcome travels to the client as a scheduled event —
-    ///   the next arrival or a [`Ev::TxnRetry`] — two hops later, so the
-    ///   handler itself touches no other replica.
-    /// * `Maintenance { replica }` runs the background writer, propagation
-    ///   pull, and load-daemon sample on `replica`.
-    /// * `ClientArrive` and `TxnRetry` dispatch through the balancer, which
-    ///   may pick any replica — but their immediate effects are
-    ///   shard-invisible and the submitted transaction's first step fires
-    ///   two hops later, so they are `Dispatch`, not `Global`.
-    /// * Everything else (balancer ticks install filters that evict pool
-    ///   pages, mix switches, faults, re-replication, run control) is
-    ///   cross-cutting.
-    pub fn footprint(&self) -> Footprint {
-        match self {
-            Ev::StepTxn { replica, .. }
-            | Ev::CertifyReturn { replica, .. }
-            | Ev::Maintenance { replica, .. }
-            | Ev::TxnComplete { replica, .. } => Footprint::Replica(*replica),
-            Ev::CertifySend {
-                replica, groups, ..
-            } => Footprint::Certifier {
-                groups: *groups,
-                origin: *replica,
-            },
-            // A client timeout only abandons coordinator-side transaction
-            // metadata and releases balancer accounting; the earliest
-            // shard-visible consequence is the retried submission's first
-            // step, at least two hops out — the same contract as `TxnRetry`.
-            Ev::ClientArrive { .. } | Ev::TxnRetry { .. } | Ev::ClientTimeout { .. } => {
-                Footprint::Dispatch
-            }
-            Ev::LbTick
-            | Ev::MixSwitch { .. }
-            | Ev::FreezeLb
-            | Ev::ReplicaCrash { .. }
-            | Ev::ReplicaRecover { .. }
-            | Ev::CertifierKill { .. }
-            | Ev::CertifierRestart { .. }
-            | Ev::Rereplicate { .. }
-            | Ev::BackfillChunk { .. }
-            | Ev::BackfillDone { .. }
-            | Ev::RebalanceTick
-            // Heartbeat rounds read every replica's liveness and may flip
-            // dispatch eligibility cluster-wide; partitions change which
-            // messages *any* handler may deliver. Both are rare control
-            // events: a window barrier keeps them trivially bit-exact.
-            | Ev::HeartbeatTick
-            | Ev::LinkPartition { .. }
-            | Ev::LinkHeal { .. }
-            | Ev::EndWarmup
-            | Ev::End => Footprint::Global,
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn single_replica_events_have_replica_footprints() {
-        let cases = [
-            (
-                Ev::StepTxn {
-                    replica: 3,
-                    txn: TxnId(1),
-                },
-                3,
-            ),
-            (
-                Ev::CertifyReturn {
-                    replica: 1,
-                    txn: TxnId(2),
-                    version: None,
-                },
-                1,
-            ),
-            (
-                Ev::TxnComplete {
-                    replica: 2,
-                    txn: TxnId(3),
-                    committed: true,
-                },
-                2,
-            ),
-            // An aborted completion only frees the slot; the retry travels
-            // to the client as a separate `TxnRetry` event.
-            (
-                Ev::TxnComplete {
-                    replica: 4,
-                    txn: TxnId(8),
-                    committed: false,
-                },
-                4,
-            ),
-            (
-                Ev::Maintenance {
-                    replica: 5,
-                    round: 0,
-                },
-                5,
-            ),
-        ];
-        for (ev, replica) in cases {
-            assert_eq!(ev.footprint(), Footprint::Replica(replica), "{ev:?}");
-        }
-    }
-
-    #[test]
-    fn certify_send_is_certifier_only_with_an_origin() {
-        let ws = Writeset::new(
-            TxnId(9),
-            tashkent_engine::TxnTypeId(0),
-            tashkent_engine::Snapshot::at(Version(0)),
-            Vec::new(),
-        );
-        let ev = Ev::CertifySend {
-            replica: 4,
-            txn: TxnId(9),
-            ws: ws.clone(),
-            groups: 0,
-        };
-        assert_eq!(
-            ev.footprint(),
-            Footprint::Certifier {
-                groups: 0,
-                origin: 4
-            }
-        );
-        // Sharded: the touched-group mask rides on the footprint.
-        let sharded = Ev::CertifySend {
-            replica: 4,
-            txn: TxnId(9),
-            ws,
-            groups: 0b101,
-        };
-        assert_eq!(
-            sharded.footprint(),
-            Footprint::Certifier {
-                groups: 0b101,
-                origin: 4
-            }
-        );
-    }
-
-    #[test]
-    fn dispatch_events_defer_and_cross_cutting_events_are_global() {
-        // Arrivals and retries dispatch anywhere, but only shard-invisible
-        // state changes immediately: a two-hop all-shard barrier suffices.
-        assert_eq!(
-            Ev::ClientArrive { client: 0 }.footprint(),
-            Footprint::Dispatch
-        );
-        assert_eq!(
-            Ev::TxnRetry {
-                client: 0,
-                txn_type: TxnTypeId(0),
-                arrived: SimTime::ZERO,
-                retries: 1,
-            }
-            .footprint(),
-            Footprint::Dispatch
-        );
-        // A timeout abandons coordinator-side metadata only; its retry is
-        // at least two hops from any shard-visible effect.
-        assert_eq!(
-            Ev::ClientTimeout { txn: TxnId(7) }.footprint(),
-            Footprint::Dispatch
-        );
-        let globals = [
-            Ev::LbTick,
-            Ev::MixSwitch { mix: 1 },
-            Ev::FreezeLb,
-            Ev::ReplicaCrash { replica: 0 },
-            Ev::ReplicaRecover { replica: 0 },
-            Ev::CertifierKill {
-                group: 0,
-                member: 0,
-            },
-            Ev::CertifierRestart {
-                group: 0,
-                member: 0,
-            },
-            Ev::Rereplicate { group: 0 },
-            // Backfill chunks touch the target node's CPU/disk and the
-            // completion/rebalance handlers change placement-wide
-            // eligibility: all of them barrier a window, like LbTick.
-            Ev::BackfillChunk { task: 0 },
-            Ev::BackfillDone { task: 0 },
-            Ev::RebalanceTick,
-            // Detector rounds and partition changes flip cluster-wide
-            // eligibility/reachability: window barriers.
-            Ev::HeartbeatTick,
-            Ev::LinkPartition {
-                a: CONTROL_NODE,
-                b: 1,
-                heal_at: SimTime::from_secs(2),
-            },
-            Ev::LinkHeal {
-                a: CONTROL_NODE,
-                b: 1,
-            },
-            Ev::EndWarmup,
-            Ev::End,
-        ];
-        for ev in globals {
-            assert_eq!(ev.footprint(), Footprint::Global, "{ev:?}");
-        }
-    }
-
-    #[test]
-    fn node_demand_tracks_the_footprint_except_for_dispatch() {
-        // Replica handlers demand their one node; the unified certifier
-        // (groups mask 0) demands none; sharded certification demands the
-        // touched shards home.
-        assert_eq!(Footprint::Replica(3).demand(), NodeDemand::Node(3));
-        assert_eq!(
-            Footprint::Certifier {
-                groups: 0,
-                origin: 2
-            }
-            .demand(),
-            NodeDemand::NoNode
-        );
-        assert_eq!(
-            Footprint::Certifier {
-                groups: 0b110,
-                origin: 2
-            }
-            .demand(),
-            NodeDemand::CertGroups(0b110)
-        );
-        // Dispatch defers like a two-hop barrier but admits onto a
-        // balancer-chosen node the instant its handler runs — it must pull
-        // every leased node home even though it never stops a window.
-        assert_eq!(Footprint::Dispatch.demand(), NodeDemand::AllNodes);
-        assert_eq!(Footprint::Global.demand(), NodeDemand::AllNodes);
-    }
 }

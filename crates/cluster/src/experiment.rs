@@ -9,15 +9,21 @@
 //! [`registry`] lists every built-in scenario; examples, integration tests,
 //! and the bench figures all pull their setups from it instead of
 //! hand-rolling configuration.
+//!
+//! One run is one single-threaded event loop ([`World::run_to_end`]); the
+//! parallelism a figure needs is across its independent experiments, which
+//! [`run_sweep`] spreads over the host's cores.
+
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, OnceLock};
 
 use tashkent_sim::SimTime;
 use tashkent_workloads::tpcw::TpcwScale;
 use tashkent_workloads::{rubis, tpcw, Mix, Workload};
 
 use crate::config::{CertifierSharding, ClusterConfig, PlacementSpec, PolicySpec};
-use crate::driver::{DriverKind, RunError};
 use crate::metrics::RunResult;
-use crate::world::{Ev, World};
+use crate::world::{Ev, RunError, World};
 
 pub use crate::detection::{Detection, DetectionSchedule};
 pub use crate::failover::{Failover, FailoverSchedule};
@@ -45,10 +51,6 @@ pub struct Experiment {
     /// warm-up / end events resolve in favour of the latter (injections are
     /// scheduled last).
     pub injections: Vec<(SimTime, Ev)>,
-    /// Event-loop strategy. Every driver produces identical results; the
-    /// parallel driver is faster for multi-replica runs on multi-core
-    /// hosts.
-    pub driver: DriverKind,
 }
 
 impl Experiment {
@@ -62,7 +64,6 @@ impl Experiment {
             warmup_secs: 90,
             freeze_at_secs: None,
             injections: Vec::new(),
-            driver: DriverKind::Sequential,
         }
     }
 
@@ -72,12 +73,6 @@ impl Experiment {
         if let Some(first) = self.phases.first_mut() {
             first.0 = warmup_secs + measured_secs;
         }
-        self
-    }
-
-    /// Selects the event-loop driver.
-    pub fn with_driver(mut self, driver: DriverKind) -> Self {
-        self.driver = driver;
         self
     }
 
@@ -104,7 +99,7 @@ impl Experiment {
 /// drain time so harnesses can report it instead of crashing the process.
 pub fn run(exp: Experiment) -> Result<RunResult, RunError> {
     let mixes: Vec<Mix> = exp.phases.iter().map(|(_, m)| m.clone()).collect();
-    let mut world = World::with_driver(exp.config, exp.workload, mixes, exp.driver);
+    let mut world = World::new(exp.config, exp.workload, mixes);
     world.prime();
     // Phase switches.
     let mut t = 0u64;
@@ -125,6 +120,45 @@ pub fn run(exp: Experiment) -> Result<RunResult, RunError> {
     world.run_to_end()?;
     world.export_traces().expect("trace export failed");
     Ok(world.into_result())
+}
+
+/// Runs independent experiments on the host's cores and returns their
+/// results in input order.
+///
+/// Each experiment is one [`run`] on one scoped thread; the thread count is
+/// `available_parallelism()`, capped at the number of experiments. A run's
+/// result depends only on its experiment, never on which thread ran it or
+/// what ran beside it, so the returned vector equals running the list
+/// serially.
+pub fn run_sweep(exps: Vec<Experiment>) -> Vec<Result<RunResult, RunError>> {
+    let threads = std::thread::available_parallelism()
+        .map_or(1, |p| p.get())
+        .min(exps.len());
+    let jobs: Vec<Mutex<Option<Experiment>>> =
+        exps.into_iter().map(|e| Mutex::new(Some(e))).collect();
+    let slots: Vec<OnceLock<Result<RunResult, RunError>>> =
+        jobs.iter().map(|_| OnceLock::new()).collect();
+    // The next unclaimed job. Relaxed suffices: the counter publishes no
+    // data, since each job travels under its own lock.
+    let next = AtomicUsize::new(0);
+    std::thread::scope(|scope| {
+        for _ in 0..threads {
+            scope.spawn(|| loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                let Some(job) = jobs.get(i) else { break };
+                let exp = job
+                    .lock()
+                    .expect("no thread panics while holding a job's lock")
+                    .take()
+                    .expect("each job index is claimed once");
+                let _ = slots[i].set(run(exp));
+            });
+        }
+    });
+    slots
+        .into_iter()
+        .map(|s| s.into_inner().expect("every job ran"))
+        .collect()
 }
 
 /// Scale and tuning knobs a [`Scenario`] combines with its own recipe.
@@ -150,9 +184,6 @@ pub struct ScenarioKnobs {
     pub measured_secs: u64,
     /// RNG seed (runs are bit-reproducible per seed).
     pub seed: u64,
-    /// Event-loop strategy (identical results either way; parallel is
-    /// faster for multi-replica runs on multi-core hosts).
-    pub driver: DriverKind,
     /// Partial replication: holder copies per relation group. `None` keeps
     /// full replication; `Some(n)` with `n >= replicas` is the degenerate
     /// full-replication case and reproduces `None` results bit for bit.
@@ -198,7 +229,6 @@ impl Default for ScenarioKnobs {
             warmup_secs: 90,
             measured_secs: 180,
             seed: 42,
-            driver: DriverKind::Sequential,
             min_copies: None,
             cert_groups: None,
             backfill_bytes_per_sec: None,
@@ -232,12 +262,6 @@ impl ScenarioKnobs {
     /// Sets the seed.
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
-    }
-
-    /// Sets the event-loop driver.
-    pub fn with_driver(mut self, driver: DriverKind) -> Self {
-        self.driver = driver;
         self
     }
 
@@ -381,9 +405,7 @@ impl Scenario for TpcwSteadyState {
     fn experiment(&self, knobs: &ScenarioKnobs) -> Experiment {
         let (workload, mix) = tpcw::workload_with_mix(self.scale, self.mix);
         let config = knobs.config(PolicySpec::malb_sc());
-        Experiment::new(config, workload, mix)
-            .with_window(knobs.warmup_secs, knobs.measured_secs)
-            .with_driver(knobs.driver)
+        Experiment::new(config, workload, mix).with_window(knobs.warmup_secs, knobs.measured_secs)
     }
 }
 
@@ -412,9 +434,7 @@ impl Scenario for RubisAuctionMix {
     fn experiment(&self, knobs: &ScenarioKnobs) -> Experiment {
         let (workload, mix) = rubis::workload_with_mix(self.mix);
         let config = knobs.config(PolicySpec::malb_sc());
-        Experiment::new(config, workload, mix)
-            .with_window(knobs.warmup_secs, knobs.measured_secs)
-            .with_driver(knobs.driver)
+        Experiment::new(config, workload, mix).with_window(knobs.warmup_secs, knobs.measured_secs)
     }
 }
 
@@ -467,7 +487,6 @@ impl Scenario for DynamicReconfig {
                 .freeze
                 .then_some(knobs.warmup_secs + (phase / 2).max(1)),
             injections: Vec::new(),
-            driver: knobs.driver,
         }
     }
 }
@@ -588,11 +607,15 @@ mod tests {
             warmup_secs: 5,
             freeze_at_secs: None,
             injections: Vec::new(),
-            driver: DriverKind::Sequential,
         };
         assert_eq!(exp.total_secs(), 30);
         let r = run(exp).unwrap();
         assert!(r.committed > 0);
+    }
+
+    #[test]
+    fn empty_sweep_spawns_nothing_and_returns_nothing() {
+        assert!(run_sweep(Vec::new()).is_empty());
     }
 
     #[test]

@@ -16,9 +16,10 @@
 //!
 //! Every timing is derived from [`ScenarioKnobs`], so the same recipe
 //! serves smoke tests, the `fig_failover` bench target, and the example.
-//! Because the injections are plain events, both drivers observe identical
-//! failure timing — the cross-driver equivalence suite runs this scenario
-//! too, fault log included.
+//! Because the injections are plain events, failure timing is as
+//! deterministic as the rest of the run — the determinism suite
+//! (`tests/driver_equivalence.rs`) runs this scenario too, fault log
+//! included.
 
 use tashkent_sim::SimTime;
 use tashkent_workloads::tpcw::{self, TpcwScale};
@@ -99,8 +100,7 @@ impl Scenario for Failover {
         let config = knobs.config(PolicySpec::malb_sc());
         let sched = Self::schedule(knobs);
         let mut exp = Experiment::new(config, workload, mix)
-            .with_window(knobs.warmup_secs, knobs.measured_secs)
-            .with_driver(knobs.driver);
+            .with_window(knobs.warmup_secs, knobs.measured_secs);
         for replica in self.victims(knobs.replicas) {
             exp = exp
                 .with_injection(

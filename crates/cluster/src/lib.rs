@@ -7,7 +7,7 @@
 //! replicated certifier, and a client farm on a switched 1 Gb/s LAN (§4.4).
 //!
 //! The crate is layered so that *what happens* is separate from *how it is
-//! driven*:
+//! run*:
 //!
 //! * [`config`] — cluster configuration (replica count, RAM, policy, …);
 //! * [`metrics`] — throughput / response-time / disk-I/O accounting and the
@@ -17,25 +17,21 @@
 //!   [`components::CertifierLink`], [`components::BalancerCtl`];
 //! * [`state`] — [`state::ClusterState`], the components plus cross-cutting
 //!   transaction/client/metrics state, with a single `handle` entry point;
-//! * [`driver`] — the event-loop strategies. [`driver::SequentialDriver`]
-//!   is the reference semantics; [`driver::ParallelDriver`] shards replica
-//!   work across threads inside conservative lookahead windows and merges
-//!   the event streams deterministically, so **both drivers produce
-//!   identical results for the same seed** — pick sequential for minimal
-//!   overhead on small runs, parallel for multi-replica sweeps on
-//!   multi-core hosts;
 //! * [`trace`] — deterministic run tracing: lifecycle span events,
 //!   utilization timelines, JSONL and Chrome `trace_event` exporters, with
-//!   the trace byte-equal across drivers;
-//! * [`world`] — thin glue binding state + queue + driver into one handle;
+//!   the trace byte-equal across runs of the same seed;
+//! * [`world`] — state + queue in one handle, and the simulator's one event
+//!   loop ([`world::World::run_to_end`]): pop the earliest event, hand it
+//!   to `ClusterState::handle`, repeat until `End`;
 //! * [`experiment`] — experiment descriptions, the [`experiment::Scenario`]
-//!   registry every entry point builds runs from, the runner, and
-//!   standalone calibration (§4.4's "85 % of peak" client sizing).
+//!   registry every entry point builds runs from, the runner,
+//!   [`experiment::run_sweep`] (independent experiments, one per core,
+//!   results in input order), and standalone calibration (§4.4's "85 % of
+//!   peak" client sizing).
 
 pub mod components;
 pub mod config;
 pub mod detection;
-pub mod driver;
 pub mod events;
 pub mod experiment;
 pub mod failover;
@@ -44,22 +40,17 @@ pub mod partial;
 pub mod placement;
 pub mod rebalance;
 pub mod state;
-pub mod sync;
 pub mod trace;
 pub mod world;
 
 pub use components::{BalancerCtl, CertifierLink, ClusterNode, HealthTransition, ReplicaHealth};
 pub use config::{CertifierSharding, ClusterConfig, PlacementSpec, PolicySpec};
 pub use detection::{Detection, DetectionSchedule};
-pub use driver::{
-    Driver, DriverKind, DriverStats, ParallelDriver, RunError, SequentialDriver,
-    HANDOFF_HIST_BUCKETS, WINDOW_HIST_BUCKETS,
-};
-pub use events::{Ev, Footprint, NodeDemand, CONTROL_NODE};
+pub use events::{Ev, CONTROL_NODE};
 pub use experiment::{
-    calibrate_standalone, registry, run, run_scenario, scenario, Calibration, DynamicReconfig,
-    Experiment, Failover, FailoverSchedule, RubisAuctionMix, Scenario, ScenarioKnobs,
-    TpcwSteadyState,
+    calibrate_standalone, registry, run, run_scenario, run_sweep, scenario, Calibration,
+    DynamicReconfig, Experiment, Failover, FailoverSchedule, RubisAuctionMix, Scenario,
+    ScenarioKnobs, TpcwSteadyState,
 };
 pub use metrics::{FaultEvent, FaultKind, GroupSnapshot, Metrics, RunResult};
 pub use partial::PartialReplication;
@@ -67,4 +58,4 @@ pub use placement::{PlacementMap, RelationGroup, ReplicationPlanner, TypeGroups,
 pub use rebalance::Rebalance;
 pub use state::ClusterState;
 pub use trace::{TraceConfig, TraceData, TraceEvent, TraceSummary, Tracer};
-pub use world::World;
+pub use world::{RunError, World};

@@ -2,7 +2,6 @@
 
 use tashkent_sim::{Histogram, OnlineStats, SimTime};
 
-use crate::driver::DriverStats;
 use crate::trace::TraceSummary;
 
 /// One group → replica-count line, for the paper's Tables 2 and 4.
@@ -36,7 +35,7 @@ pub enum FaultKind {
     /// replica `to` via certifier-log backfill (a crash dropped it below
     /// `min_copies` live holders, or an explicit `Rereplicate` event fired).
     /// Recorded at backfill *completion* time, carrying the traffic volume,
-    /// so cross-driver equivalence covers migration timing and bytes.
+    /// so the determinism fingerprint covers migration timing and bytes.
     Rereplicate {
         /// Relation-group index in the run's placement map.
         group: usize,
@@ -106,15 +105,15 @@ pub enum FaultKind {
 
 /// One failure-injection event, as it actually took effect during the run.
 ///
-/// The fault log is part of the run's observable result: cross-driver
-/// equivalence includes crash/recover timing, so a driver that reordered
+/// The fault log is part of the run's observable result: the determinism
+/// fingerprint includes crash/recover timing, so a run that reordered
 /// failure handling would be caught.
 ///
 /// `at` is when the cluster *acted on* the fault; `injected_at` is when the
 /// underlying physical fault happened. With the omniscient oracle the two
 /// coincide; with the heartbeat detector a [`FaultKind::ReplicaSuspected`]
 /// records `at > injected_at` and the gap is the detection latency —
-/// first-class in the equivalence fingerprint via `PartialEq`.
+/// first-class in the determinism fingerprint via `PartialEq`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FaultEvent {
     /// When the fault took effect (the cluster reacted).
@@ -336,7 +335,6 @@ impl Metrics {
             migration_us: 0,
             redo_bytes: 0,
             redo_us: 0,
-            driver_stats: None,
             trace_summary: None,
             cert_group_commits: Vec::new(),
             faults: self.faults.clone(),
@@ -426,21 +424,16 @@ pub struct RunResult {
     /// windows, in µs, summed over recoveries (filled by
     /// `World::finish_result`).
     pub redo_us: u64,
-    /// Window accounting from the parallel driver (`None` under the
-    /// sequential driver; filled by `World::finish_result`). Describes how
-    /// the run executed — window sizes, deferral, pooling — and is
-    /// therefore excluded from cross-driver equivalence fingerprints.
-    pub driver_stats: Option<DriverStats>,
     /// Trace event accounting when tracing was enabled (`None` otherwise;
-    /// filled by `ClusterState::finish_result`). Like `driver_stats` it
-    /// describes the observation of the run, not its outcome, and is
-    /// excluded from cross-driver equivalence fingerprints — the trace
-    /// *bytes* have their own, stricter, equality test axis.
+    /// filled by `ClusterState::finish_result`). It describes the
+    /// observation of the run, not its outcome, and is excluded from the
+    /// determinism fingerprints — the trace *bytes* have their own,
+    /// stricter, equality test axis.
     pub trace_summary: Option<TraceSummary>,
     /// Per-certifier-group global commit versions, in group-local commit
     /// order (filled by `World::finish_result`; empty under unified
-    /// certification). Part of the observable result: cross-driver
-    /// equivalence includes each group's log, so a driver that reordered
+    /// certification). Part of the observable result: the determinism
+    /// fingerprint includes each group's log, so a run that reordered
     /// sharded certification would be caught.
     pub cert_group_commits: Vec<Vec<u64>>,
     /// Injected faults as they took effect, in order, over the whole run

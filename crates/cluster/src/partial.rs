@@ -74,8 +74,7 @@ impl Scenario for PartialReplication {
             min_copies: self.effective_min_copies(knobs),
         };
         let mut exp = Experiment::new(config, workload, mix)
-            .with_window(knobs.warmup_secs, knobs.measured_secs)
-            .with_driver(knobs.driver);
+            .with_window(knobs.warmup_secs, knobs.measured_secs);
         if self.faults && knobs.replicas > 1 {
             let sched = Failover::schedule(knobs);
             let victim = knobs.replicas - 1;

@@ -414,7 +414,7 @@ pub struct CertMap {
 }
 
 /// Hard cap on certifier groups: touched-group sets travel as `u64`
-/// bitmasks through events and the driver.
+/// bitmasks through events.
 pub const MAX_CERT_GROUPS: usize = 64;
 
 impl CertMap {

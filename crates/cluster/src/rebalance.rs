@@ -16,8 +16,8 @@
 //! observable backfill traffic even at scales where the skew never crosses
 //! the rebalancer's hysteresis band, so
 //! [`crate::metrics::RunResult::migration_bytes`] is never trivially zero
-//! and the cross-driver equivalence fingerprint exercises the whole
-//! widen → backfill → eligible lifecycle on both drivers.
+//! and the determinism fingerprint (`tests/driver_equivalence.rs`)
+//! exercises the whole widen → backfill → eligible lifecycle.
 
 use tashkent_sim::SimTime;
 use tashkent_workloads::tpcw::{self, TpcwScale};
@@ -83,7 +83,6 @@ impl Scenario for Rebalance {
             warmup_secs: knobs.warmup_secs,
             freeze_at_secs: None,
             injections: Vec::new(),
-            driver: knobs.driver,
         }
         // Deterministic backfill traffic regardless of whether the skew
         // crosses the rebalancer's hysteresis band at this scale.

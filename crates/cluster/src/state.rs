@@ -1,4 +1,4 @@
-//! The assembled cluster state, independent of any driver.
+//! The assembled cluster state, independent of the event loop.
 //!
 //! [`ClusterState`] owns the per-component handlers — one
 //! [`ClusterNode`] per replica, the [`CertifierLink`], the [`BalancerCtl`] —
@@ -6,29 +6,26 @@
 //! in-flight transaction metadata, the experiment RNG, and metrics. It
 //! exposes exactly one mutation entry point, [`ClusterState::handle`], which
 //! routes a timestamped [`Ev`] to its component handler and schedules the
-//! consequences into whatever [`EventQueue`] the driver hands it.
+//! consequences into the [`EventQueue`] it is handed.
 //!
-//! What `ClusterState` deliberately does **not** own is the event loop: how
-//! events are popped, in what order batches execute, and on which threads is
-//! the [`crate::driver`] layer's business. Any driver that delivers the
-//! same events in the same order observes bit-identical state evolution —
-//! this is the seam the sequential and parallel drivers (and future async
-//! runtimes) plug into.
+//! What `ClusterState` deliberately does **not** own is the event loop:
+//! [`crate::world::World::run_to_end`] pops events and hands them here one
+//! at a time, and any loop that delivers the same events in the same order
+//! observes bit-identical state evolution.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use tashkent_certifier::{CertShard, Certifier, ShardCheck};
+use tashkent_certifier::Certifier;
 use tashkent_core::{LoadBalancer, ReplicaId, ResourceLoad};
 use tashkent_engine::{TxnExecutor, TxnId, TxnTypeId, Version};
-use tashkent_replica::{ReplicaNode, UpdateFilter};
+use tashkent_replica::ReplicaNode;
 use tashkent_sim::{EventQueue, SimRng, SimTime};
 use tashkent_storage::RelationSet;
 use tashkent_workloads::{ClientPool, Mix, Workload};
 
 use crate::components::{BalancerCtl, CertifierLink, ClusterNode, HealthTransition, ReplicaHealth};
 use crate::config::{CertifierSharding, ClusterConfig, PlacementSpec};
-use crate::driver::DriverStats;
 use crate::events::{Ev, CONTROL_NODE};
 use crate::metrics::{FaultKind, GroupSnapshot, Metrics};
 use crate::placement::{CertMap, PlacementMap, ReplicationPlanner, TypeGroups};
@@ -91,12 +88,6 @@ struct BackfillTask {
 
 /// Components plus cross-cutting transaction/client/metrics state — the
 /// whole cluster, minus the event loop that drives it.
-///
-/// Replica nodes are stored as `Option` slots so a driver can *lease* a node
-/// to a worker thread for a lookahead window ([`ClusterState::take_node`])
-/// and return it afterwards ([`ClusterState::put_node`]). Every handler
-/// expects the nodes it touches to be present; drivers uphold that by only
-/// handling events between windows.
 pub struct ClusterState {
     /// Configuration.
     pub config: ClusterConfig,
@@ -106,9 +97,7 @@ pub struct ClusterState {
     pub mixes: Vec<Mix>,
     active_mix: usize,
     balancer: BalancerCtl,
-    /// Boxed so a driver can lease a node to a worker thread by moving a
-    /// pointer, not the node's whole inline state.
-    nodes: Vec<Option<Box<ClusterNode>>>,
+    nodes: Vec<ClusterNode>,
     certifier: CertifierLink,
     clients: ClientPool,
     rng: SimRng,
@@ -151,18 +140,10 @@ pub struct ClusterState {
     redo_us: u64,
     /// Metrics accumulator.
     pub metrics: Metrics,
-    /// Run tracer (disabled unless the config sets an exporter path). All
-    /// handler-side emissions happen here, on the coordinator, in exact
-    /// event pop order — worker-executed steps buffer on their node and the
-    /// driver replays them at the same slots — so the trace is byte-equal
-    /// across drivers.
+    /// Run tracer (disabled unless the config sets an exporter path). Every
+    /// emission happens inside a handler, in exact event pop order, so the
+    /// trace is byte-equal across runs of the same seed.
     pub tracer: Tracer,
-    /// Window accounting deposited by the driver at the end of the run
-    /// (`None` under the sequential driver). Carried into
-    /// [`crate::metrics::RunResult::driver_stats`]; deliberately *not* part
-    /// of the cross-driver equivalence fingerprint — it describes how the
-    /// run was executed, not what it computed.
-    pub driver_stats: Option<DriverStats>,
     /// CPU/disk busy totals at the start of the measurement window.
     busy0: (u64, u64),
     /// Propagation byte counters `(sent, saved)` at the start of the
@@ -183,9 +164,9 @@ impl ClusterState {
         assert!(!mixes.is_empty(), "cluster needs at least one mix");
         let mut rng = SimRng::seed_from(config.seed);
         let mut balancer = BalancerCtl::build(&config, &workload, &mixes[0]);
-        let mut nodes: Vec<Option<Box<ClusterNode>>> = (0..config.replicas)
+        let mut nodes: Vec<ClusterNode> = (0..config.replicas)
             .map(|id| {
-                Some(Box::new(ClusterNode::new(
+                ClusterNode::new(
                     id,
                     ReplicaNode::new(
                         workload.catalog.clone(),
@@ -193,7 +174,7 @@ impl ClusterState {
                         rng.fork(),
                     ),
                     config.lan_hop_us,
-                )))
+                )
             })
             .collect();
         // Placement and certifier sharding both start from the workload's
@@ -218,10 +199,8 @@ impl ClusterState {
             _ => None,
         };
         if let Some(p) = &placement {
-            for (r, slot) in nodes.iter_mut().enumerate() {
-                slot.as_mut()
-                    .expect("nodes are present at build time")
-                    .set_filter(p.filter_for(r));
+            for (r, node) in nodes.iter_mut().enumerate() {
+                node.set_filter(p.filter_for(r));
             }
             balancer.set_type_eligibility(Some(p.type_masks(workload.types.len())));
         }
@@ -237,10 +216,8 @@ impl ClusterState {
         };
         let certifier = match &cert_map {
             Some(map) => {
-                for slot in nodes.iter_mut() {
-                    slot.as_mut()
-                        .expect("nodes are present at build time")
-                        .set_cert_map(Arc::clone(map));
+                for node in nodes.iter_mut() {
+                    node.set_cert_map(Arc::clone(map));
                 }
                 CertifierLink::new_sharded(
                     config.certifier,
@@ -257,13 +234,6 @@ impl ClusterState {
             .map(|p| vec![0; p.group_count()])
             .unwrap_or_default();
         let tracer = Tracer::new(&config.trace);
-        if tracer.on() {
-            for slot in nodes.iter_mut() {
-                slot.as_mut()
-                    .expect("nodes are present at build time")
-                    .set_tracing(true);
-            }
-        }
         let metrics = Metrics::with_hist(config.resp_hist_bucket_s, config.resp_hist_buckets);
         ClusterState {
             balancer,
@@ -285,7 +255,6 @@ impl ClusterState {
             redo_us: 0,
             metrics,
             tracer,
-            driver_stats: None,
             active_mix: 0,
             config,
             workload,
@@ -343,14 +312,6 @@ impl ClusterState {
         self.partitions.contains(&(a.min(b), a.max(b)))
     }
 
-    /// Whether `origin`'s link to the control side (balancer + certifier) is
-    /// partitioned — its certification sends never arrive. The parallel
-    /// driver consults this before taking the pooled certification
-    /// fast path, so a dropped send demotes to the deferred handler.
-    pub fn origin_partitioned(&self, origin: usize) -> bool {
-        self.partitioned(origin, CONTROL_NODE)
-    }
-
     /// The detector's belief about `replica` (always `Live` with the
     /// detector off).
     pub fn replica_health(&self, replica: usize) -> ReplicaHealth {
@@ -378,55 +339,15 @@ impl ClusterState {
         self.ended
     }
 
-    /// One-way LAN latency between components, in µs — the minimum
-    /// cross-component event latency drivers may exploit as lookahead.
-    pub fn lan_hop_us(&self) -> u64 {
-        self.config.lan_hop_us
-    }
-
-    /// Leases replica `idx` out of the state (to a driver worker).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the node is already leased out.
-    pub fn take_node(&mut self, idx: usize) -> Box<ClusterNode> {
-        self.nodes[idx]
-            .take()
-            .expect("node already leased to a driver shard")
-    }
-
-    /// Returns a leased node.
-    pub fn put_node(&mut self, idx: usize, node: Box<ClusterNode>) {
-        debug_assert!(
-            self.nodes[idx].is_none(),
-            "returning a node that was never leased"
-        );
-        self.nodes[idx] = Some(node);
-    }
-
-    /// Whether replica `idx`'s node is currently leased out to a driver
-    /// shard (its slot is empty). Drivers holding leases across window
-    /// boundaries use this to audit their recall bookkeeping.
-    pub fn node_leased(&self, idx: usize) -> bool {
-        self.nodes[idx].is_none()
-    }
-
-    /// How many replica nodes are currently leased out to driver shards.
-    pub fn leased_nodes(&self) -> usize {
-        self.nodes.iter().filter(|n| n.is_none()).count()
-    }
-
     fn node_mut(&mut self, idx: usize) -> &mut ClusterNode {
-        self.nodes[idx]
-            .as_mut()
-            .expect("node leased to a driver shard")
+        &mut self.nodes[idx]
     }
 
     /// Cluster-wide disk byte counters `(read, write)`.
     pub fn disk_bytes(&self) -> (u64, u64) {
         let mut read = 0;
         let mut write = 0;
-        for n in self.present_nodes() {
+        for n in &self.nodes {
             let s = n.replica().disk_stats();
             read += s.read_bytes();
             write += s.write_bytes();
@@ -434,30 +355,22 @@ impl ClusterState {
         (read, write)
     }
 
-    fn present_nodes(&self) -> impl Iterator<Item = &ClusterNode> {
-        self.nodes
-            .iter()
-            .map(|n| &**n.as_ref().expect("node leased to a driver shard"))
-    }
-
     /// Access a replica (tests and metrics).
     pub fn replica(&self, idx: usize) -> &ReplicaNode {
         self.node(idx).replica()
     }
 
-    /// Access a cluster node handler (failure injection, alternate drivers).
+    /// Access a cluster node handler (tests and metrics).
     pub fn node(&self, idx: usize) -> &ClusterNode {
-        self.nodes[idx]
-            .as_ref()
-            .expect("node leased to a driver shard")
+        &self.nodes[idx]
     }
 
-    /// Number of replica slots (leased or present).
+    /// Number of replicas.
     pub fn replica_count(&self) -> usize {
         self.nodes.len()
     }
 
-    /// Mutable node access (failure injection, alternate drivers).
+    /// Mutable node access (failure injection).
     pub fn node_access_mut(&mut self, idx: usize) -> &mut ClusterNode {
         self.node_mut(idx)
     }
@@ -477,46 +390,16 @@ impl ClusterState {
         self.certifier.group()
     }
 
-    /// The full certifier link (tests and alternate drivers).
+    /// The full certifier link (tests and metrics).
     pub fn cert_link(&self) -> &CertifierLink {
         &self.certifier
-    }
-
-    /// Number of certifier groups (0 under unified certification).
-    pub fn cert_group_count(&self) -> usize {
-        self.certifier.cert_group_count()
-    }
-
-    /// Leases certifier group `g`'s shard out (to a driver worker).
-    pub fn take_cert_shard(&mut self, g: usize) -> Box<CertShard> {
-        self.certifier.take_cert_shard(g)
-    }
-
-    /// Returns a leased certification shard.
-    pub fn put_cert_shard(&mut self, g: usize, shard: Box<CertShard>) {
-        self.certifier.put_cert_shard(g, shard)
-    }
-
-    /// Replays the coordinator decide for a worker-reserved single-group
-    /// certification check (see [`CertifierLink::certify_decide`]).
-    pub fn certify_decide(
-        &mut self,
-        group: usize,
-        replica: usize,
-        txn: TxnId,
-        ws: tashkent_engine::Writeset,
-        check: ShardCheck,
-        queue: &mut EventQueue<Ev>,
-    ) {
-        self.certifier
-            .certify_decide(group, replica, txn, ws, check, &mut self.tracer, queue)
     }
 
     /// Total CPU and disk busy microseconds across replicas.
     fn busy_totals(&self) -> (u64, u64) {
         let mut cpu = 0;
         let mut disk = 0;
-        for n in self.present_nodes() {
+        for n in &self.nodes {
             cpu += n.replica().cpu_busy_us();
             disk += n.replica().disk_stats().busy_us;
         }
@@ -546,7 +429,6 @@ impl ClusterState {
         let (sent, saved) = self.certifier.propagation_bytes();
         result.propagated_ws_bytes = sent.saturating_sub(self.prop0.0);
         result.filtered_ws_bytes = saved.saturating_sub(self.prop0.1);
-        result.driver_stats = self.driver_stats;
         result.cert_group_commits = self.certifier.cert_group_commits();
         result.migration_bytes = self.migration_bytes;
         result.migration_us = self.migration_us;
@@ -591,25 +473,14 @@ impl ClusterState {
     /// Routes one event to its component handler. Every arm is a thin
     /// delegate; the lifecycle lives in [`crate::components`].
     ///
-    /// Drivers must deliver events in nondecreasing `(timestamp, FIFO)`
-    /// order with all nodes present; under that contract the state evolution
-    /// is identical for every driver.
-    ///
-    /// The routing here is the ground truth for [`Ev::footprint`], which
-    /// the parallel driver's window formation relies on: an arm that
-    /// starts touching replica nodes its event's footprint does not claim
-    /// (another replica's node, or any node for a `Global`-only event that
-    /// was reclassified) must update `footprint()` in lock-step, or the
-    /// driver will defer an event past shard work it can influence.
+    /// The caller delivers events in nondecreasing `(timestamp, FIFO)`
+    /// order, as [`EventQueue::pop`] yields them; under that contract the
+    /// state evolution is a pure function of the seed.
     pub fn handle(&mut self, now: SimTime, ev: Ev, queue: &mut EventQueue<Ev>) {
         match ev {
             Ev::ClientArrive { client } => self.on_client_arrive(now, client, queue),
             Ev::StepTxn { replica, txn } => {
-                self.node_mut(replica).on_step(now, txn, queue);
-                if self.tracer.on() {
-                    let buffered = self.node_mut(replica).take_trace();
-                    self.tracer.replay(buffered);
-                }
+                self.nodes[replica].on_step(now, txn, &mut self.tracer, queue)
             }
             Ev::CertifySend {
                 replica,
@@ -820,9 +691,7 @@ impl ClusterState {
         }
         let plan = self.workload.types[txn_type.0 as usize].plan.clone();
         let is_update = plan.is_update();
-        let node = self.nodes[replica]
-            .as_mut()
-            .expect("node leased to a driver shard");
+        let node = &mut self.nodes[replica];
         let executor = TxnExecutor::new(txn, txn_type, plan, node.snapshot());
         self.txns.insert(
             txn,
@@ -860,7 +729,8 @@ impl ClusterState {
             return;
         }
         let survivors = self
-            .present_nodes()
+            .nodes
+            .iter()
             .filter(|n| n.is_up() && n.id() != replica)
             .count();
         assert!(
@@ -920,19 +790,14 @@ impl ClusterState {
                     .collect();
                 (p.min_copies(), affected)
             };
-            let live = self.present_nodes().filter(|n| n.is_up()).count();
+            let live = self.nodes.iter().filter(|n| n.is_up()).count();
             for g in affected {
                 loop {
                     let live_holders = {
                         let p = self.placement.as_ref().expect("placement checked above");
                         p.holders(g)
                             .iter()
-                            .filter(|r| {
-                                self.nodes[**r]
-                                    .as_ref()
-                                    .expect("node leased to a driver shard")
-                                    .is_up()
-                            })
+                            .filter(|r| self.nodes[**r].is_up())
                             .count()
                     };
                     if live_holders >= min_copies.min(live) {
@@ -1025,8 +890,8 @@ impl ClusterState {
     /// completion, carrying the shipped bytes.
     ///
     /// The target is the live non-holder with the fewest placed pages (ties
-    /// to the lowest id) — deterministic, so both drivers re-replicate
-    /// identically. Returns the new holder, or `None` when placement is
+    /// to the lowest id) — deterministic, so every run of a seed
+    /// re-replicates identically. Returns the new holder, or `None` when placement is
     /// full-replication or every live replica already holds the group.
     fn rereplicate_group(
         &mut self,
@@ -1095,9 +960,7 @@ impl ClusterState {
         queue: &mut EventQueue<Ev>,
     ) {
         let upto = {
-            let node = self.nodes[target]
-                .as_ref()
-                .expect("node leased to a driver shard");
+            let node = &self.nodes[target];
             self.certifier.backfill_upto(node)
         };
         let task = self.backfills.len();
@@ -1122,9 +985,7 @@ impl ClusterState {
             // leaves the new holder dispatch-eligible before the orphan
             // sweep retries its clients.
             let rels = t.rels;
-            let node = self.nodes[target]
-                .as_mut()
-                .expect("node leased to a driver shard");
+            let node = &mut self.nodes[target];
             let (done, bytes) = self.certifier.backfill(now, node, rels);
             let t = &mut self.backfills[task];
             t.bytes = bytes;
@@ -1159,9 +1020,7 @@ impl ClusterState {
             let t = &self.backfills[task];
             (t.next, t.upto, t.rels)
         };
-        let node = self.nodes[target]
-            .as_mut()
-            .expect("node leased to a driver shard");
+        let node = &mut self.nodes[target];
         let (_applied_at, bytes, next) =
             self.certifier
                 .backfill_chunk(now, node, rels, from, upto, BACKFILL_CHUNK_BYTES);
@@ -1301,12 +1160,7 @@ impl ClusterState {
             return None;
         }
         let loads = self.balancer.inner().loads();
-        let live = |r: &usize| {
-            self.nodes[*r]
-                .as_ref()
-                .expect("node leased to a driver shard")
-                .is_up()
-        };
+        let live = |r: &usize| self.nodes[*r].is_up();
         let src = p.holders(hot).iter().copied().filter(live).max_by(|a, b| {
             loads[*a]
                 .bottleneck()
@@ -1361,9 +1215,7 @@ impl ClusterState {
         // carries pages only for held groups (the rest are version ticks).
         let (sent0, _) = self.certifier.propagation_bytes();
         let replay_done = {
-            let node = self.nodes[replica]
-                .as_mut()
-                .expect("node leased to a driver shard");
+            let node = &mut self.nodes[replica];
             self.certifier.catch_up(now, node, self.placement.as_ref())
         };
         let (sent1, _) = self.certifier.propagation_bytes();
@@ -1442,30 +1294,19 @@ impl ClusterState {
                         let live_holders = p
                             .holders(g)
                             .iter()
-                            .filter(|r| {
-                                self.nodes[**r]
-                                    .as_ref()
-                                    .expect("node leased to a driver shard")
-                                    .is_up()
-                            })
+                            .filter(|r| self.nodes[**r].is_up())
                             .count();
                         p.holders(g)
                             .iter()
                             .copied()
                             .filter(|r| {
-                                let up = self.nodes[*r]
-                                    .as_ref()
-                                    .expect("node leased to a driver shard")
-                                    .is_up();
+                                let up = self.nodes[*r].is_up();
                                 // Never shed a live copy if that would
                                 // leave fewer than `min_copies` live.
                                 !up || live_holders > min_copies
                             })
                             .max_by_key(|r| {
-                                let up = self.nodes[*r]
-                                    .as_ref()
-                                    .expect("node leased to a driver shard")
-                                    .is_up();
+                                let up = self.nodes[*r].is_up();
                                 (!up, p.held_pages(*r), *r)
                             })
                             .expect("over-replicated group has a droppable holder")
@@ -1841,9 +1682,7 @@ impl ClusterState {
         }
         let done_at = match version {
             Some(v) => {
-                let node = self.nodes[replica]
-                    .as_mut()
-                    .expect("node leased to a driver shard");
+                let node = &mut self.nodes[replica];
                 self.certifier
                     .on_return_commit(now, node, v, self.placement.as_ref())
             }
@@ -1867,9 +1706,7 @@ impl ClusterState {
     /// Either way the response pays the two-hop trip replica → balancer →
     /// client before the client reacts: record + think on commit, a
     /// [`Ev::TxnRetry`] (fresh snapshot, possibly elsewhere) or giving up
-    /// on abort. The handler itself touches only `replica`'s node — the
-    /// invariant behind `TxnComplete`'s `Footprint::Replica` and the
-    /// parallel driver's four-hop lookahead horizon.
+    /// on abort. The handler itself touches only `replica`'s node.
     fn on_txn_complete(
         &mut self,
         now: SimTime,
@@ -1958,9 +1795,7 @@ impl ClusterState {
         // A severed control link drops both the propagation pull and the
         // load-daemon report — the node still does its local maintenance.
         let cut = self.partitioned(replica, CONTROL_NODE);
-        let node = self.nodes[replica]
-            .as_mut()
-            .expect("node leased to a driver shard");
+        let node = &mut self.nodes[replica];
         // A crashed replica does no maintenance, but the periodic chain
         // keeps ticking so it resumes seamlessly after recovery.
         if node.is_up() {
@@ -2019,12 +1854,6 @@ impl ClusterState {
         self.busy0 = self.busy_totals();
         self.prop0 = self.certifier.propagation_bytes();
         self.window_started = now;
-    }
-
-    /// Installs an update filter on a replica (alternate drivers; the
-    /// balancer tick normally does this itself).
-    pub fn set_filter(&mut self, replica: usize, filter: UpdateFilter) {
-        self.node_mut(replica).set_filter(filter);
     }
 }
 

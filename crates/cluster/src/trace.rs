@@ -5,15 +5,12 @@
 //! for every transaction's lifecycle (arrive → dispatch → execute steps →
 //! certify → complete/abort/retry), periodic per-replica utilization
 //! samples, and instant events for faults, balancer reconfigurations,
-//! rebalance ticks, and backfill progress. Every emission site sits on the
-//! coordinator's deterministic event order: handlers invoked through
-//! [`crate::state::ClusterState::handle`] emit directly, while the one
-//! worker-executed path — [`crate::components::ClusterNode::step_child`]
-//! under the parallel driver — buffers its events on the node and the merge
-//! replays them at the step's exact sequential pop slot. The full trace is
-//! therefore **byte-equal across drivers**: a far finer-grained equivalence
-//! oracle than the [`crate::metrics::RunResult`] fingerprint, and
-//! `tests/trace_equivalence.rs` enforces it as its own test axis.
+//! rebalance ticks, and backfill progress. Every emission site is a handler
+//! invoked through [`crate::state::ClusterState::handle`], so events are
+//! recorded in the deterministic event order. The full trace is therefore
+//! **byte-equal across runs** of the same seed: a far finer-grained
+//! determinism oracle than the [`crate::metrics::RunResult`] fingerprint,
+//! and `tests/trace_equivalence.rs` enforces it as its own test axis.
 //!
 //! Two exporters serialize the ring buffer: [`Tracer::export_jsonl`]
 //! (schema-stable JSON Lines, one event per line, closed by a `summary`
@@ -290,10 +287,10 @@ pub struct TraceEvent {
 }
 
 /// Event counts for a run, attached to
-/// [`crate::metrics::RunResult::trace_summary`]. Like `driver_stats`, it
-/// describes the observation of the run rather than its outcome and is
-/// excluded from cross-driver equivalence fingerprints (the trace *bytes*
-/// have their own, stricter, equality axis).
+/// [`crate::metrics::RunResult::trace_summary`]. It describes the
+/// observation of the run rather than its outcome and is excluded from the
+/// determinism fingerprints (the trace *bytes* have their own, stricter,
+/// equality axis).
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct TraceSummary {
     /// Total events emitted, including any later dropped by the ring cap.
@@ -363,17 +360,6 @@ impl Tracer {
             self.dropped += 1;
         }
         self.events.push_back(ev);
-    }
-
-    /// Appends events buffered elsewhere (a worker-executed shard's step
-    /// events, replayed by the merge at their exact sequential pop slots).
-    pub fn replay(&mut self, events: Vec<TraceEvent>) {
-        if !self.enabled {
-            return;
-        }
-        for ev in events {
-            self.push(ev);
-        }
     }
 
     /// Events currently retained, oldest first.
@@ -825,10 +811,6 @@ mod tests {
         let mut t = Tracer::disabled();
         assert!(!t.on());
         t.emit(SimTime::from_micros(1), step(0));
-        t.replay(vec![TraceEvent {
-            at: SimTime::from_micros(2),
-            data: step(1),
-        }]);
         assert_eq!(t.events().count(), 0);
         assert!(t.summary().is_none());
     }

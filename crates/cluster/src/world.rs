@@ -1,59 +1,71 @@
 //! The assembled cluster: thin glue binding a [`ClusterState`] to an event
-//! queue and a [`Driver`].
+//! queue, plus the simulator's one event loop.
 //!
 //! All simulation semantics live one layer down: per-component handlers in
-//! [`crate::components`], cross-cutting transaction/client/metrics state in
-//! [`crate::state::ClusterState`], and the event-loop strategy in
-//! [`crate::driver`]. `World` only assembles the three and forwards its
-//! accessors, so existing entry points (tests, examples, the experiment
-//! harness) keep a single convenient handle on a run.
+//! [`crate::components`] and cross-cutting transaction/client/metrics state
+//! in [`crate::state::ClusterState`]. `World` owns the queue and the
+//! pop-and-handle loop ([`World::run_to_end`]) and forwards the state's
+//! accessors, so every entry point (tests, examples, the experiment
+//! harness) keeps a single convenient handle on a run.
+
+use std::fmt;
 
 use tashkent_certifier::Certifier;
 use tashkent_core::LoadBalancer;
-use tashkent_replica::{ReplicaNode, UpdateFilter};
+use tashkent_replica::ReplicaNode;
 use tashkent_sim::{EventQueue, SimTime};
 use tashkent_workloads::{Mix, Workload};
 
 use crate::components::ClusterNode;
 use crate::config::ClusterConfig;
-use crate::driver::{Driver, DriverKind, RunError};
 use crate::metrics::{GroupSnapshot, Metrics, RunResult};
 use crate::state::ClusterState;
 
 pub use crate::events::Ev;
 
-/// The assembled cluster: state + queue + driver.
+/// A failed run.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RunError {
+    /// The event queue drained before the `End` event fired. The experiment
+    /// was mis-scheduled (no `End` event, or all load sources exhausted);
+    /// the state remains inspectable.
+    QueueDrained {
+        /// Simulated time of the last processed event.
+        at: SimTime,
+    },
+}
+
+impl fmt::Display for RunError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            RunError::QueueDrained { at } => write!(
+                f,
+                "event queue drained at t={:.3}s before the End event fired",
+                at.as_secs_f64()
+            ),
+        }
+    }
+}
+
+impl std::error::Error for RunError {}
+
+/// The assembled cluster: state + queue.
 pub struct World {
     state: ClusterState,
     queue: EventQueue<Ev>,
-    driver: Box<dyn Driver>,
 }
 
 impl World {
     /// Builds a world from a configuration, workload, and mixes (the first
-    /// mix is active at start), driven by the [`DriverKind::Sequential`]
-    /// reference driver.
+    /// mix is active at start).
     ///
     /// # Panics
     ///
     /// Panics if `mixes` is empty.
     pub fn new(config: ClusterConfig, workload: Workload, mixes: Vec<Mix>) -> Self {
-        Self::with_driver(config, workload, mixes, DriverKind::Sequential)
-    }
-
-    /// Builds a world that runs under the given driver. Every driver
-    /// produces identical results for the same seed; the parallel driver is
-    /// faster on multi-core hosts for multi-replica configurations.
-    pub fn with_driver(
-        config: ClusterConfig,
-        workload: Workload,
-        mixes: Vec<Mix>,
-        driver: DriverKind,
-    ) -> Self {
         World {
             state: ClusterState::new(config, workload, mixes),
             queue: EventQueue::new(),
-            driver: driver.build(),
         }
     }
 
@@ -83,7 +95,7 @@ impl World {
         self.queue.now()
     }
 
-    /// Schedules an event (used by the experiment driver for phase switches
+    /// Schedules an event (used by the experiment runner for phase switches
     /// and run boundaries).
     pub fn schedule(&mut self, at: SimTime, ev: Ev) {
         self.queue.schedule(at, ev);
@@ -99,12 +111,12 @@ impl World {
         self.state.replica(idx)
     }
 
-    /// Access a cluster node handler (failure injection, alternate drivers).
+    /// Access a cluster node handler (tests and metrics).
     pub fn node(&self, idx: usize) -> &ClusterNode {
         self.state.node(idx)
     }
 
-    /// Mutable node access (failure injection, alternate drivers).
+    /// Mutable node access (failure injection).
     pub fn node_mut(&mut self, idx: usize) -> &mut ClusterNode {
         self.state.node_access_mut(idx)
     }
@@ -163,7 +175,9 @@ impl World {
         self.state.placement()
     }
 
-    /// Runs until the `End` event fires.
+    /// Runs until the `End` event fires: pops events in `(timestamp, FIFO)`
+    /// order and hands each to [`ClusterState::handle`], which schedules
+    /// its consequences back into the queue.
     ///
     /// # Errors
     ///
@@ -171,13 +185,15 @@ impl World {
     /// before `End` — a mis-scheduled experiment. The world stays
     /// inspectable at the drained point.
     pub fn run_to_end(&mut self) -> Result<(), RunError> {
-        self.driver.run_to_end(&mut self.state, &mut self.queue)
-    }
-
-    /// Installs an update filter on a replica (alternate drivers; the
-    /// balancer tick normally does this itself).
-    pub fn set_filter(&mut self, replica: usize, filter: UpdateFilter) {
-        self.state.set_filter(replica, filter);
+        while !self.state.ended() {
+            let Some((now, ev)) = self.queue.pop() else {
+                return Err(RunError::QueueDrained {
+                    at: self.queue.now(),
+                });
+            };
+            self.state.handle(now, ev, &mut self.queue);
+        }
+        Ok(())
     }
 
     /// Writes the recorded trace to the paths configured in
@@ -205,7 +221,7 @@ mod tests {
     use crate::config::PolicySpec;
     use tashkent_workloads::tpcw::{self, TpcwScale};
 
-    fn tiny_world(policy: PolicySpec, driver: DriverKind) -> World {
+    fn tiny_world(policy: PolicySpec) -> World {
         let (workload, mix) = tpcw::workload_with_mix(TpcwScale::Small, "ordering");
         let config = ClusterConfig {
             replicas: 2,
@@ -214,7 +230,7 @@ mod tests {
             ..ClusterConfig::paper_default()
         }
         .with_policy(policy);
-        World::with_driver(config, workload, vec![mix], driver)
+        World::new(config, workload, vec![mix])
     }
 
     fn run_secs(world: &mut World, warmup: u64, total: u64) {
@@ -226,7 +242,7 @@ mod tests {
 
     #[test]
     fn transactions_flow_end_to_end() {
-        let mut w = tiny_world(PolicySpec::LeastConnections, DriverKind::Sequential);
+        let mut w = tiny_world(PolicySpec::LeastConnections);
         run_secs(&mut w, 2, 20);
         let (read, write) = w.disk_bytes();
         let r = w.metrics().finish(w.now(), read, write, Vec::new());
@@ -237,7 +253,7 @@ mod tests {
 
     #[test]
     fn updates_propagate_to_all_replicas() {
-        let mut w = tiny_world(PolicySpec::LeastConnections, DriverKind::Sequential);
+        let mut w = tiny_world(PolicySpec::LeastConnections);
         run_secs(&mut w, 2, 30);
         let head = w.certifier().version();
         assert!(head.0 > 0, "some updates committed");
@@ -249,7 +265,7 @@ mod tests {
 
     #[test]
     fn malb_world_assigns_groups() {
-        let mut w = tiny_world(PolicySpec::malb_sc(), DriverKind::Sequential);
+        let mut w = tiny_world(PolicySpec::malb_sc());
         run_secs(&mut w, 2, 20);
         let snaps = w.group_snapshots();
         assert!(!snaps.is_empty());
@@ -262,8 +278,8 @@ mod tests {
         assert!(r.committed > 10);
     }
 
-    fn run_fingerprint(driver: DriverKind) -> (u64, u64, u64, u64) {
-        let mut w = tiny_world(PolicySpec::LeastConnections, driver);
+    fn run_fingerprint() -> (u64, u64, u64, u64) {
+        let mut w = tiny_world(PolicySpec::LeastConnections);
         run_secs(&mut w, 2, 15);
         let (read, write) = w.disk_bytes();
         let r = w.metrics().finish(w.now(), read, write, Vec::new());
@@ -272,31 +288,26 @@ mod tests {
 
     #[test]
     fn deterministic_across_runs() {
-        assert_eq!(
-            run_fingerprint(DriverKind::Sequential),
-            run_fingerprint(DriverKind::Sequential)
-        );
+        assert_eq!(run_fingerprint(), run_fingerprint());
     }
 
     #[test]
     fn deterministic_across_runs_parallel() {
-        // Two threads even on a single-core host: the merge, not the
-        // scheduler, defines the result.
-        let parallel = DriverKind::Parallel { threads: 2 };
-        assert_eq!(run_fingerprint(parallel), run_fingerprint(parallel));
-    }
-
-    #[test]
-    fn parallel_driver_matches_sequential() {
-        assert_eq!(
-            run_fingerprint(DriverKind::Sequential),
-            run_fingerprint(DriverKind::Parallel { threads: 2 })
-        );
+        // Two runs at once on two threads, even on a single-core host: the
+        // result depends neither on the scheduler nor on state shared
+        // between runs.
+        let (a, b) = std::thread::scope(|s| {
+            let a = s.spawn(run_fingerprint);
+            let b = s.spawn(run_fingerprint);
+            (a.join().unwrap(), b.join().unwrap())
+        });
+        assert_eq!(a, b);
+        assert_eq!(a, run_fingerprint());
     }
 
     #[test]
     fn drained_queue_is_an_error_not_a_panic() {
-        let mut w = tiny_world(PolicySpec::LeastConnections, DriverKind::Sequential);
+        let mut w = tiny_world(PolicySpec::LeastConnections);
         // No priming, no End event: one lone event, then the queue drains.
         w.schedule(SimTime::from_secs(1), Ev::FreezeLb);
         let err = w.run_to_end().unwrap_err();
@@ -306,6 +317,14 @@ mod tests {
                 at: SimTime::from_secs(1)
             }
         );
+    }
+
+    #[test]
+    fn queue_drained_is_an_error_value() {
+        let err = RunError::QueueDrained {
+            at: SimTime::from_secs(2),
+        };
+        assert!(err.to_string().contains("2.000"));
     }
 
     #[test]

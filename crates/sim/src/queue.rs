@@ -7,8 +7,9 @@ use crate::time::SimTime;
 
 /// An event scheduled for a point in simulated time.
 ///
-/// `seq` is signed so windowed replays can stamp entries senior to every
-/// pending event (see [`EventQueue::next_seq`]).
+/// `seq` is the event's position in scheduling order: it breaks timestamp
+/// ties FIFO and, read back through [`EventQueue::next_seq`], counts every
+/// schedule a run made.
 #[derive(Debug)]
 struct Scheduled<E> {
     at: SimTime,
@@ -117,23 +118,9 @@ impl<E> EventQueue<E> {
         self.heap.peek().map(|s| s.at)
     }
 
-    /// Returns the next event's `(timestamp, sequence)` without popping it.
-    ///
-    /// Part of the windowed-lookahead interface: a replaying driver compares
-    /// the head's sequence against the generation stamps of window entries
-    /// to interleave both streams exactly as the sequential pop order would.
-    pub fn peek_key(&self) -> Option<(SimTime, i64)> {
-        self.heap.peek().map(|s| (s.at, s.seq))
-    }
-
-    /// The sequence number the next [`EventQueue::schedule`] will consume.
-    ///
-    /// Part of the windowed-lookahead interface: stamping a window-generated
-    /// entry with `next_seq()` at its generation instant records where the
-    /// sequential execution would have inserted it, so same-instant ties
-    /// against events scheduled *during* the replay resolve exactly as they
-    /// would sequentially (the entry is senior to every event scheduled at
-    /// or after its stamp).
+    /// The sequence number the next [`EventQueue::schedule`] will consume:
+    /// sequence numbers start at zero, so this is also the number of events
+    /// scheduled so far.
     pub fn next_seq(&self) -> i64 {
         self.next_seq
     }
@@ -141,42 +128,6 @@ impl<E> EventQueue<E> {
     /// Returns the next event (timestamp and a borrow) without popping it.
     pub fn peek(&self) -> Option<(SimTime, &E)> {
         self.heap.peek().map(|s| (s.at, &s.event))
-    }
-
-    /// Pops the earliest event only when `accept` approves it, **without
-    /// advancing the clock**.
-    ///
-    /// This is half of the windowed-lookahead interface: a driver that
-    /// executes a batch of events concurrently pops the batch with `pop_if`
-    /// (so `now` stays at the window start), processes each event logically
-    /// at its own timestamp, and re-inserts the events the batch produced
-    /// with [`EventQueue::merge`]. Events the predicate rejects stay queued
-    /// and bound the window.
-    pub fn pop_if(&mut self, accept: impl FnOnce(SimTime, &E) -> bool) -> Option<(SimTime, E)> {
-        let head = self.heap.peek()?;
-        if !accept(head.at, &head.event) {
-            return None;
-        }
-        let s = self.heap.pop().expect("peeked event vanished");
-        Some((s.at, s.event))
-    }
-
-    /// Merges an event produced by windowed lookahead execution back into
-    /// the queue at absolute time `at`.
-    ///
-    /// The other half of the windowed interface: events generated while a
-    /// window executed off-queue re-enter here, **in the order the
-    /// sequential execution would have inserted them**, so same-timestamp
-    /// ties keep popping in sequential FIFO order. `at` must not precede the
-    /// window start (the clock), which holds by construction because every
-    /// merged event carries a timestamp at or after its source event.
-    pub fn merge(&mut self, at: SimTime, event: E) {
-        debug_assert!(
-            at >= self.now,
-            "windowed merge scheduled into the past: {at:?} < {:?}",
-            self.now
-        );
-        self.schedule(at, event);
     }
 
     /// Returns the number of pending events.
@@ -267,51 +218,15 @@ mod tests {
     }
 
     #[test]
-    fn pop_if_respects_predicate_and_clock() {
+    fn next_seq_counts_every_schedule() {
         let mut q = EventQueue::new();
-        q.schedule(SimTime::from_micros(5), "a");
-        q.schedule(SimTime::from_micros(9), "b");
-        // Rejected: stays queued.
-        assert_eq!(q.pop_if(|_, e| *e == "b"), None);
-        assert_eq!(q.len(), 2);
-        // Accepted: popped, but the clock does not advance.
-        assert_eq!(
-            q.pop_if(|_, e| *e == "a"),
-            Some((SimTime::from_micros(5), "a"))
-        );
-        assert_eq!(q.now(), SimTime::ZERO);
-        assert_eq!(
-            q.pop_if(|t, _| t <= SimTime::from_micros(9)),
-            Some((SimTime::from_micros(9), "b"))
-        );
-        assert_eq!(q.pop_if(|_, _| true), None);
-    }
-
-    #[test]
-    fn next_seq_and_peek_key_expose_the_fifo_order() {
-        let mut q = EventQueue::new();
-        let t = SimTime::from_micros(9);
-        // A windowed replay stamps an entry with next_seq() at generation:
-        // the entry is senior to everything scheduled at or after the stamp.
-        let stamp = q.next_seq();
-        q.schedule(t, "later");
-        let (at, seq) = q.peek_key().expect("event pending");
-        assert_eq!(at, t);
-        assert!(stamp <= seq, "stamped entry is senior to the new event");
-        assert_eq!(q.next_seq(), seq + 1);
-    }
-
-    #[test]
-    fn merge_preserves_fifo_ties() {
-        let mut q = EventQueue::new();
-        let t = SimTime::from_micros(7);
-        q.schedule(t, 0);
-        // A windowed driver merging events in sequential insertion order
-        // keeps the tie-break: pre-existing events pop first, then merged
-        // events in merge order.
-        q.merge(t, 1);
-        q.merge(t, 2);
-        let order: Vec<i32> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
-        assert_eq!(order, vec![0, 1, 2]);
+        assert_eq!(q.next_seq(), 0);
+        q.schedule(SimTime::from_micros(9), "a");
+        q.schedule(SimTime::from_micros(3), "b");
+        q.pop();
+        // Popping consumes no sequence number; scheduling does.
+        assert_eq!(q.next_seq(), 2);
+        q.schedule_after(1, "c");
+        assert_eq!(q.next_seq(), 3);
     }
 }

@@ -33,12 +33,7 @@ fn main() {
     // Peek at the placement the planner computes before running: build the
     // world the scenario describes and print group → holders.
     let exp = scenario.experiment(&knobs);
-    let world = World::with_driver(
-        exp.config,
-        exp.workload,
-        vec![exp.phases[0].1.clone()],
-        exp.driver,
-    );
+    let world = World::new(exp.config, exp.workload, vec![exp.phases[0].1.clone()]);
     let p = world.placement().expect("partial run has a placement");
     println!("\nplacement map ({} relation groups):", p.group_count());
     for (g, group) in p.groups().iter().enumerate() {

@@ -40,21 +40,18 @@
 //! assert!(result.tps > 0.0);
 //! ```
 //!
-//! Runs are driver-independent: the windowed multi-threaded
-//! [`cluster::ParallelDriver`] produces bit-identical results to the
-//! sequential reference driver, only faster on multi-core hosts:
+//! One run is one single-threaded event loop. Independent runs — a
+//! figure's grid of policies, memory sizes and seeds — go through
+//! [`cluster::run_sweep`], which spreads them over the host's cores and
+//! returns the results in input order, exactly as a serial loop would:
 //!
 //! ```
-//! use tashkent::cluster::{run_scenario, DriverKind, ScenarioKnobs};
+//! use tashkent::cluster::{run_sweep, PolicySpec, Scenario, ScenarioKnobs, TpcwSteadyState};
 //!
-//! let knobs = ScenarioKnobs::smoke();
-//! let sequential = run_scenario("tpcw-steady-state", &knobs).unwrap();
-//! let parallel = run_scenario(
-//!     "tpcw-steady-state",
-//!     &knobs.clone().with_driver(DriverKind::Parallel { threads: 2 }),
-//! )
-//! .unwrap();
-//! assert_eq!(sequential.committed, parallel.committed);
+//! let exps = [PolicySpec::LeastConnections, PolicySpec::malb_sc()]
+//!     .map(|p| TpcwSteadyState::default().experiment(&ScenarioKnobs::smoke().with_policy(p)));
+//! let results = run_sweep(exps.into());
+//! assert!(results.iter().all(|r| r.as_ref().is_ok_and(|r| r.tps > 0.0)));
 //! ```
 
 /// The discrete-event simulation kernel (time, events, RNG, statistics).
@@ -85,7 +82,7 @@ pub use tashkent_cluster as cluster;
 /// Commonly used types, re-exported flat.
 pub mod prelude {
     pub use tashkent_cluster::{
-        calibrate_standalone, registry, run, run_scenario, scenario, ClusterConfig, DriverKind, Ev,
+        calibrate_standalone, registry, run, run_scenario, run_sweep, scenario, ClusterConfig, Ev,
         Experiment, Failover, FailoverSchedule, FaultEvent, FaultKind, PartialReplication,
         PlacementMap, PlacementSpec, PolicySpec, ReplicationPlanner, RunError, RunResult, Scenario,
         ScenarioKnobs, TypeGroups, World,

@@ -1,16 +1,16 @@
 //! Sharded-certification integration tests: atomicity across certifier
 //! groups, per-group log contiguity, decide-order determinism under random
 //! per-group leader kills, and the degenerate single-group configuration
-//! reproducing the unified certifier bit for bit — on both drivers — plus
-//! the sharded link's verdicts against a last-writer-index reference.
+//! reproducing the unified certifier bit for bit — plus the sharded link's
+//! verdicts against a last-writer-index reference.
 
 use std::collections::HashMap;
 
 use proptest::prelude::*;
 use tashkent::certifier::CertifierParams;
 use tashkent::cluster::{
-    run, run_scenario, CertifierLink, DriverKind, Ev, FaultKind, RunResult, Scenario,
-    ScenarioKnobs, TpcwSteadyState, TraceConfig, Tracer,
+    run, run_scenario, run_sweep, scenario, CertifierLink, Ev, Experiment, FaultKind, RunResult,
+    Scenario, ScenarioKnobs, TpcwSteadyState, TraceConfig, Tracer,
 };
 use tashkent::engine::{Snapshot, TxnId, TxnTypeId, Version, Writeset, WritesetItem};
 use tashkent::sim::{EventQueue, SimTime};
@@ -54,33 +54,38 @@ fn sharded_knobs(seed: u64) -> ScenarioKnobs {
 
 #[test]
 fn sharded_runs_agree_across_drivers_and_widths() {
-    for (scenario, seed, groups) in [
+    // Two to four certifier groups, each configuration run serially with
+    // `run` and again through `run_sweep` on other threads.
+    let exps: Vec<Experiment> = [
         ("tpcw-steady-state", 1, 4),
         ("tpcw-steady-state", 42, 4),
         ("tpcw-steady-state", 42, 3),
         ("tpcw-steady-state", 7, 2),
         ("rubis-auction", 11, 4),
-    ] {
-        let knobs = sharded_knobs(seed).with_cert_groups(Some(groups));
-        let sequential = run_scenario(scenario, &knobs.clone().with_driver(DriverKind::Sequential))
-            .expect("sequential sharded run completes");
+    ]
+    .into_iter()
+    .map(|(name, seed, groups)| {
+        scenario(name)
+            .unwrap_or_else(|| panic!("no scenario named {name:?}"))
+            .experiment(&sharded_knobs(seed).with_cert_groups(Some(groups)))
+    })
+    .collect();
+    let serial: Vec<RunResult> = exps
+        .iter()
+        .map(|e| run(e.clone()).expect("sharded run completes"))
+        .collect();
+    for (i, (first, second)) in serial.iter().zip(run_sweep(exps)).enumerate() {
+        let second = second.expect("swept sharded run completes");
         assert!(
-            sequential.cert_group_commits.len() >= 2,
+            first.cert_group_commits.len() >= 2,
             "the workload must shard into multiple certifier groups"
         );
-        for threads in [2, 4, 8] {
-            let parallel = run_scenario(
-                scenario,
-                &knobs.clone().with_driver(DriverKind::Parallel { threads }),
-            )
-            .expect("parallel sharded run completes");
-            assert_eq!(
-                Fingerprint::of(&sequential),
-                Fingerprint::of(&parallel),
-                "drivers diverged on {scenario} seed {seed} at {threads} threads"
-            );
-            assert_eq!(sequential.completions, parallel.completions);
-        }
+        assert_eq!(
+            Fingerprint::of(first),
+            Fingerprint::of(&second),
+            "run {i} diverged between the serial run and the sweep"
+        );
+        assert_eq!(first.completions, second.completions);
     }
 }
 
@@ -93,31 +98,28 @@ fn no_partial_commit_across_groups() {
     // 1..=head with no gaps — a partially-committed cross-group txn would
     // leave its version missing from some touched group and the gap check
     // would not see it, so also require every version's holder set to be
-    // non-empty and consistent across both drivers. One to four groups:
-    // from no cross-group rounds at all to the most of them.
+    // non-empty. One to four groups: from no cross-group rounds at all to
+    // the most of them.
     for groups in 1..=4 {
-        for driver in [DriverKind::Sequential, DriverKind::Parallel { threads: 2 }] {
-            let knobs = sharded_knobs(42).with_cert_groups(Some(groups));
-            let r = run_scenario("tpcw-steady-state", &knobs.with_driver(driver))
-                .expect("sharded run completes");
-            let mut all: Vec<u64> = Vec::new();
-            for (g, log) in r.cert_group_commits.iter().enumerate() {
-                assert!(
-                    log.windows(2).all(|w| w[0] < w[1]),
-                    "group {g} log is not strictly ascending under {driver:?}"
-                );
-                all.extend_from_slice(log);
-            }
-            all.sort_unstable();
-            all.dedup();
-            let head = *all.last().expect("updates committed");
-            assert_eq!(
-                all,
-                (1..=head).collect::<Vec<u64>>(),
-                "global commit sequence has gaps under {driver:?}: some group \
-                 recorded a version another group's atomic round aborted"
+        let knobs = sharded_knobs(42).with_cert_groups(Some(groups));
+        let r = run_scenario("tpcw-steady-state", &knobs).expect("sharded run completes");
+        let mut all: Vec<u64> = Vec::new();
+        for (g, log) in r.cert_group_commits.iter().enumerate() {
+            assert!(
+                log.windows(2).all(|w| w[0] < w[1]),
+                "group {g} log is not strictly ascending with {groups} groups"
             );
+            all.extend_from_slice(log);
         }
+        all.sort_unstable();
+        all.dedup();
+        let head = *all.last().expect("updates committed");
+        assert_eq!(
+            all,
+            (1..=head).collect::<Vec<u64>>(),
+            "global commit sequence has gaps with {groups} groups: some group \
+             recorded a version another group's atomic round aborted"
+        );
     }
 }
 
@@ -143,8 +145,8 @@ fn cross_group_transactions_actually_occur() {
 #[test]
 fn decide_order_is_deterministic_under_random_group_kill_schedules() {
     // Random per-group leader-kill schedules (deterministic LCG per seed):
-    // both drivers must agree on every commit decision and on the decide
-    // order within every group, fault log included.
+    // two runs of the same schedule must agree on every commit decision and
+    // on the decide order within every group, fault log included.
     for seed in [3u64, 17] {
         let mut lcg = seed
             .wrapping_mul(6364136223846793005)
@@ -167,29 +169,26 @@ fn decide_order_is_deterministic_under_random_group_kill_schedules() {
                 },
             ));
         }
-        let build = |driver: DriverKind| {
-            let mut exp = base.clone().with_driver(driver);
+        let build = || {
+            let mut exp = base.clone();
             for (at, ev) in &injections {
                 exp = exp.with_injection(*at, ev.clone());
             }
             run(exp).expect("killed-leader sharded run completes")
         };
-        let sequential = build(DriverKind::Sequential);
+        let first = build();
         assert!(
-            sequential
+            first
                 .faults
                 .iter()
                 .any(|f| matches!(f.kind, FaultKind::CertifierFailover { .. })),
             "the kill schedule must actually fail a leader over"
         );
-        for threads in [2, 4] {
-            let parallel = build(DriverKind::Parallel { threads });
-            assert_eq!(
-                Fingerprint::of(&sequential),
-                Fingerprint::of(&parallel),
-                "decide order diverged under kill schedule seed {seed} at {threads} threads"
-            );
-        }
+        assert_eq!(
+            Fingerprint::of(&first),
+            Fingerprint::of(&build()),
+            "decide order diverged under kill schedule seed {seed}"
+        );
     }
 }
 
@@ -197,86 +196,28 @@ fn decide_order_is_deterministic_under_random_group_kill_schedules() {
 fn degenerate_single_group_matches_unified_bit_for_bit() {
     // `max_groups = 1` routes every transaction through one group with no
     // atomic-commitment rounds: the observable results must be identical
-    // to the unified certifier's, on both drivers.
-    for driver in [DriverKind::Sequential, DriverKind::Parallel { threads: 2 }] {
-        let knobs = ScenarioKnobs::smoke().with_driver(driver);
-        let unified = run_scenario("tpcw-steady-state", &knobs).expect("unified run completes");
-        let one_group = run_scenario(
-            "tpcw-steady-state",
-            &knobs.clone().with_cert_groups(Some(1)),
-        )
-        .expect("single-group sharded run completes");
-        assert_eq!(one_group.cert_group_commits.len(), 1);
-        let mut uni = Fingerprint::of(&unified);
-        let mut one = Fingerprint::of(&one_group);
-        // The per-group log is the sharded mode's extra observable; the
-        // single group's log must be the full commit sequence.
-        let log = std::mem::take(&mut one.cert_group_commits).remove(0);
-        let head = *log.last().expect("updates committed");
-        assert_eq!(log, (1..=head).collect::<Vec<u64>>());
-        uni.cert_group_commits = Vec::new();
-        assert_eq!(
-            uni, one,
-            "max_groups = 1 diverged from the unified certifier under {driver:?}"
-        );
-        assert_eq!(unified.completions, one_group.completions);
-    }
-}
-
-#[test]
-fn pooled_windows_shard_certification_checks() {
-    // The tentpole's accounting: with the pool forced on, single-group
-    // checks must execute on pool workers (`certifier_sharded > 0`), and
-    // the merge-inline certifier replays must be strictly fewer than the
-    // same configuration and seed with dispatch disabled (`min_dispatch`
-    // maxed: identical windows, identical results, every cert send
-    // replayed inline) — the sharded path actually moves certification
-    // work off the merge thread.
-    // Smoke density rarely overlaps certification with other activity;
-    // use a denser cluster so windows actually carry cert sends.
-    let dense = ScenarioKnobs {
-        replicas: 4,
-        clients_per_replica: 8,
-        think_mean_us: 30_000,
-        ..ScenarioKnobs::smoke()
-    }
-    .with_cert_groups(Some(4));
-    let pooled = run_scenario(
+    // to the unified certifier's.
+    let knobs = ScenarioKnobs::smoke();
+    let unified = run_scenario("tpcw-steady-state", &knobs).expect("unified run completes");
+    let one_group = run_scenario(
         "tpcw-steady-state",
-        &dense.clone().with_driver(DriverKind::ParallelTuned {
-            threads: 2,
-            min_dispatch: 0,
-        }),
+        &knobs.clone().with_cert_groups(Some(1)),
     )
-    .expect("sharded pooled run completes");
-    let inline_only = run_scenario(
-        "tpcw-steady-state",
-        &dense.with_driver(DriverKind::ParallelTuned {
-            threads: 2,
-            min_dispatch: usize::MAX,
-        }),
-    )
-    .expect("sharded inline run completes");
+    .expect("single-group sharded run completes");
+    assert_eq!(one_group.cert_group_commits.len(), 1);
+    let mut uni = Fingerprint::of(&unified);
+    let mut one = Fingerprint::of(&one_group);
+    // The per-group log is the sharded mode's extra observable; the single
+    // group's log must be the full commit sequence.
+    let log = std::mem::take(&mut one.cert_group_commits).remove(0);
+    let head = *log.last().expect("updates committed");
+    assert_eq!(log, (1..=head).collect::<Vec<u64>>());
+    uni.cert_group_commits = Vec::new();
     assert_eq!(
-        Fingerprint::of(&pooled),
-        Fingerprint::of(&inline_only),
-        "the dispatch threshold must never change results"
+        uni, one,
+        "max_groups = 1 diverged from the unified certifier"
     );
-    let p = pooled.driver_stats.expect("parallel runs record stats");
-    let i = inline_only
-        .driver_stats
-        .expect("parallel runs record stats");
-    assert!(
-        p.certifier_sharded > 0,
-        "no certification checks ran on pool workers: {p:?}"
-    );
-    assert!(
-        p.certifier_inline < i.certifier_inline,
-        "worker dispatch must strictly reduce merge-inline certifier \
-         replays: pooled {} vs inline-only {}",
-        p.certifier_inline,
-        i.certifier_inline
-    );
+    assert_eq!(unified.completions, one_group.completions);
 }
 
 proptest! {

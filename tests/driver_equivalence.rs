@@ -1,14 +1,21 @@
-//! Cross-driver equivalence: the windowed multi-threaded
-//! [`ParallelDriver`] must be observationally identical to the sequential
-//! reference driver — same committed/abort counts, same disk traffic, same
-//! response statistics — for every workload, policy, and seed.
+//! Driver equivalence: a run is a pure function of its experiment, however
+//! it is driven.
 //!
-//! This is the contract that makes the driver a pure performance knob: any
-//! divergence is a bug in the lookahead window or the deterministic merge,
-//! never an acceptable approximation.
+//! An experiment has two drivers: `run` executes it on the calling thread,
+//! and `run_sweep` executes a list of them on the host's cores. Every
+//! experiment below runs under both — serially on the test thread, then all
+//! together through `run_sweep`, on other threads with fresh hash seeds —
+//! and each pair must agree to the bit: the same [`Fingerprint`] and the
+//! same completion timestamps. A result that
+//! depends on hash-map iteration order, or on state shared between runs,
+//! fails here. Each test also asserts the preconditions that make its
+//! comparison meaningful (faults injected, re-replication ran, the detector
+//! reached its verdicts, …), so a scenario that silently stopped exercising
+//! its machinery cannot pass vacuously.
 
 use tashkent::cluster::{
-    run_scenario, DriverKind, Failover, FaultEvent, PolicySpec, RunResult, Scenario, ScenarioKnobs,
+    run, run_scenario, run_sweep, scenario, Experiment, Failover, FaultEvent, FaultKind,
+    PolicySpec, RunResult, Scenario, ScenarioKnobs,
 };
 
 /// The fields a run is judged by, exact to the bit.
@@ -65,261 +72,243 @@ impl Fingerprint {
     }
 }
 
-/// Every parallel configuration each scenario is checked under: the worker
-/// widths of the acceptance matrix plus the stress mode — `min_dispatch =
-/// 0` forces even the tiniest multi-shard window through the persistent
-/// worker pool's SPSC lanes, which the production threshold (and the
-/// host-parallelism clamp) would keep inline. Widths are forced explicitly
-/// so the shard path is exercised even on a single-core host.
-fn parallel_kinds() -> Vec<DriverKind> {
-    let mut kinds: Vec<DriverKind> = [2, 4, 8]
-        .into_iter()
-        .map(|threads| DriverKind::Parallel { threads })
+/// Runs `exps` serially, then through `run_sweep`, and asserts each pair
+/// agrees. Returns the serial results for the caller's preconditions.
+fn assert_drivers_agree(label: &str, exps: Vec<Experiment>) -> Vec<RunResult> {
+    let serial: Vec<RunResult> = exps
+        .iter()
+        .map(|e| run(e.clone()).expect("serial run completes"))
         .collect();
-    kinds.push(DriverKind::ParallelTuned {
-        threads: 2,
-        min_dispatch: 0,
-    });
-    kinds
-}
-
-fn assert_drivers_agree(scenario: &str, knobs: ScenarioKnobs) {
-    let sequential = run_scenario(scenario, &knobs.clone().with_driver(DriverKind::Sequential))
-        .expect("sequential run completes");
-    for kind in parallel_kinds() {
-        let parallel = run_scenario(scenario, &knobs.clone().with_driver(kind))
-            .expect("parallel run completes");
+    let swept = run_sweep(exps);
+    assert_eq!(swept.len(), serial.len(), "{label}: one result per input");
+    for (i, (a, b)) in serial.iter().zip(swept).enumerate() {
+        let b = b.expect("swept run completes");
         assert_eq!(
-            Fingerprint::of(&sequential),
-            Fingerprint::of(&parallel),
-            "drivers diverged on {scenario} with seed {} under {kind:?}",
-            knobs.seed
+            Fingerprint::of(a),
+            Fingerprint::of(&b),
+            "{label}: run {i} diverged between the serial run and the sweep"
         );
         assert_eq!(
-            sequential.completions, parallel.completions,
-            "completion timestamps diverged on {scenario} with seed {} under {kind:?}",
-            knobs.seed
+            a.completions, b.completions,
+            "{label}: run {i} completion timestamps diverged"
         );
     }
+    serial
+}
+
+/// The registered scenario `name`'s experiment at `knobs`.
+fn exp(name: &str, knobs: &ScenarioKnobs) -> Experiment {
+    scenario(name)
+        .unwrap_or_else(|| panic!("no scenario named {name:?}"))
+        .experiment(knobs)
+}
+
+/// Smoke knobs on a wider cluster: more replicas, more clients each.
+fn wide() -> ScenarioKnobs {
+    ScenarioKnobs {
+        replicas: 4,
+        clients_per_replica: 4,
+        ..ScenarioKnobs::smoke()
+    }
+}
+
+fn has_fault(r: &RunResult, pred: impl Fn(&FaultKind) -> bool) -> bool {
+    r.faults.iter().any(|f| pred(&f.kind))
 }
 
 #[test]
 fn tpcw_runs_identically_under_both_drivers_across_seeds() {
-    for seed in [1, 7, 42] {
-        assert_drivers_agree("tpcw-steady-state", ScenarioKnobs::smoke().with_seed(seed));
-    }
+    // Three seeds, plus the mix switches of dynamic reconfiguration.
+    let mut exps: Vec<Experiment> = [1, 7, 42]
+        .into_iter()
+        .map(|seed| exp("tpcw-steady-state", &ScenarioKnobs::smoke().with_seed(seed)))
+        .collect();
+    exps.push(exp("dynamic-reconfig", &ScenarioKnobs::smoke()));
+    assert_drivers_agree("tpcw", exps);
 }
 
 #[test]
 fn rubis_runs_identically_under_both_drivers_across_seeds() {
-    for seed in [3, 11, 42] {
-        assert_drivers_agree("rubis-auction", ScenarioKnobs::smoke().with_seed(seed));
-    }
-}
-
-#[test]
-fn equivalence_runs_actually_defer_stoppers() {
-    // The bit-exactness above would be vacuous for the deferred-stopper
-    // machinery if windows never contained one: pin that the scenarios the
-    // suite runs do defer (certifier round-trips, completions, maintenance
-    // rounds inside windows).
-    let result = run_scenario(
-        "tpcw-steady-state",
-        &ScenarioKnobs::smoke().with_driver(DriverKind::Parallel { threads: 2 }),
-    )
-    .expect("parallel run completes");
-    let stats = result
-        .driver_stats
-        .expect("parallel runs record window stats");
-    assert!(
-        stats.deferred > 0,
-        "smoke runs must defer stoppers into the merge: {stats:?}"
-    );
+    let exps = [3, 11, 42]
+        .into_iter()
+        .map(|seed| exp("rubis-auction", &ScenarioKnobs::smoke().with_seed(seed)))
+        .collect();
+    assert_drivers_agree("rubis-auction", exps);
 }
 
 #[test]
 fn malb_with_filtering_runs_identically_under_both_drivers() {
     // Update filtering exercises the certifier round-trip and filter
-    // installs — the paths with the trickiest window barriers.
-    assert_drivers_agree(
-        "tpcw-steady-state",
-        ScenarioKnobs::smoke().with_policy(PolicySpec::malb_sc_uf()),
-    );
+    // installs.
+    let knobs = ScenarioKnobs::smoke().with_policy(PolicySpec::malb_sc_uf());
+    assert_drivers_agree("MALB-SC+UF", vec![exp("tpcw-steady-state", &knobs)]);
 }
 
 #[test]
 fn wider_cluster_runs_identically_under_both_drivers() {
-    // More replicas per window: multi-shard merges every window.
-    let knobs = ScenarioKnobs {
-        replicas: 4,
-        clients_per_replica: 4,
-        ..ScenarioKnobs::smoke()
-    };
-    assert_drivers_agree("tpcw-steady-state", knobs);
+    assert_drivers_agree("wide tpcw", vec![exp("tpcw-steady-state", &wide())]);
 }
 
 #[test]
 fn failover_runs_identically_under_both_drivers_across_seeds_and_threads() {
-    // The failure path is the trickiest window territory: crash events
-    // orphan queued steps (which must merge to nothing), recovery replays
-    // the certifier log between windows, and the fault log's timing is part
-    // of the fingerprint. 3+ seeds, and every parallel width against the
-    // same sequential reference.
-    for seed in [5, 21, 42] {
-        let knobs = ScenarioKnobs::smoke().with_seed(seed);
-        let sequential = run_scenario(
-            "failover",
-            &knobs.clone().with_driver(DriverKind::Sequential),
-        )
-        .expect("sequential failover run completes");
-        assert!(
-            !sequential.faults.is_empty(),
-            "failover scenario must inject faults"
-        );
-        for kind in parallel_kinds() {
-            let parallel = run_scenario("failover", &knobs.clone().with_driver(kind))
-                .expect("parallel failover run completes");
-            assert_eq!(
-                Fingerprint::of(&sequential),
-                Fingerprint::of(&parallel),
-                "drivers diverged on failover with seed {seed} under {kind:?}"
-            );
-            assert_eq!(
-                sequential.completions, parallel.completions,
-                "completion timestamps diverged on failover with seed {seed} under {kind:?}"
-            );
-        }
+    // Crashes orphan in-flight transactions whose queued events must come
+    // to nothing, recovery replays the certifier log, and the fault log's
+    // timing is in the fingerprint.
+    let exps = [5, 21, 42]
+        .into_iter()
+        .map(|seed| exp("failover", &ScenarioKnobs::smoke().with_seed(seed)))
+        .collect();
+    for r in assert_drivers_agree("failover", exps) {
+        assert!(!r.faults.is_empty(), "failover scenario must inject faults");
     }
 }
 
 #[test]
 fn multi_victim_failover_on_a_wider_cluster_runs_identically() {
-    // More replicas → multi-shard windows straddle the crash/recover
-    // barriers; crash half the cluster at once so several shards carry
-    // stale steps into the same windows (the registered scenario's default
-    // crashes only one replica, which can't cover the multi-shard stale
-    // merge).
-    let knobs = ScenarioKnobs {
-        replicas: 4,
-        clients_per_replica: 4,
-        ..ScenarioKnobs::smoke()
-    };
+    // Crash two of four replicas at once, so several replicas' orphans
+    // retry together (the registered scenario crashes only one).
     let scenario = Failover {
         crashes: 2,
         ..Failover::default()
     };
-    let sequential = scenario
-        .run(&knobs.clone().with_driver(DriverKind::Sequential))
-        .expect("sequential multi-victim run completes");
-    assert_eq!(
-        sequential
-            .faults
-            .iter()
-            .filter(|f| matches!(f.kind, tashkent::cluster::FaultKind::ReplicaCrash(_)))
-            .count(),
-        2,
-        "both victims must actually crash"
-    );
-    let parallel = scenario
-        .run(
-            &knobs
-                .clone()
-                .with_driver(DriverKind::Parallel { threads: 2 }),
-        )
-        .expect("parallel multi-victim run completes");
-    assert_eq!(
-        Fingerprint::of(&sequential),
-        Fingerprint::of(&parallel),
-        "drivers diverged on the multi-victim failover run"
-    );
-    assert_eq!(sequential.completions, parallel.completions);
+    let results = assert_drivers_agree("multi-victim failover", vec![scenario.experiment(&wide())]);
+    let crashes = results[0]
+        .faults
+        .iter()
+        .filter(|f| matches!(f.kind, FaultKind::ReplicaCrash(_)))
+        .count();
+    assert_eq!(crashes, 2, "both victims must actually crash");
 }
 
 #[test]
 fn partial_replication_runs_identically_under_both_drivers_across_seeds_and_threads() {
-    // Partial replication adds placement-restricted dispatch, holder-only
-    // propagation accounting (in the fingerprint, exact to the byte), and
-    // crash-triggered re-replication events (in the fault log) on top of
-    // the failover machinery. 2+ seeds, every parallel width against the
-    // same sequential reference.
-    for seed in [9, 42] {
-        let knobs = ScenarioKnobs {
-            replicas: 4,
-            clients_per_replica: 4,
-            ..ScenarioKnobs::smoke()
-        }
-        .with_seed(seed);
-        let sequential = run_scenario(
-            "partial-replication",
-            &knobs.clone().with_driver(DriverKind::Sequential),
-        )
-        .expect("sequential partial-replication run completes");
+    // Placement-restricted dispatch, holder-only propagation accounting
+    // (exact to the byte) and crash-triggered re-replication on top of the
+    // failover machinery.
+    let exps = [9, 42]
+        .into_iter()
+        .map(|seed| exp("partial-replication", &wide().with_seed(seed)))
+        .collect();
+    for r in assert_drivers_agree("partial-replication", exps) {
         assert!(
-            sequential
-                .faults
-                .iter()
-                .any(|f| matches!(f.kind, tashkent::cluster::FaultKind::Rereplicate { .. })),
+            has_fault(&r, |k| matches!(k, FaultKind::Rereplicate { .. })),
             "the crash must force re-replication events into the fingerprint"
         );
-        assert!(sequential.filtered_ws_bytes > 0, "placement must filter");
-        for kind in parallel_kinds() {
-            let parallel = run_scenario("partial-replication", &knobs.clone().with_driver(kind))
-                .expect("parallel partial-replication run completes");
-            assert_eq!(
-                Fingerprint::of(&sequential),
-                Fingerprint::of(&parallel),
-                "drivers diverged on partial-replication with seed {seed} under {kind:?}"
-            );
-            assert_eq!(
-                sequential.completions, parallel.completions,
-                "completion timestamps diverged on partial-replication with seed {seed} under {kind:?}"
-            );
-        }
+        assert!(r.filtered_ws_bytes > 0, "placement must filter");
     }
 }
 
 #[test]
 fn rebalance_runs_identically_under_both_drivers_across_seeds_and_threads() {
-    // Live rebalancing exercises the newest window territory: bandwidth-
-    // capped backfill chunks interleave with foreground propagation,
-    // eligibility masks flip at BackfillDone, the rebalancer reads balancer
-    // loads at its tick, and migration drops donors mid-run. The fault log
-    // (with exact bytes), migration_bytes, and completion timestamps are
-    // all in the fingerprint. 2 seeds, every parallel width against the
-    // same sequential reference.
-    for seed in [13, 42] {
-        let knobs = ScenarioKnobs {
-            replicas: 4,
-            clients_per_replica: 4,
-            ..ScenarioKnobs::smoke()
-        }
-        .with_seed(seed);
-        let sequential = run_scenario(
-            "rebalance",
-            &knobs.clone().with_driver(DriverKind::Sequential),
-        )
-        .expect("sequential rebalance run completes");
+    // Bandwidth-capped backfill chunks interleave with foreground
+    // propagation, eligibility flips at BackfillDone, and migration drops
+    // donors mid-run; the fault log with exact bytes and migration_bytes
+    // are in the fingerprint.
+    let exps = [13, 42]
+        .into_iter()
+        .map(|seed| exp("rebalance", &wide().with_seed(seed)))
+        .collect();
+    for r in assert_drivers_agree("rebalance", exps) {
         assert!(
-            sequential.faults.iter().any(|f| matches!(
-                f.kind,
-                tashkent::cluster::FaultKind::Rereplicate { .. }
-                    | tashkent::cluster::FaultKind::Migrate { .. }
+            has_fault(&r, |k| matches!(
+                k,
+                FaultKind::Rereplicate { .. } | FaultKind::Migrate { .. }
             )),
             "the rebalance scenario must put backfill events into the fingerprint"
         );
-        for kind in parallel_kinds() {
-            let parallel = run_scenario("rebalance", &knobs.clone().with_driver(kind))
-                .expect("parallel rebalance run completes");
-            assert_eq!(
-                Fingerprint::of(&sequential),
-                Fingerprint::of(&parallel),
-                "drivers diverged on rebalance with seed {seed} under {kind:?}"
-            );
-            assert_eq!(
-                sequential.completions, parallel.completions,
-                "completion timestamps diverged on rebalance with seed {seed} under {kind:?}"
-            );
-        }
+    }
+}
+
+#[test]
+fn sharded_certification_runs_identically_under_both_drivers() {
+    // Four certifier groups: per-group commit logs and every commit
+    // decision are in the fingerprint; the failover run adds a group-0
+    // leader kill mid-run.
+    let exps = [
+        ("tpcw-steady-state", 1),
+        ("tpcw-steady-state", 42),
+        ("rubis-auction", 11),
+        ("failover", 5),
+    ]
+    .into_iter()
+    .map(|(name, seed)| {
+        exp(
+            name,
+            &ScenarioKnobs::smoke()
+                .with_seed(seed)
+                .with_cert_groups(Some(4)),
+        )
+    })
+    .collect();
+    for r in assert_drivers_agree("sharded certification", exps) {
+        assert!(
+            !r.cert_group_commits.is_empty(),
+            "sharded runs must expose per-group commit logs"
+        );
+    }
+}
+
+#[test]
+fn detection_runs_identically_under_both_drivers_across_seeds_and_threads() {
+    // Heartbeat verdicts, partitions that drop certification sends, client
+    // timeouts that re-dispatch abandoned work, and checkpoint-lag redo
+    // accounting.
+    let three = ScenarioKnobs {
+        replicas: 3,
+        clients_per_replica: 4,
+        ..ScenarioKnobs::smoke()
+    };
+    let exps = [5, 42]
+        .into_iter()
+        .map(|seed| exp("detection", &three.clone().with_seed(seed)))
+        .collect();
+    for r in assert_drivers_agree("detection", exps) {
+        assert!(
+            has_fault(&r, |k| matches!(k, FaultKind::ReplicaSuspected(_)))
+                && has_fault(&r, |k| matches!(k, FaultKind::ReplicaDead(_))),
+            "the detection scenario must put detector verdicts into the fingerprint"
+        );
+        assert!(
+            r.redo_bytes > 0,
+            "recovery must replay a redo window into the fingerprint"
+        );
+    }
+}
+
+#[test]
+fn detection_with_partial_replication_runs_identically() {
+    // A dead verdict under partial replication re-replicates the victim's
+    // under-copied groups: backfill traffic interleaved with heartbeats
+    // and redo replay.
+    let knobs = wide().with_min_copies(Some(2));
+    let results = assert_drivers_agree(
+        "detection + partial replication",
+        vec![exp("detection", &knobs)],
+    );
+    assert!(
+        has_fault(&results[0], |k| matches!(k, FaultKind::Rereplicate { .. })),
+        "the dead verdict must force re-replication events into the fingerprint"
+    );
+}
+
+#[test]
+fn thread_count_does_not_change_results() {
+    // A sweep of one experiment runs on one worker thread; a sweep of four
+    // copies runs on up to four at once (as many as the host has cores).
+    // Every copy must match the lone run.
+    let one = exp("tpcw-steady-state", &ScenarioKnobs::smoke());
+    let alone = run_sweep(vec![one.clone()])
+        .pop()
+        .expect("one result")
+        .expect("lone run completes");
+    for (i, r) in run_sweep(vec![one; 4]).into_iter().enumerate() {
+        let r = r.expect("swept run completes");
+        assert_eq!(
+            Fingerprint::of(&alone),
+            Fingerprint::of(&r),
+            "copy {i} diverged from the lone run"
+        );
+        assert_eq!(alone.completions, r.completions);
     }
 }
 
@@ -327,249 +316,27 @@ fn rebalance_runs_identically_under_both_drivers_across_seeds_and_threads() {
 fn min_copies_at_cluster_size_reproduces_full_replication_bit_for_bit() {
     // The degenerate `min_copies = cluster size` placement must be
     // indistinguishable from full replication: same dispatch choices, same
-    // propagation, same bytes — for the existing scenarios, same seeds,
-    // both drivers, and with §3 update filtering still applying unchanged.
+    // propagation, same bytes — with §3 update filtering still applying
+    // unchanged.
     for (scenario, policy) in [
         ("tpcw-steady-state", None),
         ("tpcw-steady-state", Some(PolicySpec::malb_sc_uf())),
         ("rubis-auction", None),
     ] {
-        for driver in [DriverKind::Sequential, DriverKind::Parallel { threads: 2 }] {
-            let mut knobs = ScenarioKnobs::smoke().with_driver(driver);
-            knobs.policy = policy;
-            let full = run_scenario(scenario, &knobs).expect("full-replication run completes");
-            let degenerate = run_scenario(
-                scenario,
-                &knobs.clone().with_min_copies(Some(knobs.replicas)),
-            )
-            .expect("degenerate partial run completes");
-            assert_eq!(
-                Fingerprint::of(&full),
-                Fingerprint::of(&degenerate),
-                "min_copies = n diverged from full replication on {scenario} ({driver:?}, {policy:?})"
-            );
-            assert_eq!(full.completions, degenerate.completions);
-            assert_eq!(degenerate.filtered_ws_bytes, 0);
-        }
-    }
-}
-
-#[test]
-fn pooled_lease_runs_split_at_true_barriers_and_stay_bit_exact() {
-    // With the pool forced on (`min_dispatch = 0`), nodes stay leased to
-    // their workers across consecutive windows; global events (warmup end,
-    // maintenance rounds) demand every node and must split those runs. The
-    // run/recall accounting proves the lease machinery actually engaged,
-    // and the fingerprint proves it never changed a single result.
-    let knobs = ScenarioKnobs::smoke();
-    let sequential = run_scenario(
-        "tpcw-steady-state",
-        &knobs.clone().with_driver(DriverKind::Sequential),
-    )
-    .expect("sequential run completes");
-    let parallel = run_scenario(
-        "tpcw-steady-state",
-        &knobs.clone().with_driver(DriverKind::ParallelTuned {
-            threads: 2,
-            min_dispatch: 0,
-        }),
-    )
-    .expect("pooled run completes");
-    assert_eq!(
-        Fingerprint::of(&sequential),
-        Fingerprint::of(&parallel),
-        "lease runs changed results"
-    );
-    let stats = parallel.driver_stats.expect("parallel runs record stats");
-    assert!(
-        stats.pooled > 0,
-        "min_dispatch 0 must pool windows: {stats:?}"
-    );
-    assert!(
-        stats.runs >= 2,
-        "true barriers must split the pooled windows into multiple lease runs: {stats:?}"
-    );
-    assert!(
-        stats.recalls > 0,
-        "between-window node demands must recall leases: {stats:?}"
-    );
-}
-
-#[test]
-fn deferred_stoppers_stay_exact_while_transcripts_stream() {
-    // The pipelined merge starts replaying before every shard transcript
-    // has arrived; a deferred stopper that lands mid-replay must still run
-    // at its exact sequential rank, with its node recalled first. Force the
-    // pool on so the full deferred load of the run rides the streaming
-    // path, across seeds.
-    for seed in [7, 42] {
-        let knobs = ScenarioKnobs::smoke().with_seed(seed);
-        let sequential = run_scenario(
-            "tpcw-steady-state",
-            &knobs.clone().with_driver(DriverKind::Sequential),
+        let mut knobs = ScenarioKnobs::smoke();
+        knobs.policy = policy;
+        let full = run_scenario(scenario, &knobs).expect("full-replication run completes");
+        let degenerate = run_scenario(
+            scenario,
+            &knobs.clone().with_min_copies(Some(knobs.replicas)),
         )
-        .expect("sequential run completes");
-        let parallel = run_scenario(
-            "tpcw-steady-state",
-            &knobs.clone().with_driver(DriverKind::ParallelTuned {
-                threads: 2,
-                min_dispatch: 0,
-            }),
-        )
-        .expect("pooled run completes");
+        .expect("degenerate partial run completes");
         assert_eq!(
-            Fingerprint::of(&sequential),
-            Fingerprint::of(&parallel),
-            "streaming merge diverged with seed {seed}"
+            Fingerprint::of(&full),
+            Fingerprint::of(&degenerate),
+            "min_copies = n diverged from full replication on {scenario} ({policy:?})"
         );
-        let stats = parallel.driver_stats.expect("parallel runs record stats");
-        assert!(
-            stats.deferred > 0 && stats.pooled > 0,
-            "the streaming path must carry deferred stoppers: {stats:?}"
-        );
+        assert_eq!(full.completions, degenerate.completions);
+        assert_eq!(degenerate.filtered_ws_bytes, 0);
     }
-}
-
-#[test]
-fn sharded_certification_runs_identically_under_both_drivers() {
-    // Sharded certification across the scenario matrix: per-group commit
-    // logs and every commit decision are in the bit-exact fingerprint.
-    // Cert sends become window starters and (when eligible) worker-side
-    // checks under the parallel driver — none of which may change a single
-    // decision. The failover scenario adds a group-0 leader kill mid-run.
-    for (scenario, seed) in [
-        ("tpcw-steady-state", 1),
-        ("tpcw-steady-state", 42),
-        ("rubis-auction", 11),
-        ("failover", 5),
-    ] {
-        let knobs = ScenarioKnobs::smoke()
-            .with_seed(seed)
-            .with_cert_groups(Some(4));
-        let sequential = run_scenario(scenario, &knobs.clone().with_driver(DriverKind::Sequential))
-            .expect("sequential sharded run completes");
-        assert!(
-            !sequential.cert_group_commits.is_empty(),
-            "sharded runs must expose per-group commit logs"
-        );
-        for kind in parallel_kinds() {
-            let parallel = run_scenario(scenario, &knobs.clone().with_driver(kind))
-                .expect("parallel sharded run completes");
-            assert_eq!(
-                Fingerprint::of(&sequential),
-                Fingerprint::of(&parallel),
-                "drivers diverged on sharded {scenario} with seed {seed} under {kind:?}"
-            );
-            assert_eq!(
-                sequential.completions, parallel.completions,
-                "completion timestamps diverged on sharded {scenario} with seed {seed} under {kind:?}"
-            );
-        }
-    }
-}
-
-#[test]
-fn detection_runs_identically_under_both_drivers_across_seeds_and_threads() {
-    // The detector's window territory: heartbeat ticks and partition
-    // events are global barriers, partitions drop certification sends
-    // mid-window (the pooled path must skip those inline), client timeouts
-    // re-dispatch abandoned work, and checkpoint-lag recovery's redo
-    // accounting (bytes and microseconds) is in the fingerprint along with
-    // every detector verdict's injection and detection time.
-    for seed in [5, 42] {
-        let knobs = ScenarioKnobs {
-            replicas: 3,
-            clients_per_replica: 4,
-            ..ScenarioKnobs::smoke()
-        }
-        .with_seed(seed);
-        let sequential = run_scenario(
-            "detection",
-            &knobs.clone().with_driver(DriverKind::Sequential),
-        )
-        .expect("sequential detection run completes");
-        assert!(
-            sequential
-                .faults
-                .iter()
-                .any(|f| matches!(f.kind, tashkent::cluster::FaultKind::ReplicaSuspected(_)))
-                && sequential
-                    .faults
-                    .iter()
-                    .any(|f| matches!(f.kind, tashkent::cluster::FaultKind::ReplicaDead(_))),
-            "the detection scenario must put detector verdicts into the fingerprint"
-        );
-        assert!(
-            sequential.redo_bytes > 0,
-            "recovery must replay a redo window into the fingerprint"
-        );
-        for kind in parallel_kinds() {
-            let parallel = run_scenario("detection", &knobs.clone().with_driver(kind))
-                .expect("parallel detection run completes");
-            assert_eq!(
-                Fingerprint::of(&sequential),
-                Fingerprint::of(&parallel),
-                "drivers diverged on detection with seed {seed} under {kind:?}"
-            );
-            assert_eq!(
-                sequential.completions, parallel.completions,
-                "completion timestamps diverged on detection with seed {seed} under {kind:?}"
-            );
-        }
-    }
-}
-
-#[test]
-fn detection_with_partial_replication_runs_identically() {
-    // A dead verdict under partial replication triggers re-replication of
-    // the victim's under-copied groups — backfill traffic interleaved with
-    // heartbeat barriers and redo replay, all in the fingerprint.
-    let knobs = ScenarioKnobs {
-        replicas: 4,
-        clients_per_replica: 4,
-        ..ScenarioKnobs::smoke()
-    }
-    .with_min_copies(Some(2));
-    let sequential = run_scenario(
-        "detection",
-        &knobs.clone().with_driver(DriverKind::Sequential),
-    )
-    .expect("sequential run completes");
-    assert!(
-        sequential
-            .faults
-            .iter()
-            .any(|f| matches!(f.kind, tashkent::cluster::FaultKind::Rereplicate { .. })),
-        "the dead verdict must force re-replication events into the fingerprint"
-    );
-    for kind in parallel_kinds() {
-        let parallel = run_scenario("detection", &knobs.clone().with_driver(kind))
-            .expect("parallel run completes");
-        assert_eq!(
-            Fingerprint::of(&sequential),
-            Fingerprint::of(&parallel),
-            "drivers diverged on detection + partial replication under {kind:?}"
-        );
-        assert_eq!(sequential.completions, parallel.completions);
-    }
-}
-
-#[test]
-fn thread_count_does_not_change_results() {
-    let knobs = ScenarioKnobs::smoke();
-    let two = run_scenario(
-        "tpcw-steady-state",
-        &knobs
-            .clone()
-            .with_driver(DriverKind::Parallel { threads: 2 }),
-    )
-    .expect("2-thread run completes");
-    let four = run_scenario(
-        "tpcw-steady-state",
-        &knobs
-            .clone()
-            .with_driver(DriverKind::Parallel { threads: 4 }),
-    )
-    .expect("4-thread run completes");
-    assert_eq!(Fingerprint::of(&two), Fingerprint::of(&four));
 }

@@ -1,19 +1,21 @@
-//! Cross-driver *trace* equivalence: with tracing enabled, the JSONL
-//! artifact must be byte-identical between the sequential reference driver
-//! and every parallel configuration.
+//! Trace determinism: with tracing enabled, the JSONL artifact must be
+//! byte-identical across two runs of the same seed, one driven by `run` and
+//! one by `run_sweep`, and tracing must not change the result it observes.
 //!
 //! This is a strictly stronger check than the result fingerprints in
 //! `driver_equivalence`: it pins not just the outcome of every transaction
 //! but the full interleaving of lifecycle events — arrivals, dispatches,
 //! execution steps, certification decisions, completions, faults,
-//! utilization samples — at their exact simulated timestamps. Any
-//! divergence in the parallel driver's shard-local buffering or merge
-//! replay order shows up as a byte diff here before it could ever corrupt
-//! a result.
+//! utilization samples — at their exact simulated timestamps. The second
+//! run of each pair goes through `run_sweep`, on another thread with fresh
+//! hash seeds, so an emission order that leaked hash-map iteration order
+//! shows up as a byte diff here.
 
 use std::path::PathBuf;
 
-use tashkent::cluster::{run_scenario, DriverKind, ScenarioKnobs, TraceConfig};
+use tashkent::cluster::{
+    run, run_scenario, run_sweep, scenario, Experiment, RunResult, ScenarioKnobs, TraceConfig,
+};
 
 /// A unique temp path per (test, label) so concurrent test binaries and
 /// threads never collide.
@@ -24,34 +26,30 @@ fn tmp(label: &str) -> PathBuf {
     ))
 }
 
-/// The parallel configurations of the acceptance matrix: the 2/4/8 worker
-/// widths plus the stress mode that forces even tiny windows through the
-/// pool's SPSC lanes.
-fn parallel_kinds() -> Vec<DriverKind> {
-    let mut kinds: Vec<DriverKind> = [2, 4, 8]
-        .into_iter()
-        .map(|threads| DriverKind::Parallel { threads })
-        .collect();
-    kinds.push(DriverKind::ParallelTuned {
-        threads: 2,
-        min_dispatch: 0,
-    });
-    kinds
+/// The registered scenario's experiment at `knobs`, traced to `label`'s
+/// temp path when a label is given.
+fn experiment(name: &str, knobs: &ScenarioKnobs, label: Option<&str>) -> Experiment {
+    let knobs = match label {
+        Some(label) => knobs
+            .clone()
+            .with_trace(tmp(label).to_str().expect("temp path is valid UTF-8")),
+        None => knobs.clone(),
+    };
+    scenario(name)
+        .unwrap_or_else(|| panic!("no scenario named {name:?}"))
+        .experiment(&knobs)
 }
 
-/// Runs `scenario` traced under `kind` and returns the raw JSONL bytes.
-fn traced_jsonl(scenario: &str, knobs: &ScenarioKnobs, kind: DriverKind, label: &str) -> Vec<u8> {
-    let path = tmp(label);
-    let knobs = knobs
-        .clone()
-        .with_driver(kind)
-        .with_trace(path.to_str().expect("temp path is valid UTF-8"));
-    let result = run_scenario(scenario, &knobs).expect("traced run completes");
+/// Reads back and removes the artifacts a traced run wrote to `label`'s
+/// temp path, returning the raw JSONL bytes.
+fn take_jsonl(result: &RunResult, label: &str) -> Vec<u8> {
     let summary = result
         .trace_summary
+        .as_ref()
         .expect("tracing was enabled, so the result carries a summary");
     assert_eq!(summary.dropped, 0, "smoke-scale runs fit the ring buffer");
     assert!(summary.recorded > 0, "a traced run records events");
+    let path = tmp(label);
     let bytes = std::fs::read(&path).expect("trace file was written");
     let chrome = path.with_extension("jsonl.chrome.json");
     assert!(chrome.exists(), "Chrome export written alongside JSONL");
@@ -60,30 +58,28 @@ fn traced_jsonl(scenario: &str, knobs: &ScenarioKnobs, kind: DriverKind, label: 
     bytes
 }
 
+/// Runs `scenario` traced twice at `knobs` — once serially, once through
+/// `run_sweep` — and asserts the two JSONL artifacts are byte-equal.
 fn assert_traces_byte_equal(scenario: &str, knobs: ScenarioKnobs) {
     let seed = knobs.seed;
-    let sequential = traced_jsonl(
-        scenario,
-        &knobs,
-        DriverKind::Sequential,
-        &format!("{scenario}-{seed}-seq"),
+    let (first, second) = (
+        format!("{scenario}-{seed}-a"),
+        format!("{scenario}-{seed}-b"),
     );
+    let a = run(experiment(scenario, &knobs, Some(&first))).expect("traced run completes");
+    let b = run_sweep(vec![experiment(scenario, &knobs, Some(&second))])
+        .pop()
+        .expect("one result")
+        .expect("traced run completes");
+    let (a, b) = (take_jsonl(&a, &first), take_jsonl(&b, &second));
+    assert!(a.ends_with(b"\n"), "JSONL artifact is newline-terminated");
     assert!(
-        sequential.ends_with(b"\n"),
-        "JSONL artifact is newline-terminated"
+        a == b,
+        "trace diverged on {scenario} seed {seed}: {} vs {} bytes, first differing line {}",
+        a.len(),
+        b.len(),
+        first_diff_line(&a, &b),
     );
-    for kind in parallel_kinds() {
-        let label = format!("{scenario}-{seed}-{kind:?}").replace([' ', '{', '}', ':', ','], "");
-        let parallel = traced_jsonl(scenario, &knobs, kind, &label);
-        assert!(
-            sequential == parallel,
-            "trace diverged on {scenario} seed {seed} under {kind:?}: \
-             sequential {} bytes, parallel {} bytes, first differing line {}",
-            sequential.len(),
-            parallel.len(),
-            first_diff_line(&sequential, &parallel),
-        );
-    }
 }
 
 /// 1-based line number of the first differing JSONL line (diagnostics).
@@ -105,8 +101,7 @@ fn failover_traces_are_byte_equal_across_drivers_and_seeds() {
 #[test]
 fn rebalance_traces_are_byte_equal_across_drivers_and_seeds() {
     // Partial replication with capped backfill and rebalancer ticks: the
-    // trace carries backfill chunks, rebalance decisions, and migrations,
-    // all of which must merge back deterministically.
+    // trace carries backfill chunks, rebalance decisions, and migrations.
     for seed in [42, 7] {
         assert_traces_byte_equal("rebalance", ScenarioKnobs::smoke().with_seed(seed));
     }
@@ -116,10 +111,34 @@ fn rebalance_traces_are_byte_equal_across_drivers_and_seeds() {
 fn detection_traces_are_byte_equal_across_drivers_and_seeds() {
     // Suspicion-based detection: heartbeat misses, suspect/unsuspect
     // verdicts, redo-replay spans, and timeout-retry arrivals all land in
-    // the trace, and heartbeat ticks are window barriers — the merged
-    // interleaving must still be byte-identical.
+    // the trace.
     for seed in [42, 7] {
         assert_traces_byte_equal("detection", ScenarioKnobs::smoke().with_seed(seed));
+    }
+}
+
+#[test]
+fn tracing_changes_no_result() {
+    // Every emission site only records; none may feed back into the run.
+    // Compared field by field through `Debug` (which prints every f64
+    // exactly), so this covers the whole result — completions included —
+    // except the trace summary only a traced run carries.
+    for name in ["failover", "rebalance", "detection"] {
+        let knobs = ScenarioKnobs::smoke();
+        let label = format!("{name}-observer");
+        let mut traced = run(experiment(name, &knobs, Some(&label))).expect("traced run completes");
+        take_jsonl(&traced, &label);
+        traced.trace_summary = None;
+        let untraced = run(experiment(name, &knobs, None)).expect("untraced run completes");
+        assert!(
+            untraced.trace_summary.is_none(),
+            "tracing is off by default"
+        );
+        assert_eq!(
+            format!("{traced:?}"),
+            format!("{untraced:?}"),
+            "tracing changed the result of {name}"
+        );
     }
 }
 
