@@ -1,9 +1,8 @@
 //! Criterion microbenchmarks for the core algorithmic components: bin
 //! packing, buffer-pool touches, certification, dispatch decisions, and
-//! the partial-replication and certifier-sharding set-up.
+//! the partial-replication and certifier-group set-up.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
-use tashkent_cluster::placement::CertMap;
 use tashkent_cluster::{ReplicationPlanner, TypeGroups};
 use tashkent_core::{
     pack_groups, EstimationMode, Lard, LardConfig, WorkingSet, WorkingSetEstimator,
@@ -223,9 +222,7 @@ fn bench_placement(c: &mut Criterion) {
         })
     });
     let groups = TypeGroups::derive(&workload);
-    c.bench_function("cert_map_tpcw_mid_4", |b| {
-        b.iter(|| CertMap::build(&groups, 4))
-    });
+    c.bench_function("cert_map_tpcw_mid_4", |b| b.iter(|| groups.cert_map(4)));
 }
 
 criterion_group!(

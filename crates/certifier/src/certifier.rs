@@ -4,6 +4,7 @@ use tashkent_engine::{Version, Writeset};
 use tashkent_sim::SimTime;
 
 use crate::log::CommitLog;
+use crate::map::{group_bits, CertMap};
 
 /// Timing parameters for the certifier's service model.
 #[derive(Debug, Clone, Copy)]
@@ -55,7 +56,32 @@ pub enum CertifyOutcome {
     Conflict,
 }
 
-/// The certification state machine plus the persistent commit log.
+/// A certification answer as it leaves the certifier.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Answer {
+    /// The commit version, or `None` for a write-write conflict. An empty
+    /// writeset commits at the current head without consuming a version.
+    pub version: Option<Version>,
+    /// When the answer leaves the certifier: a commit once its group-commit
+    /// log write is durable, an empty writeset once checked, a conflict on
+    /// arrival at a lone group or at the decide of a cross-group round.
+    pub at: SimTime,
+    /// The arrival time after waiting out the touched groups' failover
+    /// gaps and control-plane occupancy.
+    pub arrived: SimTime,
+}
+
+/// One certifier group's serial check queue.
+#[derive(Debug, Clone, Copy, Default)]
+struct GroupQueue {
+    /// Completion horizon of the group's certification CPU.
+    busy_until: SimTime,
+    /// Earliest time the group serves (failover gaps, NIC occupancy).
+    available_at: SimTime,
+}
+
+/// The certification engine: one serial check queue per certifier group in
+/// front of one persistent commit log that fixes the global commit order.
 ///
 /// Certification under GSI: a writeset with snapshot version `s` commits iff
 /// no writeset with version `> s` intersects it (write-write conflict
@@ -63,6 +89,17 @@ pub enum CertifyOutcome {
 /// snapshot, as the paper states it; that suffix is short (tens of entries
 /// on the TPC-W mixes). The full log is retained — it is the paper's
 /// persistent log, also used for propagation and replica recovery.
+///
+/// Every relation belongs to exactly one group ([`CertMap`]). A writeset
+/// touching one group queues only behind that group's checks. One touching
+/// several runs an atomic-commitment round: each touched group charges a
+/// vote on its own queue, the decide waits for the slowest vote plus two
+/// LAN hops (collecting the votes, broadcasting the decision), and a commit
+/// takes one global version for every touched group. Each item has one
+/// owner, so the votes' OR is the one scan of the log suffix. A commit is
+/// durable at the end of the group-commit window its check or decide fell
+/// into, plus the log write. [`Certifier::new`] is the paper's deployment:
+/// one group.
 ///
 /// # Examples
 ///
@@ -87,8 +124,10 @@ pub struct Certifier {
     params: CertifierParams,
     log: CommitLog,
     stats: CertifierStats,
-    /// Completion horizon of the certification CPU (serial service).
-    busy_until: SimTime,
+    map: CertMap,
+    queues: Vec<GroupQueue>,
+    /// One-way LAN latency, µs, paid twice by a cross-group decide.
+    lan_hop_us: u64,
 }
 
 impl Default for Certifier {
@@ -98,13 +137,21 @@ impl Default for Certifier {
 }
 
 impl Certifier {
-    /// Creates a certifier with the given service parameters.
+    /// Creates a one-group certifier with the given service parameters.
     pub fn new(params: CertifierParams) -> Self {
+        Self::grouped(params, CertMap::default(), 0)
+    }
+
+    /// Creates a certifier with one group per group of `map`, whose
+    /// cross-group rounds pay `lan_hop_us` per hop.
+    pub fn grouped(params: CertifierParams, map: CertMap, lan_hop_us: u64) -> Self {
         Certifier {
             params,
             log: CommitLog::default(),
             stats: CertifierStats::default(),
-            busy_until: SimTime::ZERO,
+            queues: vec![GroupQueue::default(); map.group_count()],
+            map,
+            lan_hop_us,
         }
     }
 
@@ -123,40 +170,83 @@ impl Certifier {
         self.stats
     }
 
+    /// Bitmask of the groups `ws` touches; never 0.
+    pub fn groups_of(&self, ws: &Writeset) -> u64 {
+        self.map.mask_for(&ws.items)
+    }
+
+    /// Defers group `group`'s service to at least `at` (a new leader's
+    /// election delay).
+    pub fn defer(&mut self, group: usize, at: SimTime) {
+        let q = &mut self.queues[group];
+        q.available_at = q.available_at.max(at);
+    }
+
+    /// Charges `us` of control-plane NIC occupancy, starting no earlier
+    /// than `now`, to every group: requests arriving before it drains wait
+    /// behind it.
+    pub fn occupy(&mut self, now: SimTime, us: u64) {
+        for q in &mut self.queues {
+            q.available_at = q.available_at.max(now) + us;
+        }
+    }
+
     /// Certifies `ws` arriving at time `now`.
     ///
     /// Read-only writesets (empty item lists) never reach the certifier in
     /// Tashkent; passing one here commits it without consuming a version.
     pub fn certify(&mut self, now: SimTime, ws: Writeset) -> CertifyOutcome {
-        // Serial service: requests queue behind one another.
-        let start = self.busy_until.max(now);
-        let checked_at = start + self.params.check_us;
-        self.busy_until = checked_at;
-
-        if ws.is_empty() {
-            return CertifyOutcome::Committed {
-                version: self.version(),
-                durable_at: checked_at,
-            };
+        let answer = self.answer(now, &ws, self.groups_of(&ws));
+        match answer.version {
+            Some(version) => CertifyOutcome::Committed {
+                version,
+                durable_at: answer.at,
+            },
+            None => CertifyOutcome::Conflict,
         }
+    }
 
-        if self.log.conflicts(ws.snapshot.version, &ws.items) {
+    /// Certifies `ws` arriving at time `now` and returns the answer as it
+    /// leaves the certifier. `groups` is [`Self::groups_of`]`(ws)`, which a
+    /// caller needs first to check the touched groups' membership.
+    pub fn answer(&mut self, now: SimTime, ws: &Writeset, groups: u64) -> Answer {
+        let arrived = group_bits(groups).fold(now, |t, g| t.max(self.queues[g].available_at));
+        // Serial service: each touched group's check queues behind the
+        // group's earlier ones.
+        let check_us = self.params.check_us;
+        let checked = group_bits(groups).fold(SimTime::ZERO, |t, g| {
+            let q = &mut self.queues[g];
+            q.busy_until = q.busy_until.max(arrived) + check_us;
+            t.max(q.busy_until)
+        });
+        let lone = groups.is_power_of_two();
+        let decided = if lone {
+            checked
+        } else {
+            checked + 2 * self.lan_hop_us
+        };
+        let (version, at) = if ws.is_empty() {
+            (Some(self.version()), decided)
+        } else if self.log.conflicts(ws.snapshot.version, &ws.items) {
             self.stats.conflicts += 1;
-            return CertifyOutcome::Conflict;
-        }
-
-        let version = self.log.append(&ws.items);
-        self.stats.committed += 1;
-        self.stats.log_bytes += ws.bytes();
-
-        // Group commit: the log write completes at the end of the window the
-        // check fell into, plus the write itself.
-        let w = self.params.group_window_us.max(1);
-        let boundary = checked_at.as_micros().div_ceil(w) * w;
-        let durable_at = SimTime::from_micros(boundary + self.params.log_write_us);
-        CertifyOutcome::Committed {
+            (None, if lone { arrived } else { decided })
+        } else {
+            let version = self.log.append(&ws.items);
+            self.stats.committed += 1;
+            self.stats.log_bytes += ws.bytes();
+            // Group commit: the log write completes at the end of the
+            // window the decision fell into, plus the write itself.
+            let w = self.params.group_window_us.max(1);
+            let boundary = decided.as_micros().div_ceil(w) * w;
+            (
+                Some(version),
+                SimTime::from_micros(boundary + self.params.log_write_us),
+            )
+        };
+        Answer {
             version,
-            durable_at,
+            at,
+            arrived,
         }
     }
 
@@ -164,13 +254,30 @@ impl Certifier {
     pub fn lag_of(&self, applied: Version) -> u64 {
         self.version().0.saturating_sub(applied.0)
     }
+
+    /// Each group's commit versions, ascending: the versions whose
+    /// writesets touch the group, so a cross-group commit is in every
+    /// touched group's list. Empty with one group, whose only list would be
+    /// every version.
+    pub fn group_commits(&self) -> Vec<Vec<u64>> {
+        if self.queues.len() == 1 {
+            return Vec::new();
+        }
+        let mut commits = vec![Vec::new(); self.queues.len()];
+        for (version, items) in self.log.since(Version(0)) {
+            for g in group_bits(self.map.mask_for(items)) {
+                commits[g].push(version.0);
+            }
+        }
+        commits
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use tashkent_engine::{Snapshot, TxnId, TxnTypeId, WritesetItem};
-    use tashkent_storage::RelationId;
+    use tashkent_storage::{RelationId, RelationSet};
 
     fn ws(txn: u64, snap: u64, items: &[(u32, u64)]) -> Writeset {
         Writeset::new(
@@ -323,5 +430,41 @@ mod tests {
         c.certify(SimTime::ZERO, ws(1, 0, &[(0, 1), (0, 2)]));
         let expected = ws(1, 0, &[(0, 1), (0, 2)]).bytes();
         assert_eq!(c.stats().log_bytes, expected);
+    }
+
+    #[test]
+    fn availability_gap_defers_service_not_arrival() {
+        let mut c = Certifier::default();
+        c.defer(0, SimTime::from_millis(200));
+        // Deferring to an earlier time is a no-op (max semantics).
+        c.defer(0, SimTime::from_millis(100));
+        // An empty writeset's answer leaves when its check completes.
+        let w = ws(1, 0, &[]);
+        let out = c.answer(SimTime::from_micros(10), &w, c.groups_of(&w));
+        assert_eq!(out.arrived, SimTime::from_millis(200));
+        assert_eq!(out.at, SimTime::from_millis(200) + 50);
+    }
+
+    #[test]
+    fn serial_service_queues_checks_within_the_shard() {
+        let params = CertifierParams {
+            check_us: 1_000,
+            log_write_us: 0,
+            group_window_us: 1,
+        };
+        // Relation r is owned by group r.
+        let sets: Vec<RelationSet> = (0..2)
+            .map(|r| [RelationId(r)].into_iter().collect())
+            .collect();
+        let mut c = Certifier::grouped(params, CertMap::build(&sets, 2), 100);
+        let mut answer = |w: Writeset| c.answer(SimTime::ZERO, &w, c.groups_of(&w));
+        let first = answer(ws(1, 0, &[(0, 1)]));
+        let second = answer(ws(2, 1, &[(0, 2)]));
+        let other = answer(ws(3, 2, &[(1, 2)]));
+        assert_eq!(first.at.as_micros(), 1_000);
+        assert_eq!(second.at.as_micros(), 2_000);
+        assert_eq!(second.arrived, SimTime::ZERO);
+        // Group 1's queue is idle: its check does not wait behind group 0's.
+        assert_eq!(other.at.as_micros(), 1_000);
     }
 }

@@ -11,23 +11,26 @@
 //! techniques all the more interesting when they still pay off.
 //!
 //! Modules:
-//! * [`certifier`] — the certification state machine,
+//! * [`certifier`] — the certification engine: one serial check queue per
+//!   certifier group (one by default, the paper's deployment), the verdict,
+//!   version assignment, group commit, and the cross-group vote/decide
+//!   round,
+//! * [`map`] — the relation → certifier-group map,
 //! * [`log`] — the persistent commit log, one flat item arena whose suffix
 //!   after a snapshot is what a conflict check scans,
-//! * [`sharded`] — per-relation-group certification shards (per-group
-//!   service queues; the verdict and decide stay with the caller),
 //! * [`propagation`] — the pull/prod trigger policy (500 ms pull, 25-commit
 //!   prod),
-//! * [`group`] — the leader/backup certifier group used for fault tolerance.
+//! * [`group`] — the leader/backup membership of one certifier group, used
+//!   for fault tolerance.
 
 pub mod certifier;
 pub mod group;
 pub mod log;
+pub mod map;
 pub mod propagation;
-pub mod sharded;
 
-pub use certifier::{Certifier, CertifierParams, CertifierStats, CertifyOutcome};
+pub use certifier::{Answer, Certifier, CertifierParams, CertifierStats, CertifyOutcome};
 pub use group::{CertifierGroup, GroupEvent};
 pub use log::{CommitLog, Entries, LogView};
+pub use map::{CertMap, MAX_CERT_GROUPS};
 pub use propagation::{PropagationAction, PropagationPolicy};
-pub use sharded::{CertShard, ShardCheck};

@@ -3,10 +3,10 @@
 use std::collections::HashMap;
 
 use proptest::prelude::*;
-use tashkent_certifier::{Certifier, CertifierParams, CertifyOutcome};
+use tashkent_certifier::{Answer, CertMap, Certifier, CertifierParams, CertifyOutcome};
 use tashkent_engine::{Snapshot, TxnId, TxnTypeId, Version, Writeset, WritesetItem};
 use tashkent_sim::SimTime;
-use tashkent_storage::RelationId;
+use tashkent_storage::{RelationId, RelationSet};
 
 fn ws(txn: u64, snap: u64, items: &[(u32, u64)]) -> Writeset {
     Writeset::new(
@@ -22,33 +22,61 @@ fn ws(txn: u64, snap: u64, items: &[(u32, u64)]) -> Writeset {
 
 /// A certifier built on a per-item last-writer index instead of a log scan:
 /// a writeset conflicts iff some item's last writer is newer than its
-/// snapshot. Kept as the reference model [`Certifier`] must match exactly —
-/// outcome, version and durability time — on every history.
+/// snapshot. Relation `r` belongs to group `r % groups`, each group with
+/// its own serial check queue; a writeset touching several groups is
+/// decided once its slowest check is done plus two LAN hops. Kept as the
+/// reference model [`Certifier`] must match exactly — outcome, version and
+/// reply time — on every history.
 struct IndexCertifier {
     params: CertifierParams,
+    lan_hop_us: u64,
     head: u64,
     last_writer: HashMap<WritesetItem, u64>,
-    busy_until: SimTime,
+    /// Completion horizon of each group's checks.
+    busy_until: Vec<SimTime>,
 }
 
 impl IndexCertifier {
-    fn new(params: CertifierParams) -> Self {
+    fn new(params: CertifierParams, groups: usize, lan_hop_us: u64) -> Self {
         IndexCertifier {
             params,
+            lan_hop_us,
             head: 0,
             last_writer: HashMap::new(),
-            busy_until: SimTime::ZERO,
+            busy_until: vec![SimTime::ZERO; groups],
         }
     }
 
-    fn certify(&mut self, now: SimTime, ws: &Writeset) -> CertifyOutcome {
-        let checked_at = self.busy_until.max(now) + self.params.check_us;
-        self.busy_until = checked_at;
+    fn certify(&mut self, now: SimTime, ws: &Writeset) -> Answer {
+        let groups = self.busy_until.len();
+        let mut touched: Vec<usize> = ws
+            .items
+            .iter()
+            .map(|item| item.rel().0 as usize % groups)
+            .collect();
+        touched.sort_unstable();
+        touched.dedup();
+        if touched.is_empty() {
+            touched.push(0);
+        }
+        let mut checked = SimTime::ZERO;
+        for &g in &touched {
+            self.busy_until[g] = self.busy_until[g].max(now) + self.params.check_us;
+            checked = checked.max(self.busy_until[g]);
+        }
+        let cross = touched.len() > 1;
+        let decided = if cross {
+            checked + 2 * self.lan_hop_us
+        } else {
+            checked
+        };
+        let answer = |version, at| Answer {
+            version,
+            at,
+            arrived: now,
+        };
         if ws.is_empty() {
-            return CertifyOutcome::Committed {
-                version: Version(self.head),
-                durable_at: checked_at,
-            };
+            return answer(Some(Version(self.head)), decided);
         }
         let snapshot = ws.snapshot.version.0;
         if ws
@@ -56,18 +84,18 @@ impl IndexCertifier {
             .iter()
             .any(|item| self.last_writer.get(item).is_some_and(|v| *v > snapshot))
         {
-            return CertifyOutcome::Conflict;
+            return answer(None, if cross { decided } else { now });
         }
         self.head += 1;
         for item in &ws.items {
             self.last_writer.insert(*item, self.head);
         }
         let w = self.params.group_window_us.max(1);
-        let boundary = checked_at.as_micros().div_ceil(w) * w;
-        CertifyOutcome::Committed {
-            version: Version(self.head),
-            durable_at: SimTime::from_micros(boundary + self.params.log_write_us),
-        }
+        let boundary = decided.as_micros().div_ceil(w) * w;
+        answer(
+            Some(Version(self.head)),
+            SimTime::from_micros(boundary + self.params.log_write_us),
+        )
     }
 }
 
@@ -75,11 +103,14 @@ proptest! {
     /// The log-scan certifier and the last-writer-index reference agree on
     /// every request of random histories: 1–4 relations over few rows (so
     /// conflicts are common), duplicate rows, empty writesets, snapshot
-    /// lags from 0 to past the head, bursty arrivals, and random service
-    /// parameters. The log holds exactly the committed writesets' items.
+    /// lags from 0 to past the head, bursty arrivals, 1–4 certifier groups
+    /// with cross-group rounds, and random service parameters and LAN
+    /// hops. The log holds exactly the committed writesets' items.
     #[test]
     fn matches_reference_model(
         rels in 1u32..5,
+        groups in 1usize..5,
+        lan_hop_us in 0u64..500,
         params in (1u64..200, 0u64..3_000, 0u64..4_000),
         history in proptest::collection::vec(
             (
@@ -92,8 +123,10 @@ proptest! {
     ) {
         let (check_us, log_write_us, group_window_us) = params;
         let params = CertifierParams { check_us, log_write_us, group_window_us };
-        let mut cert = Certifier::new(params);
-        let mut reference = IndexCertifier::new(params);
+        // Relation r is its own set, so the fold gives it to group r % groups.
+        let sets: Vec<RelationSet> = (0..4).map(|r| [RelationId(r)].into_iter().collect()).collect();
+        let mut cert = Certifier::grouped(params, CertMap::build(&sets, groups), lan_hop_us);
+        let mut reference = IndexCertifier::new(params, groups, lan_hop_us);
         let mut committed: Vec<Vec<WritesetItem>> = Vec::new();
         let mut now = 0u64;
         for (i, (lag, gap, items)) in history.iter().enumerate() {
@@ -102,9 +135,9 @@ proptest! {
             let snap = cert.version().0.saturating_sub(*lag);
             let w = ws(i as u64, snap, &items);
             let expected = reference.certify(SimTime::from_micros(now), &w);
-            let got = cert.certify(SimTime::from_micros(now), w.clone());
+            let got = cert.answer(SimTime::from_micros(now), &w, cert.groups_of(&w));
             prop_assert_eq!(got, expected, "request {} diverged", i);
-            if matches!(got, CertifyOutcome::Committed { .. }) && !w.is_empty() {
+            if got.version.is_some() && !w.is_empty() {
                 committed.push(w.items);
             }
         }

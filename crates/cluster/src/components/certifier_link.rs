@@ -3,8 +3,8 @@
 use std::collections::VecDeque;
 
 use tashkent_certifier::{
-    CertShard, Certifier, CertifierGroup, CertifierParams, CertifyOutcome, CommitLog, GroupEvent,
-    LogView, PropagationAction, PropagationPolicy, ShardCheck,
+    CertMap, Certifier, CertifierGroup, CertifierParams, CommitLog, GroupEvent, LogView,
+    PropagationAction, PropagationPolicy,
 };
 use tashkent_engine::{TxnId, Version, Writeset, WS_HEADER_BYTES, WS_ITEM_BYTES};
 use tashkent_sim::{EventQueue, SimTime};
@@ -24,230 +24,13 @@ struct WaitingCert {
     replica: usize,
     txn: TxnId,
     ws: Writeset,
-    groups: u64,
 }
 
-/// The sharded-certification engine: per-relation-group [`CertShard`]
-/// service queues, per-group leader+backups membership, and the decide
-/// state — the *global* total-order log, the conflict verdict, version
-/// assignment, and each group's ascending list of global commit versions.
-///
-/// A single-group request first reserves its group's service time
-/// ([`CertShard::reserve_check`]), then decides against the global log.
-pub struct ShardedCert {
-    params: CertifierParams,
-    /// The global commit order. Conflict checks, propagation, recovery
-    /// replay, and backfill all read this log, exactly as they read the
-    /// unified certifier's.
-    log: CommitLog,
-    /// Per-group ascending global commit versions.
-    group_commits: Vec<Vec<u64>>,
-    /// Per-group check service queues.
-    shards: Vec<CertShard>,
-    /// Per-group leader/backups membership.
-    groups: Vec<CertifierGroup>,
-    /// Per-group queue-and-wait parking lot (all members dead).
-    wait: Vec<VecDeque<WaitingCert>>,
-    committed: u64,
-    conflicts: u64,
-    log_bytes: u64,
-}
-
-impl ShardedCert {
-    fn new(params: CertifierParams, n: usize) -> Self {
-        ShardedCert {
-            params,
-            log: CommitLog::default(),
-            group_commits: vec![Vec::new(); n],
-            shards: (0..n).map(|_| CertShard::new(params)).collect(),
-            groups: (0..n).map(|_| CertifierGroup::paper_default()).collect(),
-            wait: vec![VecDeque::new(); n],
-            committed: 0,
-            conflicts: 0,
-            log_bytes: 0,
-        }
-    }
-
-    /// The decide half of a single-group certification: the conflict
-    /// verdict, global version assignment, log append, group-commit
-    /// durability, and the response back to the origin replica. Returns the
-    /// request's effective arrival time (for `last_contact`).
-    #[allow(clippy::too_many_arguments)]
-    fn decide_single(
-        &mut self,
-        g: usize,
-        replica: usize,
-        txn: TxnId,
-        ws: Writeset,
-        check: ShardCheck,
-        lan_hop_us: u64,
-        tracer: &mut Tracer,
-        queue: &mut EventQueue<Ev>,
-    ) -> SimTime {
-        if self.log.conflicts(ws.snapshot.version, &ws.items) {
-            self.conflicts += 1;
-            tracer.emit(
-                check.eff_now,
-                TraceData::Certify {
-                    txn: txn.0,
-                    groups: 1 << g,
-                    committed: false,
-                    version: None,
-                },
-            );
-            queue.schedule(
-                check.eff_now + lan_hop_us,
-                Ev::CertifyReturn {
-                    replica,
-                    txn,
-                    version: None,
-                },
-            );
-            return check.eff_now;
-        }
-        if ws.is_empty() {
-            // Mirrors the unified certifier: an empty writeset commits at
-            // the current global head, durable as soon as checked.
-            tracer.emit(
-                check.checked_at,
-                TraceData::Certify {
-                    txn: txn.0,
-                    groups: 1 << g,
-                    committed: true,
-                    version: Some(self.log.head().0),
-                },
-            );
-            queue.schedule(
-                check.checked_at + lan_hop_us,
-                Ev::CertifyReturn {
-                    replica,
-                    txn,
-                    version: Some(self.log.head()),
-                },
-            );
-            return check.eff_now;
-        }
-        let version = self.log.head().next();
-        tracer.emit(
-            check.checked_at,
-            TraceData::Certify {
-                txn: txn.0,
-                groups: 1 << g,
-                committed: true,
-                version: Some(version.0),
-            },
-        );
-        self.commit(&[g], &ws, check.checked_at, replica, txn, lan_hop_us, queue);
-        check.eff_now
-    }
-
-    /// The cross-group atomic-commitment round: every touched group charges
-    /// a vote (a conflict check on the items it owns) on its own queue, the
-    /// decide waits for the slowest vote plus two LAN hops (vote collection
-    /// and decision broadcast), and a commit lands in every touched group
-    /// under one global version. The votes' OR is one scan of the log
-    /// suffix (see `tashkent_certifier::sharded`). Returns the effective
-    /// arrival time.
-    #[allow(clippy::too_many_arguments)]
-    fn decide_cross(
-        &mut self,
-        mask: u64,
-        replica: usize,
-        txn: TxnId,
-        ws: Writeset,
-        now: SimTime,
-        lan_hop_us: u64,
-        tracer: &mut Tracer,
-        queue: &mut EventQueue<Ev>,
-    ) -> SimTime {
-        let touched: Vec<usize> = group_bits(mask).collect();
-        let eff_now = touched
-            .iter()
-            .fold(now, |t, g| t.max(self.shards[*g].available_at()));
-        // Votes: each group's check runs on its own shard queue, started at
-        // the coordinated arrival time.
-        let vote_done = touched.iter().fold(SimTime::ZERO, |t, g| {
-            t.max(self.shards[*g].reserve_check(eff_now).checked_at)
-        });
-        let decide_at = vote_done + 2 * lan_hop_us;
-        if self.log.conflicts(ws.snapshot.version, &ws.items) {
-            self.conflicts += 1;
-            tracer.emit(
-                decide_at,
-                TraceData::Certify {
-                    txn: txn.0,
-                    groups: mask,
-                    committed: false,
-                    version: None,
-                },
-            );
-            queue.schedule(
-                decide_at + lan_hop_us,
-                Ev::CertifyReturn {
-                    replica,
-                    txn,
-                    version: None,
-                },
-            );
-            return eff_now;
-        }
-        tracer.emit(
-            decide_at,
-            TraceData::Certify {
-                txn: txn.0,
-                groups: mask,
-                committed: true,
-                version: Some(self.log.head().next().0),
-            },
-        );
-        self.commit(&touched, &ws, decide_at, replica, txn, lan_hop_us, queue);
-        eff_now
-    }
-
-    /// Shared commit tail: appends one entry to the global log and each
-    /// touched group's version list, and schedules the durable response.
-    #[allow(clippy::too_many_arguments)]
-    fn commit(
-        &mut self,
-        touched: &[usize],
-        ws: &Writeset,
-        commit_point: SimTime,
-        replica: usize,
-        txn: TxnId,
-        lan_hop_us: u64,
-        queue: &mut EventQueue<Ev>,
-    ) {
-        let version = self.log.append(&ws.items);
-        for &g in touched {
-            self.group_commits[g].push(version.0);
-        }
-        self.committed += 1;
-        self.log_bytes += ws.bytes();
-        let w = self.params.group_window_us.max(1);
-        let durable_at = SimTime::from_micros(
-            commit_point.as_micros().div_ceil(w) * w + self.params.log_write_us,
-        );
-        queue.schedule(
-            durable_at + lan_hop_us,
-            Ev::CertifyReturn {
-                replica,
-                txn,
-                version: Some(version),
-            },
-        );
-    }
-}
-
-/// Iterator over the group indices set in a touched-groups bitmask.
-fn group_bits(mask: u64) -> impl Iterator<Item = usize> {
-    (0..64usize).filter(move |g| mask & (1 << g) != 0)
-}
-
-/// Wraps the certification engine — the unified [`Certifier`] or the
-/// sharded per-group engine — together with the propagation policy, the
-/// leader/backup [`CertifierGroup`]s (§4.4 fault tolerance), and the
-/// per-replica contact bookkeeping, handling both halves of the
-/// certification round-trip plus the periodic propagation pulls.
+/// Fronts the [`Certifier`] engine with the leader/backup
+/// [`CertifierGroup`] of each certifier group (§4.4 fault tolerance), the
+/// propagation policy, and the per-replica contact bookkeeping, handling
+/// both halves of the certification round-trip plus the periodic
+/// propagation pulls.
 ///
 /// Under partial replication the link is also the traffic gate: a committed
 /// writeset's pages ship only to its holders; a non-holder receives a bare
@@ -260,15 +43,11 @@ fn group_bits(mask: u64) -> impl Iterator<Item = usize> {
 /// member restarts ([`Ev::CertifierRestart`]): back-pressure, never
 /// spurious aborts.
 pub struct CertifierLink {
-    certifier: Certifier,
-    group: CertifierGroup,
-    /// Certification requests arriving before this instant wait for the
-    /// newly-elected leader (set by a leader kill's failover delay).
-    available_at: SimTime,
-    /// Unified-mode queue-and-wait parking lot (all members dead).
-    wait: VecDeque<WaitingCert>,
-    /// The sharded engine, when the cluster runs sharded certification.
-    sharded: Option<ShardedCert>,
+    engine: Certifier,
+    /// Leader/backups membership, one per certifier group.
+    members: Vec<CertifierGroup>,
+    /// Queue-and-wait parking lot per certifier group (all members dead).
+    parked: Vec<VecDeque<WaitingCert>>,
     propagation: PropagationPolicy,
     last_contact: Vec<SimTime>,
     lan_hop_us: u64,
@@ -281,35 +60,21 @@ pub struct CertifierLink {
 }
 
 impl CertifierLink {
-    /// Builds the link for `replicas` nodes, `lan_hop_us` away, fronted by
-    /// the paper's leader-plus-two-backups certifier group.
-    pub fn new(params: CertifierParams, replicas: usize, lan_hop_us: u64) -> Self {
+    /// Builds the link for `replicas` nodes, `lan_hop_us` away, certifying
+    /// with one group per group of `map`, each fronted by the paper's
+    /// leader-plus-two-backups membership.
+    pub fn new(params: CertifierParams, map: CertMap, replicas: usize, lan_hop_us: u64) -> Self {
+        let groups = map.group_count();
         CertifierLink {
-            certifier: Certifier::new(params),
-            group: CertifierGroup::paper_default(),
-            available_at: SimTime::ZERO,
-            wait: VecDeque::new(),
-            sharded: None,
+            engine: Certifier::grouped(params, map, lan_hop_us),
+            members: vec![CertifierGroup::paper_default(); groups],
+            parked: vec![VecDeque::new(); groups],
             propagation: PropagationPolicy::default(),
             last_contact: vec![SimTime::ZERO; replicas],
             lan_hop_us,
             sent_bytes: 0,
             saved_bytes: 0,
         }
-    }
-
-    /// Builds the sharded-certification link: one leader+backups group and
-    /// one [`CertShard`] per relation group (`groups` of them), each group's
-    /// commit-version list, and the global log.
-    pub fn new_sharded(
-        params: CertifierParams,
-        replicas: usize,
-        lan_hop_us: u64,
-        groups: usize,
-    ) -> Self {
-        let mut link = Self::new(params, replicas, lan_hop_us);
-        link.sharded = Some(ShardedCert::new(params, groups));
-        link
     }
 
     /// Cumulative propagation traffic `(shipped, saved)` in bytes: what was
@@ -321,87 +86,49 @@ impl CertifierLink {
 
     /// Charges `us` of control-plane occupancy (a heartbeat round's
     /// ping/ack pairs) against the link's shared NIC: certification
-    /// requests arriving before the probes drain wait behind them. Not
-    /// propagation traffic, so the fingerprinted byte counters are
-    /// untouched.
+    /// requests arriving before the probes drain wait behind them, in every
+    /// group. Not propagation traffic, so the fingerprinted byte counters
+    /// are untouched.
     pub fn occupy_nic(&mut self, now: SimTime, us: u64) {
-        self.available_at = self.available_at.max(now) + us;
+        self.engine.occupy(now, us);
     }
 
-    /// The wrapped unified certifier (tests and metrics; meaningful only
-    /// under unified certification — the sharded engine keeps its own log).
-    pub fn inner(&self) -> &Certifier {
-        &self.certifier
+    /// The certification engine (tests and metrics).
+    pub fn engine(&self) -> &Certifier {
+        &self.engine
     }
 
-    /// Membership and leadership of certifier group `g` (group 0 under
-    /// unified certification).
+    /// Membership and leadership of certifier group `g`.
     pub fn group_of(&self, g: usize) -> &CertifierGroup {
-        match &self.sharded {
-            Some(s) => &s.groups[g],
-            None => &self.group,
-        }
+        &self.members[g]
     }
 
-    /// The (first) certifier group's membership and leadership.
+    /// The first certifier group's membership and leadership.
     pub fn group(&self) -> &CertifierGroup {
         self.group_of(0)
     }
 
-    /// Per-group ascending global commit versions (empty under unified
-    /// certification) — part of the run's observable result.
-    pub fn cert_group_commits(&self) -> Vec<Vec<u64>> {
-        self.sharded
-            .as_ref()
-            .map_or_else(Vec::new, |s| s.group_commits.clone())
-    }
-
-    /// Sharded-certification activity counters `(committed, conflicts)`.
-    pub fn cert_counts(&self) -> (u64, u64) {
-        self.sharded
-            .as_ref()
-            .map_or((0, 0), |s| (s.committed, s.conflicts))
-    }
-
-    /// Requests currently parked in queue-and-wait (all modes).
+    /// Requests currently parked in queue-and-wait.
     pub fn waiting_certs(&self) -> usize {
-        self.wait.len()
-            + self
-                .sharded
-                .as_ref()
-                .map_or(0, |s| s.wait.iter().map(VecDeque::len).sum())
+        self.parked.iter().map(VecDeque::len).sum()
     }
 
-    /// Kills member `member` of certifier group `group`. A leader kill
-    /// elects a backup and delays the group's responses until the new
-    /// leader serves; the log — and thus every commit — survives (it is
-    /// replicated to the backups).
+    /// Kills member `member` of certifier group `group` (an index past the
+    /// group count is ignored). A leader kill elects a backup and delays
+    /// the group's responses until the new leader serves; the log — and
+    /// thus every commit — survives (it is replicated to the backups).
     pub fn on_kill(&mut self, now: SimTime, group: usize, member: usize) -> Option<GroupEvent> {
-        match &mut self.sharded {
-            Some(s) => {
-                if group >= s.groups.len() {
-                    return None;
-                }
-                let ev = s.groups[group].kill(now, member);
-                if let Some(GroupEvent::FailedOver { available_at, .. }) = ev {
-                    s.shards[group].set_available_at(available_at);
-                }
-                ev
-            }
-            None => {
-                let ev = self.group.kill(now, member);
-                if let Some(GroupEvent::FailedOver { available_at, .. }) = ev {
-                    self.available_at = self.available_at.max(available_at);
-                }
-                ev
-            }
+        let ev = self.members.get_mut(group)?.kill(now, member);
+        if let Some(GroupEvent::FailedOver { available_at, .. }) = ev {
+            self.engine.defer(group, available_at);
         }
+        ev
     }
 
-    /// Restarts member `member` of certifier group `group`. If the group
-    /// had no live members, the restarted member is elected leader after
-    /// the failover delay and the requests parked during the outage drain
-    /// through it in arrival order.
+    /// Restarts member `member` of certifier group `group` (an index past
+    /// the group count is ignored). If the group had no live members, the
+    /// restarted member is elected leader after the failover delay and the
+    /// requests parked during the outage drain through it in arrival order.
     pub fn on_restart(
         &mut self,
         now: SimTime,
@@ -410,176 +137,76 @@ impl CertifierLink {
         tracer: &mut Tracer,
         queue: &mut EventQueue<Ev>,
     ) -> Option<GroupEvent> {
-        let (ev, drained) = match &mut self.sharded {
-            Some(s) => {
-                if group >= s.groups.len() {
-                    return None;
-                }
-                let ev = s.groups[group].revive(now, member);
-                if let Some(GroupEvent::FailedOver { available_at, .. }) = ev {
-                    s.shards[group].set_available_at(available_at);
-                }
-                let drained = if s.groups[group].is_available() {
-                    std::mem::take(&mut s.wait[group])
-                } else {
-                    VecDeque::new()
-                };
-                (ev, drained)
+        let ev = self.members.get_mut(group)?.revive(now, member);
+        if let Some(GroupEvent::FailedOver { available_at, .. }) = ev {
+            self.engine.defer(group, available_at);
+        }
+        if self.members[group].is_available() {
+            for w in std::mem::take(&mut self.parked[group]) {
+                // Re-certify at the original arrival time: the failover gap
+                // defers the service start, so drained requests serve after
+                // the election in their original FIFO order.
+                self.on_send(w.arrived, w.replica, w.txn, w.ws, tracer, queue);
             }
-            None => {
-                let ev = self.group.revive(now, member);
-                if let Some(GroupEvent::FailedOver { available_at, .. }) = ev {
-                    self.available_at = self.available_at.max(available_at);
-                }
-                let drained = if self.group.is_available() {
-                    std::mem::take(&mut self.wait)
-                } else {
-                    VecDeque::new()
-                };
-                (ev, drained)
-            }
-        };
-        for w in drained {
-            // Re-certify at the original arrival time: the failover gap
-            // (`available_at`) defers the service start, so drained requests
-            // serve after the election in their original FIFO order.
-            self.on_send(w.arrived, w.replica, w.txn, w.ws, w.groups, tracer, queue);
         }
         ev
     }
 
     /// Head of the global commit order.
     pub fn version(&self) -> Version {
-        self.log().head()
+        self.engine.version()
     }
 
     /// The global commit log.
     fn log(&self) -> &CommitLog {
-        match &self.sharded {
-            Some(s) => &s.log,
-            None => self.certifier.log(),
-        }
+        self.engine.log()
     }
 
     /// Certifies an arriving writeset and schedules the response back to the
-    /// origin replica: the commit version once durable, or a conflict. A
-    /// request touching a fully-dead group parks in its wait queue instead.
-    ///
-    /// `groups` is the touched-group bitmask stamped at send time (`0`
-    /// under unified certification; nonzero masks require the sharded
-    /// engine).
-    #[allow(clippy::too_many_arguments)]
+    /// origin replica: the commit version once durable, or a conflict. The
+    /// `certify` trace event is stamped when the answer leaves the
+    /// certifier, one LAN hop before the response arrives. A request
+    /// touching a fully-dead group parks in its wait queue instead.
     pub fn on_send(
         &mut self,
         now: SimTime,
         replica: usize,
         txn: TxnId,
         ws: Writeset,
-        groups: u64,
         tracer: &mut Tracer,
         queue: &mut EventQueue<Ev>,
     ) {
-        if groups != 0 {
-            self.on_send_sharded(now, replica, txn, ws, groups, tracer, queue);
-            return;
-        }
-        if !self.group.is_available() {
-            // Every member is dead: queue-and-wait — the request parks and
-            // drains when a member restarts. Back-pressure, not an abort.
-            self.wait.push_back(WaitingCert {
+        let groups = self.engine.groups_of(&ws);
+        let dead = (0..self.members.len())
+            .find(|&g| groups >> g & 1 == 1 && !self.members[g].is_available());
+        if let Some(g) = dead {
+            self.parked[g].push_back(WaitingCert {
                 arrived: now,
                 replica,
                 txn,
                 ws,
-                groups,
             });
             return;
         }
-        // A request landing in a failover gap waits for the new leader.
-        let now = now.max(self.available_at);
-        match self.certifier.certify(now, ws) {
-            CertifyOutcome::Committed {
-                version,
-                durable_at,
-            } => {
-                tracer.emit(
-                    durable_at,
-                    TraceData::Certify {
-                        txn: txn.0,
-                        groups: 0,
-                        committed: true,
-                        version: Some(version.0),
-                    },
-                );
-                queue.schedule(
-                    durable_at + self.lan_hop_us,
-                    Ev::CertifyReturn {
-                        replica,
-                        txn,
-                        version: Some(version),
-                    },
-                );
-            }
-            CertifyOutcome::Conflict => {
-                tracer.emit(
-                    now,
-                    TraceData::Certify {
-                        txn: txn.0,
-                        groups: 0,
-                        committed: false,
-                        version: None,
-                    },
-                );
-                queue.schedule(
-                    now + self.lan_hop_us,
-                    Ev::CertifyReturn {
-                        replica,
-                        txn,
-                        version: None,
-                    },
-                );
-            }
-        }
-        self.last_contact[replica] = now;
-    }
-
-    /// Sharded certification: a single-group request reserves the group's
-    /// shard check then decides against the global log; a cross-group request
-    /// runs the atomic-commitment round across the touched groups.
-    #[allow(clippy::too_many_arguments)]
-    fn on_send_sharded(
-        &mut self,
-        now: SimTime,
-        replica: usize,
-        txn: TxnId,
-        ws: Writeset,
-        groups: u64,
-        tracer: &mut Tracer,
-        queue: &mut EventQueue<Ev>,
-    ) {
-        let lan = self.lan_hop_us;
-        let s = self
-            .sharded
-            .as_mut()
-            .expect("nonzero group mask under unified certification");
-        if let Some(g) = group_bits(groups).find(|g| !s.groups[*g].is_available()) {
-            s.wait[g].push_back(WaitingCert {
-                arrived: now,
+        let answer = self.engine.answer(now, &ws, groups);
+        tracer.emit(
+            answer.at,
+            TraceData::Certify {
+                txn: txn.0,
+                groups,
+                committed: answer.version.is_some(),
+                version: answer.version.map(|v| v.0),
+            },
+        );
+        queue.schedule(
+            answer.at + self.lan_hop_us,
+            Ev::CertifyReturn {
                 replica,
                 txn,
-                ws,
-                groups,
-            });
-            return;
-        }
-        let eff_now = if groups.count_ones() == 1 {
-            let g = groups.trailing_zeros() as usize;
-            let check = s.shards[g].reserve_check(now);
-            s.decide_single(g, replica, txn, ws, check, lan, tracer, queue)
-        } else {
-            s.decide_cross(groups, replica, txn, ws, now, lan, tracer, queue)
-        };
-        self.last_contact[replica] = eff_now;
+                version: answer.version,
+            },
+        );
+        self.last_contact[replica] = answer.arrived;
     }
 
     /// The commit half of the response path: applies the intervening remote
@@ -728,8 +355,8 @@ impl CertifierLink {
 
     /// Periodic propagation: pulls (or prods) pending writesets onto a
     /// replica per the paper's 500 ms / 25-commit rules. The trigger reads
-    /// the *global* log head in both certification modes — sharded groups
-    /// share one propagation stream, since replicas apply the global order.
+    /// the *global* log head — certifier groups share one propagation
+    /// stream, since replicas apply the global order.
     pub fn maintenance_pull(
         &mut self,
         now: SimTime,
@@ -788,4 +415,106 @@ fn delivery_bytes(
         }
     }
     (sent, saved)
+}
+
+#[cfg(test)]
+mod tests {
+    use std::collections::HashMap;
+
+    use tashkent_engine::{Snapshot, TxnTypeId, WritesetItem};
+    use tashkent_storage::RelationId;
+
+    use super::*;
+    use crate::trace::TraceConfig;
+
+    const HOP: u64 = 100;
+
+    /// A one-replica link with `groups` certifier groups, relation `r`
+    /// owned by group `r`.
+    fn link(groups: u32, params: CertifierParams) -> CertifierLink {
+        let sets: Vec<RelationSet> = (0..groups)
+            .map(|r| [RelationId(r)].into_iter().collect())
+            .collect();
+        CertifierLink::new(params, CertMap::build(&sets, groups as usize), 1, HOP)
+    }
+
+    /// A writeset at snapshot 0 writing row 1 of each of `rels`.
+    fn ws(txn: u64, rels: &[u32]) -> Writeset {
+        let items = rels
+            .iter()
+            .map(|&r| WritesetItem::new(RelationId(r), 1))
+            .collect();
+        Writeset::new(TxnId(txn), TxnTypeId(0), Snapshot::at(Version(0)), items)
+    }
+
+    #[test]
+    fn heartbeat_nic_time_delays_every_group() {
+        // A one-microsecond group-commit window keeps the commit's
+        // durability from rounding the delay away.
+        let params = CertifierParams {
+            group_window_us: 1,
+            ..CertifierParams::default()
+        };
+        let t = SimTime::from_millis(5);
+        let answered = |charge: bool| {
+            let mut link = link(4, params);
+            if charge {
+                link.occupy_nic(t, 16);
+            }
+            let mut queue = EventQueue::new();
+            link.on_send(
+                t,
+                0,
+                TxnId(1),
+                ws(1, &[3]),
+                &mut Tracer::disabled(),
+                &mut queue,
+            );
+            queue.pop().expect("the answer is scheduled").0
+        };
+        assert_eq!(answered(true), answered(false) + 16);
+    }
+
+    #[test]
+    fn certify_is_stamped_when_the_answer_leaves() {
+        let mut link = link(4, CertifierParams::default());
+        let mut tracer = Tracer::new(&TraceConfig {
+            jsonl_path: Some(String::new()),
+            ..TraceConfig::default()
+        });
+        let mut queue = EventQueue::new();
+        let t = SimTime::from_micros(300);
+        // A single-group commit, a cross-group commit, and a conflict with
+        // the first (same row, stale snapshot).
+        for (txn, rels) in [(1, &[0][..]), (2, &[1, 2]), (3, &[0])] {
+            link.on_send(t, 0, TxnId(txn), ws(txn, rels), &mut tracer, &mut queue);
+        }
+        let mut returns = HashMap::new();
+        while let Some((at, ev)) = queue.pop() {
+            if let Ev::CertifyReturn { txn, version, .. } = ev {
+                returns.insert(txn.0, (at, version));
+            }
+        }
+        let stamps: Vec<(u64, u64, bool)> = tracer
+            .events()
+            .map(|e| match e.data {
+                TraceData::Certify {
+                    txn,
+                    groups,
+                    committed,
+                    ..
+                } => {
+                    let (at, version) = returns[&txn];
+                    assert_eq!(e.at + HOP, at, "txn {txn}: stamp is not one hop before");
+                    assert_eq!(committed, version.is_some());
+                    (txn, groups, committed)
+                }
+                ref other => panic!("unexpected trace event {other:?}"),
+            })
+            .collect();
+        assert_eq!(
+            stamps,
+            vec![(1, 0b1, true), (2, 0b110, true), (3, 0b1, false)]
+        );
+    }
 }

@@ -1,14 +1,11 @@
 //! A replica node wired into the cluster event loop.
 
-use std::sync::Arc;
-
 use tashkent_engine::{Snapshot, TxnExecutor, TxnId, Version};
 use tashkent_replica::{LoadReport, ReplicaNode, StepOutcome, UpdateFilter};
 use tashkent_sim::{EventQueue, SimTime};
 use tashkent_storage::RelationSet;
 
 use crate::events::Ev;
-use crate::placement::CertMap;
 use crate::trace::{TraceData, Tracer};
 
 /// Wraps a [`ReplicaNode`] with its cluster identity and network position,
@@ -18,10 +15,6 @@ pub struct ClusterNode {
     node: ReplicaNode,
     lan_hop_us: u64,
     up: bool,
-    /// Under sharded certification, the relation→group map used to stamp
-    /// each outgoing [`Ev::CertifySend`] with its touched-group bitmask.
-    /// `None` under unified certification (mask 0).
-    cert_map: Option<Arc<CertMap>>,
 }
 
 impl ClusterNode {
@@ -33,14 +26,7 @@ impl ClusterNode {
             node,
             lan_hop_us,
             up: true,
-            cert_map: None,
         }
-    }
-
-    /// Installs the certification map (sharded mode); subsequent
-    /// certification requests carry its group bitmask.
-    pub fn set_cert_map(&mut self, map: Arc<CertMap>) {
-        self.cert_map = Some(map);
     }
 
     /// Replica index within the cluster.
@@ -169,21 +155,12 @@ impl ClusterNode {
                     committed: true,
                 },
             ),
-            StepOutcome::ReadyToCommit(t, ws) => {
-                let groups = self.cert_map.as_ref().map_or(0, |m| m.mask_for(&ws));
-                let bytes = ws.bytes();
-                (
-                    "cert",
-                    bytes,
-                    t + self.lan_hop_us,
-                    Ev::CertifySend {
-                        replica,
-                        txn,
-                        ws,
-                        groups,
-                    },
-                )
-            }
+            StepOutcome::ReadyToCommit(t, ws) => (
+                "cert",
+                ws.bytes(),
+                t + self.lan_hop_us,
+                Ev::CertifySend { replica, txn, ws },
+            ),
         };
         tracer.emit(
             now,

@@ -37,39 +37,6 @@ impl PlacementSpec {
     }
 }
 
-/// How certification is organized.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum CertifierSharding {
-    /// One certifier group establishes the single global total order (the
-    /// paper's deployment).
-    #[default]
-    Unified,
-    /// Sharded certification (Sutra & Shapiro direction): each relation
-    /// group from the [`crate::placement::CertMap`] is certified by its own
-    /// leader+backups group and service queue, against the one global
-    /// commit log; cross-group
-    /// transactions run an atomic-commitment round (vote/decide) among the
-    /// touched groups, paying extra LAN hops. `max_groups = 1` degenerates
-    /// to a single group and reproduces `Unified` results bit for bit.
-    Sharded {
-        /// Upper bound on certifier groups (clamped to
-        /// `[1, MAX_CERT_GROUPS]`).
-        max_groups: usize,
-    },
-}
-
-impl CertifierSharding {
-    /// Label for tables and logs.
-    pub fn label(&self) -> String {
-        match self {
-            CertifierSharding::Unified => "unified".into(),
-            CertifierSharding::Sharded { max_groups } => {
-                format!("sharded(max_groups={max_groups})")
-            }
-        }
-    }
-}
-
 /// Which load-balancing policy the cluster runs.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum PolicySpec {
@@ -177,10 +144,17 @@ pub struct ClusterConfig {
     /// [`PlacementSpec::Partial`]; not the update-filtering `min_copies`
     /// field above).
     pub placement: PlacementSpec,
-    /// Certification organization: one unified total order, or per-group
-    /// certifier shards with atomic commitment for cross-group
-    /// transactions (see [`CertifierSharding`]).
-    pub certifier_sharding: CertifierSharding,
+    /// Upper bound on certifier groups (clamped to
+    /// `[1, MAX_CERT_GROUPS]`). One group, the default, is the paper's
+    /// deployment. More split certification by the workload's relation
+    /// groups (Sutra & Shapiro direction): each group has its own
+    /// leader+backups membership and serial check queue in front of the one
+    /// global commit log, and a cross-group transaction runs an
+    /// atomic-commitment round among the groups it touches (see
+    /// [`tashkent_certifier::Certifier`]).
+    ///
+    /// [`MAX_CERT_GROUPS`]: tashkent_certifier::MAX_CERT_GROUPS
+    pub cert_groups: usize,
     /// Bandwidth cap on placement backfill (re-replication and migration),
     /// in bytes per second of simulated time. `0` means uncapped: the whole
     /// backfill is charged through the target's CPU/disk models at the
@@ -262,7 +236,7 @@ impl ClusterConfig {
             stable_rounds_for_filter: 10,
             min_copies: 2,
             placement: PlacementSpec::Full,
-            certifier_sharding: CertifierSharding::Unified,
+            cert_groups: 1,
             backfill_bytes_per_sec: 0,
             migration_period: None,
             merge_threshold_override: None,
@@ -346,9 +320,9 @@ impl ClusterConfig {
         self
     }
 
-    /// Convenience: set the certification organization.
-    pub fn with_certifier_sharding(mut self, sharding: CertifierSharding) -> Self {
-        self.certifier_sharding = sharding;
+    /// Convenience: set the upper bound on certifier groups.
+    pub fn with_cert_groups(mut self, cert_groups: usize) -> Self {
+        self.cert_groups = cert_groups;
         self
     }
 
@@ -436,22 +410,14 @@ mod tests {
         assert_eq!(PolicySpec::malb_sc().label(), "MALB-SC");
         assert_eq!(PolicySpec::malb_sc_uf().label(), "MALB-SC+UF");
         assert_eq!(PolicySpec::Lard.label(), "LARD");
-        assert_eq!(CertifierSharding::Unified.label(), "unified");
-        assert_eq!(
-            CertifierSharding::Sharded { max_groups: 8 }.label(),
-            "sharded(max_groups=8)"
-        );
     }
 
     #[test]
     fn default_certification_is_unified() {
         let c = ClusterConfig::paper_default();
-        assert_eq!(c.certifier_sharding, CertifierSharding::Unified);
-        let s = c.with_certifier_sharding(CertifierSharding::Sharded { max_groups: 4 });
-        assert_eq!(
-            s.certifier_sharding,
-            CertifierSharding::Sharded { max_groups: 4 }
-        );
+        assert_eq!(c.cert_groups, 1);
+        let s = c.with_cert_groups(4);
+        assert_eq!(s.cert_groups, 4);
     }
 
     #[test]

@@ -59,11 +59,6 @@ pub enum Ev {
         txn: TxnId,
         /// The writeset.
         ws: Writeset,
-        /// Certifier groups the writeset touches, as a bitmask computed at
-        /// send time from the run's `CertMap` (`0` under the unified
-        /// certifier). A single set bit certifies against one shard; more
-        /// bits run the cross-group atomic-commitment round.
-        groups: u64,
     },
     /// The certifier's response reaches the replica.
     CertifyReturn {
@@ -137,7 +132,8 @@ pub enum Ev {
     /// dead, requests queue at the link and drain when a member restarts
     /// ([`Ev::CertifierRestart`]) — back-pressure, never spurious aborts.
     CertifierKill {
-        /// Certifier group index (always `0` under the unified certifier).
+        /// Certifier group index (`0` in the paper's one-group deployment);
+        /// an index past the group count is ignored.
         group: usize,
         /// Group member index (the initial leader is member 0).
         member: usize,
@@ -147,7 +143,7 @@ pub enum Ev {
     /// delay and the requests queued during the outage drain through it in
     /// arrival order.
     CertifierRestart {
-        /// Certifier group index (always `0` under the unified certifier).
+        /// Certifier group index; an index past the group count is ignored.
         group: usize,
         /// Group member index.
         member: usize,
@@ -230,3 +226,7 @@ pub enum Ev {
     /// End of run.
     End,
 }
+
+// Events are stored by value in the queue's heap; keep them at 64 bytes.
+#[cfg(target_pointer_width = "64")]
+const _: () = assert!(std::mem::size_of::<Ev>() == 64);

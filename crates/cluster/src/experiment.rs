@@ -21,7 +21,7 @@ use tashkent_sim::SimTime;
 use tashkent_workloads::tpcw::TpcwScale;
 use tashkent_workloads::{rubis, tpcw, Mix, Workload};
 
-use crate::config::{CertifierSharding, ClusterConfig, PlacementSpec, PolicySpec};
+use crate::config::{ClusterConfig, PlacementSpec, PolicySpec};
 use crate::metrics::RunResult;
 use crate::world::{Ev, RunError, World};
 
@@ -188,9 +188,8 @@ pub struct ScenarioKnobs {
     /// full replication; `Some(n)` with `n >= replicas` is the degenerate
     /// full-replication case and reproduces `None` results bit for bit.
     pub min_copies: Option<usize>,
-    /// Certifier sharding: maximum certifier groups. `None` keeps the
-    /// single unified certifier; `Some(1)` is the degenerate sharded case
-    /// and reproduces unified results bit for bit.
+    /// Upper bound on certifier groups. `None` keeps the paper's one
+    /// group, the same as `Some(1)`.
     pub cert_groups: Option<usize>,
     /// Bandwidth cap for placement backfills (re-replication and
     /// migration), bytes per simulated second. `None` keeps the
@@ -271,7 +270,7 @@ impl ScenarioKnobs {
         self
     }
 
-    /// Sets (or clears) the certifier-sharding group cap.
+    /// Sets (or clears) the upper bound on certifier groups.
     pub fn with_cert_groups(mut self, cert_groups: Option<usize>) -> Self {
         self.cert_groups = cert_groups;
         self
@@ -322,10 +321,7 @@ impl ScenarioKnobs {
             Some(min_copies) => PlacementSpec::Partial { min_copies },
             None => PlacementSpec::Full,
         };
-        config.certifier_sharding = match self.cert_groups {
-            Some(max_groups) => CertifierSharding::Sharded { max_groups },
-            None => CertifierSharding::Unified,
-        };
+        config.cert_groups = self.cert_groups.unwrap_or(1);
         config.backfill_bytes_per_sec = self.backfill_bytes_per_sec.unwrap_or(0);
         if let Some(p) = self.heartbeat_period_us {
             config.heartbeat_period_us = p;

@@ -44,7 +44,7 @@ pub mod trace;
 pub mod world;
 
 pub use components::{BalancerCtl, CertifierLink, ClusterNode, HealthTransition, ReplicaHealth};
-pub use config::{CertifierSharding, ClusterConfig, PlacementSpec, PolicySpec};
+pub use config::{ClusterConfig, PlacementSpec, PolicySpec};
 pub use detection::{Detection, DetectionSchedule};
 pub use events::{Ev, CONTROL_NODE};
 pub use experiment::{

@@ -23,10 +23,9 @@ pub enum FaultKind {
     /// A replica finished log-replay recovery and rejoined dispatch (index).
     ReplicaRecover(usize),
     /// A certifier group elected a new leader after a kill (or after a
-    /// revival drained its wait queue). `group` is 0 under unified
-    /// certification, where there is exactly one group.
+    /// revival drained its wait queue).
     CertifierFailover {
-        /// Certifier-group index (always 0 under unified certification).
+        /// Certifier-group index (0 in the paper's one-group deployment).
         group: usize,
         /// Index of the newly elected leader within the group.
         leader: usize,
@@ -430,11 +429,12 @@ pub struct RunResult {
     /// determinism fingerprints — the trace *bytes* have their own,
     /// stricter, equality test axis.
     pub trace_summary: Option<TraceSummary>,
-    /// Per-certifier-group global commit versions, in group-local commit
-    /// order (filled by `World::finish_result`; empty under unified
-    /// certification). Part of the observable result: the determinism
-    /// fingerprint includes each group's log, so a run that reordered
-    /// sharded certification would be caught.
+    /// Per-certifier-group global commit versions, ascending: the versions
+    /// whose writesets touch each group, derived from the commit log when
+    /// the run finishes (empty with one group, whose only list would be
+    /// every version). Part of the observable result: the determinism
+    /// fingerprint includes each group's list, so a run that reordered or
+    /// split a cross-group commit would be caught.
     pub cert_group_commits: Vec<Vec<u64>>,
     /// Injected faults as they took effect, in order, over the whole run
     /// (crashes, recoveries, certifier failovers).

@@ -33,15 +33,16 @@
 //!
 //! The groups come from one derivation, [`TypeGroups::derive`], which a
 //! cluster runs once per build and hands to both the [`ReplicationPlanner`]
-//! and the certifier-sharding map [`CertMap`]. Every relation set here —
-//! a group's members, a replica's held and pending relations, the update
-//! filter it installs, a backfill's relations — is a
+//! and the relation → certifier-group map [`CertMap`]. Every relation set
+//! here — a group's members, a replica's held and pending relations, the
+//! update filter it installs, a backfill's relations — is a
 //! [`tashkent_storage::RelationSet`] bitmap.
 
+use tashkent_certifier::CertMap;
 use tashkent_core::WorkingSetEstimator;
-use tashkent_engine::{TxnTypeId, Writeset};
+use tashkent_engine::TxnTypeId;
 use tashkent_replica::UpdateFilter;
-use tashkent_storage::{Catalog, RelationId, RelationSet, MAX_RELATIONS};
+use tashkent_storage::{Catalog, RelationId, RelationSet};
 use tashkent_workloads::Workload;
 
 /// Bytes of a version tick — the durability notification a non-holder
@@ -98,6 +99,12 @@ impl TypeGroups {
             of_type[t.id.0 as usize] = Some(group);
         }
         TypeGroups { sets, of_type }
+    }
+
+    /// The relation → certifier-group map: these groups folded down to at
+    /// most `max_groups` certifier groups (see [`CertMap::build`]).
+    pub fn cert_map(&self, max_groups: usize) -> CertMap {
+        CertMap::build(&self.sets, max_groups)
     }
 }
 
@@ -398,94 +405,11 @@ impl ReplicationPlanner {
     }
 }
 
-/// Assigns every relation to exactly one *certifier group* — the sharding
-/// unit of certification. Groups are the [`TypeGroups`] the
-/// [`ReplicationPlanner`] places, folded down to at most `max_groups`
-/// groups; a relation shared by several relation sets is owned by the
-/// lowest-indexed one, so ownership is a function — each item has exactly
-/// one certifying group, which is what makes the sharded conflict probe
-/// equivalent to the global one.
-#[derive(Debug, Clone)]
-pub struct CertMap {
-    n_groups: usize,
-    /// Owning certifier group per relation id; unreferenced relations
-    /// (never written) belong to group 0.
-    owner: [u8; MAX_RELATIONS as usize],
-}
-
-/// Hard cap on certifier groups: touched-group sets travel as `u64`
-/// bitmasks through events.
-pub const MAX_CERT_GROUPS: usize = 64;
-
-impl CertMap {
-    /// Builds the certifier-group map from a workload's relation groups,
-    /// folding the distinct relation sets down to at most `max_groups`
-    /// (clamped to `[1, MAX_CERT_GROUPS]`) groups round-robin by
-    /// relation-set index.
-    pub fn build(groups: &TypeGroups, max_groups: usize) -> Self {
-        let fold = groups
-            .sets
-            .len()
-            .min(max_groups.clamp(1, MAX_CERT_GROUPS))
-            .max(1);
-        // The first relation set to claim a relation owns it.
-        let mut owner = [0u8; MAX_RELATIONS as usize];
-        let mut claimed = RelationSet::new();
-        let mut owns_any = [false; MAX_CERT_GROUPS];
-        for (idx, rels) in groups.sets.iter().enumerate() {
-            for rel in rels.difference(claimed).iter() {
-                owner[rel.0 as usize] = (idx % fold) as u8;
-                owns_any[idx % fold] = true;
-            }
-            claimed = claimed.union(*rels);
-        }
-        // Compact away groups left owning nothing (every relation of their
-        // sets was claimed by a lower-indexed set): each surviving group
-        // must own at least one relation or it would never see traffic.
-        let mut remap = [0u8; MAX_CERT_GROUPS];
-        let mut n_groups = 0;
-        for (g, owns) in owns_any[..fold].iter().enumerate() {
-            if *owns {
-                remap[g] = n_groups as u8;
-                n_groups += 1;
-            }
-        }
-        for rel in claimed.iter() {
-            owner[rel.0 as usize] = remap[owner[rel.0 as usize] as usize];
-        }
-        CertMap {
-            n_groups: n_groups.max(1),
-            owner,
-        }
-    }
-
-    /// Number of certifier groups (1 ..= [`MAX_CERT_GROUPS`]).
-    pub fn group_count(&self) -> usize {
-        self.n_groups
-    }
-
-    /// The certifier group owning `rel`.
-    pub fn group_of_rel(&self, rel: RelationId) -> usize {
-        self.owner.get(rel.0 as usize).map_or(0, |g| *g as usize)
-    }
-
-    /// Bitmask of the certifier groups `ws` touches. Empty writesets
-    /// certify against group 0 (any single group works; 0 is canonical).
-    pub fn mask_for(&self, ws: &Writeset) -> u64 {
-        if ws.items.is_empty() {
-            return 1;
-        }
-        let mut mask = 0u64;
-        for item in &ws.items {
-            mask |= 1 << self.group_of_rel(item.rel());
-        }
-        mask
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tashkent_certifier::MAX_CERT_GROUPS;
+    use tashkent_storage::MAX_RELATIONS;
     use tashkent_workloads::tpcw::{self, TpcwScale};
 
     fn tpcw_map(replicas: usize, min_copies: usize) -> PlacementMap {
@@ -677,7 +601,7 @@ mod tests {
 
     fn tpcw_cert_map(max_groups: usize) -> CertMap {
         let (workload, _) = tpcw::workload_with_mix(TpcwScale::Small, "ordering");
-        CertMap::build(&TypeGroups::derive(&workload), max_groups)
+        TypeGroups::derive(&workload).cert_map(max_groups)
     }
 
     #[test]
@@ -685,8 +609,8 @@ mod tests {
         let cert = tpcw_cert_map(8);
         assert!(cert.group_count() >= 2, "TPC-W must shard into >1 group");
         assert!(cert.group_count() <= MAX_CERT_GROUPS);
-        for g in cert.owner {
-            assert!((g as usize) < cert.group_count());
+        for rel in 0..MAX_RELATIONS {
+            assert!(cert.group_of_rel(RelationId(rel)) < cert.group_count());
         }
         // Unreferenced relations fall to group 0.
         assert_eq!(cert.group_of_rel(RelationId(10_000)), 0);
@@ -697,28 +621,20 @@ mod tests {
         let cert = tpcw_cert_map(1);
         assert_eq!(cert.group_count(), 1);
         let (workload, _) = tpcw::workload_with_mix(TpcwScale::Small, "ordering");
-        use tashkent_engine::{Snapshot, TxnId, Version, WritesetItem};
+        use tashkent_engine::WritesetItem;
         for rel in 0..workload.catalog.len() as u32 {
             assert_eq!(cert.group_of_rel(RelationId(rel)), 0);
         }
-        let ws = Writeset::new(
-            TxnId(1),
-            TxnTypeId(0),
-            Snapshot::at(Version(0)),
-            vec![WritesetItem::new(RelationId(3), 9)],
-        );
-        assert_eq!(cert.mask_for(&ws), 1);
-        let empty = Writeset::new(TxnId(2), TxnTypeId(0), Snapshot::at(Version(0)), Vec::new());
-        assert_eq!(empty.items.len(), 0);
-        assert_eq!(cert.mask_for(&empty), 1, "empty writesets use group 0");
+        assert_eq!(cert.mask_for(&[WritesetItem::new(RelationId(3), 9)]), 1);
+        assert_eq!(cert.mask_for(&[]), 1, "empty writesets use group 0");
     }
 
     #[test]
     fn cert_masks_cover_every_type_and_are_deterministic() {
         let (workload, _) = tpcw::workload_with_mix(TpcwScale::Small, "ordering");
         let groups = TypeGroups::derive(&workload);
-        let a = CertMap::build(&groups, 8);
-        let b = CertMap::build(&TypeGroups::derive(&workload), 8);
+        let a = groups.cert_map(8);
+        let b = TypeGroups::derive(&workload).cert_map(8);
         assert_eq!(a.group_count(), b.group_count());
         let mut union = 0u64;
         for rel in groups.sets.iter().flat_map(|rels| rels.iter()) {

@@ -14,9 +14,8 @@
 //! observes bit-identical state evolution.
 
 use std::collections::HashMap;
-use std::sync::Arc;
 
-use tashkent_certifier::Certifier;
+use tashkent_certifier::{CertMap, Certifier};
 use tashkent_core::{LoadBalancer, ReplicaId, ResourceLoad};
 use tashkent_engine::{TxnExecutor, TxnId, TxnTypeId, Version};
 use tashkent_replica::ReplicaNode;
@@ -25,10 +24,10 @@ use tashkent_storage::RelationSet;
 use tashkent_workloads::{ClientPool, Mix, Workload};
 
 use crate::components::{BalancerCtl, CertifierLink, ClusterNode, HealthTransition, ReplicaHealth};
-use crate::config::{CertifierSharding, ClusterConfig, PlacementSpec};
+use crate::config::{ClusterConfig, PlacementSpec};
 use crate::events::{Ev, CONTROL_NODE};
 use crate::metrics::{FaultKind, GroupSnapshot, Metrics};
-use crate::placement::{CertMap, PlacementMap, ReplicationPlanner, TypeGroups};
+use crate::placement::{PlacementMap, ReplicationPlanner, TypeGroups};
 use crate::trace::{TraceData, Tracer};
 
 /// Bookkeeping for one in-flight transaction.
@@ -177,13 +176,11 @@ impl ClusterState {
                 )
             })
             .collect();
-        // Placement and certifier sharding both start from the workload's
-        // relation groups; derive them once, and only when one of the two
-        // needs them.
-        let type_groups = match (config.placement, config.certifier_sharding) {
-            (PlacementSpec::Full, CertifierSharding::Unified) => None,
-            _ => Some(TypeGroups::derive(&workload)),
-        };
+        // Partial placement and certifier groups both start from the
+        // workload's relation groups; derive them once, and only when one of
+        // the two needs them.
+        let type_groups = (config.placement != PlacementSpec::Full || config.cert_groups > 1)
+            .then(|| TypeGroups::derive(&workload));
         // Partial replication: plan the group → holder-set assignment, then
         // thread it through the layers — placement filters on the nodes (the
         // "must not receive" tier) and per-type eligibility masks on the
@@ -204,30 +201,16 @@ impl ClusterState {
             }
             balancer.set_type_eligibility(Some(p.type_masks(workload.types.len())));
         }
-        // Sharded certification: derive the relation → certifier-group map
-        // from the workload, stamp it onto every node (so outgoing
-        // `CertifySend`s carry their touched-group bitmask), and give the
-        // sharded link one certifier group per map group.
-        let cert_map = match (config.certifier_sharding, &type_groups) {
-            (CertifierSharding::Sharded { max_groups }, Some(groups)) => {
-                Some(Arc::new(CertMap::build(groups, max_groups)))
-            }
-            _ => None,
-        };
-        let certifier = match &cert_map {
-            Some(map) => {
-                for node in nodes.iter_mut() {
-                    node.set_cert_map(Arc::clone(map));
-                }
-                CertifierLink::new_sharded(
-                    config.certifier,
-                    config.replicas,
-                    config.lan_hop_us,
-                    map.group_count(),
-                )
-            }
-            None => CertifierLink::new(config.certifier, config.replicas, config.lan_hop_us),
-        };
+        // The relation → certifier-group map folds the same relation groups.
+        let cert_map = type_groups
+            .as_ref()
+            .map_or_else(CertMap::default, |g| g.cert_map(config.cert_groups));
+        let certifier = CertifierLink::new(
+            config.certifier,
+            cert_map,
+            config.replicas,
+            config.lan_hop_us,
+        );
         let clients = ClientPool::new(config.clients, config.think_mean_us);
         let group_load = placement
             .as_ref()
@@ -380,9 +363,9 @@ impl ClusterState {
         self.balancer.inner()
     }
 
-    /// The certifier (tests and metrics).
+    /// The certification engine (tests and metrics).
     pub fn certifier(&self) -> &Certifier {
-        self.certifier.inner()
+        self.certifier.engine()
     }
 
     /// The certifier group's membership and leadership (tests and metrics).
@@ -429,7 +412,7 @@ impl ClusterState {
         let (sent, saved) = self.certifier.propagation_bytes();
         result.propagated_ws_bytes = sent.saturating_sub(self.prop0.0);
         result.filtered_ws_bytes = saved.saturating_sub(self.prop0.1);
-        result.cert_group_commits = self.certifier.cert_group_commits();
+        result.cert_group_commits = self.certifier().group_commits();
         result.migration_bytes = self.migration_bytes;
         result.migration_us = self.migration_us;
         result.redo_bytes = self.redo_bytes;
@@ -482,12 +465,7 @@ impl ClusterState {
             Ev::StepTxn { replica, txn } => {
                 self.nodes[replica].on_step(now, txn, &mut self.tracer, queue)
             }
-            Ev::CertifySend {
-                replica,
-                txn,
-                ws,
-                groups,
-            } => {
+            Ev::CertifySend { replica, txn, ws } => {
                 if self.partitioned(replica, CONTROL_NODE) {
                     // The writeset never reaches the certifier. The
                     // replica-side proxy sees the connection drop and frees
@@ -502,7 +480,7 @@ impl ClusterState {
                     }
                 } else {
                     self.certifier
-                        .on_send(now, replica, txn, ws, groups, &mut self.tracer, queue)
+                        .on_send(now, replica, txn, ws, &mut self.tracer, queue)
                 }
             }
             Ev::CertifyReturn {

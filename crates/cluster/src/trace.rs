@@ -124,11 +124,12 @@ pub enum TraceData {
         /// Writeset bytes when `outcome == "cert"`, else 0.
         ws_bytes: u64,
     },
-    /// The certifier's decision for one request.
+    /// The certifier's answer to one request, stamped when it leaves the
+    /// certifier (one LAN hop before the replica receives it).
     Certify {
         /// Transaction id.
         txn: u64,
-        /// Touched-group bitmask (0 under unified certification).
+        /// Bitmask of the certifier groups the writeset touches; never 0.
         groups: u64,
         /// Committed (`version` set) or conflict-aborted.
         committed: bool,
@@ -461,11 +462,7 @@ impl Tracer {
                     ..
                 } => {
                     if let Some(sent) = cert_sent.remove(txn) {
-                        let tid = if *groups == 0 {
-                            0
-                        } else {
-                            groups.trailing_zeros() as usize
-                        };
+                        let tid = groups.trailing_zeros();
                         let name = names.get(txn).map_or("txn", String::as_str);
                         push(
                             &mut out,

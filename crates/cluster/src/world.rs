@@ -126,18 +126,19 @@ impl World {
         self.state.balancer()
     }
 
-    /// The certifier (tests and metrics).
+    /// The certification engine (tests and metrics).
     pub fn certifier(&self) -> &Certifier {
         self.state.certifier()
     }
 
-    /// The certifier group's membership and leadership (tests and metrics).
+    /// The first certifier group's membership and leadership (tests and
+    /// metrics).
     pub fn certifier_group(&self) -> &tashkent_certifier::CertifierGroup {
         self.state.certifier_group()
     }
 
-    /// The full certifier link — per-group state under sharded
-    /// certification (tests and metrics).
+    /// The full certifier link — per-group membership and parked requests
+    /// (tests and metrics).
     pub fn cert_link(&self) -> &crate::components::CertifierLink {
         self.state.cert_link()
     }

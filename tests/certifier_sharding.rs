@@ -1,24 +1,24 @@
-//! Sharded-certification integration tests: atomicity across certifier
-//! groups, per-group log contiguity, decide-order determinism under random
-//! per-group leader kills, and the degenerate single-group configuration
-//! reproducing the unified certifier bit for bit — plus the sharded link's
-//! verdicts against a last-writer-index reference.
+//! Certifier-group integration tests: atomicity across certifier groups,
+//! per-group commit-list contiguity, decide-order determinism under random
+//! per-group leader kills, and the run's certifier accessor on grouped runs
+//! — plus the grouped link's verdicts against a last-writer-index
+//! reference.
 
 use std::collections::HashMap;
 
 use proptest::prelude::*;
-use tashkent::certifier::CertifierParams;
+use tashkent::certifier::{CertMap, CertifierParams};
 use tashkent::cluster::{
     run, run_scenario, run_sweep, scenario, CertifierLink, Ev, Experiment, FaultKind, RunResult,
-    Scenario, ScenarioKnobs, TpcwSteadyState, TraceConfig, Tracer,
+    Scenario, ScenarioKnobs, TpcwSteadyState, TraceConfig, Tracer, World,
 };
 use tashkent::engine::{Snapshot, TxnId, TxnTypeId, Version, Writeset, WritesetItem};
 use tashkent::sim::{EventQueue, SimTime};
-use tashkent::storage::RelationId;
+use tashkent::storage::{RelationId, RelationSet};
 
-/// The observable result of a run under sharded certification, exact to
+/// The observable result of a run with several certifier groups, exact to
 /// the bit: the base commit/abort/timing counters plus the per-group
-/// commit logs (global versions, ascending per group).
+/// commit lists (global versions, ascending per group).
 #[derive(Debug, PartialEq)]
 struct Fingerprint {
     committed: u64,
@@ -98,9 +98,8 @@ fn no_partial_commit_across_groups() {
     // 1..=head with no gaps — a partially-committed cross-group txn would
     // leave its version missing from some touched group and the gap check
     // would not see it, so also require every version's holder set to be
-    // non-empty. One to four groups: from no cross-group rounds at all to
-    // the most of them.
-    for groups in 1..=4 {
+    // non-empty. Two to four groups (one group keeps no list).
+    for groups in 2..=4 {
         let knobs = sharded_knobs(42).with_cert_groups(Some(groups));
         let r = run_scenario("tpcw-steady-state", &knobs).expect("sharded run completes");
         let mut all: Vec<u64> = Vec::new();
@@ -193,35 +192,21 @@ fn decide_order_is_deterministic_under_random_group_kill_schedules() {
 }
 
 #[test]
-fn degenerate_single_group_matches_unified_bit_for_bit() {
-    // `max_groups = 1` routes every transaction through one group with no
-    // atomic-commitment rounds: the observable results must be identical
-    // to the unified certifier's.
-    let knobs = ScenarioKnobs::smoke();
-    let unified = run_scenario("tpcw-steady-state", &knobs).expect("unified run completes");
-    let one_group = run_scenario(
-        "tpcw-steady-state",
-        &knobs.clone().with_cert_groups(Some(1)),
-    )
-    .expect("single-group sharded run completes");
-    assert_eq!(one_group.cert_group_commits.len(), 1);
-    let mut uni = Fingerprint::of(&unified);
-    let mut one = Fingerprint::of(&one_group);
-    // The per-group log is the sharded mode's extra observable; the single
-    // group's log must be the full commit sequence.
-    let log = std::mem::take(&mut one.cert_group_commits).remove(0);
-    let head = *log.last().expect("updates committed");
-    assert_eq!(log, (1..=head).collect::<Vec<u64>>());
-    uni.cert_group_commits = Vec::new();
-    assert_eq!(
-        uni, one,
-        "max_groups = 1 diverged from the unified certifier"
-    );
-    assert_eq!(unified.completions, one_group.completions);
+fn world_certifier_reads_the_grouped_log() {
+    // `World::certifier` is the one certification engine, so on a
+    // four-group run its log head is the link's head.
+    let exp = TpcwSteadyState::default().experiment(&sharded_knobs(42));
+    let mut world = World::new(exp.config, exp.workload, vec![exp.phases[0].1.clone()]);
+    world.prime();
+    world.schedule(SimTime::from_secs(10), Ev::End);
+    world.run_to_end().expect("End event scheduled");
+    let head = world.cert_link().version();
+    assert!(head.0 > 0, "the run must commit updates");
+    assert_eq!(world.certifier().version(), head);
 }
 
 proptest! {
-    /// The sharded link's verdicts and versions match a last-writer-index
+    /// The grouped link's verdicts and versions match a last-writer-index
     /// certifier (a writeset conflicts iff some item's last writer is newer
     /// than its snapshot) on random histories over 1–4 groups: relation `r`
     /// belongs to group `r % groups`, so multi-relation writesets run
@@ -239,7 +224,10 @@ proptest! {
             1..120,
         ),
     ) {
-        let mut link = CertifierLink::new_sharded(CertifierParams::default(), 1, 100, groups);
+        // Relation r is its own set, so the fold gives it to group r % groups.
+        let sets: Vec<RelationSet> = (0..8).map(|r| [RelationId(r)].into_iter().collect()).collect();
+        let map = CertMap::build(&sets, groups);
+        let mut link = CertifierLink::new(CertifierParams::default(), map, 1, 100);
         let mut tracer = Tracer::new(&TraceConfig::default());
         let mut queue = EventQueue::new();
         let mut last_writer: HashMap<WritesetItem, u64> = HashMap::new();
@@ -254,10 +242,6 @@ proptest! {
                 .collect();
             let txn = TxnId(i as u64);
             let ws = Writeset::new(txn, TxnTypeId(0), Snapshot::at(Version(snap)), items);
-            let mask = ws
-                .items
-                .iter()
-                .fold(0u64, |m, it| m | 1 << (it.rel().0 as usize % groups));
             let conflict = ws
                 .items
                 .iter()
@@ -270,7 +254,7 @@ proptest! {
                 Version(version)
             }));
             let at = SimTime::from_micros(now);
-            link.on_send(at, 0, txn, ws, mask, &mut tracer, &mut queue);
+            link.on_send(at, 0, txn, ws, &mut tracer, &mut queue);
         }
         let mut got = vec![None; expected.len()];
         while let Some((_, ev)) = queue.pop() {

@@ -371,7 +371,7 @@ fn migration_window_introduces_no_spurious_aborts() {
 
 #[test]
 fn sharded_group_outage_parks_only_its_own_groups_requests() {
-    // Per-group back-pressure under sharded certification: killing every
+    // Per-group back-pressure with four certifier groups: killing every
     // member of one group parks only the transactions touching it; the
     // other groups keep certifying and the cluster keeps committing.
     let knobs = failover_knobs().with_cert_groups(Some(4));
@@ -392,7 +392,7 @@ fn sharded_group_outage_parks_only_its_own_groups_requests() {
         world.cert_link().waiting_certs() > 0,
         "requests touching the dead group must park"
     );
-    let commits = world.cert_link().cert_group_commits();
+    let commits = world.certifier().group_commits();
     let dead_head = commits[1].last().copied().unwrap_or(0);
     assert!(
         commits

@@ -11,7 +11,7 @@
 //! per-type eligibility masks, each replica's update filter and held
 //! pages, and the owning certifier group of every catalog relation.
 
-use tashkent::cluster::placement::CertMap;
+use tashkent::certifier::CertMap;
 use tashkent::cluster::{PlacementMap, ReplicationPlanner, TypeGroups};
 use tashkent::engine::TxnTypeId;
 use tashkent::replica::UpdateFilter;
@@ -147,7 +147,7 @@ fn plan(scale: TpcwScale, replicas: usize, min_copies: usize) -> (Workload, Plac
 }
 
 fn cert_map(workload: &Workload, max_groups: usize) -> CertMap {
-    CertMap::build(&TypeGroups::derive(workload), max_groups)
+    TypeGroups::derive(workload).cert_map(max_groups)
 }
 
 fn check(golden: &Golden, scale: TpcwScale, replicas: usize, min_copies: usize) {
