@@ -91,7 +91,7 @@ fn main() {
         last.measured > first.measured
     );
     println!(
-        "    every latency is bounded by dead_misses periods: {}",
+        "    every latency is bounded by the dead threshold's 5 periods: {}",
         rows.iter()
             .zip(periods_us)
             .all(|(row, p)| row.measured <= (5 * p / 1_000) as f64 + 1.0)

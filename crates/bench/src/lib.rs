@@ -13,7 +13,6 @@ pub use tashkent_cluster::ScenarioKnobs;
 use tashkent_cluster::{
     run, run_sweep, ClusterConfig, Experiment, PolicySpec, RunError, RunResult,
 };
-use tashkent_sim::SimTime;
 use tashkent_workloads::tpcw::TpcwScale;
 use tashkent_workloads::{rubis, tpcw, Mix, Workload};
 
@@ -213,11 +212,6 @@ pub fn save_csv(name: &str, body: &str) {
     if fs::create_dir_all(&dir).is_ok() {
         let _ = fs::write(dir.join(format!("{name}.csv")), body);
     }
-}
-
-/// Pretty time for logs.
-pub fn fmt_time(t: SimTime) -> String {
-    format!("{:.0}s", t.as_secs_f64())
 }
 
 #[cfg(test)]

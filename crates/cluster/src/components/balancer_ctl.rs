@@ -12,12 +12,25 @@ use crate::events::Ev;
 /// Interval between balancer rebalance ticks.
 const LB_TICK_US: u64 = 1_000_000;
 
+/// Consecutive missed heartbeats before a replica is *Suspected*: out of
+/// dispatch, in-flight transactions retried on survivors, no
+/// re-replication yet. Read by [`BalancerCtl::build`].
+const SUSPECT_MISSES: u32 = 2;
+
+/// Consecutive missed heartbeats before a suspected replica is declared
+/// *Dead* and re-replication of its under-copied groups begins.
+const DEAD_MISSES: u32 = 5;
+
+// The deferral window between suspicion and re-replication exists only if
+// death takes more misses than suspicion.
+const _: () = assert!(SUSPECT_MISSES >= 1 && DEAD_MISSES > SUSPECT_MISSES);
+
 /// What the balancer's failure detector currently believes about a replica.
 ///
 /// Driven purely by heartbeat responses — never by oracle crash knowledge:
 ///
 /// ```text
-///        misses ≥ suspect_misses          misses ≥ dead_misses
+///        misses ≥ SUSPECT_MISSES          misses ≥ DEAD_MISSES
 ///  Live ───────────────────────▶ Suspected ─────────────────▶ Dead
 ///   ▲                               │                          │
 ///   └───────── heartbeat answered ──┴──────────────────────────┘
@@ -33,10 +46,10 @@ pub enum ReplicaHealth {
     /// Answering heartbeats; eligible for dispatch.
     #[default]
     Live,
-    /// Missed `suspect_misses` consecutive heartbeats: out of dispatch,
+    /// Missed `SUSPECT_MISSES` consecutive heartbeats: out of dispatch,
     /// in-flight work retried elsewhere, re-replication deferred.
     Suspected,
-    /// Missed `dead_misses` consecutive heartbeats: confirmed dead,
+    /// Missed `DEAD_MISSES` consecutive heartbeats: confirmed dead,
     /// re-replication of under-copied groups proceeds.
     Dead,
 }
@@ -114,10 +127,8 @@ impl BalancerCtl {
             lb,
             health: vec![ReplicaHealth::Live; config.replicas],
             misses: vec![0; config.replicas],
-            // dead_misses must exceed suspect_misses for the deferral
-            // window between suspicion and re-replication to exist.
-            suspect_misses: config.suspect_misses.max(1),
-            dead_misses: config.dead_misses.max(config.suspect_misses.max(1) + 1),
+            suspect_misses: SUSPECT_MISSES,
+            dead_misses: DEAD_MISSES,
         }
     }
 
@@ -131,11 +142,11 @@ impl BalancerCtl {
         self.lb.dispatch(txn_type)
     }
 
-    /// Installs (or clears) partial-replication eligibility masks: dispatch
-    /// then routes each transaction type only to replicas holding its whole
-    /// relation group, and MALB allocation weighs only resident replicas.
-    pub fn set_type_eligibility(&mut self, masks: Option<Vec<Vec<bool>>>) {
-        self.lb.set_type_eligibility(masks)
+    /// Installs partial-replication eligibility masks: dispatch then routes
+    /// each transaction type only to replicas holding its whole relation
+    /// group, and MALB allocation weighs only resident replicas.
+    pub fn set_type_eligibility(&mut self, masks: Vec<Vec<bool>>) {
+        self.lb.set_type_eligibility(Some(masks))
     }
 
     /// Notes a completion on `replica` (connection counting).

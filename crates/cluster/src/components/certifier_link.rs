@@ -222,7 +222,7 @@ impl CertifierLink {
         now: SimTime,
         node: &mut ClusterNode,
         version: Version,
-        placement: Option<&PlacementMap>,
+        placement: &PlacementMap,
     ) -> SimTime {
         if node.applied() >= version {
             return now;
@@ -248,7 +248,7 @@ impl CertifierLink {
         &mut self,
         now: SimTime,
         node: &mut ClusterNode,
-        placement: Option<&PlacementMap>,
+        placement: &PlacementMap,
     ) -> SimTime {
         let (done, sent, saved) = {
             let pending = self.log().since(node.applied());
@@ -361,7 +361,7 @@ impl CertifierLink {
         &mut self,
         now: SimTime,
         node: &mut ClusterNode,
-        placement: Option<&PlacementMap>,
+        placement: &PlacementMap,
     ) {
         let action = self.propagation.decide(
             now,
@@ -392,20 +392,16 @@ impl CertifierLink {
 /// The bytes delivering `pending` writesets to `replica` puts on the wire
 /// `(shipped, saved)`: a replica holding at least one of a writeset's
 /// relations receives the held items (header + per-item bytes); one holding
-/// none of them receives only a version tick. Under full replication
-/// (`placement` absent) everything ships and nothing is saved.
-fn delivery_bytes(
-    replica: usize,
-    pending: LogView<'_>,
-    placement: Option<&PlacementMap>,
-) -> (u64, u64) {
+/// none of them receives only a version tick. Under full replication every
+/// relation is held everywhere, so everything ships and nothing is saved.
+fn delivery_bytes(replica: usize, pending: LogView<'_>, placement: &PlacementMap) -> (u64, u64) {
     let (mut sent, mut saved) = (0u64, 0u64);
     for (_, items) in pending {
         let total = items.len() as u64;
-        let held = match placement {
-            None => total,
-            Some(p) => items.iter().filter(|i| p.holds(replica, i.rel())).count() as u64,
-        };
+        let held = items
+            .iter()
+            .filter(|i| placement.holds(replica, i.rel()))
+            .count() as u64;
         if total > 0 && held == 0 {
             sent += WS_TICK_BYTES;
             saved += WS_HEADER_BYTES + total * WS_ITEM_BYTES - WS_TICK_BYTES;

@@ -1,4 +1,11 @@
 //! Cluster configuration.
+//!
+//! [`ClusterConfig`] holds what an experiment varies. Both placements build
+//! a [`crate::placement::PlacementMap`]: [`PlacementSpec::Full`] the map
+//! with no relation groups, [`PlacementSpec::Partial`] a planned one. Values
+//! no experiment varies are constants beside their one reader instead of
+//! fields: the detector's suspect and dead thresholds (2 and 5 missed
+//! heartbeats) and the client retry backoff (100 ms doubling to 2 s).
 
 use tashkent_certifier::CertifierParams;
 use tashkent_core::{EstimationMode, LardConfig, MalbConfig};
@@ -181,22 +188,16 @@ pub struct ClusterConfig {
     /// full deterministic event trace. See [`crate::trace`].
     pub trace: TraceConfig,
     /// Heartbeat period of the balancer's failure detector, in µs. `0` (the
-    /// default) disables detection entirely: fault events remain omniscient
-    /// (`Ev::ReplicaCrash` tells the balancer and triggers re-replication
-    /// synchronously, exactly the pre-detector behaviour). A non-zero period
-    /// makes the balancer ping every replica each period — probes occupy the
-    /// certifier-side NIC and pay LAN hops — and drive the per-replica
-    /// `Live → Suspected → Dead` accrual state machine; dispatch eligibility
-    /// then changes *only* through that state machine.
+    /// default) disables detection entirely: fault events remain omniscient,
+    /// and `Ev::ReplicaCrash` applies what the detector's *Dead* and
+    /// *Suspected* transitions would at the crash instant (dispatch routes
+    /// around the replica, under-copied groups are re-replicated, then its
+    /// in-flight requests retry). A non-zero period makes the balancer ping
+    /// every replica each period — probes occupy the certifier-side NIC and
+    /// pay LAN hops — and drive the per-replica `Live → Suspected → Dead`
+    /// accrual state machine; dispatch eligibility then changes *only*
+    /// through that state machine.
     pub heartbeat_period_us: u64,
-    /// Consecutive missed heartbeats before a replica is *Suspected*
-    /// (removed from dispatch, in-flight transactions retried on survivors,
-    /// but no re-replication yet).
-    pub suspect_misses: u32,
-    /// Consecutive missed heartbeats before a suspected replica is declared
-    /// *Dead* (re-replication of under-copied groups begins). Must exceed
-    /// `suspect_misses`.
-    pub dead_misses: u32,
     /// Checkpoint lag `k`: a crashed replica recovers at `applied − k` and
     /// replays the redo window from the certifier log before rejoining.
     /// `0` (the default) recovers from a perfectly fresh log position (the
@@ -207,10 +208,6 @@ pub struct ClusterConfig {
     /// replica and retries it after a capped exponential backoff through
     /// the usual `Ev::TxnRetry` path.
     pub client_timeout_us: u64,
-    /// Base of the client retry backoff (doubles per retry).
-    pub client_backoff_base_us: u64,
-    /// Cap on the client retry backoff.
-    pub client_backoff_cap_us: u64,
     /// RNG seed (runs are bit-reproducible per seed).
     pub seed: u64,
 }
@@ -244,12 +241,8 @@ impl ClusterConfig {
             resp_hist_buckets: 400,
             trace: TraceConfig::default(),
             heartbeat_period_us: 0,
-            suspect_misses: 2,
-            dead_misses: 5,
             checkpoint_lag: 0,
             client_timeout_us: 0,
-            client_backoff_base_us: 100_000,
-            client_backoff_cap_us: 2_000_000,
             seed: 42,
         }
     }
@@ -381,8 +374,6 @@ mod tests {
         assert_eq!(c.heartbeat_period_us, 0, "detector must be opt-in");
         assert_eq!(c.checkpoint_lag, 0, "fresh-log recovery by default");
         assert_eq!(c.client_timeout_us, 0, "clients wait forever by default");
-        assert!(c.dead_misses > c.suspect_misses);
-        assert!(c.client_backoff_cap_us >= c.client_backoff_base_us);
         let d = c
             .with_heartbeat(500_000)
             .with_checkpoint_lag(32)

@@ -68,14 +68,14 @@ pub enum FaultKind {
         from: usize,
     },
     /// The failure detector suspected a replica (index): missed heartbeats
-    /// crossed `ClusterConfig::suspect_misses`. Dispatch eligibility drops
+    /// reached the detector's suspect threshold (2). Dispatch eligibility drops
     /// and in-flight transactions are retried on survivors, but
     /// re-replication waits for [`FaultKind::ReplicaDead`]. The event's
     /// `injected_at` carries the underlying fault's injection time, so
     /// `at − injected_at` is the detection latency.
     ReplicaSuspected(usize),
     /// The failure detector confirmed a suspected replica dead (index):
-    /// missed heartbeats crossed `ClusterConfig::dead_misses`.
+    /// missed heartbeats reached the detector's dead threshold (5).
     /// Re-replication of under-copied groups begins here.
     ReplicaDead(usize),
     /// A previously suspected (or dead-declared) replica answered a

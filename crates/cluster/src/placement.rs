@@ -27,9 +27,14 @@
 //!   survivor via certifier-log backfill (see
 //!   [`crate::state::ClusterState`]).
 //!
-//! Full replication is the `min_copies = cluster size` degenerate case:
-//! every replica holds every group, the eligibility masks are all-true, and
-//! runs reproduce the fully-replicated results bit for bit.
+//! Full replication is a placement too, so the cluster has one placement
+//! path. [`PlacementSpec::Full`] builds [`PlacementMap::full`], which has no
+//! relation groups: every relation counts as held on every replica, every
+//! filter passes everything through and every type is eligible everywhere.
+//! A plan at `min_copies = cluster size` holds every group on every replica
+//! and reproduces those runs bit for bit.
+//!
+//! [`PlacementSpec::Full`]: crate::config::PlacementSpec::Full
 //!
 //! The groups come from one derivation, [`TypeGroups::derive`], which a
 //! cluster runs once per build and hands to both the [`ReplicationPlanner`]
@@ -160,6 +165,24 @@ fn pages_of(pages: &[u64], rels: RelationSet) -> u64 {
 }
 
 impl PlacementMap {
+    /// Full replication over `replicas` nodes, the paper's deployment: no
+    /// relation groups, so no relation is referenced by one and every
+    /// relation counts as held on every replica. The filters pass
+    /// everything through and every type is eligible everywhere.
+    pub fn full(replicas: usize) -> Self {
+        PlacementMap {
+            n_replicas: replicas,
+            min_copies: replicas,
+            groups: Vec::new(),
+            group_of_type: Vec::new(),
+            holders: Vec::new(),
+            held: vec![RelationSet::new(); replicas],
+            pending: vec![RelationSet::new(); replicas],
+            referenced: RelationSet::new(),
+            pages: Vec::new(),
+        }
+    }
+
     /// Number of relation groups.
     pub fn group_count(&self) -> usize {
         self.groups.len()
@@ -194,9 +217,11 @@ impl PlacementMap {
     }
 
     /// Whether `replica` keeps `rel` current (relations referenced by no
-    /// group never change, so they count as held everywhere).
+    /// group never change, so they count as held everywhere). Asked once
+    /// per propagated item; the unreferenced test comes first, so under
+    /// full replication, where no relation is referenced, it is one bit.
     pub fn holds(&self, replica: usize, rel: RelationId) -> bool {
-        self.held[replica].contains(rel) || !self.referenced.contains(rel)
+        !self.referenced.contains(rel) || self.held[replica].contains(rel)
     }
 
     /// Whether `replica` may serve transactions of `txn_type`: its held set
@@ -214,8 +239,8 @@ impl PlacementMap {
         }
     }
 
-    /// Whether every group is held by every replica (the full-replication
-    /// degenerate case, `min_copies >= cluster size`).
+    /// Whether every group is held by every replica: [`PlacementMap::full`],
+    /// or a plan at `min_copies >= cluster size`.
     pub fn is_full(&self) -> bool {
         self.holders.iter().all(|h| h.len() == self.n_replicas)
     }
@@ -463,13 +488,20 @@ mod tests {
 
     #[test]
     fn min_copies_at_cluster_size_is_full_replication() {
-        let map = tpcw_map(4, 4);
-        assert!(map.is_full());
-        for r in 0..4 {
-            assert_eq!(map.filter_for(r), UpdateFilter::all());
+        let (workload, _) = tpcw::workload_with_mix(TpcwScale::Small, "ordering");
+        // A plan at cluster size, and full replication's own map.
+        for map in [tpcw_map(4, 4), PlacementMap::full(4)] {
+            assert!(map.is_full());
+            for r in 0..4 {
+                assert_eq!(map.filter_for(r), UpdateFilter::all());
+                for rel in workload.catalog.relations() {
+                    assert!(map.holds(r, rel.id), "replica {r} misses {}", rel.id);
+                }
+            }
+            let masks = map.type_masks(13);
+            assert!(masks.iter().all(|row| row.iter().all(|b| *b)));
         }
-        let masks = map.type_masks(13);
-        assert!(masks.iter().all(|row| row.iter().all(|b| *b)));
+        assert_eq!(PlacementMap::full(4).group_count(), 0);
         // Over-asking clamps to the cluster size.
         let clamped = tpcw_map(4, 99);
         assert!(clamped.is_full());

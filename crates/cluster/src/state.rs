@@ -12,6 +12,14 @@
 //! [`crate::world::World::run_to_end`] pops events and hands them here one
 //! at a time, and any loop that delivers the same events in the same order
 //! observes bit-identical state evolution.
+//!
+//! Placement and crashes each take one path. Full replication is a
+//! [`PlacementMap`] with no relation groups, so dispatch, propagation and
+//! failover ask the same map whatever the placement. A crash with the
+//! heartbeat detector off applies, at the crash instant, what the
+//! detector's *Dead* and *Suspected* transitions apply once heartbeats
+//! miss: durability first, then the retries of the replica's in-flight
+//! transactions.
 
 use std::collections::HashMap;
 
@@ -58,6 +66,15 @@ const BACKFILL_CHUNK_BYTES: u64 = 64 * 1024;
 /// hysteresis so balanced clusters don't churn placement.
 const MIGRATION_MIN_IMBALANCE: f64 = 0.10;
 
+/// First client retry backoff; each further retry doubles it, up to
+/// [`CLIENT_BACKOFF_CAP_US`]. Read by `ClusterState::backoff_us`.
+const CLIENT_BACKOFF_BASE_US: u64 = 100_000;
+
+/// Ceiling on the client retry backoff.
+const CLIENT_BACKOFF_CAP_US: u64 = 2_000_000;
+
+const _: () = assert!(CLIENT_BACKOFF_CAP_US >= CLIENT_BACKOFF_BASE_US);
+
 /// One in-flight certifier-log backfill onto a target replica: a durability
 /// re-replication (crash or explicit [`Ev::Rereplicate`]) or, when
 /// `drop_source` is set, a skew-driven migration that sheds the donor once
@@ -102,11 +119,12 @@ pub struct ClusterState {
     rng: SimRng,
     next_txn: u64,
     txns: HashMap<TxnId, TxnMeta>,
-    /// Partial replication: where every relation group lives. `None` under
-    /// full replication (every replica holds everything). When set, the
-    /// placement filter is authoritative on every node — it subsumes §3
-    /// update filtering (holder sets are the "keep current" lists).
-    placement: Option<PlacementMap>,
+    /// Where every relation group lives; [`PlacementMap::full`] (no groups,
+    /// everything held everywhere) under full replication. Unless the map
+    /// is full, the placement filter is authoritative on every node — it
+    /// subsumes §3 update filtering (holder sets are the "keep current"
+    /// lists).
+    placement: PlacementMap,
     /// Every backfill started this run, live and finished (event payloads
     /// index into it, so entries are never removed).
     backfills: Vec<BackfillTask>,
@@ -162,8 +180,8 @@ impl ClusterState {
     pub fn new(config: ClusterConfig, workload: Workload, mixes: Vec<Mix>) -> Self {
         assert!(!mixes.is_empty(), "cluster needs at least one mix");
         let mut rng = SimRng::seed_from(config.seed);
-        let mut balancer = BalancerCtl::build(&config, &workload, &mixes[0]);
-        let mut nodes: Vec<ClusterNode> = (0..config.replicas)
+        let balancer = BalancerCtl::build(&config, &workload, &mixes[0]);
+        let nodes: Vec<ClusterNode> = (0..config.replicas)
             .map(|id| {
                 ClusterNode::new(
                     id,
@@ -181,26 +199,14 @@ impl ClusterState {
         // the two needs them.
         let type_groups = (config.placement != PlacementSpec::Full || config.cert_groups > 1)
             .then(|| TypeGroups::derive(&workload));
-        // Partial replication: plan the group → holder-set assignment, then
-        // thread it through the layers — placement filters on the nodes (the
-        // "must not receive" tier) and per-type eligibility masks on the
-        // balancer (dispatch routes only to holders).
+        // Partial replication plans the group → holder-set assignment; full
+        // replication is the map with no groups.
         let placement = match (config.placement, &type_groups) {
             (PlacementSpec::Partial { min_copies }, Some(groups)) => {
-                Some(ReplicationPlanner::new(min_copies).plan(
-                    &workload.catalog,
-                    groups,
-                    config.replicas,
-                ))
+                ReplicationPlanner::new(min_copies).plan(&workload.catalog, groups, config.replicas)
             }
-            _ => None,
+            _ => PlacementMap::full(config.replicas),
         };
-        if let Some(p) = &placement {
-            for (r, node) in nodes.iter_mut().enumerate() {
-                node.set_filter(p.filter_for(r));
-            }
-            balancer.set_type_eligibility(Some(p.type_masks(workload.types.len())));
-        }
         // The relation → certifier-group map folds the same relation groups.
         let cert_map = type_groups
             .as_ref()
@@ -212,13 +218,10 @@ impl ClusterState {
             config.lan_hop_us,
         );
         let clients = ClientPool::new(config.clients, config.think_mean_us);
-        let group_load = placement
-            .as_ref()
-            .map(|p| vec![0; p.group_count()])
-            .unwrap_or_default();
+        let group_load = vec![0; placement.group_count()];
         let tracer = Tracer::new(&config.trace);
         let metrics = Metrics::with_hist(config.resp_hist_bucket_s, config.resp_hist_buckets);
-        ClusterState {
+        let mut state = ClusterState {
             balancer,
             nodes,
             certifier,
@@ -246,7 +249,15 @@ impl ClusterState {
             prop0: (0, 0),
             window_started: SimTime::ZERO,
             ended: false,
+        };
+        // Thread a constraining placement through the layers: placement
+        // filters on the nodes (the "must not receive" tier) and per-type
+        // eligibility masks on the balancer (dispatch routes only to
+        // holders). A full map constrains nothing, so it installs neither.
+        if !state.placement.is_full() {
+            state.apply_placement(0..state.config.replicas);
         }
+        state
     }
 
     /// Schedules the initial events into `queue`: staggered client arrivals,
@@ -266,8 +277,8 @@ impl ClusterState {
         // Skew-driven placement rebalancing only makes sense when placement
         // is actually partial — under full replication (or the degenerate
         // all-holders plan) there is nothing to migrate.
-        if let (Some(period), Some(p)) = (self.config.migration_period, &self.placement) {
-            if !p.is_full() {
+        if let Some(period) = self.config.migration_period {
+            if !self.placement.is_full() {
                 queue.schedule(SimTime::ZERO + period.as_micros(), Ev::RebalanceTick);
             }
         }
@@ -311,10 +322,9 @@ impl ClusterState {
 
     /// Capped exponential client backoff for retry number `retries`.
     fn backoff_us(&self, retries: u32) -> u64 {
-        self.config
-            .client_backoff_base_us
+        CLIENT_BACKOFF_BASE_US
             .saturating_mul(1u64 << retries.min(20))
-            .min(self.config.client_backoff_cap_us)
+            .min(CLIENT_BACKOFF_CAP_US)
     }
 
     /// Whether the `End` event has fired.
@@ -421,10 +431,9 @@ impl ClusterState {
         result
     }
 
-    /// The partial-replication placement map, when the cluster runs one
-    /// (`None` under full replication).
-    pub fn placement(&self) -> Option<&PlacementMap> {
-        self.placement.as_ref()
+    /// The placement map ([`PlacementMap::full`] under full replication).
+    pub fn placement(&self) -> &PlacementMap {
+        &self.placement
     }
 
     /// Current group → replica assignments with type names resolved.
@@ -520,12 +529,12 @@ impl ClusterState {
                     // holder dropping its own group's pages), and widening
                     // would apply items the certifier never shipped here.
                     // The placement filter therefore stays authoritative.
-                    // The degenerate all-holders placement imposes no
-                    // constraint (it *is* full replication), so there §3
-                    // filtering applies unchanged — bit for bit.
-                    let effective = match &self.placement {
-                        Some(p) if !p.is_full() => p.filter_for(replica.0),
-                        _ => filter,
+                    // A full placement imposes no constraint, so there §3
+                    // filtering applies unchanged.
+                    let effective = if self.placement.is_full() {
+                        filter
+                    } else {
+                        self.placement.filter_for(replica.0)
                     };
                     self.node_mut(replica.0).set_filter(effective);
                 }
@@ -651,21 +660,19 @@ impl ClusterState {
             }
             return;
         }
-        if let Some(p) = &self.placement {
+        if let Some(g) = self.placement.group_of_type(txn_type) {
             // Partial replication's routing invariant: a transaction only
             // ever runs where every relation it touches is resident *and*
             // fully backfilled — a still-pending holder is never a dispatch
-            // target.
+            // target. (A type with no group touches nothing placed.)
             assert!(
-                p.eligible(txn_type, replica),
+                self.placement.eligible(txn_type, replica),
                 "dispatch routed type {} to non-holder replica {replica}",
                 txn_type.0
             );
-            if let Some(g) = p.group_of_type(txn_type) {
-                // Skew signal for the rebalancer: dispatches per group
-                // since the last migration.
-                self.group_load[g] += 1;
-            }
+            // Skew signal for the rebalancer: dispatches per group since
+            // the last migration.
+            self.group_load[g] += 1;
         }
         let plan = self.workload.types[txn_type.0 as usize].plan.clone();
         let is_update = plan.is_update();
@@ -693,9 +700,14 @@ impl ClusterState {
     }
 
     /// Crashes a replica: cold cache, admission queue drained, every
-    /// in-flight transaction orphaned. Clients whose transactions were on
-    /// the replica observe the connection drop and immediately retry —
-    /// dispatched by the balancer, which now routes around the dead node.
+    /// in-flight transaction lost with it. With the detector on that is
+    /// all: the balancer learns of the crash only when heartbeats miss, and
+    /// the in-flight metas stay put for the suspicion sweep. With it off,
+    /// the crash instant applies what the detector's *Dead* and *Suspected*
+    /// transitions apply, durability first: dispatch routes around the
+    /// replica, any group left below `min_copies` live holders is
+    /// re-replicated onto a survivor, and only then do the clients of its
+    /// in-flight transactions retry — so dispatch always has a live holder.
     ///
     /// # Panics
     ///
@@ -717,30 +729,11 @@ impl ClusterState {
              (at least one must stay up for dispatch)"
         );
         self.node_mut(replica).crash();
-        if self.detection_on() {
-            // Physical death only. The balancer learns nothing here — the
-            // replica simply stops answering heartbeats, and eligibility,
-            // retries, and re-replication follow from the detector's
-            // Suspected/Dead transitions. In-flight metas stay put for the
-            // suspicion sweep.
-            if self.fault_started[replica].is_none() {
-                self.fault_started[replica] = Some(now);
-            }
-            self.metrics
-                .record_fault(now, FaultKind::ReplicaCrash(replica));
-            if self.tracer.on() {
-                self.tracer.emit(
-                    now,
-                    TraceData::Fault {
-                        desc: format!("crash replica={replica}"),
-                    },
-                );
-            }
-            return;
+        if self.fault_started[replica].is_none() {
+            self.fault_started[replica] = Some(now);
         }
-        self.balancer.replica_failed(ReplicaId(replica));
         self.metrics
-            .record_fault(now, crate::metrics::FaultKind::ReplicaCrash(replica));
+            .record_fault(now, FaultKind::ReplicaCrash(replica));
         if self.tracer.on() {
             self.tracer.emit(
                 now,
@@ -749,113 +742,48 @@ impl ClusterState {
                 },
             );
         }
-        // An in-flight backfill onto the crashed replica can never finish —
-        // the partial copy died with the cache. Cancel the task and roll
-        // back the holder membership it had optimistically widened, so the
-        // durability scan below sees the true live-copy counts.
+        if self.detection_on() {
+            // The detector's transitions apply the rest once heartbeats miss.
+            return;
+        }
+        self.balancer.replica_failed(ReplicaId(replica));
+        // *Dead*'s durability work before *Suspected*'s retries.
         self.cancel_backfills_targeting(replica);
-        // Durability invariant under partial replication: any group this
-        // crash leaves below `min_copies` live holders is re-replicated onto
-        // a survivor *now*, via certifier-log backfill, before the orphan
-        // sweep retries its clients — so dispatch always has a live holder
-        // and no committed writeset drops below the constraint (clamped by
-        // the number of live replicas).
-        if self.placement.is_some() {
-            let (min_copies, affected) = {
-                let p = self.placement.as_ref().expect("placement checked above");
-                let affected: Vec<usize> = (0..p.group_count())
-                    .filter(|g| p.holds_group(replica, *g))
-                    .collect();
-                (p.min_copies(), affected)
-            };
-            let live = self.nodes.iter().filter(|n| n.is_up()).count();
-            for g in affected {
-                loop {
-                    let live_holders = {
-                        let p = self.placement.as_ref().expect("placement checked above");
-                        p.holders(g)
-                            .iter()
-                            .filter(|r| self.nodes[**r].is_up())
-                            .count()
-                    };
-                    if live_holders >= min_copies.min(live) {
-                        break;
-                    }
-                    if self.rereplicate_group(now, g, queue).is_none() {
-                        break;
-                    }
-                }
-            }
-        }
-        // Orphan sweep, sorted for determinism (HashMap iteration is not).
-        // Events already queued for these transactions (steps, certifier
-        // responses, completions) become stale and are ignored on arrival.
-        let mut orphans: Vec<TxnId> = self
-            .txns
-            .iter()
-            .filter(|(_, meta)| meta.replica == replica)
-            .map(|(txn, _)| *txn)
-            .collect();
-        orphans.sort_unstable();
-        for txn in orphans {
-            let meta = self.txns.remove(&txn).expect("orphan metadata");
-            self.balancer.complete(ReplicaId(replica));
-            if meta.retries < self.clients.max_retries {
-                self.submit_txn(
-                    now,
-                    meta.client,
-                    meta.txn_type,
-                    meta.arrived,
-                    meta.retries + 1,
-                    queue,
-                );
-            } else {
-                self.metrics.record_gave_up();
-                self.tracer.emit(
-                    now,
-                    TraceData::GaveUp {
-                        txn: txn.0,
-                        client: meta.client,
-                    },
-                );
-                self.schedule_next_arrival(now, meta.client, queue);
-            }
-        }
+        self.rereplicate_under_copied(now, replica, queue);
+        self.sweep_suspected(now, replica, queue);
     }
 
     /// Cancels every in-flight backfill onto `replica` and rolls back the
     /// holder membership each had optimistically widened, so durability
-    /// scans see the true copy counts. Shared by the oracle crash path, the
+    /// scans see the true copy counts. Shared by the crash path, the
     /// detector's *Dead* transition, and the chunk handler's dead-target
     /// guard.
     fn cancel_backfills_targeting(&mut self, replica: usize) {
-        if self.placement.is_none() {
-            return;
-        }
         let mut rolled_back = false;
-        for task in 0..self.backfills.len() {
-            let t = &self.backfills[task];
+        for t in &mut self.backfills {
             if t.target != replica || t.done || t.cancelled {
                 continue;
             }
-            let (group, rels) = (t.group, t.rels);
-            self.backfills[task].cancelled = true;
-            let p = self.placement.as_mut().expect("placement checked above");
-            p.complete_backfill(replica, rels);
-            p.remove_holder(group, replica);
+            t.cancelled = true;
+            self.placement.complete_backfill(replica, t.rels);
+            self.placement.remove_holder(t.group, replica);
             rolled_back = true;
         }
         if rolled_back {
-            let (filter, masks) = {
-                let p = self.placement.as_ref().expect("placement checked above");
-                (
-                    p.filter_for(replica),
-                    p.type_masks(self.workload.types.len()),
-                )
-            };
-            self.node_mut(replica).set_filter(filter);
-            self.balancer.set_type_eligibility(Some(masks));
+            self.apply_placement([replica]);
         }
+    }
+
+    /// Applies a placement change to the layers it constrains: the update
+    /// filter of each replica in `changed`, then the balancer's per-type
+    /// eligibility masks.
+    fn apply_placement(&mut self, changed: impl IntoIterator<Item = usize>) {
+        for r in changed {
+            let filter = self.placement.filter_for(r);
+            self.nodes[r].set_filter(filter);
+        }
+        let masks = self.placement.type_masks(self.workload.types.len());
+        self.balancer.set_type_eligibility(masks);
     }
 
     /// Copies relation group `group` onto one more live replica: widens the
@@ -869,31 +797,30 @@ impl ClusterState {
     ///
     /// The target is the live non-holder with the fewest placed pages (ties
     /// to the lowest id) — deterministic, so every run of a seed
-    /// re-replicates identically. Returns the new holder, or `None` when placement is
-    /// full-replication or every live replica already holds the group.
+    /// re-replicates identically. Returns the new holder, or `None` when there
+    /// is no such group (full replication has none) or every believed-live
+    /// replica already holds it.
     fn rereplicate_group(
         &mut self,
         now: SimTime,
         group: usize,
         queue: &mut EventQueue<Ev>,
     ) -> Option<usize> {
-        let (target, rels) = {
-            let p = self.placement.as_ref()?;
-            if group >= p.group_count() {
-                return None;
-            }
-            // Targets must be believed live — with the detector on, a
-            // suspected-but-up replica is unreachable from the control side
-            // and would receive a copy nobody can use; with it off this is
-            // exactly the historical `is_up()` filter.
-            let target = (0..self.config.replicas)
-                .filter(|r| self.believed_live(*r) && !p.holds_group(*r, group))
-                .min_by_key(|r| (p.held_pages(*r), *r))?;
-            // Only the relations the target does not already hold through
-            // other groups need backfilling — overlap makes close standbys
-            // cheap, exactly like §3's standby choice.
-            (target, p.missing_relations(target, group))
-        };
+        let p = &self.placement;
+        if group >= p.group_count() {
+            return None;
+        }
+        // Targets must be believed live — with the detector on, a
+        // suspected-but-up replica is unreachable from the control side
+        // and would receive a copy nobody can use; with it off this is
+        // exactly the `is_up()` filter.
+        let target = (0..self.config.replicas)
+            .filter(|r| self.believed_live(*r) && !p.holds_group(*r, group))
+            .min_by_key(|r| (p.held_pages(*r), *r))?;
+        // Only the relations the target does not already hold through other
+        // groups need backfilling — overlap makes close standbys cheap,
+        // exactly like §3's standby choice.
+        let rels = p.missing_relations(target, group);
         self.widen_holder(group, target, rels);
         self.start_backfill(now, group, target, rels, None, queue);
         Some(target)
@@ -904,20 +831,9 @@ impl ClusterState {
     /// the backfill) while the recomputed eligibility masks exclude the
     /// still-pending holder from dispatch.
     fn widen_holder(&mut self, group: usize, target: usize, rels: RelationSet) {
-        let (filter, masks) = {
-            let p = self
-                .placement
-                .as_mut()
-                .expect("placement checked by caller");
-            p.add_holder(group, target);
-            p.mark_pending(target, rels);
-            (
-                p.filter_for(target),
-                p.type_masks(self.workload.types.len()),
-            )
-        };
-        self.node_mut(target).set_filter(filter);
-        self.balancer.set_type_eligibility(Some(masks));
+        self.placement.add_holder(group, target);
+        self.placement.mark_pending(target, rels);
+        self.apply_placement([target]);
     }
 
     /// Creates a [`BackfillTask`] and schedules its copy. With no bandwidth
@@ -1036,28 +952,14 @@ impl ClusterState {
         // Migration: drop the donor now that the copy is complete — never
         // below `min_copies` holders (a concurrent crash may have shed
         // other copies since the migration started).
-        let (dropped, masks) = {
-            let p = self
-                .placement
-                .as_mut()
-                .expect("backfill tasks only exist under partial placement");
-            p.complete_backfill(target, rels);
-            let dropped = match drop_source {
-                Some(src)
-                    if p.holds_group(src, group) && p.holders(group).len() > p.min_copies() =>
-                {
-                    p.remove_holder(group, src);
-                    Some((src, p.filter_for(src)))
-                }
-                _ => None,
-            };
-            (dropped, p.type_masks(self.workload.types.len()))
-        };
-        let dropped = dropped.map(|(src, filter)| {
-            self.node_mut(src).set_filter(filter);
-            src
-        });
-        self.balancer.set_type_eligibility(Some(masks));
+        let p = &mut self.placement;
+        p.complete_backfill(target, rels);
+        let dropped = drop_source
+            .filter(|&src| p.holds_group(src, group) && p.holders(group).len() > p.min_copies());
+        if let Some(src) = dropped {
+            p.remove_holder(group, src);
+        }
+        self.apply_placement(dropped);
         let kind = match dropped {
             Some(from) => crate::metrics::FaultKind::Migrate {
                 group,
@@ -1121,13 +1023,10 @@ impl ClusterState {
     /// Chooses the migration for this rebalance round: hottest group by
     /// dispatch count, donor = its busiest live holder, target = idlest
     /// live non-holder, all ties to the lowest id. Returns `None` when
-    /// there is no skew signal, no candidate pair, or the imbalance is
-    /// within the hysteresis band.
+    /// there is no skew signal, no candidate pair (a full map has no
+    /// non-holder), or the imbalance is within the hysteresis band.
     fn pick_migration(&self) -> Option<(usize, usize, usize, RelationSet)> {
-        let p = self.placement.as_ref()?;
-        if p.is_full() {
-            return None;
-        }
+        let p = &self.placement;
         let (hot, load) = self
             .group_load
             .iter()
@@ -1194,7 +1093,7 @@ impl ClusterState {
         let (sent0, _) = self.certifier.propagation_bytes();
         let replay_done = {
             let node = &mut self.nodes[replica];
-            self.certifier.catch_up(now, node, self.placement.as_ref())
+            self.certifier.catch_up(now, node, &self.placement)
         };
         let (sent1, _) = self.certifier.propagation_bytes();
         let bytes = sent1.saturating_sub(sent0);
@@ -1240,35 +1139,25 @@ impl ClusterState {
     /// narrows its update filter — no transaction state is touched, so the
     /// shrink can never abort anything.
     fn shrink_over_replicated(&mut self, now: SimTime) {
-        let group_count = match &self.placement {
-            Some(p) if !p.is_full() => p.group_count(),
-            _ => return,
-        };
-        let mut dirty = false;
-        for g in 0..group_count {
-            loop {
-                let min_copies = {
-                    let p = self.placement.as_ref().expect("placement checked above");
-                    if p.holders(g).len() <= p.min_copies() {
-                        break;
-                    }
-                    p.min_copies()
-                };
+        if self.placement.is_full() {
+            return;
+        }
+        let min_copies = self.placement.min_copies();
+        for g in 0..self.placement.group_count() {
+            while self.placement.holders(g).len() > min_copies {
                 let pending_task = self
                     .backfills
                     .iter()
                     .position(|t| t.group == g && !t.done && !t.cancelled);
                 let victim = match pending_task {
                     Some(task) => {
-                        let target = self.backfills[task].target;
-                        let rels = self.backfills[task].rels;
-                        self.backfills[task].cancelled = true;
-                        let p = self.placement.as_mut().expect("placement checked above");
-                        p.complete_backfill(target, rels);
-                        target
+                        let t = &mut self.backfills[task];
+                        t.cancelled = true;
+                        self.placement.complete_backfill(t.target, t.rels);
+                        t.target
                     }
                     None => {
-                        let p = self.placement.as_ref().expect("placement checked above");
+                        let p = &self.placement;
                         let live_holders = p
                             .holders(g)
                             .iter()
@@ -1290,12 +1179,8 @@ impl ClusterState {
                             .expect("over-replicated group has a droppable holder")
                     }
                 };
-                let filter = {
-                    let p = self.placement.as_mut().expect("placement checked above");
-                    p.remove_holder(g, victim);
-                    p.filter_for(victim)
-                };
-                self.node_mut(victim).set_filter(filter);
+                self.placement.remove_holder(g, victim);
+                self.apply_placement([victim]);
                 self.metrics.record_fault(
                     now,
                     crate::metrics::FaultKind::ShrinkHolder {
@@ -1311,15 +1196,7 @@ impl ClusterState {
                         },
                     );
                 }
-                dirty = true;
             }
-        }
-        if dirty {
-            let masks = {
-                let p = self.placement.as_ref().expect("placement checked above");
-                p.type_masks(self.workload.types.len())
-            };
-            self.balancer.set_type_eligibility(Some(masks));
         }
     }
 
@@ -1413,12 +1290,13 @@ impl ClusterState {
         }
     }
 
-    /// Retries a suspected replica's in-flight transactions on survivors —
-    /// the oracle crash path's orphan sweep, driven by the detector instead.
-    /// A merely-unreachable (still up) replica may still be running them:
-    /// those metas are kept as *abandoned* so the stale completions free
-    /// their Gatekeeper slots; a physically dead replica's metas are
-    /// dropped outright, as the oracle's were.
+    /// Retries a replica's in-flight transactions on survivors, at its
+    /// *Suspected* transition or, with the detector off, at its crash.
+    /// Requests a client timeout already abandoned were retried then and
+    /// keep their one retry. A merely-unreachable (still up) replica may
+    /// still be running them: those metas are kept as *abandoned* so the
+    /// stale completions free their Gatekeeper slots; a physically dead
+    /// replica's metas are dropped outright.
     fn sweep_suspected(&mut self, now: SimTime, replica: usize, queue: &mut EventQueue<Ev>) {
         let up = self.node(replica).is_up();
         let mut orphans: Vec<TxnId> = self
@@ -1463,42 +1341,33 @@ impl ClusterState {
         }
     }
 
-    /// Re-replicates every group the confirmed-dead `replica` holds that
-    /// has fallen below `min_copies` believed-live holders — the oracle
-    /// crash path's durability scan, deferred from suspicion to *Dead* so
-    /// a false suspicion never ships a byte.
+    /// Re-replicates every group the dead `replica` holds that has fallen
+    /// below `min_copies` believed-live holders (clamped by the number of
+    /// believed-live replicas) — at its *Dead* transition, deferred from
+    /// suspicion so a false suspicion never ships a byte, or at its crash
+    /// with the detector off.
     fn rereplicate_under_copied(
         &mut self,
         now: SimTime,
         replica: usize,
         queue: &mut EventQueue<Ev>,
     ) {
-        if self.placement.is_none() {
-            return;
-        }
-        let (min_copies, affected) = {
-            let p = self.placement.as_ref().expect("placement checked above");
-            let affected: Vec<usize> = (0..p.group_count())
-                .filter(|g| p.holds_group(replica, *g))
-                .collect();
-            (p.min_copies(), affected)
-        };
+        let affected: Vec<usize> = (0..self.placement.group_count())
+            .filter(|g| self.placement.holds_group(replica, *g))
+            .collect();
         let live = (0..self.config.replicas)
             .filter(|r| self.believed_live(*r))
             .count();
+        let target = self.placement.min_copies().min(live);
         for g in affected {
             loop {
-                let live_holders = {
-                    let p = self.placement.as_ref().expect("placement checked above");
-                    p.holders(g)
-                        .iter()
-                        .filter(|r| self.believed_live(**r))
-                        .count()
-                };
-                if live_holders >= min_copies.min(live) {
-                    break;
-                }
-                if self.rereplicate_group(now, g, queue).is_none() {
+                let live_holders = self
+                    .placement
+                    .holders(g)
+                    .iter()
+                    .filter(|r| self.believed_live(**r))
+                    .count();
+                if live_holders >= target || self.rereplicate_group(now, g, queue).is_none() {
                     break;
                 }
             }
@@ -1642,8 +1511,8 @@ impl ClusterState {
         if !self.node(replica).is_up() {
             // Detection mode: the origin died after sending — the response
             // has nowhere to land. The meta stays for the suspicion sweep
-            // to retry the client. (With the oracle, a crash removes every
-            // meta synchronously, so this is unreachable.)
+            // to retry the client. (With the detector off, a crash removes
+            // every meta synchronously, so this is unreachable.)
             return;
         }
         if self.partitioned(replica, CONTROL_NODE) {
@@ -1662,7 +1531,7 @@ impl ClusterState {
             Some(v) => {
                 let node = &mut self.nodes[replica];
                 self.certifier
-                    .on_return_commit(now, node, v, self.placement.as_ref())
+                    .on_return_commit(now, node, v, &self.placement)
             }
             None => {
                 let txn_type = self.txns[&txn].txn_type.0;
@@ -1779,8 +1648,7 @@ impl ClusterState {
         if node.is_up() {
             node.on_maintenance(now);
             if !cut {
-                self.certifier
-                    .maintenance_pull(now, node, self.placement.as_ref());
+                self.certifier.maintenance_pull(now, node, &self.placement);
             }
             if round % 4 == 3 && !cut {
                 let report = node.sample_load(now);

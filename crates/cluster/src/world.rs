@@ -170,9 +170,9 @@ impl World {
         self.state.group_snapshots()
     }
 
-    /// The partial-replication placement map, when the cluster runs one
-    /// (`None` under full replication).
-    pub fn placement(&self) -> Option<&crate::placement::PlacementMap> {
+    /// The placement map ([`crate::placement::PlacementMap::full`] under
+    /// full replication).
+    pub fn placement(&self) -> &crate::placement::PlacementMap {
         self.state.placement()
     }
 

@@ -38,47 +38,6 @@ impl ResourceLoad {
     }
 }
 
-/// Which dispatch policy a balancer runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PolicyKind {
-    /// Cycle through replicas.
-    RoundRobin,
-    /// Fewest outstanding connections (§4.3).
-    LeastConnections,
-    /// Locality-aware request distribution (§4.3).
-    Lard,
-    /// MALB with size-only packing (§2.3).
-    MalbS,
-    /// MALB with size + content packing (§2.3) — the headline technique.
-    MalbSc,
-    /// MALB with size + content + access-pattern packing (§2.3).
-    MalbScap,
-}
-
-impl PolicyKind {
-    /// The estimation mode behind a MALB variant, if any.
-    pub fn estimation_mode(&self) -> Option<EstimationMode> {
-        match self {
-            PolicyKind::MalbS => Some(EstimationMode::Size),
-            PolicyKind::MalbSc => Some(EstimationMode::SizeContent),
-            PolicyKind::MalbScap => Some(EstimationMode::SizeContentAccessPattern),
-            _ => None,
-        }
-    }
-
-    /// Display name matching the paper's figures.
-    pub fn label(&self) -> &'static str {
-        match self {
-            PolicyKind::RoundRobin => "RoundRobin",
-            PolicyKind::LeastConnections => "LeastConnections",
-            PolicyKind::Lard => "LARD",
-            PolicyKind::MalbS => "MALB-S",
-            PolicyKind::MalbSc => "MALB-SC",
-            PolicyKind::MalbScap => "MALB-SCAP",
-        }
-    }
-}
-
 /// MALB configuration.
 #[derive(Debug, Clone)]
 pub struct MalbConfig {
@@ -187,7 +146,7 @@ struct MalbState {
 
 /// The policy state machine.
 #[derive(Debug, Clone)]
-pub enum Policy {
+enum Policy {
     /// Round-robin cursor.
     RoundRobin {
         /// Next replica index.
@@ -198,13 +157,8 @@ pub enum Policy {
     /// LARD state.
     Lard(Lard),
     /// MALB state.
-    Malb(Box<MalbStateOpaque>),
+    Malb(Box<MalbState>),
 }
-
-/// Opaque wrapper keeping `MalbState` private while allowing `Policy` to be
-/// public.
-#[derive(Debug, Clone)]
-pub struct MalbStateOpaque(MalbState);
 
 /// The load balancer fronting the cluster.
 pub struct LoadBalancer {
@@ -318,7 +272,7 @@ impl LoadBalancer {
             round: 0,
             merge_cooldown_until: 0,
         };
-        Self::with_policy(n_replicas, Policy::Malb(Box::new(MalbStateOpaque(state))))
+        Self::with_policy(n_replicas, Policy::Malb(Box::new(state)))
     }
 
     fn with_policy(n: usize, policy: Policy) -> Self {
@@ -402,35 +356,32 @@ impl LoadBalancer {
                 }
                 lard.dispatch(txn_type, &masked)
             }
-            Policy::Malb(state) => {
-                let state = &mut state.0;
-                match state.group_of_type.get(&txn_type) {
-                    Some(gi) => {
-                        let unit = state
-                            .units
-                            .iter()
-                            .find(|u| u.groups.contains(gi))
-                            .expect("every group belongs to a unit");
-                        let live: Vec<ReplicaId> = unit
-                            .replicas
-                            .iter()
-                            .copied()
-                            .filter(|r| self.alive[r.0] && eligible_in(elig, r.0))
-                            .collect();
-                        match live.iter().min_by_key(|r| (self.conns[r.0], r.0)).copied() {
-                            Some(r) => r,
-                            None => {
-                                self.stats.fallback += 1;
-                                least_conn_alive(&self.conns, &self.alive, elig)
-                            }
+            Policy::Malb(state) => match state.group_of_type.get(&txn_type) {
+                Some(gi) => {
+                    let unit = state
+                        .units
+                        .iter()
+                        .find(|u| u.groups.contains(gi))
+                        .expect("every group belongs to a unit");
+                    let live: Vec<ReplicaId> = unit
+                        .replicas
+                        .iter()
+                        .copied()
+                        .filter(|r| self.alive[r.0] && eligible_in(elig, r.0))
+                        .collect();
+                    match live.iter().min_by_key(|r| (self.conns[r.0], r.0)).copied() {
+                        Some(r) => r,
+                        None => {
+                            self.stats.fallback += 1;
+                            least_conn_alive(&self.conns, &self.alive, elig)
                         }
                     }
-                    None => {
-                        self.stats.fallback += 1;
-                        least_conn_alive(&self.conns, &self.alive, elig)
-                    }
                 }
-            }
+                None => {
+                    self.stats.fallback += 1;
+                    least_conn_alive(&self.conns, &self.alive, elig)
+                }
+            },
         };
         self.conns[choice.0] += 1;
         choice
@@ -454,7 +405,7 @@ impl LoadBalancer {
         match &mut self.policy {
             Policy::Lard(l) => l.remove_replica(replica),
             Policy::Malb(state) => {
-                for unit in &mut state.0.units {
+                for unit in &mut state.units {
                     unit.replicas.retain(|r| *r != replica);
                 }
             }
@@ -467,7 +418,7 @@ impl LoadBalancer {
     pub fn replica_recovered(&mut self, replica: ReplicaId) {
         self.alive[replica.0] = true;
         if let Policy::Malb(state) = &mut self.policy {
-            if let Some(unit) = state.0.units.iter_mut().min_by_key(|u| u.replicas.len()) {
+            if let Some(unit) = state.units.iter_mut().min_by_key(|u| u.replicas.len()) {
                 if !unit.replicas.contains(&replica) {
                     unit.replicas.push(replica);
                 }
@@ -479,7 +430,7 @@ impl LoadBalancer {
     /// used when freezing before enabling filters manually).
     pub fn freeze(&mut self) {
         if let Policy::Malb(state) = &mut self.policy {
-            state.0.config.dynamic = false;
+            state.config.dynamic = false;
         }
     }
 
@@ -487,21 +438,19 @@ impl LoadBalancer {
     /// replicas (Table 2 / Table 4 output). Empty for non-MALB policies.
     pub fn assignments(&self) -> Vec<(Vec<TxnTypeId>, Vec<ReplicaId>)> {
         match &self.policy {
-            Policy::Malb(state) => {
-                let s = &state.0;
-                s.units
-                    .iter()
-                    .map(|u| {
-                        let mut types: Vec<TxnTypeId> = u
-                            .groups
-                            .iter()
-                            .flat_map(|g| s.groups[*g].types.iter().copied())
-                            .collect();
-                        types.sort();
-                        (types, u.replicas.clone())
-                    })
-                    .collect()
-            }
+            Policy::Malb(s) => s
+                .units
+                .iter()
+                .map(|u| {
+                    let mut types: Vec<TxnTypeId> = u
+                        .groups
+                        .iter()
+                        .flat_map(|g| s.groups[*g].types.iter().copied())
+                        .collect();
+                    types.sort();
+                    (types, u.replicas.clone())
+                })
+                .collect(),
             _ => Vec::new(),
         }
     }
@@ -510,7 +459,7 @@ impl LoadBalancer {
     /// policies).
     pub fn filters_installed(&self) -> bool {
         match &self.policy {
-            Policy::Malb(state) => state.0.filters_installed,
+            Policy::Malb(state) => state.filters_installed,
             _ => false,
         }
     }
@@ -518,7 +467,7 @@ impl LoadBalancer {
     /// The packed groups (for inspection/benches). Empty for non-MALB.
     pub fn groups(&self) -> Vec<TxnGroup> {
         match &self.policy {
-            Policy::Malb(state) => state.0.groups.clone(),
+            Policy::Malb(state) => state.groups.clone(),
             _ => Vec::new(),
         }
     }
@@ -539,7 +488,7 @@ impl LoadBalancer {
         };
         let stats = &mut self.stats;
         match &mut self.policy {
-            Policy::Malb(state) => state.0.tick(now, &view, stats),
+            Policy::Malb(state) => state.tick(now, &view, stats),
             _ => Vec::new(),
         }
     }
@@ -1456,16 +1405,5 @@ mod tests {
                 .1,
             "no holder donor: the unit must keep its seed membership"
         );
-    }
-
-    #[test]
-    fn labels_match_paper_names() {
-        assert_eq!(PolicyKind::MalbSc.label(), "MALB-SC");
-        assert_eq!(PolicyKind::LeastConnections.label(), "LeastConnections");
-        assert_eq!(
-            PolicyKind::MalbScap.estimation_mode(),
-            Some(EstimationMode::SizeContentAccessPattern)
-        );
-        assert_eq!(PolicyKind::Lard.estimation_mode(), None);
     }
 }

@@ -35,9 +35,7 @@ pub mod lard;
 pub mod types;
 
 pub use allocation::{AllocationConfig, Allocator, GroupLoads, Move};
-pub use balancer::{
-    DispatchStats, LoadBalancer, MalbConfig, Policy, PolicyKind, ReconfigAction, ResourceLoad,
-};
+pub use balancer::{DispatchStats, LoadBalancer, MalbConfig, ReconfigAction, ResourceLoad};
 pub use estimator::{
     combined_pages, combined_pages_many, EstimationMode, WorkingSet, WorkingSetEstimator,
 };

@@ -47,18 +47,6 @@ impl UpdateFilter {
     pub fn is_filtering(&self) -> bool {
         matches!(self, UpdateFilter::Only(_))
     }
-
-    /// Relations *not* accepted, out of the given universe — the tables the
-    /// replica may drop (§3). Empty for the pass-through filter.
-    pub fn dropped_from<'a>(
-        &'a self,
-        universe: impl IntoIterator<Item = RelationId> + 'a,
-    ) -> Vec<RelationId> {
-        match self {
-            UpdateFilter::All => Vec::new(),
-            UpdateFilter::Only(set) => universe.into_iter().filter(|r| !set.contains(*r)).collect(),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -80,19 +68,6 @@ mod tests {
         assert!(!f.accepts(RelationId(2)));
         assert!(f.accepts(RelationId(3)));
         assert!(f.is_filtering());
-    }
-
-    #[test]
-    fn dropped_from_lists_complement() {
-        let f = UpdateFilter::only([RelationId(1)]);
-        let dropped = f.dropped_from((0..4).map(RelationId));
-        assert_eq!(dropped, vec![RelationId(0), RelationId(2), RelationId(3)]);
-    }
-
-    #[test]
-    fn all_drops_nothing() {
-        let f = UpdateFilter::all();
-        assert!(f.dropped_from((0..4).map(RelationId)).is_empty());
     }
 
     #[test]

@@ -201,9 +201,10 @@ impl ReplicaNode {
     /// Installs a new update filter; dropped tables are evicted from the
     /// pool (the replica stops maintaining them, §3).
     pub fn set_filter(&mut self, filter: UpdateFilter) {
-        let universe: Vec<_> = self.catalog.relations().iter().map(|r| r.id).collect();
-        for rel in filter.dropped_from(universe) {
-            self.pool.evict_relation(rel);
+        for rel in self.catalog.relations() {
+            if !filter.accepts(rel.id) {
+                self.pool.evict_relation(rel.id);
+            }
         }
         self.filter = filter;
     }
@@ -300,12 +301,6 @@ impl ReplicaNode {
             self.stats.local_completed += 1;
         }
         self.gatekeeper.release()
-    }
-
-    /// Discards a queued-or-running transaction on abort (its executor state
-    /// is dropped; the client will retry with a fresh snapshot).
-    pub fn discard(&mut self, txn: TxnId) {
-        self.running.remove(&txn);
     }
 
     /// Marks a committed local update as applied: the replica's own writes
@@ -454,11 +449,6 @@ impl ReplicaNode {
     /// Takes a load-daemon sample at `now`.
     pub fn sample_load(&mut self, now: SimTime) -> LoadReport {
         self.daemon.sample(now, &mut self.cpu, &mut self.disk)
-    }
-
-    /// The most recent smoothed load report.
-    pub fn load_report(&self) -> LoadReport {
-        self.daemon.report()
     }
 
     /// Crashes the replica: cold cache, all in-flight work lost. Returns the

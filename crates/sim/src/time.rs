@@ -62,11 +62,6 @@ impl SimTime {
         self.0
     }
 
-    /// Returns the time as fractional milliseconds.
-    pub fn as_millis_f64(self) -> f64 {
-        self.0 as f64 / 1_000.0
-    }
-
     /// Returns the time as fractional seconds.
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / 1_000_000.0

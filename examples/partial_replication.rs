@@ -34,7 +34,7 @@ fn main() {
     // world the scenario describes and print group → holders.
     let exp = scenario.experiment(&knobs);
     let world = World::new(exp.config, exp.workload, vec![exp.phases[0].1.clone()]);
-    let p = world.placement().expect("partial run has a placement");
+    let p = world.placement();
     println!("\nplacement map ({} relation groups):", p.group_count());
     for (g, group) in p.groups().iter().enumerate() {
         let types: Vec<String> = group

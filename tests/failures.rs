@@ -582,6 +582,45 @@ fn partitioned_run(client_timeout_us: u64) -> RunResult {
     world.finish_result()
 }
 
+/// Runs a three-replica cluster with the detector off and a 1 s client
+/// request timeout, crashing replica 2 at 20 s and recovering it at 25 s.
+fn oracle_crash_with_timeouts(seed: u64) -> RunResult {
+    let (workload, mix) = tpcw::workload_with_mix(TpcwScale::Small, "ordering");
+    let config = ClusterConfig {
+        replicas: 3,
+        clients: 12,
+        think_mean_us: 300_000,
+        client_timeout_us: 1_000_000,
+        seed,
+        ..ClusterConfig::paper_default()
+    };
+    let mut world = World::new(config, workload, vec![mix]);
+    world.prime();
+    world.schedule(SimTime::from_secs(20), Ev::ReplicaCrash { replica: 2 });
+    world.schedule(SimTime::from_secs(25), Ev::ReplicaRecover { replica: 2 });
+    world.schedule(SimTime::from_secs(40), Ev::End);
+    world.run_to_end().expect("End event scheduled");
+    world.finish_result()
+}
+
+#[test]
+fn oracle_crash_retries_timed_out_requests_only_once() {
+    // With the detector off, a crash retries the victim's in-flight
+    // requests at once. A request whose client timeout already fired was
+    // retried then and released its balancer connection: the crash must
+    // neither retry it again nor release that connection a second time.
+    for seed in 1..=4 {
+        let r = oracle_crash_with_timeouts(seed);
+        assert!(r.committed > 0, "seed {seed}: nothing committed");
+        let kinds: Vec<FaultKind> = r.faults.iter().map(|f| f.kind).collect();
+        assert_eq!(
+            kinds,
+            vec![FaultKind::ReplicaCrash(2), FaultKind::ReplicaRecover(2)],
+            "seed {seed}"
+        );
+    }
+}
+
 #[test]
 fn client_timeouts_rescue_updates_stranded_by_a_partition() {
     // An update whose certification request is dropped by the partition

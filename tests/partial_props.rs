@@ -42,7 +42,7 @@ fn build(exp: Experiment) -> (ClusterState, EventQueue<Ev>) {
 /// Checks the durability invariant on a state snapshot; `deep` also
 /// verifies that every live holder's filter keeps the group current.
 fn assert_durable(state: &ClusterState, deep: bool) {
-    let p = state.placement().expect("partial run has a placement");
+    let p = state.placement();
     let n = state.replica_count();
     let live = (0..n).filter(|r| state.node(*r).is_up()).count();
     let need = p.min_copies().min(live);
@@ -111,7 +111,7 @@ fn durability_holds_at_every_event_across_the_failover_schedule() {
         // copies the crash-time re-replication added, so placement returns
         // to exactly `min_copies` holders per group instead of ratcheting
         // wider with every crash/recover cycle.
-        let p = state.placement().expect("partial run has a placement");
+        let p = state.placement();
         for g in 0..p.group_count() {
             assert_eq!(
                 p.holders(g).len(),
@@ -153,7 +153,7 @@ fn rereplicate_event_widens_the_holder_set() {
         state.handle(now, ev, &mut queue);
     }
 
-    let p = state.placement().expect("partial run has a placement");
+    let p = state.placement();
     assert_eq!(
         p.holders(0).len(),
         p.min_copies() + 1,

@@ -118,17 +118,8 @@ fn still_backfilling_holder_is_never_eligible_for_dispatch() {
     for (at, ev) in exp.injections {
         queue.schedule(at, ev);
     }
-    let before: Vec<usize> = state
-        .placement()
-        .expect("partial run has a placement")
-        .holders(group)
-        .to_vec();
-    let types = state
-        .placement()
-        .expect("partial run has a placement")
-        .groups()[group]
-        .types
-        .clone();
+    let before: Vec<usize> = state.placement().holders(group).to_vec();
+    let types = state.placement().groups()[group].types.clone();
     let mut pending_boundaries = 0u64;
     while !state.ended() {
         let (now, ev) = queue.pop().expect("End event scheduled");
@@ -137,7 +128,7 @@ fn still_backfilling_holder_is_never_eligible_for_dispatch() {
         // check; on top of that, pin the mask-level reason at every event
         // boundary while the copy is in flight.
         state.handle(now, ev, &mut queue);
-        let p = state.placement().expect("partial run has a placement");
+        let p = state.placement();
         if let Some(target) = p
             .holders(group)
             .iter()
@@ -160,7 +151,7 @@ fn still_backfilling_holder_is_never_eligible_for_dispatch() {
         "the capped copy must stay in flight across many events (got {pending_boundaries})"
     );
     // And after completion the holder is eligible — the gate lifts.
-    let p = state.placement().expect("partial run has a placement");
+    let p = state.placement();
     let target = p
         .holders(group)
         .iter()
