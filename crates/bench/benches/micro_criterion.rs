@@ -3,39 +3,37 @@
 //! the partial-replication and certifier-group set-up.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
-use tashkent_cluster::{ReplicationPlanner, TypeGroups};
-use tashkent_core::{
-    pack_groups, EstimationMode, Lard, LardConfig, WorkingSet, WorkingSetEstimator,
-};
+use tashkent_cluster::{BalancerCtl, ClusterConfig, PolicySpec, ReplicationPlanner, TypeGroups};
+use tashkent_core::{pack_groups, EstimationMode, Lard, LardConfig, PageTable, WorkingSet};
 use tashkent_engine::{Snapshot, TxnId, TxnTypeId, Version, Writeset, WritesetItem};
 use tashkent_sim::{SimRng, SimTime};
 use tashkent_storage::{BufferPool, Catalog, GlobalPageId, RelationId};
 use tashkent_workloads::tpcw::{self, TpcwScale};
 
-fn synth_working_sets(n: u32) -> Vec<WorkingSet> {
-    (0..n)
+/// `n` synthetic types over a 40-relation schema: type `i` references
+/// relations `3i .. 3i + 4` (mod 40) and scans relation `i` (mod 40);
+/// relation `r` holds `1_000 + 37r mod 9_000` pages.
+fn synth_working_sets(n: u32) -> (Vec<WorkingSet>, PageTable) {
+    let sets = (0..n)
         .map(|i| WorkingSet {
             txn_type: TxnTypeId(i),
-            relations: (0..4)
-                .map(|k| {
-                    (
-                        RelationId((i * 3 + k) % 40),
-                        1_000 + (i as u64 * 37) % 9_000,
-                    )
-                })
-                .collect(),
-            scanned: [(RelationId(i % 40))].into_iter().collect(),
+            relations: (0..4).map(|k| RelationId((i * 3 + k) % 40)).collect(),
+            scanned: [RelationId(i % 40)].into_iter().collect(),
         })
-        .collect()
+        .collect();
+    let pages = (0..40u64)
+        .map(|r| 1_000 + (r * 37) % 9_000)
+        .collect::<Vec<_>>();
+    (sets, PageTable::from(pages))
 }
 
 fn bench_packing(c: &mut Criterion) {
-    let sets = synth_working_sets(64);
+    let (sets, pages) = synth_working_sets(64);
     c.bench_function("bfd_pack_64_types_sc", |b| {
-        b.iter(|| pack_groups(&sets, EstimationMode::SizeContent, 50_000))
+        b.iter(|| pack_groups(&sets, &pages, EstimationMode::SizeContent, 50_000))
     });
     c.bench_function("bfd_pack_64_types_s", |b| {
-        b.iter(|| pack_groups(&sets, EstimationMode::Size, 50_000))
+        b.iter(|| pack_groups(&sets, &pages, EstimationMode::Size, 50_000))
     });
 }
 
@@ -184,15 +182,18 @@ fn bench_dispatch(c: &mut Criterion) {
 fn bench_estimation(c: &mut Criterion) {
     let workload = tpcw::workload(TpcwScale::Mid);
     c.bench_function("estimate_tpcw_working_sets", |b| {
-        b.iter(|| {
-            let est = WorkingSetEstimator::new(&workload.catalog);
-            let sets: Vec<WorkingSet> = workload
-                .types
-                .iter()
-                .map(|t| est.estimate(t.id, &workload.explain(t.id)))
-                .collect();
-            sets
-        })
+        b.iter(|| workload.estimates())
+    });
+    // What a cluster build spends on MALB at the `ordering-malb-uf`
+    // configuration (16 replicas of 512 MB, MALB-SC with update
+    // filtering): estimating every type once, then packing the ordering
+    // mix and spreading the replicas.
+    let (ordering, mix) = tpcw::workload_with_mix(TpcwScale::Mid, "ordering");
+    let config = ClusterConfig::paper_default()
+        .with_ram_mb(512)
+        .with_policy(PolicySpec::malb_sc_uf());
+    c.bench_function("malb_build_tpcw_mid_ordering", |b| {
+        b.iter(|| BalancerCtl::build(&config, Some(&ordering.estimates()), &mix))
     });
     let mut catalog = Catalog::new();
     for i in 0..100 {

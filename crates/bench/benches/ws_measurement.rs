@@ -54,9 +54,9 @@ fn main() {
     for name in ["BestSeller", "OrderDispl", "ExecSearch", "BuyConfirm"] {
         let t = workload.type_by_name(name).unwrap();
         let ws = est.estimate(t.id, &workload.explain(t.id));
-        let scap_mb =
-            ws.pages_for(EstimationMode::SizeContentAccessPattern) * PAGE_SIZE / (1 << 20);
-        let sc_mb = ws.pages_for(EstimationMode::SizeContent) * PAGE_SIZE / (1 << 20);
+        let mb = |mode| ws.pages_for(mode, est.pages()) * PAGE_SIZE / (1 << 20);
+        let scap_mb = mb(EstimationMode::SizeContentAccessPattern);
+        let sc_mb = mb(EstimationMode::SizeContent);
         let reads: Vec<f64> = [256u64, 512, 1024]
             .iter()
             .map(|ram| dedicated_read_kb(&workload, name, *ram, warmup, measured))

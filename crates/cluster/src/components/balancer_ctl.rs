@@ -1,10 +1,10 @@
 //! Dispatch and the `LbTick` reconfiguration loop.
 
-use tashkent_core::{LoadBalancer, ReconfigAction, ReplicaId, ResourceLoad, WorkingSetEstimator};
+use tashkent_core::{Estimates, LoadBalancer, ReconfigAction, ReplicaId, ResourceLoad};
 use tashkent_engine::TxnTypeId;
 use tashkent_replica::UpdateFilter;
 use tashkent_sim::{EventQueue, SimTime};
-use tashkent_workloads::{Mix, Workload};
+use tashkent_workloads::Mix;
 
 use crate::config::{ClusterConfig, PolicySpec};
 use crate::events::Ev;
@@ -104,23 +104,28 @@ pub struct BalancerCtl {
 }
 
 impl BalancerCtl {
-    /// Builds the balancer for a config, estimating working sets for MALB
-    /// from the active mix's transaction types via `EXPLAIN` + catalog
-    /// metadata — exactly the paper's information channel (§4.2.2).
-    pub fn build(config: &ClusterConfig, workload: &Workload, mix: &Mix) -> Self {
+    /// Builds the balancer for a config. MALB packs the working sets of
+    /// `mix`'s active transaction types from `estimates`, the cluster's one
+    /// estimate of every type from `EXPLAIN` + catalog metadata — exactly
+    /// the paper's information channel (§4.2.2).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the policy is MALB and `estimates` is `None`.
+    pub fn build(config: &ClusterConfig, estimates: Option<&Estimates>, mix: &Mix) -> Self {
         let lb = match config.policy {
             PolicySpec::RoundRobin => LoadBalancer::round_robin(config.replicas),
             PolicySpec::LeastConnections => LoadBalancer::least_connections(config.replicas),
             PolicySpec::Lard => LoadBalancer::lard(config.replicas, config.lard),
             PolicySpec::Malb { .. } => {
-                let estimator = WorkingSetEstimator::new(&workload.catalog);
+                let estimates = estimates.expect("MALB packs the working-set estimates");
                 let sets = mix
                     .active_types()
                     .iter()
-                    .map(|t| estimator.estimate(*t, &workload.explain(*t)))
+                    .map(|t| estimates.sets[t.0 as usize])
                     .collect();
                 let malb_cfg = config.malb_config().expect("policy is MALB");
-                LoadBalancer::malb(config.replicas, sets, malb_cfg)
+                LoadBalancer::malb(config.replicas, sets, estimates.pages.clone(), malb_cfg)
             }
         };
         BalancerCtl {
@@ -239,7 +244,7 @@ impl BalancerCtl {
             match action {
                 ReconfigAction::SetFilter { replica, tables } => {
                     let filter = match tables {
-                        Some(t) => UpdateFilter::only(t),
+                        Some(t) => UpdateFilter::Only(t),
                         None => UpdateFilter::all(),
                     };
                     filters.push((replica, filter));

@@ -40,9 +40,9 @@ impl ClusterNode {
     }
 
     /// Crashes the replica: cold cache, in-flight work dropped, admission
-    /// queue drained. The cluster state sweeps its own transaction metadata
-    /// for orphans (the node's running set misses transactions awaiting
-    /// certification), so the dropped list is discarded here.
+    /// queue drained. The cluster state finds the orphaned transactions in
+    /// its own metadata, which also covers those awaiting certification
+    /// that the node's running set does not hold.
     pub fn crash(&mut self) {
         self.up = false;
         self.node.crash();

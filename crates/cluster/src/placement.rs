@@ -36,15 +36,16 @@
 //!
 //! [`PlacementSpec::Full`]: crate::config::PlacementSpec::Full
 //!
-//! The groups come from one derivation, [`TypeGroups::derive`], which a
-//! cluster runs once per build and hands to both the [`ReplicationPlanner`]
-//! and the relation → certifier-group map [`CertMap`]. Every relation set
-//! here — a group's members, a replica's held and pending relations, the
-//! update filter it installs, a backfill's relations — is a
-//! [`tashkent_storage::RelationSet`] bitmap.
+//! The groups come from one derivation, [`TypeGroups::from_estimates`],
+//! which a cluster runs once per build over the working sets it estimated
+//! once (the same estimates MALB packs) and hands to both the
+//! [`ReplicationPlanner`] and the relation → certifier-group map
+//! [`CertMap`]. Every relation set here — a group's members, a replica's
+//! held and pending relations, the update filter it installs, a backfill's
+//! relations — is a [`tashkent_storage::RelationSet`] bitmap.
 
 use tashkent_certifier::CertMap;
-use tashkent_core::WorkingSetEstimator;
+use tashkent_core::Estimates;
 use tashkent_engine::TxnTypeId;
 use tashkent_replica::UpdateFilter;
 use tashkent_storage::{Catalog, RelationId, RelationSet};
@@ -75,33 +76,43 @@ pub struct TypeGroups {
 }
 
 impl TypeGroups {
-    /// Derives the relation groups of `workload`.
+    /// Derives the relation groups of `workload`, estimating its working
+    /// sets first.
     pub fn derive(workload: &Workload) -> Self {
-        let catalog = &workload.catalog;
-        let estimator = WorkingSetEstimator::new(catalog);
-        let mut sets: Vec<RelationSet> = Vec::new();
-        let mut of_type = vec![None; workload.types.len()];
-        for t in &workload.types {
-            let ws = estimator.estimate(t.id, &workload.explain(t.id));
-            let mut rels = RelationSet::new();
-            for &rel in ws.relations.keys() {
-                rels.insert(rel);
-                if let Some(table) = catalog.get(rel).table {
-                    rels.insert(table);
-                }
-                rels.extend(catalog.indices_of(rel).map(|idx| idx.id));
+        Self::from_estimates(&workload.catalog, &workload.estimates())
+    }
+
+    /// Derives the relation groups from every type's working set in
+    /// `estimates`, made against `catalog`.
+    pub fn from_estimates(catalog: &Catalog, estimates: &Estimates) -> Self {
+        // Each relation with what it brings: an index its table, a table
+        // its indices.
+        let mut brings: Vec<RelationSet> = catalog
+            .relations()
+            .iter()
+            .map(|r| [r.id].into_iter().chain(r.table).collect())
+            .collect();
+        for r in catalog.relations() {
+            if let Some(table) = r.table {
+                brings[table.0 as usize].insert(r.id);
             }
+        }
+        let mut sets: Vec<RelationSet> = Vec::new();
+        let mut of_type = vec![None; estimates.sets.len()];
+        for (slot, ws) in of_type.iter_mut().zip(&estimates.sets) {
+            let rels = ws.relations.iter().fold(RelationSet::new(), |rels, rel| {
+                rels.union(brings[rel.0 as usize])
+            });
             if rels.is_empty() {
                 continue;
             }
-            let group = match sets.iter().position(|s| *s == rels) {
+            *slot = Some(match sets.iter().position(|s| *s == rels) {
                 Some(g) => g,
                 None => {
                     sets.push(rels);
                     sets.len() - 1
                 }
-            };
-            of_type[t.id.0 as usize] = Some(group);
+            });
         }
         TypeGroups { sets, of_type }
     }

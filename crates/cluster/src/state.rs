@@ -32,7 +32,7 @@ use tashkent_storage::RelationSet;
 use tashkent_workloads::{ClientPool, Mix, Workload};
 
 use crate::components::{BalancerCtl, CertifierLink, ClusterNode, HealthTransition, ReplicaHealth};
-use crate::config::{ClusterConfig, PlacementSpec};
+use crate::config::{ClusterConfig, PlacementSpec, PolicySpec};
 use crate::events::{Ev, CONTROL_NODE};
 use crate::metrics::{FaultKind, GroupSnapshot, Metrics};
 use crate::placement::{PlacementMap, ReplicationPlanner, TypeGroups};
@@ -180,7 +180,13 @@ impl ClusterState {
     pub fn new(config: ClusterConfig, workload: Workload, mixes: Vec<Mix>) -> Self {
         assert!(!mixes.is_empty(), "cluster needs at least one mix");
         let mut rng = SimRng::seed_from(config.seed);
-        let balancer = BalancerCtl::build(&config, &workload, &mixes[0]);
+        // MALB's packing, partial placement and certifier groups all start
+        // from the working sets of the workload's types: estimate every type
+        // once, and only when one of the three needs them.
+        let grouped = config.placement != PlacementSpec::Full || config.cert_groups > 1;
+        let estimates = (grouped || matches!(config.policy, PolicySpec::Malb { .. }))
+            .then(|| workload.estimates());
+        let balancer = BalancerCtl::build(&config, estimates.as_ref(), &mixes[0]);
         let nodes: Vec<ClusterNode> = (0..config.replicas)
             .map(|id| {
                 ClusterNode::new(
@@ -197,8 +203,12 @@ impl ClusterState {
         // Partial placement and certifier groups both start from the
         // workload's relation groups; derive them once, and only when one of
         // the two needs them.
-        let type_groups = (config.placement != PlacementSpec::Full || config.cert_groups > 1)
-            .then(|| TypeGroups::derive(&workload));
+        let type_groups = match &estimates {
+            Some(estimates) if grouped => {
+                Some(TypeGroups::from_estimates(&workload.catalog, estimates))
+            }
+            _ => None,
+        };
         // Partial replication plans the group → holder-set assignment; full
         // replication is the map with no groups.
         let placement = match (config.placement, &type_groups) {

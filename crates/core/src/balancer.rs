@@ -7,14 +7,12 @@
 //! and consumes smoothed load reports from the replica daemons (the signal
 //! MALB's allocation uses).
 
-use std::collections::{BTreeSet, HashMap};
-
 use tashkent_engine::TxnTypeId;
 use tashkent_sim::SimTime;
-use tashkent_storage::RelationId;
+use tashkent_storage::RelationSet;
 
 use crate::allocation::{AllocationConfig, Allocator, GroupLoads};
-use crate::estimator::{EstimationMode, WorkingSet};
+use crate::estimator::{EstimationMode, PageTable, WorkingSet};
 use crate::filtering::filter_lists;
 use crate::grouping::{pack_groups, GroupId, TxnGroup};
 use crate::lard::{Lard, LardConfig};
@@ -88,7 +86,7 @@ pub enum ReconfigAction {
         /// Target replica.
         replica: ReplicaId,
         /// Tables to keep current; `None` = all.
-        tables: Option<BTreeSet<RelationId>>,
+        tables: Option<RelationSet>,
     },
     /// A replica changed groups (informational; caches migrate implicitly).
     Moved {
@@ -129,9 +127,13 @@ struct Unit {
 #[derive(Debug, Clone)]
 struct MalbState {
     config: MalbConfig,
+    /// Sizes every relation the working sets and groups name.
+    pages: PageTable,
     working_sets: Vec<WorkingSet>,
     groups: Vec<TxnGroup>,
-    group_of_type: HashMap<TxnTypeId, usize>,
+    /// Group index per transaction type id (`None` for types outside the
+    /// packed mix).
+    group_of_type: Vec<Option<usize>>,
     units: Vec<Unit>,
     allocator: Allocator,
     next_rebalance: SimTime,
@@ -203,15 +205,25 @@ impl LoadBalancer {
         Self::with_policy(n_replicas, Policy::Lard(Lard::new(n_replicas, config)))
     }
 
-    /// Creates a MALB balancer: packs `working_sets` into groups under
-    /// `config.mode` and spreads replicas over the groups; allocation then
-    /// adapts from load reports.
-    pub fn malb(n_replicas: usize, working_sets: Vec<WorkingSet>, config: MalbConfig) -> Self {
-        let groups = pack_groups(&working_sets, config.mode, config.capacity_pages);
-        let mut group_of_type = HashMap::new();
+    /// Creates a MALB balancer: packs `working_sets`, sized through
+    /// `pages`, into groups under `config.mode` and spreads replicas over
+    /// the groups; allocation then adapts from load reports.
+    pub fn malb(
+        n_replicas: usize,
+        working_sets: Vec<WorkingSet>,
+        pages: PageTable,
+        config: MalbConfig,
+    ) -> Self {
+        let groups = pack_groups(&working_sets, &pages, config.mode, config.capacity_pages);
+        let n_types = working_sets
+            .iter()
+            .map(|ws| ws.txn_type.0 as usize + 1)
+            .max()
+            .unwrap_or(0);
+        let mut group_of_type = vec![None; n_types];
         for (gi, g) in groups.iter().enumerate() {
             for t in &g.types {
-                group_of_type.insert(*t, gi);
+                group_of_type[t.0 as usize] = Some(gi);
             }
         }
         // Seed units: one per group, merging the smallest groups if there
@@ -261,6 +273,7 @@ impl LoadBalancer {
         let next_rebalance = config.rebalance_period;
         let state = MalbState {
             config,
+            pages,
             working_sets,
             groups,
             group_of_type,
@@ -356,8 +369,8 @@ impl LoadBalancer {
                 }
                 lard.dispatch(txn_type, &masked)
             }
-            Policy::Malb(state) => match state.group_of_type.get(&txn_type) {
-                Some(gi) => {
+            Policy::Malb(state) => match state.group_of_type.get(txn_type.0 as usize) {
+                Some(Some(gi)) => {
                     let unit = state
                         .units
                         .iter()
@@ -377,7 +390,7 @@ impl LoadBalancer {
                         }
                     }
                 }
-                None => {
+                _ => {
                     self.stats.fallback += 1;
                     least_conn_alive(&self.conns, &self.alive, elig)
                 }
@@ -663,16 +676,13 @@ impl MalbState {
 
     /// Whether two units' combined working-set estimate fits one replica.
     fn units_fit_together(&self, a: usize, b: usize) -> bool {
-        let mut union: std::collections::BTreeMap<tashkent_storage::RelationId, u64> =
-            std::collections::BTreeMap::new();
-        for ui in [a, b] {
-            for gi in &self.units[ui].groups {
-                for (r, p) in &self.groups[*gi].relations {
-                    union.insert(*r, *p);
-                }
-            }
-        }
-        union.values().sum::<u64>() <= self.config.capacity_pages
+        let union = [a, b]
+            .iter()
+            .flat_map(|ui| &self.units[*ui].groups)
+            .fold(RelationSet::new(), |u, gi| {
+                u.union(self.groups[*gi].relations)
+            });
+        self.pages.sum(union) <= self.config.capacity_pages
     }
 
     /// Per-unit load estimates. Under partial replication (`elig` masks
@@ -904,17 +914,22 @@ impl MalbState {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::BTreeMap;
+    use tashkent_storage::RelationId;
 
-    fn ws(id: u32, rels: &[(u32, u64)]) -> WorkingSet {
-        WorkingSet {
-            txn_type: TxnTypeId(id),
-            relations: rels
-                .iter()
-                .map(|(r, p)| (RelationId(*r), *p))
-                .collect::<BTreeMap<_, _>>(),
-            scanned: rels.iter().map(|(r, _)| RelationId(*r)).collect(),
-        }
+    /// A MALB balancer over types `0..sizes.len()`, where type `i` scans
+    /// relation `i` of `sizes[i]` pages.
+    fn malb(n_replicas: usize, sizes: &[u64], config: MalbConfig) -> LoadBalancer {
+        let sets = (0..sizes.len() as u32)
+            .map(|i| {
+                let rels: RelationSet = [RelationId(i)].into_iter().collect();
+                WorkingSet {
+                    txn_type: TxnTypeId(i),
+                    relations: rels,
+                    scanned: rels,
+                }
+            })
+            .collect();
+        LoadBalancer::malb(n_replicas, sets, PageTable::from(sizes.to_vec()), config)
     }
 
     fn malb_config(capacity: u64) -> MalbConfig {
@@ -948,8 +963,7 @@ mod tests {
     #[test]
     fn malb_routes_types_to_their_groups() {
         // Two disjoint 80-page types on a 100-page capacity → 2 groups.
-        let sets = vec![ws(0, &[(0, 80)]), ws(1, &[(1, 80)])];
-        let mut lb = LoadBalancer::malb(4, sets, malb_config(100));
+        let mut lb = malb(4, &[80, 80], malb_config(100));
         let r0 = lb.dispatch(TxnTypeId(0));
         let r1 = lb.dispatch(TxnTypeId(1));
         // Same type always lands in the same unit's replica set.
@@ -972,16 +986,14 @@ mod tests {
 
     #[test]
     fn malb_all_replicas_assigned() {
-        let sets = vec![ws(0, &[(0, 80)]), ws(1, &[(1, 80)]), ws(2, &[(2, 30)])];
-        let lb = LoadBalancer::malb(16, sets, malb_config(100));
+        let lb = malb(16, &[80, 80, 30], malb_config(100));
         let total: usize = lb.assignments().iter().map(|(_, r)| r.len()).sum();
         assert_eq!(total, 16);
     }
 
     #[test]
     fn malb_more_groups_than_replicas_merges_seeds() {
-        let sets: Vec<WorkingSet> = (0..6).map(|i| ws(i, &[(i, 90)])).collect();
-        let lb = LoadBalancer::malb(3, sets, malb_config(100));
+        let lb = malb(3, &[90; 6], malb_config(100));
         let a = lb.assignments();
         assert!(a.len() <= 3, "units bounded by replicas: {}", a.len());
         let types: usize = a.iter().map(|(t, _)| t.len()).sum();
@@ -991,10 +1003,9 @@ mod tests {
 
     #[test]
     fn malb_rebalances_toward_loaded_group() {
-        let sets = vec![ws(0, &[(0, 80)]), ws(1, &[(1, 80)])];
         let mut cfg = malb_config(100);
         cfg.rebalance_period = SimTime::from_secs(1);
-        let mut lb = LoadBalancer::malb(8, sets, cfg);
+        let mut lb = malb(8, &[80, 80], cfg);
         // Unit of type 0 is hot; unit of type 1 idle.
         let hot: Vec<ReplicaId> = lb.assignments()[0].1.clone();
         for r in 0..8 {
@@ -1033,10 +1044,9 @@ mod tests {
         // all start as singleton units. Units 0 and 1 are nearly idle (below
         // the both-idle bar), so they merge even though their union exceeds
         // memory — the paper accepts that risk and undoes it by splitting.
-        let sets = vec![ws(0, &[(0, 80)]), ws(1, &[(1, 80)]), ws(2, &[(2, 80)])];
         let mut cfg = malb_config(100);
         cfg.rebalance_period = SimTime::from_secs(1);
-        let mut lb = LoadBalancer::malb(3, sets, cfg);
+        let mut lb = malb(3, &[80, 80, 80], cfg);
         // All three units singleton; two are nearly idle, one moderately hot.
         let a = lb.assignments();
         let unit_replica = |t: u32| {
@@ -1083,10 +1093,9 @@ mod tests {
 
     #[test]
     fn malb_splits_contended_merge() {
-        let sets = vec![ws(0, &[(0, 80)]), ws(1, &[(1, 80)]), ws(2, &[(2, 80)])];
         let mut cfg = malb_config(100);
         cfg.rebalance_period = SimTime::from_secs(1);
-        let mut lb = LoadBalancer::malb(3, sets, cfg);
+        let mut lb = malb(3, &[80, 80, 80], cfg);
         let a = lb.assignments();
         let unit_replica = |t: u32| {
             a.iter()
@@ -1141,10 +1150,9 @@ mod tests {
 
     #[test]
     fn malb_fast_realloc_on_drastic_change() {
-        let sets = vec![ws(0, &[(0, 80)]), ws(1, &[(1, 80)])];
         let mut cfg = malb_config(100);
         cfg.rebalance_period = SimTime::from_secs(1);
-        let mut lb = LoadBalancer::malb(10, sets, cfg);
+        let mut lb = malb(10, &[80, 80], cfg);
         // 5/5 split; group 0 at 70%, group 1 at 10%: needs 3.5 vs 0.5 →
         // ideal 8.75 / 1.25 → 9 / 1 after rounding.
         let a = lb.assignments();
@@ -1176,13 +1184,12 @@ mod tests {
 
     #[test]
     fn filters_install_after_stability() {
-        let sets = vec![ws(0, &[(0, 80)]), ws(1, &[(1, 80)])];
         let mut cfg = malb_config(100);
         cfg.rebalance_period = SimTime::from_secs(1);
         cfg.update_filtering = true;
         cfg.stable_rounds_for_filter = 3;
         cfg.min_copies = 1;
-        let mut lb = LoadBalancer::malb(4, sets, cfg);
+        let mut lb = malb(4, &[80, 80], cfg);
         // Balanced loads → no moves → stability accrues.
         for r in 0..4 {
             lb.report(
@@ -1207,10 +1214,10 @@ mod tests {
         let g0_replicas = &a.iter().find(|(t, _)| t.contains(&TxnTypeId(0))).unwrap().1;
         for act in &filter_actions {
             if let ReconfigAction::SetFilter { replica, tables } = act {
-                let tables = tables.as_ref().unwrap();
+                let tables = tables.unwrap();
                 if g0_replicas.contains(replica) {
-                    assert!(tables.contains(&RelationId(0)));
-                    assert!(!tables.contains(&RelationId(1)));
+                    assert!(tables.contains(RelationId(0)));
+                    assert!(!tables.contains(RelationId(1)));
                 }
             }
         }
@@ -1242,8 +1249,7 @@ mod tests {
 
     #[test]
     fn malb_survives_replica_failure() {
-        let sets = vec![ws(0, &[(0, 80)]), ws(1, &[(1, 80)])];
-        let mut lb = LoadBalancer::malb(2, sets, malb_config(100));
+        let mut lb = malb(2, &[80, 80], malb_config(100));
         // Kill the replica of type 0's unit; dispatch falls back.
         let a = lb.assignments();
         let victim = a.iter().find(|(t, _)| t.contains(&TxnTypeId(0))).unwrap().1[0];
@@ -1255,10 +1261,9 @@ mod tests {
 
     #[test]
     fn freeze_stops_rebalancing() {
-        let sets = vec![ws(0, &[(0, 80)]), ws(1, &[(1, 80)])];
         let mut cfg = malb_config(100);
         cfg.rebalance_period = SimTime::from_secs(1);
-        let mut lb = LoadBalancer::malb(8, sets, cfg);
+        let mut lb = malb(8, &[80, 80], cfg);
         lb.freeze();
         let hot: Vec<ReplicaId> = lb.assignments()[0].1.clone();
         for r in 0..8 {
@@ -1285,13 +1290,12 @@ mod tests {
     fn eligibility_masks_restrict_every_policy() {
         // Replica 0 holds type 0's group; replica 2 holds type 1's.
         let masks = vec![vec![true, false, false], vec![false, false, true]];
-        let sets = vec![ws(0, &[(0, 40)]), ws(1, &[(1, 40)])];
         let make = |which: u8| -> LoadBalancer {
             let mut lb = match which {
                 0 => LoadBalancer::round_robin(3),
                 1 => LoadBalancer::least_connections(3),
                 2 => LoadBalancer::lard(3, LardConfig::default()),
-                _ => LoadBalancer::malb(3, sets.clone(), malb_config(100)),
+                _ => malb(3, &[40, 40], malb_config(100)),
             };
             lb.set_type_eligibility(Some(masks.clone()));
             lb
@@ -1357,10 +1361,9 @@ mod tests {
         // lowest-id replica (1) is *not* a holder — the placement-aware
         // chooser must hand over replica 3 instead, and replica 1 must
         // never enter the unit.
-        let sets = vec![ws(0, &[(0, 80)]), ws(1, &[(1, 80)])];
         let mut cfg = malb_config(100);
         cfg.rebalance_period = SimTime::from_secs(1);
-        let mut lb = LoadBalancer::malb(4, sets, cfg);
+        let mut lb = malb(4, &[80, 80], cfg);
         lb.set_type_eligibility(Some(vec![
             vec![true, false, false, true],
             vec![false, true, true, true],
@@ -1386,10 +1389,9 @@ mod tests {
         // hot unit, so the chooser proposes nothing — membership is stable
         // instead of parking useless non-holders (the dispatch-intersection
         // fallback shape this chooser exists to cut).
-        let sets = vec![ws(0, &[(0, 80)]), ws(1, &[(1, 80)])];
         let mut cfg = malb_config(100);
         cfg.rebalance_period = SimTime::from_secs(1);
-        let mut lb = LoadBalancer::malb(4, sets, cfg);
+        let mut lb = malb(4, &[80, 80], cfg);
         lb.set_type_eligibility(Some(vec![
             vec![true, false, false, false],
             vec![false, true, true, true],

@@ -6,18 +6,24 @@
 //! 1. obtains the transaction type's `EXPLAIN` plan (which relations, and
 //!    whether each is scanned linearly or probed randomly),
 //! 2. resolves each relation's size in pages from the catalog (`relpages`),
-//! 3. produces a [`WorkingSet`]: the referenced relation set, the scanned
-//!    subset, and page totals.
+//! 3. produces a [`WorkingSet`]: the referenced relation set and the
+//!    scanned subset.
 //!
 //! Three estimation modes correspond to the paper's three grouping methods:
 //! size only (MALB-S), size + contents (MALB-SC), and size + contents +
 //! access pattern (MALB-SCAP, which keeps only linearly-scanned relations as
 //! a lower-bound estimate).
-
-use std::collections::{BTreeMap, BTreeSet};
+//!
+//! The plan names relations by catalog id, so a [`WorkingSet`] is two
+//! [`RelationSet`] bitmaps, and every size is read through one
+//! [`PageTable`] of the catalog's `relpages`: a relation has one size
+//! wherever it appears, and the size of a union of working sets is the size
+//! of a bitmap union. A cluster estimates every transaction type once per
+//! build ([`Estimates`]) and hands the result to MALB's packing and to the
+//! relation groups of partial placement and certification.
 
 use tashkent_engine::{ExplainPlan, TxnTypeId};
-use tashkent_storage::{Catalog, RelationId, PAGE_SIZE};
+use tashkent_storage::{Catalog, RelationId, RelationSet, PAGE_SIZE};
 
 /// How much plan information the estimator uses (§2.3).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -33,59 +39,84 @@ pub enum EstimationMode {
     SizeContentAccessPattern,
 }
 
+/// The size in pages of every relation, indexed by relation id: the
+/// catalog's `relpages`, read once.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct PageTable(Vec<u64>);
+
+impl PageTable {
+    /// Reads every relation's `relpages` from `catalog`.
+    pub fn new(catalog: &Catalog) -> Self {
+        PageTable(catalog.relations().iter().map(|r| r.pages as u64).collect())
+    }
+
+    /// Size in pages of `rel`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rel` is not in the table.
+    pub fn pages(&self, rel: RelationId) -> u64 {
+        self.0[rel.0 as usize]
+    }
+
+    /// Combined size in pages of `rels`.
+    pub fn sum(&self, rels: RelationSet) -> u64 {
+        rels.iter().map(|rel| self.pages(rel)).sum()
+    }
+}
+
+/// A page table from per-relation sizes, the size of relation `i` at index
+/// `i` (synthetic schemas in tests and benchmarks).
+impl From<Vec<u64>> for PageTable {
+    fn from(pages: Vec<u64>) -> Self {
+        PageTable(pages)
+    }
+}
+
 /// The estimated working set of one transaction type.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WorkingSet {
     /// The transaction type.
     pub txn_type: TxnTypeId,
-    /// Every referenced relation and its size in pages.
-    pub relations: BTreeMap<RelationId, u64>,
+    /// Every referenced relation.
+    pub relations: RelationSet,
     /// The subset reported as linearly scanned.
-    pub scanned: BTreeSet<RelationId>,
+    pub scanned: RelationSet,
 }
 
 impl WorkingSet {
-    /// Upper-bound size in pages: all referenced relations (MALB-S/SC view).
-    pub fn size_pages(&self) -> u64 {
-        self.relations.values().sum()
-    }
-
-    /// Lower-bound size in pages: scanned relations only (MALB-SCAP view).
-    pub fn scanned_pages(&self) -> u64 {
-        self.scanned
-            .iter()
-            .map(|r| self.relations.get(r).copied().unwrap_or(0))
-            .sum()
+    /// Relation set relevant under a given estimation mode: every
+    /// referenced relation (MALB-S/SC), or the scanned ones (MALB-SCAP).
+    pub fn relations_for(&self, mode: EstimationMode) -> RelationSet {
+        match mode {
+            EstimationMode::Size | EstimationMode::SizeContent => self.relations,
+            EstimationMode::SizeContentAccessPattern => self.relations.intersection(self.scanned),
+        }
     }
 
     /// Size in pages under a given estimation mode.
-    pub fn pages_for(&self, mode: EstimationMode) -> u64 {
-        match mode {
-            EstimationMode::Size | EstimationMode::SizeContent => self.size_pages(),
-            EstimationMode::SizeContentAccessPattern => self.scanned_pages(),
-        }
+    pub fn pages_for(&self, mode: EstimationMode, pages: &PageTable) -> u64 {
+        pages.sum(self.relations_for(mode))
     }
 
-    /// Relation set relevant under a given estimation mode.
-    pub fn relations_for(&self, mode: EstimationMode) -> BTreeMap<RelationId, u64> {
-        match mode {
-            EstimationMode::Size | EstimationMode::SizeContent => self.relations.clone(),
-            EstimationMode::SizeContentAccessPattern => self
-                .relations
-                .iter()
-                .filter(|(r, _)| self.scanned.contains(r))
-                .map(|(r, p)| (*r, *p))
-                .collect(),
-        }
+    /// Upper-bound size in pages: all referenced relations (MALB-S/SC view).
+    pub fn size_pages(&self, pages: &PageTable) -> u64 {
+        self.pages_for(EstimationMode::SizeContent, pages)
+    }
+
+    /// Lower-bound size in pages: scanned relations only (MALB-SCAP view).
+    pub fn scanned_pages(&self, pages: &PageTable) -> u64 {
+        self.pages_for(EstimationMode::SizeContentAccessPattern, pages)
     }
 
     /// Upper-bound size in bytes.
-    pub fn size_bytes(&self) -> u64 {
-        self.size_pages() * PAGE_SIZE
+    pub fn size_bytes(&self, pages: &PageTable) -> u64 {
+        self.size_pages(pages) * PAGE_SIZE
     }
 }
 
-/// Produces [`WorkingSet`]s from `EXPLAIN` plans and the catalog.
+/// Produces [`WorkingSet`]s from `EXPLAIN` plans, and sizes them through the
+/// catalog's `relpages`.
 ///
 /// # Examples
 ///
@@ -101,77 +132,79 @@ impl WorkingSet {
 ///
 /// let est = WorkingSetEstimator::new(&catalog);
 /// let ws = est.estimate(TxnTypeId(0), &explain);
-/// assert_eq!(ws.size_pages(), 1_250);
-/// assert_eq!(ws.scanned_pages(), 1_250);
+/// assert_eq!(ws.size_pages(est.pages()), 1_250);
+/// assert_eq!(ws.scanned_pages(est.pages()), 1_250);
 /// ```
-pub struct WorkingSetEstimator<'a> {
-    catalog: &'a Catalog,
+#[derive(Debug, Clone)]
+pub struct WorkingSetEstimator {
+    pages: PageTable,
 }
 
-impl<'a> WorkingSetEstimator<'a> {
+impl WorkingSetEstimator {
     /// Creates an estimator reading sizes from `catalog`.
-    pub fn new(catalog: &'a Catalog) -> Self {
-        WorkingSetEstimator { catalog }
+    pub fn new(catalog: &Catalog) -> Self {
+        WorkingSetEstimator {
+            pages: PageTable::new(catalog),
+        }
     }
 
-    /// Estimates the working set of one transaction type from its plan.
-    ///
-    /// Relations named in the plan but missing from the catalog are skipped
-    /// (a dropped table still mentioned by a stale plan).
+    /// Estimates the working set of one transaction type from its plan,
+    /// which names its relations by id in the catalog the estimator reads.
     pub fn estimate(&self, txn_type: TxnTypeId, explain: &ExplainPlan) -> WorkingSet {
-        let mut relations = BTreeMap::new();
-        let mut scanned = BTreeSet::new();
-        for name in explain.referenced() {
-            if let Some(rel) = self.catalog.by_name(name) {
-                relations.insert(rel.id, rel.pages as u64);
-            }
-        }
-        for name in explain.scanned() {
-            if let Some(rel) = self.catalog.by_name(name) {
-                scanned.insert(rel.id);
-            }
-        }
         WorkingSet {
             txn_type,
-            relations,
-            scanned,
+            relations: explain.referenced().collect(),
+            scanned: explain.scanned().collect(),
+        }
+    }
+
+    /// The page table that sizes the estimates.
+    pub fn pages(&self) -> &PageTable {
+        &self.pages
+    }
+
+    /// Estimates every plan in `plans`, the `i`-th as transaction type `i`
+    /// (a workload's types in id order).
+    pub fn estimate_all(self, plans: impl IntoIterator<Item = ExplainPlan>) -> Estimates {
+        let sets = plans
+            .into_iter()
+            .enumerate()
+            .map(|(i, explain)| self.estimate(TxnTypeId(i as u32), &explain))
+            .collect();
+        Estimates {
+            pages: self.pages,
+            sets,
         }
     }
 }
 
-/// Combined size in pages of two working sets when grouped, per mode:
+/// Every transaction type's working set, indexed by type id, with the page
+/// table that sizes them: what one cluster build estimates once and shares
+/// between MALB's packing and the relation groups of partial placement and
+/// certification.
+#[derive(Debug, Clone)]
+pub struct Estimates {
+    /// Size in pages of every relation.
+    pub pages: PageTable,
+    /// One working set per type: `sets[i].txn_type == TxnTypeId(i)`.
+    pub sets: Vec<WorkingSet>,
+}
+
+/// Combined size in pages of several working sets when grouped, per mode:
 /// MALB-S sums sizes (double counting shared relations); MALB-SC and
 /// MALB-SCAP take the union.
 ///
 /// This reproduces the paper's example: T1 uses tables A and B, T2 uses B
 /// and C — MALB-S estimates |A| + 2|B| + |C|, MALB-SC estimates
 /// |A| + |B| + |C|.
-pub fn combined_pages(a: &WorkingSet, b: &WorkingSet, mode: EstimationMode) -> u64 {
+pub fn combined_pages(sets: &[WorkingSet], pages: &PageTable, mode: EstimationMode) -> u64 {
     match mode {
-        EstimationMode::Size => a.size_pages() + b.size_pages(),
+        EstimationMode::Size => sets.iter().map(|w| w.pages_for(mode, pages)).sum(),
         EstimationMode::SizeContent | EstimationMode::SizeContentAccessPattern => {
-            let mut union = a.relations_for(mode);
-            for (r, p) in b.relations_for(mode) {
-                union.insert(r, p);
-            }
-            union.values().sum()
-        }
-    }
-}
-
-/// Combined size in pages of several working sets when grouped, per mode
-/// (the n-ary generalization of [`combined_pages`]).
-pub fn combined_pages_many(sets: &[WorkingSet], mode: EstimationMode) -> u64 {
-    match mode {
-        EstimationMode::Size => sets.iter().map(|w| w.size_pages()).sum(),
-        EstimationMode::SizeContent | EstimationMode::SizeContentAccessPattern => {
-            let mut union = std::collections::BTreeMap::new();
-            for ws in sets {
-                for (r, p) in ws.relations_for(mode) {
-                    union.insert(r, p);
-                }
-            }
-            union.values().sum()
+            let union = sets
+                .iter()
+                .fold(RelationSet::new(), |u, w| u.union(w.relations_for(mode)));
+            pages.sum(union)
         }
     }
 }
@@ -225,8 +258,9 @@ mod tests {
     fn size_is_sum_of_referenced_relations() {
         let (c, t1, _) = setup();
         let ws = estimate(&c, &t1, 0);
-        assert_eq!(ws.size_pages(), 300);
-        assert_eq!(ws.size_bytes(), 300 * PAGE_SIZE);
+        let pages = PageTable::new(&c);
+        assert_eq!(ws.size_pages(&pages), 300);
+        assert_eq!(ws.size_bytes(&pages), 300 * PAGE_SIZE);
     }
 
     #[test]
@@ -234,17 +268,21 @@ mod tests {
         let (c, _, t2) = setup();
         let ws = estimate(&c, &t2, 1);
         // c (50) + b_pk (20) + heap b (200) = 270.
-        assert_eq!(ws.size_pages(), 270);
+        assert_eq!(ws.size_pages(&PageTable::new(&c)), 270);
     }
 
     #[test]
     fn scanned_subset_excludes_probed_relations() {
         let (c, _, t2) = setup();
         let ws = estimate(&c, &t2, 1);
+        let pages = PageTable::new(&c);
         // Only `c` is linearly scanned; b/b_pk are random.
-        assert_eq!(ws.scanned_pages(), 50);
-        assert_eq!(ws.pages_for(EstimationMode::SizeContentAccessPattern), 50);
-        assert_eq!(ws.pages_for(EstimationMode::SizeContent), 270);
+        assert_eq!(ws.scanned_pages(&pages), 50);
+        assert_eq!(
+            ws.pages_for(EstimationMode::SizeContentAccessPattern, &pages),
+            50
+        );
+        assert_eq!(ws.pages_for(EstimationMode::SizeContent, &pages), 270);
     }
 
     #[test]
@@ -274,12 +312,15 @@ mod tests {
                 access: Access::SeqScan,
             },
         ]);
-        let w1 = estimate(&c, &t1, 0);
-        let w2 = estimate(&c, &t2, 1);
+        let pair = [estimate(&c, &t1, 0), estimate(&c, &t2, 1)];
+        let pages = PageTable::new(&c);
         // MALB-S double counts B: |A| + 2|B| + |C| = 550.
-        assert_eq!(combined_pages(&w1, &w2, EstimationMode::Size), 550);
+        assert_eq!(combined_pages(&pair, &pages, EstimationMode::Size), 550);
         // MALB-SC avoids recounting: |A| + |B| + |C| = 350.
-        assert_eq!(combined_pages(&w1, &w2, EstimationMode::SizeContent), 350);
+        assert_eq!(
+            combined_pages(&pair, &pages, EstimationMode::SizeContent),
+            350
+        );
     }
 
     #[test]
@@ -294,20 +335,9 @@ mod tests {
             theta: 0.0,
         })]);
         let ws = estimate(&c, &plan, 0);
-        assert_eq!(ws.size_pages(), 160);
-        assert_eq!(ws.scanned_pages(), 0, "writes are random access");
-    }
-
-    #[test]
-    fn missing_relations_are_skipped() {
-        let (c, t1, _) = setup();
-        let mut explain = ExplainPlan::from_plan(&t1, &c);
-        explain.steps.push(tashkent_engine::ExplainStep {
-            relation: "ghost".to_string(),
-            access: tashkent_engine::ExplainAccess::SeqScan,
-        });
-        let ws = WorkingSetEstimator::new(&c).estimate(TxnTypeId(0), &explain);
-        assert_eq!(ws.size_pages(), 300);
+        let pages = PageTable::new(&c);
+        assert_eq!(ws.size_pages(&pages), 160);
+        assert_eq!(ws.scanned_pages(&pages), 0, "writes are random access");
     }
 
     #[test]

@@ -16,7 +16,7 @@
 
 use std::collections::BTreeSet;
 
-use tashkent_storage::RelationId;
+use tashkent_storage::RelationSet;
 
 use crate::estimator::WorkingSet;
 use crate::grouping::TxnGroup;
@@ -29,7 +29,7 @@ pub struct FilterPlan {
     pub replica: ReplicaId,
     /// Tables the replica keeps up to date. `None` means "all tables"
     /// (filtering disabled for this replica).
-    pub tables: Option<BTreeSet<RelationId>>,
+    pub tables: Option<RelationSet>,
 }
 
 /// Computes per-replica filter lists from a group → replicas assignment.
@@ -70,22 +70,20 @@ pub fn filter_lists(
     );
 
     // Tables needed by each group: union of members' *referenced* relations.
-    let group_tables: Vec<BTreeSet<RelationId>> = groups
+    let group_tables: Vec<RelationSet> = groups
         .iter()
         .map(|g| {
-            let mut set = BTreeSet::new();
-            for t in &g.types {
+            g.types.iter().fold(RelationSet::new(), |set, t| {
                 let ws = working_sets
                     .iter()
                     .find(|w| w.txn_type == *t)
                     .unwrap_or_else(|| panic!("missing working set for {t}"));
-                set.extend(ws.relations.keys().copied());
-            }
-            set
+                set.union(ws.relations)
+            })
         })
         .collect();
 
-    let mut tables_of: Vec<BTreeSet<RelationId>> = vec![BTreeSet::new(); all_replicas.len()];
+    let mut tables_of: Vec<RelationSet> = vec![RelationSet::new(); all_replicas.len()];
     let index_of = |r: ReplicaId| {
         all_replicas
             .iter()
@@ -95,7 +93,8 @@ pub fn filter_lists(
 
     for (g, replicas) in group_tables.iter().zip(assignment) {
         for r in replicas {
-            tables_of[index_of(*r)].extend(g.iter().copied());
+            let i = index_of(*r);
+            tables_of[i] = tables_of[i].union(*g);
         }
     }
 
@@ -108,12 +107,9 @@ pub fn filter_lists(
             // ties to the lowest replica id.
             let candidate = (0..all_replicas.len())
                 .filter(|i| !hosts.contains(i))
-                .min_by_key(|i| {
-                    let added = g.difference(&tables_of[*i]).count();
-                    (added, *i)
-                })
+                .min_by_key(|i| (g.difference(tables_of[*i]).len(), *i))
                 .expect("min_copies bounded by replica count");
-            tables_of[candidate].extend(g.iter().copied());
+            tables_of[candidate] = tables_of[candidate].union(*g);
             hosts.insert(candidate);
         }
     }
@@ -131,24 +127,21 @@ pub fn filter_lists(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::BTreeMap;
     use tashkent_engine::TxnTypeId;
+    use tashkent_storage::RelationId;
 
     fn ws(id: u32, rels: &[u32]) -> WorkingSet {
         WorkingSet {
             txn_type: TxnTypeId(id),
-            relations: rels
-                .iter()
-                .map(|r| (RelationId(*r), 10u64))
-                .collect::<BTreeMap<_, _>>(),
-            scanned: BTreeSet::new(),
+            relations: rels.iter().map(|r| RelationId(*r)).collect(),
+            scanned: RelationSet::new(),
         }
     }
 
     fn group(types: &[u32]) -> TxnGroup {
         TxnGroup {
             types: types.iter().map(|t| TxnTypeId(*t)).collect(),
-            relations: BTreeMap::new(),
+            relations: RelationSet::new(),
             estimate_pages: 0,
             overflow: false,
         }

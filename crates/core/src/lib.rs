@@ -11,7 +11,8 @@
 //!
 //! * [`estimator`] — estimate each transaction type's working set (size,
 //!   contents, access pattern) from its `EXPLAIN` plan and the catalog's
-//!   `relpages` metadata (§2.2);
+//!   `relpages` metadata (§2.2), as relation bitmaps sized through one page
+//!   table;
 //! * [`grouping`] — pack transaction types into groups whose combined
 //!   working sets fit a replica's memory, using Best-Fit-Decreasing bin
 //!   packing with optional overlap credit (MALB-S / MALB-SC / MALB-SCAP,
@@ -37,7 +38,7 @@ pub mod types;
 pub use allocation::{AllocationConfig, Allocator, GroupLoads, Move};
 pub use balancer::{DispatchStats, LoadBalancer, MalbConfig, ReconfigAction, ResourceLoad};
 pub use estimator::{
-    combined_pages, combined_pages_many, EstimationMode, WorkingSet, WorkingSetEstimator,
+    combined_pages, Estimates, EstimationMode, PageTable, WorkingSet, WorkingSetEstimator,
 };
 pub use filtering::{filter_lists, FilterPlan};
 pub use grouping::{pack_groups, GroupId, TxnGroup};

@@ -2,12 +2,17 @@
 //!
 //! The paper's load balancer sends each transaction type through PostgreSQL's
 //! `EXPLAIN` and parses "all tables and indices accessed as well as how they
-//! are accessed" (§4.2.2). [`ExplainPlan`] is that parsed form: relation
-//! names plus a scan-vs-random classification, and nothing else — in
-//! particular no ground-truth page-touch counts, keeping the estimator
-//! honest about its information channel.
+//! are accessed" (§4.2.2). [`ExplainPlan`] is that parsed form: the
+//! referenced relations plus a scan-vs-random classification, and nothing
+//! else — in particular no ground-truth page-touch counts, keeping the
+//! estimator honest about its information channel.
+//!
+//! The view names each relation by its catalog [`RelationId`], as the
+//! balancer resolves a name once against `pg_class`, so reading a plan
+//! allocates no string and hashes no name; [`ExplainPlan::render`] prints
+//! the names through the catalog.
 
-use tashkent_storage::Catalog;
+use tashkent_storage::{Catalog, RelationId};
 
 use crate::plan::{Access, PlanStep, TxnPlan};
 
@@ -21,10 +26,10 @@ pub enum ExplainAccess {
 }
 
 /// One referenced relation in an `EXPLAIN` output.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ExplainStep {
-    /// Name of the table or index (resolvable via the catalog).
-    pub relation: String,
+    /// The table or index, by catalog id.
+    pub relation: RelationId,
     /// Linear or random access.
     pub access: ExplainAccess,
 }
@@ -38,8 +43,8 @@ pub struct ExplainPlan {
 }
 
 impl ExplainPlan {
-    /// Renders the plan the way the load balancer would receive it from the
-    /// database, given the catalog for name resolution.
+    /// Builds the plan the way the load balancer would receive it from the
+    /// database, with every relation resolved against `catalog`.
     ///
     /// Mapping:
     /// * `SeqScan` and `RangeScan` report as `Seq Scan` — PostgreSQL picks a
@@ -54,26 +59,23 @@ impl ExplainPlan {
         let mut out = ExplainPlan::default();
         for step in &plan.steps {
             match step {
-                PlanStep::Read { rel, access } => {
-                    let name = catalog.get(*rel).name.clone();
-                    match access {
-                        Access::SeqScan | Access::RangeScan { .. } => {
-                            out.push(name, ExplainAccess::SeqScan);
-                        }
-                        Access::IndexLookup { .. } => {
-                            out.push(name, ExplainAccess::IndexScan);
-                            // The heap fetch behind an index scan touches the
-                            // base table randomly.
-                            if let Some(table) = catalog.get(*rel).table {
-                                out.push(catalog.get(table).name.clone(), ExplainAccess::IndexScan);
-                            }
+                PlanStep::Read { rel, access } => match access {
+                    Access::SeqScan | Access::RangeScan { .. } => {
+                        out.push(*rel, ExplainAccess::SeqScan);
+                    }
+                    Access::IndexLookup { .. } => {
+                        out.push(*rel, ExplainAccess::IndexScan);
+                        // The heap fetch behind an index scan touches the
+                        // base table randomly.
+                        if let Some(table) = catalog.get(*rel).table {
+                            out.push(table, ExplainAccess::IndexScan);
                         }
                     }
-                }
+                },
                 PlanStep::Write(w) => {
-                    out.push(catalog.get(w.rel).name.clone(), ExplainAccess::IndexScan);
+                    out.push(w.rel, ExplainAccess::IndexScan);
                     for idx in catalog.indices_of(w.rel) {
-                        out.push(idx.name.clone(), ExplainAccess::IndexScan);
+                        out.push(idx.id, ExplainAccess::IndexScan);
                     }
                 }
             }
@@ -81,7 +83,7 @@ impl ExplainPlan {
         out
     }
 
-    fn push(&mut self, relation: String, access: ExplainAccess) {
+    fn push(&mut self, relation: RelationId, access: ExplainAccess) {
         if let Some(existing) = self.steps.iter_mut().find(|s| s.relation == relation) {
             // A relation both scanned and probed counts as scanned: the scan
             // dominates its memory footprint.
@@ -93,28 +95,33 @@ impl ExplainPlan {
         }
     }
 
-    /// Names of all referenced relations.
-    pub fn referenced(&self) -> impl Iterator<Item = &str> {
-        self.steps.iter().map(|s| s.relation.as_str())
+    /// All referenced relations.
+    pub fn referenced(&self) -> impl Iterator<Item = RelationId> + '_ {
+        self.steps.iter().map(|s| s.relation)
     }
 
-    /// Names of relations reported as linearly scanned.
-    pub fn scanned(&self) -> impl Iterator<Item = &str> {
+    /// Relations reported as linearly scanned.
+    pub fn scanned(&self) -> impl Iterator<Item = RelationId> + '_ {
         self.steps
             .iter()
             .filter(|s| s.access == ExplainAccess::SeqScan)
-            .map(|s| s.relation.as_str())
+            .map(|s| s.relation)
     }
 
-    /// Pretty text form, close to what `EXPLAIN` prints.
-    pub fn render(&self) -> String {
+    /// Pretty text form, close to what `EXPLAIN` prints, with relation
+    /// names read from `catalog`.
+    pub fn render(&self, catalog: &Catalog) -> String {
         let mut s = String::new();
         for step in &self.steps {
             let kind = match step.access {
                 ExplainAccess::SeqScan => "Seq Scan",
                 ExplainAccess::IndexScan => "Index Scan",
             };
-            s.push_str(&format!("{} on {}\n", kind, step.relation));
+            s.push_str(&format!(
+                "{} on {}\n",
+                kind,
+                catalog.get(step.relation).name
+            ));
         }
         s
     }
@@ -154,13 +161,17 @@ mod tests {
         (c, plan)
     }
 
+    fn id(c: &Catalog, name: &str) -> RelationId {
+        c.by_name(name).unwrap().id
+    }
+
     #[test]
     fn index_lookup_reports_index_and_heap() {
         let (c, plan) = setup();
         let ex = ExplainPlan::from_plan(&plan, &c);
-        let names: Vec<&str> = ex.referenced().collect();
-        assert!(names.contains(&"orders_pk"));
-        assert!(names.contains(&"orders"));
+        let rels: Vec<RelationId> = ex.referenced().collect();
+        assert!(rels.contains(&id(&c, "orders_pk")));
+        assert!(rels.contains(&id(&c, "orders")));
     }
 
     #[test]
@@ -168,7 +179,11 @@ mod tests {
         let (c, plan) = setup();
         let ex = ExplainPlan::from_plan(&plan, &c);
         // `item` is seq-scanned and then written; it must classify as scanned.
-        let item = ex.steps.iter().find(|s| s.relation == "item").unwrap();
+        let item = ex
+            .steps
+            .iter()
+            .find(|s| s.relation == id(&c, "item"))
+            .unwrap();
         assert_eq!(item.access, ExplainAccess::SeqScan);
     }
 
@@ -176,33 +191,36 @@ mod tests {
     fn writes_pull_in_indices_for_maintenance() {
         let (c, plan) = setup();
         let ex = ExplainPlan::from_plan(&plan, &c);
-        let names: Vec<&str> = ex.referenced().collect();
-        assert!(names.contains(&"item_pk"), "index maintenance missing");
+        let rels: Vec<RelationId> = ex.referenced().collect();
+        assert!(
+            rels.contains(&id(&c, "item_pk")),
+            "index maintenance missing"
+        );
     }
 
     #[test]
     fn scanned_filter_returns_only_seq_scans() {
         let (c, plan) = setup();
         let ex = ExplainPlan::from_plan(&plan, &c);
-        let scanned: Vec<&str> = ex.scanned().collect();
-        assert_eq!(scanned, vec!["item"]);
+        let scanned: Vec<RelationId> = ex.scanned().collect();
+        assert_eq!(scanned, vec![id(&c, "item")]);
     }
 
     #[test]
     fn no_duplicate_relations() {
         let (c, plan) = setup();
         let ex = ExplainPlan::from_plan(&plan, &c);
-        let mut names: Vec<&str> = ex.referenced().collect();
-        let before = names.len();
-        names.sort();
-        names.dedup();
-        assert_eq!(before, names.len());
+        let mut rels: Vec<RelationId> = ex.referenced().collect();
+        let before = rels.len();
+        rels.sort();
+        rels.dedup();
+        assert_eq!(before, rels.len());
     }
 
     #[test]
     fn render_is_explain_like() {
         let (c, plan) = setup();
-        let text = ExplainPlan::from_plan(&plan, &c).render();
+        let text = ExplainPlan::from_plan(&plan, &c).render(&c);
         assert!(text.contains("Index Scan on orders_pk"));
         assert!(text.contains("Seq Scan on item"));
     }
@@ -219,6 +237,6 @@ mod tests {
             },
         }]);
         let ex = ExplainPlan::from_plan(&plan, &c);
-        assert_eq!(ex.scanned().collect::<Vec<_>>(), vec!["order_line"]);
+        assert_eq!(ex.scanned().collect::<Vec<_>>(), vec![t]);
     }
 }

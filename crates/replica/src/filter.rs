@@ -29,8 +29,7 @@ impl UpdateFilter {
         UpdateFilter::All
     }
 
-    /// Filter accepting exactly `rels` (how the balancer's `BTreeSet`
-    /// table lists become filters).
+    /// Filter accepting exactly `rels`.
     pub fn only(rels: impl IntoIterator<Item = RelationId>) -> Self {
         UpdateFilter::Only(rels.into_iter().collect())
     }

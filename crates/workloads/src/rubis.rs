@@ -407,7 +407,7 @@ mod tests {
             ws.relations.len()
         );
         // And its footprint dominates a 442 MB replica.
-        let mb = ws.size_bytes() / (1024 * 1024);
+        let mb = ws.size_bytes(est.pages()) / (1024 * 1024);
         assert!(mb > 442, "AboutMe SC = {mb} MB");
     }
 

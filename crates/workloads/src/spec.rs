@@ -1,5 +1,6 @@
 //! Workload and mix specifications.
 
+use tashkent_core::{Estimates, WorkingSetEstimator};
 use tashkent_engine::{ExplainPlan, TxnType, TxnTypeId};
 use tashkent_sim::SimRng;
 use tashkent_storage::Catalog;
@@ -25,6 +26,13 @@ impl Workload {
     /// channel the paper's load balancer uses (§4.2.2).
     pub fn explain(&self, id: TxnTypeId) -> ExplainPlan {
         ExplainPlan::from_plan(&self.types[id.0 as usize].plan, &self.catalog)
+    }
+
+    /// Every transaction type's working set, estimated from its `EXPLAIN`
+    /// output and the catalog's `relpages` (§2.2), in type-id order.
+    pub fn estimates(&self) -> Estimates {
+        WorkingSetEstimator::new(&self.catalog)
+            .estimate_all(self.types.iter().map(|t| self.explain(t.id)))
     }
 
     /// Name of a transaction type.
@@ -174,6 +182,7 @@ mod tests {
     fn explain_resolves_through_catalog() {
         let w = tiny_workload();
         let e = w.explain(TxnTypeId(0));
-        assert_eq!(e.scanned().collect::<Vec<_>>(), vec!["t"]);
+        let t = w.catalog.by_name("t").unwrap().id;
+        assert_eq!(e.scanned().collect::<Vec<_>>(), vec![t]);
     }
 }

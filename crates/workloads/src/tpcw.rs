@@ -586,17 +586,17 @@ mod tests {
         for name in ["BestSeller", "OrderDispl", "BuyConfirm", "AdminRespo"] {
             let t = w.type_by_name(name).unwrap();
             let ws = est.estimate(t.id, &w.explain(t.id));
+            let pages = ws.pages_for(EstimationMode::SizeContent, est.pages());
             assert!(
-                ws.pages_for(EstimationMode::SizeContent) > capacity,
-                "{name}: {} pages ≤ capacity {capacity}",
-                ws.pages_for(EstimationMode::SizeContent)
+                pages > capacity,
+                "{name}: {pages} pages ≤ capacity {capacity}"
             );
         }
     }
 
     #[test]
     fn light_groups_fit_together_at_512mb() {
-        use tashkent_core::{combined_pages_many, EstimationMode, WorkingSetEstimator};
+        use tashkent_core::{combined_pages, EstimationMode, WorkingSetEstimator};
         let w = workload(TpcwScale::Mid);
         let est = WorkingSetEstimator::new(&w.catalog);
         let capacity = (442u64 * 1024 * 1024) / PAGE_SIZE;
@@ -605,19 +605,21 @@ mod tests {
             est.estimate(t.id, &w.explain(t.id))
         };
         // Table 2: [BuyRequest, ShopinCart] share one replica.
-        let pair = combined_pages_many(
+        let pair = combined_pages(
             &[ws_of("BuyRequest"), ws_of("ShopinCart")],
+            est.pages(),
             EstimationMode::SizeContent,
         );
         assert!(pair <= capacity, "BuyRequest+ShopinCart = {pair} pages");
         // Table 2: [HomeAction, NewProduct, SearchRequ, AdmiRqust] share one.
-        let quad = combined_pages_many(
+        let quad = combined_pages(
             &[
                 ws_of("HomeAction"),
                 ws_of("NewProduct"),
                 ws_of("SearchRequ"),
                 ws_of("AdmiRqust"),
             ],
+            est.pages(),
             EstimationMode::SizeContent,
         );
         assert!(quad <= capacity, "light quad = {quad} pages");
@@ -632,10 +634,10 @@ mod tests {
         let est = WorkingSetEstimator::new(&w.catalog);
         let t = w.type_by_name("OrderDispl").unwrap();
         let ws = est.estimate(t.id, &w.explain(t.id));
-        let scap_mb =
-            ws.pages_for(EstimationMode::SizeContentAccessPattern) * PAGE_SIZE / (1024 * 1024);
+        let mb = |mode| ws.pages_for(mode, est.pages()) * PAGE_SIZE / (1024 * 1024);
+        let scap_mb = mb(EstimationMode::SizeContentAccessPattern);
         assert!(scap_mb < 5, "OrderDispl SCAP = {scap_mb} MB (paper ~1 MB)");
-        let sc_mb = ws.pages_for(EstimationMode::SizeContent) * PAGE_SIZE / (1024 * 1024);
+        let sc_mb = mb(EstimationMode::SizeContent);
         assert!(
             (1_000..2_000).contains(&sc_mb),
             "OrderDispl SC = {sc_mb} MB (paper ~1600 MB)"

@@ -32,12 +32,11 @@ fn main() {
         println!(
             "{:<12} {:>8} {:>8}  {}",
             t.name,
-            mb(ws.pages_for(EstimationMode::SizeContent)),
-            mb(ws.pages_for(EstimationMode::SizeContentAccessPattern)),
+            mb(ws.pages_for(EstimationMode::SizeContent, estimator.pages())),
+            mb(ws.pages_for(EstimationMode::SizeContentAccessPattern, estimator.pages())),
             explain
-                .steps
-                .iter()
-                .map(|s| s.relation.as_str())
+                .referenced()
+                .map(|rel| workload.catalog.get(rel).name.as_str())
                 .collect::<Vec<_>>()
                 .join(","),
         );
@@ -52,7 +51,7 @@ fn main() {
         EstimationMode::SizeContent,
         EstimationMode::SizeContentAccessPattern,
     ] {
-        let groups = pack_groups(&sets, mode, capacity);
+        let groups = pack_groups(&sets, estimator.pages(), mode, capacity);
         println!("\n  {mode:?}: {} groups", groups.len());
         for g in &groups {
             let names: Vec<&str> = g.types.iter().map(|t| workload.type_name(*t)).collect();

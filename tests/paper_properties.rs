@@ -3,27 +3,35 @@
 use proptest::prelude::*;
 use tashkent::certifier::{Certifier, CertifyOutcome};
 use tashkent::core::GroupId;
-use tashkent::core::{pack_groups, EstimationMode, WorkingSet};
+use tashkent::core::{pack_groups, EstimationMode, PageTable, WorkingSet};
 use tashkent::core::{AllocationConfig, Allocator, GroupLoads};
 use tashkent::engine::{Snapshot, TxnId, TxnTypeId, Version, Writeset, WritesetItem};
 use tashkent::sim::SimTime;
 use tashkent::storage::RelationId;
 
-fn working_set_strategy(max_types: u32) -> impl Strategy<Value = Vec<WorkingSet>> {
-    proptest::collection::vec(
-        proptest::collection::btree_map(0u32..20, 1u64..5_000, 1..5),
-        1..max_types as usize,
+/// One page table over 20 relations, as the catalog's `relpages` gives one
+/// size per relation, and up to `max_types - 1` types each referencing one
+/// to four of them.
+fn working_set_strategy(max_types: u32) -> impl Strategy<Value = (PageTable, Vec<WorkingSet>)> {
+    (
+        proptest::collection::vec(1u64..5_000, 20..21),
+        proptest::collection::vec(
+            proptest::collection::btree_set(0u32..20, 1..5),
+            1..max_types as usize,
+        ),
     )
-    .prop_map(|maps| {
-        maps.into_iter()
-            .enumerate()
-            .map(|(i, m)| WorkingSet {
-                txn_type: TxnTypeId(i as u32),
-                relations: m.into_iter().map(|(r, p)| (RelationId(r), p)).collect(),
-                scanned: Default::default(),
-            })
-            .collect()
-    })
+        .prop_map(|(pages, types)| {
+            let sets = types
+                .into_iter()
+                .enumerate()
+                .map(|(i, rels)| WorkingSet {
+                    txn_type: TxnTypeId(i as u32),
+                    relations: rels.into_iter().map(RelationId).collect(),
+                    scanned: Default::default(),
+                })
+                .collect();
+            (PageTable::from(pages), sets)
+        })
 }
 
 proptest! {
@@ -31,9 +39,10 @@ proptest! {
     /// respect capacity; overlap-aware estimates never exceed the sum of
     /// sizes.
     #[test]
-    fn packing_invariants(sets in working_set_strategy(16), capacity in 1_000u64..20_000) {
+    fn packing_invariants(case in working_set_strategy(16), capacity in 1_000u64..20_000) {
+        let (pages, sets) = case;
         for mode in [EstimationMode::Size, EstimationMode::SizeContent] {
-            let groups = pack_groups(&sets, mode, capacity);
+            let groups = pack_groups(&sets, &pages, mode, capacity);
             let mut seen: Vec<u32> = groups.iter().flat_map(|g| g.types.iter().map(|t| t.0)).collect();
             seen.sort_unstable();
             let expected: Vec<u32> = (0..sets.len() as u32).collect();
@@ -45,7 +54,7 @@ proptest! {
                 let sum: u64 = g
                     .types
                     .iter()
-                    .map(|t| sets[t.0 as usize].pages_for(mode))
+                    .map(|t| sets[t.0 as usize].pages_for(mode, &pages))
                     .sum();
                 prop_assert!(g.estimate_pages <= sum, "overlap can only shrink");
             }

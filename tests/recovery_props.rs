@@ -21,7 +21,7 @@ use tashkent::certifier::Certifier;
 use tashkent::cluster::{
     ClusterConfig, Ev, FaultKind, PlacementSpec, PolicySpec, ReplicaHealth, World, CONTROL_NODE,
 };
-use tashkent::core::{LardConfig, LoadBalancer, MalbConfig, ReplicaId, WorkingSet};
+use tashkent::core::{LardConfig, LoadBalancer, MalbConfig, PageTable, ReplicaId, WorkingSet};
 use tashkent::engine::{Snapshot, TxnId, TxnTypeId, Version, Writeset, WritesetItem};
 use tashkent::replica::{ReplicaConfig, ReplicaNode};
 use tashkent::sim::{SimRng, SimTime};
@@ -133,16 +133,17 @@ proptest! {
             1 => LoadBalancer::least_connections(replicas),
             2 => LoadBalancer::lard(replicas, LardConfig::default()),
             _ => {
-                // Two disjoint working sets over however many replicas.
+                // Two disjoint working sets of 80 pages over however many
+                // replicas.
                 let sets = vec![
                     WorkingSet {
                         txn_type: TxnTypeId(0),
-                        relations: [(RelationId(0), 80u64)].into_iter().collect(),
+                        relations: [RelationId(0)].into_iter().collect(),
                         scanned: [RelationId(0)].into_iter().collect(),
                     },
                     WorkingSet {
                         txn_type: TxnTypeId(1),
-                        relations: [(RelationId(1), 80u64)].into_iter().collect(),
+                        relations: [RelationId(1)].into_iter().collect(),
                         scanned: [RelationId(1)].into_iter().collect(),
                     },
                 ];
@@ -150,7 +151,7 @@ proptest! {
                     tashkent::core::EstimationMode::SizeContent,
                     100,
                 );
-                LoadBalancer::malb(replicas, sets, cfg)
+                LoadBalancer::malb(replicas, sets, PageTable::from(vec![80, 80]), cfg)
             }
         };
         // Kill an arbitrary subset, always leaving replica 0 alive.
