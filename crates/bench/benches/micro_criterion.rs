@@ -3,11 +3,14 @@
 //! the partial-replication and certifier-group set-up.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
-use tashkent_cluster::{BalancerCtl, ClusterConfig, PolicySpec, ReplicationPlanner, TypeGroups};
+use tashkent_cluster::{
+    BalancerCtl, ClusterConfig, PartialReplication, PolicySpec, ReplicationPlanner, Scenario,
+    ScenarioKnobs, TypeGroups,
+};
 use tashkent_core::{pack_groups, EstimationMode, Lard, LardConfig, PageTable, WorkingSet};
 use tashkent_engine::{Snapshot, TxnId, TxnTypeId, Version, Writeset, WritesetItem};
 use tashkent_sim::{SimRng, SimTime};
-use tashkent_storage::{BufferPool, Catalog, GlobalPageId, RelationId};
+use tashkent_storage::{BufferPool, GlobalPageId, RelationId};
 use tashkent_workloads::tpcw::{self, TpcwScale};
 
 /// `n` synthetic types over a 40-relation schema: type `i` references
@@ -195,23 +198,35 @@ fn bench_estimation(c: &mut Criterion) {
     c.bench_function("malb_build_tpcw_mid_ordering", |b| {
         b.iter(|| BalancerCtl::build(&config, Some(&ordering.estimates()), &mix))
     });
-    let mut catalog = Catalog::new();
-    for i in 0..100 {
-        catalog.add_table(&format!("t{i}"), 100 + i, 10_000);
-    }
-    c.bench_function("catalog_relpages_lookup", |b| {
-        let mut i = 0;
-        b.iter(|| {
-            i = (i + 1) % 100;
-            catalog.relpages(&format!("t{i}"))
-        })
-    });
 }
 
 /// What a cluster build spends on partial placement and certifier sharding
 /// for the `partial-faults` configuration: TPC-W MidDB on 16 replicas at
-/// two copies, with four certifier groups.
+/// two copies, with four certifier groups. `experiment_tpcw_mid_partial` is
+/// the scenario's own build before the cluster's: schema, transaction
+/// types, mix, config and fault schedule.
 fn bench_placement(c: &mut Criterion) {
+    let scenario = PartialReplication {
+        scale: TpcwScale::Mid,
+        min_copies: 2,
+        faults: true,
+    };
+    let knobs = ScenarioKnobs {
+        replicas: 16,
+        clients_per_replica: 8,
+        think_mean_us: 500_000,
+        ram_mb: 512,
+        warmup_secs: 60,
+        measured_secs: 240,
+        ..ScenarioKnobs::default()
+    }
+    .with_cert_groups(Some(4))
+    .with_heartbeat(Some(500_000))
+    .with_checkpoint_lag(Some(32))
+    .with_backfill_cap(Some(8 << 20));
+    c.bench_function("experiment_tpcw_mid_partial", |b| {
+        b.iter(|| scenario.experiment(&knobs))
+    });
     let workload = tpcw::workload(TpcwScale::Mid);
     c.bench_function("placement_tpcw_mid_16x2", |b| {
         b.iter(|| {

@@ -463,8 +463,9 @@ impl Scenario for DynamicReconfig {
     }
 
     fn experiment(&self, knobs: &ScenarioKnobs) -> Experiment {
-        let (workload, shopping) = tpcw::workload_with_mix(self.scale, "shopping");
-        let (_, browsing) = tpcw::workload_with_mix(self.scale, "browsing");
+        let workload = tpcw::workload(self.scale);
+        let shopping = tpcw::mix(&workload, "shopping");
+        let browsing = tpcw::mix(&workload, "browsing");
         let config = knobs.config(PolicySpec::malb_sc());
         // Split the measured window across the three phases; the last phase
         // absorbs the division remainder so the window totals measured_secs.

@@ -85,23 +85,17 @@ impl TypeGroups {
     /// Derives the relation groups from every type's working set in
     /// `estimates`, made against `catalog`.
     pub fn from_estimates(catalog: &Catalog, estimates: &Estimates) -> Self {
-        // Each relation with what it brings: an index its table, a table
-        // its indices.
-        let mut brings: Vec<RelationSet> = catalog
-            .relations()
-            .iter()
-            .map(|r| [r.id].into_iter().chain(r.table).collect())
-            .collect();
-        for r in catalog.relations() {
-            if let Some(table) = r.table {
-                brings[table.0 as usize].insert(r.id);
-            }
-        }
         let mut sets: Vec<RelationSet> = Vec::new();
         let mut of_type = vec![None; estimates.sets.len()];
         for (slot, ws) in of_type.iter_mut().zip(&estimates.sets) {
-            let rels = ws.relations.iter().fold(RelationSet::new(), |rels, rel| {
-                rels.union(brings[rel.0 as usize])
+            // Each relation with what it brings: an index its table, a
+            // table its indices.
+            let rels = ws.relations.iter().fold(ws.relations, |mut rels, rel| {
+                let r = catalog.get(rel);
+                if let Some(table) = r.table {
+                    rels.insert(table);
+                }
+                rels.union(r.indices)
             });
             if rels.is_empty() {
                 continue;
@@ -373,9 +367,14 @@ impl ReplicationPlanner {
     /// replicas minimizing the resulting held pages (`held + newly added`,
     /// ties to the lowest replica id) — overlap makes a replica that
     /// already holds most of a group a cheap extra holder, while the
-    /// balance term keeps the database spread. Deterministic throughout;
-    /// this assignment is the object the skew-driven rebalancing follow-on
-    /// will act on.
+    /// balance term keeps the database spread. A replica's newly added
+    /// pages are the group's pages less those of its overlap with what the
+    /// replica holds. One pass over the replicas keeps the `min_copies`
+    /// best `(held + added, replica)` keys in a buffer reused across
+    /// groups; the keys are unique per replica, so the pick is the one a
+    /// full sort of the replicas would make, and a group allocates only
+    /// its holder list. Deterministic throughout; this assignment is the
+    /// object the skew-driven rebalancing acts on.
     ///
     /// # Panics
     ///
@@ -410,20 +409,37 @@ impl ReplicationPlanner {
         let mut held = vec![RelationSet::new(); replicas];
         let mut held_pages = vec![0u64; replicas];
         let mut holders: Vec<Vec<usize>> = vec![Vec::new(); placed.len()];
+        // The best `(held + added pages, replica)` keys so far, ascending.
+        let mut best: Vec<(u64, usize)> = Vec::with_capacity(min_copies);
         for g in order {
-            let rels = placed[g].relations;
-            let added: Vec<u64> = held
-                .iter()
-                .map(|h| pages_of(&pages, rels.difference(*h)))
-                .collect();
-            let mut ranked: Vec<usize> = (0..replicas).collect();
-            ranked.sort_by_key(|r| (held_pages[*r] + added[*r], *r));
-            let mut chosen: Vec<usize> = ranked.into_iter().take(min_copies).collect();
-            chosen.sort_unstable();
-            for &r in &chosen {
-                held_pages[r] += added[r];
-                held[r] = held[r].union(rels);
+            let RelationGroup {
+                relations: rels,
+                pages: group_pages,
+                ..
+            } = placed[g];
+            best.clear();
+            for (r, (h, p)) in held.iter().zip(&held_pages).enumerate() {
+                let added = if rels.intersects(*h) {
+                    group_pages - pages_of(&pages, rels.intersection(*h))
+                } else {
+                    group_pages
+                };
+                let key = (p + added, r);
+                if best.len() == min_copies {
+                    if best.last().is_some_and(|worst| key >= *worst) {
+                        continue;
+                    }
+                    best.pop();
+                }
+                best.insert(best.partition_point(|k| *k < key), key);
             }
+            let mut chosen: Vec<usize> = Vec::with_capacity(min_copies);
+            for &(after, r) in &best {
+                held_pages[r] = after;
+                held[r] = held[r].union(rels);
+                chosen.push(r);
+            }
+            chosen.sort_unstable();
             holders[g] = chosen;
         }
 

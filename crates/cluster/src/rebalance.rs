@@ -61,8 +61,9 @@ impl Scenario for Rebalance {
     }
 
     fn experiment(&self, knobs: &ScenarioKnobs) -> Experiment {
-        let (workload, ordering) = tpcw::workload_with_mix(self.scale, "ordering");
-        let (_, browsing) = tpcw::workload_with_mix(self.scale, "browsing");
+        let workload = tpcw::workload(self.scale);
+        let ordering = tpcw::mix(&workload, "ordering");
+        let browsing = tpcw::mix(&workload, "browsing");
         let mut config = knobs.config(PolicySpec::LeastConnections);
         config.placement = PlacementSpec::Partial {
             min_copies: knobs.min_copies.unwrap_or(self.min_copies),

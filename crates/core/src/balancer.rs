@@ -491,13 +491,10 @@ impl LoadBalancer {
     /// load estimates weigh only *resident* replicas — ones holding every
     /// relation a unit's types touch.
     pub fn tick(&mut self, now: SimTime) -> Vec<ReconfigAction> {
-        let loads = self.loads.clone();
-        let alive = self.alive.clone();
-        let elig = self.type_eligible.clone();
         let view = ClusterView {
-            loads: &loads,
-            alive: &alive,
-            elig: elig.as_deref(),
+            loads: &self.loads,
+            alive: &self.alive,
+            elig: self.type_eligible.as_deref(),
         };
         let stats = &mut self.stats;
         match &mut self.policy {

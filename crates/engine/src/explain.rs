@@ -56,7 +56,10 @@ impl ExplainPlan {
     /// * Writes report random access to the written relation and its indices
     ///   (index maintenance).
     pub fn from_plan(plan: &TxnPlan, catalog: &Catalog) -> Self {
-        let mut out = ExplainPlan::default();
+        // Most steps report one or two relations.
+        let mut out = ExplainPlan {
+            steps: Vec::with_capacity(2 * plan.steps.len()),
+        };
         for step in &plan.steps {
             match step {
                 PlanStep::Read { rel, access } => match access {
@@ -74,8 +77,8 @@ impl ExplainPlan {
                 },
                 PlanStep::Write(w) => {
                     out.push(w.rel, ExplainAccess::IndexScan);
-                    for idx in catalog.indices_of(w.rel) {
-                        out.push(idx.id, ExplainAccess::IndexScan);
+                    for idx in catalog.get(w.rel).indices.iter() {
+                        out.push(idx, ExplainAccess::IndexScan);
                     }
                 }
             }

@@ -94,10 +94,10 @@ impl Gatekeeper {
         }
     }
 
-    /// Drops all queued transactions and returns them (used on crash).
-    pub fn drain(&mut self) -> Vec<TxnId> {
+    /// Drops every running and queued transaction (used on crash).
+    pub fn clear(&mut self) {
         self.in_flight = 0;
-        self.queue.drain(..).collect()
+        self.queue.clear();
     }
 }
 
@@ -151,8 +151,7 @@ mod tests {
         let mut gk = Gatekeeper::new(1);
         gk.admit(TxnId(1));
         gk.admit(TxnId(2));
-        let dropped = gk.drain();
-        assert_eq!(dropped, vec![TxnId(2)]);
+        gk.clear();
         assert_eq!(gk.in_flight(), 0);
         assert_eq!(gk.outstanding(), 0);
     }

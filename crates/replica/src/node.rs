@@ -456,7 +456,7 @@ impl ReplicaNode {
     pub fn crash(&mut self) {
         self.pool = BufferPool::with_capacity_bytes(self.config.mem_bytes);
         self.running.clear();
-        self.gatekeeper.drain();
+        self.gatekeeper.clear();
     }
 
     /// Recovers the replica to `version` (standard recovery from the

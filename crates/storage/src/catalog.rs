@@ -6,12 +6,20 @@
 //! build it from the workload schema, and the load balancer may only consult
 //! the catalog (never the simulator's ground truth) when estimating working
 //! sets.
+//!
+//! The catalog is a table indexed by [`RelationId`]: the balancer resolves
+//! each name once, and everything after names relations by id. Each
+//! relation keeps the set of indices defined over it, which index
+//! maintenance, `EXPLAIN` and the relation groups of partial placement read
+//! as one bitmap. Finding a relation by name ([`Catalog::by_name`],
+//! [`Catalog::relpages`]) scans the at most [`MAX_RELATIONS`] relations; it
+//! serves tests and tools.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use crate::ids::{
-    GlobalPageId, PageId, RelationId, RowId, MAX_RELATIONS, MAX_RELATION_PAGES, PAGE_SIZE,
+    GlobalPageId, PageId, RelationId, RelationSet, RowId, MAX_RELATIONS, MAX_RELATION_PAGES,
+    PAGE_SIZE,
 };
 
 /// Whether a relation is a base table or an index.
@@ -38,6 +46,9 @@ pub struct Relation {
     pub rows: RowId,
     /// For an index, the table it belongs to.
     pub table: Option<RelationId>,
+    /// The indices defined over this relation, filled by
+    /// [`Catalog::add_index`] (empty for an index).
+    pub indices: RelationSet,
 }
 
 impl Relation {
@@ -63,7 +74,10 @@ impl Relation {
     }
 }
 
-/// A schema registry for one database.
+/// A schema registry for one database: its relations in id order.
+///
+/// Lookups by name scan the relations, for tests and tools; everything on a
+/// run's path names relations by id.
 ///
 /// # Examples
 ///
@@ -75,15 +89,14 @@ impl Relation {
 /// let i = cat.add_index("item_pk", t, 40, 10_000);
 /// assert_eq!(cat.relpages("item"), Some(1_250));
 /// assert_eq!(cat.get(i).kind, RelationKind::Index);
+/// assert!(cat.get(t).indices.contains(i));
 /// assert_eq!(cat.total_pages(), 1_290);
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct Catalog {
-    // Shared so that the copy every replica holds costs two reference
-    // counts rather than a string allocation per relation; `add` copies on
-    // write.
+    // Shared so that the copy every replica holds costs a reference count
+    // rather than a string allocation per relation; `add` copies on write.
     relations: Arc<Vec<Relation>>,
-    by_name: Arc<HashMap<String, RelationId>>,
 }
 
 impl Catalog {
@@ -93,6 +106,11 @@ impl Catalog {
     }
 
     fn add(&mut self, mut rel: Relation) -> RelationId {
+        assert!(
+            self.by_name(&rel.name).is_none(),
+            "duplicate relation name {:?}",
+            rel.name
+        );
         // The buffer pool indexes pages within these limits; a schema past
         // them fails here rather than at its first cache miss.
         assert!(
@@ -107,14 +125,17 @@ impl Catalog {
         );
         let id = RelationId(self.relations.len() as u32);
         rel.id = id;
-        assert!(
-            Arc::make_mut(&mut self.by_name)
-                .insert(rel.name.clone(), id)
-                .is_none(),
-            "duplicate relation name {:?}",
-            rel.name
-        );
-        Arc::make_mut(&mut self.relations).push(rel);
+        let relations = Arc::make_mut(&mut self.relations);
+        if let Some(table) = rel.table {
+            relations
+                .get_mut(table.0 as usize)
+                .unwrap_or_else(|| {
+                    panic!("index {:?} is over {table}, not in the catalog", rel.name)
+                })
+                .indices
+                .insert(id);
+        }
+        relations.push(rel);
         id
     }
 
@@ -133,16 +154,18 @@ impl Catalog {
             pages,
             rows,
             table: None,
+            indices: RelationSet::new(),
         })
     }
 
-    /// Registers an index over `table`.
+    /// Registers an index over `table`, adding it to the table's
+    /// [`Relation::indices`].
     ///
     /// # Panics
     ///
-    /// Panics if the name is already taken, the catalog already holds
-    /// [`MAX_RELATIONS`] relations, or `pages` exceeds
-    /// [`MAX_RELATION_PAGES`].
+    /// Panics if the name is already taken, `table` is not in this catalog,
+    /// the catalog already holds [`MAX_RELATIONS`] relations, or `pages`
+    /// exceeds [`MAX_RELATION_PAGES`].
     pub fn add_index(
         &mut self,
         name: &str,
@@ -157,6 +180,7 @@ impl Catalog {
             pages,
             rows,
             table: Some(table),
+            indices: RelationSet::new(),
         })
     }
 
@@ -169,12 +193,14 @@ impl Catalog {
         &self.relations[id.0 as usize]
     }
 
-    /// Looks a relation up by name.
+    /// Looks a relation up by name, scanning the relations (for tests and
+    /// tools; a run names relations by id).
     pub fn by_name(&self, name: &str) -> Option<&Relation> {
-        self.by_name.get(name).map(|id| self.get(*id))
+        self.relations.iter().find(|r| r.name == name)
     }
 
-    /// The `relpages` query the paper's load balancer issues (§4.2.2).
+    /// The `relpages` query the paper's load balancer issues (§4.2.2), by a
+    /// scan like [`Catalog::by_name`].
     pub fn relpages(&self, name: &str) -> Option<PageId> {
         self.by_name(name).map(|r| r.pages)
     }
@@ -194,11 +220,14 @@ impl Catalog {
         self.relations.is_empty()
     }
 
-    /// Indices defined over `table`.
+    /// Indices defined over `table`, in id order (its
+    /// [`Relation::indices`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `table` is not in this catalog.
     pub fn indices_of(&self, table: RelationId) -> impl Iterator<Item = &Relation> {
-        self.relations
-            .iter()
-            .filter(move |r| r.table == Some(table))
+        self.get(table).indices.iter().map(|id| self.get(id))
     }
 
     /// Total database size in pages.

@@ -284,13 +284,17 @@ pub fn workload() -> Workload {
     }
 }
 
-/// The two RUBiS mixes: bidding (15 % updates, the main mix) and browsing
-/// (read-only).
-pub fn mixes(w: &Workload) -> (Mix, Mix) {
-    let bidding = Mix::from_pairs(
-        "bidding",
-        w,
-        &[
+/// One of the two RUBiS mixes over a workload, by name: `"bidding"` (15 %
+/// updates, the main mix) or `"browsing"` (read-only). Only the named mix
+/// is built.
+///
+/// # Panics
+///
+/// Panics on any other mix name, or (through [`Mix::from_pairs`]) if the
+/// workload lacks one of the mix's transaction types.
+pub fn mix(w: &Workload, name: &str) -> Mix {
+    let pairs: &[(&str, f64)] = match name {
+        "bidding" => &[
             ("AboutMe", 8.0),
             ("ViewItem", 17.0),
             ("SearchItemsByCategory", 18.0),
@@ -309,11 +313,7 @@ pub fn mixes(w: &Workload) -> (Mix, Mix) {
             ("RegisterUser", 0.8),
             ("RegisterItem", 1.2),
         ],
-    );
-    let browsing = Mix::from_pairs(
-        "browsing",
-        w,
-        &[
+        "browsing" => &[
             ("AboutMe", 5.0),
             ("ViewItem", 22.0),
             ("SearchItemsByCategory", 25.0),
@@ -326,19 +326,15 @@ pub fn mixes(w: &Workload) -> (Mix, Mix) {
             ("PutBid", 2.0),
             ("PutComment", 1.0),
         ],
-    );
-    (bidding, browsing)
-}
-
-/// Convenience: workload plus a mix by name.
-pub fn workload_with_mix(mix: &str) -> (Workload, Mix) {
-    let w = workload();
-    let (bidding, browsing) = mixes(&w);
-    let m = match mix {
-        "bidding" => bidding,
-        "browsing" => browsing,
         other => panic!("unknown RUBiS mix {other:?}"),
     };
+    Mix::from_pairs(name, w, pairs)
+}
+
+/// Convenience: workload plus a mix by name (see [`mix`]).
+pub fn workload_with_mix(name: &str) -> (Workload, Mix) {
+    let w = workload();
+    let m = mix(&w, name);
     (w, m)
 }
 
@@ -387,10 +383,13 @@ mod tests {
     #[test]
     fn bidding_has_fifteen_percent_updates_browsing_none() {
         let w = workload();
-        let (bidding, browsing) = mixes(&w);
-        let bf = bidding.update_fraction(&w);
+        let bf = mix(&w, "bidding").update_fraction(&w);
         assert!((0.13..0.17).contains(&bf), "bidding {bf:.3} (paper 0.15)");
-        assert_eq!(browsing.update_fraction(&w), 0.0, "browsing is read-only");
+        assert_eq!(
+            mix(&w, "browsing").update_fraction(&w),
+            0.0,
+            "browsing is read-only"
+        );
     }
 
     #[test]
@@ -431,8 +430,7 @@ mod tests {
     #[test]
     fn browsing_mix_omits_write_types() {
         let w = workload();
-        let (_, browsing) = mixes(&w);
-        for t in browsing.active_types() {
+        for t in mix(&w, "browsing").active_types() {
             assert!(!w.types[t.0 as usize].plan.is_update());
         }
     }

@@ -420,13 +420,18 @@ pub fn workload(scale: TpcwScale) -> Workload {
     }
 }
 
-/// The three TPC-W mixes over a workload (interaction frequencies from the
-/// TPC-W specification; customer registration folded into BuyRequest).
-pub fn mixes(w: &Workload) -> (Mix, Mix, Mix) {
-    let ordering = Mix::from_pairs(
-        "ordering",
-        w,
-        &[
+/// One of the three TPC-W mixes over a workload, by name: `"ordering"`,
+/// `"shopping"` or `"browsing"` (interaction frequencies from the TPC-W
+/// specification; customer registration folded into BuyRequest). Only the
+/// named mix is built.
+///
+/// # Panics
+///
+/// Panics on any other mix name, or (through [`Mix::from_pairs`]) if the
+/// workload lacks one of the mix's transaction types.
+pub fn mix(w: &Workload, name: &str) -> Mix {
+    let pairs: &[(&str, f64)] = match name {
+        "ordering" => &[
             ("HomeAction", 9.12),
             ("NewProduct", 0.46),
             ("BestSeller", 0.46),
@@ -441,11 +446,7 @@ pub fn mixes(w: &Workload) -> (Mix, Mix, Mix) {
             ("AdmiRqust", 0.12),
             ("AdminRespo", 0.11),
         ],
-    );
-    let shopping = Mix::from_pairs(
-        "shopping",
-        w,
-        &[
+        "shopping" => &[
             ("HomeAction", 16.00),
             ("NewProduct", 5.00),
             ("BestSeller", 5.00),
@@ -460,11 +461,7 @@ pub fn mixes(w: &Workload) -> (Mix, Mix, Mix) {
             ("AdmiRqust", 0.10),
             ("AdminRespo", 0.09),
         ],
-    );
-    let browsing = Mix::from_pairs(
-        "browsing",
-        w,
-        &[
+        "browsing" => &[
             ("HomeAction", 29.00),
             ("NewProduct", 11.00),
             ("BestSeller", 11.00),
@@ -479,20 +476,15 @@ pub fn mixes(w: &Workload) -> (Mix, Mix, Mix) {
             ("AdmiRqust", 0.10),
             ("AdminRespo", 0.09),
         ],
-    );
-    (ordering, shopping, browsing)
-}
-
-/// Convenience: workload plus a mix by name.
-pub fn workload_with_mix(scale: TpcwScale, mix: &str) -> (Workload, Mix) {
-    let w = workload(scale);
-    let (ordering, shopping, browsing) = mixes(&w);
-    let m = match mix {
-        "ordering" => ordering,
-        "shopping" => shopping,
-        "browsing" => browsing,
         other => panic!("unknown TPC-W mix {other:?}"),
     };
+    Mix::from_pairs(name, w, pairs)
+}
+
+/// Convenience: workload plus a mix by name (see [`mix`]).
+pub fn workload_with_mix(scale: TpcwScale, name: &str) -> (Workload, Mix) {
+    let w = workload(scale);
+    let m = mix(&w, name);
     (w, m)
 }
 
@@ -544,10 +536,9 @@ mod tests {
     #[test]
     fn mix_update_fractions_match_paper() {
         let w = workload(TpcwScale::Mid);
-        let (ordering, shopping, browsing) = mixes(&w);
-        let of = ordering.update_fraction(&w);
-        let sf = shopping.update_fraction(&w);
-        let bf = browsing.update_fraction(&w);
+        let of = mix(&w, "ordering").update_fraction(&w);
+        let sf = mix(&w, "shopping").update_fraction(&w);
+        let bf = mix(&w, "browsing").update_fraction(&w);
         assert!((0.45..0.55).contains(&of), "ordering {of:.3} (paper 0.50)");
         assert!((0.15..0.25).contains(&sf), "shopping {sf:.3} (paper 0.20)");
         assert!((0.02..0.08).contains(&bf), "browsing {bf:.3} (paper 0.05)");
@@ -556,8 +547,7 @@ mod tests {
     #[test]
     fn mix_weights_sum_to_hundred() {
         let w = workload(TpcwScale::Mid);
-        let (o, s, b) = mixes(&w);
-        for m in [o, s, b] {
+        for m in TPCW_MIXES.map(|name| mix(&w, name)) {
             let sum: f64 = m.weights.iter().sum();
             assert!((sum - 100.0).abs() < 0.2, "{} sums to {sum}", m.name);
         }
