@@ -1,6 +1,6 @@
 //! Dispatch and the `LbTick` reconfiguration loop.
 
-use tashkent_core::{Estimates, LoadBalancer, ReconfigAction, ReplicaId, ResourceLoad};
+use tashkent_core::{Estimates, LardConfig, LoadBalancer, ReconfigAction, ReplicaId, ResourceLoad};
 use tashkent_engine::TxnTypeId;
 use tashkent_replica::UpdateFilter;
 use tashkent_sim::{EventQueue, SimTime};
@@ -114,9 +114,8 @@ impl BalancerCtl {
     /// Panics if the policy is MALB and `estimates` is `None`.
     pub fn build(config: &ClusterConfig, estimates: Option<&Estimates>, mix: &Mix) -> Self {
         let lb = match config.policy {
-            PolicySpec::RoundRobin => LoadBalancer::round_robin(config.replicas),
             PolicySpec::LeastConnections => LoadBalancer::least_connections(config.replicas),
-            PolicySpec::Lard => LoadBalancer::lard(config.replicas, config.lard),
+            PolicySpec::Lard => LoadBalancer::lard(config.replicas, LardConfig::default()),
             PolicySpec::Malb { .. } => {
                 let estimates = estimates.expect("MALB packs the working-set estimates");
                 let sets = mix
@@ -263,7 +262,7 @@ mod tests {
 
     fn detector(replicas: usize, suspect: u32, dead: u32) -> BalancerCtl {
         BalancerCtl {
-            lb: LoadBalancer::round_robin(replicas),
+            lb: LoadBalancer::least_connections(replicas),
             health: vec![ReplicaHealth::Live; replicas],
             misses: vec![0; replicas],
             suspect_misses: suspect,

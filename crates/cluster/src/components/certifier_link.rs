@@ -11,6 +11,7 @@ use tashkent_sim::{EventQueue, SimTime};
 use tashkent_storage::RelationSet;
 
 use crate::components::ClusterNode;
+use crate::config::LAN_HOP_US;
 use crate::events::Ev;
 use crate::placement::{PlacementMap, WS_TICK_BYTES};
 use crate::trace::{TraceData, Tracer};
@@ -50,30 +51,22 @@ pub struct CertifierLink {
     parked: Vec<VecDeque<WaitingCert>>,
     propagation: PropagationPolicy,
     last_contact: Vec<SimTime>,
-    lan_hop_us: u64,
-    /// Writeset bytes actually shipped to replicas (holder items, headers,
-    /// version ticks, backfill traffic).
-    sent_bytes: u64,
-    /// Writeset bytes withheld from non-holders — traffic saved vs full
-    /// replication.
-    saved_bytes: u64,
+    traffic: Traffic,
 }
 
 impl CertifierLink {
-    /// Builds the link for `replicas` nodes, `lan_hop_us` away, certifying
+    /// Builds the link for `replicas` nodes, [`LAN_HOP_US`] away, certifying
     /// with one group per group of `map`, each fronted by the paper's
     /// leader-plus-two-backups membership.
-    pub fn new(params: CertifierParams, map: CertMap, replicas: usize, lan_hop_us: u64) -> Self {
+    pub fn new(params: CertifierParams, map: CertMap, replicas: usize) -> Self {
         let groups = map.group_count();
         CertifierLink {
-            engine: Certifier::grouped(params, map, lan_hop_us),
+            engine: Certifier::grouped(params, map, LAN_HOP_US),
             members: vec![CertifierGroup::paper_default(); groups],
             parked: vec![VecDeque::new(); groups],
             propagation: PropagationPolicy::default(),
             last_contact: vec![SimTime::ZERO; replicas],
-            lan_hop_us,
-            sent_bytes: 0,
-            saved_bytes: 0,
+            traffic: Traffic::default(),
         }
     }
 
@@ -81,7 +74,7 @@ impl CertifierLink {
     /// actually sent to replicas, and what partial replication withheld
     /// from non-holders. Saved is zero under full replication.
     pub fn propagation_bytes(&self) -> (u64, u64) {
-        (self.sent_bytes, self.saved_bytes)
+        (self.traffic.sent, self.traffic.saved)
     }
 
     /// Charges `us` of control-plane occupancy (a heartbeat round's
@@ -199,7 +192,7 @@ impl CertifierLink {
             },
         );
         queue.schedule(
-            answer.at + self.lan_hop_us,
+            answer.at + LAN_HOP_US,
             Ev::CertifyReturn {
                 replica,
                 txn,
@@ -227,13 +220,8 @@ impl CertifierLink {
         if node.applied() >= version {
             return now;
         }
-        let (done, sent, saved) = {
-            let pending = self.log().since(node.applied()).before(version);
-            let (sent, saved) = delivery_bytes(node.id(), pending, placement);
-            (node.apply_writesets(now, pending), sent, saved)
-        };
-        self.sent_bytes += sent;
-        self.saved_bytes += saved;
+        let pending = self.engine.log().since(node.applied()).before(version);
+        let done = self.traffic.deliver(now, node, pending, placement);
         node.commit_local(version);
         done
     }
@@ -250,17 +238,14 @@ impl CertifierLink {
         node: &mut ClusterNode,
         placement: &PlacementMap,
     ) -> SimTime {
-        let (done, sent, saved) = {
-            let pending = self.log().since(node.applied());
-            if pending.is_empty() {
-                (now, 0, 0)
-            } else {
-                let (sent, saved) = delivery_bytes(node.id(), pending, placement);
-                (node.apply_writesets(now, pending), sent, saved)
-            }
+        let pending = self.engine.log().since(node.applied());
+        // An empty log tail skips the node: applying it would still queue
+        // behind the node's CPU.
+        let done = if pending.is_empty() {
+            now
+        } else {
+            self.traffic.deliver(now, node, pending, placement)
         };
-        self.sent_bytes += sent;
-        self.saved_bytes += saved;
         self.last_contact[node.id()] = now;
         done
     }
@@ -348,7 +333,7 @@ impl CertifierLink {
         let shipped_ws = after.writesets_backfilled - before.writesets_backfilled;
         let shipped_items = after.items_backfilled - before.items_backfilled;
         let bytes = shipped_ws * WS_HEADER_BYTES + shipped_items * WS_ITEM_BYTES;
-        self.sent_bytes += bytes;
+        self.traffic.sent += bytes;
         self.last_contact[node.id()] = now;
         (done, bytes, next)
     }
@@ -369,48 +354,57 @@ impl CertifierLink {
             node.applied(),
             self.version(),
         );
-        if action != PropagationAction::None {
-            let (applied, sent, saved) = {
-                let pending = self.log().since(node.applied());
-                if pending.is_empty() {
-                    (false, 0, 0)
-                } else {
-                    let (sent, saved) = delivery_bytes(node.id(), pending, placement);
-                    node.apply_writesets(now, pending);
-                    (true, sent, saved)
-                }
-            };
-            if applied {
-                self.sent_bytes += sent;
-                self.saved_bytes += saved;
-                self.last_contact[node.id()] = now;
-            }
+        if action == PropagationAction::None {
+            return;
+        }
+        let pending = self.engine.log().since(node.applied());
+        if !pending.is_empty() {
+            self.traffic.deliver(now, node, pending, placement);
+            self.last_contact[node.id()] = now;
         }
     }
 }
 
-/// The bytes delivering `pending` writesets to `replica` puts on the wire
-/// `(shipped, saved)`: a replica holding at least one of a writeset's
-/// relations receives the held items (header + per-item bytes); one holding
-/// none of them receives only a version tick. Under full replication every
-/// relation is held everywhere, so everything ships and nothing is saved.
-fn delivery_bytes(replica: usize, pending: LogView<'_>, placement: &PlacementMap) -> (u64, u64) {
-    let (mut sent, mut saved) = (0u64, 0u64);
-    for (_, items) in pending {
-        let total = items.len() as u64;
-        let held = items
-            .iter()
-            .filter(|i| placement.holds(replica, i.rel()))
-            .count() as u64;
-        if total > 0 && held == 0 {
-            sent += WS_TICK_BYTES;
-            saved += WS_HEADER_BYTES + total * WS_ITEM_BYTES - WS_TICK_BYTES;
-        } else {
-            sent += WS_HEADER_BYTES + held * WS_ITEM_BYTES;
-            saved += (total - held) * WS_ITEM_BYTES;
+/// Writeset bytes on the link.
+#[derive(Default)]
+struct Traffic {
+    /// Bytes actually shipped to replicas (holder items, headers, version
+    /// ticks, backfill traffic).
+    sent: u64,
+    /// Bytes withheld from non-holders — traffic saved vs full replication.
+    saved: u64,
+}
+
+impl Traffic {
+    /// Delivers `pending` writesets to `node`, counts the bytes, and returns
+    /// when the node has applied them. A replica holding at least one of a
+    /// writeset's relations receives the held items (header + per-item
+    /// bytes); one holding none of them receives only a version tick. Under
+    /// full replication every relation is held everywhere, so everything
+    /// ships and nothing is saved.
+    fn deliver(
+        &mut self,
+        now: SimTime,
+        node: &mut ClusterNode,
+        pending: LogView<'_>,
+        placement: &PlacementMap,
+    ) -> SimTime {
+        for (_, items) in pending {
+            let total = items.len() as u64;
+            let held = items
+                .iter()
+                .filter(|i| placement.holds(node.id(), i.rel()))
+                .count() as u64;
+            if total > 0 && held == 0 {
+                self.sent += WS_TICK_BYTES;
+                self.saved += WS_HEADER_BYTES + total * WS_ITEM_BYTES - WS_TICK_BYTES;
+            } else {
+                self.sent += WS_HEADER_BYTES + held * WS_ITEM_BYTES;
+                self.saved += (total - held) * WS_ITEM_BYTES;
+            }
         }
+        node.apply_writesets(now, pending)
     }
-    (sent, saved)
 }
 
 #[cfg(test)]
@@ -423,15 +417,13 @@ mod tests {
     use super::*;
     use crate::trace::TraceConfig;
 
-    const HOP: u64 = 100;
-
     /// A one-replica link with `groups` certifier groups, relation `r`
     /// owned by group `r`.
     fn link(groups: u32, params: CertifierParams) -> CertifierLink {
         let sets: Vec<RelationSet> = (0..groups)
             .map(|r| [RelationId(r)].into_iter().collect())
             .collect();
-        CertifierLink::new(params, CertMap::build(&sets, groups as usize), 1, HOP)
+        CertifierLink::new(params, CertMap::build(&sets, groups as usize), 1)
     }
 
     /// A writeset at snapshot 0 writing row 1 of each of `rels`.
@@ -501,7 +493,11 @@ mod tests {
                     ..
                 } => {
                     let (at, version) = returns[&txn];
-                    assert_eq!(e.at + HOP, at, "txn {txn}: stamp is not one hop before");
+                    assert_eq!(
+                        e.at + LAN_HOP_US,
+                        at,
+                        "txn {txn}: stamp is not one hop before"
+                    );
                     assert_eq!(committed, version.is_some());
                     (txn, groups, committed)
                 }

@@ -5,28 +5,23 @@ use tashkent_replica::{LoadReport, ReplicaNode, StepOutcome, UpdateFilter};
 use tashkent_sim::{EventQueue, SimTime};
 use tashkent_storage::RelationSet;
 
+use crate::config::LAN_HOP_US;
 use crate::events::Ev;
 use crate::trace::{TraceData, Tracer};
 
-/// Wraps a [`ReplicaNode`] with its cluster identity and network position,
+/// Wraps a [`ReplicaNode`] with its cluster identity and liveness,
 /// translating execution outcomes into scheduled events.
 pub struct ClusterNode {
     id: usize,
     node: ReplicaNode,
-    lan_hop_us: u64,
     up: bool,
 }
 
 impl ClusterNode {
-    /// Wraps `node` as replica `id`, `lan_hop_us` away from every other
+    /// Wraps `node` as replica `id`, [`LAN_HOP_US`] away from every other
     /// component.
-    pub fn new(id: usize, node: ReplicaNode, lan_hop_us: u64) -> Self {
-        ClusterNode {
-            id,
-            node,
-            lan_hop_us,
-            up: true,
-        }
+    pub fn new(id: usize, node: ReplicaNode) -> Self {
+        ClusterNode { id, node, up: true }
     }
 
     /// Replica index within the cluster.
@@ -118,7 +113,7 @@ impl ClusterNode {
         debug_assert!(self.up, "balancer dispatched to a crashed replica");
         if self.node.submit(executor) {
             queue.schedule(
-                now + 2 * self.lan_hop_us,
+                now + 2 * LAN_HOP_US,
                 Ev::StepTxn {
                     replica: self.id,
                     txn,
@@ -158,7 +153,7 @@ impl ClusterNode {
             StepOutcome::ReadyToCommit(t, ws) => (
                 "cert",
                 ws.bytes(),
-                t + self.lan_hop_us,
+                t + LAN_HOP_US,
                 Ev::CertifySend { replica, txn, ws },
             ),
         };

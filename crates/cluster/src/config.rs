@@ -3,15 +3,23 @@
 //! [`ClusterConfig`] holds what an experiment varies. Both placements build
 //! a [`crate::placement::PlacementMap`]: [`PlacementSpec::Full`] the map
 //! with no relation groups, [`PlacementSpec::Partial`] a planned one. Values
-//! no experiment varies are constants beside their one reader instead of
-//! fields: the detector's suspect and dead thresholds (2 and 5 missed
-//! heartbeats) and the client retry backoff (100 ms doubling to 2 s).
+//! no experiment varies are constants beside their readers instead of
+//! fields: the node's [`OVERHEAD_BYTES`] (70 MB) beside
+//! [`ClusterConfig::pool_bytes`], the one [`LAN_HOP_US`] (150 µs) between
+//! any two components, the detector's suspect and dead thresholds (2 and 5
+//! missed heartbeats) and the client retry backoff (100 ms doubling to
+//! 2 s). The rest of the testbed is fixed in the crate that models it:
+//! the replica's disk, background writer, CPU quantum, apply costs and
+//! Gatekeeper MPL ([`ReplicaConfig`]), the certifier's service times
+//! ([`tashkent_certifier::CertifierParams::default`]), LARD's thresholds
+//! ([`tashkent_core::LardConfig::default`]), and MALB's rebalance period,
+//! filter stability rounds and update-filtering `min_copies`
+//! ([`MalbConfig::paper_default`]).
 
-use tashkent_certifier::CertifierParams;
-use tashkent_core::{EstimationMode, LardConfig, MalbConfig};
+use tashkent_core::{EstimationMode, MalbConfig};
 use tashkent_replica::ReplicaConfig;
 use tashkent_sim::SimTime;
-use tashkent_storage::{DiskParams, WriterConfig, PAGE_SIZE};
+use tashkent_storage::PAGE_SIZE;
 
 use crate::trace::TraceConfig;
 
@@ -44,11 +52,16 @@ impl PlacementSpec {
     }
 }
 
+/// Memory on each node not available to the database: OS, PostgreSQL
+/// processes, proxy, daemons (paper: 70 MB, §4.4).
+pub const OVERHEAD_BYTES: u64 = 70 * 1024 * 1024;
+
+/// One-way LAN latency between any two components, in µs.
+pub const LAN_HOP_US: u64 = 150;
+
 /// Which load-balancing policy the cluster runs.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum PolicySpec {
-    /// Round-robin dispatch.
-    RoundRobin,
     /// Least outstanding connections (§4.3 baseline).
     LeastConnections,
     /// Locality-aware request distribution (§4.3 baseline).
@@ -83,7 +96,6 @@ impl PolicySpec {
     /// Label matching the paper's figures.
     pub fn label(&self) -> String {
         match self {
-            PolicySpec::RoundRobin => "RoundRobin".into(),
             PolicySpec::LeastConnections => "LeastConnections".into(),
             PolicySpec::Lard => "LARD".into(),
             PolicySpec::Malb {
@@ -113,43 +125,15 @@ pub struct ClusterConfig {
     /// Physical RAM per replica in bytes (256 MB / 512 MB / 1024 MB in the
     /// evaluation).
     pub ram_bytes: u64,
-    /// Memory not available to the database: OS, PostgreSQL processes,
-    /// proxy, daemons (paper: 70 MB, §4.4).
-    pub overhead_bytes: u64,
     /// Load-balancing policy.
     pub policy: PolicySpec,
     /// Total number of closed-loop clients.
     pub clients: usize,
     /// Mean client think time, in µs.
     pub think_mean_us: u64,
-    /// One-way LAN latency between any two components, in µs.
-    pub lan_hop_us: u64,
-    /// Disk model parameters.
-    pub disk: DiskParams,
-    /// Gatekeeper multiprogramming limit per replica.
-    pub mpl: usize,
-    /// Background-writer policy.
-    pub writer: WriterConfig,
-    /// Certifier service parameters.
-    pub certifier: CertifierParams,
-    /// LARD thresholds (used when `policy == Lard`).
-    pub lard: LardConfig,
-    /// MALB rebalance period.
-    pub rebalance_period: SimTime,
-    /// Rounds of allocation stability before filters install.
-    pub stable_rounds_for_filter: u32,
-    /// Minimum up-to-date copies per transaction group for §3 *update
-    /// filtering*'s standby lists (a MALB knob; every replica still stores
-    /// the full database). Distinct from — and unrelated to — the
-    /// `min_copies` inside [`PlacementSpec::Partial`], which governs the
-    /// partial-replication durability constraint; under non-degenerate
-    /// partial placement the placement filter is authoritative and this
-    /// knob's filter lists are not installed.
-    pub min_copies: usize,
     /// Database placement: full replication, or partial replication with a
     /// per-relation-group `min_copies` durability constraint (see
-    /// [`PlacementSpec::Partial`]; not the update-filtering `min_copies`
-    /// field above).
+    /// [`PlacementSpec::Partial`]).
     pub placement: PlacementSpec,
     /// Upper bound on certifier groups (clamped to
     /// `[1, MAX_CERT_GROUPS]`). One group, the default, is the paper's
@@ -213,25 +197,15 @@ pub struct ClusterConfig {
 }
 
 impl ClusterConfig {
-    /// The paper's default testbed shape: 16 replicas, 512 MB RAM, 70 MB
-    /// overhead, 2007-era disk, LeastConnections.
+    /// The paper's default testbed shape: 16 replicas, 512 MB RAM,
+    /// LeastConnections.
     pub fn paper_default() -> Self {
         ClusterConfig {
             replicas: 16,
             ram_bytes: 512 * 1024 * 1024,
-            overhead_bytes: 70 * 1024 * 1024,
             policy: PolicySpec::LeastConnections,
             clients: 112,
             think_mean_us: 500_000,
-            lan_hop_us: 150,
-            disk: DiskParams::default(),
-            mpl: 8,
-            writer: WriterConfig::default(),
-            certifier: CertifierParams::default(),
-            lard: LardConfig::default(),
-            rebalance_period: SimTime::from_secs(5),
-            stable_rounds_for_filter: 10,
-            min_copies: 2,
             placement: PlacementSpec::Full,
             cert_groups: 1,
             backfill_bytes_per_sec: 0,
@@ -249,9 +223,7 @@ impl ClusterConfig {
 
     /// Memory available to the buffer pool per replica.
     pub fn pool_bytes(&self) -> u64 {
-        self.ram_bytes
-            .saturating_sub(self.overhead_bytes)
-            .max(PAGE_SIZE)
+        self.ram_bytes.saturating_sub(OVERHEAD_BYTES).max(PAGE_SIZE)
     }
 
     /// The capacity the bin-packing algorithm sees, in pages (§4.4: RAM
@@ -264,12 +236,7 @@ impl ClusterConfig {
     pub fn replica_config(&self) -> ReplicaConfig {
         ReplicaConfig {
             mem_bytes: self.pool_bytes(),
-            disk: self.disk,
-            cpu_quantum_us: 5_000,
-            mpl: self.mpl,
-            writer: self.writer,
-            apply_item_us: 600,
-            apply_base_us: 100,
+            ..ReplicaConfig::default()
         }
     }
 
@@ -282,10 +249,8 @@ impl ClusterConfig {
                 update_filtering,
             } => {
                 let mut cfg = MalbConfig::paper_default(mode, self.capacity_pages());
-                cfg.rebalance_period = self.rebalance_period;
                 cfg.update_filtering = update_filtering;
-                cfg.stable_rounds_for_filter = self.stable_rounds_for_filter;
-                cfg.min_copies = self.min_copies.min(self.replicas);
+                cfg.min_copies = cfg.min_copies.min(self.replicas);
                 if let Some(t) = self.merge_threshold_override {
                     cfg.allocation.merge_threshold = t;
                 }
@@ -313,35 +278,11 @@ impl ClusterConfig {
         self
     }
 
-    /// Convenience: set the upper bound on certifier groups.
-    pub fn with_cert_groups(mut self, cert_groups: usize) -> Self {
-        self.cert_groups = cert_groups;
-        self
-    }
-
     /// Convenience: single-replica (standalone) variant with proportionally
     /// fewer clients.
     pub fn standalone(mut self, clients: usize) -> Self {
         self.replicas = 1;
         self.clients = clients;
-        self
-    }
-
-    /// Convenience: enable the heartbeat failure detector.
-    pub fn with_heartbeat(mut self, period_us: u64) -> Self {
-        self.heartbeat_period_us = period_us;
-        self
-    }
-
-    /// Convenience: set the checkpoint lag `k`.
-    pub fn with_checkpoint_lag(mut self, k: u64) -> Self {
-        self.checkpoint_lag = k;
-        self
-    }
-
-    /// Convenience: enable the per-request client timeout.
-    pub fn with_client_timeout(mut self, timeout_us: u64) -> Self {
-        self.client_timeout_us = timeout_us;
         self
     }
 }
@@ -355,7 +296,6 @@ mod tests {
         let c = ClusterConfig::paper_default();
         assert_eq!(c.replicas, 16);
         assert_eq!(c.ram_bytes, 512 * 1024 * 1024);
-        assert_eq!(c.overhead_bytes, 70 * 1024 * 1024);
     }
 
     #[test]
@@ -374,13 +314,6 @@ mod tests {
         assert_eq!(c.heartbeat_period_us, 0, "detector must be opt-in");
         assert_eq!(c.checkpoint_lag, 0, "fresh-log recovery by default");
         assert_eq!(c.client_timeout_us, 0, "clients wait forever by default");
-        let d = c
-            .with_heartbeat(500_000)
-            .with_checkpoint_lag(32)
-            .with_client_timeout(3_000_000);
-        assert_eq!(d.heartbeat_period_us, 500_000);
-        assert_eq!(d.checkpoint_lag, 32);
-        assert_eq!(d.client_timeout_us, 3_000_000);
     }
 
     #[test]
@@ -407,8 +340,6 @@ mod tests {
     fn default_certification_is_unified() {
         let c = ClusterConfig::paper_default();
         assert_eq!(c.cert_groups, 1);
-        let s = c.with_cert_groups(4);
-        assert_eq!(s.cert_groups, 4);
     }
 
     #[test]

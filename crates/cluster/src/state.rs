@@ -23,7 +23,7 @@
 
 use std::collections::HashMap;
 
-use tashkent_certifier::{CertMap, Certifier};
+use tashkent_certifier::{CertMap, Certifier, CertifierParams};
 use tashkent_core::{LoadBalancer, ReplicaId, ResourceLoad};
 use tashkent_engine::{TxnExecutor, TxnId, TxnTypeId, Version};
 use tashkent_replica::ReplicaNode;
@@ -32,13 +32,14 @@ use tashkent_storage::RelationSet;
 use tashkent_workloads::{ClientPool, Mix, Workload};
 
 use crate::components::{BalancerCtl, CertifierLink, ClusterNode, HealthTransition, ReplicaHealth};
-use crate::config::{ClusterConfig, PlacementSpec, PolicySpec};
+use crate::config::{ClusterConfig, PlacementSpec, PolicySpec, LAN_HOP_US};
 use crate::events::{Ev, CONTROL_NODE};
 use crate::metrics::{FaultKind, GroupSnapshot, Metrics};
 use crate::placement::{PlacementMap, ReplicationPlanner, TypeGroups};
 use crate::trace::{TraceData, Tracer};
 
 /// Bookkeeping for one in-flight transaction.
+#[derive(Clone, Copy)]
 struct TxnMeta {
     client: usize,
     txn_type: TxnTypeId,
@@ -196,7 +197,6 @@ impl ClusterState {
                         config.replica_config(),
                         rng.fork(),
                     ),
-                    config.lan_hop_us,
                 )
             })
             .collect();
@@ -221,12 +221,7 @@ impl ClusterState {
         let cert_map = type_groups
             .as_ref()
             .map_or_else(CertMap::default, |g| g.cert_map(config.cert_groups));
-        let certifier = CertifierLink::new(
-            config.certifier,
-            cert_map,
-            config.replicas,
-            config.lan_hop_us,
-        );
+        let certifier = CertifierLink::new(CertifierParams::default(), cert_map, config.replicas);
         let clients = ClientPool::new(config.clients, config.think_mean_us);
         let group_load = vec![0; placement.group_count()];
         let tracer = Tracer::new(&config.trace);
@@ -297,7 +292,7 @@ impl ClusterState {
         // tick lands one period plus one RTT in.
         if self.config.heartbeat_period_us > 0 {
             queue.schedule(
-                SimTime::from_micros(self.config.heartbeat_period_us + 2 * self.config.lan_hop_us),
+                SimTime::from_micros(self.config.heartbeat_period_us + 2 * LAN_HOP_US),
                 Ev::HeartbeatTick,
             );
         }
@@ -558,7 +553,7 @@ impl ClusterState {
             Ev::MixSwitch { mix } => self.active_mix = mix.min(self.mixes.len() - 1),
             Ev::FreezeLb => self.balancer.freeze(),
             Ev::ReplicaCrash { replica } => self.on_replica_crash(now, replica, queue),
-            Ev::ReplicaRecover { replica } => self.on_replica_recover(now, replica),
+            Ev::ReplicaRecover { replica } => self.on_replica_recover(now, replica, queue),
             Ev::CertifierKill { group, member } => {
                 if let Some(tashkent_certifier::GroupEvent::FailedOver { leader, .. }) =
                     self.certifier.on_kill(now, group, member)
@@ -644,6 +639,15 @@ impl ClusterState {
                 replica,
             },
         );
+        let meta = TxnMeta {
+            client,
+            txn_type,
+            arrived,
+            retries,
+            is_update: self.workload.types[txn_type.0 as usize].plan.is_update(),
+            replica,
+            abandoned: false,
+        };
         // With the detector on, the balancer may still dispatch to a
         // physically dead replica it has not suspected yet — the oracle
         // never tells it. The TCP connect is refused after one round trip
@@ -651,23 +655,8 @@ impl ClusterState {
         // what bridges the detection window without a storm.
         if self.detection_on() && !self.node(replica).is_up() {
             self.balancer.complete(ReplicaId(replica));
-            let refused_at = now + 2 * self.config.lan_hop_us;
-            if retries < self.clients.max_retries {
-                queue.schedule(
-                    refused_at + self.backoff_us(retries),
-                    Ev::TxnRetry {
-                        client,
-                        txn_type,
-                        arrived,
-                        retries: retries + 1,
-                    },
-                );
-            } else {
-                self.metrics.record_gave_up();
-                self.tracer
-                    .emit(now, TraceData::GaveUp { txn: txn.0, client });
-                self.schedule_next_arrival(refused_at, client, queue);
-            }
+            let refused_at = now + 2 * LAN_HOP_US;
+            self.retry_or_give_up(now, txn, &meta, refused_at, self.backoff_us(retries), queue);
             return;
         }
         if let Some(g) = self.placement.group_of_type(txn_type) {
@@ -685,21 +674,9 @@ impl ClusterState {
             self.group_load[g] += 1;
         }
         let plan = self.workload.types[txn_type.0 as usize].plan.clone();
-        let is_update = plan.is_update();
         let node = &mut self.nodes[replica];
         let executor = TxnExecutor::new(txn, txn_type, plan, node.snapshot());
-        self.txns.insert(
-            txn,
-            TxnMeta {
-                client,
-                txn_type,
-                arrived,
-                retries,
-                is_update,
-                replica,
-                abandoned: false,
-            },
-        );
+        self.txns.insert(txn, meta);
         node.submit(now, txn, executor, queue);
         if self.config.client_timeout_us > 0 {
             queue.schedule(
@@ -712,7 +689,8 @@ impl ClusterState {
     /// Crashes a replica: cold cache, admission queue drained, every
     /// in-flight transaction lost with it. With the detector on that is
     /// all: the balancer learns of the crash only when heartbeats miss, and
-    /// the in-flight metas stay put for the suspicion sweep. With it off,
+    /// the in-flight metas stay put for the suspicion sweep, or for the
+    /// recovery if that comes first. With it off,
     /// the crash instant applies what the detector's *Dead* and *Suspected*
     /// transitions apply, durability first: dispatch routes around the
     /// replica, any group left below `min_copies` live holders is
@@ -898,7 +876,7 @@ impl ClusterState {
         } else {
             // The first chunk pays the request's LAN hop; each chunk then
             // paces itself by the bytes it actually shipped.
-            queue.schedule(now + self.config.lan_hop_us, Ev::BackfillChunk { task });
+            queue.schedule(now + LAN_HOP_US, Ev::BackfillChunk { task });
         }
     }
 
@@ -1072,9 +1050,16 @@ impl ClusterState {
     /// survived, so §3 standard recovery replays only the writesets it
     /// missed from the certifier's persistent log — paying cold-cache page
     /// reads — then the replica rejoins dispatch.
-    fn on_replica_recover(&mut self, now: SimTime, replica: usize) {
+    fn on_replica_recover(&mut self, now: SimTime, replica: usize, queue: &mut EventQueue<Ev>) {
         if self.node(replica).is_up() {
             return;
+        }
+        if self.detection_on() {
+            // The restarted proxy resets the connections its crash lost. A
+            // replica suspected before it recovered was swept then and has
+            // none left; one that recovers first would otherwise strand
+            // those clients, since the suspicion sweep never comes.
+            self.sweep_suspected(now, replica, queue);
         }
         self.node_mut(replica).mark_recovered();
         // Checkpoint-lag crash model: the durable on-disk state is a
@@ -1301,7 +1286,8 @@ impl ClusterState {
     }
 
     /// Retries a replica's in-flight transactions on survivors, at its
-    /// *Suspected* transition or, with the detector off, at its crash.
+    /// *Suspected* transition (or at its recovery, when that comes first)
+    /// or, with the detector off, at its crash.
     /// Requests a client timeout already abandoned were retried then and
     /// keep their one retry. A merely-unreachable (still up) replica may
     /// still be running them: those metas are kept as *abandoned* so the
@@ -1468,29 +1454,44 @@ impl ClusterState {
             return; // Already rescued by the suspicion sweep.
         }
         meta.abandoned = true;
-        let (client, txn_type, arrived, retries, replica) = (
-            meta.client,
-            meta.txn_type,
-            meta.arrived,
-            meta.retries,
-            meta.replica,
-        );
-        self.balancer.complete(ReplicaId(replica));
-        if retries < self.clients.max_retries {
+        let meta = *meta;
+        self.balancer.complete(ReplicaId(meta.replica));
+        self.retry_or_give_up(now, txn, &meta, now, self.backoff_us(meta.retries), queue);
+    }
+
+    /// Answers a client whose request `txn` failed; the answer reaches it
+    /// at `reply_at`. With retries left, the client retries `backoff_us`
+    /// later; out of retries, it gives up and thinks before its next
+    /// request.
+    fn retry_or_give_up(
+        &mut self,
+        now: SimTime,
+        txn: TxnId,
+        meta: &TxnMeta,
+        reply_at: SimTime,
+        backoff_us: u64,
+        queue: &mut EventQueue<Ev>,
+    ) {
+        if meta.retries < self.clients.max_retries {
             queue.schedule(
-                now + self.backoff_us(retries),
+                reply_at + backoff_us,
                 Ev::TxnRetry {
-                    client,
-                    txn_type,
-                    arrived,
-                    retries: retries + 1,
+                    client: meta.client,
+                    txn_type: meta.txn_type,
+                    arrived: meta.arrived,
+                    retries: meta.retries + 1,
                 },
             );
         } else {
             self.metrics.record_gave_up();
-            self.tracer
-                .emit(now, TraceData::GaveUp { txn: txn.0, client });
-            self.schedule_next_arrival(now, client, queue);
+            self.tracer.emit(
+                now,
+                TraceData::GaveUp {
+                    txn: txn.0,
+                    client: meta.client,
+                },
+            );
+            self.schedule_next_arrival(reply_at, meta.client, queue);
         }
     }
 
@@ -1521,8 +1522,9 @@ impl ClusterState {
         if !self.node(replica).is_up() {
             // Detection mode: the origin died after sending — the response
             // has nowhere to land. The meta stays for the suspicion sweep
-            // to retry the client. (With the detector off, a crash removes
-            // every meta synchronously, so this is unreachable.)
+            // (or the recovery) to retry the client. (With the detector
+            // off, a crash removes every meta synchronously, so this is
+            // unreachable.)
             return;
         }
         if self.partitioned(replica, CONTROL_NODE) {
@@ -1593,7 +1595,7 @@ impl ClusterState {
             return;
         }
         self.balancer.complete(ReplicaId(replica));
-        let response_at = now + 2 * self.config.lan_hop_us;
+        let response_at = now + 2 * LAN_HOP_US;
         self.tracer.emit(
             now,
             TraceData::Complete {
@@ -1611,26 +1613,8 @@ impl ClusterState {
                 meta.txn_type.0,
             );
             self.schedule_next_arrival(response_at, meta.client, queue);
-        } else if meta.retries < self.clients.max_retries {
-            queue.schedule(
-                response_at,
-                Ev::TxnRetry {
-                    client: meta.client,
-                    txn_type: meta.txn_type,
-                    arrived: meta.arrived,
-                    retries: meta.retries + 1,
-                },
-            );
         } else {
-            self.metrics.record_gave_up();
-            self.tracer.emit(
-                now,
-                TraceData::GaveUp {
-                    txn: txn.0,
-                    client: meta.client,
-                },
-            );
-            self.schedule_next_arrival(response_at, meta.client, queue);
+            self.retry_or_give_up(now, txn, &meta, response_at, 0, queue);
         }
     }
 

@@ -149,11 +149,6 @@ struct MalbState {
 /// The policy state machine.
 #[derive(Debug, Clone)]
 enum Policy {
-    /// Round-robin cursor.
-    RoundRobin {
-        /// Next replica index.
-        next: usize,
-    },
     /// Least outstanding connections.
     LeastConnections,
     /// LARD state.
@@ -190,11 +185,6 @@ struct ClusterView<'a> {
 }
 
 impl LoadBalancer {
-    /// Creates a round-robin balancer.
-    pub fn round_robin(n_replicas: usize) -> Self {
-        Self::with_policy(n_replicas, Policy::RoundRobin { next: 0 })
-    }
-
     /// Creates a least-connections balancer (§4.3).
     pub fn least_connections(n_replicas: usize) -> Self {
         Self::with_policy(n_replicas, Policy::LeastConnections)
@@ -345,18 +335,6 @@ impl LoadBalancer {
             .as_ref()
             .and_then(|m| m.get(txn_type.0 as usize));
         let choice = match &mut self.policy {
-            Policy::RoundRobin { next } => {
-                let mut r = *next;
-                // Skip dead and non-holder replicas.
-                for _ in 0..self.n {
-                    if self.alive[r] && eligible_in(elig, r) {
-                        break;
-                    }
-                    r = (r + 1) % self.n;
-                }
-                *next = (r + 1) % self.n;
-                ReplicaId(r)
-            }
             Policy::LeastConnections => least_conn_alive(&self.conns, &self.alive, elig),
             Policy::Lard(lard) => {
                 // LARD sees live replicas' connection counts; dead and
@@ -934,13 +912,6 @@ mod tests {
     }
 
     #[test]
-    fn round_robin_cycles() {
-        let mut lb = LoadBalancer::round_robin(3);
-        let seq: Vec<usize> = (0..6).map(|_| lb.dispatch(TxnTypeId(0)).0).collect();
-        assert_eq!(seq, vec![0, 1, 2, 0, 1, 2]);
-    }
-
-    #[test]
     fn least_connections_picks_min() {
         let mut lb = LoadBalancer::least_connections(3);
         let a = lb.dispatch(TxnTypeId(0));
@@ -1289,15 +1260,14 @@ mod tests {
         let masks = vec![vec![true, false, false], vec![false, false, true]];
         let make = |which: u8| -> LoadBalancer {
             let mut lb = match which {
-                0 => LoadBalancer::round_robin(3),
-                1 => LoadBalancer::least_connections(3),
-                2 => LoadBalancer::lard(3, LardConfig::default()),
+                0 => LoadBalancer::least_connections(3),
+                1 => LoadBalancer::lard(3, LardConfig::default()),
                 _ => malb(3, &[40, 40], malb_config(100)),
             };
             lb.set_type_eligibility(Some(masks.clone()));
             lb
         };
-        for which in 0..4 {
+        for which in 0..3 {
             let mut lb = make(which);
             for i in 0..12 {
                 let t = TxnTypeId(i % 2);
@@ -1311,7 +1281,7 @@ mod tests {
             }
         }
         // Clearing the masks restores unrestricted dispatch.
-        let mut lb = make(1);
+        let mut lb = make(0);
         lb.set_type_eligibility(None);
         lb.dispatch(TxnTypeId(0));
         lb.dispatch(TxnTypeId(0));

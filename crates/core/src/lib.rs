@@ -24,8 +24,8 @@
 //! * [`filtering`] — once the partition is stable, compute per-replica table
 //!   lists so each replica only receives writesets for tables it serves,
 //!   subject to availability constraints (§3);
-//! * [`balancer`] — the dispatchers: RoundRobin, LeastConnections, LARD
-//!   (§4.3 baselines) and the composite MALB balancer.
+//! * [`balancer`] — the dispatchers: LeastConnections and LARD (§4.3
+//!   baselines) and the composite MALB balancer.
 
 pub mod allocation;
 pub mod balancer;

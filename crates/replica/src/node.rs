@@ -34,41 +34,38 @@ use crate::daemon::{LoadDaemon, LoadReport};
 use crate::filter::UpdateFilter;
 use crate::gatekeeper::Gatekeeper;
 
-/// Configuration of one replica.
+/// Configuration of one replica: its buffer pool budget and Gatekeeper
+/// MPL. The rest of the node is the paper's testbed: a 2007-era disk
+/// ([`DiskParams::default`]), the default background writer
+/// ([`WriterConfig::default`]), a 5 ms CPU quantum, and 600 µs per item
+/// plus 100 µs per writeset to apply remote writesets.
 #[derive(Debug, Clone)]
 pub struct ReplicaConfig {
     /// Buffer pool budget in bytes (already net of the paper's 70 MB system
     /// overhead — see the cluster builder).
     pub mem_bytes: u64,
-    /// Disk timing parameters.
-    pub disk: DiskParams,
-    /// CPU time slice per scheduling step, in µs.
-    pub cpu_quantum_us: u64,
     /// Gatekeeper multiprogramming limit.
     pub mpl: usize,
-    /// Background writer policy.
-    pub writer: WriterConfig,
-    /// CPU cost applying one writeset item, in µs.
-    pub apply_item_us: u64,
-    /// Fixed CPU cost applying one writeset, in µs.
-    pub apply_base_us: u64,
 }
 
 impl Default for ReplicaConfig {
-    /// Paper-shaped defaults: 512 MB pool, 2007-era disk, 5 ms quantum,
-    /// MPL 8.
+    /// Paper-shaped defaults: 512 MB pool, MPL 8.
     fn default() -> Self {
         ReplicaConfig {
             mem_bytes: 512 * 1024 * 1024,
-            disk: DiskParams::default(),
-            cpu_quantum_us: 5_000,
             mpl: 8,
-            writer: WriterConfig::default(),
-            apply_item_us: 600,
-            apply_base_us: 100,
         }
     }
 }
+
+/// CPU time slice per scheduling step, in µs.
+const CPU_QUANTUM_US: u64 = 5_000;
+
+/// CPU cost of applying one writeset item, in µs.
+const APPLY_ITEM_US: u64 = 600;
+
+/// Fixed CPU cost of applying one writeset, in µs.
+const APPLY_BASE_US: u64 = 100;
 
 /// What happened when a transaction was stepped.
 #[derive(Debug, Clone, PartialEq)]
@@ -124,9 +121,9 @@ impl ReplicaNode {
     pub fn new(catalog: Catalog, config: ReplicaConfig, rng: SimRng) -> Self {
         ReplicaNode {
             pool: BufferPool::with_capacity_bytes(config.mem_bytes),
-            disk: DiskModel::new(config.disk),
+            disk: DiskModel::new(DiskParams::default()),
             cpu: CpuServer::new(),
-            writer: BackgroundWriter::new(config.writer),
+            writer: BackgroundWriter::new(WriterConfig::default()),
             gatekeeper: Gatekeeper::new(config.mpl),
             filter: UpdateFilter::all(),
             daemon: LoadDaemon::paper_default(),
@@ -258,7 +255,7 @@ impl ReplicaNode {
                             if touch.write.is_some() {
                                 self.pool.mark_dirty(touch.page);
                             }
-                            if cpu_accum >= self.config.cpu_quantum_us {
+                            if cpu_accum >= CPU_QUANTUM_US {
                                 let t = self.cpu.run(now, cpu_accum);
                                 self.running.insert(txn, executor);
                                 return StepOutcome::Busy(t);
@@ -348,11 +345,11 @@ impl ReplicaNode {
                 }
                 any = true;
                 self.stats.items_applied += 1;
-                cpu_us += self.config.apply_item_us;
+                cpu_us += APPLY_ITEM_US;
                 self.apply_item_pages(now, item, &mut last_io);
             }
             if any {
-                cpu_us += self.config.apply_base_us;
+                cpu_us += APPLY_BASE_US;
                 self.stats.writesets_applied += 1;
             } else {
                 self.stats.writesets_filtered += 1;
@@ -429,11 +426,11 @@ impl ReplicaNode {
                 }
                 any = true;
                 self.stats.items_backfilled += 1;
-                cpu_us += self.config.apply_item_us;
+                cpu_us += APPLY_ITEM_US;
                 self.apply_item_pages(now, item, &mut last_io);
             }
             if any {
-                cpu_us += self.config.apply_base_us;
+                cpu_us += APPLY_BASE_US;
                 self.stats.writesets_backfilled += 1;
             }
         }

@@ -14,7 +14,6 @@ fn main() {
     println!("scenario: {} — {}\n", tpcw.name(), tpcw.summary());
 
     for policy in [
-        PolicySpec::RoundRobin,
         PolicySpec::LeastConnections,
         PolicySpec::Lard,
         PolicySpec::malb_sc(),

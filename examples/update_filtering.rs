@@ -19,7 +19,6 @@ fn main() {
         let config = ClusterConfig {
             replicas: 8,
             clients: 56,
-            stable_rounds_for_filter: 5,
             ..ClusterConfig::paper_default()
         }
         .with_policy(policy);

@@ -227,7 +227,7 @@ proptest! {
         // Relation r is its own set, so the fold gives it to group r % groups.
         let sets: Vec<RelationSet> = (0..8).map(|r| [RelationId(r)].into_iter().collect()).collect();
         let map = CertMap::build(&sets, groups);
-        let mut link = CertifierLink::new(CertifierParams::default(), map, 1, 100);
+        let mut link = CertifierLink::new(CertifierParams::default(), map, 1);
         let mut tracer = Tracer::new(&TraceConfig::default());
         let mut queue = EventQueue::new();
         let mut last_writer: HashMap<WritesetItem, u64> = HashMap::new();

@@ -17,7 +17,6 @@ fn small_config(policy: PolicySpec) -> ClusterConfig {
 fn every_policy_completes_transactions() {
     let (workload, mix) = tpcw::workload_with_mix(tpcw::TpcwScale::Small, "shopping");
     for policy in [
-        PolicySpec::RoundRobin,
         PolicySpec::LeastConnections,
         PolicySpec::Lard,
         PolicySpec::malb_sc(),
@@ -181,8 +180,6 @@ fn update_filtering_reduces_applied_items() {
         replicas: 4,
         clients: 16,
         think_mean_us: 300_000,
-        stable_rounds_for_filter: 3,
-        min_copies: 2,
         ..ClusterConfig::paper_default()
     }
     .with_policy(PolicySpec::malb_sc_uf());

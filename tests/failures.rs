@@ -621,6 +621,92 @@ fn oracle_crash_retries_timed_out_requests_only_once() {
     }
 }
 
+/// One field of a JSONL trace line, as its raw text.
+fn trace_field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
+    let start = line.find(&format!("\"{key}\":"))? + key.len() + 3;
+    let rest = &line[start..];
+    Some(rest[..rest.find([',', '}'])?].trim_matches('"'))
+}
+
+/// Runs a three-replica cluster with the heartbeat detector on, crashes
+/// replica 2 at 20 s and recovers it 100 ms later, before the detector can
+/// suspect it, and returns the run's JSONL trace.
+fn quick_recovery_trace(seed: u64) -> String {
+    let path = std::env::temp_dir().join(format!(
+        "tashkent-quick-recovery-{}-{seed}.jsonl",
+        std::process::id()
+    ));
+    let (workload, mix) = tpcw::workload_with_mix(TpcwScale::Small, "ordering");
+    let mut config = ClusterConfig {
+        replicas: 3,
+        clients: 12,
+        think_mean_us: 300_000,
+        heartbeat_period_us: 500_000,
+        seed,
+        ..ClusterConfig::paper_default()
+    };
+    config.trace.jsonl_path = Some(path.to_str().expect("temp path is valid UTF-8").into());
+    let mut world = World::new(config, workload, vec![mix]);
+    world.prime();
+    world.schedule(SimTime::from_secs(20), Ev::ReplicaCrash { replica: 2 });
+    world.schedule(
+        SimTime::from_millis(20_100),
+        Ev::ReplicaRecover { replica: 2 },
+    );
+    world.schedule(SimTime::from_secs(60), Ev::End);
+    world.run_to_end().expect("End event scheduled");
+    world.export_traces().expect("trace written");
+    let trace = std::fs::read_to_string(&path).expect("trace readable");
+    let _ = std::fs::remove_file(&path);
+    trace
+}
+
+#[test]
+fn recovery_before_suspicion_answers_every_lost_request() {
+    // With the detector on, a crash leaves the victim's in-flight requests
+    // for the suspicion sweep. A replica that recovers before it is
+    // suspected is never swept, so its recovery must reset those requests:
+    // each lost request's client retries or gives up.
+    const CRASH_US: u64 = 20_000_000;
+    for seed in 1..=6 {
+        let trace = quick_recovery_trace(seed);
+        let mut lost: Vec<(u64, u64)> = Vec::new(); // (txn, client)
+        let mut client_of = std::collections::HashMap::new();
+        let mut answered = std::collections::HashSet::new();
+        let mut arrivals: Vec<(u64, u64)> = Vec::new(); // (t, client)
+        for line in trace.lines() {
+            let num = |key| trace_field(line, key).and_then(|v| v.parse::<u64>().ok());
+            let (Some(t), Some(txn)) = (num("t"), num("txn")) else {
+                continue;
+            };
+            match trace_field(line, "k") {
+                Some("arrive") => {
+                    let client = num("client").expect("arrive names its client");
+                    client_of.insert(txn, client);
+                    arrivals.push((t, client));
+                }
+                Some("dispatch") if num("replica") == Some(2) && t < CRASH_US => {
+                    lost.push((txn, client_of[&txn]));
+                }
+                Some("complete" | "gaveup") => {
+                    answered.insert(txn);
+                }
+                _ => {}
+            }
+        }
+        for (txn, client) in lost {
+            if answered.contains(&txn) {
+                continue;
+            }
+            assert!(
+                arrivals.iter().any(|&(t, c)| c == client && t >= CRASH_US),
+                "seed {seed}: client {client} was stranded: txn {txn} was lost \
+                 in the crash and never retried or given up"
+            );
+        }
+    }
+}
+
 #[test]
 fn client_timeouts_rescue_updates_stranded_by_a_partition() {
     // An update whose certification request is dropped by the partition

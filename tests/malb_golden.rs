@@ -472,7 +472,8 @@ fn check(golden: &Golden, workload: Workload, mix: Mix, mode: EstimationMode) {
         .map(|t| estimator.estimate(*t, &workload.explain(*t)))
         .collect();
     let all: Vec<ReplicaId> = (0..config.replicas).map(ReplicaId).collect();
-    let plans = filter_lists(&groups, &sets, &per_group, &all, config.min_copies);
+    let min_copies = config.malb_config().expect("policy is MALB").min_copies;
+    let plans = filter_lists(&groups, &sets, &per_group, &all, min_copies);
     assert_eq!(plans.len(), golden.filters.len(), "one filter per replica");
     for (r, (plan, want)) in plans.iter().zip(golden.filters).enumerate() {
         assert_eq!(plan.replica, ReplicaId(r));

@@ -125,13 +125,12 @@ proptest! {
     fn dispatch_never_selects_a_crashed_replica(
         replicas in 2usize..8,
         dead_mask in any::<u32>(),
-        policy in 0u8..4,
+        policy in 0u8..3,
         dispatches in 1usize..60,
     ) {
         let mut lb = match policy {
-            0 => LoadBalancer::round_robin(replicas),
-            1 => LoadBalancer::least_connections(replicas),
-            2 => LoadBalancer::lard(replicas, LardConfig::default()),
+            0 => LoadBalancer::least_connections(replicas),
+            1 => LoadBalancer::lard(replicas, LardConfig::default()),
             _ => {
                 // Two disjoint working sets of 80 pages over however many
                 // replicas.
@@ -172,7 +171,7 @@ proptest! {
         for &r in &dead {
             lb.replica_recovered(ReplicaId(r));
         }
-        if policy == 1 {
+        if policy == 0 {
             for _ in 0..replicas * 3 {
                 lb.dispatch(TxnTypeId(0));
             }

@@ -88,9 +88,10 @@ fn different_seeds_diverge() {
 
 #[test]
 fn policy_knob_reaches_the_cluster() {
-    let knobs = ScenarioKnobs::smoke().with_policy(PolicySpec::RoundRobin);
+    let knobs = ScenarioKnobs::smoke().with_policy(PolicySpec::LeastConnections);
     let r = run_scenario("tpcw-steady-state", &knobs).expect("scenario runs to its End event");
-    // Round-robin has no MALB groups; the MALB default would produce some.
+    // LeastConnections has no MALB groups; the MALB default would produce
+    // some.
     assert!(r.assignments.is_empty());
     let malb = run_scenario("tpcw-steady-state", &ScenarioKnobs::smoke())
         .expect("scenario runs to its End event");
