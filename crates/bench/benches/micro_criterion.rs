@@ -1,8 +1,10 @@
 //! Criterion microbenchmarks for the core algorithmic components: bin
-//! packing, buffer-pool touches, certification, dispatch decisions, and
-//! the partial-replication and certifier-group set-up.
+//! packing, buffer-pool touches and fills, certification, the commit log's
+//! append and trim, dispatch decisions, and the partial-replication and
+//! certifier-group set-up.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
+use tashkent_certifier::CommitLog;
 use tashkent_cluster::{
     BalancerCtl, ClusterConfig, PartialReplication, PolicySpec, ReplicationPlanner, Scenario,
     ScenarioKnobs, TypeGroups,
@@ -10,7 +12,7 @@ use tashkent_cluster::{
 use tashkent_core::{pack_groups, EstimationMode, Lard, LardConfig, PageTable, WorkingSet};
 use tashkent_engine::{Snapshot, TxnId, TxnTypeId, Version, Writeset, WritesetItem};
 use tashkent_sim::{SimRng, SimTime};
-use tashkent_storage::{BufferPool, GlobalPageId, RelationId};
+use tashkent_storage::{BufferPool, Catalog, GlobalPageId, RelationId};
 use tashkent_workloads::tpcw::{self, TpcwScale};
 
 /// `n` synthetic types over a 40-relation schema: type `i` references
@@ -40,9 +42,16 @@ fn bench_packing(c: &mut Criterion) {
     });
 }
 
+/// A one-table catalog of `pages` pages: relation 0.
+fn one_table(pages: u32) -> Catalog {
+    let mut catalog = Catalog::new();
+    catalog.add_table("t", pages, u64::from(pages) * 10);
+    catalog
+}
+
 fn bench_buffer_pool(c: &mut Criterion) {
     c.bench_function("bufferpool_touch_hit", |b| {
-        let mut pool = BufferPool::new(4_096);
+        let mut pool = BufferPool::new(4_096, one_table(4_096));
         for p in 0..4_096u32 {
             pool.touch(GlobalPageId::new(RelationId(0), p));
         }
@@ -53,7 +62,7 @@ fn bench_buffer_pool(c: &mut Criterion) {
         })
     });
     c.bench_function("bufferpool_touch_evict", |b| {
-        let mut pool = BufferPool::new(1_024);
+        let mut pool = BufferPool::new(1_024, one_table(100_000));
         let mut i = 0u32;
         b.iter(|| {
             i = i.wrapping_add(1);
@@ -75,7 +84,7 @@ fn bench_buffer_pool(c: &mut Criterion) {
         })
         .collect();
     let warm_pool = || {
-        let mut pool = BufferPool::with_capacity_bytes(512 << 20);
+        let mut pool = BufferPool::with_capacity_bytes(512 << 20, catalog.clone());
         for p in &stream {
             pool.touch(*p);
         }
@@ -88,6 +97,30 @@ fn bench_buffer_pool(c: &mut Criterion) {
             i = (i + 1) % stream.len();
             pool.touch(stream[i])
         })
+    });
+    // A replica's pool filling from cold: 56,576 distinct pages of the
+    // stream into an empty 442 MB pool (512 MB less the 70 MB system
+    // overhead), which it then holds exactly. Every touch installs, so the
+    // case times the frames' and state blocks' growth.
+    let mut seen = std::collections::HashSet::new();
+    let distinct: Vec<GlobalPageId> = stream
+        .iter()
+        .copied()
+        .filter(|p| seen.insert(*p))
+        .take(56_576)
+        .collect();
+    assert_eq!(distinct.len(), 56_576, "the stream holds enough pages");
+    c.bench_function("bufferpool_fill_mid_pool", |b| {
+        b.iter_batched(
+            || BufferPool::with_capacity_bytes(442 << 20, catalog.clone()),
+            |mut pool| {
+                for p in &distinct {
+                    pool.touch(*p);
+                }
+                pool
+            },
+            BatchSize::LargeInput,
+        )
     });
     // The background writer's round on a full pool holding a few dirty
     // pages scattered through it: the scan reads every frame's state until
@@ -140,16 +173,11 @@ fn bench_certifier(c: &mut Criterion) {
     let item = |i: u64, k: u64| WritesetItem::new(RelationId(((i + k) % 10) as u32), i * 8 + k);
     let mut cert = tashkent_certifier::Certifier::default();
     for i in 0..41_500u64 {
-        let n = match i % 100 {
-            0..=78 => 2,
-            79..=98 => 6,
-            _ => 4,
-        };
         let ws = Writeset::new(
             TxnId(i),
             TxnTypeId(0),
             Snapshot::at(cert.version()),
-            (0..n).map(|k| item(i, k)).collect(),
+            ordering_items(i).collect(),
         );
         cert.certify(SimTime::ZERO, ws);
     }
@@ -168,6 +196,40 @@ fn bench_certifier(c: &mut Criterion) {
             b.iter(|| cert.certify(SimTime::ZERO, probe.clone()))
         });
     }
+}
+
+/// The items of ordering-sized writeset `i`: 79% of 2 items, 20% of 6 and
+/// 1% of 4, every row distinct.
+fn ordering_items(i: u64) -> impl Iterator<Item = WritesetItem> {
+    let n = match i % 100 {
+        0..=78 => 2,
+        79..=98 => 6,
+        _ => 4,
+    };
+    (0..n).map(move |k| WritesetItem::new(RelationId(((i + k) % 10) as u32), i * 8 + k))
+}
+
+fn bench_commit_log(c: &mut Criterion) {
+    // 100k commits of ordering-sized writesets, trimmed every 1,024 appends
+    // to 28 entries below the head (the mean conflict-check suffix on
+    // ordering-malb-uf), as the cluster trims it.
+    let writesets: Vec<Vec<WritesetItem>> =
+        (0..100_000).map(|i| ordering_items(i).collect()).collect();
+    c.bench_function("commit_log_append_trim", |b| {
+        b.iter_batched(
+            CommitLog::default,
+            |mut log| {
+                for (i, ws) in writesets.iter().enumerate() {
+                    log.append(ws);
+                    if i % 1_024 == 1_023 {
+                        log.trim(Version(log.head().0 - 28));
+                    }
+                }
+                log
+            },
+            BatchSize::LargeInput,
+        )
+    });
 }
 
 fn bench_dispatch(c: &mut Criterion) {
@@ -244,6 +306,6 @@ fn bench_placement(c: &mut Criterion) {
 criterion_group!(
     name = micro;
     config = Criterion::default().sample_size(20).warm_up_time(std::time::Duration::from_millis(300)).measurement_time(std::time::Duration::from_secs(1));
-    targets = bench_packing, bench_buffer_pool, bench_certifier, bench_dispatch, bench_estimation, bench_placement
+    targets = bench_packing, bench_buffer_pool, bench_certifier, bench_commit_log, bench_dispatch, bench_estimation, bench_placement
 );
 criterion_main!(micro);

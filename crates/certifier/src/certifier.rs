@@ -87,8 +87,15 @@ struct GroupQueue {
 /// no writeset with version `> s` intersects it (write-write conflict
 /// detection, §4.1). The check scans the log entries committed since the
 /// snapshot, as the paper states it; that suffix is short (tens of entries
-/// on the TPC-W mixes). The full log is retained — it is the paper's
-/// persistent log, also used for propagation and replica recovery.
+/// on the TPC-W mixes). The log is the paper's persistent log, also used
+/// for propagation and replica recovery. Its durability timing (group
+/// commit plus the log write) and its size ([`CertifierStats::log_bytes`])
+/// are modelled in full, while host memory keeps only the suffix above the
+/// floor its owner passes to [`Certifier::trim`]: the oldest position a
+/// replica, a snapshot or a pending request can still ask for. The cluster
+/// keeps the floor at 0 under partial placement, whose backfills replay
+/// from version 0, and with several groups, whose
+/// [`Certifier::group_commits`] walks the whole log when the run ends.
 ///
 /// Every relation belongs to exactly one group ([`CertMap`]). A writeset
 /// touching one group queues only behind that group's checks. One touching
@@ -163,6 +170,12 @@ impl Certifier {
     /// The persistent commit log.
     pub fn log(&self) -> &CommitLog {
         &self.log
+    }
+
+    /// Drops the log entries up to `floor` from host memory
+    /// ([`CommitLog::trim`]); nothing below it may be read afterwards.
+    pub fn trim(&mut self, floor: Version) {
+        self.log.trim(floor);
     }
 
     /// Activity counters.
@@ -259,6 +272,11 @@ impl Certifier {
     /// writesets touch the group, so a cross-group commit is in every
     /// touched group's list. Empty with one group, whose only list would be
     /// every version.
+    ///
+    /// # Panics
+    ///
+    /// Panics with several groups once the log has been trimmed: the walk
+    /// starts at version 0.
     pub fn group_commits(&self) -> Vec<Vec<u64>> {
         if self.queues.len() == 1 {
             return Vec::new();

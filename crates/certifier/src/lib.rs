@@ -17,7 +17,8 @@
 //!   round,
 //! * [`map`] — the relation → certifier-group map,
 //! * [`log`] — the persistent commit log, one flat item arena whose suffix
-//!   after a snapshot is what a conflict check scans,
+//!   after a snapshot is what a conflict check scans, trimmed below the
+//!   oldest version a reader can still ask for,
 //! * [`propagation`] — the pull/prod trigger policy (500 ms pull, 25-commit
 //!   prod),
 //! * [`group`] — the leader/backup membership of one certifier group, used

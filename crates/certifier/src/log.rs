@@ -7,10 +7,15 @@ use tashkent_engine::{items_intersect, Version, WritesetItem};
 /// The certifier's persistent log (§4.1): the items of every committed
 /// writeset, in commit order, in one flat arena.
 ///
-/// Entry `i` has version `i + 1` and owns `items[ends[i - 1]..ends[i]]`
-/// (from 0 for the first entry). Nothing after commit reads a writeset's
-/// transaction, type or snapshot, so only its sorted items are kept: 8 B per
-/// item plus 4 B per entry.
+/// Host memory keeps only the entries above a base version: the cluster
+/// [`trims`](CommitLog::trim) the prefix no reader can still ask for, so
+/// the arena stops growing with simulated time. Retained entry `i` has
+/// version `base + i + 1` and owns `items[ends[i - 1]..ends[i]]` (from 0 for
+/// the first entry). Nothing after commit reads a writeset's transaction,
+/// type or snapshot, so only its sorted items are kept: 8 B per item plus
+/// 4 B per entry. Versions, views and [`CommitLog::head`] are absolute, so a
+/// trim changes no answer the log gives above its base; asking for history
+/// below it is a bug and panics.
 ///
 /// # Examples
 ///
@@ -29,30 +34,30 @@ use tashkent_engine::{items_intersect, Version, WritesetItem};
 /// // ...one taken after it does not.
 /// assert!(!log.conflicts(Version(2), &[item(3)]));
 ///
+/// // Dropping version 1 leaves every later answer as it was.
+/// log.trim(Version(1));
+/// assert_eq!((log.base(), log.head()), (Version(1), Version(2)));
 /// let tail: Vec<_> = log.since(Version(1)).iter().collect();
 /// assert_eq!(tail, vec![(Version(2), &[item(3)][..])]);
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct CommitLog {
+    /// Versions up to this one are trimmed.
+    base: Version,
     items: Vec<WritesetItem>,
-    /// One past each entry's last item in `items`.
+    /// One past each retained entry's last item in `items`.
     ends: Vec<u32>,
 }
 
 impl CommitLog {
     /// Latest committed version (the log head).
     pub fn head(&self) -> Version {
-        Version(self.ends.len() as u64)
+        Version(self.base.0 + self.ends.len() as u64)
     }
 
-    /// Number of entries.
-    pub fn len(&self) -> usize {
-        self.ends.len()
-    }
-
-    /// Whether nothing has committed yet.
-    pub fn is_empty(&self) -> bool {
-        self.ends.is_empty()
+    /// The last trimmed version: [`CommitLog::since`] answers from here on.
+    pub fn base(&self) -> Version {
+        self.base
     }
 
     /// Appends one committed writeset's sorted items; returns its version.
@@ -63,19 +68,50 @@ impl CommitLog {
         self.head()
     }
 
+    /// Drops the entries with versions up to `floor` (clamped to the head)
+    /// from host memory, moving the retained suffix to the front of the
+    /// arena. A floor at or below the base is a no-op.
+    pub fn trim(&mut self, floor: Version) {
+        let drop = floor.0.min(self.head().0).saturating_sub(self.base.0) as usize;
+        if drop == 0 {
+            return;
+        }
+        let cut = self.ends[drop - 1];
+        self.items.drain(..cut as usize);
+        self.ends.drain(..drop);
+        for end in &mut self.ends {
+            *end -= cut;
+        }
+        self.base = Version(self.base.0 + drop as u64);
+    }
+
     /// The entries with versions in `(after, head]`: what a replica at
     /// version `after` must apply to catch up.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `after` is below [`CommitLog::base`]: that history was
+    /// trimmed.
     pub fn since(&self, after: Version) -> LogView<'_> {
+        assert!(
+            after >= self.base,
+            "commit log read after {after}, below its base {}",
+            self.base
+        );
         let hi = self.ends.len();
         LogView {
             log: self,
-            lo: (after.0 as usize).min(hi),
+            lo: ((after.0 - self.base.0) as usize).min(hi),
             hi,
         }
     }
 
     /// GSI's write-write conflict check (§4.1): whether any entry committed
     /// after `snapshot` writes one of `items` (sorted).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `snapshot` is below [`CommitLog::base`].
     pub fn conflicts(&self, snapshot: Version, items: &[WritesetItem]) -> bool {
         self.since(snapshot)
             .iter()
@@ -93,6 +129,7 @@ impl CommitLog {
 #[derive(Debug, Clone, Copy)]
 pub struct LogView<'a> {
     log: &'a CommitLog,
+    /// Retained-entry indices `[lo, hi)`.
     lo: usize,
     hi: usize,
 }
@@ -108,7 +145,7 @@ impl<'a> LogView<'a> {
         self.lo == self.hi
     }
 
-    /// Entry `i` of the view.
+    /// Entry `i` of the view, with its absolute version.
     ///
     /// # Panics
     ///
@@ -116,7 +153,7 @@ impl<'a> LogView<'a> {
     pub fn get(&self, i: usize) -> (Version, &'a [WritesetItem]) {
         assert!(i < self.len(), "log view index {i} out of {}", self.len());
         let at = self.lo + i;
-        (Version(at as u64 + 1), self.log.entry(at))
+        (Version(self.log.base.0 + at as u64 + 1), self.log.entry(at))
     }
 
     /// The entries at view indices `range`.
@@ -139,7 +176,8 @@ impl<'a> LogView<'a> {
 
     /// The entries with versions below `version`.
     pub fn before(self, version: Version) -> Self {
-        let hi = (version.0.saturating_sub(1) as usize).clamp(self.lo, self.hi);
+        let below = version.0.saturating_sub(1).saturating_sub(self.log.base.0);
+        let hi = (below.min(self.hi as u64) as usize).max(self.lo);
         LogView { hi, ..self }
     }
 
@@ -153,7 +191,7 @@ impl<'a> LogView<'a> {
             items: &self.log.items,
             ends: &self.log.ends[self.lo..self.hi],
             start,
-            version: self.lo as u64,
+            version: self.log.base.0 + self.lo as u64,
         }
     }
 }
@@ -261,6 +299,54 @@ mod tests {
     fn slicing_past_the_view_panics() {
         let log = log_of(&[&[1], &[2]]);
         log.since(Version(1)).slice(0..2);
+    }
+
+    #[test]
+    fn views_after_a_trim_yield_absolute_versions() {
+        let mut log = log_of(&[&[1, 2], &[3], &[4, 5, 6], &[7]]);
+        log.trim(Version(2));
+        assert_eq!((log.base(), log.head()), (Version(2), Version(4)));
+        assert_eq!(
+            rows(log.since(Version(2))),
+            vec![(3, vec![4, 5, 6]), (4, vec![7])]
+        );
+        let tail = log.since(Version(2));
+        assert_eq!(tail.get(1), (Version(4), &items(&[7])[..]));
+        assert_eq!(rows(tail.before(Version(4))), vec![(3, vec![4, 5, 6])]);
+        assert!(tail.before(Version(2)).is_empty());
+        assert_eq!(rows(tail.slice(1..2)), vec![(4, vec![7])]);
+        assert!(log.conflicts(Version(2), &items(&[7])));
+        assert!(!log.conflicts(Version(4), &items(&[7])));
+        // Appends keep counting from the head.
+        assert_eq!(log.append(&items(&[8])), Version(5));
+        assert_eq!(rows(log.since(Version(4))), vec![(5, vec![8])]);
+    }
+
+    #[test]
+    #[should_panic(expected = "below its base")]
+    fn reading_below_the_base_panics() {
+        let mut log = log_of(&[&[1], &[2], &[3]]);
+        log.trim(Version(2));
+        log.since(Version(1));
+    }
+
+    #[test]
+    fn trimming_past_the_head_or_twice_is_harmless() {
+        let mut log = log_of(&[&[1], &[2, 3], &[4]]);
+        log.trim(Version(1));
+        log.trim(Version(1));
+        log.trim(Version(0));
+        assert_eq!(log.base(), Version(1));
+        assert_eq!(
+            rows(log.since(Version(1))),
+            vec![(2, vec![2, 3]), (3, vec![4])]
+        );
+        log.trim(Version(99));
+        assert_eq!((log.base(), log.head()), (Version(3), Version(3)));
+        assert!(log.since(Version(3)).is_empty());
+        assert!(log.since(Version(99)).is_empty());
+        assert_eq!(log.append(&items(&[5])), Version(4));
+        assert_eq!(rows(log.since(Version(3))), vec![(4, vec![5])]);
     }
 
     #[test]

@@ -105,7 +105,10 @@ proptest! {
     /// conflicts are common), duplicate rows, empty writesets, snapshot
     /// lags from 0 to past the head, bursty arrivals, 1–4 certifier groups
     /// with cross-group rounds, and random service parameters and LAN
-    /// hops. The log holds exactly the committed writesets' items.
+    /// hops. Between requests the log is trimmed at random floors no higher
+    /// than the oldest snapshot still to be certified, as the cluster trims
+    /// it; the trims change no answer. The log holds exactly the committed
+    /// writesets' items above its base.
     #[test]
     fn matches_reference_model(
         rels in 1u32..5,
@@ -117,25 +120,47 @@ proptest! {
                 0u64..48, // snapshot lag behind the head
                 0u64..400, // gap since the previous arrival, µs
                 proptest::collection::vec((0u32..4, 0u64..16), 0..7),
+                0u64..12, // below 4: trim first, this many versions under the oldest pending snapshot
             ),
             1..150,
         ),
     ) {
         let (check_us, log_write_us, group_window_us) = params;
         let params = CertifierParams { check_us, log_write_us, group_window_us };
+        // A first pass of the reference fixes every request's arrival and
+        // snapshot, so each trim knows the oldest snapshot still to be
+        // certified.
+        let mut dry = IndexCertifier::new(params, groups, lan_hop_us);
+        let mut now = 0u64;
+        let requests: Vec<(SimTime, Writeset)> = history
+            .iter()
+            .enumerate()
+            .map(|(i, (lag, gap, items, _))| {
+                now += gap;
+                let items: Vec<(u32, u64)> =
+                    items.iter().map(|(r, row)| (r % rels, *row)).collect();
+                let w = ws(i as u64, dry.head.saturating_sub(*lag), &items);
+                let at = SimTime::from_micros(now);
+                dry.certify(at, &w);
+                (at, w)
+            })
+            .collect();
+        let mut oldest_pending: Vec<u64> =
+            requests.iter().map(|(_, w)| w.snapshot.version.0).collect();
+        for i in (1..oldest_pending.len()).rev() {
+            oldest_pending[i - 1] = oldest_pending[i - 1].min(oldest_pending[i]);
+        }
         // Relation r is its own set, so the fold gives it to group r % groups.
         let sets: Vec<RelationSet> = (0..4).map(|r| [RelationId(r)].into_iter().collect()).collect();
         let mut cert = Certifier::grouped(params, CertMap::build(&sets, groups), lan_hop_us);
         let mut reference = IndexCertifier::new(params, groups, lan_hop_us);
         let mut committed: Vec<Vec<WritesetItem>> = Vec::new();
-        let mut now = 0u64;
-        for (i, (lag, gap, items)) in history.iter().enumerate() {
-            now += gap;
-            let items: Vec<(u32, u64)> = items.iter().map(|(r, row)| (r % rels, *row)).collect();
-            let snap = cert.version().0.saturating_sub(*lag);
-            let w = ws(i as u64, snap, &items);
-            let expected = reference.certify(SimTime::from_micros(now), &w);
-            let got = cert.answer(SimTime::from_micros(now), &w, cert.groups_of(&w));
+        for (i, ((now, w), (_, _, _, trim))) in requests.into_iter().zip(&history).enumerate() {
+            if *trim < 4 {
+                cert.trim(Version(oldest_pending[i].saturating_sub(*trim)));
+            }
+            let expected = reference.certify(now, &w);
+            let got = cert.answer(now, &w, cert.groups_of(&w));
             prop_assert_eq!(got, expected, "request {} diverged", i);
             if got.version.is_some() && !w.is_empty() {
                 committed.push(w.items);
@@ -143,13 +168,14 @@ proptest! {
         }
         prop_assert_eq!(cert.version(), Version(reference.head));
         prop_assert_eq!(cert.stats().committed, committed.len() as u64);
+        let base = cert.log().base();
         let logged: Vec<Vec<WritesetItem>> = cert
             .log()
-            .since(Version(0))
+            .since(base)
             .iter()
             .map(|(_, items)| items.to_vec())
             .collect();
-        prop_assert_eq!(logged, committed);
+        prop_assert_eq!(&logged[..], &committed[base.0 as usize..]);
     }
 
     /// Commit versions are dense and strictly increasing, regardless of the

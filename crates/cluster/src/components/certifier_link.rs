@@ -150,6 +150,18 @@ impl CertifierLink {
         self.engine.version()
     }
 
+    /// The snapshots of the requests parked in queue-and-wait, which the
+    /// certifier still has to check against the log.
+    pub(crate) fn parked_snapshots(&self) -> impl Iterator<Item = Version> + '_ {
+        self.parked.iter().flatten().map(|w| w.ws.snapshot.version)
+    }
+
+    /// Drops the log entries up to `floor` from host memory; the caller
+    /// guarantees no reader asks for them again.
+    pub(crate) fn trim_log(&mut self, floor: Version) {
+        self.engine.trim(floor);
+    }
+
     /// The global commit log.
     fn log(&self) -> &CommitLog {
         self.engine.log()
@@ -262,45 +274,44 @@ impl CertifierLink {
         rels: RelationSet,
     ) -> (SimTime, u64) {
         let upto = self.backfill_upto(node);
-        let (done, bytes, _) = self.backfill_chunk(now, node, rels, 0, upto, u64::MAX);
+        let (done, bytes, _) = self.backfill_chunk(now, node, rels, Version::ZERO, upto, u64::MAX);
         (done, bytes)
     }
 
-    /// The log index a backfill onto `node` must reach: its applied version
+    /// The version a backfill onto `node` must reach: its applied version
     /// (later entries arrive through normal propagation once its filter
     /// widens). Fixed when a staged backfill starts, so the chunks have a
     /// stable target.
-    pub fn backfill_upto(&self, node: &ClusterNode) -> usize {
-        (node.applied().0 as usize).min(self.log().len())
+    pub fn backfill_upto(&self, node: &ClusterNode) -> Version {
+        node.applied().min(self.version())
     }
 
-    /// One bandwidth-capped slice of a backfill: re-applies log entries
-    /// `[from, upto)` whose items touch `rels`, stopping once the shipped
-    /// bytes reach `max_bytes` (always making progress past at least one
-    /// shipping entry, so a tiny cap cannot stall the copy forever).
-    /// Returns `(done, shipped_bytes, next_index)` — the chunk is finished
-    /// when `next_index == upto`.
+    /// One bandwidth-capped slice of a backfill: re-applies the log entries
+    /// with versions in `(from, upto]` whose items touch `rels`, stopping
+    /// once the shipped bytes reach `max_bytes` (always making progress
+    /// past at least one shipping entry, so a tiny cap cannot stall the
+    /// copy forever). Returns `(done, shipped_bytes, next)` — the last
+    /// version the slice covered; the backfill is finished when
+    /// `next == upto`.
     pub fn backfill_chunk(
         &mut self,
         now: SimTime,
         node: &mut ClusterNode,
         rels: RelationSet,
-        from: usize,
-        upto: usize,
+        from: Version,
+        upto: Version,
         max_bytes: u64,
-    ) -> (SimTime, u64, usize) {
+    ) -> (SimTime, u64, Version) {
         let before = node.replica().stats();
         let (done, next) = {
-            let log = self.log().since(Version(0));
-            let upto = upto.min(log.len());
-            let from = from.min(upto);
+            let log = self.log().since(from).before(upto.next());
             // Pick the chunk end by the same byte formula the accounting
             // below uses: header + per-item bytes for the entries that ship
             // anything; entries touching none of `rels` are free to skip.
-            let mut end = from;
+            let mut end = 0;
             let mut used = 0u64;
             let mut shipped_any = false;
-            while end < upto {
+            while end < log.len() {
                 let items = log
                     .get(end)
                     .1
@@ -323,8 +334,8 @@ impl CertifierLink {
                 }
             }
             (
-                node.backfill_writesets(now, log.slice(from..end), rels),
-                end,
+                node.backfill_writesets(now, log.slice(0..end), rels),
+                Version(from.0 + end as u64),
             )
         };
         // The node's backfill counters are the single source of truth for

@@ -76,6 +76,13 @@ const CLIENT_BACKOFF_CAP_US: u64 = 2_000_000;
 
 const _: () = assert!(CLIENT_BACKOFF_CAP_US >= CLIENT_BACKOFF_BASE_US);
 
+/// Commits between two scans for the certifier log's trim floor
+/// ([`ClusterState::log_floor`]). A scan walks every node's running set and
+/// the event queue, so one per 1,024 commits costs amortized O(1) per
+/// commit, and a floor held back (by a long-running transaction, say) is
+/// not rescanned on every commit.
+const LOG_TRIM_INTERVAL: u64 = 1_024;
+
 /// One in-flight certifier-log backfill onto a target replica: a durability
 /// re-replication (crash or explicit [`Ev::Rereplicate`]) or, when
 /// `drop_source` is set, a skew-driven migration that sheds the donor once
@@ -87,12 +94,12 @@ struct BackfillTask {
     target: usize,
     /// Relations being copied (the ones the target did not already hold).
     rels: RelationSet,
-    /// Next certifier-log index to ship.
-    next: usize,
-    /// Log index the copy must reach — fixed at task creation; later
+    /// Last certifier-log version shipped.
+    next: Version,
+    /// Log version the copy must reach — fixed at task creation; later
     /// versions arrive through normal propagation (the filter is already
     /// widened), so a busy cluster cannot push completion out forever.
-    upto: usize,
+    upto: Version,
     /// Bytes shipped so far.
     bytes: u64,
     started: SimTime,
@@ -156,6 +163,8 @@ pub struct ClusterState {
     /// [`crate::metrics::RunResult`].
     redo_bytes: u64,
     redo_us: u64,
+    /// Log head at which the next trim-floor scan runs.
+    next_trim_scan: Version,
     /// Metrics accumulator.
     pub metrics: Metrics,
     /// Run tracer (disabled unless the config sets an exporter path). Every
@@ -244,6 +253,7 @@ impl ClusterState {
             recovering_until: vec![SimTime::ZERO; config.replicas],
             redo_bytes: 0,
             redo_us: 0,
+            next_trim_scan: Version(LOG_TRIM_INTERVAL),
             metrics,
             tracer,
             active_mix: 0,
@@ -494,7 +504,8 @@ impl ClusterState {
                     }
                 } else {
                     self.certifier
-                        .on_send(now, replica, txn, ws, &mut self.tracer, queue)
+                        .on_send(now, replica, txn, ws, &mut self.tracer, queue);
+                    self.trim_log_if_due(queue);
                 }
             }
             Ev::CertifyReturn {
@@ -594,6 +605,8 @@ impl ClusterState {
                         );
                     }
                 }
+                // The parked requests drained through the log.
+                self.trim_log_if_due(queue);
             }
             Ev::HeartbeatTick => self.on_heartbeat_tick(now, queue),
             Ev::LinkPartition { a, b, heal_at } => {
@@ -604,6 +617,59 @@ impl ClusterState {
             Ev::EndWarmup => self.on_end_warmup(now),
             Ev::End => self.ended = true,
         }
+    }
+
+    /// Trims the certifier log below [`Self::log_floor`] once the head has
+    /// passed the next scan point, then sets the next one
+    /// [`LOG_TRIM_INTERVAL`] commits on.
+    fn trim_log_if_due(&mut self, queue: &EventQueue<Ev>) {
+        let head = self.certifier.version();
+        if head < self.next_trim_scan {
+            return;
+        }
+        let floor = self.log_floor(queue);
+        self.certifier.trim_log(floor);
+        self.next_trim_scan = Version(head.0 + LOG_TRIM_INTERVAL);
+    }
+
+    /// The oldest certifier-log position a reader can still ask for: the
+    /// minimum of
+    ///
+    /// * every node's applied version less the checkpoint lag, up or down —
+    ///   propagation pulls, the commit return and the recovery redo all read
+    ///   from there;
+    /// * the snapshot of every transaction a node still runs or queues,
+    ///   which certification checks against the log after it;
+    /// * the snapshot of every writeset on its way to the certifier: an
+    ///   [`Ev::CertifySend`] still queued (it outlives its executor, and a
+    ///   crash may drop its meta) or a request parked in queue-and-wait;
+    /// * version 0 under partial placement, whose backfills replay from
+    ///   there, and with several certifier groups, whose
+    ///   [`Certifier::group_commits`] walks the whole log when the run
+    ///   ends.
+    fn log_floor(&self, queue: &EventQueue<Ev>) -> Version {
+        if self.config.placement != PlacementSpec::Full || self.config.cert_groups > 1 {
+            return Version::ZERO;
+        }
+        let k = self.config.checkpoint_lag;
+        let applied = self
+            .nodes
+            .iter()
+            .map(|n| Version(n.applied().0.saturating_sub(k)));
+        let running = self
+            .nodes
+            .iter()
+            .filter_map(|n| n.replica().oldest_snapshot());
+        let sending = queue.pending().filter_map(|ev| match ev {
+            Ev::CertifySend { ws, .. } => Some(ws.snapshot.version),
+            _ => None,
+        });
+        applied
+            .chain(running)
+            .chain(sending)
+            .chain(self.certifier.parked_snapshots())
+            .min()
+            .unwrap_or(Version::ZERO)
     }
 
     /// Dispatches a new transaction instance: the balancer picks the
@@ -850,7 +916,7 @@ impl ClusterState {
             group,
             target,
             rels,
-            next: 0,
+            next: Version::ZERO,
             upto,
             bytes: 0,
             started: now,
@@ -860,7 +926,7 @@ impl ClusterState {
         });
         let cap = self.config.backfill_bytes_per_sec;
         let t = &self.backfills[task];
-        if cap == 0 || t.upto == 0 || t.rels.is_empty() {
+        if cap == 0 || t.upto == Version::ZERO || t.rels.is_empty() {
             // Uncapped (or empty) copy: charge the whole log prefix through
             // the target's models and complete *synchronously* — the
             // historical semantics, where a crash-triggered re-replication

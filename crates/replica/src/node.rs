@@ -120,7 +120,7 @@ impl ReplicaNode {
     /// Creates a cold replica over `catalog`.
     pub fn new(catalog: Catalog, config: ReplicaConfig, rng: SimRng) -> Self {
         ReplicaNode {
-            pool: BufferPool::with_capacity_bytes(config.mem_bytes),
+            pool: BufferPool::with_capacity_bytes(config.mem_bytes, catalog.clone()),
             disk: DiskModel::new(DiskParams::default()),
             cpu: CpuServer::new(),
             writer: BackgroundWriter::new(WriterConfig::default()),
@@ -211,6 +211,13 @@ impl ReplicaNode {
     /// crash may refer to transactions that no longer exist.
     pub fn is_running(&self, txn: TxnId) -> bool {
         self.running.contains_key(&txn)
+    }
+
+    /// The oldest snapshot among the transactions executing or queued here,
+    /// if any: the certifier may still check their writesets against the
+    /// log entries after it.
+    pub fn oldest_snapshot(&self) -> Option<Version> {
+        self.running.values().map(|e| e.snapshot().version).min()
     }
 
     /// Submits a transaction; returns `true` when admitted (step it now) or
@@ -451,7 +458,7 @@ impl ReplicaNode {
     /// Crashes the replica: cold cache, all in-flight work lost (the
     /// cluster retries the dropped transactions' clients elsewhere).
     pub fn crash(&mut self) {
-        self.pool = BufferPool::with_capacity_bytes(self.config.mem_bytes);
+        self.pool = BufferPool::with_capacity_bytes(self.config.mem_bytes, self.catalog.clone());
         self.running.clear();
         self.gatekeeper.clear();
     }

@@ -130,6 +130,11 @@ impl<E> EventQueue<E> {
         self.heap.peek().map(|s| (s.at, &s.event))
     }
 
+    /// Iterates the pending events, in no particular order.
+    pub fn pending(&self) -> impl Iterator<Item = &E> {
+        self.heap.iter().map(|s| &s.event)
+    }
+
     /// Returns the number of pending events.
     pub fn len(&self) -> usize {
         self.heap.len()
@@ -215,6 +220,18 @@ mod tests {
         assert_eq!(q.peek_time(), Some(SimTime::from_micros(9)));
         assert_eq!(q.peek(), Some((SimTime::from_micros(9), &())));
         assert_eq!(q.now(), SimTime::ZERO);
+    }
+
+    #[test]
+    fn pending_yields_every_unpopped_event() {
+        let mut q = EventQueue::new();
+        for (at, e) in [(9, 'a'), (3, 'b'), (5, 'c')] {
+            q.schedule(SimTime::from_micros(at), e);
+        }
+        q.pop();
+        let mut left: Vec<char> = q.pending().copied().collect();
+        left.sort_unstable();
+        assert_eq!(left, vec!['a', 'c']);
     }
 
     #[test]

@@ -11,18 +11,26 @@
 //! The frames are a `Vec<u32>` in clock order (4 B per frame): each packs a
 //! page's relation id into its top 8 bits and its page number into the low
 //! 24, the widths [`MAX_RELATIONS`] and [`MAX_RELATION_PAGES`] that the
-//! [`Catalog`](crate::Catalog) enforces. A frame emptied by
+//! [`Catalog`] enforces. A frame emptied by
 //! [`BufferPool::evict_relation`] holds relation 255, which names no page,
 //! and in its low 24 bits the index of the next free frame: the free list
 //! lives in the free frames themselves, and the pool keeps only its head
 //! and length. Each page's resident, referenced and dirty bits live in a
 //! per-relation `Vec` of 64-page blocks, one `u64` per bit, so page `p`
-//! owns bit `p % 64` of block `p / 64`. A relation's blocks grow to cover
-//! the highest page touched and are released when the relation is evicted
-//! as a whole. A 512 MB pool of 65,536 frames therefore costs 256 KB of
-//! host memory plus 3 bits per page of every relation it has touched, and
-//! a page lookup is two array indexes and a mask rather than a hash probe.
+//! owns bit `p % 64` of block `p / 64`. A page lookup is two array indexes
+//! and a mask rather than a hash probe.
+//!
+//! Each array is allocated once, at its final size, so a filling pool
+//! leaves no outgrown copies behind in the allocator. The frames reserve
+//! the whole capacity at the first install, and the relation-indexed table
+//! reserves the catalog's relation count. A relation's blocks reserve the
+//! block count its catalog size (`relpages`) needs on its first touch, are
+//! filled only up to the highest page touched, and are released when the
+//! relation is evicted as a whole. A 512 MB pool of 65,536 frames therefore
+//! costs 256 KB of host memory plus 3 bits per page of every relation it
+//! has touched.
 
+use crate::catalog::Catalog;
 use crate::ids::{GlobalPageId, RelationId, MAX_RELATIONS, MAX_RELATION_PAGES};
 
 /// Result of touching a page in the pool.
@@ -139,10 +147,12 @@ fn locate(page: GlobalPageId) -> (usize, u64) {
 /// # Examples
 ///
 /// ```
-/// use tashkent_storage::{BufferPool, GlobalPageId, RelationId, Touch};
+/// use tashkent_storage::{BufferPool, Catalog, GlobalPageId, Touch};
 ///
-/// let mut pool = BufferPool::new(2);
-/// let p = |n| GlobalPageId::new(RelationId(0), n);
+/// let mut catalog = Catalog::new();
+/// let item = catalog.add_table("item", 100, 1_000);
+/// let mut pool = BufferPool::new(2, catalog);
+/// let p = |n| GlobalPageId::new(item, n);
 /// assert_eq!(pool.touch(p(0)), Touch::Miss { evicted: None });
 /// assert_eq!(pool.touch(p(0)), Touch::Hit);
 /// pool.touch(p(1));
@@ -155,6 +165,9 @@ fn locate(page: GlobalPageId) -> (usize, u64) {
 #[derive(Debug, Clone)]
 pub struct BufferPool {
     capacity: usize,
+    /// The schema the pool caches: each relation's size fixes its block
+    /// count.
+    catalog: Catalog,
     /// Frames in clock order: resident pages packed by [`pack`], and free
     /// frames tagged [`FREE`] and linked into a list.
     frames: Vec<u32>,
@@ -170,12 +183,15 @@ pub struct BufferPool {
 }
 
 impl BufferPool {
-    /// Creates a pool holding at most `capacity` pages.
+    /// Creates a pool holding at most `capacity` pages of `catalog`'s
+    /// relations. A page past its relation's catalog size, or of a relation
+    /// the catalog lacks, is still cached; its relation's blocks then grow
+    /// as a `Vec` does.
     ///
     /// # Panics
     ///
     /// Panics if `capacity` is zero, or not below 2^24 - 1 frames (128 GB).
-    pub fn new(capacity: usize) -> Self {
+    pub fn new(capacity: usize, catalog: Catalog) -> Self {
         assert!(capacity > 0, "buffer pool needs at least one frame");
         assert!(
             capacity < END as usize,
@@ -183,6 +199,7 @@ impl BufferPool {
         );
         BufferPool {
             capacity,
+            catalog,
             frames: Vec::new(),
             free_head: END,
             free_len: 0,
@@ -193,13 +210,14 @@ impl BufferPool {
         }
     }
 
-    /// Creates a pool sized for `bytes` of memory (rounded down to pages).
+    /// Creates a pool of `catalog`'s relations sized for `bytes` of memory
+    /// (rounded down to pages).
     ///
     /// # Panics
     ///
     /// Panics if `bytes` covers 2^24 - 1 pages (128 GB) or more.
-    pub fn with_capacity_bytes(bytes: u64) -> Self {
-        Self::new(((bytes / crate::ids::PAGE_SIZE) as usize).max(1))
+    pub fn with_capacity_bytes(bytes: u64, catalog: Catalog) -> Self {
+        Self::new(((bytes / crate::ids::PAGE_SIZE) as usize).max(1), catalog)
     }
 
     /// Maximum number of resident pages.
@@ -303,6 +321,9 @@ impl BufferPool {
             self.free_len -= 1;
             None
         } else if self.frames.len() < self.capacity {
+            if self.frames.is_empty() {
+                self.frames.reserve_exact(self.capacity);
+            }
             self.frames.push(frame);
             None
         } else {
@@ -315,14 +336,22 @@ impl BufferPool {
             }
             Some((victim, dirty))
         };
-        // Grow the relation's blocks to cover `page` on first touch.
+        // Grow the relation's blocks to cover `page`, reserving every block
+        // of the relation on its first touch.
         let rel = page.rel.0 as usize;
         if self.state.len() <= rel {
+            if self.state.is_empty() {
+                self.state.reserve_exact(self.catalog.len().max(rel + 1));
+            }
             self.state.resize_with(rel + 1, Vec::new);
         }
         let blocks = &mut self.state[rel];
         let (block, bit) = locate(page);
         if blocks.len() <= block {
+            if blocks.capacity() == 0 {
+                let pages = self.catalog.relations().get(rel).map_or(0, |r| r.pages);
+                blocks.reserve_exact(pages.div_ceil(BLOCK_PAGES) as usize);
+            }
             blocks.resize(block + 1, Block::default());
         }
         blocks[block].resident |= bit;
@@ -434,9 +463,22 @@ mod tests {
         GlobalPageId::new(RelationId(rel), page)
     }
 
+    /// Ten tables, relations 0 to 9, of 200 pages each.
+    fn catalog() -> Catalog {
+        let mut c = Catalog::new();
+        for r in 0..10 {
+            c.add_table(&format!("t{r}"), 200, 2_000);
+        }
+        c
+    }
+
+    fn pool(capacity: usize) -> BufferPool {
+        BufferPool::new(capacity, catalog())
+    }
+
     #[test]
     fn hit_after_install() {
-        let mut pool = BufferPool::new(4);
+        let mut pool = pool(4);
         assert_eq!(pool.touch(p(0, 1)), Touch::Miss { evicted: None });
         assert_eq!(pool.touch(p(0, 1)), Touch::Hit);
         assert_eq!(pool.stats().hits, 1);
@@ -445,7 +487,7 @@ mod tests {
 
     #[test]
     fn fills_before_evicting() {
-        let mut pool = BufferPool::new(3);
+        let mut pool = pool(3);
         for i in 0..3 {
             assert_eq!(pool.touch(p(0, i)), Touch::Miss { evicted: None });
         }
@@ -460,7 +502,7 @@ mod tests {
 
     #[test]
     fn second_chance_protects_referenced_pages() {
-        let mut pool = BufferPool::new(2);
+        let mut pool = pool(2);
         pool.touch(p(0, 0));
         pool.touch(p(0, 1));
         // Re-reference page 0 so its bit is set; page 1's bit is also set
@@ -481,7 +523,7 @@ mod tests {
     fn scan_resistance_of_rereferenced_page() {
         // A page touched on every round should survive a long scan of
         // never-reused pages.
-        let mut pool = BufferPool::new(8);
+        let mut pool = pool(8);
         let hot = p(9, 0);
         pool.touch(hot);
         for i in 0..100 {
@@ -493,7 +535,7 @@ mod tests {
 
     #[test]
     fn dirty_marking_and_eviction_reporting() {
-        let mut pool = BufferPool::new(1);
+        let mut pool = pool(1);
         pool.touch(p(0, 0));
         assert!(pool.mark_dirty(p(0, 0)));
         assert_eq!(pool.dirty_count(), 1);
@@ -523,14 +565,14 @@ mod tests {
 
     #[test]
     fn mark_dirty_on_absent_page_fails() {
-        let mut pool = BufferPool::new(1);
+        let mut pool = pool(1);
         assert!(!pool.mark_dirty(p(0, 0)));
         assert_eq!(pool.dirty_count(), 0);
     }
 
     #[test]
     fn collect_dirty_clears_bits_and_respects_budget() {
-        let mut pool = BufferPool::new(8);
+        let mut pool = pool(8);
         for i in 0..6 {
             pool.touch(p(0, i));
             pool.mark_dirty(p(0, i));
@@ -552,7 +594,7 @@ mod tests {
 
     #[test]
     fn evict_relation_frees_frames_for_reuse() {
-        let mut pool = BufferPool::new(4);
+        let mut pool = pool(4);
         pool.touch(p(1, 0));
         pool.touch(p(1, 1));
         pool.touch(p(2, 0));
@@ -570,7 +612,7 @@ mod tests {
 
     #[test]
     fn resident_of_counts_per_relation() {
-        let mut pool = BufferPool::new(4);
+        let mut pool = pool(4);
         pool.touch(p(1, 0));
         pool.touch(p(1, 1));
         pool.touch(p(2, 0));
@@ -581,13 +623,45 @@ mod tests {
 
     #[test]
     fn hit_ratio_computation() {
-        let mut pool = BufferPool::new(2);
+        let mut pool = pool(2);
         assert_eq!(pool.stats().hit_ratio(), 0.0);
         pool.touch(p(0, 0));
         pool.touch(p(0, 0));
         pool.touch(p(0, 0));
         pool.touch(p(0, 1));
         assert!((pool.stats().hit_ratio() - 0.5).abs() < 1e-12);
+    }
+
+    #[test]
+    fn arrays_are_sized_once_from_the_capacity_and_the_catalog() {
+        let mut pool = pool(300);
+        assert_eq!(pool.frames.capacity(), 0, "construction allocates nothing");
+        pool.touch(p(3, 5));
+        assert_eq!(pool.frames.capacity(), 300);
+        assert_eq!(pool.state.capacity(), 10);
+        // Relation 3's 200 pages need 4 blocks; only the first is filled.
+        assert_eq!((pool.state[3].len(), pool.state[3].capacity()), (1, 4));
+        for page in 0..200 {
+            pool.touch(p(3, page));
+        }
+        assert_eq!((pool.state[3].len(), pool.state[3].capacity()), (4, 4));
+        assert_eq!(pool.frames.capacity(), 300);
+        // Evicting the relation releases its blocks; the next touch
+        // reserves them again.
+        pool.evict_relation(RelationId(3));
+        assert_eq!(pool.state[3].capacity(), 0);
+        pool.touch(p(3, 150));
+        assert_eq!((pool.state[3].len(), pool.state[3].capacity()), (3, 4));
+    }
+
+    #[test]
+    fn pages_outside_the_catalog_are_still_cached() {
+        let mut pool = pool(4);
+        for page in [p(12, 0), p(2, 1_000), p(2, 0)] {
+            assert_eq!(pool.touch(page), Touch::Miss { evicted: None });
+            assert_eq!(pool.touch(page), Touch::Hit);
+        }
+        assert_eq!(pool.resident(), 3);
     }
 
     #[test]
@@ -601,7 +675,7 @@ mod tests {
     /// Touches `page` on a fresh pool, checks that the pool allocated
     /// nothing before panicking, and passes the panic on.
     fn touch_unindexable(page: GlobalPageId) {
-        let mut pool = BufferPool::new(4);
+        let mut pool = pool(4);
         let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| pool.touch(page)))
             .expect_err("an unindexable page must be rejected");
         assert!(pool.frames.is_empty() && pool.state.is_empty());
@@ -623,21 +697,21 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one frame")]
     fn zero_capacity_rejected() {
-        BufferPool::new(0);
+        BufferPool::new(0, Catalog::new());
     }
 
     #[test]
     #[should_panic(expected = "is not below")]
     fn capacity_2_pow_24_minus_1_rejected() {
         // Frame index 2^24 - 1 is the free list's end marker.
-        BufferPool::new((1 << 24) - 1);
+        BufferPool::new((1 << 24) - 1, Catalog::new());
     }
 
     #[test]
     fn with_capacity_bytes_rounds_down() {
-        let pool = BufferPool::with_capacity_bytes(crate::ids::PAGE_SIZE * 3 + 100);
+        let pool = BufferPool::with_capacity_bytes(crate::ids::PAGE_SIZE * 3 + 100, catalog());
         assert_eq!(pool.capacity(), 3);
         // Tiny budgets still get one frame.
-        assert_eq!(BufferPool::with_capacity_bytes(1).capacity(), 1);
+        assert_eq!(BufferPool::with_capacity_bytes(1, catalog()).capacity(), 1);
     }
 }

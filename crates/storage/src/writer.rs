@@ -110,6 +110,7 @@ impl BackgroundWriter {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::catalog::Catalog;
     use crate::ids::{GlobalPageId, RelationId};
 
     fn dirty_n(pool: &mut BufferPool, n: u32) {
@@ -124,7 +125,7 @@ mod tests {
     fn no_flush_before_first_period() {
         let mut w = BackgroundWriter::new(WriterConfig::default());
         let period = WriterConfig::default().period;
-        let mut pool = BufferPool::new(16);
+        let mut pool = BufferPool::new(16, Catalog::new());
         let mut disk = DiskModel::default();
         dirty_n(&mut pool, 4);
         let just_before = SimTime::from_micros(period.as_micros() - 1);
@@ -136,7 +137,7 @@ mod tests {
     fn flushes_all_dirty_on_round() {
         let mut w = BackgroundWriter::new(WriterConfig::default());
         let period = WriterConfig::default().period;
-        let mut pool = BufferPool::new(16);
+        let mut pool = BufferPool::new(16, Catalog::new());
         let mut disk = DiskModel::default();
         dirty_n(&mut pool, 4);
         assert_eq!(w.run_due(period, &mut pool, &mut disk), 4);
@@ -149,7 +150,7 @@ mod tests {
     fn coalesces_redirty_between_rounds() {
         let mut w = BackgroundWriter::new(WriterConfig::default());
         let period = WriterConfig::default().period;
-        let mut pool = BufferPool::new(16);
+        let mut pool = BufferPool::new(16, Catalog::new());
         let mut disk = DiskModel::default();
         // Dirty the same page many times before the round: one write.
         for _ in 0..10 {
@@ -167,7 +168,7 @@ mod tests {
             max_pages_per_round: 2,
         };
         let mut w = BackgroundWriter::new(cfg);
-        let mut pool = BufferPool::new(16);
+        let mut pool = BufferPool::new(16, Catalog::new());
         let mut disk = DiskModel::default();
         dirty_n(&mut pool, 5);
         assert_eq!(w.run_due(SimTime::from_secs(1), &mut pool, &mut disk), 2);
@@ -184,7 +185,7 @@ mod tests {
             max_pages_per_round: 1,
         };
         let mut w = BackgroundWriter::new(cfg);
-        let mut pool = BufferPool::new(16);
+        let mut pool = BufferPool::new(16, Catalog::new());
         let mut disk = DiskModel::default();
         dirty_n(&mut pool, 3);
         // Three periods elapsed at once: three rounds run.

@@ -2,7 +2,7 @@
 //! the pool's clock-sweep decisions must match bit for bit.
 
 use proptest::prelude::*;
-use tashkent_storage::{BufferPool, GlobalPageId, RelationId, Touch};
+use tashkent_storage::{BufferPool, Catalog, GlobalPageId, RelationId, Touch};
 
 /// A clock-sweep pool kept as simple as possible: a hashed page table over
 /// `Option<Frame>` slots. [`BufferPool`] stores the same state in packed
@@ -227,6 +227,20 @@ fn page(r: u32, p: u32) -> GlobalPageId {
     GlobalPageId::new(RelationId(r), p)
 }
 
+/// A catalog covering every page the strategies draw: relations 0 to 13,
+/// each of 200,000 pages.
+fn catalog() -> Catalog {
+    let mut c = Catalog::new();
+    for r in 0..14 {
+        c.add_table(&format!("t{r}"), 200_000, 2_000_000);
+    }
+    c
+}
+
+fn pool(capacity: usize) -> BufferPool {
+    BufferPool::new(capacity, catalog())
+}
+
 proptest! {
     /// The pool makes every decision the reference model makes: the same
     /// hit or victim (with its dirty flag), the same write-back batches in
@@ -234,7 +248,7 @@ proptest! {
     #[test]
     fn matches_reference_model(ops in proptest::collection::vec(model_op_strategy(), 1..600),
                                cap in 1usize..33) {
-        let mut pool = BufferPool::new(cap);
+        let mut pool = pool(cap);
         let mut model = reference::RefPool::new(cap);
         for op in ops {
             match op {
@@ -270,7 +284,7 @@ proptest! {
     #[test]
     fn pool_invariants_hold(ops in proptest::collection::vec(op_strategy(), 1..400),
                             cap in 1usize..32) {
-        let mut pool = BufferPool::new(cap);
+        let mut pool = pool(cap);
         let mut flushed_total = 0u64;
         for op in ops {
             match op {
@@ -288,7 +302,7 @@ proptest! {
     /// After touching a page it is resident, and touching it again is a hit.
     #[test]
     fn touch_installs_and_hits(r in 0u32..8, p in 0u32..1000, cap in 1usize..64) {
-        let mut pool = BufferPool::new(cap);
+        let mut pool = pool(cap);
         pool.touch(page(r, p));
         prop_assert!(pool.is_resident(page(r, p)));
         prop_assert_eq!(pool.touch(page(r, p)), Touch::Hit);
@@ -299,7 +313,7 @@ proptest! {
     #[test]
     fn accounting_balances(pages in proptest::collection::vec((0u32..2, 0u32..128), 1..300),
                            cap in 1usize..64) {
-        let mut pool = BufferPool::new(cap);
+        let mut pool = pool(cap);
         for (r, p) in &pages {
             pool.touch(page(*r, *p));
         }
@@ -312,7 +326,7 @@ proptest! {
     /// A working set no larger than capacity never evicts after warm-up.
     #[test]
     fn fitting_working_set_stops_missing(cap in 4usize..64) {
-        let mut pool = BufferPool::new(cap);
+        let mut pool = pool(cap);
         let ws: Vec<GlobalPageId> = (0..cap as u32).map(|p| page(0, p)).collect();
         // Two warm-up passes, then measure.
         for _ in 0..2 {
@@ -331,7 +345,7 @@ proptest! {
     /// (clock-sweep degrades like LRU on sequential floods).
     #[test]
     fn oversized_working_set_keeps_missing(cap in 4usize..32) {
-        let mut pool = BufferPool::new(cap);
+        let mut pool = pool(cap);
         let n = (cap * 2) as u32;
         for _ in 0..3 {
             for p in 0..n { pool.touch(page(0, p)); }
@@ -346,7 +360,7 @@ proptest! {
     /// pool clean when unbounded.
     #[test]
     fn collect_dirty_is_exact(dirt in proptest::collection::btree_set((0u32..4, 0u32..32), 0..40)) {
-        let mut pool = BufferPool::new(256);
+        let mut pool = pool(256);
         for (r, p) in &dirt {
             pool.touch(page(*r, *p));
             pool.mark_dirty(page(*r, *p));
@@ -361,7 +375,7 @@ proptest! {
     /// Evicting a relation removes exactly its pages.
     #[test]
     fn evict_relation_is_selective(pages in proptest::collection::btree_set((0u32..3, 0u32..32), 1..60)) {
-        let mut pool = BufferPool::new(256);
+        let mut pool = pool(256);
         for (r, p) in &pages {
             pool.touch(page(*r, *p));
         }

@@ -10,10 +10,23 @@
 //! JSONL trace's line count and 64-bit FNV-1a hash. A change meant to move
 //! results re-records the values here, so the re-baseline shows in the
 //! diff.
+//!
+//! Four longer fault runs pin the faults that hold back the certifier
+//! log's trim floor: a crash with checkpoint-lag recovery (detector off and
+//! on), a control-link partition, and a certifier group losing every
+//! member. They were recorded before the log was trimmed, so they show that
+//! trimming moves no result, and each must end with a trimmed log.
 
-use tashkent::cluster::{
-    registry, run_scenario, run_sweep, FaultKind, RunResult, ScenarioKnobs, CONTROL_NODE,
+use tashkent::cluster::detection::{
+    DEFAULT_CHECKPOINT_LAG, DEFAULT_CLIENT_TIMEOUT_US, DEFAULT_HEARTBEAT_US,
 };
+use tashkent::cluster::{
+    registry, run_scenario, run_sweep, Ev, Experiment, FaultKind, PolicySpec, RunResult,
+    ScenarioKnobs, World, CONTROL_NODE,
+};
+use tashkent::engine::Version;
+use tashkent::sim::SimTime;
+use tashkent::workloads::tpcw::{self, TpcwScale};
 
 /// The fields a run is judged by, exact to the bit. Floats are pinned by
 /// their bit patterns; each fault is `(at_us, injected_at_us, kind)`.
@@ -464,6 +477,230 @@ fn golden() -> Vec<(&'static str, Fingerprint)> {
     ]
 }
 
+/// Knobs of the pinned fault runs: `knobs()`'s four smoke-scale replicas,
+/// 5 s of warm-up and 265 s measured.
+///
+/// The cluster scans for the trim floor once per 1,024 commits, and these
+/// knobs commit about 15 versions a second, so the first scan falls at
+/// 91-97 s. Every fault therefore starts at 100 s, after a trim. The
+/// crashes and the partition last 70 s, so the second scan (159-166 s)
+/// falls while the fault holds the floor back; the certifier outage stops
+/// commits, and with them the scans, for its 30 s. The 270 s length
+/// carries every run past at least one more scan after its fault is over
+/// (197-267 s).
+fn fault_knobs() -> ScenarioKnobs {
+    ScenarioKnobs {
+        warmup_secs: 5,
+        measured_secs: 265,
+        ..knobs()
+    }
+}
+
+/// The fault runs that move the commit log's trim floor, each on full
+/// replication with one certifier group, in the order pinned below.
+fn fault_runs() -> Vec<(&'static str, Experiment)> {
+    let fault = SimTime::from_secs(100);
+    let base = |knobs: ScenarioKnobs| {
+        let (workload, mix) = tpcw::workload_with_mix(TpcwScale::Small, "ordering");
+        Experiment::new(knobs.config(PolicySpec::malb_sc()), workload, mix)
+            .with_window(knobs.warmup_secs, knobs.measured_secs)
+    };
+    let lagged = fault_knobs().with_checkpoint_lag(Some(DEFAULT_CHECKPOINT_LAG));
+    let detected = |knobs: ScenarioKnobs| {
+        knobs
+            .with_heartbeat(Some(DEFAULT_HEARTBEAT_US))
+            .with_client_timeout(Some(DEFAULT_CLIENT_TIMEOUT_US))
+    };
+    let crash = |exp: Experiment| {
+        exp.with_injection(fault, Ev::ReplicaCrash { replica: 3 })
+            .with_injection(SimTime::from_secs(170), Ev::ReplicaRecover { replica: 3 })
+    };
+    let mut outage = base(fault_knobs());
+    for member in 0..3 {
+        outage = outage.with_injection(fault, Ev::CertifierKill { group: 0, member });
+    }
+    vec![
+        ("crash-lagged", crash(base(lagged.clone()))),
+        ("crash-lagged-detected", crash(base(detected(lagged)))),
+        (
+            "control-partition",
+            base(detected(fault_knobs())).with_injection(
+                fault,
+                Ev::LinkPartition {
+                    a: CONTROL_NODE,
+                    b: 3,
+                    heal_at: SimTime::from_secs(170),
+                },
+            ),
+        ),
+        (
+            "certifier-outage",
+            outage.with_injection(
+                SimTime::from_secs(130),
+                Ev::CertifierRestart {
+                    group: 0,
+                    member: 0,
+                },
+            ),
+        ),
+    ]
+}
+
+/// Runs a one-phase experiment as `run` does, keeping the world so the
+/// test can read its commit log.
+fn run_keeping_world(exp: Experiment) -> (RunResult, World) {
+    let end = SimTime::from_secs(exp.total_secs());
+    let mut world = World::new(exp.config, exp.workload, vec![exp.phases[0].1.clone()]);
+    world.prime();
+    world.schedule(SimTime::from_secs(exp.warmup_secs), Ev::EndWarmup);
+    world.schedule(end, Ev::End);
+    for (at, ev) in exp.injections {
+        world.schedule(at, ev);
+    }
+    world.run_to_end().expect("End event scheduled");
+    (world.finish_result(), world)
+}
+
+/// The recorded fingerprint of every run of [`fault_runs`], in order.
+fn fault_golden() -> Vec<(&'static str, Fingerprint)> {
+    vec![
+        (
+            "crash-lagged",
+            Fingerprint {
+                committed: 7295,
+                updates: 3586,
+                aborts: 1,
+                retries_exhausted: 0,
+                read_kb_per_txn: 0x404793a25f8598e6,
+                write_kb_per_txn: 0x404ff74c0ba69590,
+                mean_response_us: 139104,
+                completions: 7295,
+                faults: vec![
+                    (100000000, 100000000, FaultKind::ReplicaCrash(3)),
+                    (170000000, 170000000, FaultKind::ReplicaRecover(3)),
+                ],
+                propagated_ws_bytes: 2786082,
+                filtered_ws_bytes: 0,
+                migration_bytes: 0,
+                cert_group_commits: vec![],
+                redo_bytes: 281742,
+                redo_us: 5746720,
+            },
+        ),
+        (
+            "crash-lagged-detected",
+            Fingerprint {
+                committed: 7105,
+                updates: 3510,
+                aborts: 0,
+                retries_exhausted: 0,
+                read_kb_per_txn: 0x40470bdaac0306cf,
+                write_kb_per_txn: 0x40506c8677b1e287,
+                mean_response_us: 148574,
+                completions: 7105,
+                faults: vec![
+                    (100000000, 100000000, FaultKind::ReplicaCrash(3)),
+                    (100500300, 100000000, FaultKind::ReplicaSuspected(3)),
+                    (102000300, 100000000, FaultKind::ReplicaDead(3)),
+                    (170000000, 170000000, FaultKind::ReplicaRecover(3)),
+                    (176000300, 100000000, FaultKind::ReplicaTrusted(3)),
+                ],
+                propagated_ws_bytes: 2779562,
+                filtered_ws_bytes: 0,
+                migration_bytes: 0,
+                cert_group_commits: vec![],
+                redo_bytes: 283138,
+                redo_us: 5901600,
+            },
+        ),
+        (
+            "control-partition",
+            Fingerprint {
+                committed: 7361,
+                updates: 3651,
+                aborts: 0,
+                retries_exhausted: 0,
+                read_kb_per_txn: 0x40456d722d00a929,
+                write_kb_per_txn: 0x404ff7ee78d18081,
+                mean_response_us: 131816,
+                completions: 7361,
+                faults: vec![
+                    (
+                        100000000,
+                        100000000,
+                        FaultKind::Partition {
+                            a: 3,
+                            b: CONTROL_NODE,
+                        },
+                    ),
+                    (100500300, 100000000, FaultKind::ReplicaSuspected(3)),
+                    (102000300, 100000000, FaultKind::ReplicaDead(3)),
+                    (
+                        170000000,
+                        170000000,
+                        FaultKind::PartitionHealed {
+                            a: 3,
+                            b: CONTROL_NODE,
+                        },
+                    ),
+                    (170000300, 100000000, FaultKind::ReplicaTrusted(3)),
+                ],
+                propagated_ws_bytes: 2872888,
+                filtered_ws_bytes: 0,
+                migration_bytes: 0,
+                cert_group_commits: vec![],
+                redo_bytes: 0,
+                redo_us: 0,
+            },
+        ),
+        (
+            "certifier-outage",
+            Fingerprint {
+                committed: 6221,
+                updates: 3084,
+                aborts: 0,
+                retries_exhausted: 0,
+                read_kb_per_txn: 0x405795956b47cef3,
+                write_kb_per_txn: 0x4051e20ac8136c5a,
+                mean_response_us: 212325,
+                completions: 6221,
+                faults: vec![
+                    (
+                        100000000,
+                        100000000,
+                        FaultKind::CertifierFailover {
+                            group: 0,
+                            leader: 1,
+                        },
+                    ),
+                    (
+                        100000000,
+                        100000000,
+                        FaultKind::CertifierFailover {
+                            group: 0,
+                            leader: 2,
+                        },
+                    ),
+                    (
+                        130000000,
+                        130000000,
+                        FaultKind::CertifierFailover {
+                            group: 0,
+                            leader: 0,
+                        },
+                    ),
+                ],
+                propagated_ws_bytes: 2406344,
+                filtered_ws_bytes: 0,
+                migration_bytes: 0,
+                cert_group_commits: vec![],
+                redo_bytes: 0,
+                redo_us: 0,
+            },
+        ),
+    ]
+}
+
 #[test]
 fn registered_scenarios_reproduce_their_recorded_results() {
     let golden = golden();
@@ -494,4 +731,21 @@ fn failover_trace_reproduces_its_recorded_bytes() {
         (34_516, 0x449b_0dfd_bece_f46a),
         "failover trace moved"
     );
+}
+
+#[test]
+fn fault_runs_reproduce_their_recorded_results_on_a_trimmed_log() {
+    let golden = fault_golden();
+    let runs = fault_runs();
+    let names: Vec<&str> = runs.iter().map(|(name, _)| *name).collect();
+    let pinned: Vec<&str> = golden.iter().map(|(name, _)| *name).collect();
+    assert_eq!(names, pinned, "every fault run is pinned");
+    for ((name, want), (_, exp)) in golden.iter().zip(runs) {
+        let (got, world) = run_keeping_world(exp);
+        assert_eq!(&Fingerprint::of(&got), want, "{name}: result moved");
+        assert!(
+            world.certifier().log().base() > Version(0),
+            "{name}: the commit log was never trimmed"
+        );
+    }
 }
