@@ -57,7 +57,7 @@ fn main() {
     println!("paper: shopping plateau 76 tps, browsing plateau 45 tps,");
     println!("       static-config browsing 19 tps < LeastConnections browsing 37 tps");
     println!("\n  time series (30 s buckets, tps):");
-    let ts = dynamic.timeseries(30.0);
+    let ts = dynamic.timeseries(30);
     let mut csv = String::from("t_s,tps\n");
     for (t, tps) in &ts {
         let bar = "#".repeat((tps / 4.0).round() as usize);
@@ -69,10 +69,10 @@ fn main() {
     // Plateau summary: mean tps in the middle of each phase.
     let w = warmup as f64;
     let p = phase as f64;
-    let shop1 = dynamic.plateau(30.0, w + p * 0.3, w + p);
-    let browse = dynamic.plateau(30.0, w + p * 1.3, w + 2.0 * p);
-    let shop2 = dynamic.plateau(30.0, w + p * 2.3, w + 3.0 * p);
-    let frozen_browse = frozen.plateau(30.0, w + p * 1.3, w + 2.0 * p);
+    let shop1 = dynamic.plateau(30, w + p * 0.3, w + p);
+    let browse = dynamic.plateau(30, w + p * 1.3, w + 2.0 * p);
+    let shop2 = dynamic.plateau(30, w + p * 2.3, w + 3.0 * p);
+    let frozen_browse = frozen.plateau(30, w + p * 1.3, w + 2.0 * p);
 
     println!("\n  plateaus (ours):");
     println!(

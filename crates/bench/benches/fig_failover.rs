@@ -70,7 +70,7 @@ fn main() {
     }
 
     println!("\n  time series (10 s buckets, tps):");
-    let ts = result.timeseries(10.0);
+    let ts = result.timeseries(10);
     let mut csv = String::from("t_s,tps\n");
     for (t, tps) in &ts {
         let mark = if (*t..*t + 10.0).contains(&(sched.crash_at_secs as f64)) {
@@ -92,14 +92,10 @@ fn main() {
     // the post-recovery tail (leaving a settle bucket after recovery).
     let warmup = knobs.warmup_secs as f64;
     let end = (knobs.warmup_secs + knobs.measured_secs) as f64;
-    let pre = result.plateau(10.0, warmup, sched.crash_at_secs as f64);
-    let outage = result.plateau(
-        10.0,
-        sched.crash_at_secs as f64,
-        sched.recover_at_secs as f64,
-    );
+    let pre = result.plateau(10, warmup, sched.crash_at_secs as f64);
+    let outage = result.plateau(10, sched.crash_at_secs as f64, sched.recover_at_secs as f64);
     let post_from = sched.recover_at_secs as f64 + 10.0;
-    let post = result.plateau(10.0, post_from, end);
+    let post = result.plateau(10, post_from, end);
     let rows = [
         Row {
             label: "pre-crash steady state".into(),

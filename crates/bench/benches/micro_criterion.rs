@@ -1,13 +1,13 @@
 //! Criterion microbenchmarks for the core algorithmic components: bin
 //! packing, buffer-pool touches and fills, certification, the commit log's
-//! append and trim, dispatch decisions, and the partial-replication and
-//! certifier-group set-up.
+//! append and trim, completion accounting, dispatch decisions, and the
+//! partial-replication and certifier-group set-up.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use tashkent_certifier::CommitLog;
 use tashkent_cluster::{
-    BalancerCtl, ClusterConfig, PartialReplication, PolicySpec, ReplicationPlanner, Scenario,
-    ScenarioKnobs, TypeGroups,
+    BalancerCtl, ClusterConfig, Metrics, PartialReplication, PolicySpec, ReplicationPlanner,
+    Scenario, ScenarioKnobs, TypeGroups,
 };
 use tashkent_core::{pack_groups, EstimationMode, Lard, LardConfig, PageTable, WorkingSet};
 use tashkent_engine::{Snapshot, TxnId, TxnTypeId, Version, Writeset, WritesetItem};
@@ -232,6 +232,26 @@ fn bench_commit_log(c: &mut Criterion) {
     });
 }
 
+fn bench_metrics(c: &mut Criterion) {
+    // ordering-malb-uf's 62,758 completions at seed 401, spread evenly over
+    // its 300 s window after 150 s of warm-up, then the run's result and
+    // Fig 6's 30 s buckets.
+    const COMPLETIONS: u64 = 62_758;
+    let start = SimTime::from_secs(150);
+    c.bench_function("metrics_record_completions", |b| {
+        b.iter(|| {
+            let mut m = Metrics::new();
+            m.start_window(start, 0, 0);
+            for i in 0..COMPLETIONS {
+                let now = start + i * 300_000_000 / COMPLETIONS;
+                m.record_completion_typed(now, start, i % 2 == 0, (i % 14) as u32);
+            }
+            m.finish(SimTime::from_secs(450), 0, 0, Vec::new())
+                .timeseries(30)
+        })
+    });
+}
+
 fn bench_dispatch(c: &mut Criterion) {
     c.bench_function("lard_dispatch", |b| {
         let mut lard = Lard::new(16, LardConfig::default());
@@ -306,6 +326,6 @@ fn bench_placement(c: &mut Criterion) {
 criterion_group!(
     name = micro;
     config = Criterion::default().sample_size(20).warm_up_time(std::time::Duration::from_millis(300)).measurement_time(std::time::Duration::from_secs(1));
-    targets = bench_packing, bench_buffer_pool, bench_certifier, bench_commit_log, bench_dispatch, bench_estimation, bench_placement
+    targets = bench_packing, bench_buffer_pool, bench_certifier, bench_commit_log, bench_metrics, bench_dispatch, bench_estimation, bench_placement
 );
 criterion_main!(micro);

@@ -1,7 +1,7 @@
 //! Certification and the global commit log.
 
 use tashkent_engine::{Version, Writeset};
-use tashkent_sim::SimTime;
+use tashkent_sim::{fnv1a_fold, SimTime, FNV1A_BASIS};
 
 use crate::log::CommitLog;
 use crate::map::{group_bits, CertMap};
@@ -71,6 +71,19 @@ pub struct Answer {
     pub arrived: SimTime,
 }
 
+/// One certifier group's commit accounting, updated at each commit. A
+/// cross-group commit counts in every group it touches.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct GroupCommits {
+    /// Versions the group took.
+    pub commits: u64,
+    /// The last version the group took (`Version(0)` before its first).
+    pub last: Version,
+    /// 64-bit FNV-1a fold ([`fnv1a_fold`]) of the versions the group took,
+    /// in commit order.
+    pub digest: u64,
+}
+
 /// One certifier group's serial check queue.
 #[derive(Debug, Clone, Copy, Default)]
 struct GroupQueue {
@@ -94,8 +107,7 @@ struct GroupQueue {
 /// floor its owner passes to [`Certifier::trim`]: the oldest position a
 /// replica, a snapshot or a pending request can still ask for. The cluster
 /// keeps the floor at 0 under partial placement, whose backfills replay
-/// from version 0, and with several groups, whose
-/// [`Certifier::group_commits`] walks the whole log when the run ends.
+/// from version 0.
 ///
 /// Every relation belongs to exactly one group ([`CertMap`]). A writeset
 /// touching one group queues only behind that group's checks. One touching
@@ -105,8 +117,9 @@ struct GroupQueue {
 /// takes one global version for every touched group. Each item has one
 /// owner, so the votes' OR is the one scan of the log suffix. A commit is
 /// durable at the end of the group-commit window its check or decide fell
-/// into, plus the log write. [`Certifier::new`] is the paper's deployment:
-/// one group.
+/// into, plus the log write. With several groups, each keeps its
+/// [`GroupCommits`], updated at commit ([`Certifier::group_commits`]).
+/// [`Certifier::new`] is the paper's deployment: one group.
 ///
 /// # Examples
 ///
@@ -133,6 +146,8 @@ pub struct Certifier {
     stats: CertifierStats,
     map: CertMap,
     queues: Vec<GroupQueue>,
+    /// Per-group commit accounting; empty with one group.
+    commits: Vec<GroupCommits>,
     /// One-way LAN latency, µs, paid twice by a cross-group decide.
     lan_hop_us: u64,
 }
@@ -152,11 +167,18 @@ impl Certifier {
     /// Creates a certifier with one group per group of `map`, whose
     /// cross-group rounds pay `lan_hop_us` per hop.
     pub fn grouped(params: CertifierParams, map: CertMap, lan_hop_us: u64) -> Self {
+        let groups = map.group_count();
+        let none = GroupCommits {
+            commits: 0,
+            last: Version::ZERO,
+            digest: FNV1A_BASIS,
+        };
         Certifier {
             params,
             log: CommitLog::default(),
             stats: CertifierStats::default(),
-            queues: vec![GroupQueue::default(); map.group_count()],
+            queues: vec![GroupQueue::default(); groups],
+            commits: vec![none; if groups > 1 { groups } else { 0 }],
             map,
             lan_hop_us,
         }
@@ -246,6 +268,14 @@ impl Certifier {
         } else {
             let version = self.log.append(&ws.items);
             self.stats.committed += 1;
+            // A no-op with one group, which keeps no accounting.
+            for g in group_bits(groups) {
+                if let Some(c) = self.commits.get_mut(g) {
+                    c.commits += 1;
+                    c.last = version;
+                    c.digest = fnv1a_fold(c.digest, version.0);
+                }
+            }
             self.stats.log_bytes += ws.bytes();
             // Group commit: the log write completes at the end of the
             // window the decision fell into, plus the write itself.
@@ -268,26 +298,10 @@ impl Certifier {
         self.version().0.saturating_sub(applied.0)
     }
 
-    /// Each group's commit versions, ascending: the versions whose
-    /// writesets touch the group, so a cross-group commit is in every
-    /// touched group's list. Empty with one group, whose only list would be
-    /// every version.
-    ///
-    /// # Panics
-    ///
-    /// Panics with several groups once the log has been trimmed: the walk
-    /// starts at version 0.
-    pub fn group_commits(&self) -> Vec<Vec<u64>> {
-        if self.queues.len() == 1 {
-            return Vec::new();
-        }
-        let mut commits = vec![Vec::new(); self.queues.len()];
-        for (version, items) in self.log.since(Version(0)) {
-            for g in group_bits(self.map.mask_for(items)) {
-                commits[g].push(version.0);
-            }
-        }
-        commits
+    /// Each group's commit accounting, indexed by group. Empty with one
+    /// group, whose accounting would be the log head's.
+    pub fn group_commits(&self) -> &[GroupCommits] {
+        &self.commits
     }
 }
 

@@ -30,7 +30,9 @@ pub mod log;
 pub mod map;
 pub mod propagation;
 
-pub use certifier::{Answer, Certifier, CertifierParams, CertifierStats, CertifyOutcome};
+pub use certifier::{
+    Answer, Certifier, CertifierParams, CertifierStats, CertifyOutcome, GroupCommits,
+};
 pub use group::{CertifierGroup, GroupEvent};
 pub use log::{CommitLog, Entries, LogView};
 pub use map::{CertMap, MAX_CERT_GROUPS};

@@ -3,7 +3,9 @@
 use std::collections::HashMap;
 
 use proptest::prelude::*;
-use tashkent_certifier::{Answer, CertMap, Certifier, CertifierParams, CertifyOutcome};
+use tashkent_certifier::{
+    Answer, CertMap, Certifier, CertifierParams, CertifyOutcome, GroupCommits,
+};
 use tashkent_engine::{Snapshot, TxnId, TxnTypeId, Version, Writeset, WritesetItem};
 use tashkent_sim::SimTime;
 use tashkent_storage::{RelationId, RelationSet};
@@ -26,7 +28,8 @@ fn ws(txn: u64, snap: u64, items: &[(u32, u64)]) -> Writeset {
 /// its own serial check queue; a writeset touching several groups is
 /// decided once its slowest check is done plus two LAN hops. Kept as the
 /// reference model [`Certifier`] must match exactly — outcome, version and
-/// reply time — on every history.
+/// reply time — on every history, and each group's commit accounting
+/// against the group's full version list.
 struct IndexCertifier {
     params: CertifierParams,
     lan_hop_us: u64,
@@ -34,6 +37,9 @@ struct IndexCertifier {
     last_writer: HashMap<WritesetItem, u64>,
     /// Completion horizon of each group's checks.
     busy_until: Vec<SimTime>,
+    /// Each group's commit versions, in commit order: a commit is in the
+    /// list of every group its writeset touches.
+    versions: Vec<Vec<u64>>,
 }
 
 impl IndexCertifier {
@@ -44,6 +50,7 @@ impl IndexCertifier {
             head: 0,
             last_writer: HashMap::new(),
             busy_until: vec![SimTime::ZERO; groups],
+            versions: vec![Vec::new(); groups],
         }
     }
 
@@ -90,12 +97,30 @@ impl IndexCertifier {
         for item in &ws.items {
             self.last_writer.insert(*item, self.head);
         }
+        for &g in &touched {
+            self.versions[g].push(self.head);
+        }
         let w = self.params.group_window_us.max(1);
         let boundary = decided.as_micros().div_ceil(w) * w;
         answer(
             Some(Version(self.head)),
             SimTime::from_micros(boundary + self.params.log_write_us),
         )
+    }
+}
+
+/// The accounting of one group's version list: its length, its last entry
+/// and the 64-bit FNV-1a fold of every entry's 8 little-endian bytes.
+fn accounting_of(list: &[u64]) -> GroupCommits {
+    let digest = list.iter().fold(0xcbf2_9ce4_8422_2325_u64, |h, v| {
+        v.to_le_bytes()
+            .iter()
+            .fold(h, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3))
+    });
+    GroupCommits {
+        commits: list.len() as u64,
+        last: Version(list.last().copied().unwrap_or(0)),
+        digest,
     }
 }
 
@@ -108,7 +133,10 @@ proptest! {
     /// hops. Between requests the log is trimmed at random floors no higher
     /// than the oldest snapshot still to be certified, as the cluster trims
     /// it; the trims change no answer. The log holds exactly the committed
-    /// writesets' items above its base.
+    /// writesets' items above its base. With several groups, each group's
+    /// commit count, last version and FNV-1a digest are those of the
+    /// reference's version list for it; the lists are strictly ascending
+    /// and together cover `1..=head`, so no commit is missing from a group.
     #[test]
     fn matches_reference_model(
         rels in 1u32..5,
@@ -176,6 +204,23 @@ proptest! {
             .map(|(_, items)| items.to_vec())
             .collect();
         prop_assert_eq!(&logged[..], &committed[base.0 as usize..]);
+        let mut covered: Vec<u64> = Vec::new();
+        for (g, list) in reference.versions.iter().enumerate() {
+            prop_assert!(
+                list.windows(2).all(|w| w[0] < w[1]),
+                "group {} list is not strictly ascending", g
+            );
+            covered.extend_from_slice(list);
+        }
+        covered.sort_unstable();
+        covered.dedup();
+        prop_assert_eq!(covered, (1..=reference.head).collect::<Vec<u64>>());
+        let expected: Vec<GroupCommits> = if groups == 1 {
+            Vec::new()
+        } else {
+            reference.versions.iter().map(|list| accounting_of(list)).collect()
+        };
+        prop_assert_eq!(cert.group_commits(), &expected[..]);
     }
 
     /// Commit versions are dense and strictly increasing, regardless of the

@@ -119,7 +119,7 @@ pub fn run(exp: Experiment) -> Result<RunResult, RunError> {
     }
     world.run_to_end()?;
     world.export_traces().expect("trace export failed");
-    Ok(world.into_result())
+    Ok(world.finish_result())
 }
 
 /// Runs independent experiments on the host's cores and returns their

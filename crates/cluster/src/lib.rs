@@ -52,7 +52,7 @@ pub use experiment::{
     DynamicReconfig, Experiment, Failover, FailoverSchedule, RubisAuctionMix, Scenario,
     ScenarioKnobs, TpcwSteadyState,
 };
-pub use metrics::{FaultEvent, FaultKind, GroupSnapshot, Metrics, RunResult};
+pub use metrics::{Completions, FaultEvent, FaultKind, GroupSnapshot, Metrics, RunResult};
 pub use partial::PartialReplication;
 pub use placement::{PlacementMap, RelationGroup, ReplicationPlanner, TypeGroups, WS_TICK_BYTES};
 pub use rebalance::Rebalance;

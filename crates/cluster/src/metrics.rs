@@ -1,6 +1,7 @@
 //! Run metrics: throughput, response times, disk I/O per transaction.
 
-use tashkent_sim::{Histogram, OnlineStats, SimTime};
+use tashkent_certifier::GroupCommits;
+use tashkent_sim::{fnv1a_fold, Histogram, OnlineStats, SimTime, FNV1A_BASIS};
 
 use crate::trace::TraceSummary;
 
@@ -132,6 +133,51 @@ impl FaultEvent {
     }
 }
 
+/// The completions of a measurement window: how many fell in each whole
+/// second since the window opened (what [`RunResult::timeseries`] reads),
+/// their count, and a digest of their exact timestamps. Equality compares
+/// all three, so two runs' completions are equal exactly when their
+/// timestamps are, short of a 64-bit hash collision.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Completions {
+    per_sec: Vec<u64>,
+    count: u64,
+    /// 64-bit FNV-1a fold ([`fnv1a_fold`]) of each completion's timestamp
+    /// in µs, in record order.
+    digest: u64,
+}
+
+impl Completions {
+    fn new() -> Self {
+        Completions {
+            per_sec: Vec::new(),
+            count: 0,
+            digest: FNV1A_BASIS,
+        }
+    }
+
+    /// Records a completion at `now` in the window opened at `window_start`.
+    fn record(&mut self, window_start: SimTime, now: SimTime) {
+        let sec = (now.saturating_since(window_start) / 1_000_000) as usize;
+        if self.per_sec.len() <= sec {
+            self.per_sec.resize(sec + 1, 0);
+        }
+        self.per_sec[sec] += 1;
+        self.count += 1;
+        self.digest = fnv1a_fold(self.digest, now.as_micros());
+    }
+
+    /// Completions recorded.
+    pub fn len(&self) -> usize {
+        self.count as usize
+    }
+
+    /// Whether none were recorded.
+    pub fn is_empty(&self) -> bool {
+        self.count == 0
+    }
+}
+
 /// Live accounting during a run.
 #[derive(Debug, Clone)]
 pub struct Metrics {
@@ -145,8 +191,8 @@ pub struct Metrics {
     /// Response-histogram bounds, kept so window resets preserve them.
     hist_bucket_s: f64,
     hist_buckets: usize,
-    /// Completion timestamps (for time-series output).
-    completions: Vec<SimTime>,
+    /// Completions in the window, per second (for time-series output).
+    completions: Completions,
     /// Per-transaction-type response statistics, indexed by type id.
     per_type: Vec<OnlineStats>,
     /// Per-transaction-type certification-abort counts, indexed by type id.
@@ -186,7 +232,7 @@ impl Metrics {
             resp_hist: Histogram::new(bucket_s, buckets),
             hist_bucket_s: bucket_s,
             hist_buckets: buckets,
-            completions: Vec::new(),
+            completions: Completions::new(),
             per_type: Vec::new(),
             per_type_aborts: Vec::new(),
             read_bytes0: 0,
@@ -254,7 +300,7 @@ impl Metrics {
         let resp_s = (now.saturating_since(started)) as f64 / 1e6;
         self.resp.observe(resp_s);
         self.resp_hist.observe(resp_s);
-        self.completions.push(now);
+        self.completions.record(self.window_start, now);
         let idx = txn_type as usize;
         if self.per_type.len() <= idx {
             self.per_type.resize_with(idx + 1, OnlineStats::new);
@@ -286,11 +332,6 @@ impl Metrics {
     /// Aborts so far.
     pub fn aborts(&self) -> u64 {
         self.aborts
-    }
-
-    /// Moves the completion timestamps out, leaving none behind.
-    pub(crate) fn take_completions(&mut self) -> Vec<SimTime> {
-        std::mem::take(&mut self.completions)
     }
 
     /// Finalizes the run into a [`RunResult`].
@@ -384,8 +425,9 @@ pub struct RunResult {
     pub window_s: f64,
     /// Window start (for time-series bucketing).
     pub window_start: SimTime,
-    /// Completion timestamps within the window.
-    pub completions: Vec<SimTime>,
+    /// Completions within the window: per-second counts from the window
+    /// start, their number and a digest of their timestamps.
+    pub completions: Completions,
     /// Final MALB groupings (empty for other policies).
     pub assignments: Vec<GroupSnapshot>,
     /// Mean CPU utilization across replicas over the window (filled by
@@ -429,13 +471,14 @@ pub struct RunResult {
     /// determinism fingerprints — the trace *bytes* have their own,
     /// stricter, equality test axis.
     pub trace_summary: Option<TraceSummary>,
-    /// Per-certifier-group global commit versions, ascending: the versions
-    /// whose writesets touch each group, derived from the commit log when
-    /// the run finishes (empty with one group, whose only list would be
-    /// every version). Part of the observable result: the determinism
-    /// fingerprint includes each group's list, so a run that reordered or
-    /// split a cross-group commit would be caught.
-    pub cert_group_commits: Vec<Vec<u64>>,
+    /// Per-certifier-group commit accounting, indexed by group: how many
+    /// global versions touched the group, the last of them and a digest of
+    /// them in order, kept by the certifier as it commits (empty with one
+    /// group, whose accounting would be the log head's). Part of the
+    /// observable result: the determinism fingerprint includes every
+    /// group's, so a run that reordered or split a cross-group commit would
+    /// be caught.
+    pub cert_group_commits: Vec<GroupCommits>,
     /// Injected faults as they took effect, in order, over the whole run
     /// (crashes, recoveries, certifier failovers).
     pub faults: Vec<FaultEvent>,
@@ -463,19 +506,28 @@ pub struct LbSummary {
 }
 
 impl RunResult {
-    /// Buckets completions into `bucket_s`-second intervals and returns
-    /// `(bucket_start_s, tps)` pairs — the Figure 6 time series.
-    pub fn timeseries(&self, bucket_s: f64) -> Vec<(f64, f64)> {
+    /// Buckets completions into `bucket_secs`-second intervals and returns
+    /// `(bucket_start_s, tps)` pairs — the Figure 6 time series. The window
+    /// splits into `ceil(window_s / bucket_secs)` buckets, at least one;
+    /// completions at or past the last bucket's end count in the last.
+    ///
+    /// Each bucket sums the per-second bins counted from the window start.
+    /// Every experiment opens its window on a whole second (`EndWarmup` is
+    /// scheduled with `SimTime::from_secs`), where that equals dividing each
+    /// completion's time in seconds by the bucket width; in a window opened
+    /// mid-second the float division could differ at a bucket edge.
+    pub fn timeseries(&self, bucket_secs: u64) -> Vec<(f64, f64)> {
         if self.completions.is_empty() {
             return Vec::new();
         }
+        let bucket_s = bucket_secs as f64;
         let start = self.window_start.as_secs_f64();
         let end = start + self.window_s;
         let nbuckets = ((end - start) / bucket_s).ceil() as usize;
         let mut counts = vec![0u64; nbuckets.max(1)];
-        for t in &self.completions {
-            let idx = (((t.as_secs_f64() - start) / bucket_s) as usize).min(counts.len() - 1);
-            counts[idx] += 1;
+        for (sec, n) in self.completions.per_sec.iter().enumerate() {
+            let idx = (sec / bucket_secs as usize).min(counts.len() - 1);
+            counts[idx] += n;
         }
         counts
             .iter()
@@ -484,13 +536,13 @@ impl RunResult {
             .collect()
     }
 
-    /// Mean throughput over the `bucket_s`-second buckets starting in
+    /// Mean throughput over the `bucket_secs`-second buckets starting in
     /// `[from_s, to_s)` — the plateau readings the failover/reconfiguration
     /// figures and tests compare. Returns 0 when no bucket starts in the
     /// window.
-    pub fn plateau(&self, bucket_s: f64, from_s: f64, to_s: f64) -> f64 {
+    pub fn plateau(&self, bucket_secs: u64, from_s: f64, to_s: f64) -> f64 {
         let vals: Vec<f64> = self
-            .timeseries(bucket_s)
+            .timeseries(bucket_secs)
             .into_iter()
             .filter(|(t, _)| *t >= from_s && *t < to_s)
             .map(|(_, tps)| tps)
@@ -610,7 +662,7 @@ mod tests {
             m.record_completion(SimTime::from_secs(i), SimTime::ZERO, false);
         }
         let r = m.finish(SimTime::from_secs(60), 0, 0, Vec::new());
-        let ts = r.timeseries(30.0);
+        let ts = r.timeseries(30);
         assert_eq!(ts.len(), 2);
         assert!((ts[0].1 - 1.0).abs() < 1e-9, "first bucket {:?}", ts[0]);
         assert_eq!(ts[1].1, 0.0);
@@ -628,9 +680,9 @@ mod tests {
             m.record_completion(SimTime::from_millis(10_000 + i * 250), SimTime::ZERO, false);
         }
         let r = m.finish(SimTime::from_secs(20), 0, 0, Vec::new());
-        assert!((r.plateau(5.0, 0.0, 10.0) - 2.0).abs() < 1e-9);
-        assert!((r.plateau(5.0, 10.0, 20.0) - 4.0).abs() < 1e-9);
-        assert_eq!(r.plateau(5.0, 50.0, 60.0), 0.0, "empty window is 0");
+        assert!((r.plateau(5, 0.0, 10.0) - 2.0).abs() < 1e-9);
+        assert!((r.plateau(5, 10.0, 20.0) - 4.0).abs() < 1e-9);
+        assert_eq!(r.plateau(5, 50.0, 60.0), 0.0, "empty window is 0");
     }
 
     #[test]
@@ -670,7 +722,7 @@ mod tests {
         let r = m.finish(SimTime::from_secs(1), 100, 100, Vec::new());
         assert_eq!(r.tps, 0.0);
         assert_eq!(r.read_kb_per_txn, 0.0);
-        assert!(r.timeseries(10.0).is_empty());
+        assert!(r.timeseries(10).is_empty());
         assert_eq!(r.abort_fraction(), 0.0);
     }
 }

@@ -437,7 +437,7 @@ impl ClusterState {
         let (sent, saved) = self.certifier.propagation_bytes();
         result.propagated_ws_bytes = sent.saturating_sub(self.prop0.0);
         result.filtered_ws_bytes = saved.saturating_sub(self.prop0.1);
-        result.cert_group_commits = self.certifier().group_commits();
+        result.cert_group_commits = self.certifier().group_commits().to_vec();
         result.migration_bytes = self.migration_bytes;
         result.migration_us = self.migration_us;
         result.redo_bytes = self.redo_bytes;
@@ -644,11 +644,9 @@ impl ClusterState {
     ///   [`Ev::CertifySend`] still queued (it outlives its executor, and a
     ///   crash may drop its meta) or a request parked in queue-and-wait;
     /// * version 0 under partial placement, whose backfills replay from
-    ///   there, and with several certifier groups, whose
-    ///   [`Certifier::group_commits`] walks the whole log when the run
-    ///   ends.
+    ///   there.
     fn log_floor(&self, queue: &EventQueue<Ev>) -> Version {
-        if self.config.placement != PlacementSpec::Full || self.config.cert_groups > 1 {
+        if self.config.placement != PlacementSpec::Full {
             return Version::ZERO;
         }
         let k = self.config.checkpoint_lag;

@@ -156,15 +156,6 @@ impl World {
         self.state.finish_result(self.now())
     }
 
-    /// Finalizes the run as [`World::finish_result`] does, moving the
-    /// completion timestamps into the result rather than copying them.
-    pub(crate) fn into_result(mut self) -> RunResult {
-        let completions = self.state.metrics.take_completions();
-        let mut result = self.finish_result();
-        result.completions = completions;
-        result
-    }
-
     /// Current group → replica assignments with type names resolved.
     pub fn group_snapshots(&self) -> Vec<GroupSnapshot> {
         self.state.group_snapshots()

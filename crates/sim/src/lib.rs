@@ -19,5 +19,5 @@ pub mod time;
 pub use ewma::Ewma;
 pub use queue::EventQueue;
 pub use rng::SimRng;
-pub use stats::{Histogram, OnlineStats};
+pub use stats::{fnv1a_fold, Histogram, OnlineStats, FNV1A_BASIS};
 pub use time::SimTime;

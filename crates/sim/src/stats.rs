@@ -150,6 +150,18 @@ impl Histogram {
     }
 }
 
+/// The 64-bit FNV-1a offset basis: the digest of an empty sequence.
+pub const FNV1A_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Folds `value`'s 8 little-endian bytes into the 64-bit FNV-1a digest
+/// `hash`, which starts at [`FNV1A_BASIS`]: sequences of values that
+/// differ give different digests, short of a 64-bit collision.
+pub fn fnv1a_fold(hash: u64, value: u64) -> u64 {
+    value.to_le_bytes().iter().fold(hash, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

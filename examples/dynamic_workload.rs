@@ -26,7 +26,7 @@ fn main() {
         .expect("scenario runs to its End event");
 
     println!("throughput over time (10 s buckets):");
-    for (t, tps) in result.timeseries(10.0) {
+    for (t, tps) in result.timeseries(10) {
         let bar = "#".repeat(tps.round() as usize / 2);
         println!("{t:>6.0}s {tps:>7.1} {bar}");
     }

@@ -68,7 +68,7 @@ fn main() {
     }
 
     println!("\nthroughput (5 s buckets):");
-    for (t, tps) in result.timeseries(5.0) {
+    for (t, tps) in result.timeseries(5) {
         let bar = "#".repeat((tps * 2.0).round() as usize);
         println!("  {t:>5.0}s {tps:>6.1} {bar}");
     }

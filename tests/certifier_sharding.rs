@@ -1,24 +1,25 @@
-//! Certifier-group integration tests: atomicity across certifier groups,
-//! per-group commit-list contiguity, decide-order determinism under random
-//! per-group leader kills, and the run's certifier accessor on grouped runs
-//! — plus the grouped link's verdicts against a last-writer-index
-//! reference.
+//! Certifier-group integration tests: per-group commit accounting against
+//! the log head, decide-order determinism under random per-group leader
+//! kills, and the run's certifier accessor on grouped runs — plus the
+//! grouped link's verdicts against a last-writer-index reference. The
+//! accounting itself is checked against per-group version lists in
+//! `crates/certifier/tests/certifier_props.rs`.
 
 use std::collections::HashMap;
 
 use proptest::prelude::*;
-use tashkent::certifier::{CertMap, CertifierParams};
+use tashkent::certifier::{CertMap, CertifierParams, GroupCommits};
 use tashkent::cluster::{
-    run, run_scenario, run_sweep, scenario, CertifierLink, Ev, Experiment, FaultKind, RunResult,
-    Scenario, ScenarioKnobs, TpcwSteadyState, TraceConfig, Tracer, World,
+    run, run_sweep, scenario, CertifierLink, Ev, Experiment, FaultKind, RunResult, Scenario,
+    ScenarioKnobs, TpcwSteadyState, TraceConfig, Tracer, World,
 };
 use tashkent::engine::{Snapshot, TxnId, TxnTypeId, Version, Writeset, WritesetItem};
 use tashkent::sim::{EventQueue, SimTime};
 use tashkent::storage::{RelationId, RelationSet};
 
 /// The observable result of a run with several certifier groups, exact to
-/// the bit: the base commit/abort/timing counters plus the per-group
-/// commit lists (global versions, ascending per group).
+/// the bit: the base commit/abort/timing counters plus each group's commit
+/// count, last version and digest of its versions in order.
 #[derive(Debug, PartialEq)]
 struct Fingerprint {
     committed: u64,
@@ -28,7 +29,7 @@ struct Fingerprint {
     mean_response_us: u64,
     completions: usize,
     faults: Vec<tashkent::cluster::FaultEvent>,
-    cert_group_commits: Vec<Vec<u64>>,
+    cert_group_commits: Vec<GroupCommits>,
 }
 
 impl Fingerprint {
@@ -89,55 +90,58 @@ fn sharded_runs_agree_across_drivers_and_widths() {
     }
 }
 
+/// Runs the `tpcw-steady-state` experiment at `knobs` as `run` does and
+/// returns its per-group commit accounting with the commit log's head.
+fn group_commits_and_head(knobs: &ScenarioKnobs) -> (Vec<GroupCommits>, Version) {
+    let exp = TpcwSteadyState::default().experiment(knobs);
+    let end = SimTime::from_secs(exp.total_secs());
+    let mut world = World::new(exp.config, exp.workload, vec![exp.phases[0].1.clone()]);
+    world.prime();
+    world.schedule(SimTime::from_secs(exp.warmup_secs), Ev::EndWarmup);
+    world.schedule(end, Ev::End);
+    world.run_to_end().expect("End event scheduled");
+    let r = world.finish_result();
+    assert_eq!(r.cert_group_commits, world.certifier().group_commits());
+    (r.cert_group_commits, world.certifier().version())
+}
+
 #[test]
 fn no_partial_commit_across_groups() {
-    // Atomic commitment: a cross-group transaction's commit lands in every
-    // touched group's log under the same global version, or in none. The
-    // per-group logs must each be strictly ascending (group-log
-    // contiguity), and their union must cover the global commit sequence
-    // 1..=head with no gaps — a partially-committed cross-group txn would
-    // leave its version missing from some touched group and the gap check
-    // would not see it, so also require every version's holder set to be
-    // non-empty. Two to four groups (one group keeps no list).
+    // Every committed version counts in at least one group, and the last
+    // version the groups took is the log head. Two to four groups (one
+    // group keeps no accounting). That each group counts exactly the
+    // versions touching it, in order, is checked against a reference model
+    // in certifier_props.
     for groups in 2..=4 {
         let knobs = sharded_knobs(42).with_cert_groups(Some(groups));
-        let r = run_scenario("tpcw-steady-state", &knobs).expect("sharded run completes");
-        let mut all: Vec<u64> = Vec::new();
-        for (g, log) in r.cert_group_commits.iter().enumerate() {
-            assert!(
-                log.windows(2).all(|w| w[0] < w[1]),
-                "group {g} log is not strictly ascending with {groups} groups"
-            );
-            all.extend_from_slice(log);
-        }
-        all.sort_unstable();
-        all.dedup();
-        let head = *all.last().expect("updates committed");
+        let (commits, head) = group_commits_and_head(&knobs);
+        assert!(head > Version(0), "updates committed with {groups} groups");
+        let total: u64 = commits.iter().map(|c| c.commits).sum();
+        assert!(
+            total >= head.0,
+            "{total} group commits cannot cover {head} versions with {groups} groups"
+        );
+        let last = commits.iter().map(|c| c.last).max();
         assert_eq!(
-            all,
-            (1..=head).collect::<Vec<u64>>(),
-            "global commit sequence has gaps with {groups} groups: some group \
-             recorded a version another group's atomic round aborted"
+            last,
+            Some(head),
+            "the groups' last version is not the head with {groups} groups"
         );
     }
 }
 
 #[test]
 fn cross_group_transactions_actually_occur() {
-    // The atomicity assertion above would be vacuous if no transaction ever
-    // spanned groups: pin that the TPC-W ordering mix produces versions
-    // recorded by more than one group (the cross-group decide path).
-    let r = run_scenario("tpcw-steady-state", &sharded_knobs(42)).expect("sharded run completes");
-    let mut seen: std::collections::HashMap<u64, usize> = std::collections::HashMap::new();
-    for log in &r.cert_group_commits {
-        for &v in log {
-            *seen.entry(v).or_insert(0) += 1;
-        }
-    }
+    // The atomicity reference would be vacuous here if no transaction ever
+    // spanned groups. Every version counts in at least one group, so the
+    // groups' counts exceed the head exactly when some version counts in
+    // two (the cross-group decide path).
+    let (commits, head) = group_commits_and_head(&sharded_knobs(42));
+    let total: u64 = commits.iter().map(|c| c.commits).sum();
     assert!(
-        seen.values().any(|&n| n >= 2),
-        "no commit version was recorded by multiple groups — the \
-         cross-group atomic-commitment path never ran"
+        total > head.0,
+        "{total} group commits over {head} versions: no version counted in \
+         several groups, so the cross-group atomic-commitment path never ran"
     );
 }
 

@@ -6,13 +6,15 @@
 //! experiment below runs under both — serially on the test thread, then all
 //! together through `run_sweep`, on other threads with fresh hash seeds —
 //! and each pair must agree to the bit: the same [`Fingerprint`] and the
-//! same completion timestamps. A result that
+//! same completions (per-second counts and a digest of the exact
+//! timestamps). A result that
 //! depends on hash-map iteration order, or on state shared between runs,
 //! fails here. Each test also asserts the preconditions that make its
 //! comparison meaningful (faults injected, re-replication ran, the detector
 //! reached its verdicts, …), so a scenario that silently stopped exercising
 //! its machinery cannot pass vacuously.
 
+use tashkent::certifier::GroupCommits;
 use tashkent::cluster::{
     run, run_scenario, run_sweep, scenario, Experiment, Failover, FaultEvent, FaultKind,
     PolicySpec, RunResult, Scenario, ScenarioKnobs,
@@ -38,10 +40,10 @@ struct Fingerprint {
     /// Placement-backfill traffic (re-replication + skew migration), exact
     /// to the byte — covers the rebalancing lifecycle's copies.
     migration_bytes: u64,
-    /// Sharded certification: per-group global commit versions, ascending
-    /// — the decide order itself is part of the contract (empty under the
-    /// unified certifier).
-    cert_group_commits: Vec<Vec<u64>>,
+    /// Sharded certification: each group's commit count, last version and
+    /// digest of its versions in order — the decide order itself is part
+    /// of the contract (empty with one certifier group).
+    cert_group_commits: Vec<GroupCommits>,
     /// Checkpoint-lag recovery's redo-window accounting, exact to the byte
     /// and microsecond.
     redo_bytes: u64,
@@ -90,7 +92,7 @@ fn assert_drivers_agree(label: &str, exps: Vec<Experiment>) -> Vec<RunResult> {
         );
         assert_eq!(
             a.completions, b.completions,
-            "{label}: run {i} completion timestamps diverged"
+            "{label}: run {i} completions diverged"
         );
     }
     serial
@@ -243,7 +245,7 @@ fn sharded_certification_runs_identically_under_both_drivers() {
     for r in assert_drivers_agree("sharded certification", exps) {
         assert!(
             !r.cert_group_commits.is_empty(),
-            "sharded runs must expose per-group commit logs"
+            "sharded runs must expose per-group commit accounting"
         );
     }
 }

@@ -141,10 +141,10 @@ fn failover_scenario_recovers_throughput() {
         .run(&knobs)
         .expect("failover scenario runs to its End event");
 
-    let pre = r.plateau(5.0, knobs.warmup_secs as f64, sched.crash_at_secs as f64);
+    let pre = r.plateau(5, knobs.warmup_secs as f64, sched.crash_at_secs as f64);
     // Leave one settle bucket after recovery before measuring.
     let post = r.plateau(
-        5.0,
+        5,
         sched.recover_at_secs as f64 + 5.0,
         (knobs.warmup_secs + knobs.measured_secs) as f64,
     );
@@ -393,12 +393,12 @@ fn sharded_group_outage_parks_only_its_own_groups_requests() {
         "requests touching the dead group must park"
     );
     let commits = world.certifier().group_commits();
-    let dead_head = commits[1].last().copied().unwrap_or(0);
+    let dead_head = commits[1].last;
     assert!(
         commits
             .iter()
             .enumerate()
-            .any(|(g, log)| g != 1 && log.last().copied().unwrap_or(0) > dead_head),
+            .any(|(g, c)| g != 1 && c.last > dead_head),
         "the surviving groups must keep committing past the dead group's head"
     );
 }
@@ -491,8 +491,8 @@ fn false_suspicion_rejoins_with_zero_rereplication() {
     assert!(suspect.at > suspect.injected_at);
     // Throughput returns to within 10 % of the pre-partition steady state
     // (settle one 5 s bucket after the heal before measuring).
-    let pre = r.plateau(5.0, knobs.warmup_secs as f64, 25.0);
-    let post = r.plateau(5.0, 32.0, end as f64);
+    let pre = r.plateau(5, knobs.warmup_secs as f64, 25.0);
+    let post = r.plateau(5, 32.0, end as f64);
     assert!(pre > 1.0, "pre-partition steady state too idle: {pre} tps");
     assert!(
         post >= 0.9 * pre,
@@ -540,11 +540,11 @@ fn detection_scenario_discovers_the_crash_and_recovers_throughput() {
     // partition heal and the crash.
     let end = (knobs.warmup_secs + knobs.measured_secs) as f64;
     let pre = r.plateau(
-        5.0,
+        5,
         (sched.partition_at_secs + 7) as f64,
         sched.crash_at_secs as f64,
     );
-    let post = r.plateau(5.0, (sched.recover_at_secs + 10) as f64, end);
+    let post = r.plateau(5, (sched.recover_at_secs + 10) as f64, end);
     assert!(pre > 1.0, "pre-crash steady state too idle: {pre} tps");
     assert!(
         post >= 0.9 * pre,

@@ -11,12 +11,16 @@
 //! results re-records the values here, so the re-baseline shows in the
 //! diff.
 //!
-//! Four longer fault runs pin the faults that hold back the certifier
+//! Five longer fault runs pin the faults that hold back the certifier
 //! log's trim floor: a crash with checkpoint-lag recovery (detector off and
 //! on), a control-link partition, and a certifier group losing every
-//! member. They were recorded before the log was trimmed, so they show that
-//! trimming moves no result, and each must end with a trimmed log.
+//! member, with one group and with several. The first four were recorded
+//! before the log was trimmed, and the fifth before runs with several
+//! groups trimmed it and kept per-group commit counts in place of lists,
+//! so they show that trimming moves no result; each must end with a
+//! trimmed log.
 
+use tashkent::certifier::GroupCommits;
 use tashkent::cluster::detection::{
     DEFAULT_CHECKPOINT_LAG, DEFAULT_CLIENT_TIMEOUT_US, DEFAULT_HEARTBEAT_US,
 };
@@ -44,7 +48,7 @@ struct Fingerprint {
     propagated_ws_bytes: u64,
     filtered_ws_bytes: u64,
     migration_bytes: u64,
-    cert_group_commits: Vec<Vec<u64>>,
+    cert_group_commits: Vec<GroupCommits>,
     redo_bytes: u64,
     redo_us: u64,
 }
@@ -497,7 +501,10 @@ fn fault_knobs() -> ScenarioKnobs {
 }
 
 /// The fault runs that move the commit log's trim floor, each on full
-/// replication with one certifier group, in the order pinned below.
+/// replication, in the order pinned below. The last runs the ordering mix
+/// on up to four certifier groups (the map folds it to three); every
+/// member of group 1 dies at 100 s, so requests touching it park until a
+/// member restarts at 130 s.
 fn fault_runs() -> Vec<(&'static str, Experiment)> {
     let fault = SimTime::from_secs(100);
     let base = |knobs: ScenarioKnobs| {
@@ -515,10 +522,16 @@ fn fault_runs() -> Vec<(&'static str, Experiment)> {
         exp.with_injection(fault, Ev::ReplicaCrash { replica: 3 })
             .with_injection(SimTime::from_secs(170), Ev::ReplicaRecover { replica: 3 })
     };
-    let mut outage = base(fault_knobs());
-    for member in 0..3 {
-        outage = outage.with_injection(fault, Ev::CertifierKill { group: 0, member });
-    }
+    let outage = |knobs: ScenarioKnobs, group: usize| {
+        let mut exp = base(knobs);
+        for member in 0..3 {
+            exp = exp.with_injection(fault, Ev::CertifierKill { group, member });
+        }
+        exp.with_injection(
+            SimTime::from_secs(130),
+            Ev::CertifierRestart { group, member: 0 },
+        )
+    };
     vec![
         ("crash-lagged", crash(base(lagged.clone()))),
         ("crash-lagged-detected", crash(base(detected(lagged)))),
@@ -533,15 +546,10 @@ fn fault_runs() -> Vec<(&'static str, Experiment)> {
                 },
             ),
         ),
+        ("certifier-outage", outage(fault_knobs(), 0)),
         (
-            "certifier-outage",
-            outage.with_injection(
-                SimTime::from_secs(130),
-                Ev::CertifierRestart {
-                    group: 0,
-                    member: 0,
-                },
-            ),
+            "sharded-certifier-outage",
+            outage(fault_knobs().with_cert_groups(Some(4)), 1),
         ),
     ]
 }
@@ -694,6 +702,67 @@ fn fault_golden() -> Vec<(&'static str, Fingerprint)> {
                 filtered_ws_bytes: 0,
                 migration_bytes: 0,
                 cert_group_commits: vec![],
+                redo_bytes: 0,
+                redo_us: 0,
+            },
+        ),
+        (
+            "sharded-certifier-outage",
+            Fingerprint {
+                committed: 6316,
+                updates: 3117,
+                aborts: 1,
+                retries_exhausted: 0,
+                read_kb_per_txn: 0x40573e03911ac049,
+                write_kb_per_txn: 0x4051fedd777d002a,
+                mean_response_us: 203447,
+                completions: 6316,
+                faults: vec![
+                    (
+                        100000000,
+                        100000000,
+                        FaultKind::CertifierFailover {
+                            group: 1,
+                            leader: 1,
+                        },
+                    ),
+                    (
+                        100000000,
+                        100000000,
+                        FaultKind::CertifierFailover {
+                            group: 1,
+                            leader: 2,
+                        },
+                    ),
+                    (
+                        130000000,
+                        130000000,
+                        FaultKind::CertifierFailover {
+                            group: 1,
+                            leader: 0,
+                        },
+                    ),
+                ],
+                propagated_ws_bytes: 2438404,
+                filtered_ws_bytes: 0,
+                migration_bytes: 0,
+                cert_group_commits: vec![
+                    GroupCommits {
+                        commits: 3143,
+                        last: Version(3143),
+                        digest: 0xafe05088194ef1f5,
+                    },
+                    GroupCommits {
+                        commits: 1685,
+                        last: Version(3142),
+                        digest: 0xcb9a58f3324ad041,
+                    },
+                    GroupCommits {
+                        commits: 640,
+                        last: Version(3138),
+                        digest: 0x1824b2b20f41183e,
+                    },
+                ],
                 redo_bytes: 0,
                 redo_us: 0,
             },
