@@ -123,8 +123,9 @@ fn bench_buffer_pool(c: &mut Criterion) {
         )
     });
     // The background writer's round on a full pool holding a few dirty
-    // pages scattered through it: the scan reads every frame's state until
-    // the last dirty page is out.
+    // pages scattered through it, fewer than the round's budget of 16: the
+    // round takes every dirty page, reading them off the state blocks'
+    // dirty words.
     c.bench_function("bufferpool_collect_dirty_sparse", |b| {
         let mut pool = warm_pool();
         let resident: Vec<GlobalPageId> = stream
@@ -139,6 +140,28 @@ fn bench_buffer_pool(c: &mut Criterion) {
                 pool.mark_dirty(*p);
             }
             pool.collect_dirty(16)
+        })
+    });
+    // The writer's round when more pages are dirty than it takes: 32 dirty
+    // pages spread evenly over the full 442 MB pool that
+    // `bufferpool_fill_mid_pool` builds (page `i` of `distinct` sits in
+    // frame `i`). The round walks the frames from the clock hand, about
+    // 26,500 of them, until it has 16; they are dirtied again after each
+    // round, so every round walks as far.
+    c.bench_function("bufferpool_collect_dirty_dense", |b| {
+        let mut pool = BufferPool::with_capacity_bytes(442 << 20, catalog.clone());
+        for p in &distinct {
+            pool.touch(*p);
+        }
+        for p in distinct.iter().step_by(distinct.len() / 32) {
+            pool.mark_dirty(*p);
+        }
+        b.iter(|| {
+            let batch = pool.collect_dirty(16);
+            for p in &batch {
+                pool.mark_dirty(*p);
+            }
+            batch
         })
     });
 }
@@ -284,7 +307,8 @@ fn bench_estimation(c: &mut Criterion) {
 
 /// What a cluster build spends on partial placement and certifier sharding
 /// for the `partial-faults` configuration: TPC-W MidDB on 16 replicas at
-/// two copies, with four certifier groups. `experiment_tpcw_mid_partial` is
+/// two copies, with four certifier groups asked, which `CertMap::build`
+/// folds MidDB's relation sets into three. `experiment_tpcw_mid_partial` is
 /// the scenario's own build before the cluster's: schema, transaction
 /// types, mix, config and fault schedule.
 fn bench_placement(c: &mut Criterion) {

@@ -8,30 +8,46 @@
 //!
 //! # Representation
 //!
-//! The frames are a `Vec<u32>` in clock order (4 B per frame): each packs a
-//! page's relation id into its top 8 bits and its page number into the low
-//! 24, the widths [`MAX_RELATIONS`] and [`MAX_RELATION_PAGES`] that the
-//! [`Catalog`] enforces. A frame emptied by
-//! [`BufferPool::evict_relation`] holds relation 255, which names no page,
-//! and in its low 24 bits the index of the next free frame: the free list
-//! lives in the free frames themselves, and the pool keeps only its head
-//! and length. Each page's resident, referenced and dirty bits live in a
-//! per-relation `Vec` of 64-page blocks, one `u64` per bit, so page `p`
-//! owns bit `p % 64` of block `p / 64`. A page lookup is two array indexes
-//! and a mask rather than a hash probe.
+//! The frames are words in clock order, packed back to back in one byte
+//! array. Each word holds a page's relation id above its page number, in
+//! fields only as wide as the pool's [`Catalog`] and capacity need: the
+//! relation field holds every id up to the catalog's relation count, and
+//! the page field holds every page number below the largest relation's size
+//! (`relpages`) and every frame index up to the capacity plus one. On TPC-W
+//! MidDB (23 relations, the largest of 70,354 pages) and RUBiS (16
+//! relations, the largest of 74,679 pages) a word is 22 bits, 5 for the
+//! relation and 17 for the page, so the 56,576 frames of a 442 MB pool take
+//! 152 KB. The catalog's limits, [`MAX_RELATIONS`](crate::MAX_RELATIONS)
+//! relations of at most [`MAX_RELATION_PAGES`] pages, and the capacity's
+//! keep a word within 32 bits. A page whose relation is outside the
+//! catalog, or whose number does not fit the page field, panics at its
+//! miss.
+//!
+//! A frame emptied by [`BufferPool::evict_relation`] holds the relation id
+//! equal to the catalog's relation count, which names no relation, and in
+//! its page field the index of the next free frame: the free list lives in
+//! the free frames themselves, and the pool keeps only its head and length.
+//! Each page's resident, referenced and dirty bits live in a per-relation
+//! `Vec` of 64-page blocks, one `u64` per bit, so page `p` owns bit `p % 64`
+//! of block `p / 64`. A page lookup is two array indexes and a mask rather
+//! than a hash probe, and a writer round that takes every dirty page reads
+//! them off the dirty words without walking the frames. A round that takes
+//! fewer walks the frames from the clock hand, one word at a time.
 //!
 //! Each array is allocated once, at its final size, so a filling pool
 //! leaves no outgrown copies behind in the allocator. The frames reserve
 //! the whole capacity at the first install, and the relation-indexed table
 //! reserves the catalog's relation count. A relation's blocks reserve the
-//! block count its catalog size (`relpages`) needs on its first touch, are
-//! filled only up to the highest page touched, and are released when the
-//! relation is evicted as a whole. A 512 MB pool of 65,536 frames therefore
-//! costs 256 KB of host memory plus 3 bits per page of every relation it
+//! block count its catalog size needs on its first touch, are filled only
+//! up to the highest page touched, and are released when the relation is
+//! evicted as a whole. A 512 MB pool of 65,536 frames on MidDB therefore
+//! costs 176 KB of host memory plus 3 bits per page of every relation it
 //! has touched.
 
+use std::ops::Range;
+
 use crate::catalog::Catalog;
-use crate::ids::{GlobalPageId, RelationId, MAX_RELATIONS, MAX_RELATION_PAGES};
+use crate::ids::{GlobalPageId, RelationId, MAX_RELATION_PAGES};
 
 /// Result of touching a page in the pool.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -74,51 +90,158 @@ impl BufferStats {
     }
 }
 
-/// Bits of a frame word that hold the page number.
-const PAGE_BITS: u32 = MAX_RELATION_PAGES.trailing_zeros();
+/// Frames one pool may hold: fewer than 2^24 - 1, so that every frame index
+/// and the free list's end marker fit a page field of at most 24 bits.
+const MAX_FRAMES: usize = MAX_RELATION_PAGES as usize - 1;
 
-/// Tags a frame emptied by [`BufferPool::evict_relation`]: relation 255,
-/// which [`pack`] rejects, so a free frame never names a page (see
-/// [`page_of`]). Its low 24 bits hold the index of the next free frame, or
-/// [`END`].
-const FREE: u32 = MAX_RELATIONS << PAGE_BITS;
-
-/// Ends the free list: the link in its last frame, and its head when empty.
-/// No frame has this index, because [`BufferPool::new`] caps the capacity
-/// below it.
-const END: u32 = MAX_RELATION_PAGES - 1;
-
-const _: () =
-    assert!(MAX_RELATION_PAGES == 1 << PAGE_BITS && MAX_RELATIONS == u32::MAX >> PAGE_BITS);
-
-/// Packs `page` into a frame word.
-///
-/// # Panics
-///
-/// Panics if the relation id or page number does not fit its field. The
-/// check runs on every miss before any frame or state bit changes, so a
-/// page it cannot index never becomes resident.
-fn pack(page: GlobalPageId) -> u32 {
-    assert!(
-        page.rel.0 < MAX_RELATIONS && page.page < MAX_RELATION_PAGES,
-        "page {page} is outside the buffer pool's index: relation ids must be \
-         below {MAX_RELATIONS} and page numbers below {MAX_RELATION_PAGES}"
-    );
-    page.rel.0 << PAGE_BITS | page.page
+/// Bits needed to write `x` in binary.
+fn bits(x: u64) -> u32 {
+    u64::BITS - x.leading_zeros()
 }
 
-/// The page a frame word names.
-fn unpack(frame: u32) -> GlobalPageId {
-    GlobalPageId::new(
-        RelationId(frame >> PAGE_BITS),
-        frame & (MAX_RELATION_PAGES - 1),
-    )
+/// Where a frame word's fields lie: the relation id above the page number,
+/// both only as wide as the pool's catalog and capacity need.
+#[derive(Debug, Clone, Copy)]
+struct Layout {
+    /// Bits per word.
+    width: usize,
+    /// The low `width` bits.
+    mask: u32,
+    /// Bits of a word below the relation id: the page number, or a free
+    /// frame's link.
+    page_bits: u32,
+    /// The lowest free-frame word: the catalog's relation count in the
+    /// relation field. Every word naming a page is below it.
+    free: u32,
+    /// The page field's all-ones value. In a free frame's link, and as the
+    /// list's head, it ends the free list; no frame has this index.
+    end: u32,
 }
 
-/// The page a frame word names, or `None` for a free frame.
-fn page_of(frame: u32) -> Option<GlobalPageId> {
-    let page = unpack(frame);
-    (page.rel.0 != MAX_RELATIONS).then_some(page)
+impl Layout {
+    /// The narrowest words that hold `catalog`'s pages and, in the page
+    /// field, the indices of `capacity` frames and the free list's end.
+    fn new(catalog: &Catalog, capacity: usize) -> Self {
+        let largest = catalog.relations().iter().map(|r| r.pages).max();
+        let last_page = largest.unwrap_or(0).saturating_sub(1);
+        let page_bits = bits(last_page.into()).max(bits(capacity as u64 + 1));
+        let width = bits(catalog.len() as u64) + page_bits;
+        debug_assert!(
+            width <= u32::BITS,
+            "the catalog and capacity limits bound the width"
+        );
+        Layout {
+            width: width as usize,
+            mask: u32::MAX >> (u32::BITS - width),
+            page_bits,
+            free: (catalog.len() as u32) << page_bits,
+            end: (1 << page_bits) - 1,
+        }
+    }
+
+    /// The word for `page`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the page's relation is not below the catalog's relation
+    /// count, or its page number does not fit the page field. The check runs
+    /// on every miss before any frame or state bit changes, so a page the
+    /// frames cannot hold never becomes resident.
+    fn pack(self, page: GlobalPageId) -> u32 {
+        let rels = self.free >> self.page_bits;
+        assert!(
+            page.rel.0 < rels && page.page <= self.end,
+            "page {page} is outside the buffer pool's index: relation ids must be \
+             below {rels} and page numbers below {}",
+            u64::from(self.end) + 1
+        );
+        page.rel.0 << self.page_bits | page.page
+    }
+
+    /// The page a word names; the word must not be a free frame's.
+    fn unpack(self, word: u32) -> GlobalPageId {
+        GlobalPageId::new(RelationId(word >> self.page_bits), word & self.end)
+    }
+
+    /// The words that name pages of `rel`: none if the catalog lacks it.
+    fn words_of(self, rel: RelationId) -> Range<u32> {
+        if rel.0 < self.free >> self.page_bits {
+            rel.0 << self.page_bits..(rel.0 + 1) << self.page_bits
+        } else {
+            0..0
+        }
+    }
+
+    /// The word from bit `bit` of `bytes`.
+    #[inline]
+    fn read(self, bytes: &[u8], bit: usize) -> u32 {
+        let at = bit / 8;
+        let chunk: [u8; 8] = bytes[at..at + 8].try_into().expect("8 bytes");
+        (u64::from_le_bytes(chunk) >> (bit % 8)) as u32 & self.mask
+    }
+
+    /// Bytes that hold every word up to `idx`: the last is read as the 8
+    /// bytes from the one holding its first bit.
+    fn span(self, idx: usize) -> usize {
+        idx * self.width / 8 + 8
+    }
+}
+
+/// The frame words, in clock order, packed back to back: word `i` is the
+/// `width` bits from bit `i * width` of `bytes`, read little-endian.
+///
+/// A word is read and written as the 8 bytes from the one holding its first
+/// bit: a word is at most 32 bits and starts at most 7 bits into its first
+/// byte, so those 8 bytes always hold it.
+#[derive(Debug, Clone)]
+struct Frames {
+    bytes: Vec<u8>,
+    /// Words stored.
+    len: usize,
+    layout: Layout,
+}
+
+/// Bytes a filling pool's frames zero at a time: host memory is touched
+/// only as the frames fill, as a `Vec` of words pushed one by one would.
+const FILL_BYTES: usize = 4_096;
+
+impl Frames {
+    /// Word `idx`.
+    #[inline]
+    fn get(&self, idx: usize) -> u32 {
+        self.layout.read(&self.bytes, idx * self.layout.width)
+    }
+
+    /// Overwrites word `idx`.
+    #[inline]
+    fn set(&mut self, idx: usize, word: u32) {
+        let bit = idx * self.layout.width;
+        let (at, shift) = (bit / 8, bit % 8);
+        let slot: &mut [u8; 8] = (&mut self.bytes[at..at + 8]).try_into().expect("8 bytes");
+        let kept = u64::from_le_bytes(*slot) & !(u64::from(self.layout.mask) << shift);
+        *slot = (kept | u64::from(word) << shift).to_le_bytes();
+    }
+
+    /// Appends `word`, reserving the bytes of `capacity` words at the first.
+    fn push(&mut self, word: u32, capacity: usize) {
+        let span = self.layout.span(self.len);
+        if self.bytes.len() < span {
+            let full = self.layout.span(capacity - 1);
+            if self.bytes.capacity() == 0 {
+                self.bytes.reserve_exact(full);
+            }
+            self.bytes.resize((span + FILL_BYTES).min(full), 0);
+        }
+        // Past the last word every byte is still zero, so only the first
+        // byte holds another word's bits. Reading that byte alone, rather
+        // than the 8 the last push wrote, lets the read take its value from
+        // that pending write instead of waiting for it to land.
+        let bit = self.len * self.layout.width;
+        let (at, shift) = (bit / 8, bit % 8);
+        let chunk = u64::from(self.bytes[at]) | u64::from(word) << shift;
+        self.bytes[at..at + 8].copy_from_slice(&chunk.to_le_bytes());
+        self.len += 1;
+    }
 }
 
 /// The state bits of 64 consecutive pages of one relation; page `p` owns
@@ -165,13 +288,13 @@ fn locate(page: GlobalPageId) -> (usize, u64) {
 #[derive(Debug, Clone)]
 pub struct BufferPool {
     capacity: usize,
-    /// The schema the pool caches: each relation's size fixes its block
-    /// count.
+    /// The schema the pool caches: it fixes the frame width and each
+    /// relation's block count.
     catalog: Catalog,
-    /// Frames in clock order: resident pages packed by [`pack`], and free
-    /// frames tagged [`FREE`] and linked into a list.
-    frames: Vec<u32>,
-    /// The free frame the next miss fills, or [`END`].
+    /// Frames in clock order: resident pages' words, and free frames linked
+    /// into a list.
+    frames: Frames,
+    /// The free frame the next miss fills, or the frames' end marker.
     free_head: u32,
     /// Frames on the free list.
     free_len: usize,
@@ -184,8 +307,8 @@ pub struct BufferPool {
 
 impl BufferPool {
     /// Creates a pool holding at most `capacity` pages of `catalog`'s
-    /// relations. A page past its relation's catalog size, or of a relation
-    /// the catalog lacks, is still cached; its relation's blocks then grow
+    /// relations. A page past its relation's catalog size whose number
+    /// still fits the frame word is cached; its relation's blocks then grow
     /// as a `Vec` does.
     ///
     /// # Panics
@@ -194,14 +317,19 @@ impl BufferPool {
     pub fn new(capacity: usize, catalog: Catalog) -> Self {
         assert!(capacity > 0, "buffer pool needs at least one frame");
         assert!(
-            capacity < END as usize,
-            "buffer pool capacity {capacity} is not below {END} frames"
+            capacity < MAX_FRAMES,
+            "buffer pool capacity {capacity} is not below {MAX_FRAMES} frames"
         );
+        let layout = Layout::new(&catalog, capacity);
         BufferPool {
             capacity,
             catalog,
-            frames: Vec::new(),
-            free_head: END,
+            frames: Frames {
+                bytes: Vec::new(),
+                len: 0,
+                layout,
+            },
+            free_head: layout.end,
             free_len: 0,
             state: Vec::new(),
             hand: 0,
@@ -227,7 +355,7 @@ impl BufferPool {
 
     /// Current number of resident pages.
     pub fn resident(&self) -> usize {
-        self.frames.len() - self.free_len
+        self.frames.len - self.free_len
     }
 
     /// Current number of dirty resident pages.
@@ -282,8 +410,9 @@ impl BufferPool {
     ///
     /// # Panics
     ///
-    /// Panics on a miss if the page's relation id is [`MAX_RELATIONS`] or
-    /// more, or its page number [`MAX_RELATION_PAGES`] or more.
+    /// Panics on a miss if the page's relation is not in the catalog, or
+    /// its page number needs more bits than both the largest relation's
+    /// last page number and the capacity plus one.
     pub fn touch(&mut self, page: GlobalPageId) -> Touch {
         if let Some((b, bit)) = self.slot(page) {
             if b.resident & bit != 0 {
@@ -312,23 +441,22 @@ impl BufferPool {
     }
 
     fn install(&mut self, page: GlobalPageId) -> Option<(GlobalPageId, bool)> {
-        let frame = pack(page);
-        let evicted = if self.free_head != END {
-            // Pop the list's head; the low bits of its old word link to the
-            // next free frame.
+        let layout = self.frames.layout;
+        let word = layout.pack(page);
+        let evicted = if self.free_head != layout.end {
+            // Pop the list's head; the page field of its old word links to
+            // the next free frame.
             let idx = self.free_head as usize;
-            self.free_head = std::mem::replace(&mut self.frames[idx], frame) & END;
+            self.free_head = self.frames.get(idx) & layout.end;
+            self.frames.set(idx, word);
             self.free_len -= 1;
             None
-        } else if self.frames.len() < self.capacity {
-            if self.frames.is_empty() {
-                self.frames.reserve_exact(self.capacity);
-            }
-            self.frames.push(frame);
+        } else if self.frames.len < self.capacity {
+            self.frames.push(word, self.capacity);
             None
         } else {
-            let victim_idx = self.sweep();
-            let victim = unpack(std::mem::replace(&mut self.frames[victim_idx], frame));
+            let (idx, victim) = self.sweep();
+            self.frames.set(idx, word);
             let dirty = self.clear(victim);
             self.stats.evictions += 1;
             if dirty {
@@ -341,7 +469,7 @@ impl BufferPool {
         let rel = page.rel.0 as usize;
         if self.state.len() <= rel {
             if self.state.is_empty() {
-                self.state.reserve_exact(self.catalog.len().max(rel + 1));
+                self.state.reserve_exact(self.catalog.len());
             }
             self.state.resize_with(rel + 1, Vec::new);
         }
@@ -349,7 +477,7 @@ impl BufferPool {
         let (block, bit) = locate(page);
         if blocks.len() <= block {
             if blocks.capacity() == 0 {
-                let pages = self.catalog.relations().get(rel).map_or(0, |r| r.pages);
+                let pages = self.catalog.relations()[rel].pages;
                 blocks.reserve_exact(pages.div_ceil(BLOCK_PAGES) as usize);
             }
             blocks.resize(block + 1, Block::default());
@@ -360,96 +488,141 @@ impl BufferPool {
     }
 
     /// Clock-sweep: advance the hand, clearing reference bits, until an
-    /// unreferenced occupied frame is found.
-    fn sweep(&mut self) -> usize {
+    /// unreferenced frame is found; returns its index and page.
+    fn sweep(&mut self) -> (usize, GlobalPageId) {
         // The pool is full (no free slots), so every frame is occupied and
         // the sweep terminates within two passes.
+        let n = self.frames.len;
         loop {
             let idx = self.hand;
-            self.hand = (self.hand + 1) % self.frames.len();
-            let (b, bit) = self.state_mut(unpack(self.frames[idx]));
-            if b.referenced & bit != 0 {
-                b.referenced &= !bit;
-            } else {
-                return idx;
+            self.hand = if idx + 1 == n { 0 } else { idx + 1 };
+            let page = self.frames.layout.unpack(self.frames.get(idx));
+            let (block, bit) = locate(page);
+            let b = &mut self.state[page.rel.0 as usize][block];
+            if b.referenced & bit == 0 {
+                return (idx, page);
             }
+            b.referenced &= !bit;
         }
     }
 
-    /// Hands up to `max` dirty pages to the caller for write-back, clearing
-    /// their dirty bits. Every call scans frames in clock order from the
-    /// clock hand, which only evictions move, so calls between two
-    /// evictions start at the same frame.
+    /// Hands up to `max` dirty pages to the caller for write-back, in page
+    /// order, clearing their dirty bits.
+    ///
+    /// When `max` covers every dirty page, the call reads them off the
+    /// state blocks' dirty words. Otherwise it takes the first `max` it
+    /// meets in clock order from the clock hand, which only evictions move,
+    /// so such calls between two evictions start at the same frame.
     ///
     /// Clearing at collection time models write coalescing: a page updated
     /// many times between two writer rounds is written once.
     pub fn collect_dirty(&mut self, max: usize) -> Vec<GlobalPageId> {
-        let mut out = Vec::new();
-        if self.dirty_count == 0 || max == 0 || self.frames.is_empty() {
-            return out;
+        if self.dirty_count == 0 || max == 0 {
+            return Vec::new();
         }
-        let start = self.hand % self.frames.len();
-        let (before, after) = self.frames.split_at(start);
-        // One plain loop per half of the clock. A loop over a `Chain`
-        // re-checks which half it is in on every frame, and a closure passed
-        // to `try_for_each` is left out of line in one of the two loops
-        // unless the optimizer happens to inline it.
-        'scan: for half in [after, before] {
-            for &frame in half {
-                let Some(page) = page_of(frame) else {
+        let mut out = Vec::with_capacity(max.min(self.dirty_count));
+        if max >= self.dirty_count {
+            self.take_every_dirty(&mut out);
+        } else {
+            self.take_dirty_from_hand(max, &mut out);
+            out.sort_unstable();
+        }
+        self.dirty_count -= out.len();
+        self.stats.flushed += out.len() as u64;
+        out
+    }
+
+    /// Takes every dirty page, in page order, from the dirty words.
+    fn take_every_dirty(&mut self, out: &mut Vec<GlobalPageId>) {
+        let all = self.dirty_count;
+        for (rel, blocks) in self.state.iter_mut().enumerate() {
+            for (block, b) in (0..).zip(blocks.iter_mut()) {
+                let mut dirty = std::mem::take(&mut b.dirty);
+                while dirty != 0 {
+                    let page = block * BLOCK_PAGES + dirty.trailing_zeros();
+                    out.push(GlobalPageId::new(RelationId(rel as u32), page));
+                    dirty &= dirty - 1;
+                }
+                if out.len() == all {
+                    return;
+                }
+            }
+        }
+    }
+
+    /// Takes the first `max` dirty pages in clock order from the hand;
+    /// more than `max` are dirty.
+    fn take_dirty_from_hand(&mut self, max: usize, out: &mut Vec<GlobalPageId>) {
+        let n = self.frames.len;
+        let start = self.hand % n;
+        let layout = self.frames.layout;
+        // One plain loop per half of the clock: a loop over a `Chain`
+        // re-checks which half it is in on every frame.
+        for half in [start..n, 0..start] {
+            for idx in half {
+                let word = self.frames.get(idx);
+                // A free frame's relation id is the catalog's relation count,
+                // past every relation with state blocks.
+                let Some(blocks) = self.state.get_mut((word >> layout.page_bits) as usize) else {
                     continue;
                 };
+                let page = layout.unpack(word);
                 let (block, bit) = locate(page);
-                let b = &mut self.state[page.rel.0 as usize][block];
+                let b = &mut blocks[block];
                 if b.dirty & bit != 0 {
                     b.dirty &= !bit;
-                    self.dirty_count -= 1;
                     out.push(page);
-                    // Once the last dirty page is out, the rest of the scan
-                    // finds nothing; stopping keeps a sparse round cheap.
-                    if out.len() == max || self.dirty_count == 0 {
-                        break 'scan;
+                    if out.len() == max {
+                        return;
                     }
                 }
             }
         }
-        self.stats.flushed += out.len() as u64;
-        out
     }
 
     /// Evicts every resident page of `rel`, returning `(clean, dirty)`
     /// eviction counts. Used when update filtering lets a replica drop a
     /// table it no longer serves (§3).
+    ///
+    /// The counts come from the relation's state blocks; the frames are
+    /// walked only up to the last that holds one of its pages, so a
+    /// relation with none resident costs no walk.
     pub fn evict_relation(&mut self, rel: RelationId) -> (usize, usize) {
-        let mut clean = 0;
-        let mut dirty = 0;
-        for idx in 0..self.frames.len() {
-            if let Some(page) = page_of(self.frames[idx]).filter(|p| p.rel == rel) {
+        // A replica that stops serving a table may never touch it again, so
+        // its blocks are released, and every bit of `rel` with them.
+        let blocks = self
+            .state
+            .get_mut(rel.0 as usize)
+            .map(std::mem::take)
+            .unwrap_or_default();
+        let count = |bits: fn(&Block) -> u64| -> usize {
+            blocks.iter().map(|b| bits(b).count_ones() as usize).sum()
+        };
+        let (resident, dirty) = (count(|b| b.resident), count(|b| b.dirty));
+        self.dirty_count -= dirty;
+        // Free the relation's frames, stopping at the last of them.
+        let layout = self.frames.layout;
+        let of_rel = layout.words_of(rel);
+        let (mut left, mut idx) = (resident, 0);
+        while left > 0 {
+            if of_rel.contains(&self.frames.get(idx)) {
                 // Push the frame on the free list; `install` pops the frame
                 // freed last first.
-                self.frames[idx] = FREE | self.free_head;
+                self.frames.set(idx, layout.free | self.free_head);
                 self.free_head = idx as u32;
                 self.free_len += 1;
-                if self.clear(page) {
-                    dirty += 1;
-                } else {
-                    clean += 1;
-                }
+                left -= 1;
             }
+            idx += 1;
         }
-        // Every bit of `rel` is now clear. A replica that stops serving a
-        // table may never touch it again, so release its blocks.
-        if let Some(blocks) = self.state.get_mut(rel.0 as usize) {
-            *blocks = Vec::new();
-        }
-        (clean, dirty)
+        (resident - dirty, dirty)
     }
 
     /// Number of resident pages belonging to `rel` (metrics only; O(frames)).
     pub fn resident_of(&self, rel: RelationId) -> usize {
-        self.frames
-            .iter()
-            .filter(|&&f| page_of(f).is_some_and(|p| p.rel == rel))
+        let of_rel = self.frames.layout.words_of(rel);
+        (0..self.frames.len)
+            .filter(|&idx| of_rel.contains(&self.frames.get(idx)))
             .count()
     }
 }
@@ -457,7 +630,7 @@ impl BufferPool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ids::RelationId;
+    use crate::ids::{RelationId, MAX_RELATIONS};
 
     fn p(rel: u32, page: u32) -> GlobalPageId {
         GlobalPageId::new(RelationId(rel), page)
@@ -635,9 +808,17 @@ mod tests {
     #[test]
     fn arrays_are_sized_once_from_the_capacity_and_the_catalog() {
         let mut pool = pool(300);
-        assert_eq!(pool.frames.capacity(), 0, "construction allocates nothing");
+        assert_eq!(
+            pool.frames.bytes.capacity(),
+            0,
+            "construction allocates nothing"
+        );
+        // 13-bit words: 4 bits for ids up to 10, 9 for frame indices up to
+        // 301 (relation pages need only 8). The last of the 300 words starts
+        // in byte 485 and is read as the 8 bytes from there.
+        assert_eq!(pool.frames.layout.width, 13);
         pool.touch(p(3, 5));
-        assert_eq!(pool.frames.capacity(), 300);
+        assert_eq!(pool.frames.bytes.capacity(), 485 + 8);
         assert_eq!(pool.state.capacity(), 10);
         // Relation 3's 200 pages need 4 blocks; only the first is filled.
         assert_eq!((pool.state[3].len(), pool.state[3].capacity()), (1, 4));
@@ -645,7 +826,7 @@ mod tests {
             pool.touch(p(3, page));
         }
         assert_eq!((pool.state[3].len(), pool.state[3].capacity()), (4, 4));
-        assert_eq!(pool.frames.capacity(), 300);
+        assert_eq!(pool.frames.bytes.capacity(), 485 + 8);
         // Evicting the relation releases its blocks; the next touch
         // reserves them again.
         pool.evict_relation(RelationId(3));
@@ -655,21 +836,43 @@ mod tests {
     }
 
     #[test]
-    fn pages_outside_the_catalog_are_still_cached() {
-        let mut pool = pool(4);
-        for page in [p(12, 0), p(2, 1_000), p(2, 0)] {
-            assert_eq!(pool.touch(page), Touch::Miss { evicted: None });
-            assert_eq!(pool.touch(page), Touch::Hit);
+    fn frame_width_follows_the_catalog() {
+        // TPC-W MidDB's shape: 23 relations, the largest of 70,354 pages,
+        // in a 442 MB pool of 56,576 frames. The last word starts in byte
+        // 155,581 and is read as the 8 bytes from there.
+        let mut c = Catalog::new();
+        for r in 0..22 {
+            c.add_table(&format!("t{r}"), 1_000, 10_000);
         }
-        assert_eq!(pool.resident(), 3);
+        c.add_table("largest", 70_354, 703_540);
+        let mut pool = BufferPool::with_capacity_bytes(442 << 20, c);
+        assert_eq!(pool.capacity(), 56_576);
+        assert_eq!(pool.frames.layout.width, 22);
+        pool.touch(p(22, 70_353));
+        assert_eq!(pool.frames.bytes.capacity(), 155_581 + 8);
     }
 
     #[test]
     fn pack_round_trips_at_both_ends() {
-        for page in [p(0, 0), p(MAX_RELATIONS - 1, MAX_RELATION_PAGES - 1)] {
-            assert!(pack(page) < FREE);
-            assert_eq!(unpack(pack(page)), page);
+        // The widest words: 255 relations, one of 2^24 pages.
+        let mut widest = Catalog::new();
+        widest.add_table("largest", MAX_RELATION_PAGES, 1);
+        for r in 1..MAX_RELATIONS {
+            widest.add_table(&format!("t{r}"), 1, 1);
         }
+        for (layout, last) in [
+            (Layout::new(&catalog(), 4), p(9, 255)),
+            (
+                Layout::new(&widest, MAX_FRAMES - 1),
+                p(254, MAX_RELATION_PAGES - 1),
+            ),
+        ] {
+            for page in [p(0, 0), last] {
+                assert!(layout.pack(page) < layout.free);
+                assert_eq!(layout.unpack(layout.pack(page)), page);
+            }
+        }
+        assert_eq!(Layout::new(&widest, MAX_FRAMES - 1).width, 32);
     }
 
     /// Touches `page` on a fresh pool, checks that the pool allocated
@@ -678,7 +881,7 @@ mod tests {
         let mut pool = pool(4);
         let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| pool.touch(page)))
             .expect_err("an unindexable page must be rejected");
-        assert!(pool.frames.is_empty() && pool.state.is_empty());
+        assert!(pool.frames.bytes.capacity() == 0 && pool.state.is_empty());
         std::panic::resume_unwind(err);
     }
 
@@ -695,6 +898,41 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "relation ids must be below 10")]
+    fn relation_past_the_catalog_rejected() {
+        // Relation 10 is the free frames' tag in this catalog of ten.
+        touch_unindexable(p(10, 0));
+    }
+
+    #[test]
+    #[should_panic(expected = "page numbers below 256")]
+    fn page_past_the_frame_width_rejected() {
+        // 200-page relations and 4 frames take an 8-bit page field: page
+        // 255 is past relation 0's catalog size but fits, and 256 does not.
+        let mut pool = pool(4);
+        assert_eq!(pool.touch(p(0, 255)), Touch::Miss { evicted: None });
+        assert_eq!(pool.touch(p(0, 255)), Touch::Hit);
+        pool.touch(p(0, 256));
+    }
+
+    #[test]
+    fn page_past_its_relation_grows_its_blocks() {
+        // A 10-page relation reserves one block; a 256-page one makes the
+        // page field 8 bits wide, so the small one's page 200 still fits.
+        let mut c = Catalog::new();
+        let small = c.add_table("small", 10, 100);
+        c.add_table("large", 256, 2_560);
+        let mut pool = BufferPool::new(4, c);
+        pool.touch(GlobalPageId::new(small, 0));
+        assert_eq!((pool.state[0].len(), pool.state[0].capacity()), (1, 1));
+        let past = GlobalPageId::new(small, 200);
+        assert_eq!(pool.touch(past), Touch::Miss { evicted: None });
+        assert_eq!(pool.touch(past), Touch::Hit);
+        assert_eq!(pool.state[0].len(), 4);
+        assert!(pool.state[0].capacity() >= 4);
+    }
+
+    #[test]
     #[should_panic(expected = "at least one frame")]
     fn zero_capacity_rejected() {
         BufferPool::new(0, Catalog::new());
@@ -703,7 +941,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "is not below")]
     fn capacity_2_pow_24_minus_1_rejected() {
-        // Frame index 2^24 - 1 is the free list's end marker.
+        // Frame index 2^24 - 1 would need a 25-bit page field.
         BufferPool::new((1 << 24) - 1, Catalog::new());
     }
 

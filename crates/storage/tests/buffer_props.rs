@@ -1,13 +1,14 @@
 //! Property-based tests for buffer-pool invariants, and a reference model
-//! the pool's clock-sweep decisions must match bit for bit.
+//! the pool's clock-sweep decisions must match bit for bit, over drawn
+//! catalogs whose frame words run from the narrowest width to 32 bits.
 
 use proptest::prelude::*;
 use tashkent_storage::{BufferPool, Catalog, GlobalPageId, RelationId, Touch};
 
 /// A clock-sweep pool kept as simple as possible: a hashed page table over
-/// `Option<Frame>` slots. [`BufferPool`] stores the same state in packed
-/// frame words and per-page state bits; every observable result of the two
-/// must agree.
+/// `Option<Frame>` slots. [`BufferPool`] stores the same state in frame
+/// words packed at the catalog's width and per-page state bits; every
+/// observable result of the two must agree.
 mod reference {
     use std::collections::HashMap;
     use tashkent_storage::{BufferStats, GlobalPageId, RelationId, Touch};
@@ -127,6 +128,9 @@ mod reference {
             }
         }
 
+        /// Takes the first `max` dirty pages in clock order from the hand,
+        /// then sorts them into page order, the order the pool hands a batch
+        /// over in.
         pub fn collect_dirty(&mut self, max: usize) -> Vec<GlobalPageId> {
             let mut out = Vec::new();
             if self.dirty_count == 0 || max == 0 || self.frames.is_empty() {
@@ -147,6 +151,7 @@ mod reference {
                     }
                 }
             }
+            out.sort();
             out
         }
 
@@ -195,32 +200,173 @@ fn op_strategy() -> impl Strategy<Value = Op> {
     ]
 }
 
-/// Relation ids with gaps between them, as a pool serving a subset of a
-/// catalog sees.
-const SPARSE_RELS: [u32; 5] = [0, 2, 3, 7, 12];
+/// Pages the model test touches in one relation: its first `TOUCH_SPAN`
+/// at most, so a relation of up to 2^24 pages reserves its state blocks at
+/// its first touch but fills only the first few.
+const TOUCH_SPAN: u32 = 1 << 14;
 
-fn sparse_rel() -> impl Strategy<Value = u32> {
-    (0usize..SPARSE_RELS.len()).prop_map(|i| SPARSE_RELS[i])
+/// A drawn schema: `sizes[r]` pages for relation `r`, the largest of them
+/// at `largest`, and the relations the operations touch.
+#[derive(Debug, Clone)]
+struct Schema {
+    sizes: Vec<u32>,
+    /// The largest relation first, then four drawn from the catalog, so the
+    /// touched ids have gaps between them, as a pool serving a subset of a
+    /// catalog sees.
+    touched: [u32; 5],
 }
 
-/// Mostly a small page range (so the pool both hits and evicts), sometimes
-/// pages across the 64- and 128-page block edges, and sometimes a page far
-/// past any touched before (so per-relation state must grow).
-fn spread_page() -> impl Strategy<Value = u32> {
+/// Raw draws [`Schema::new`] reads.
+const SCHEMA_DRAWS: usize = 7 + 255;
+
+impl Schema {
+    /// A schema of 2^(`rel_bits` - 1) to 2^`rel_bits` - 1 relations whose
+    /// largest relation's last page number needs `page_bits` bits: a
+    /// relation field of `rel_bits` bits, and a page field of at least
+    /// `page_bits`. Every other size comes from `raw`.
+    fn new(rel_bits: u32, page_bits: u32, raw: &[u32]) -> Self {
+        let half = |bits: u32| 1u32 << bits.saturating_sub(1);
+        let rels = half(rel_bits) + raw[0] % half(rel_bits);
+        let largest_pages = match page_bits {
+            0 => 1,
+            b => half(b) + 1 + raw[1] % half(b),
+        };
+        let largest = raw[2] % rels;
+        let sizes = (0..rels)
+            .map(|r| {
+                if r == largest {
+                    largest_pages
+                } else {
+                    raw[7 + r as usize] % (largest_pages.min(TOUCH_SPAN) + 1)
+                }
+            })
+            .collect();
+        let touched = [
+            largest,
+            raw[3] % rels,
+            raw[4] % rels,
+            raw[5] % rels,
+            raw[6] % rels,
+        ];
+        Schema { sizes, touched }
+    }
+
+    fn catalog(&self) -> Catalog {
+        let mut c = Catalog::new();
+        for (r, &pages) in self.sizes.iter().enumerate() {
+            c.add_table(&format!("t{r}"), pages, u64::from(pages) * 10);
+        }
+        c
+    }
+
+    /// The page `draw` names in touched relation `i`.
+    fn page(&self, i: usize, draw: PageDraw) -> GlobalPageId {
+        let rel = self.touched[i];
+        let span = self.sizes[rel as usize].clamp(1, TOUCH_SPAN);
+        let p = match draw {
+            PageDraw::Low(p) => p % span,
+            PageDraw::Tail(k) => span - 1 - k % span,
+            PageDraw::Any(p) => p % span,
+        };
+        page(rel, p)
+    }
+}
+
+/// Schemas over every relation-field width (1 to 8 bits) and every page
+/// count of the largest relation's last page (0 to 24 bits).
+fn schema_strategy() -> impl Strategy<Value = Schema> {
+    (
+        1u32..9,
+        0u32..25,
+        proptest::collection::vec(any::<u32>(), SCHEMA_DRAWS..SCHEMA_DRAWS + 1),
+    )
+        .prop_map(|(rel_bits, page_bits, raw)| Schema::new(rel_bits, page_bits, &raw))
+}
+
+/// Where in a relation's touched span a page falls.
+#[derive(Debug, Clone, Copy)]
+enum PageDraw {
+    /// Mostly a small page range, so the pool both hits and evicts.
+    Low(u32),
+    /// Near the span's end, across block edges and high page bits.
+    Tail(u32),
+    /// Anywhere in the span, so per-relation state must grow.
+    Any(u32),
+}
+
+/// An operation against a pool of a drawn [`Schema`]; relations are
+/// indices into its touched relations.
+#[derive(Debug, Clone)]
+enum ModelOp {
+    Touch(usize, PageDraw),
+    MarkDirty(usize, PageDraw),
+    CollectDirty(usize),
+    /// A write-back whose budget is the dirty count less 0 or 1: one round
+    /// that takes every dirty page, and one that leaves exactly one.
+    CollectNearAll(usize),
+    EvictRelation(usize),
+}
+
+fn page_draw() -> impl Strategy<Value = PageDraw> {
     prop_oneof![
-        8 => 0u32..48,
-        2 => 48u32..200,
-        1 => 1_000u32..200_000,
+        8 => (0u32..48).prop_map(PageDraw::Low),
+        2 => (0u32..200).prop_map(PageDraw::Tail),
+        1 => any::<u32>().prop_map(PageDraw::Any),
     ]
 }
 
-fn model_op_strategy() -> impl Strategy<Value = Op> {
+fn model_op_strategy() -> impl Strategy<Value = ModelOp> {
     prop_oneof![
-        6 => (sparse_rel(), spread_page()).prop_map(|(r, p)| Op::Touch(r, p)),
-        3 => (sparse_rel(), spread_page()).prop_map(|(r, p)| Op::MarkDirty(r, p)),
-        1 => (0usize..12).prop_map(Op::CollectDirty),
-        1 => sparse_rel().prop_map(Op::EvictRelation),
+        6 => (0usize..5, page_draw()).prop_map(|(r, p)| ModelOp::Touch(r, p)),
+        3 => (0usize..5, page_draw()).prop_map(|(r, p)| ModelOp::MarkDirty(r, p)),
+        1 => (0usize..12).prop_map(ModelOp::CollectDirty),
+        1 => (0usize..2).prop_map(ModelOp::CollectNearAll),
+        1 => (0usize..5).prop_map(ModelOp::EvictRelation),
     ]
+}
+
+/// Runs `ops` on a pool of `schema` with `cap` frames and on the reference
+/// model, requiring every decision to agree: the same hit or victim (with
+/// its dirty flag), the same write-back batches in page order, the same
+/// relation evictions, and the same counters.
+fn check_against_model(schema: &Schema, cap: usize, ops: &[ModelOp]) {
+    let mut pool = BufferPool::new(cap, schema.catalog());
+    let mut model = reference::RefPool::new(cap);
+    let last = schema.sizes.len() as u32 - 1;
+    for op in ops {
+        match *op {
+            ModelOp::Touch(i, d) => {
+                let p = schema.page(i, d);
+                prop_assert_eq!(pool.touch(p), model.touch(p));
+                prop_assert_eq!(pool.is_resident(p), model.is_resident(p));
+            }
+            ModelOp::MarkDirty(i, d) => {
+                let p = schema.page(i, d);
+                prop_assert_eq!(pool.mark_dirty(p), model.mark_dirty(p));
+                prop_assert_eq!(pool.is_resident(p), model.is_resident(p));
+            }
+            ModelOp::CollectDirty(n) => {
+                prop_assert_eq!(pool.collect_dirty(n), model.collect_dirty(n));
+            }
+            ModelOp::CollectNearAll(slack) => {
+                let n = model.dirty_count().saturating_sub(slack);
+                prop_assert_eq!(pool.collect_dirty(n), model.collect_dirty(n));
+            }
+            ModelOp::EvictRelation(i) => {
+                let rel = RelationId(schema.touched[i]);
+                prop_assert_eq!(pool.evict_relation(rel), model.evict_relation(rel));
+            }
+        }
+        prop_assert_eq!(pool.stats(), model.stats());
+        prop_assert_eq!(pool.resident(), model.resident());
+        prop_assert_eq!(pool.dirty_count(), model.dirty_count());
+        for r in schema.touched.into_iter().chain([0, last]) {
+            prop_assert_eq!(
+                pool.resident_of(RelationId(r)),
+                model.resident_of(RelationId(r))
+            );
+        }
+    }
 }
 
 fn page(r: u32, p: u32) -> GlobalPageId {
@@ -242,41 +388,13 @@ fn pool(capacity: usize) -> BufferPool {
 }
 
 proptest! {
-    /// The pool makes every decision the reference model makes: the same
-    /// hit or victim (with its dirty flag), the same write-back batches in
-    /// the same order, the same relation evictions, and the same counters.
+    /// The pool makes every decision the reference model makes, on a drawn
+    /// catalog and capacity.
     #[test]
-    fn matches_reference_model(ops in proptest::collection::vec(model_op_strategy(), 1..600),
+    fn matches_reference_model(schema in schema_strategy(),
+                               ops in proptest::collection::vec(model_op_strategy(), 1..600),
                                cap in 1usize..33) {
-        let mut pool = pool(cap);
-        let mut model = reference::RefPool::new(cap);
-        for op in ops {
-            match op {
-                Op::Touch(r, p) => {
-                    prop_assert_eq!(pool.touch(page(r, p)), model.touch(page(r, p)));
-                }
-                Op::MarkDirty(r, p) => {
-                    prop_assert_eq!(pool.mark_dirty(page(r, p)), model.mark_dirty(page(r, p)));
-                }
-                Op::CollectDirty(n) => {
-                    prop_assert_eq!(pool.collect_dirty(n), model.collect_dirty(n));
-                }
-                Op::EvictRelation(r) => {
-                    prop_assert_eq!(pool.evict_relation(RelationId(r)),
-                                    model.evict_relation(RelationId(r)));
-                }
-            }
-            if let Op::Touch(r, p) | Op::MarkDirty(r, p) = op {
-                prop_assert_eq!(pool.is_resident(page(r, p)), model.is_resident(page(r, p)));
-            }
-            prop_assert_eq!(pool.stats(), model.stats());
-            prop_assert_eq!(pool.resident(), model.resident());
-            prop_assert_eq!(pool.dirty_count(), model.dirty_count());
-            for r in SPARSE_RELS.iter().copied().chain([1, 13]) {
-                prop_assert_eq!(pool.resident_of(RelationId(r)),
-                                model.resident_of(RelationId(r)));
-            }
-        }
+        check_against_model(&schema, cap, &ops);
     }
 
     /// Residency never exceeds capacity, and dirty pages are always a subset
@@ -386,6 +504,24 @@ proptest! {
         prop_assert_eq!(pool.resident(), pages.len() - of_target);
         for (r, p) in &pages {
             prop_assert_eq!(pool.is_resident(page(*r, *p)), *r != 1);
+        }
+    }
+}
+
+/// Every pair of field widths meets the reference model once: relation
+/// fields of 1 to 8 bits over page fields of 2 to 24 (the capacity sets the
+/// floor), so frame words run from 3 to 32 bits and start at every bit
+/// offset of a byte.
+#[test]
+fn matches_reference_model_at_every_width() {
+    let mut rng = TestRng::from_name("matches_reference_model_at_every_width");
+    let raw = proptest::collection::vec(any::<u32>(), SCHEMA_DRAWS..SCHEMA_DRAWS + 1);
+    let ops = proptest::collection::vec(model_op_strategy(), 200..201);
+    for rel_bits in 1..=8 {
+        for page_bits in 0..=24 {
+            let schema = Schema::new(rel_bits, page_bits, &raw.generate(&mut rng));
+            let cap = (1usize..33).generate(&mut rng);
+            check_against_model(&schema, cap, &ops.generate(&mut rng));
         }
     }
 }
