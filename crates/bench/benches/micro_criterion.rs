@@ -12,7 +12,7 @@ use tashkent_cluster::{
 use tashkent_core::{pack_groups, EstimationMode, Lard, LardConfig, PageTable, WorkingSet};
 use tashkent_engine::{Snapshot, TxnId, TxnTypeId, Version, Writeset, WritesetItem};
 use tashkent_sim::{SimRng, SimTime};
-use tashkent_storage::{BufferPool, Catalog, GlobalPageId, RelationId};
+use tashkent_storage::{BufferPool, Catalog, GlobalPageId, RelationId, RelationSet};
 use tashkent_workloads::tpcw::{self, TpcwScale};
 
 /// `n` synthetic types over a 40-relation schema: type `i` references
@@ -163,6 +163,32 @@ fn bench_buffer_pool(c: &mut Criterion) {
             }
             batch
         })
+    });
+    // A replica installing its update filter on the full 442 MB pool that
+    // `bufferpool_fill_mid_pool` builds, as `ReplicaNode::set_filter`
+    // does: it keeps the item and author tables and their indexes, and
+    // evicts the other 17 relations. Dropping the pool afterwards is timed
+    // too, as in every `iter_batched` case of the stand-in criterion.
+    c.bench_function("bufferpool_evict_filtered", |b| {
+        let mut full = BufferPool::with_capacity_bytes(442 << 20, catalog.clone());
+        for p in &distinct {
+            full.touch(*p);
+        }
+        let kept = |name: &str| name.starts_with("item") || name.starts_with("author");
+        let dropped: RelationSet = rels
+            .iter()
+            .filter(|r| !kept(&r.name))
+            .map(|r| r.id)
+            .collect();
+        assert_eq!(dropped.len(), 17);
+        b.iter_batched(
+            || full.clone(),
+            |mut pool| {
+                pool.evict_relations(dropped);
+                pool
+            },
+            BatchSize::LargeInput,
+        )
     });
 }
 

@@ -198,11 +198,9 @@ impl ReplicaNode {
     /// Installs a new update filter; dropped tables are evicted from the
     /// pool (the replica stops maintaining them, §3).
     pub fn set_filter(&mut self, filter: UpdateFilter) {
-        for rel in self.catalog.relations() {
-            if !filter.accepts(rel.id) {
-                self.pool.evict_relation(rel.id);
-            }
-        }
+        let ids = self.catalog.relations().iter().map(|r| r.id);
+        self.pool
+            .evict_relations(ids.filter(|&rel| !filter.accepts(rel)).collect());
         self.filter = filter;
     }
 

@@ -17,37 +17,39 @@
 //! MidDB (23 relations, the largest of 70,354 pages) and RUBiS (16
 //! relations, the largest of 74,679 pages) a word is 22 bits, 5 for the
 //! relation and 17 for the page, so the 56,576 frames of a 442 MB pool take
-//! 152 KB. The catalog's limits, [`MAX_RELATIONS`](crate::MAX_RELATIONS)
-//! relations of at most [`MAX_RELATION_PAGES`] pages, and the capacity's
-//! keep a word within 32 bits. A page whose relation is outside the
-//! catalog, or whose number does not fit the page field, panics at its
-//! miss.
+//! 152 KB. The catalog's limits, [`MAX_RELATIONS`] relations of at most
+//! [`MAX_RELATION_PAGES`] pages, and the capacity's keep a word within 32
+//! bits. A page whose relation is outside the catalog, or whose number does
+//! not fit the page field, panics at its miss.
 //!
-//! A frame emptied by [`BufferPool::evict_relation`] holds the relation id
+//! A frame emptied by [`BufferPool::evict_relations`] holds the relation id
 //! equal to the catalog's relation count, which names no relation, and in
 //! its page field the index of the next free frame: the free list lives in
 //! the free frames themselves, and the pool keeps only its head and length.
-//! Each page's resident, referenced and dirty bits live in a per-relation
-//! `Vec` of 64-page blocks, one `u64` per bit, so page `p` owns bit `p % 64`
-//! of block `p / 64`. A page lookup is two array indexes and a mask rather
-//! than a hash probe, and a writer round that takes every dirty page reads
-//! them off the dirty words without walking the frames. A round that takes
-//! fewer walks the frames from the clock hand, one word at a time.
+//! Each page's resident, referenced and dirty bits live in 64-page blocks,
+//! one `u64` per bit, eight to a 512-page chunk: page `p` owns bit `p % 64`
+//! of block `p / 64 % 8` of its relation's chunk `p / 512`. Each relation
+//! has a directory of its chunks, and a chunk is allocated at the first
+//! install of a page in its range. A page lookup is three array indexes
+//! and a mask rather than a hash probe, and a writer round that takes
+//! every dirty page reads them off the dirty words without walking the
+//! frames. A round that takes fewer walks the frames from the clock hand,
+//! one word at a time.
 //!
 //! Each array is allocated once, at its final size, so a filling pool
 //! leaves no outgrown copies behind in the allocator. The frames reserve
 //! the whole capacity at the first install, and the relation-indexed table
-//! reserves the catalog's relation count. A relation's blocks reserve the
-//! block count its catalog size needs on its first touch, are filled only
-//! up to the highest page touched, and are released when the relation is
-//! evicted as a whole. A 512 MB pool of 65,536 frames on MidDB therefore
-//! costs 176 KB of host memory plus 3 bits per page of every relation it
-//! has touched.
-
-use std::ops::Range;
+//! reserves the catalog's relation count. A relation's directory reserves
+//! one entry per 512 pages of its catalog size on its first touch, and
+//! grows only for pages past that size. A chunk that empties is kept; the
+//! directory and its chunks are released when the relation is evicted as a
+//! whole. A 512 MB pool of 65,536 frames on MidDB therefore costs 176 KB of
+//! host memory, plus 3 bits per page of each 512-page range installed into
+//! since its relation was last evicted, plus 8 B per 512 pages of each
+//! touched relation's directory.
 
 use crate::catalog::Catalog;
-use crate::ids::{GlobalPageId, RelationId, MAX_RELATION_PAGES};
+use crate::ids::{GlobalPageId, RelationId, RelationSet, MAX_RELATIONS, MAX_RELATION_PAGES};
 
 /// Result of touching a page in the pool.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -163,15 +165,6 @@ impl Layout {
         GlobalPageId::new(RelationId(word >> self.page_bits), word & self.end)
     }
 
-    /// The words that name pages of `rel`: none if the catalog lacks it.
-    fn words_of(self, rel: RelationId) -> Range<u32> {
-        if rel.0 < self.free >> self.page_bits {
-            rel.0 << self.page_bits..(rel.0 + 1) << self.page_bits
-        } else {
-            0..0
-        }
-    }
-
     /// The word from bit `bit` of `bytes`.
     #[inline]
     fn read(self, bytes: &[u8], bit: usize) -> u32 {
@@ -245,8 +238,8 @@ impl Frames {
 }
 
 /// The state bits of 64 consecutive pages of one relation; page `p` owns
-/// bit `p % 64` of block `p / 64`. A page's three bits are all clear
-/// exactly when it is not resident.
+/// bit `p % 64` of its block. A page's three bits are all clear exactly
+/// when it is not resident.
 #[derive(Debug, Clone, Copy, Default)]
 struct Block {
     resident: u64,
@@ -257,12 +250,46 @@ struct Block {
 /// Pages per [`Block`].
 const BLOCK_PAGES: u32 = u64::BITS;
 
-/// `page`'s block index within its relation, and its bit in that block.
-fn locate(page: GlobalPageId) -> (usize, u64) {
+/// Blocks per [`Chunk`].
+const CHUNK_BLOCKS: usize = 8;
+
+/// Pages per [`Chunk`].
+const CHUNK_PAGES: u32 = BLOCK_PAGES * CHUNK_BLOCKS as u32;
+
+/// The state bits of 512 consecutive pages of one relation, 192 B.
+type Chunk = [Block; CHUNK_BLOCKS];
+
+/// One relation's chunks by index: `None` for a range no page of which
+/// has been installed since the relation was last evicted.
+type Directory = Vec<Option<Box<Chunk>>>;
+
+/// Where `page`'s bits lie: its chunk's index within its relation, its
+/// block within the chunk, and its bit in that block.
+fn locate(page: GlobalPageId) -> (usize, usize, u64) {
     (
-        (page.page / BLOCK_PAGES) as usize,
+        (page.page / CHUNK_PAGES) as usize,
+        (page.page / BLOCK_PAGES) as usize % CHUNK_BLOCKS,
         1 << (page.page % BLOCK_PAGES),
     )
+}
+
+/// The block and bit of `page`, a resident page of the relation whose
+/// directory is `dir`.
+fn resident_block(dir: &mut Directory, page: GlobalPageId) -> (&mut Block, u64) {
+    let (chunk, block, bit) = locate(page);
+    let chunk = dir[chunk].as_deref_mut().expect("a resident page's chunk");
+    (&mut chunk[block], bit)
+}
+
+/// Pages of `dir` whose bit `bits` picks is set.
+fn count(dir: &Directory, bits: fn(&Block) -> u64) -> usize {
+    let mut n = 0;
+    for chunk in dir.iter().flatten() {
+        for b in chunk.iter() {
+            n += bits(b).count_ones() as usize;
+        }
+    }
+    n
 }
 
 /// A fixed-capacity page cache with clock-sweep replacement.
@@ -289,7 +316,7 @@ fn locate(page: GlobalPageId) -> (usize, u64) {
 pub struct BufferPool {
     capacity: usize,
     /// The schema the pool caches: it fixes the frame width and each
-    /// relation's block count.
+    /// relation's directory size.
     catalog: Catalog,
     /// Frames in clock order: resident pages' words, and free frames linked
     /// into a list.
@@ -298,8 +325,8 @@ pub struct BufferPool {
     free_head: u32,
     /// Frames on the free list.
     free_len: usize,
-    /// State blocks indexed by relation id, then block index.
-    state: Vec<Vec<Block>>,
+    /// Chunk directories indexed by relation id.
+    state: Vec<Directory>,
     hand: usize,
     dirty_count: usize,
     stats: BufferStats,
@@ -308,8 +335,8 @@ pub struct BufferPool {
 impl BufferPool {
     /// Creates a pool holding at most `capacity` pages of `catalog`'s
     /// relations. A page past its relation's catalog size whose number
-    /// still fits the frame word is cached; its relation's blocks then grow
-    /// as a `Vec` does.
+    /// still fits the frame word is cached; its relation's directory then
+    /// grows as a `Vec` does.
     ///
     /// # Panics
     ///
@@ -370,32 +397,26 @@ impl BufferPool {
 
     /// Whether `page` is resident.
     pub fn is_resident(&self, page: GlobalPageId) -> bool {
-        let (block, bit) = locate(page);
+        let (chunk, block, bit) = locate(page);
         self.state
             .get(page.rel.0 as usize)
-            .and_then(|s| s.get(block))
-            .is_some_and(|b| b.resident & bit != 0)
+            .and_then(|dir| dir.get(chunk)?.as_deref())
+            .is_some_and(|c| c[block].resident & bit != 0)
     }
 
-    /// The block holding `page`'s bits, if its relation's blocks reach it,
-    /// and the page's bit in it.
+    /// The block holding `page`'s bits, if its chunk is allocated, and the
+    /// page's bit in it.
     fn slot(&mut self, page: GlobalPageId) -> Option<(&mut Block, u64)> {
-        let (block, bit) = locate(page);
-        let b = self.state.get_mut(page.rel.0 as usize)?.get_mut(block)?;
-        Some((b, bit))
-    }
-
-    /// The block and bit of a page that has been touched before.
-    fn state_mut(&mut self, page: GlobalPageId) -> (&mut Block, u64) {
-        let (block, bit) = locate(page);
-        (&mut self.state[page.rel.0 as usize][block], bit)
+        let (chunk, block, bit) = locate(page);
+        let c = self.state.get_mut(page.rel.0 as usize)?.get_mut(chunk)?;
+        Some((&mut c.as_deref_mut()?[block], bit))
     }
 
     /// Clears all three bits of a resident page and counts it out of
     /// `dirty_count`, returning whether it was dirty. A stale dirty bit
     /// would make the page dirty when reinstalled.
     fn clear(&mut self, page: GlobalPageId) -> bool {
-        let (b, bit) = self.state_mut(page);
+        let (b, bit) = resident_block(&mut self.state[page.rel.0 as usize], page);
         let dirty = b.dirty & bit != 0;
         b.resident &= !bit;
         b.referenced &= !bit;
@@ -464,8 +485,9 @@ impl BufferPool {
             }
             Some((victim, dirty))
         };
-        // Grow the relation's blocks to cover `page`, reserving every block
-        // of the relation on its first touch.
+        // Grow the relation's directory to cover `page`, reserving one entry
+        // per chunk of the relation's catalog size on its first touch, and
+        // allocate the page's chunk at the first install in its range.
         let rel = page.rel.0 as usize;
         if self.state.len() <= rel {
             if self.state.is_empty() {
@@ -473,17 +495,18 @@ impl BufferPool {
             }
             self.state.resize_with(rel + 1, Vec::new);
         }
-        let blocks = &mut self.state[rel];
-        let (block, bit) = locate(page);
-        if blocks.len() <= block {
-            if blocks.capacity() == 0 {
+        let dir = &mut self.state[rel];
+        let (chunk, block, bit) = locate(page);
+        if dir.len() <= chunk {
+            if dir.capacity() == 0 {
                 let pages = self.catalog.relations()[rel].pages;
-                blocks.reserve_exact(pages.div_ceil(BLOCK_PAGES) as usize);
+                dir.reserve_exact(pages.div_ceil(CHUNK_PAGES) as usize);
             }
-            blocks.resize(block + 1, Block::default());
+            dir.resize_with(chunk + 1, || None);
         }
-        blocks[block].resident |= bit;
-        blocks[block].referenced |= bit;
+        let b = &mut dir[chunk].get_or_insert_with(Default::default)[block];
+        b.resident |= bit;
+        b.referenced |= bit;
         evicted
     }
 
@@ -497,8 +520,7 @@ impl BufferPool {
             let idx = self.hand;
             self.hand = if idx + 1 == n { 0 } else { idx + 1 };
             let page = self.frames.layout.unpack(self.frames.get(idx));
-            let (block, bit) = locate(page);
-            let b = &mut self.state[page.rel.0 as usize][block];
+            let (b, bit) = resident_block(&mut self.state[page.rel.0 as usize], page);
             if b.referenced & bit == 0 {
                 return (idx, page);
             }
@@ -510,7 +532,7 @@ impl BufferPool {
     /// order, clearing their dirty bits.
     ///
     /// When `max` covers every dirty page, the call reads them off the
-    /// state blocks' dirty words. Otherwise it takes the first `max` it
+    /// chunks' dirty words. Otherwise it takes the first `max` it
     /// meets in clock order from the clock hand, which only evictions move,
     /// so such calls between two evictions start at the same frame.
     ///
@@ -535,13 +557,19 @@ impl BufferPool {
     /// Takes every dirty page, in page order, from the dirty words.
     fn take_every_dirty(&mut self, out: &mut Vec<GlobalPageId>) {
         let all = self.dirty_count;
-        for (rel, blocks) in self.state.iter_mut().enumerate() {
-            for (block, b) in (0..).zip(blocks.iter_mut()) {
-                let mut dirty = std::mem::take(&mut b.dirty);
-                while dirty != 0 {
-                    let page = block * BLOCK_PAGES + dirty.trailing_zeros();
-                    out.push(GlobalPageId::new(RelationId(rel as u32), page));
-                    dirty &= dirty - 1;
+        for (rel, dir) in self.state.iter_mut().enumerate() {
+            for (chunk, c) in (0u32..).zip(dir.iter_mut()) {
+                let Some(c) = c else {
+                    continue;
+                };
+                let first = chunk * CHUNK_BLOCKS as u32;
+                for (block, b) in (first..).zip(c.iter_mut()) {
+                    let mut dirty = std::mem::take(&mut b.dirty);
+                    while dirty != 0 {
+                        let page = block * BLOCK_PAGES + dirty.trailing_zeros();
+                        out.push(GlobalPageId::new(RelationId(rel as u32), page));
+                        dirty &= dirty - 1;
+                    }
                 }
                 if out.len() == all {
                     return;
@@ -562,13 +590,12 @@ impl BufferPool {
             for idx in half {
                 let word = self.frames.get(idx);
                 // A free frame's relation id is the catalog's relation count,
-                // past every relation with state blocks.
-                let Some(blocks) = self.state.get_mut((word >> layout.page_bits) as usize) else {
+                // past every relation with a directory.
+                let Some(dir) = self.state.get_mut((word >> layout.page_bits) as usize) else {
                     continue;
                 };
                 let page = layout.unpack(word);
-                let (block, bit) = locate(page);
-                let b = &mut blocks[block];
+                let (b, bit) = resident_block(dir, page);
                 if b.dirty & bit != 0 {
                     b.dirty &= !bit;
                     out.push(page);
@@ -580,50 +607,77 @@ impl BufferPool {
         }
     }
 
-    /// Evicts every resident page of `rel`, returning `(clean, dirty)`
-    /// eviction counts. Used when update filtering lets a replica drop a
-    /// table it no longer serves (§3).
+    /// Evicts every resident page of the relations in `rels`, returning
+    /// the `(clean, dirty)` eviction counts summed over them. Used when
+    /// update filtering lets a replica drop the tables it no longer serves
+    /// (§3).
     ///
-    /// The counts come from the relation's state blocks; the frames are
-    /// walked only up to the last that holds one of its pages, so a
-    /// relation with none resident costs no walk.
-    pub fn evict_relation(&mut self, rel: RelationId) -> (usize, usize) {
+    /// The counts come from the relations' chunks; the frames are walked
+    /// once, up to the last that holds a page of one of them, so relations
+    /// with none resident cost no walk. The free list comes out as
+    /// evicting the relations one at a time in ascending id order leaves
+    /// it: each relation's frames pushed in frame order, so the next
+    /// `install` pops the last frame of the highest id.
+    pub fn evict_relations(&mut self, rels: RelationSet) -> (usize, usize) {
         // A replica that stops serving a table may never touch it again, so
-        // its blocks are released, and every bit of `rel` with them.
-        let blocks = self
-            .state
-            .get_mut(rel.0 as usize)
-            .map(std::mem::take)
-            .unwrap_or_default();
-        let count = |bits: fn(&Block) -> u64| -> usize {
-            blocks.iter().map(|b| bits(b).count_ones() as usize).sum()
-        };
-        let (resident, dirty) = (count(|b| b.resident), count(|b| b.dirty));
+        // its directory and chunks are released, and every bit of it with
+        // them. Only relations of the catalog have directories.
+        let (mut resident, mut dirty) = (0, 0);
+        let mut evicted = RelationSet::new();
+        for rel in rels.iter() {
+            if let Some(dir) = self.state.get_mut(rel.0 as usize).map(std::mem::take) {
+                resident += count(&dir, |b| b.resident);
+                dirty += count(&dir, |b| b.dirty);
+                evicted.insert(rel);
+            }
+        }
         self.dirty_count -= dirty;
-        // Free the relation's frames, stopping at the last of them.
+        self.free_len += resident;
+        // Link each relation's frames into its own list, `(head, tail)`, in
+        // frame order, stopping at the last of them. A free frame's
+        // relation id is the catalog's relation count, never evicted.
         let layout = self.frames.layout;
-        let of_rel = layout.words_of(rel);
+        let mut lists = [(layout.end, layout.end); MAX_RELATIONS as usize];
         let (mut left, mut idx) = (resident, 0);
         while left > 0 {
-            if of_rel.contains(&self.frames.get(idx)) {
-                // Push the frame on the free list; `install` pops the frame
-                // freed last first.
-                self.frames.set(idx, layout.free | self.free_head);
-                self.free_head = idx as u32;
-                self.free_len += 1;
+            let rel = self.frames.get(idx) >> layout.page_bits;
+            if evicted.contains(RelationId(rel)) {
+                let (head, tail) = &mut lists[rel as usize];
+                if *head == layout.end {
+                    *tail = idx as u32;
+                }
+                self.frames.set(idx, layout.free | *head);
+                *head = idx as u32;
                 left -= 1;
             }
             idx += 1;
         }
+        // Splice the lists onto the pool's in ascending id order.
+        for rel in evicted.iter() {
+            let (head, tail) = lists[rel.0 as usize];
+            if head != layout.end {
+                self.frames.set(tail as usize, layout.free | self.free_head);
+                self.free_head = head;
+            }
+        }
         (resident - dirty, dirty)
     }
 
-    /// Number of resident pages belonging to `rel` (metrics only; O(frames)).
+    /// Evicts every resident page of `rel`, as
+    /// [`evict_relations`](Self::evict_relations) does for a set.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rel` is at or above [`MAX_RELATIONS`].
+    pub fn evict_relation(&mut self, rel: RelationId) -> (usize, usize) {
+        self.evict_relations([rel].into_iter().collect())
+    }
+
+    /// Number of resident pages belonging to `rel`, counted off its chunks.
     pub fn resident_of(&self, rel: RelationId) -> usize {
-        let of_rel = self.frames.layout.words_of(rel);
-        (0..self.frames.len)
-            .filter(|&idx| of_rel.contains(&self.frames.get(idx)))
-            .count()
+        self.state
+            .get(rel.0 as usize)
+            .map_or(0, |dir| count(dir, |b| b.resident))
     }
 }
 
@@ -784,6 +838,31 @@ mod tests {
     }
 
     #[test]
+    fn evict_relations_frees_as_one_relation_at_a_time() {
+        // Frames 0 to 5 hold relations 2, 1, 2, 3, 1 and 2.
+        let filled = || {
+            let mut pool = pool(6);
+            for (i, r) in (0..).zip([2, 1, 2, 3, 1, 2]) {
+                pool.touch(p(r, i));
+            }
+            pool.mark_dirty(p(1, 4));
+            pool
+        };
+        let (mut one, mut set) = (filled(), filled());
+        one.evict_relation(RelationId(1));
+        one.evict_relation(RelationId(2));
+        let both = [RelationId(2), RelationId(1)].into_iter().collect();
+        assert_eq!(set.evict_relations(both), (4, 1));
+        // Both pools refill their free frames in the same order.
+        for n in 0..5 {
+            assert_eq!(one.touch(p(4, n)), set.touch(p(4, n)));
+        }
+        let words = |pool: &BufferPool| (0..6).map(|i| pool.frames.get(i)).collect::<Vec<_>>();
+        assert_eq!(words(&one), words(&set));
+        assert_eq!(set.resident_of(RelationId(4)), 5);
+    }
+
+    #[test]
     fn resident_of_counts_per_relation() {
         let mut pool = pool(4);
         pool.touch(p(1, 0));
@@ -805,34 +884,46 @@ mod tests {
         assert!((pool.stats().hit_ratio() - 0.5).abs() < 1e-12);
     }
 
+    /// Chunks allocated in relation `rel`'s directory.
+    fn chunks(pool: &BufferPool, rel: usize) -> usize {
+        pool.state[rel].iter().flatten().count()
+    }
+
     #[test]
     fn arrays_are_sized_once_from_the_capacity_and_the_catalog() {
-        let mut pool = pool(300);
+        // TPC-W MidDB's largest relation, 70,354 pages, in 300 frames.
+        let mut c = Catalog::new();
+        let largest = c.add_table("largest", 70_354, 703_540);
+        let mut pool = BufferPool::new(300, c);
+        let page = |n| GlobalPageId::new(largest, n);
         assert_eq!(
             pool.frames.bytes.capacity(),
             0,
             "construction allocates nothing"
         );
-        // 13-bit words: 4 bits for ids up to 10, 9 for frame indices up to
-        // 301 (relation pages need only 8). The last of the 300 words starts
-        // in byte 485 and is read as the 8 bytes from there.
-        assert_eq!(pool.frames.layout.width, 13);
-        pool.touch(p(3, 5));
-        assert_eq!(pool.frames.bytes.capacity(), 485 + 8);
-        assert_eq!(pool.state.capacity(), 10);
-        // Relation 3's 200 pages need 4 blocks; only the first is filled.
-        assert_eq!((pool.state[3].len(), pool.state[3].capacity()), (1, 4));
-        for page in 0..200 {
-            pool.touch(p(3, page));
-        }
-        assert_eq!((pool.state[3].len(), pool.state[3].capacity()), (4, 4));
-        assert_eq!(pool.frames.bytes.capacity(), 485 + 8);
-        // Evicting the relation releases its blocks; the next touch
-        // reserves them again.
-        pool.evict_relation(RelationId(3));
-        assert_eq!(pool.state[3].capacity(), 0);
-        pool.touch(p(3, 150));
-        assert_eq!((pool.state[3].len(), pool.state[3].capacity()), (3, 4));
+        // 18-bit words: 1 bit for ids up to 1, 17 for page numbers up to
+        // 70,353. The last of the 300 words starts in byte 672 and is read
+        // as the 8 bytes from there.
+        assert_eq!(pool.frames.layout.width, 18);
+        pool.touch(page(1_000));
+        assert_eq!(pool.frames.bytes.capacity(), 672 + 8);
+        assert_eq!(pool.state.capacity(), 1);
+        // One install reserves the relation's directory, an entry per 512
+        // pages, and allocates one chunk: pages 512 to 1,023.
+        assert_eq!((pool.state[0].capacity(), chunks(&pool, 0)), (138, 1));
+        // A page 512 on lies in the next chunk; another page of the first
+        // chunk's range allocates nothing.
+        pool.touch(page(1_512));
+        pool.touch(page(600));
+        assert_eq!((pool.state[0].capacity(), chunks(&pool, 0)), (138, 2));
+        assert_eq!(pool.frames.bytes.capacity(), 672 + 8);
+        // Evicting the relation releases its directory and chunks; the next
+        // touch reserves the directory again.
+        pool.evict_relation(largest);
+        assert_eq!(pool.state[0].capacity(), 0);
+        pool.touch(page(70_353));
+        assert_eq!(pool.state[0].len(), 138);
+        assert_eq!((pool.state[0].capacity(), chunks(&pool, 0)), (138, 1));
     }
 
     #[test]
@@ -916,20 +1007,30 @@ mod tests {
     }
 
     #[test]
-    fn page_past_its_relation_grows_its_blocks() {
-        // A 10-page relation reserves one block; a 256-page one makes the
-        // page field 8 bits wide, so the small one's page 200 still fits.
+    fn page_past_its_relation_grows_its_directory() {
+        // A 10-page relation reserves one directory entry; a 70,354-page one
+        // makes the page field 17 bits wide, so the small one's page 1,000
+        // still fits, in its chunk 1.
         let mut c = Catalog::new();
         let small = c.add_table("small", 10, 100);
-        c.add_table("large", 256, 2_560);
-        let mut pool = BufferPool::new(4, c);
-        pool.touch(GlobalPageId::new(small, 0));
+        c.add_table("large", 70_354, 703_540);
+        let mut pool = BufferPool::new(1, c);
+        let first = GlobalPageId::new(small, 0);
+        pool.touch(first);
         assert_eq!((pool.state[0].len(), pool.state[0].capacity()), (1, 1));
-        let past = GlobalPageId::new(small, 200);
-        assert_eq!(pool.touch(past), Touch::Miss { evicted: None });
+        let past = GlobalPageId::new(small, 1_000);
+        assert_eq!(
+            pool.touch(past),
+            Touch::Miss {
+                evicted: Some((first, false))
+            }
+        );
         assert_eq!(pool.touch(past), Touch::Hit);
-        assert_eq!(pool.state[0].len(), 4);
-        assert!(pool.state[0].capacity() >= 4);
+        assert_eq!(pool.state[0].len(), 2);
+        assert!(pool.state[0].capacity() >= 2);
+        // The chunk that `first`'s eviction emptied is kept.
+        assert_eq!(chunks(&pool, 0), 2);
+        assert!(!pool.is_resident(first));
     }
 
     #[test]

@@ -3,12 +3,12 @@
 //! catalogs whose frame words run from the narrowest width to 32 bits.
 
 use proptest::prelude::*;
-use tashkent_storage::{BufferPool, Catalog, GlobalPageId, RelationId, Touch};
+use tashkent_storage::{BufferPool, Catalog, GlobalPageId, RelationId, RelationSet, Touch};
 
 /// A clock-sweep pool kept as simple as possible: a hashed page table over
 /// `Option<Frame>` slots. [`BufferPool`] stores the same state in frame
-/// words packed at the catalog's width and per-page state bits; every
-/// observable result of the two must agree.
+/// words packed at the catalog's width and per-page state bits in 512-page
+/// chunks; every observable result of the two must agree.
 mod reference {
     use std::collections::HashMap;
     use tashkent_storage::{BufferStats, GlobalPageId, RelationId, Touch};
@@ -201,8 +201,8 @@ fn op_strategy() -> impl Strategy<Value = Op> {
 }
 
 /// Pages the model test touches in one relation: its first `TOUCH_SPAN`
-/// at most, so a relation of up to 2^24 pages reserves its state blocks at
-/// its first touch but fills only the first few.
+/// at most, so a relation of up to 2^24 pages reserves its chunk directory
+/// at its first touch but allocates at most its first 32 chunks.
 const TOUCH_SPAN: u32 = 1 << 14;
 
 /// A drawn schema: `sizes[r]` pages for relation `r`, the largest of them
@@ -288,9 +288,10 @@ fn schema_strategy() -> impl Strategy<Value = Schema> {
 enum PageDraw {
     /// Mostly a small page range, so the pool both hits and evicts.
     Low(u32),
-    /// Near the span's end, across block edges and high page bits.
+    /// Near the span's end, across block and chunk edges and high page
+    /// bits.
     Tail(u32),
-    /// Anywhere in the span, so per-relation state must grow.
+    /// Anywhere in the span, mostly in chunks not yet allocated.
     Any(u32),
 }
 
@@ -305,6 +306,9 @@ enum ModelOp {
     /// that takes every dirty page, and one that leaves exactly one.
     CollectNearAll(usize),
     EvictRelation(usize),
+    /// Evicts the touched relations whose indices are the mask's set bits
+    /// in one call.
+    EvictRelations(u8),
 }
 
 fn page_draw() -> impl Strategy<Value = PageDraw> {
@@ -322,13 +326,16 @@ fn model_op_strategy() -> impl Strategy<Value = ModelOp> {
         1 => (0usize..12).prop_map(ModelOp::CollectDirty),
         1 => (0usize..2).prop_map(ModelOp::CollectNearAll),
         1 => (0usize..5).prop_map(ModelOp::EvictRelation),
+        1 => (0u8..32).prop_map(ModelOp::EvictRelations),
     ]
 }
 
 /// Runs `ops` on a pool of `schema` with `cap` frames and on the reference
-/// model, requiring every decision to agree: the same hit or victim (with
-/// its dirty flag), the same write-back batches in page order, the same
-/// relation evictions, and the same counters.
+/// model, requiring every decision to agree: the same residency before
+/// each touch or mark, the same hit or victim (with its dirty flag), the
+/// same write-back batches in page order, the same relation evictions (a
+/// set's summed over the model's evictions of its members one at a time,
+/// in ascending id order), and the same counters.
 fn check_against_model(schema: &Schema, cap: usize, ops: &[ModelOp]) {
     let mut pool = BufferPool::new(cap, schema.catalog());
     let mut model = reference::RefPool::new(cap);
@@ -337,11 +344,13 @@ fn check_against_model(schema: &Schema, cap: usize, ops: &[ModelOp]) {
         match *op {
             ModelOp::Touch(i, d) => {
                 let p = schema.page(i, d);
+                prop_assert_eq!(pool.is_resident(p), model.is_resident(p));
                 prop_assert_eq!(pool.touch(p), model.touch(p));
                 prop_assert_eq!(pool.is_resident(p), model.is_resident(p));
             }
             ModelOp::MarkDirty(i, d) => {
                 let p = schema.page(i, d);
+                prop_assert_eq!(pool.is_resident(p), model.is_resident(p));
                 prop_assert_eq!(pool.mark_dirty(p), model.mark_dirty(p));
                 prop_assert_eq!(pool.is_resident(p), model.is_resident(p));
             }
@@ -355,6 +364,18 @@ fn check_against_model(schema: &Schema, cap: usize, ops: &[ModelOp]) {
             ModelOp::EvictRelation(i) => {
                 let rel = RelationId(schema.touched[i]);
                 prop_assert_eq!(pool.evict_relation(rel), model.evict_relation(rel));
+            }
+            ModelOp::EvictRelations(mask) => {
+                let rels: RelationSet = (0..5)
+                    .filter(|i| mask >> i & 1 != 0)
+                    .map(|i| RelationId(schema.touched[i]))
+                    .collect();
+                let (mut clean, mut dirty) = (0, 0);
+                for rel in rels.iter() {
+                    let (c, d) = model.evict_relation(rel);
+                    (clean, dirty) = (clean + c, dirty + d);
+                }
+                prop_assert_eq!(pool.evict_relations(rels), (clean, dirty));
             }
         }
         prop_assert_eq!(pool.stats(), model.stats());
