@@ -7,10 +7,10 @@
 //! baseline: browsing served by the frozen shopping allocation (paper:
 //! 19 tps, worse than LeastConnections' 37).
 //!
-//! Runs through the `dynamic-reconfig` and `tpcw-steady-state` scenarios
-//! from the shared harness.
+//! Runs its three experiments in one sweep through the `dynamic-reconfig`
+//! and `tpcw-steady-state` scenarios from the shared harness.
 
-use tashkent_bench::{paper_knobs, run_exp, save_csv, window, ScenarioKnobs};
+use tashkent_bench::{paper_knobs, run_exps, save_csv, window, ScenarioKnobs};
 use tashkent_cluster::{DynamicReconfig, PolicySpec, Scenario, TpcwSteadyState};
 use tashkent_workloads::tpcw::TpcwScale;
 
@@ -28,30 +28,31 @@ fn main() {
         scale: TpcwScale::Mid,
         freeze: false,
     }
-    .run(&knobs)
-    .expect("scenario runs to its End event");
+    .experiment(&knobs);
 
     // Static baseline: converge on shopping, freeze, then serve browsing.
     // Only the browsing plateau is read, so drop the return-to-shopping
     // phase instead of simulating 150 s that would be discarded.
-    let mut frozen_exp = DynamicReconfig {
+    let mut frozen = DynamicReconfig {
         scale: TpcwScale::Mid,
         freeze: true,
     }
     .experiment(&knobs);
-    frozen_exp.phases.truncate(2);
-    let frozen = run_exp(frozen_exp);
+    frozen.phases.truncate(2);
 
     // LeastConnections on browsing (the paper's reference: 37 tps).
     let lc = TpcwSteadyState {
         scale: TpcwScale::Mid,
         mix: "browsing",
     }
-    .run(&ScenarioKnobs {
+    .experiment(&ScenarioKnobs {
         measured_secs: phase,
         ..paper_knobs(PolicySpec::LeastConnections, 512, "tpcw", "browsing")
-    })
-    .expect("scenario runs to its End event");
+    });
+
+    let [dynamic, frozen, lc] = run_exps(vec![dynamic, frozen, lc])
+        .try_into()
+        .unwrap_or_else(|_| unreachable!("one result per experiment"));
 
     println!("== Figure 6: dynamic reconfiguration (shopping -> browsing -> shopping) ==");
     println!("paper: shopping plateau 76 tps, browsing plateau 45 tps,");

@@ -7,13 +7,11 @@
 //! (memory-rich either way). This bench *measures* that map on the TPC-W
 //! ordering mix and renders it from data.
 
-use tashkent_bench::{run_exps, save_csv, tpcw_config, window};
-use tashkent_cluster::{Experiment, PolicySpec};
+use tashkent_bench::{paper_knobs, run_exps, save_csv, ScenarioKnobs};
+use tashkent_cluster::{PolicySpec, Scenario, TpcwSteadyState};
 use tashkent_workloads::tpcw::TpcwScale;
 
 fn main() {
-    let (warmup, measured) = window();
-    let measured = measured.min(120);
     let scales = [TpcwScale::Small, TpcwScale::Mid, TpcwScale::Large];
     let rams = [256u64, 512, 1024];
 
@@ -23,8 +21,15 @@ fn main() {
     for scale in scales {
         for ram in rams {
             for policy in [PolicySpec::LeastConnections, PolicySpec::malb_sc()] {
-                let (config, workload, mix) = tpcw_config(policy, ram, scale, "ordering");
-                exps.push(Experiment::new(config, workload, mix).with_window(warmup, measured));
+                let knobs = paper_knobs(policy, ram, "tpcw", "ordering");
+                let scenario = TpcwSteadyState {
+                    scale,
+                    mix: "ordering",
+                };
+                exps.push(scenario.experiment(&ScenarioKnobs {
+                    measured_secs: knobs.measured_secs.min(120),
+                    ..knobs
+                }));
             }
         }
     }

@@ -9,8 +9,8 @@
 //!
 //! Set `TASHKENT_BENCH_WINDOW=quick` to shorten the sweep.
 
-use tashkent_bench::{run_exps, save_csv, tpcw_config, window};
-use tashkent_cluster::{Experiment, PolicySpec};
+use tashkent_bench::{paper_knobs, run_exps, save_csv, ScenarioKnobs};
+use tashkent_cluster::{PolicySpec, Scenario, TpcwSteadyState};
 use tashkent_workloads::tpcw::TpcwScale;
 
 /// Paper values: [db][mix][ram][policy] with policies LC / MALB-SC / +UF.
@@ -36,7 +36,6 @@ const PAPER: [[[[f64; 3]; 3]; 3]; 3] = [
 ];
 
 fn main() {
-    let (warmup, measured) = window();
     let scales = [TpcwScale::Large, TpcwScale::Mid, TpcwScale::Small];
     let mixes = ["ordering", "shopping", "browsing"];
     let rams = [256u64, 512, 1024];
@@ -52,11 +51,16 @@ fn main() {
         for mix_name in &mixes {
             for ram in &rams {
                 for policy in &policies {
-                    let (config, workload, mix) = tpcw_config(*policy, *ram, *scale, mix_name);
-                    exps.push(
-                        Experiment::new(config, workload, mix)
-                            .with_window(warmup.min(60), measured.min(120)),
-                    );
+                    let knobs = paper_knobs(*policy, *ram, "tpcw", mix_name);
+                    let scenario = TpcwSteadyState {
+                        scale: *scale,
+                        mix: mix_name,
+                    };
+                    exps.push(scenario.experiment(&ScenarioKnobs {
+                        warmup_secs: knobs.warmup_secs.min(60),
+                        measured_secs: knobs.measured_secs.min(120),
+                        ..knobs
+                    }));
                 }
             }
         }

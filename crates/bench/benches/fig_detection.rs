@@ -2,7 +2,7 @@
 //! period (no fault oracle).
 //!
 //! Runs the `detection` scenario at paper scale across a heartbeat-period
-//! sweep. Each run injects a transient control-link partition (healed
+//! sweep, one run per period in one sweep. Each run injects a transient control-link partition (healed
 //! before the dead threshold — the false-suspicion case) and a real crash
 //! (walked through *Suspected* to *Dead* on missed heartbeats, then
 //! recovered via checkpoint-lag redo replay). For each period the figure
@@ -12,7 +12,7 @@
 //! trade-off the period knob buys: shorter periods detect faster but pay
 //! more heartbeat traffic and suspect innocent replicas sooner.
 
-use tashkent_bench::{paper_knobs, save_csv, Row};
+use tashkent_bench::{paper_knobs, run_exps, save_csv, Row};
 use tashkent_cluster::{Detection, FaultKind, PolicySpec, Scenario, ScenarioKnobs};
 
 fn main() {
@@ -38,11 +38,11 @@ fn main() {
         "heartbeat_ms,suspect_latency_ms,dead_latency_ms,spurious_suspects,redo_kb,tps\n",
     );
     println!("\n  period    suspect      dead  spurious     redo      tps");
-    for period in periods_us {
-        let knobs = base.clone().with_heartbeat(Some(period));
-        let r = Detection::default()
-            .run(&knobs)
-            .expect("detection scenario runs to its End event");
+    let exps = periods_us
+        .iter()
+        .map(|&period| Detection::default().experiment(&base.clone().with_heartbeat(Some(period))))
+        .collect();
+    for (period, r) in periods_us.into_iter().zip(run_exps(exps)) {
         let latency_ms = |kind: FaultKind| {
             r.faults
                 .iter()

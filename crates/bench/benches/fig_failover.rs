@@ -11,7 +11,7 @@
 //! the outage, and after recovery — the recovery plateau should return to
 //! the pre-crash level.
 
-use tashkent_bench::{paper_knobs, save_csv, Row};
+use tashkent_bench::{paper_knobs, run_exps, save_csv, Row};
 use tashkent_cluster::{Failover, FaultKind, PolicySpec, Scenario, ScenarioKnobs};
 use tashkent_workloads::tpcw::TpcwScale;
 
@@ -24,9 +24,9 @@ fn main() {
         crashes: (knobs.replicas / 4).max(1),
         kill_certifier_leader: true,
     };
-    let result = scenario
-        .run(&knobs)
-        .expect("failover scenario runs to its End event");
+    let result = run_exps(vec![scenario.experiment(&knobs)])
+        .pop()
+        .expect("one result per experiment");
 
     println!("== Failover: crash, log-replay recovery, certifier leader kill ==");
     println!(

@@ -11,7 +11,7 @@
 //! invariant. `min_copies = n` is the full-replication baseline — its
 //! shipped bytes equal today's propagation volume and its savings are zero.
 
-use tashkent_bench::{paper_knobs, save_csv, window, ScenarioKnobs};
+use tashkent_bench::{paper_knobs, run_exps, save_csv, window, ScenarioKnobs};
 use tashkent_cluster::{FaultKind, PartialReplication, PolicySpec, Scenario};
 
 fn main() {
@@ -34,11 +34,11 @@ fn main() {
         .filter(|m| *m <= n)
         .collect();
     sweep.dedup(); // `n` may itself be a power of two.
-    for &min_copies in &sweep {
-        let knobs = base.clone().with_min_copies(Some(min_copies));
-        let r = scenario
-            .run(&knobs)
-            .expect("partial-replication scenario runs to its End event");
+    let exps = sweep
+        .iter()
+        .map(|&min_copies| scenario.experiment(&base.clone().with_min_copies(Some(min_copies))))
+        .collect();
+    for (&min_copies, r) in sweep.iter().zip(run_exps(exps)) {
         let rereplications = r
             .faults
             .iter()

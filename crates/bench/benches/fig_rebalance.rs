@@ -10,7 +10,7 @@
 //! copy in chunks that compete with foreground propagation, so copy time
 //! scales inversely with the cap.
 
-use tashkent_bench::{paper_knobs, save_csv, window, ScenarioKnobs};
+use tashkent_bench::{paper_knobs, run_exps, save_csv, window, ScenarioKnobs};
 use tashkent_cluster::{FaultKind, PolicySpec, Rebalance, Scenario};
 
 fn main() {
@@ -34,11 +34,11 @@ fn main() {
     ];
     let mut csv = String::from("cap_bytes_per_sec,tps,migration_kb,copy_ms,migrations\n");
     let mut rows = Vec::new();
-    for &(label, cap) in sweep {
-        let knobs = base.clone().with_backfill_cap(Some(cap));
-        let r = scenario
-            .run(&knobs)
-            .expect("rebalance scenario runs to its End event");
+    let exps = sweep
+        .iter()
+        .map(|&(_, cap)| scenario.experiment(&base.clone().with_backfill_cap(Some(cap))))
+        .collect();
+    for (&(label, cap), r) in sweep.iter().zip(run_exps(exps)) {
         let migrations = r
             .faults
             .iter()

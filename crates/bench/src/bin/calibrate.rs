@@ -1,12 +1,14 @@
 //! Calibration driver: reproduces the §4.4 client-sizing procedure per
 //! workload/mix, prints the `CLIENTS_PER_REPLICA` table for
-//! `crates/bench/src/lib.rs`, and prints the Figure 3 / Figure 7 policy
-//! comparison so model constants can be tuned against the paper's shape.
+//! `crates/bench/src/lib.rs`, and prints the standalone sweep behind the
+//! TPC-W ordering entry.
 //!
 //! Usage: `cargo run --release -p tashkent-bench --bin calibrate [quick]`
 
-use tashkent_bench::{rubis_config, tpcw_config, WARMUP_SECS};
-use tashkent_cluster::{calibrate_standalone, run, Experiment, PolicySpec};
+use tashkent_bench::{parse_window, ScenarioKnobs};
+use tashkent_cluster::{
+    calibrate_standalone, PolicySpec, RubisAuctionMix, Scenario, TpcwSteadyState,
+};
 use tashkent_workloads::tpcw::TpcwScale;
 
 /// Client counts the §4.4 sweep considers, per replica.
@@ -14,33 +16,52 @@ const CANDIDATES: [usize; 8] = [2, 4, 6, 8, 10, 14, 20, 28];
 
 fn main() {
     let quick = std::env::args().any(|a| a == "quick");
-    let (warmup, measured) = if quick { (60, 120) } else { (WARMUP_SECS, 180) };
+    let (warmup, measured) = parse_window(Some(if quick { "quick" } else { "full" }));
 
     // 0. Per-workload client sizing: the CLIENTS_PER_REPLICA table every
     // figure reads. Paste the printed block into crates/bench/src/lib.rs
-    // after model changes.
+    // after model changes. Each candidate replaces the knobs' client count,
+    // so the base is the scenario on one replica at 512 MB.
+    let knobs = ScenarioKnobs {
+        replicas: 1,
+        ..ScenarioKnobs::default()
+    }
+    .with_policy(PolicySpec::LeastConnections);
     println!("const CLIENTS_PER_REPLICA: &[(&str, &str, usize)] = &[");
-    let tpcw_mixes = ["ordering", "shopping", "browsing"];
     let mut ordering_cal = None;
-    for mix_name in tpcw_mixes {
-        let (base, workload, mix) =
-            tpcw_config(PolicySpec::LeastConnections, 512, TpcwScale::Mid, mix_name);
-        let cal = calibrate_standalone(&base, &workload, &mix, &CANDIDATES, warmup, measured);
+    for (i, (workload, mix)) in [
+        ("tpcw", "ordering"),
+        ("tpcw", "shopping"),
+        ("tpcw", "browsing"),
+        ("rubis", "bidding"),
+        ("rubis", "browsing"),
+    ]
+    .into_iter()
+    .enumerate()
+    {
+        let mut exp = if workload == "tpcw" {
+            let scale = TpcwScale::Mid;
+            TpcwSteadyState { scale, mix }.experiment(&knobs)
+        } else {
+            RubisAuctionMix { mix }.experiment(&knobs)
+        };
+        // Traced, candidate `c` of mix `i` writes `<stem>.<c>.<i>.<ext>`.
+        exp.config.trace = exp.config.trace.for_run(i);
+        let cal = calibrate_standalone(
+            &exp.config,
+            &exp.workload,
+            &exp.phases[0].1,
+            &CANDIDATES,
+            warmup,
+            measured,
+        );
         println!(
-            "    (\"tpcw\", \"{mix_name}\", {}), // peak {:.2} tps",
+            "    (\"{workload}\", \"{mix}\", {}), // peak {:.2} tps",
             cal.clients_at_85, cal.peak_tps
         );
-        if mix_name == "ordering" {
+        if mix == "ordering" {
             ordering_cal = Some(cal);
         }
-    }
-    for mix_name in ["bidding", "browsing"] {
-        let (base, workload, mix) = rubis_config(PolicySpec::LeastConnections, 512, mix_name);
-        let cal = calibrate_standalone(&base, &workload, &mix, &CANDIDATES, warmup, measured);
-        println!(
-            "    (\"rubis\", \"{mix_name}\", {}), // peak {:.2} tps",
-            cal.clients_at_85, cal.peak_tps
-        );
     }
     println!("];");
 
@@ -55,59 +76,4 @@ fn main() {
         "  peak={:.2} tps; 85% point at {} clients (paper: peak 3 tps)",
         cal.peak_tps, cal.clients_at_85
     );
-
-    // 2. Policy comparison on 16 replicas.
-    let policies = [
-        PolicySpec::LeastConnections,
-        PolicySpec::Lard,
-        PolicySpec::malb_sc(),
-        PolicySpec::malb_sc_uf(),
-    ];
-    let paper = [37.0, 50.0, 76.0, 113.0];
-    println!(
-        "\n16-replica comparison (clients/replica = {}):",
-        cal.clients_at_85
-    );
-    for (policy, paper_tps) in policies.iter().zip(paper) {
-        let (config, workload, mix) = tpcw_config(*policy, 512, TpcwScale::Mid, "ordering");
-        let config = config.with_clients(16 * cal.clients_at_85);
-        let names = workload.clone();
-        let workload = names.clone();
-        let r = run(Experiment::new(config, workload, mix).with_window(warmup, measured))
-            .expect("calibration experiments schedule an End event");
-        let workload = names;
-        println!(
-            "  {:<18} tps={:>7.1} (paper {paper_tps:>5.1})  resp={:.2}s  read/txn={:.0}KB write/txn={:.0}KB aborts={:.1}% cpu={:.0}% disk={:.0}%",
-            policy.label(),
-            r.tps,
-            r.mean_response_s,
-            r.read_kb_per_txn,
-            r.write_kb_per_txn,
-            100.0 * r.abort_fraction(),
-            100.0 * r.cpu_util,
-            100.0 * r.disk_util,
-        );
-        println!(
-            "      lb: moves={} merges={} splits={} fast={} fallback={} filters={}",
-            r.lb.moves,
-            r.lb.merges,
-            r.lb.splits,
-            r.lb.fast_reallocs,
-            r.lb.fallback,
-            r.lb.filters_installed
-        );
-        for g in &r.assignments {
-            println!("      {:?} x{} load={:.2}", g.types, g.replicas, g.load);
-        }
-        // Slowest transaction types (diagnostics for calibration).
-        let mut typed: Vec<(usize, (u64, f64, f64, u64))> =
-            r.per_type.iter().copied().enumerate().collect();
-        typed.sort_by(|a, b| b.1 .1.total_cmp(&a.1 .1));
-        for (tid, (count, mean, max, aborts)) in typed.iter().take(4) {
-            println!(
-                "      slow: {:<12} n={count:<6} mean={mean:.2}s max={max:.1}s aborts={aborts}",
-                workload.type_name(tashkent_engine::TxnTypeId(*tid as u32)),
-            );
-        }
-    }
 }

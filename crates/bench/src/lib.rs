@@ -1,25 +1,17 @@
 //! Shared harness for regenerating the paper's tables and figures.
 //!
-//! Every bench target (one per table/figure, `harness = false`) uses these
-//! helpers to build the paper's configurations, run experiments, and print
-//! paper-vs-measured rows. CSV copies land in `bench_results/`. A figure
-//! that runs several independent configurations builds them all first and
-//! hands the list to [`run_exps`], which runs one experiment per core.
+//! Every bench target (`harness = false`) builds its experiments from
+//! [`ScenarioKnobs`] (through [`paper_knobs`] and [`standalone_knobs`]) and
+//! a scenario from the shared registry, lists each distinct configuration
+//! once, and hands the list to one [`run_exps`] call, which runs one
+//! experiment per core. The helpers below print paper-vs-measured tables;
+//! CSV copies land in `bench_results/`.
 
 use std::fs;
 use std::path::PathBuf;
 
 pub use tashkent_cluster::ScenarioKnobs;
-use tashkent_cluster::{
-    run, run_sweep, ClusterConfig, Experiment, PolicySpec, RunError, RunResult,
-};
-use tashkent_workloads::tpcw::TpcwScale;
-use tashkent_workloads::{rubis, tpcw, Mix, Workload};
-
-/// Measurement window used by the bench targets (seconds).
-pub const WARMUP_SECS: u64 = 120;
-/// Measured portion of each run (seconds).
-pub const MEASURED_SECS: u64 = 180;
+use tashkent_cluster::{run_sweep, Experiment, GroupSnapshot, PolicySpec, RunResult};
 
 /// The simulated `(warmup, measured)` window, in seconds, read from
 /// `TASHKENT_BENCH_WINDOW` (see [`parse_window`]).
@@ -43,7 +35,7 @@ pub fn window() -> (u64, u64) {
 pub fn parse_window(value: Option<&str>) -> (u64, u64) {
     match value {
         None => (90, 150),
-        Some("full") => (WARMUP_SECS, MEASURED_SECS),
+        Some("full") => (120, 180),
         Some("quick") => (60, 120),
         Some("smoke") => (10, 20),
         Some(other) => panic!(
@@ -114,59 +106,26 @@ pub fn standalone_knobs(
     }
 }
 
-/// The paper's cluster for a TPC-W configuration.
-pub fn tpcw_config(
-    policy: PolicySpec,
-    ram_mb: u64,
-    scale: TpcwScale,
-    mix: &str,
-) -> (ClusterConfig, Workload, Mix) {
-    let (workload, m) = tpcw::workload_with_mix(scale, mix);
-    let clients = 16 * clients_per_replica("tpcw", mix);
-    let config = ClusterConfig::paper_default()
-        .with_ram_mb(ram_mb)
-        .with_policy(policy)
-        .with_clients(clients);
-    (config, workload, m)
-}
-
-/// The paper's cluster for a RUBiS configuration.
-pub fn rubis_config(policy: PolicySpec, ram_mb: u64, mix: &str) -> (ClusterConfig, Workload, Mix) {
-    let (workload, m) = rubis::workload_with_mix(mix);
-    let clients = 16 * clients_per_replica("rubis", mix);
-    let config = ClusterConfig::paper_default()
-        .with_ram_mb(ram_mb)
-        .with_policy(policy)
-        .with_clients(clients);
-    (config, workload, m)
-}
-
-/// Runs one experiment to completion, bailing out with a readable message
-/// on a mis-scheduled run (drained event queue) instead of a panic trace.
-pub fn run_exp(exp: Experiment) -> RunResult {
-    run(exp).unwrap_or_else(|e| bail(e))
-}
-
 /// Runs independent experiments one per core ([`run_sweep`]) and returns
-/// their results in input order, bailing out as [`run_exp`] does if any
-/// run drains its event queue.
-pub fn run_exps(exps: Vec<Experiment>) -> Vec<RunResult> {
+/// their results in input order. A traced experiment writes the files of
+/// [`TraceConfig::for_run`] at its index, so the runs of one sweep never
+/// share a trace file. Bails out with a readable message on a mis-scheduled
+/// run (drained event queue) instead of a panic trace.
+///
+/// [`TraceConfig::for_run`]: tashkent_cluster::TraceConfig::for_run
+pub fn run_exps(mut exps: Vec<Experiment>) -> Vec<RunResult> {
+    for (i, exp) in exps.iter_mut().enumerate() {
+        exp.config.trace = exp.config.trace.for_run(i);
+    }
     run_sweep(exps)
         .into_iter()
-        .map(|r| r.unwrap_or_else(|e| bail(e)))
+        .map(|r| {
+            r.unwrap_or_else(|e| {
+                eprintln!("bench experiment failed: {e}");
+                std::process::exit(1);
+            })
+        })
         .collect()
-}
-
-fn bail(e: RunError) -> ! {
-    eprintln!("bench experiment failed: {e}");
-    std::process::exit(1);
-}
-
-/// Runs a standalone (single-replica) experiment with the standard window.
-pub fn run_standalone(mut config: ClusterConfig, workload: Workload, mix: Mix) -> RunResult {
-    let per_replica = config.clients / config.replicas.max(1);
-    config = config.standalone(per_replica.max(1));
-    run_exp(Experiment::new(config, workload, mix).with_window(WARMUP_SECS, MEASURED_SECS))
 }
 
 /// A comparison row: label, the paper's value, and ours.
@@ -178,6 +137,43 @@ pub struct Row {
     pub paper: f64,
     /// Value measured here.
     pub measured: f64,
+}
+
+impl Row {
+    /// A row labelled `label`: the paper's value and ours.
+    pub fn new(label: impl Into<String>, paper: f64, measured: f64) -> Self {
+        Row {
+            label: label.into(),
+            paper,
+            measured,
+        }
+    }
+}
+
+/// The rows of a disk I/O table (Tables 1, 3 and 5): each labelled run's
+/// write and read KB per transaction beside the paper's `(write, read)`.
+pub fn io_rows<'a>(
+    runs: impl IntoIterator<Item = (String, (f64, f64), &'a RunResult)>,
+) -> Vec<Row> {
+    runs.into_iter()
+        .flat_map(|(label, (write, read), r)| {
+            [
+                Row::new(format!("{label} write KB/txn"), write, r.write_kb_per_txn),
+                Row::new(format!("{label} read KB/txn"), read, r.read_kb_per_txn),
+            ]
+        })
+        .collect()
+}
+
+/// Prints MALB's measured groups, one `ours:` line each, and returns the
+/// CSV body of a grouping table (Tables 2 and 4).
+pub fn print_groupings(groups: &[GroupSnapshot]) -> String {
+    let mut csv = String::from("types,replicas\n");
+    for g in groups {
+        println!("ours:  {:?} x{}", g.types, g.replicas);
+        csv.push_str(&format!("{};{}\n", g.types.join("+"), g.replicas));
+    }
+    csv
 }
 
 /// Prints a `paper vs measured` table and returns the CSV body.
@@ -221,7 +217,7 @@ mod tests {
     #[test]
     fn unset_window_is_90_plus_150_and_names_pick_theirs() {
         assert_eq!(parse_window(None), (90, 150));
-        assert_eq!(parse_window(Some("full")), (WARMUP_SECS, MEASURED_SECS));
+        assert_eq!(parse_window(Some("full")), (120, 180));
         assert_eq!(parse_window(Some("quick")), (60, 120));
         assert_eq!(parse_window(Some("smoke")), (10, 20));
     }

@@ -535,7 +535,11 @@ pub struct Calibration {
 
 /// Measures a standalone (single-replica) database across client counts and
 /// returns the count that yields 85 % of peak throughput — the paper's
-/// method for sizing the client population (§4.4).
+/// method for sizing the client population (§4.4). The candidates run in
+/// one [`run_sweep`]; a traced `base` gives candidate `i` the files of
+/// [`TraceConfig::for_run`]`(i)`.
+///
+/// [`TraceConfig::for_run`]: crate::trace::TraceConfig::for_run
 pub fn calibrate_standalone(
     base: &ClusterConfig,
     workload: &Workload,
@@ -544,14 +548,21 @@ pub fn calibrate_standalone(
     warmup_secs: u64,
     measured_secs: u64,
 ) -> Calibration {
-    let mut sweep = Vec::new();
-    for &n in candidates {
-        let config = base.clone().standalone(n);
-        let exp = Experiment::new(config, workload.clone(), mix.clone())
-            .with_window(warmup_secs, measured_secs);
-        let result = run(exp).expect("calibration experiments schedule an End event");
-        sweep.push((n, result.tps));
-    }
+    let exps = candidates
+        .iter()
+        .enumerate()
+        .map(|(i, &n)| {
+            let mut config = base.clone().standalone(n);
+            config.trace = base.trace.for_run(i);
+            Experiment::new(config, workload.clone(), mix.clone())
+                .with_window(warmup_secs, measured_secs)
+        })
+        .collect();
+    let sweep: Vec<(usize, f64)> = candidates
+        .iter()
+        .zip(run_sweep(exps))
+        .map(|(&n, r)| (n, r.expect("calibration runs schedule an End event").tps))
+        .collect();
     let peak_tps = sweep.iter().map(|(_, t)| *t).fold(0.0, f64::max);
     let target = 0.85 * peak_tps;
     let clients_at_85 = sweep

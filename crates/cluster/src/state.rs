@@ -569,18 +569,12 @@ impl ClusterState {
                 if let Some(tashkent_certifier::GroupEvent::FailedOver { leader, .. }) =
                     self.certifier.on_kill(now, group, member)
                 {
-                    self.metrics.record_fault(
+                    self.record_fault(
                         now,
-                        crate::metrics::FaultKind::CertifierFailover { group, leader },
+                        now,
+                        FaultKind::CertifierFailover { group, leader },
+                        || format!("certifier failover group={group} leader={leader}"),
                     );
-                    if self.tracer.on() {
-                        self.tracer.emit(
-                            now,
-                            TraceData::Fault {
-                                desc: format!("certifier failover group={group} leader={leader}"),
-                            },
-                        );
-                    }
                 }
             }
             Ev::CertifierRestart { group, member } => {
@@ -590,20 +584,12 @@ impl ClusterState {
                 {
                     // A revival election is a failover too: the restarted
                     // member pays the delay before draining the wait queue.
-                    self.metrics.record_fault(
+                    self.record_fault(
                         now,
-                        crate::metrics::FaultKind::CertifierFailover { group, leader },
+                        now,
+                        FaultKind::CertifierFailover { group, leader },
+                        || format!("certifier restart-failover group={group} leader={leader}"),
                     );
-                    if self.tracer.on() {
-                        self.tracer.emit(
-                            now,
-                            TraceData::Fault {
-                                desc: format!(
-                                    "certifier restart-failover group={group} leader={leader}"
-                                ),
-                            },
-                        );
-                    }
                 }
                 // The parked requests drained through the log.
                 self.trim_log_if_due(queue);
@@ -750,6 +736,22 @@ impl ClusterState {
         }
     }
 
+    /// Records a fault that took effect at `now`, physically injected at
+    /// `injected_at`, and traces it as `desc()`, which runs only when
+    /// tracing is on.
+    fn record_fault(
+        &mut self,
+        now: SimTime,
+        injected_at: SimTime,
+        kind: FaultKind,
+        desc: impl FnOnce() -> String,
+    ) {
+        self.metrics.record_fault_detected(now, injected_at, kind);
+        if self.tracer.on() {
+            self.tracer.emit(now, TraceData::Fault { desc: desc() });
+        }
+    }
+
     /// Crashes a replica: cold cache, admission queue drained, every
     /// in-flight transaction lost with it. With the detector on that is
     /// all: the balancer learns of the crash only when heartbeats miss, and
@@ -784,16 +786,9 @@ impl ClusterState {
         if self.fault_started[replica].is_none() {
             self.fault_started[replica] = Some(now);
         }
-        self.metrics
-            .record_fault(now, FaultKind::ReplicaCrash(replica));
-        if self.tracer.on() {
-            self.tracer.emit(
-                now,
-                TraceData::Fault {
-                    desc: format!("crash replica={replica}"),
-                },
-            );
-        }
+        self.record_fault(now, now, FaultKind::ReplicaCrash(replica), || {
+            format!("crash replica={replica}")
+        });
         if self.detection_on() {
             // The detector's transitions apply the rest once heartbeats miss.
             return;
@@ -1163,16 +1158,9 @@ impl ClusterState {
             self.tracer
                 .emit(now, TraceData::RedoDone { replica, bytes, us });
         }
-        self.metrics
-            .record_fault(now, crate::metrics::FaultKind::ReplicaRecover(replica));
-        if self.tracer.on() {
-            self.tracer.emit(
-                now,
-                TraceData::Fault {
-                    desc: format!("recover replica={replica}"),
-                },
-            );
-        }
+        self.record_fault(now, now, FaultKind::ReplicaRecover(replica), || {
+            format!("recover replica={replica}")
+        });
         if self.detection_on() {
             // The replica does not answer heartbeats until the replay
             // drains; dispatch eligibility and the over-replication shrink
@@ -1240,21 +1228,15 @@ impl ClusterState {
                 };
                 self.placement.remove_holder(g, victim);
                 self.apply_placement([victim]);
-                self.metrics.record_fault(
+                self.record_fault(
                     now,
-                    crate::metrics::FaultKind::ShrinkHolder {
+                    now,
+                    FaultKind::ShrinkHolder {
                         group: g,
                         from: victim,
                     },
+                    || format!("shrink group={g} holder={victim}"),
                 );
-                if self.tracer.on() {
-                    self.tracer.emit(
-                        now,
-                        TraceData::Fault {
-                            desc: format!("shrink group={g} holder={victim}"),
-                        },
-                    );
-                }
             }
         }
     }
@@ -1316,16 +1298,9 @@ impl ClusterState {
             }
             HealthTransition::Dead { replica } => {
                 let injected = self.fault_started[replica].unwrap_or(now);
-                self.metrics
-                    .record_fault_detected(now, injected, FaultKind::ReplicaDead(replica));
-                if self.tracer.on() {
-                    self.tracer.emit(
-                        now,
-                        TraceData::Fault {
-                            desc: format!("dead replica={replica}"),
-                        },
-                    );
-                }
+                self.record_fault(now, injected, FaultKind::ReplicaDead(replica), || {
+                    format!("dead replica={replica}")
+                });
                 self.cancel_backfills_targeting(replica);
                 self.rereplicate_under_copied(now, replica, queue);
             }
@@ -1458,25 +1433,21 @@ impl ClusterState {
             {
                 self.fault_started[pair.0] = Some(now);
             }
-            self.metrics.record_fault(
+            self.record_fault(
+                now,
                 now,
                 FaultKind::Partition {
                     a: pair.0,
                     b: pair.1,
                 },
+                || {
+                    format!(
+                        "partition {}<->{}",
+                        endpoint_name(pair.0),
+                        endpoint_name(pair.1)
+                    )
+                },
             );
-            if self.tracer.on() {
-                self.tracer.emit(
-                    now,
-                    TraceData::Fault {
-                        desc: format!(
-                            "partition {}<->{}",
-                            endpoint_name(pair.0),
-                            endpoint_name(pair.1)
-                        ),
-                    },
-                );
-            }
         }
         queue.schedule(heal_at, Ev::LinkHeal { a, b });
     }
@@ -1488,21 +1459,15 @@ impl ClusterState {
         let pair = (a.min(b), a.max(b));
         if let Some(i) = self.partitions.iter().position(|p| *p == pair) {
             self.partitions.remove(i);
-            self.metrics.record_fault(
+            self.record_fault(
+                now,
                 now,
                 FaultKind::PartitionHealed {
                     a: pair.0,
                     b: pair.1,
                 },
+                || format!("heal {}<->{}", endpoint_name(pair.0), endpoint_name(pair.1)),
             );
-            if self.tracer.on() {
-                self.tracer.emit(
-                    now,
-                    TraceData::Fault {
-                        desc: format!("heal {}<->{}", endpoint_name(pair.0), endpoint_name(pair.1)),
-                    },
-                );
-            }
         }
     }
 

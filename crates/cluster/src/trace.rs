@@ -83,6 +83,27 @@ impl TraceConfig {
     pub fn enabled(&self) -> bool {
         self.jsonl_path.is_some() || self.chrome_path.is_some()
     }
+
+    /// The same exporters, writing run `index` of a sweep: the index goes
+    /// before the first extension of each file name (`fig.jsonl` becomes
+    /// `fig.3.jsonl`, `fig.jsonl.chrome.json` becomes
+    /// `fig.3.jsonl.chrome.json`, and `fig` becomes `fig.3`), so no two
+    /// runs of the sweep write the same file.
+    pub fn for_run(&self, index: usize) -> TraceConfig {
+        let tag = |path: &String| {
+            let name = path.rfind(std::path::is_separator).map_or(0, |i| i + 1);
+            // A leading dot names a hidden file, not an extension.
+            match path[name..].char_indices().skip(1).find(|&(_, c)| c == '.') {
+                Some((dot, _)) => format!("{}.{index}{}", &path[..name + dot], &path[name + dot..]),
+                None => format!("{path}.{index}"),
+            }
+        };
+        TraceConfig {
+            jsonl_path: self.jsonl_path.as_ref().map(tag),
+            chrome_path: self.chrome_path.as_ref().map(tag),
+            max_events: self.max_events,
+        }
+    }
 }
 
 /// One structured trace event payload. The variants mirror the JSONL
@@ -801,6 +822,31 @@ mod tests {
             next_at: 10,
             ws_bytes: 0,
         }
+    }
+
+    #[test]
+    fn each_run_of_a_sweep_gets_its_own_files() {
+        let base = TraceConfig {
+            jsonl_path: Some("out/fig.v2/run.jsonl".into()),
+            chrome_path: Some("out/fig.v2/run.jsonl.chrome.json".into()),
+            max_events: 7,
+        };
+        let run = base.for_run(3);
+        assert_eq!(run.jsonl_path.as_deref(), Some("out/fig.v2/run.3.jsonl"));
+        assert_eq!(
+            run.chrome_path.as_deref(),
+            Some("out/fig.v2/run.3.jsonl.chrome.json")
+        );
+        assert_eq!(run.max_events, 7);
+        let bare = TraceConfig {
+            jsonl_path: Some("trace".into()),
+            chrome_path: Some(".trace".into()),
+            ..TraceConfig::default()
+        };
+        let bare = bare.for_run(0);
+        assert_eq!(bare.jsonl_path.as_deref(), Some("trace.0"));
+        assert_eq!(bare.chrome_path.as_deref(), Some(".trace.0"));
+        assert!(!TraceConfig::default().for_run(1).enabled());
     }
 
     #[test]

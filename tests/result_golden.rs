@@ -6,10 +6,10 @@
 //! This test compares against recorded values instead. Each registered
 //! scenario at 4-replica smoke knobs, seed 42, must reproduce its pinned
 //! [`Fingerprint`] (the fields `driver_equivalence` judges a run by, the
-//! fault log included), and the traced failover run must reproduce its
-//! JSONL trace's line count and 64-bit FNV-1a hash. A change meant to move
-//! results re-records the values here, so the re-baseline shows in the
-//! diff.
+//! fault log included), and four traced runs (failover, detection, partial
+//! replication and a certifier outage) must reproduce their JSONL traces'
+//! line counts and 64-bit FNV-1a hashes. A change meant to move results
+//! re-records the values here, so the re-baseline shows in the diff.
 //!
 //! Five longer fault runs pin the faults that hold back the certifier
 //! log's trim floor: a crash with checkpoint-lag recovery (detector off and
@@ -25,8 +25,8 @@ use tashkent::cluster::detection::{
     DEFAULT_CHECKPOINT_LAG, DEFAULT_CLIENT_TIMEOUT_US, DEFAULT_HEARTBEAT_US,
 };
 use tashkent::cluster::{
-    registry, run_scenario, run_sweep, Ev, Experiment, FaultKind, PolicySpec, RunResult,
-    ScenarioKnobs, World, CONTROL_NODE,
+    registry, run_sweep, scenario, Ev, Experiment, FaultKind, PolicySpec, RunResult, ScenarioKnobs,
+    World, CONTROL_NODE,
 };
 use tashkent::engine::Version;
 use tashkent::sim::SimTime;
@@ -783,23 +783,75 @@ fn registered_scenarios_reproduce_their_recorded_results() {
     }
 }
 
+/// Traced runs, each with its JSONL trace's recorded line count and 64-bit
+/// FNV-1a hash. Between them they write
+/// every fault description the cluster traces: the failover scenario a
+/// crash, a recovery and a certifier failover; detection a partition, a
+/// crash, a death, a heal and a recovery; partial replication a crash, a
+/// recovery and holder shrinks; the certifier outage a restart-failover.
+fn traced_runs() -> Vec<(&'static str, Experiment, usize, u64)> {
+    let registered = |name: &str| {
+        scenario(name)
+            .unwrap_or_else(|| panic!("no scenario named {name:?}"))
+            .experiment(&knobs())
+    };
+    let (_, outage) = fault_runs()
+        .into_iter()
+        .find(|(name, _)| *name == "certifier-outage")
+        .expect("the certifier outage is a fault run");
+    vec![
+        (
+            "failover",
+            registered("failover"),
+            34_516,
+            0x449b_0dfd_bece_f46a,
+        ),
+        (
+            "detection",
+            registered("detection"),
+            10_691,
+            0x3824_0d9c_3727_ca94,
+        ),
+        (
+            "partial-replication",
+            registered("partial-replication"),
+            27_564,
+            0x7dda_581c_2a2a_b67f,
+        ),
+        ("certifier-outage", outage, 112_719, 0xa52a_028a_05e9_55d4),
+    ]
+}
+
 #[test]
-fn failover_trace_reproduces_its_recorded_bytes() {
-    let path = std::env::temp_dir().join(format!(
-        "tashkent-result-golden-{}.jsonl",
-        std::process::id()
-    ));
-    let base = path.to_str().expect("temp path is valid UTF-8").to_string();
-    run_scenario("failover", &knobs().with_trace(base.clone())).expect("traced run completes");
-    let bytes = std::fs::read(&path).expect("trace file was written");
-    let _ = std::fs::remove_file(&path);
-    let _ = std::fs::remove_file(format!("{base}.chrome.json"));
-    let lines = bytes.iter().filter(|&&b| b == b'\n').count();
-    assert_eq!(
-        (lines, fnv1a(&bytes)),
-        (34_516, 0x449b_0dfd_bece_f46a),
-        "failover trace moved"
-    );
+fn traced_runs_reproduce_their_recorded_bytes() {
+    let path = |name: &str| {
+        std::env::temp_dir().join(format!(
+            "tashkent-result-golden-{}-{name}.jsonl",
+            std::process::id()
+        ))
+    };
+    let (pinned, exps): (Vec<_>, Vec<_>) = traced_runs()
+        .into_iter()
+        .map(|(name, mut exp, lines, hash)| {
+            let jsonl = path(name)
+                .to_str()
+                .expect("temp path is valid UTF-8")
+                .into();
+            exp.config.trace.jsonl_path = Some(jsonl);
+            ((name, lines, hash), exp)
+        })
+        .unzip();
+    for ((name, lines, hash), got) in pinned.into_iter().zip(run_sweep(exps)) {
+        got.unwrap_or_else(|e| panic!("{name}: traced run failed: {e:?}"));
+        let bytes = std::fs::read(path(name)).expect("trace file was written");
+        let _ = std::fs::remove_file(path(name));
+        let got_lines = bytes.iter().filter(|&&b| b == b'\n').count();
+        assert_eq!(
+            (got_lines, fnv1a(&bytes)),
+            (lines, hash),
+            "{name}: trace moved"
+        );
+    }
 }
 
 #[test]
