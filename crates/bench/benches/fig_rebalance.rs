@@ -8,7 +8,9 @@
 //! target in one unpaced burst and the holder is dispatch-eligible the
 //! moment it is added, with no in-flight window. Capped rows stage the
 //! copy in chunks that compete with foreground propagation, so copy time
-//! scales inversely with the cap.
+//! scales inversely with the cap. The `4M/s off` row repeats the cap of
+//! the row above it with the skew-driven rebalancer switched off, so the
+//! two show what migration itself gains or costs.
 
 use tashkent_bench::{paper_knobs, run_exps, save_csv, window, ScenarioKnobs};
 use tashkent_cluster::{FaultKind, PolicySpec, Rebalance, Scenario};
@@ -26,19 +28,26 @@ fn main() {
         "cap", "tps", "migr KB", "copy ms", "migrations", "aborts"
     );
 
-    let sweep: &[(&str, u64)] = &[
-        ("instant", 0),
-        ("256K/s", 256 * 1024),
-        ("1M/s", 1024 * 1024),
-        ("4M/s", 4 * 1024 * 1024),
+    // (label, cap, rebalancer on)
+    let sweep: &[(&str, u64, bool)] = &[
+        ("instant", 0, true),
+        ("256K/s", 256 * 1024, true),
+        ("1M/s", 1024 * 1024, true),
+        ("4M/s", 4 * 1024 * 1024, true),
+        ("4M/s off", 4 * 1024 * 1024, false),
     ];
-    let mut csv = String::from("cap_bytes_per_sec,tps,migration_kb,copy_ms,migrations\n");
+    let mut csv =
+        String::from("cap_bytes_per_sec,tps,migration_kb,copy_ms,migrations,rebalancer\n");
     let mut rows = Vec::new();
     let exps = sweep
         .iter()
-        .map(|&(_, cap)| scenario.experiment(&base.clone().with_backfill_cap(Some(cap))))
+        .map(|&(_, cap, on)| {
+            let mut exp = scenario.experiment(&base.clone().with_backfill_cap(Some(cap)));
+            exp.config.migration = on;
+            exp
+        })
         .collect();
-    for (&(label, cap), r) in sweep.iter().zip(run_exps(exps)) {
+    for (&(label, cap, on), r) in sweep.iter().zip(run_exps(exps)) {
         let migrations = r
             .faults
             .iter()
@@ -55,8 +64,11 @@ fn main() {
             "{:>10} {:>10.1} {:>12.1} {:>10.1} {:>10} {:>8}",
             label, r.tps, kb, ms, migrations, r.aborts
         );
-        csv.push_str(&format!("{cap},{},{kb},{ms},{migrations}\n", r.tps));
-        rows.push((cap, r.migration_bytes, r.migration_us));
+        let state = if on { "on" } else { "off" };
+        csv.push_str(&format!("{cap},{},{kb},{ms},{migrations},{state}\n", r.tps));
+        if on {
+            rows.push((cap, r.migration_bytes, r.migration_us));
+        }
     }
     save_csv("fig_rebalance", &csv);
 

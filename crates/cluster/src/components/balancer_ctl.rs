@@ -1,7 +1,6 @@
 //! Dispatch and the `LbTick` reconfiguration loop.
 
-use tashkent_core::{Estimates, LardConfig, LoadBalancer, ReconfigAction, ReplicaId, ResourceLoad};
-use tashkent_engine::TxnTypeId;
+use tashkent_core::{Estimates, LardConfig, LoadBalancer, ReconfigAction, ReplicaId};
 use tashkent_replica::UpdateFilter;
 use tashkent_sim::{EventQueue, SimTime};
 use tashkent_workloads::Mix;
@@ -94,7 +93,9 @@ pub enum HealthTransition {
 /// is enabled — the per-replica `Live → Suspected → Dead` accrual state
 /// machine.
 pub struct BalancerCtl {
-    lb: LoadBalancer,
+    /// The balancer: dispatch, completions, load reports, eligibility and
+    /// the replica-failure notices the cluster state drives directly.
+    pub(crate) lb: LoadBalancer,
     /// Detector belief per replica (all `Live` until heartbeats miss).
     health: Vec<ReplicaHealth>,
     /// Consecutive missed heartbeats per replica.
@@ -134,48 +135,6 @@ impl BalancerCtl {
             suspect_misses: SUSPECT_MISSES,
             dead_misses: DEAD_MISSES,
         }
-    }
-
-    /// The wrapped balancer (tests and metrics).
-    pub fn inner(&self) -> &LoadBalancer {
-        &self.lb
-    }
-
-    /// Picks the replica for a new transaction of `txn_type`.
-    pub fn dispatch(&mut self, txn_type: TxnTypeId) -> ReplicaId {
-        self.lb.dispatch(txn_type)
-    }
-
-    /// Installs partial-replication eligibility masks: dispatch then routes
-    /// each transaction type only to replicas holding its whole relation
-    /// group, and MALB allocation weighs only resident replicas.
-    pub fn set_type_eligibility(&mut self, masks: Vec<Vec<bool>>) {
-        self.lb.set_type_eligibility(Some(masks))
-    }
-
-    /// Notes a completion on `replica` (connection counting).
-    pub fn complete(&mut self, replica: ReplicaId) {
-        self.lb.complete(replica)
-    }
-
-    /// Feeds a load-daemon sample into the balancer.
-    pub fn report(&mut self, replica: ReplicaId, load: ResourceLoad) {
-        self.lb.report(replica, load)
-    }
-
-    /// Freezes the allocation (static-configuration baseline).
-    pub fn freeze(&mut self) {
-        self.lb.freeze()
-    }
-
-    /// Marks a replica dead: dispatch and MALB allocation route around it.
-    pub fn replica_failed(&mut self, replica: ReplicaId) {
-        self.lb.replica_failed(replica)
-    }
-
-    /// Marks a replica alive again after recovery; it rejoins dispatch.
-    pub fn replica_recovered(&mut self, replica: ReplicaId) {
-        self.lb.replica_recovered(replica)
     }
 
     /// The detector's current belief about `replica` (always `Live` when

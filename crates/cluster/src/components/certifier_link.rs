@@ -44,7 +44,9 @@ struct WaitingCert {
 /// member restarts ([`Ev::CertifierRestart`]): back-pressure, never
 /// spurious aborts.
 pub struct CertifierLink {
-    engine: Certifier,
+    /// The certification engine; the cluster state reads it for tests and
+    /// metrics.
+    pub(crate) engine: Certifier,
     /// Leader/backups membership, one per certifier group.
     members: Vec<CertifierGroup>,
     /// Queue-and-wait parking lot per certifier group (all members dead).
@@ -86,19 +88,9 @@ impl CertifierLink {
         self.engine.occupy(now, us);
     }
 
-    /// The certification engine (tests and metrics).
-    pub fn engine(&self) -> &Certifier {
-        &self.engine
-    }
-
     /// Membership and leadership of certifier group `g`.
     pub fn group_of(&self, g: usize) -> &CertifierGroup {
         &self.members[g]
-    }
-
-    /// The first certifier group's membership and leadership.
-    pub fn group(&self) -> &CertifierGroup {
-        self.group_of(0)
     }
 
     /// Requests currently parked in queue-and-wait.
@@ -229,12 +221,16 @@ impl CertifierLink {
         version: Version,
         placement: &PlacementMap,
     ) -> SimTime {
-        if node.applied() >= version {
+        if node.replica().applied() >= version {
             return now;
         }
-        let pending = self.engine.log().since(node.applied()).before(version);
+        let pending = self
+            .engine
+            .log()
+            .since(node.replica().applied())
+            .before(version);
         let done = self.traffic.deliver(now, node, pending, placement);
-        node.commit_local(version);
+        node.replica_mut().commit_local(version);
         done
     }
 
@@ -250,7 +246,7 @@ impl CertifierLink {
         node: &mut ClusterNode,
         placement: &PlacementMap,
     ) -> SimTime {
-        let pending = self.engine.log().since(node.applied());
+        let pending = self.engine.log().since(node.replica().applied());
         // An empty log tail skips the node: applying it would still queue
         // behind the node's CPU.
         let done = if pending.is_empty() {
@@ -283,7 +279,7 @@ impl CertifierLink {
     /// widens). Fixed when a staged backfill starts, so the chunks have a
     /// stable target.
     pub fn backfill_upto(&self, node: &ClusterNode) -> Version {
-        node.applied().min(self.version())
+        node.replica().applied().min(self.version())
     }
 
     /// One bandwidth-capped slice of a backfill: re-applies the log entries
@@ -334,7 +330,8 @@ impl CertifierLink {
                 }
             }
             (
-                node.backfill_writesets(now, log.slice(0..end), rels),
+                node.replica_mut()
+                    .backfill_writesets(now, log.slice(0..end), rels),
                 Version(from.0 + end as u64),
             )
         };
@@ -362,13 +359,13 @@ impl CertifierLink {
         let action = self.propagation.decide(
             now,
             self.last_contact[node.id()],
-            node.applied(),
+            node.replica().applied(),
             self.version(),
         );
         if action == PropagationAction::None {
             return;
         }
-        let pending = self.engine.log().since(node.applied());
+        let pending = self.engine.log().since(node.replica().applied());
         if !pending.is_empty() {
             self.traffic.deliver(now, node, pending, placement);
             self.last_contact[node.id()] = now;
@@ -414,7 +411,7 @@ impl Traffic {
                 self.saved += (total - held) * WS_ITEM_BYTES;
             }
         }
-        node.apply_writesets(now, pending)
+        node.replica_mut().apply_writesets(now, pending)
     }
 }
 

@@ -1,9 +1,8 @@
 //! A replica node wired into the cluster event loop.
 
-use tashkent_engine::{Snapshot, TxnExecutor, TxnId, Version};
-use tashkent_replica::{LoadReport, ReplicaNode, StepOutcome, UpdateFilter};
+use tashkent_engine::{TxnExecutor, TxnId};
+use tashkent_replica::{ReplicaNode, StepOutcome};
 use tashkent_sim::{EventQueue, SimTime};
-use tashkent_storage::RelationSet;
 
 use crate::config::LAN_HOP_US;
 use crate::events::Ev;
@@ -58,47 +57,6 @@ impl ClusterNode {
     /// Mutable access for failure injection and recovery.
     pub fn replica_mut(&mut self) -> &mut ReplicaNode {
         &mut self.node
-    }
-
-    /// A fresh transaction snapshot at the replica's applied version.
-    pub fn snapshot(&self) -> Snapshot {
-        self.node.snapshot()
-    }
-
-    /// Latest version applied on this replica.
-    pub fn applied(&self) -> Version {
-        self.node.applied()
-    }
-
-    /// Applies remote writesets; returns the completion time.
-    pub fn apply_writesets(
-        &mut self,
-        now: SimTime,
-        writesets: tashkent_certifier::LogView<'_>,
-    ) -> SimTime {
-        self.node.apply_writesets(now, writesets)
-    }
-
-    /// Commits a locally-executed update at `version`.
-    pub fn commit_local(&mut self, version: Version) {
-        self.node.commit_local(version)
-    }
-
-    /// Re-replication backfill (partial replication): re-applies the log
-    /// items touching `rels` so this replica can join their holder set;
-    /// returns the completion time.
-    pub fn backfill_writesets(
-        &mut self,
-        now: SimTime,
-        writesets: tashkent_certifier::LogView<'_>,
-        rels: RelationSet,
-    ) -> SimTime {
-        self.node.backfill_writesets(now, writesets, rels)
-    }
-
-    /// Installs an update filter (from the balancer's reconfiguration).
-    pub fn set_filter(&mut self, filter: UpdateFilter) {
-        self.node.set_filter(filter)
     }
 
     /// Offers a transaction to the Gatekeeper; when admitted, schedules its
@@ -182,15 +140,5 @@ impl ClusterNode {
                 },
             );
         }
-    }
-
-    /// Runs the background writer and other periodic replica work.
-    pub fn on_maintenance(&mut self, now: SimTime) {
-        self.node.maintenance(now);
-    }
-
-    /// Samples the load daemon (smoothed CPU/disk utilization).
-    pub fn sample_load(&mut self, now: SimTime) -> LoadReport {
-        self.node.sample_load(now)
     }
 }

@@ -6,11 +6,12 @@
 //! no experiment varies are constants beside their readers instead of
 //! fields: the node's [`OVERHEAD_BYTES`] (70 MB) beside
 //! [`ClusterConfig::pool_bytes`], the one [`LAN_HOP_US`] (150 µs) between
-//! any two components, the detector's suspect and dead thresholds (2 and 5
-//! missed heartbeats) and the client retry backoff (100 ms doubling to
-//! 2 s). The rest of the testbed is fixed in the crate that models it:
-//! the replica's disk, background writer, CPU quantum, apply costs and
-//! Gatekeeper MPL ([`ReplicaConfig`]), the certifier's service times
+//! any two components, the rebalance tick's [`MIGRATION_PERIOD`] (2 s),
+//! the detector's suspect and dead thresholds (2 and 5 missed heartbeats)
+//! and the client retry backoff (100 ms doubling to 2 s). The rest of the
+//! testbed is fixed in the crate that models it: the replica's disk,
+//! background writer, CPU quantum, apply costs and Gatekeeper MPL
+//! ([`ReplicaConfig`]), the certifier's service times
 //! ([`tashkent_certifier::CertifierParams::default`]), LARD's thresholds
 //! ([`tashkent_core::LardConfig::default`]), and MALB's rebalance period,
 //! filter stability rounds and update-filtering `min_copies`
@@ -58,6 +59,10 @@ pub const OVERHEAD_BYTES: u64 = 70 * 1024 * 1024;
 
 /// One-way LAN latency between any two components, in µs.
 pub const LAN_HOP_US: u64 = 150;
+
+/// Period of the skew-driven migration tick (`Ev::RebalanceTick`) when
+/// [`ClusterConfig::migration`] is on.
+pub const MIGRATION_PERIOD: SimTime = SimTime::from_secs(2);
 
 /// Which load-balancing policy the cluster runs.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -153,11 +158,11 @@ pub struct ClusterConfig {
     /// cap stages the copy through `Ev::BackfillChunk` events so migration
     /// I/O competes with foreground propagation over simulated time.
     pub backfill_bytes_per_sec: u64,
-    /// Period of the skew-driven migration tick (`Ev::RebalanceTick`) under
-    /// partial replication: each tick may migrate the hottest relation
-    /// group from its most-loaded holder toward the least-loaded
-    /// non-holder. `None` (the default) disables migration entirely.
-    pub migration_period: Option<SimTime>,
+    /// Skew-driven migration under partial replication: every
+    /// [`MIGRATION_PERIOD`] a tick (`Ev::RebalanceTick`) may migrate the
+    /// hottest relation group from its most-loaded holder toward the
+    /// least-loaded non-holder. Off by default.
+    pub migration: bool,
     /// Overrides the allocator's merge threshold (e.g. `Some(0.0)` disables
     /// group merging — the §5.3 ablation).
     pub merge_threshold_override: Option<f64>,
@@ -209,7 +214,7 @@ impl ClusterConfig {
             placement: PlacementSpec::Full,
             cert_groups: 1,
             backfill_bytes_per_sec: 0,
-            migration_period: None,
+            migration: false,
             merge_threshold_override: None,
             resp_hist_bucket_s: 0.050,
             resp_hist_buckets: 400,
@@ -269,12 +274,6 @@ impl ClusterConfig {
     /// Convenience: set the policy.
     pub fn with_policy(mut self, policy: PolicySpec) -> Self {
         self.policy = policy;
-        self
-    }
-
-    /// Convenience: set total clients.
-    pub fn with_clients(mut self, clients: usize) -> Self {
-        self.clients = clients;
         self
     }
 

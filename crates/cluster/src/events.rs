@@ -1,7 +1,8 @@
 //! Events driving the cluster simulation.
 //!
 //! Every component interaction travels through a timestamped [`Ev`] in the
-//! [`crate::world::World`] event queue. The transaction lifecycle:
+//! run's event queue, which [`crate::state::ClusterState::run_to_end`]
+//! drains. The transaction lifecycle:
 //!
 //! 1. `ClientArrive` — a client finishes thinking, the balancer picks a
 //!    replica, the proxy (Gatekeeper) admits or queues the transaction;
@@ -180,7 +181,7 @@ pub enum Ev {
     /// dispatch load, and migrate the hottest group from its most-loaded
     /// holder toward the least-loaded non-holder (capped backfill, then the
     /// donor is dropped on completion). Scheduled only when
-    /// `ClusterConfig::migration_period` is set under partial replication.
+    /// `ClusterConfig::migration` is on under partial replication.
     RebalanceTick,
     /// Heartbeat round of the balancer's failure detector: ping every
     /// replica (probes pay LAN hops and briefly occupy the certifier-side

@@ -10,20 +10,23 @@
 //! and the bench figures all pull their setups from it instead of
 //! hand-rolling configuration.
 //!
-//! One run is one single-threaded event loop ([`World::run_to_end`]); the
-//! parallelism a figure needs is across its independent experiments, which
-//! [`run_sweep`] spreads over the host's cores.
+//! One run is one single-threaded event loop
+//! ([`ClusterState::run_to_end`]) over the state and queue
+//! [`Experiment::build`] returns; the parallelism a figure needs is across
+//! its independent experiments, which [`run_sweep`] spreads over the host's
+//! cores.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
 
-use tashkent_sim::SimTime;
+use tashkent_sim::{EventQueue, SimTime};
 use tashkent_workloads::tpcw::TpcwScale;
 use tashkent_workloads::{rubis, tpcw, Mix, Workload};
 
 use crate::config::{ClusterConfig, PlacementSpec, PolicySpec};
+use crate::events::Ev;
 use crate::metrics::RunResult;
-use crate::world::{Ev, RunError, World};
+use crate::state::{ClusterState, RunError};
 
 pub use crate::detection::{Detection, DetectionSchedule};
 pub use crate::failover::{Failover, FailoverSchedule};
@@ -87,6 +90,35 @@ impl Experiment {
     pub fn total_secs(&self) -> u64 {
         self.phases.iter().map(|(d, _)| d).sum()
     }
+
+    /// Builds the cluster and its queue, primed and scheduled in this
+    /// order: the initial events ([`ClusterState::prime`]), the phase
+    /// switches, the balancer freeze, the warm-up end, the run end, then
+    /// the injections. FIFO order among equal timestamps makes that order
+    /// the tie-break: run control wins over an injection at the same
+    /// instant, so an injection at the end instant never fires.
+    pub fn build(self) -> (ClusterState, EventQueue<Ev>) {
+        let mixes = self.phases.iter().map(|(_, m)| m.clone()).collect();
+        let mut state = ClusterState::new(self.config, self.workload, mixes);
+        let mut queue = EventQueue::new();
+        state.prime(&mut queue);
+        let mut t = 0u64;
+        for (i, (dur, _)) in self.phases.iter().enumerate() {
+            if i > 0 {
+                queue.schedule(SimTime::from_secs(t), Ev::MixSwitch { mix: i });
+            }
+            t += dur;
+        }
+        if let Some(f) = self.freeze_at_secs {
+            queue.schedule(SimTime::from_secs(f), Ev::FreezeLb);
+        }
+        queue.schedule(SimTime::from_secs(self.warmup_secs), Ev::EndWarmup);
+        queue.schedule(SimTime::from_secs(t), Ev::End);
+        for (at, ev) in self.injections {
+            queue.schedule(at, ev);
+        }
+        (state, queue)
+    }
 }
 
 /// Runs an experiment to completion and returns its result.
@@ -98,28 +130,10 @@ impl Experiment {
 /// example, zero clients and no periodic events). The error carries the
 /// drain time so harnesses can report it instead of crashing the process.
 pub fn run(exp: Experiment) -> Result<RunResult, RunError> {
-    let mixes: Vec<Mix> = exp.phases.iter().map(|(_, m)| m.clone()).collect();
-    let mut world = World::new(exp.config, exp.workload, mixes);
-    world.prime();
-    // Phase switches.
-    let mut t = 0u64;
-    for (i, (dur, _)) in exp.phases.iter().enumerate() {
-        if i > 0 {
-            world.schedule(SimTime::from_secs(t), Ev::MixSwitch { mix: i });
-        }
-        t += dur;
-    }
-    if let Some(f) = exp.freeze_at_secs {
-        world.schedule(SimTime::from_secs(f), Ev::FreezeLb);
-    }
-    world.schedule(SimTime::from_secs(exp.warmup_secs), Ev::EndWarmup);
-    world.schedule(SimTime::from_secs(t), Ev::End);
-    for (at, ev) in exp.injections {
-        world.schedule(at, ev);
-    }
-    world.run_to_end()?;
-    world.export_traces().expect("trace export failed");
-    Ok(world.finish_result())
+    let (mut state, mut queue) = exp.build();
+    state.run_to_end(&mut queue)?;
+    state.export_traces().expect("trace export failed");
+    Ok(state.finish_result(queue.now()))
 }
 
 /// Runs independent experiments on the host's cores and returns their
@@ -312,9 +326,9 @@ impl ScenarioKnobs {
     pub fn config(&self, default_policy: PolicySpec) -> ClusterConfig {
         let mut config = ClusterConfig::paper_default()
             .with_ram_mb(self.ram_mb)
-            .with_policy(self.policy.unwrap_or(default_policy))
-            .with_clients(self.replicas * self.clients_per_replica);
+            .with_policy(self.policy.unwrap_or(default_policy));
         config.replicas = self.replicas;
+        config.clients = self.replicas * self.clients_per_replica;
         config.think_mean_us = self.think_mean_us;
         config.seed = self.seed;
         config.placement = match self.min_copies {

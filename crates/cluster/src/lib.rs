@@ -16,15 +16,15 @@
 //! * [`components`] — per-component handlers: [`components::ClusterNode`],
 //!   [`components::CertifierLink`], [`components::BalancerCtl`];
 //! * [`state`] — [`state::ClusterState`], the components plus cross-cutting
-//!   transaction/client/metrics state, with a single `handle` entry point;
+//!   transaction/client/metrics state, with a single `handle` entry point
+//!   and the simulator's one event loop ([`state::ClusterState::run_to_end`]):
+//!   pop the earliest event, hand it to `handle`, repeat until `End`;
 //! * [`trace`] — deterministic run tracing: lifecycle span events,
 //!   utilization timelines, JSONL and Chrome `trace_event` exporters, with
 //!   the trace byte-equal across runs of the same seed;
-//! * [`world`] — state + queue in one handle, and the simulator's one event
-//!   loop ([`world::World::run_to_end`]): pop the earliest event, hand it
-//!   to `ClusterState::handle`, repeat until `End`;
 //! * [`experiment`] — experiment descriptions, the [`experiment::Scenario`]
-//!   registry every entry point builds runs from, the runner,
+//!   registry every entry point builds runs from, the schedule every run
+//!   starts from ([`experiment::Experiment::build`]), the runner,
 //!   [`experiment::run_sweep`] (independent experiments, one per core,
 //!   results in input order), and standalone calibration (§4.4's "85 % of
 //!   peak" client sizing).
@@ -41,7 +41,6 @@ pub mod placement;
 pub mod rebalance;
 pub mod state;
 pub mod trace;
-pub mod world;
 
 pub use components::{BalancerCtl, CertifierLink, ClusterNode, HealthTransition, ReplicaHealth};
 pub use config::{ClusterConfig, PlacementSpec, PolicySpec};
@@ -56,6 +55,5 @@ pub use metrics::{Completions, FaultEvent, FaultKind, GroupSnapshot, Metrics, Ru
 pub use partial::PartialReplication;
 pub use placement::{PlacementMap, RelationGroup, ReplicationPlanner, TypeGroups, WS_TICK_BYTES};
 pub use rebalance::Rebalance;
-pub use state::ClusterState;
+pub use state::{ClusterState, RunError};
 pub use trace::{TraceConfig, TraceData, TraceEvent, TraceSummary, Tracer};
-pub use world::{RunError, World};

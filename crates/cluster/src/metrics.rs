@@ -431,39 +431,40 @@ pub struct RunResult {
     /// Final MALB groupings (empty for other policies).
     pub assignments: Vec<GroupSnapshot>,
     /// Mean CPU utilization across replicas over the window (filled by
-    /// `World::finish_result`).
+    /// `ClusterState::finish_result`).
     pub cpu_util: f64,
     /// Mean disk utilization across replicas over the window.
     pub disk_util: f64,
     /// Load-balancer activity over the whole run (filled by
-    /// `World::finish_result`).
+    /// `ClusterState::finish_result`).
     pub lb: LbSummary,
     /// Writeset bytes actually shipped to replicas over the measurement
     /// window: pages to holders, version ticks to non-holders (filled by
-    /// `World::finish_result`). Under full replication this equals the full
-    /// propagation volume.
+    /// `ClusterState::finish_result`). Under full replication this equals
+    /// the full propagation volume.
     pub propagated_ws_bytes: u64,
     /// Writeset bytes partial replication withheld from non-holders over
     /// the window — propagation traffic saved vs full replication (filled
-    /// by `World::finish_result`; zero under full replication).
+    /// by `ClusterState::finish_result`; zero under full replication).
     pub filtered_ws_bytes: u64,
     /// Bytes shipped by placement backfills (crash re-replication and
     /// skew-driven migration) over the whole run (filled by
-    /// `World::finish_result`; zero under full replication).
+    /// `ClusterState::finish_result`; zero under full replication).
     pub migration_bytes: u64,
     /// Total simulated time backfills were in flight, in µs, summed over
-    /// tasks (filled by `World::finish_result`). Under a bandwidth cap this
-    /// scales inversely with the cap — the observable cost of migration.
+    /// tasks (filled by `ClusterState::finish_result`). Under a bandwidth
+    /// cap this scales inversely with the cap — the observable cost of
+    /// migration.
     pub migration_us: u64,
     /// Bytes replayed from the certifier log by recovering replicas over
-    /// the whole run (filled by `World::finish_result`). With
+    /// the whole run (filled by `ClusterState::finish_result`). With
     /// `ClusterConfig::checkpoint_lag = 0` this covers only the writesets
     /// missed while down; a non-zero lag adds the `applied − k` redo window
     /// on top, competing with foreground propagation.
     pub redo_bytes: u64,
     /// Total simulated time recovering replicas spent replaying redo
     /// windows, in µs, summed over recoveries (filled by
-    /// `World::finish_result`).
+    /// `ClusterState::finish_result`).
     pub redo_us: u64,
     /// Trace event accounting when tracing was enabled (`None` otherwise;
     /// filled by `ClusterState::finish_result`). It describes the

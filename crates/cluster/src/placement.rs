@@ -111,6 +111,12 @@ impl TypeGroups {
         TypeGroups { sets, of_type }
     }
 
+    /// The group holding `txn_type`'s relations (`None` for a type touching
+    /// no relation).
+    pub(crate) fn group_of(&self, txn_type: TxnTypeId) -> Option<usize> {
+        self.of_type[txn_type.0 as usize]
+    }
+
     /// The relation → certifier-group map: these groups folded down to at
     /// most `max_groups` certifier groups (see [`CertMap::build`]).
     pub fn cert_map(&self, max_groups: usize) -> CertMap {

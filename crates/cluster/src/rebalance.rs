@@ -2,22 +2,25 @@
 //! skew.
 //!
 //! Runs TPC-W partially replicated with the rebalancer enabled
-//! ([`crate::config::ClusterConfig::migration_period`]) and the placement
+//! ([`crate::config::ClusterConfig::migration`]) and the placement
 //! backfill bandwidth-capped
 //! ([`crate::config::ClusterConfig::backfill_bytes_per_sec`]), then shifts
 //! the hot set mid-run by switching the mix ordering → browsing. The
 //! per-group dispatch counters feed the periodic rebalance tick, which
 //! migrates the hottest group from its busiest holder onto the idlest
-//! non-holder — capped backfill onto the target (pages compete with
-//! foreground propagation for its disk and NIC), dispatch eligibility only
-//! at completion, and the donor dropped once the copy lands.
+//! non-holder when that lowers the holder's load — capped backfill onto
+//! the target (pages compete with foreground propagation for its disk and
+//! NIC), dispatch eligibility only at completion, and the donor dropped
+//! once the copy lands.
 //!
-//! A deterministic [`Ev::Rereplicate`] injection mid-first-phase guarantees
-//! observable backfill traffic even at scales where the skew never crosses
-//! the rebalancer's hysteresis band, so
-//! [`crate::metrics::RunResult::migration_bytes`] is never trivially zero
-//! and the determinism fingerprint (`tests/driver_equivalence.rs`)
-//! exercises the whole widen → backfill → eligible lifecycle.
+//! A deterministic [`Ev::Rereplicate`] injection mid-first-phase ships
+//! backfill traffic even at scales where the skew never moves a group, so
+//! [`crate::metrics::RunResult::migration_bytes`] is not trivially zero and
+//! the determinism fingerprint (`tests/driver_equivalence.rs`) exercises
+//! the whole widen → backfill → eligible lifecycle. It copies the group of
+//! the first type the ordering mix writes with: a backfill replays the log
+//! items of the group's relations, so a group no transaction writes ships
+//! nothing.
 
 use tashkent_sim::SimTime;
 use tashkent_workloads::tpcw::{self, TpcwScale};
@@ -25,6 +28,7 @@ use tashkent_workloads::tpcw::{self, TpcwScale};
 use crate::config::{PlacementSpec, PolicySpec};
 use crate::events::Ev;
 use crate::experiment::{Experiment, Scenario, ScenarioKnobs};
+use crate::placement::TypeGroups;
 
 /// Live rebalancing on TPC-W: capped backfill, skew-driven migration, a
 /// mid-run hot-set shift.
@@ -33,8 +37,6 @@ pub struct Rebalance {
     pub scale: TpcwScale,
     /// Holder copies per relation group when the knobs don't override it.
     pub min_copies: usize,
-    /// Rebalance-tick period, seconds.
-    pub migration_period_secs: u64,
     /// Backfill bandwidth cap when the knobs don't override it
     /// (`ScenarioKnobs::backfill_bytes_per_sec` wins when set).
     pub backfill_bytes_per_sec: u64,
@@ -45,7 +47,6 @@ impl Default for Rebalance {
         Rebalance {
             scale: TpcwScale::Small,
             min_copies: 2,
-            migration_period_secs: 2,
             backfill_bytes_per_sec: 2 * 1024 * 1024,
         }
     }
@@ -68,7 +69,7 @@ impl Scenario for Rebalance {
         config.placement = PlacementSpec::Partial {
             min_copies: knobs.min_copies.unwrap_or(self.min_copies),
         };
-        config.migration_period = Some(SimTime::from_secs(self.migration_period_secs));
+        config.migration = true;
         config.backfill_bytes_per_sec = knobs
             .backfill_bytes_per_sec
             .unwrap_or(self.backfill_bytes_per_sec);
@@ -77,6 +78,12 @@ impl Scenario for Rebalance {
         // groups, then browsing moves it to the catalog-path groups.
         let first = (knobs.measured_secs / 2).max(1);
         let second = knobs.measured_secs.saturating_sub(first).max(1);
+        let written = ordering
+            .active_types()
+            .into_iter()
+            .find(|t| workload.types[t.0 as usize].plan.is_update())
+            .and_then(|t| TypeGroups::derive(&workload).group_of(t))
+            .expect("the ordering mix writes through a relation group");
         Experiment {
             config,
             workload,
@@ -86,10 +93,10 @@ impl Scenario for Rebalance {
             injections: Vec::new(),
         }
         // Deterministic backfill traffic regardless of whether the skew
-        // crosses the rebalancer's hysteresis band at this scale.
+        // moves a group at this scale.
         .with_injection(
             SimTime::from_secs(knobs.warmup_secs + (first / 2).max(1)),
-            Ev::Rereplicate { group: 0 },
+            Ev::Rereplicate { group: written },
         )
     }
 }
@@ -115,7 +122,7 @@ mod tests {
             exp.config.placement,
             PlacementSpec::Partial { min_copies: 2 }
         );
-        assert_eq!(exp.config.migration_period, Some(SimTime::from_secs(2)));
+        assert!(exp.config.migration);
         assert_eq!(exp.config.backfill_bytes_per_sec, 2 * 1024 * 1024);
         assert_eq!(exp.phases.len(), 2, "the hot set must shift mid-run");
         assert_eq!(exp.injections.len(), 1, "deterministic Rereplicate");

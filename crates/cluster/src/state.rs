@@ -8,10 +8,10 @@
 //! routes a timestamped [`Ev`] to its component handler and schedules the
 //! consequences into the [`EventQueue`] it is handed.
 //!
-//! What `ClusterState` deliberately does **not** own is the event loop:
-//! [`crate::world::World::run_to_end`] pops events and hands them here one
-//! at a time, and any loop that delivers the same events in the same order
-//! observes bit-identical state evolution.
+//! The queue lives outside the state: [`ClusterState::run_to_end`], the
+//! simulator's one event loop, pops events from the queue it is handed and
+//! passes them to `handle` one at a time, and any loop that delivers the
+//! same events in the same order observes bit-identical state evolution.
 //!
 //! Placement and crashes each take one path. Full replication is a
 //! [`PlacementMap`] with no relation groups, so dispatch, propagation and
@@ -22,6 +22,7 @@
 //! transactions.
 
 use std::collections::HashMap;
+use std::fmt;
 
 use tashkent_certifier::{CertMap, Certifier, CertifierParams};
 use tashkent_core::{LoadBalancer, ReplicaId, ResourceLoad};
@@ -32,11 +33,37 @@ use tashkent_storage::RelationSet;
 use tashkent_workloads::{ClientPool, Mix, Workload};
 
 use crate::components::{BalancerCtl, CertifierLink, ClusterNode, HealthTransition, ReplicaHealth};
-use crate::config::{ClusterConfig, PlacementSpec, PolicySpec, LAN_HOP_US};
+use crate::config::{ClusterConfig, PlacementSpec, PolicySpec, LAN_HOP_US, MIGRATION_PERIOD};
 use crate::events::{Ev, CONTROL_NODE};
 use crate::metrics::{FaultKind, GroupSnapshot, Metrics};
 use crate::placement::{PlacementMap, ReplicationPlanner, TypeGroups};
 use crate::trace::{TraceData, Tracer};
+
+/// A failed run.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RunError {
+    /// The event queue drained before the `End` event fired. The experiment
+    /// was mis-scheduled (no `End` event, or all load sources exhausted);
+    /// the state remains inspectable.
+    QueueDrained {
+        /// Simulated time of the last processed event.
+        at: SimTime,
+    },
+}
+
+impl fmt::Display for RunError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            RunError::QueueDrained { at } => write!(
+                f,
+                "event queue drained at t={:.3}s before the End event fired",
+                at.as_secs_f64()
+            ),
+        }
+    }
+}
+
+impl std::error::Error for RunError {}
 
 /// Bookkeeping for one in-flight transaction.
 #[derive(Clone, Copy)]
@@ -61,11 +88,6 @@ struct TxnMeta {
 /// enough that foreground propagation interleaves with a long copy, large
 /// enough that the event count stays negligible next to transaction traffic.
 const BACKFILL_CHUNK_BYTES: u64 = 64 * 1024;
-
-/// The minimum bottleneck-utilization gap between the busiest holder and
-/// the idlest non-holder before the rebalancer migrates a hot group —
-/// hysteresis so balanced clusters don't churn placement.
-const MIGRATION_MIN_IMBALANCE: f64 = 0.10;
 
 /// First client retry backoff; each further retry doubles it, up to
 /// [`CLIENT_BACKOFF_CAP_US`]. Read by `ClusterState::backoff_us`.
@@ -136,9 +158,12 @@ pub struct ClusterState {
     /// Every backfill started this run, live and finished (event payloads
     /// index into it, so entries are never removed).
     backfills: Vec<BackfillTask>,
-    /// Per-relation-group dispatch counts since the last migration — the
-    /// skew signal the rebalancer acts on. Empty under full replication.
-    group_load: Vec<u64>,
+    /// Dispatches per `(relation group, replica)` since the last migration,
+    /// at `group * replicas + replica` — the skew signal the rebalancer
+    /// acts on. Empty under full replication.
+    group_dispatches: Vec<u64>,
+    /// Dispatches per replica since the last migration, of every type.
+    replica_dispatches: Vec<u64>,
     /// Total bytes shipped by completed backfills (re-replication and
     /// migration) and total in-flight time, for [`crate::metrics::RunResult`].
     migration_bytes: u64,
@@ -232,7 +257,7 @@ impl ClusterState {
             .map_or_else(CertMap::default, |g| g.cert_map(config.cert_groups));
         let certifier = CertifierLink::new(CertifierParams::default(), cert_map, config.replicas);
         let clients = ClientPool::new(config.clients, config.think_mean_us);
-        let group_load = vec![0; placement.group_count()];
+        let group_dispatches = vec![0; placement.group_count() * config.replicas];
         let tracer = Tracer::new(&config.trace);
         let metrics = Metrics::with_hist(config.resp_hist_bucket_s, config.resp_hist_buckets);
         let mut state = ClusterState {
@@ -245,7 +270,8 @@ impl ClusterState {
             txns: HashMap::new(),
             placement,
             backfills: Vec::new(),
-            group_load,
+            group_dispatches,
+            replica_dispatches: vec![0; config.replicas],
             migration_bytes: 0,
             migration_us: 0,
             partitions: Vec::new(),
@@ -292,10 +318,8 @@ impl ClusterState {
         // Skew-driven placement rebalancing only makes sense when placement
         // is actually partial — under full replication (or the degenerate
         // all-holders plan) there is nothing to migrate.
-        if let Some(period) = self.config.migration_period {
-            if !self.placement.is_full() {
-                queue.schedule(SimTime::ZERO + period.as_micros(), Ev::RebalanceTick);
-            }
+        if self.config.migration && !self.placement.is_full() {
+            queue.schedule(MIGRATION_PERIOD, Ev::RebalanceTick);
         }
         // Heartbeat failure detection: each round's pings pay their LAN
         // round trip before the balancer reads the answers, so the first
@@ -347,8 +371,41 @@ impl ClusterState {
         self.ended
     }
 
-    fn node_mut(&mut self, idx: usize) -> &mut ClusterNode {
-        &mut self.nodes[idx]
+    /// Runs until the `End` event fires: pops events from `queue` in
+    /// `(timestamp, FIFO)` order and hands each to [`Self::handle`], which
+    /// schedules its consequences back into the queue.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`RunError::QueueDrained`] when the queue empties before
+    /// `End` — a mis-scheduled experiment. The state stays inspectable at
+    /// the drained point.
+    pub fn run_to_end(&mut self, queue: &mut EventQueue<Ev>) -> Result<(), RunError> {
+        while !self.ended {
+            let Some((now, ev)) = queue.pop() else {
+                return Err(RunError::QueueDrained { at: queue.now() });
+            };
+            self.handle(now, ev, queue);
+        }
+        Ok(())
+    }
+
+    /// Writes the recorded trace to the paths configured in
+    /// [`crate::trace::TraceConfig`] — JSONL and/or Chrome `trace_event`
+    /// JSON. A no-op when tracing is disabled.
+    ///
+    /// # Errors
+    ///
+    /// Propagates I/O errors from writing either output file.
+    pub fn export_traces(&self) -> std::io::Result<()> {
+        let cfg = &self.config.trace;
+        if let Some(path) = &cfg.jsonl_path {
+            std::fs::write(path, self.tracer.export_jsonl())?;
+        }
+        if let Some(path) = &cfg.chrome_path {
+            std::fs::write(path, self.tracer.export_chrome())?;
+        }
+        Ok(())
     }
 
     /// Cluster-wide disk byte counters `(read, write)`.
@@ -363,39 +420,19 @@ impl ClusterState {
         (read, write)
     }
 
-    /// Access a replica (tests and metrics).
-    pub fn replica(&self, idx: usize) -> &ReplicaNode {
-        self.node(idx).replica()
-    }
-
     /// Access a cluster node handler (tests and metrics).
     pub fn node(&self, idx: usize) -> &ClusterNode {
         &self.nodes[idx]
     }
 
-    /// Number of replicas.
-    pub fn replica_count(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// Mutable node access (failure injection).
-    pub fn node_access_mut(&mut self, idx: usize) -> &mut ClusterNode {
-        self.node_mut(idx)
-    }
-
     /// The balancer (tests and metrics).
     pub fn balancer(&self) -> &LoadBalancer {
-        self.balancer.inner()
+        &self.balancer.lb
     }
 
     /// The certification engine (tests and metrics).
     pub fn certifier(&self) -> &Certifier {
-        self.certifier.engine()
-    }
-
-    /// The certifier group's membership and leadership (tests and metrics).
-    pub fn certifier_group(&self) -> &tashkent_certifier::CertifierGroup {
-        self.certifier.group()
+        &self.certifier.engine
     }
 
     /// The full certifier link (tests and metrics).
@@ -425,14 +462,14 @@ impl ClusterState {
             * self.config.replicas as f64;
         result.cpu_util = (cpu.saturating_sub(self.busy0.0)) as f64 / window_us;
         result.disk_util = (disk.saturating_sub(self.busy0.1)) as f64 / window_us;
-        let stats = self.balancer.inner().stats();
+        let stats = self.balancer.lb.stats();
         result.lb = crate::metrics::LbSummary {
             moves: stats.moves,
             merges: stats.merges,
             splits: stats.splits,
             fast_reallocs: stats.fast_reallocs,
             fallback: stats.fallback,
-            filters_installed: self.balancer.inner().filters_installed(),
+            filters_installed: self.balancer.lb.filters_installed(),
         };
         let (sent, saved) = self.certifier.propagation_bytes();
         result.propagated_ws_bytes = sent.saturating_sub(self.prop0.0);
@@ -453,9 +490,9 @@ impl ClusterState {
 
     /// Current group → replica assignments with type names resolved.
     pub fn group_snapshots(&self) -> Vec<GroupSnapshot> {
-        let loads = self.balancer.inner().loads();
+        let loads = self.balancer.lb.loads();
         self.balancer
-            .inner()
+            .lb
             .assignments()
             .into_iter()
             .map(|(types, replicas)| GroupSnapshot {
@@ -498,7 +535,7 @@ impl ClusterState {
                     // timeout or the suspicion sweep, unless it already gave
                     // up waiting — then this was the transaction's last
                     // event and the meta can go too.
-                    self.node_mut(replica).on_finish(now, false, queue);
+                    self.nodes[replica].on_finish(now, false, queue);
                     if self.txns.get(&txn).is_some_and(|m| m.abandoned) {
                         self.txns.remove(&txn);
                     }
@@ -552,7 +589,7 @@ impl ClusterState {
                     } else {
                         self.placement.filter_for(replica.0)
                     };
-                    self.node_mut(replica.0).set_filter(effective);
+                    self.nodes[replica.0].replica_mut().set_filter(effective);
                 }
             }
             Ev::Rereplicate { group } => {
@@ -562,7 +599,7 @@ impl ClusterState {
             Ev::BackfillDone { task } => self.on_backfill_done(now, task),
             Ev::RebalanceTick => self.on_rebalance_tick(now, queue),
             Ev::MixSwitch { mix } => self.active_mix = mix.min(self.mixes.len() - 1),
-            Ev::FreezeLb => self.balancer.freeze(),
+            Ev::FreezeLb => self.balancer.lb.freeze(),
             Ev::ReplicaCrash { replica } => self.on_replica_crash(now, replica, queue),
             Ev::ReplicaRecover { replica } => self.on_replica_recover(now, replica, queue),
             Ev::CertifierKill { group, member } => {
@@ -639,7 +676,7 @@ impl ClusterState {
         let applied = self
             .nodes
             .iter()
-            .map(|n| Version(n.applied().0.saturating_sub(k)));
+            .map(|n| Version(n.replica().applied().0.saturating_sub(k)));
         let running = self
             .nodes
             .iter()
@@ -681,7 +718,7 @@ impl ClusterState {
                 },
             );
         }
-        let replica = self.balancer.dispatch(txn_type).0;
+        let replica = self.balancer.lb.dispatch(txn_type).0;
         self.tracer.emit(
             now,
             TraceData::Dispatch {
@@ -704,7 +741,7 @@ impl ClusterState {
         // and the client retries with capped exponential backoff, which is
         // what bridges the detection window without a storm.
         if self.detection_on() && !self.node(replica).is_up() {
-            self.balancer.complete(ReplicaId(replica));
+            self.balancer.lb.complete(ReplicaId(replica));
             let refused_at = now + 2 * LAN_HOP_US;
             self.retry_or_give_up(now, txn, &meta, refused_at, self.backoff_us(retries), queue);
             return;
@@ -719,13 +756,14 @@ impl ClusterState {
                 "dispatch routed type {} to non-holder replica {replica}",
                 txn_type.0
             );
-            // Skew signal for the rebalancer: dispatches per group since
-            // the last migration.
-            self.group_load[g] += 1;
+            // Skew signal for the rebalancer: dispatches per group and
+            // replica since the last migration.
+            self.group_dispatches[g * self.config.replicas + replica] += 1;
         }
+        self.replica_dispatches[replica] += 1;
         let plan = self.workload.types[txn_type.0 as usize].plan.clone();
         let node = &mut self.nodes[replica];
-        let executor = TxnExecutor::new(txn, txn_type, plan, node.snapshot());
+        let executor = TxnExecutor::new(txn, txn_type, plan, node.replica().snapshot());
         self.txns.insert(txn, meta);
         node.submit(now, txn, executor, queue);
         if self.config.client_timeout_us > 0 {
@@ -782,7 +820,7 @@ impl ClusterState {
             "cannot crash replica {replica}: it is the last live replica \
              (at least one must stay up for dispatch)"
         );
-        self.node_mut(replica).crash();
+        self.nodes[replica].crash();
         if self.fault_started[replica].is_none() {
             self.fault_started[replica] = Some(now);
         }
@@ -793,7 +831,7 @@ impl ClusterState {
             // The detector's transitions apply the rest once heartbeats miss.
             return;
         }
-        self.balancer.replica_failed(ReplicaId(replica));
+        self.balancer.lb.replica_failed(ReplicaId(replica));
         // *Dead*'s durability work before *Suspected*'s retries.
         self.cancel_backfills_targeting(replica);
         self.rereplicate_under_copied(now, replica, queue);
@@ -827,10 +865,10 @@ impl ClusterState {
     fn apply_placement(&mut self, changed: impl IntoIterator<Item = usize>) {
         for r in changed {
             let filter = self.placement.filter_for(r);
-            self.nodes[r].set_filter(filter);
+            self.nodes[r].replica_mut().set_filter(filter);
         }
         let masks = self.placement.type_masks(self.workload.types.len());
-        self.balancer.set_type_eligibility(masks);
+        self.balancer.lb.set_type_eligibility(Some(masks));
     }
 
     /// Copies relation group `group` onto one more live replica: widens the
@@ -1032,16 +1070,17 @@ impl ClusterState {
         );
     }
 
-    /// Periodic skew check: when the busiest holder of the hottest group is
-    /// sufficiently more loaded than the idlest live non-holder, migrate
-    /// the group there — capped backfill onto the target, donor dropped at
-    /// completion. Single-flight: at most one backfill runs at a time, so
-    /// copy traffic stays bounded by the cap.
+    /// Periodic skew check: when moving the hottest group off its busiest
+    /// holder onto the idlest live non-holder lowers the holder's load
+    /// ([`migration_lowers_donor`]), migrate it there — capped backfill
+    /// onto the target, donor dropped at completion. Single-flight: at most
+    /// one backfill runs at a time, so copy traffic stays bounded by the
+    /// cap.
     fn on_rebalance_tick(&mut self, now: SimTime, queue: &mut EventQueue<Ev>) {
-        let Some(period) = self.config.migration_period else {
+        if !self.config.migration {
             return;
-        };
-        queue.schedule(now + period.as_micros(), Ev::RebalanceTick);
+        }
+        queue.schedule(now + MIGRATION_PERIOD.as_micros(), Ev::RebalanceTick);
         if self.backfills.iter().any(|t| !t.done && !t.cancelled) {
             self.tracer
                 .emit(now, TraceData::Rebalance { migration: None });
@@ -1062,28 +1101,28 @@ impl ClusterState {
         self.start_backfill(now, hot, dst, rels, Some(src), queue);
         // Restart the skew window so the next tick judges post-migration
         // traffic, not the history that triggered this move.
-        for l in &mut self.group_load {
-            *l = 0;
-        }
+        self.group_dispatches.fill(0);
+        self.replica_dispatches.fill(0);
     }
 
     /// Chooses the migration for this rebalance round: hottest group by
     /// dispatch count, donor = its busiest live holder, target = idlest
     /// live non-holder, all ties to the lowest id. Returns `None` when
     /// there is no skew signal, no candidate pair (a full map has no
-    /// non-holder), or the imbalance is within the hysteresis band.
+    /// non-holder), or the move would not lower the donor's load.
     fn pick_migration(&self) -> Option<(usize, usize, usize, RelationSet)> {
         let p = &self.placement;
+        let n = self.config.replicas;
         let (hot, load) = self
-            .group_load
-            .iter()
-            .copied()
+            .group_dispatches
+            .chunks(n)
+            .map(|per_replica| per_replica.iter().sum::<u64>())
             .enumerate()
             .max_by(|a, b| a.1.cmp(&b.1).then(b.0.cmp(&a.0)))?;
         if load == 0 {
             return None;
         }
-        let loads = self.balancer.inner().loads();
+        let loads = self.balancer.lb.loads();
         let live = |r: &usize| self.nodes[*r].is_up();
         let src = p.holders(hot).iter().copied().filter(live).max_by(|a, b| {
             loads[*a]
@@ -1091,7 +1130,7 @@ impl ClusterState {
                 .total_cmp(&loads[*b].bottleneck())
                 .then(b.cmp(a))
         })?;
-        let dst = (0..self.config.replicas)
+        let dst = (0..n)
             .filter(|r| live(r) && !p.holds_group(*r, hot))
             .min_by(|a, b| {
                 loads[*a]
@@ -1099,10 +1138,13 @@ impl ClusterState {
                     .total_cmp(&loads[*b].bottleneck())
                     .then(a.cmp(b))
             })?;
-        if loads[src].bottleneck() < loads[dst].bottleneck() + MIGRATION_MIN_IMBALANCE {
-            return None;
-        }
-        Some((hot, src, dst, p.missing_relations(dst, hot)))
+        migration_lowers_donor(
+            loads[src].bottleneck(),
+            loads[dst].bottleneck(),
+            self.group_dispatches[hot * n + src],
+            self.replica_dispatches[src],
+        )
+        .then(|| (hot, src, dst, p.missing_relations(dst, hot)))
     }
 
     /// Recovers a crashed replica: the durable prefix (its applied version)
@@ -1120,15 +1162,15 @@ impl ClusterState {
             // those clients, since the suspicion sweep never comes.
             self.sweep_suspected(now, replica, queue);
         }
-        self.node_mut(replica).mark_recovered();
+        self.nodes[replica].mark_recovered();
         // Checkpoint-lag crash model: the durable on-disk state is a
         // checkpoint `k` versions behind what the replica had applied when
         // it died, so the replay window covers that redo prefix *plus*
         // whatever committed while it was down.
         let k = self.config.checkpoint_lag;
-        let from = Version(self.node(replica).applied().0.saturating_sub(k));
+        let from = Version(self.nodes[replica].replica().applied().0.saturating_sub(k));
         if k > 0 {
-            self.node_mut(replica).replica_mut().recover(from);
+            self.nodes[replica].replica_mut().recover(from);
             let head = self.certifier.version();
             self.tracer.emit(
                 now,
@@ -1169,7 +1211,7 @@ impl ClusterState {
             self.recovering_until[replica] = replay_done;
             return;
         }
-        self.balancer.replica_recovered(ReplicaId(replica));
+        self.balancer.lb.replica_recovered(ReplicaId(replica));
         // The crash-time re-replication widened holder sets to keep
         // `min_copies` *live* copies; this recovery may leave groups
         // over-replicated. Shrink back so placement converges instead of
@@ -1293,7 +1335,7 @@ impl ClusterState {
                 // Out of dispatch and MALB eligibility; in-flight work
                 // retries on survivors. Re-replication waits for *Dead* —
                 // a false suspicion must cost a filter-widen, not a copy.
-                self.balancer.replica_failed(ReplicaId(replica));
+                self.balancer.lb.replica_failed(ReplicaId(replica));
                 self.sweep_suspected(now, replica, queue);
             }
             HealthTransition::Dead { replica } => {
@@ -1316,7 +1358,7 @@ impl ClusterState {
                 // The cheap rejoin: dispatch eligibility back on. Only a
                 // wrongly-declared death needs placement work — shrinking
                 // whatever re-replication over-copied.
-                self.balancer.replica_recovered(ReplicaId(replica));
+                self.balancer.lb.replica_recovered(ReplicaId(replica));
                 if was_dead {
                     self.shrink_over_replicated(now);
                 }
@@ -1350,7 +1392,7 @@ impl ClusterState {
             if !up {
                 self.txns.remove(&txn);
             }
-            self.balancer.complete(ReplicaId(replica));
+            self.balancer.lb.complete(ReplicaId(replica));
             if retries < self.clients.max_retries {
                 self.submit_txn(now, client, txn_type, arrived, retries + 1, queue);
             } else {
@@ -1484,7 +1526,7 @@ impl ClusterState {
         }
         meta.abandoned = true;
         let meta = *meta;
-        self.balancer.complete(ReplicaId(meta.replica));
+        self.balancer.lb.complete(ReplicaId(meta.replica));
         self.retry_or_give_up(now, txn, &meta, now, self.backoff_us(meta.retries), queue);
     }
 
@@ -1562,7 +1604,7 @@ impl ClusterState {
             // waiting transaction locally, freeing the Gatekeeper slot; the
             // commit (if any) reaches the replica later through propagation
             // after heal, and the client is rescued by timeout or sweep.
-            self.node_mut(replica).on_finish(now, false, queue);
+            self.nodes[replica].on_finish(now, false, queue);
             if self.txns.get(&txn).is_some_and(|m| m.abandoned) {
                 self.txns.remove(&txn);
             }
@@ -1615,7 +1657,7 @@ impl ClusterState {
             return;
         }
         let meta = self.txns.remove(&txn).expect("presence checked above");
-        self.node_mut(replica).on_finish(now, committed, queue);
+        self.nodes[replica].on_finish(now, committed, queue);
         if meta.abandoned {
             // The client stopped waiting (timeout or suspicion sweep) and
             // its retry is already in flight elsewhere; the balancer
@@ -1623,7 +1665,7 @@ impl ClusterState {
             // Gatekeeper slot mattered here.
             return;
         }
-        self.balancer.complete(ReplicaId(replica));
+        self.balancer.lb.complete(ReplicaId(replica));
         let response_at = now + 2 * LAN_HOP_US;
         self.tracer.emit(
             now,
@@ -1669,13 +1711,13 @@ impl ClusterState {
         // A crashed replica does no maintenance, but the periodic chain
         // keeps ticking so it resumes seamlessly after recovery.
         if node.is_up() {
-            node.on_maintenance(now);
+            node.replica_mut().maintenance(now);
             if !cut {
                 self.certifier.maintenance_pull(now, node, &self.placement);
             }
             if round % 4 == 3 && !cut {
-                let report = node.sample_load(now);
-                self.balancer.report(
+                let report = node.replica_mut().sample_load(now);
+                self.balancer.lb.report(
                     ReplicaId(replica),
                     ResourceLoad {
                         cpu: report.cpu,
@@ -1726,11 +1768,169 @@ impl ClusterState {
     }
 }
 
+/// Whether migrating a group off a donor at bottleneck load `donor` onto a
+/// target at `target` lowers the donor's load: the donor's share of the
+/// group is its load times the group's fraction of its dispatches
+/// (`donor_group` of `donor_all`), and the move pays only when the target
+/// carrying that share stays below the donor's load now. A donor whose load
+/// is all the group's never moves — the move would carry the hotspot
+/// whole onto a colder cache.
+fn migration_lowers_donor(donor: f64, target: f64, donor_group: u64, donor_all: u64) -> bool {
+    let share = if donor_all == 0 {
+        0.0
+    } else {
+        donor * donor_group as f64 / donor_all as f64
+    };
+    target + share < donor
+}
+
 /// Human-readable partition endpoint for trace descriptions.
 fn endpoint_name(n: usize) -> String {
     if n == CONTROL_NODE {
         "ctl".to_string()
     } else {
         n.to_string()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::experiment::Experiment;
+    use tashkent_workloads::tpcw::{self, TpcwScale};
+
+    /// Two replicas and six clients on the TPC-W ordering mix, warm until
+    /// `warmup` seconds and ending at `total`.
+    fn tiny(policy: PolicySpec, warmup: u64, total: u64) -> Experiment {
+        let (workload, mix) = tpcw::workload_with_mix(TpcwScale::Small, "ordering");
+        let config = ClusterConfig {
+            replicas: 2,
+            clients: 6,
+            think_mean_us: 200_000,
+            ..ClusterConfig::paper_default()
+        }
+        .with_policy(policy);
+        Experiment::new(config, workload, mix).with_window(warmup, total - warmup)
+    }
+
+    /// Runs `exp` to its end and returns the state with the end time.
+    fn run_keeping_state(exp: Experiment) -> (ClusterState, SimTime) {
+        let (mut state, mut queue) = exp.build();
+        state.run_to_end(&mut queue).expect("End event scheduled");
+        (state, queue.now())
+    }
+
+    #[test]
+    fn transactions_flow_end_to_end() {
+        let (state, now) = run_keeping_state(tiny(PolicySpec::LeastConnections, 2, 20));
+        let r = state.finish_result(now);
+        assert!(r.committed > 10, "committed {}", r.committed);
+        assert!(r.tps > 0.5, "tps {}", r.tps);
+        assert!(r.mean_response_s > 0.0);
+    }
+
+    #[test]
+    fn updates_propagate_to_all_replicas() {
+        let (state, _) = run_keeping_state(tiny(PolicySpec::LeastConnections, 2, 30));
+        let head = state.certifier().version();
+        assert!(head.0 > 0, "some updates committed");
+        for i in 0..2 {
+            let lag = head.0 - state.node(i).replica().applied().0;
+            assert!(lag <= 30, "replica {i} lags {lag} commits");
+        }
+    }
+
+    #[test]
+    fn malb_run_assigns_groups() {
+        let (state, now) = run_keeping_state(tiny(PolicySpec::malb_sc(), 2, 20));
+        let snaps = state.group_snapshots();
+        assert!(!snaps.is_empty());
+        let types: usize = snaps.iter().map(|g| g.types.len()).sum();
+        assert_eq!(types, 13, "all 13 TPC-W types grouped");
+        assert!(state.finish_result(now).committed > 10);
+    }
+
+    fn run_fingerprint() -> (u64, u64, u64, u64) {
+        let (state, now) = run_keeping_state(tiny(PolicySpec::LeastConnections, 2, 15));
+        let (read, write) = state.disk_bytes();
+        let r = state.finish_result(now);
+        (r.committed, r.aborts, read, write)
+    }
+
+    #[test]
+    fn deterministic_across_runs() {
+        assert_eq!(run_fingerprint(), run_fingerprint());
+    }
+
+    #[test]
+    fn deterministic_across_runs_parallel() {
+        // Two runs at once on two threads, even on a single-core host: the
+        // result depends neither on the scheduler nor on state shared
+        // between runs.
+        let (a, b) = std::thread::scope(|s| {
+            let a = s.spawn(run_fingerprint);
+            let b = s.spawn(run_fingerprint);
+            (a.join().unwrap(), b.join().unwrap())
+        });
+        assert_eq!(a, b);
+        assert_eq!(a, run_fingerprint());
+    }
+
+    #[test]
+    fn drained_queue_is_an_error_not_a_panic() {
+        let exp = tiny(PolicySpec::LeastConnections, 2, 20);
+        let mut state = ClusterState::new(exp.config, exp.workload, vec![exp.phases[0].1.clone()]);
+        // No priming, no End event: one lone event, then the queue drains.
+        let mut queue = EventQueue::new();
+        queue.schedule(SimTime::from_secs(1), Ev::FreezeLb);
+        let err = state.run_to_end(&mut queue).unwrap_err();
+        assert_eq!(
+            err,
+            RunError::QueueDrained {
+                at: SimTime::from_secs(1)
+            }
+        );
+    }
+
+    #[test]
+    fn migration_moves_only_a_donor_carrying_other_load() {
+        // All of the donor's dispatches were the hot group's: the target
+        // would end up as loaded as the donor is now, even idle.
+        assert!(!migration_lowers_donor(0.9, 0.0, 40, 40));
+        assert!(!migration_lowers_donor(0.9, 0.5, 40, 40));
+        // A quarter of them: the donor sheds 0.225, which an idle target
+        // takes on and a target already at 0.7 cannot.
+        assert!(migration_lowers_donor(0.9, 0.0, 10, 40));
+        assert!(migration_lowers_donor(0.9, 0.6, 10, 40));
+        assert!(!migration_lowers_donor(0.9, 0.7, 10, 40));
+    }
+
+    #[test]
+    fn queue_drained_is_an_error_value() {
+        let err = RunError::QueueDrained {
+            at: SimTime::from_secs(2),
+        };
+        assert!(err.to_string().contains("2.000"));
+    }
+
+    #[test]
+    fn mix_switch_changes_distribution() {
+        let exp = tiny(PolicySpec::LeastConnections, 1, 30);
+        let (_, browsing) = tpcw::workload_with_mix(TpcwScale::Small, "browsing");
+        let ordering = exp.phases[0].1.clone();
+        let (state, now) = run_keeping_state(Experiment {
+            phases: vec![(10, ordering), (20, browsing)],
+            ..exp
+        });
+        // After the switch to read-only-ish browsing, update volume is low:
+        // the certifier version grows far slower than completions.
+        let r = state.finish_result(now);
+        assert!(r.committed > 0);
+        assert!(
+            (r.updates as f64) < 0.45 * r.committed as f64,
+            "updates {} of {}",
+            r.updates,
+            r.committed
+        );
     }
 }

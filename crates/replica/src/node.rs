@@ -237,16 +237,20 @@ impl ReplicaNode {
     ///
     /// Panics if `txn` is not running on this replica.
     pub fn step(&mut self, txn: TxnId, now: SimTime) -> StepOutcome {
-        let mut executor = self
+        let executor = self
             .running
-            .remove(&txn)
+            .get_mut(&txn)
             .unwrap_or_else(|| panic!("step of unknown transaction {txn}"));
         let mut cpu_accum: u64 = 0;
         loop {
             match executor.next_touch(&self.catalog, &mut self.rng) {
                 None => {
                     let done = self.cpu.run(now, cpu_accum);
-                    let ws = executor.into_writeset();
+                    let ws = self
+                        .running
+                        .remove(&txn)
+                        .expect("stepped above")
+                        .into_writeset();
                     return if ws.is_empty() {
                         StepOutcome::Done(done)
                     } else {
@@ -261,9 +265,7 @@ impl ReplicaNode {
                                 self.pool.mark_dirty(touch.page);
                             }
                             if cpu_accum >= CPU_QUANTUM_US {
-                                let t = self.cpu.run(now, cpu_accum);
-                                self.running.insert(txn, executor);
-                                return StepOutcome::Busy(t);
+                                return StepOutcome::Busy(self.cpu.run(now, cpu_accum));
                             }
                         }
                         Touch::Miss { evicted } => {
@@ -287,7 +289,6 @@ impl ReplicaNode {
                                     kind: ReqKind::Read,
                                 },
                             );
-                            self.running.insert(txn, executor);
                             return StepOutcome::Busy(t_read);
                         }
                     }

@@ -11,8 +11,8 @@
 //! cargo run --release --example failover
 //! ```
 
-use tashkent::cluster::{Ev, Failover, FaultKind, Scenario, ScenarioKnobs, World};
-use tashkent::sim::SimTime;
+use tashkent::cluster::{ClusterState, Ev, Failover, FaultKind, Scenario, ScenarioKnobs};
+use tashkent::sim::{EventQueue, SimTime};
 
 fn main() {
     // Enough measured window for the crash/outage/recovery plateaus to be
@@ -80,29 +80,30 @@ fn main() {
         result.mean_response_s * 1e3
     );
 
-    // The same faults, injected by hand through a World — the low-level
-    // interface the scenario wraps — stopping right after recovery to
-    // inspect the log-replay invariant: the recovered replica has applied
-    // exactly the certifier's version.
+    // The same faults, scheduled by hand into the cluster state's queue —
+    // the low-level interface the scenario wraps — stopping right after
+    // recovery to inspect the log-replay invariant: the recovered replica
+    // has applied exactly the certifier's version.
     let exp = scenario.experiment(&knobs);
-    let mut world = World::new(exp.config, exp.workload, vec![exp.phases[0].1.clone()]);
-    world.prime();
+    let mut state = ClusterState::new(exp.config, exp.workload, vec![exp.phases[0].1.clone()]);
+    let mut queue = EventQueue::new();
+    state.prime(&mut queue);
     let victim = knobs.replicas - 1;
-    world.schedule(SimTime::from_secs(5), Ev::ReplicaCrash { replica: victim });
-    world.schedule(
+    queue.schedule(SimTime::from_secs(5), Ev::ReplicaCrash { replica: victim });
+    queue.schedule(
         SimTime::from_secs(8),
         Ev::ReplicaRecover { replica: victim },
     );
-    world.schedule(SimTime::from_secs(8), Ev::End);
-    world.run_to_end().expect("End event scheduled");
+    queue.schedule(SimTime::from_secs(8), Ev::End);
+    state.run_to_end(&mut queue).expect("End event scheduled");
     assert_eq!(
-        world.replica(victim).applied(),
-        world.certifier().version(),
+        state.node(victim).replica().applied(),
+        state.certifier().version(),
         "recovery must catch the replica up to the certifier log"
     );
     println!(
         "\nlow-level check: recovered replica applied v{} == certifier v{} ✓",
-        world.replica(victim).applied().0,
-        world.certifier().version().0
+        state.node(victim).replica().applied().0,
+        state.certifier().version().0
     );
 }

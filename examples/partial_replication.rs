@@ -14,7 +14,7 @@
 //! cargo run --release --example partial_replication
 //! ```
 
-use tashkent::cluster::{FaultKind, PartialReplication, Scenario, ScenarioKnobs, World};
+use tashkent::cluster::{ClusterState, FaultKind, PartialReplication, Scenario, ScenarioKnobs};
 
 fn main() {
     let knobs = ScenarioKnobs {
@@ -31,16 +31,16 @@ fn main() {
     );
 
     // Peek at the placement the planner computes before running: build the
-    // world the scenario describes and print group → holders.
+    // cluster the scenario describes and print group → holders.
     let exp = scenario.experiment(&knobs);
-    let world = World::new(exp.config, exp.workload, vec![exp.phases[0].1.clone()]);
-    let p = world.placement();
+    let state = ClusterState::new(exp.config, exp.workload, vec![exp.phases[0].1.clone()]);
+    let p = state.placement();
     println!("\nplacement map ({} relation groups):", p.group_count());
     for (g, group) in p.groups().iter().enumerate() {
         let types: Vec<String> = group
             .types
             .iter()
-            .map(|t| world.workload().type_name(*t).to_string())
+            .map(|t| state.workload.type_name(*t).to_string())
             .collect();
         println!(
             "  group {g:>2}: {:>6} pages on replicas {:?}  ({})",

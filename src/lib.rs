@@ -82,10 +82,10 @@ pub use tashkent_cluster as cluster;
 /// Commonly used types, re-exported flat.
 pub mod prelude {
     pub use tashkent_cluster::{
-        calibrate_standalone, registry, run, run_scenario, run_sweep, scenario, ClusterConfig, Ev,
-        Experiment, Failover, FailoverSchedule, FaultEvent, FaultKind, PartialReplication,
-        PlacementMap, PlacementSpec, PolicySpec, ReplicationPlanner, RunError, RunResult, Scenario,
-        ScenarioKnobs, TypeGroups, World,
+        calibrate_standalone, registry, run, run_scenario, run_sweep, scenario, ClusterConfig,
+        ClusterState, Ev, Experiment, Failover, FailoverSchedule, FaultEvent, FaultKind,
+        PartialReplication, PlacementMap, PlacementSpec, PolicySpec, ReplicationPlanner, RunError,
+        RunResult, Scenario, ScenarioKnobs, TypeGroups,
     };
     pub use tashkent_core::{EstimationMode, LoadBalancer, MalbConfig, WorkingSetEstimator};
     pub use tashkent_engine::{TxnTypeId, Version};

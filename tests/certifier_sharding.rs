@@ -10,8 +10,8 @@ use std::collections::HashMap;
 use proptest::prelude::*;
 use tashkent::certifier::{CertMap, CertifierParams, GroupCommits};
 use tashkent::cluster::{
-    run, run_sweep, scenario, CertifierLink, Ev, Experiment, FaultKind, RunResult, Scenario,
-    ScenarioKnobs, TpcwSteadyState, TraceConfig, Tracer, World,
+    run, run_sweep, scenario, CertifierLink, ClusterState, Ev, Experiment, FaultKind, RunResult,
+    Scenario, ScenarioKnobs, TpcwSteadyState, TraceConfig, Tracer,
 };
 use tashkent::engine::{Snapshot, TxnId, TxnTypeId, Version, Writeset, WritesetItem};
 use tashkent::sim::{EventQueue, SimTime};
@@ -93,16 +93,11 @@ fn sharded_runs_agree_across_drivers_and_widths() {
 /// Runs the `tpcw-steady-state` experiment at `knobs` as `run` does and
 /// returns its per-group commit accounting with the commit log's head.
 fn group_commits_and_head(knobs: &ScenarioKnobs) -> (Vec<GroupCommits>, Version) {
-    let exp = TpcwSteadyState::default().experiment(knobs);
-    let end = SimTime::from_secs(exp.total_secs());
-    let mut world = World::new(exp.config, exp.workload, vec![exp.phases[0].1.clone()]);
-    world.prime();
-    world.schedule(SimTime::from_secs(exp.warmup_secs), Ev::EndWarmup);
-    world.schedule(end, Ev::End);
-    world.run_to_end().expect("End event scheduled");
-    let r = world.finish_result();
-    assert_eq!(r.cert_group_commits, world.certifier().group_commits());
-    (r.cert_group_commits, world.certifier().version())
+    let (mut state, mut queue) = TpcwSteadyState::default().experiment(knobs).build();
+    state.run_to_end(&mut queue).expect("End event scheduled");
+    let r = state.finish_result(queue.now());
+    assert_eq!(r.cert_group_commits, state.certifier().group_commits());
+    (r.cert_group_commits, state.certifier().version())
 }
 
 #[test]
@@ -197,16 +192,17 @@ fn decide_order_is_deterministic_under_random_group_kill_schedules() {
 
 #[test]
 fn world_certifier_reads_the_grouped_log() {
-    // `World::certifier` is the one certification engine, so on a
+    // `ClusterState::certifier` is the one certification engine, so on a
     // four-group run its log head is the link's head.
     let exp = TpcwSteadyState::default().experiment(&sharded_knobs(42));
-    let mut world = World::new(exp.config, exp.workload, vec![exp.phases[0].1.clone()]);
-    world.prime();
-    world.schedule(SimTime::from_secs(10), Ev::End);
-    world.run_to_end().expect("End event scheduled");
-    let head = world.cert_link().version();
+    let mut state = ClusterState::new(exp.config, exp.workload, vec![exp.phases[0].1.clone()]);
+    let mut queue = EventQueue::new();
+    state.prime(&mut queue);
+    queue.schedule(SimTime::from_secs(10), Ev::End);
+    state.run_to_end(&mut queue).expect("End event scheduled");
+    let head = state.cert_link().version();
     assert!(head.0 > 0, "the run must commit updates");
-    assert_eq!(world.certifier().version(), head);
+    assert_eq!(state.certifier().version(), head);
 }
 
 proptest! {

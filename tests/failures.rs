@@ -5,14 +5,14 @@
 
 use tashkent::certifier::{Certifier, CertifierGroup, CertifyOutcome, GroupEvent};
 use tashkent::cluster::{
-    run, ClusterConfig, Detection, Ev, Failover, FaultKind, PartialReplication, PolicySpec,
-    ReplicaHealth, ReplicationPlanner, RunResult, Scenario, ScenarioKnobs, TypeGroups, World,
+    run, ClusterConfig, ClusterState, Detection, Ev, Failover, FaultKind, PartialReplication,
+    PolicySpec, ReplicaHealth, ReplicationPlanner, RunResult, Scenario, ScenarioKnobs, TypeGroups,
     CONTROL_NODE,
 };
 use tashkent::core::LoadBalancer;
 use tashkent::engine::{Snapshot, TxnId, TxnTypeId, Version, Writeset, WritesetItem};
 use tashkent::replica::{ReplicaConfig, ReplicaNode};
-use tashkent::sim::{SimRng, SimTime};
+use tashkent::sim::{EventQueue, SimRng, SimTime};
 use tashkent::storage::{Catalog, RelationId};
 use tashkent::workloads::tpcw::{self, TpcwScale};
 
@@ -174,24 +174,26 @@ fn failover_scenario_recovers_throughput() {
 
 #[test]
 fn crashed_replica_rejoins_consistent_through_the_harness() {
-    // Drive the crash/recover pair through World directly and stop right
-    // at the recovery instant: the victim must have replayed the certifier
-    // log exactly to its head, with a cold cache doing real reads.
+    // Drive the crash/recover pair through the cluster state directly and
+    // stop right at the recovery instant: the victim must have replayed
+    // the certifier log exactly to its head, with a cold cache doing real
+    // reads.
     let exp = Failover::default().experiment(&failover_knobs());
-    let mut world = World::new(exp.config, exp.workload, vec![exp.phases[0].1.clone()]);
-    world.prime();
-    world.schedule(SimTime::from_secs(4), Ev::ReplicaCrash { replica: 2 });
-    world.schedule(SimTime::from_secs(9), Ev::ReplicaRecover { replica: 2 });
-    world.schedule(SimTime::from_secs(9), Ev::End);
-    world.run_to_end().expect("End event scheduled");
-    assert!(world.node(2).is_up());
+    let mut state = ClusterState::new(exp.config, exp.workload, vec![exp.phases[0].1.clone()]);
+    let mut queue = EventQueue::new();
+    state.prime(&mut queue);
+    queue.schedule(SimTime::from_secs(4), Ev::ReplicaCrash { replica: 2 });
+    queue.schedule(SimTime::from_secs(9), Ev::ReplicaRecover { replica: 2 });
+    queue.schedule(SimTime::from_secs(9), Ev::End);
+    state.run_to_end(&mut queue).expect("End event scheduled");
+    assert!(state.node(2).is_up());
     assert_eq!(
-        world.replica(2).applied(),
-        world.certifier().version(),
+        state.node(2).replica().applied(),
+        state.certifier().version(),
         "recovery replays the certifier log to its head"
     );
     assert!(
-        world.certifier().version().0 > 0,
+        state.certifier().version().0 > 0,
         "the outage window must have committed updates to replay"
     );
 }
@@ -199,42 +201,44 @@ fn crashed_replica_rejoins_consistent_through_the_harness() {
 #[test]
 fn certifier_leader_kill_through_the_harness_fails_over() {
     let exp = Failover::default().experiment(&failover_knobs());
-    let mut world = World::new(exp.config, exp.workload, vec![exp.phases[0].1.clone()]);
-    world.prime();
-    world.schedule(
+    let mut state = ClusterState::new(exp.config, exp.workload, vec![exp.phases[0].1.clone()]);
+    let mut queue = EventQueue::new();
+    state.prime(&mut queue);
+    queue.schedule(
         SimTime::from_secs(3),
         Ev::CertifierKill {
             group: 0,
             member: 0,
         },
     );
-    world.schedule(SimTime::from_secs(10), Ev::End);
-    world.run_to_end().expect("End event scheduled");
-    let group = world.certifier_group();
+    queue.schedule(SimTime::from_secs(10), Ev::End);
+    state.run_to_end(&mut queue).expect("End event scheduled");
+    let group = state.cert_link().group_of(0);
     assert_eq!(group.leader(), Some(1), "backup elected");
     assert_eq!(group.failovers(), 1);
     assert!(
-        world.certifier().version().0 > 0,
+        state.certifier().version().0 > 0,
         "certification keeps serving after the failover delay"
     );
 }
 
-/// Runs a world with every member of certifier group 0 killed at 3 s,
-/// optionally restarting member 0 at `restart_at_secs`, ending at
-/// `end_secs`.
-fn full_certifier_outage(end_secs: u64, restart_at_secs: Option<u64>) -> World {
+/// Runs the failover cluster with every member of certifier group 0 killed
+/// at 3 s, optionally restarting member 0 at `restart_at_secs`, ending at
+/// `end_secs`; returns the state and its result.
+fn full_certifier_outage(end_secs: u64, restart_at_secs: Option<u64>) -> (ClusterState, RunResult) {
     let exp = Failover::default().experiment(&failover_knobs());
-    let mut world = World::new(exp.config, exp.workload, vec![exp.phases[0].1.clone()]);
-    world.prime();
-    world.schedule(SimTime::from_secs(1), Ev::EndWarmup);
+    let mut state = ClusterState::new(exp.config, exp.workload, vec![exp.phases[0].1.clone()]);
+    let mut queue = EventQueue::new();
+    state.prime(&mut queue);
+    queue.schedule(SimTime::from_secs(1), Ev::EndWarmup);
     for member in 0..3 {
-        world.schedule(
+        queue.schedule(
             SimTime::from_secs(3),
             Ev::CertifierKill { group: 0, member },
         );
     }
     if let Some(at) = restart_at_secs {
-        world.schedule(
+        queue.schedule(
             SimTime::from_secs(at),
             Ev::CertifierRestart {
                 group: 0,
@@ -242,9 +246,10 @@ fn full_certifier_outage(end_secs: u64, restart_at_secs: Option<u64>) -> World {
             },
         );
     }
-    world.schedule(SimTime::from_secs(end_secs), Ev::End);
-    world.run_to_end().expect("End event scheduled");
-    world
+    queue.schedule(SimTime::from_secs(end_secs), Ev::End);
+    state.run_to_end(&mut queue).expect("End event scheduled");
+    let r = state.finish_result(queue.now());
+    (state, r)
 }
 
 #[test]
@@ -255,10 +260,10 @@ fn dead_certifier_parks_requests_instead_of_aborting() {
     // certifier, so the abort count must be frozen at its kill-time value:
     // two truncations of the same outage, 1 s and 3 s in, see identical
     // aborts (the no-spurious-aborts assertion), while requests pile up.
-    let short = full_certifier_outage(4, None);
-    let long = full_certifier_outage(6, None);
+    let (_, short) = full_certifier_outage(4, None);
+    let (long, long_result) = full_certifier_outage(6, None);
     assert!(
-        !long.certifier_group().is_available(),
+        !long.cert_link().group_of(0).is_available(),
         "all three members dead leaves the group unavailable"
     );
     assert!(
@@ -266,8 +271,7 @@ fn dead_certifier_parks_requests_instead_of_aborting() {
         "an unavailable certifier must park requests, not fail them"
     );
     assert_eq!(
-        short.finish_result().aborts,
-        long.finish_result().aborts,
+        short.aborts, long_result.aborts,
         "two extra seconds of total certifier outage produced aborts — \
          a dead certifier must never fail requests like conflicts"
     );
@@ -278,20 +282,20 @@ fn certifier_restart_drains_parked_requests_in_arrival_order() {
     // The drain half: restarting one member elects it leader after the
     // failover delay and the parked requests go through it — committing
     // normally, in arrival order, with nothing left waiting.
-    let outage = full_certifier_outage(6, None);
-    let drained = full_certifier_outage(20, Some(6));
+    let (outage, outage_result) = full_certifier_outage(6, None);
+    let (drained, drained_result) = full_certifier_outage(20, Some(6));
     assert_eq!(
         drained.cert_link().waiting_certs(),
         0,
         "queue fully drained"
     );
-    assert!(drained.certifier_group().is_available());
+    assert!(drained.cert_link().group_of(0).is_available());
     assert!(
         drained.certifier().version() > outage.certifier().version(),
         "drained requests must commit after the restart"
     );
     assert!(
-        drained.finish_result().committed > outage.finish_result().committed,
+        drained_result.committed > outage_result.committed,
         "throughput resumes after the restart"
     );
 }
@@ -314,7 +318,7 @@ fn migration_truncation(measured_secs: u64, group: usize) -> RunResult {
         ..PartialReplication::default()
     }
     .experiment(&knobs);
-    exp.config.migration_period = Some(SimTime::from_secs(2));
+    exp.config.migration = true;
     run(exp.with_injection(SimTime::from_secs(6), Ev::Rereplicate { group }))
         .expect("partial run completes")
 }
@@ -376,23 +380,24 @@ fn sharded_group_outage_parks_only_its_own_groups_requests() {
     // other groups keep certifying and the cluster keeps committing.
     let knobs = failover_knobs().with_cert_groups(Some(4));
     let exp = tashkent::cluster::TpcwSteadyState::default().experiment(&knobs);
-    let mut world = World::new(exp.config, exp.workload, vec![exp.phases[0].1.clone()]);
-    world.prime();
-    world.schedule(SimTime::from_secs(1), Ev::EndWarmup);
+    let mut state = ClusterState::new(exp.config, exp.workload, vec![exp.phases[0].1.clone()]);
+    let mut queue = EventQueue::new();
+    state.prime(&mut queue);
+    queue.schedule(SimTime::from_secs(1), Ev::EndWarmup);
     for member in 0..3 {
-        world.schedule(
+        queue.schedule(
             SimTime::from_secs(3),
             Ev::CertifierKill { group: 1, member },
         );
     }
-    world.schedule(SimTime::from_secs(10), Ev::End);
-    world.run_to_end().expect("End event scheduled");
-    assert!(!world.cert_link().group_of(1).is_available());
+    queue.schedule(SimTime::from_secs(10), Ev::End);
+    state.run_to_end(&mut queue).expect("End event scheduled");
+    assert!(!state.cert_link().group_of(1).is_available());
     assert!(
-        world.cert_link().waiting_certs() > 0,
+        state.cert_link().waiting_certs() > 0,
         "requests touching the dead group must park"
     );
-    let commits = world.certifier().group_commits();
+    let commits = state.certifier().group_commits();
     let dead_head = commits[1].last;
     assert!(
         commits
@@ -408,15 +413,16 @@ fn crash_and_recover_are_idempotent_through_the_harness() {
     // Double crash and double recover must be no-ops: only one fault pair
     // lands in the log, and the run still completes.
     let exp = Failover::default().experiment(&failover_knobs());
-    let mut world = World::new(exp.config, exp.workload, vec![exp.phases[0].1.clone()]);
-    world.prime();
-    world.schedule(SimTime::from_secs(3), Ev::ReplicaCrash { replica: 1 });
-    world.schedule(SimTime::from_secs(4), Ev::ReplicaCrash { replica: 1 });
-    world.schedule(SimTime::from_secs(6), Ev::ReplicaRecover { replica: 1 });
-    world.schedule(SimTime::from_secs(7), Ev::ReplicaRecover { replica: 1 });
-    world.schedule(SimTime::from_secs(10), Ev::End);
-    world.run_to_end().expect("End event scheduled");
-    let kinds: Vec<FaultKind> = world.metrics().faults().iter().map(|f| f.kind).collect();
+    let mut state = ClusterState::new(exp.config, exp.workload, vec![exp.phases[0].1.clone()]);
+    let mut queue = EventQueue::new();
+    state.prime(&mut queue);
+    queue.schedule(SimTime::from_secs(3), Ev::ReplicaCrash { replica: 1 });
+    queue.schedule(SimTime::from_secs(4), Ev::ReplicaCrash { replica: 1 });
+    queue.schedule(SimTime::from_secs(6), Ev::ReplicaRecover { replica: 1 });
+    queue.schedule(SimTime::from_secs(7), Ev::ReplicaRecover { replica: 1 });
+    queue.schedule(SimTime::from_secs(10), Ev::End);
+    state.run_to_end(&mut queue).expect("End event scheduled");
+    let kinds: Vec<FaultKind> = state.metrics.faults().iter().map(|f| f.kind).collect();
     assert_eq!(
         kinds,
         vec![FaultKind::ReplicaCrash(1), FaultKind::ReplicaRecover(1)]
@@ -447,11 +453,12 @@ fn false_suspicion_rejoins_with_zero_rereplication() {
     config.heartbeat_period_us = 500_000;
     config.client_timeout_us = 3_000_000;
     let (workload, mix) = tpcw::workload_with_mix(TpcwScale::Small, "ordering");
-    let mut world = World::new(config, workload, vec![mix]);
-    world.prime();
+    let mut state = ClusterState::new(config, workload, vec![mix]);
+    let mut queue = EventQueue::new();
+    state.prime(&mut queue);
     let end = knobs.warmup_secs + knobs.measured_secs;
-    world.schedule(SimTime::from_secs(knobs.warmup_secs), Ev::EndWarmup);
-    world.schedule(
+    queue.schedule(SimTime::from_secs(knobs.warmup_secs), Ev::EndWarmup);
+    queue.schedule(
         SimTime::from_secs(25),
         Ev::LinkPartition {
             a: CONTROL_NODE,
@@ -459,17 +466,17 @@ fn false_suspicion_rejoins_with_zero_rereplication() {
             heal_at: SimTime::from_secs(27),
         },
     );
-    world.schedule(SimTime::from_secs(end), Ev::End);
-    world.run_to_end().expect("End event scheduled");
+    queue.schedule(SimTime::from_secs(end), Ev::End);
+    state.run_to_end(&mut queue).expect("End event scheduled");
 
-    let r = world.finish_result();
+    let r = state.finish_result(queue.now());
     let kinds: Vec<FaultKind> = r.faults.iter().map(|f| f.kind).collect();
     // Suspected during the outage, trusted after the heal, never dead.
     assert!(kinds.contains(&FaultKind::ReplicaSuspected(2)));
     assert!(kinds.contains(&FaultKind::ReplicaTrusted(2)));
     assert!(!kinds.contains(&FaultKind::ReplicaDead(2)));
-    assert!(world.node(2).is_up());
-    assert_eq!(world.replica_health(2), ReplicaHealth::Live);
+    assert!(state.node(2).is_up());
+    assert_eq!(state.replica_health(2), ReplicaHealth::Live);
     // The rejoin cost nothing: no re-replication, no migration, no bytes.
     assert!(
         !kinds
@@ -564,12 +571,13 @@ fn partitioned_run(client_timeout_us: u64) -> RunResult {
         client_timeout_us,
         ..ClusterConfig::paper_default()
     };
-    let mut world = World::new(config, workload, vec![mix]);
-    world.prime();
-    world.schedule(SimTime::from_secs(2), Ev::EndWarmup);
+    let mut state = ClusterState::new(config, workload, vec![mix]);
+    let mut queue = EventQueue::new();
+    state.prime(&mut queue);
+    queue.schedule(SimTime::from_secs(2), Ev::EndWarmup);
     // Heartbeats are off, so no sweep ever rescues the victims' in-flight
     // work — only the clients' own timers can.
-    world.schedule(
+    queue.schedule(
         SimTime::from_secs(5),
         Ev::LinkPartition {
             a: CONTROL_NODE,
@@ -577,9 +585,9 @@ fn partitioned_run(client_timeout_us: u64) -> RunResult {
             heal_at: SimTime::from_secs(30),
         },
     );
-    world.schedule(SimTime::from_secs(35), Ev::End);
-    world.run_to_end().expect("End event scheduled");
-    world.finish_result()
+    queue.schedule(SimTime::from_secs(35), Ev::End);
+    state.run_to_end(&mut queue).expect("End event scheduled");
+    state.finish_result(queue.now())
 }
 
 /// Runs a three-replica cluster with the detector off and a 1 s client
@@ -594,13 +602,14 @@ fn oracle_crash_with_timeouts(seed: u64) -> RunResult {
         seed,
         ..ClusterConfig::paper_default()
     };
-    let mut world = World::new(config, workload, vec![mix]);
-    world.prime();
-    world.schedule(SimTime::from_secs(20), Ev::ReplicaCrash { replica: 2 });
-    world.schedule(SimTime::from_secs(25), Ev::ReplicaRecover { replica: 2 });
-    world.schedule(SimTime::from_secs(40), Ev::End);
-    world.run_to_end().expect("End event scheduled");
-    world.finish_result()
+    let mut state = ClusterState::new(config, workload, vec![mix]);
+    let mut queue = EventQueue::new();
+    state.prime(&mut queue);
+    queue.schedule(SimTime::from_secs(20), Ev::ReplicaCrash { replica: 2 });
+    queue.schedule(SimTime::from_secs(25), Ev::ReplicaRecover { replica: 2 });
+    queue.schedule(SimTime::from_secs(40), Ev::End);
+    state.run_to_end(&mut queue).expect("End event scheduled");
+    state.finish_result(queue.now())
 }
 
 #[test]
@@ -646,16 +655,17 @@ fn quick_recovery_trace(seed: u64) -> String {
         ..ClusterConfig::paper_default()
     };
     config.trace.jsonl_path = Some(path.to_str().expect("temp path is valid UTF-8").into());
-    let mut world = World::new(config, workload, vec![mix]);
-    world.prime();
-    world.schedule(SimTime::from_secs(20), Ev::ReplicaCrash { replica: 2 });
-    world.schedule(
+    let mut state = ClusterState::new(config, workload, vec![mix]);
+    let mut queue = EventQueue::new();
+    state.prime(&mut queue);
+    queue.schedule(SimTime::from_secs(20), Ev::ReplicaCrash { replica: 2 });
+    queue.schedule(
         SimTime::from_millis(20_100),
         Ev::ReplicaRecover { replica: 2 },
     );
-    world.schedule(SimTime::from_secs(60), Ev::End);
-    world.run_to_end().expect("End event scheduled");
-    world.export_traces().expect("trace written");
+    queue.schedule(SimTime::from_secs(60), Ev::End);
+    state.run_to_end(&mut queue).expect("End event scheduled");
+    state.export_traces().expect("trace written");
     let trace = std::fs::read_to_string(&path).expect("trace readable");
     let _ = std::fs::remove_file(&path);
     trace

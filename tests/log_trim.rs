@@ -4,9 +4,9 @@
 //! partial placement, whose backfills replay from version 0, it keeps the
 //! log whole.
 
-use tashkent::cluster::{Ev, PolicySpec, ScenarioKnobs, World};
+use tashkent::cluster::{ClusterState, Ev, PolicySpec, ScenarioKnobs};
 use tashkent::engine::Version;
-use tashkent::sim::SimTime;
+use tashkent::sim::{EventQueue, SimTime};
 use tashkent::workloads::tpcw::{self, TpcwScale};
 
 /// Entries the log may retain: the 1,024 commits between two trim scans
@@ -16,13 +16,14 @@ const RETAINED_BOUND: u64 = 1_200;
 
 /// A 4-replica MALB-SC+UF run of the TPC-W ordering mix, stopped at `end`
 /// seconds.
-fn ordering_run(knobs: ScenarioKnobs, end: u64) -> World {
+fn ordering_run(knobs: ScenarioKnobs, end: u64) -> ClusterState {
     let (workload, mix) = tpcw::workload_with_mix(TpcwScale::Small, "ordering");
-    let mut world = World::new(knobs.config(PolicySpec::malb_sc_uf()), workload, vec![mix]);
-    world.prime();
-    world.schedule(SimTime::from_secs(end), Ev::End);
-    world.run_to_end().expect("End event scheduled");
-    world
+    let mut state = ClusterState::new(knobs.config(PolicySpec::malb_sc_uf()), workload, vec![mix]);
+    let mut queue = EventQueue::new();
+    state.prime(&mut queue);
+    queue.schedule(SimTime::from_secs(end), Ev::End);
+    state.run_to_end(&mut queue).expect("End event scheduled");
+    state
 }
 
 fn knobs() -> ScenarioKnobs {
@@ -33,8 +34,8 @@ fn knobs() -> ScenarioKnobs {
 }
 
 /// `(head, base)` of the run's commit log.
-fn log_ends(world: &World) -> (Version, Version) {
-    let log = world.certifier().log();
+fn log_ends(state: &ClusterState) -> (Version, Version) {
+    let log = state.certifier().log();
     (log.head(), log.base())
 }
 

@@ -16,7 +16,7 @@
 //! relations in a `BTreeMap` of relation → pages, before working sets
 //! became relation bitmaps.
 
-use tashkent::cluster::{ClusterConfig, PolicySpec, World};
+use tashkent::cluster::{ClusterConfig, ClusterState, PolicySpec};
 use tashkent::core::{filter_lists, EstimationMode, ReplicaId, TxnGroup, WorkingSetEstimator};
 use tashkent::workloads::tpcw::{self, TpcwScale};
 use tashkent::workloads::{rubis, Mix, Workload};
@@ -435,8 +435,8 @@ fn check(golden: &Golden, workload: Workload, mix: Mix, mode: EstimationMode) {
             update_filtering: true,
         });
     assert_eq!(config.replicas, 16);
-    let world = World::new(config.clone(), workload.clone(), vec![mix.clone()]);
-    let lb = world.balancer();
+    let state = ClusterState::new(config.clone(), workload.clone(), vec![mix.clone()]);
+    let lb = state.balancer();
 
     let groups = lb.groups();
     assert_eq!(groups.len(), golden.groups.len(), "group count");

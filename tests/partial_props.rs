@@ -17,33 +17,14 @@
 //!   version (held groups as pages, the rest as version ticks).
 
 use proptest::prelude::*;
-use tashkent::cluster::{
-    ClusterState, Ev, Experiment, FaultKind, PartialReplication, Scenario, ScenarioKnobs,
-};
-use tashkent::sim::{EventQueue, SimTime};
-
-/// Builds the runnable state + queue for an experiment, mirroring what the
-/// experiment runner schedules (single-phase experiments only).
-fn build(exp: Experiment) -> (ClusterState, EventQueue<Ev>) {
-    assert_eq!(exp.phases.len(), 1, "helper supports single-phase runs");
-    let mixes = vec![exp.phases[0].1.clone()];
-    let total = exp.phases[0].0;
-    let mut state = ClusterState::new(exp.config, exp.workload, mixes);
-    let mut queue = EventQueue::new();
-    state.prime(&mut queue);
-    queue.schedule(SimTime::from_secs(exp.warmup_secs), Ev::EndWarmup);
-    queue.schedule(SimTime::from_secs(total), Ev::End);
-    for (at, ev) in exp.injections {
-        queue.schedule(at, ev);
-    }
-    (state, queue)
-}
+use tashkent::cluster::{ClusterState, Ev, FaultKind, PartialReplication, Scenario, ScenarioKnobs};
+use tashkent::sim::SimTime;
 
 /// Checks the durability invariant on a state snapshot; `deep` also
 /// verifies that every live holder's filter keeps the group current.
 fn assert_durable(state: &ClusterState, deep: bool) {
     let p = state.placement();
-    let n = state.replica_count();
+    let n = state.config.replicas;
     let live = (0..n).filter(|r| state.node(*r).is_up()).count();
     let need = p.min_copies().min(live);
     for g in 0..p.group_count() {
@@ -63,7 +44,7 @@ fn assert_durable(state: &ClusterState, deep: bool) {
                 }
                 for rel in p.groups()[g].relations.iter() {
                     assert!(
-                        state.replica(r).filter().accepts(rel),
+                        state.node(r).replica().filter().accepts(rel),
                         "live holder {r} filters out {rel} of its group {g}"
                     );
                 }
@@ -86,7 +67,7 @@ fn durability_holds_at_every_event_across_the_failover_schedule() {
         }
         .with_seed(seed);
         let exp = PartialReplication::default().experiment(&knobs);
-        let (mut state, mut queue) = build(exp);
+        let (mut state, mut queue) = exp.build();
         assert_durable(&state, true);
         let mut faults_seen = 0;
         while !state.ended() {
@@ -147,11 +128,8 @@ fn rereplicate_event_widens_the_holder_set() {
     let exp = scenario
         .experiment(&knobs)
         .with_injection(SimTime::from_secs(3), Ev::Rereplicate { group: 0 });
-    let (mut state, mut queue) = build(exp);
-    while !state.ended() {
-        let (now, ev) = queue.pop().expect("End event scheduled");
-        state.handle(now, ev, &mut queue);
-    }
+    let (mut state, mut queue) = exp.build();
+    state.run_to_end(&mut queue).expect("End event scheduled");
 
     let p = state.placement();
     assert_eq!(
@@ -173,7 +151,7 @@ fn rereplicate_event_widens_the_holder_set() {
         assert!(p.eligible(*t, added), "new holder not eligible for {t}");
     }
     for rel in p.groups()[0].relations.iter() {
-        assert!(state.replica(added).filter().accepts(rel));
+        assert!(state.node(added).replica().filter().accepts(rel));
     }
 }
 
@@ -199,11 +177,8 @@ fn malb_update_filtering_never_narrows_a_holder_below_its_held_set() {
         faults: false,
         ..PartialReplication::default()
     };
-    let (mut state, mut queue) = build(scenario.experiment(&knobs));
-    while !state.ended() {
-        let (now, ev) = queue.pop().expect("End event scheduled");
-        state.handle(now, ev, &mut queue);
-    }
+    let (mut state, mut queue) = scenario.experiment(&knobs).build();
+    state.run_to_end(&mut queue).expect("End event scheduled");
     assert!(
         state.balancer().filters_installed(),
         "MALB must have installed its update filters for the regression to bite"
@@ -242,21 +217,18 @@ proptest! {
             ..PartialReplication::default()
         }
         .experiment(&knobs);
-        let (mut state, mut queue) = build(exp);
+        let (mut state, mut queue) = exp.build();
         let recover_at = crash_at + downtime;
         queue.schedule(SimTime::from_secs(crash_at), Ev::ReplicaCrash { replica: victim });
         queue.schedule(SimTime::from_secs(recover_at), Ev::ReplicaRecover { replica: victim });
         // Same instant, scheduled after the recovery: FIFO ends the run the
-        // moment catch-up finishes (the build()-scheduled End never fires).
+        // moment catch-up finishes (the End `build` scheduled never fires).
         queue.schedule(SimTime::from_secs(recover_at), Ev::End);
-        while !state.ended() {
-            let (now, ev) = queue.pop().expect("End event scheduled");
-            state.handle(now, ev, &mut queue);
-        }
+        state.run_to_end(&mut queue).expect("End event scheduled");
         assert_durable(&state, true);
         prop_assert!(state.node(victim).is_up());
         prop_assert_eq!(
-            state.replica(victim).applied(),
+            state.node(victim).replica().applied(),
             state.certifier().version(),
             "partial-replication catch-up must land on the certifier version (seed {})",
             seed

@@ -15,10 +15,10 @@
 //!   under `min_copies` holders.
 
 use tashkent::cluster::{
-    run, ClusterState, Ev, Experiment, FaultKind, PartialReplication, ReplicationPlanner, Scenario,
+    run, Ev, Experiment, FaultKind, PartialReplication, ReplicationPlanner, Scenario,
     ScenarioKnobs, TypeGroups,
 };
-use tashkent::sim::{EventQueue, SimTime};
+use tashkent::sim::SimTime;
 use tashkent::workloads::tpcw::{self, TpcwScale};
 
 const REPLICAS: usize = 4;
@@ -106,18 +106,7 @@ fn backfill_completion_scales_inversely_with_the_bandwidth_cap() {
 fn still_backfilling_holder_is_never_eligible_for_dispatch() {
     let group = group_that_ships_bytes();
     // A tight cap keeps the copy in flight across many events.
-    let exp = experiment(Some(2 * 1024), group);
-    assert_eq!(exp.phases.len(), 1, "helper supports single-phase runs");
-    let mixes = vec![exp.phases[0].1.clone()];
-    let total = exp.phases[0].0;
-    let mut state = ClusterState::new(exp.config, exp.workload, mixes);
-    let mut queue = EventQueue::new();
-    state.prime(&mut queue);
-    queue.schedule(SimTime::from_secs(exp.warmup_secs), Ev::EndWarmup);
-    queue.schedule(SimTime::from_secs(total), Ev::End);
-    for (at, ev) in exp.injections {
-        queue.schedule(at, ev);
-    }
+    let (mut state, mut queue) = experiment(Some(2 * 1024), group).build();
     let before: Vec<usize> = state.placement().holders(group).to_vec();
     let types = state.placement().groups()[group].types.clone();
     let mut pending_boundaries = 0u64;

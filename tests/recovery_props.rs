@@ -19,12 +19,13 @@
 use proptest::prelude::*;
 use tashkent::certifier::Certifier;
 use tashkent::cluster::{
-    ClusterConfig, Ev, FaultKind, PlacementSpec, PolicySpec, ReplicaHealth, World, CONTROL_NODE,
+    ClusterConfig, ClusterState, Ev, FaultKind, PlacementSpec, PolicySpec, ReplicaHealth,
+    CONTROL_NODE,
 };
 use tashkent::core::{LardConfig, LoadBalancer, MalbConfig, PageTable, ReplicaId, WorkingSet};
 use tashkent::engine::{Snapshot, TxnId, TxnTypeId, Version, Writeset, WritesetItem};
 use tashkent::replica::{ReplicaConfig, ReplicaNode};
-use tashkent::sim::{SimRng, SimTime};
+use tashkent::sim::{EventQueue, SimRng, SimTime};
 use tashkent::storage::{Catalog, RelationId};
 use tashkent::workloads::tpcw::{self, TpcwScale};
 
@@ -103,18 +104,19 @@ proptest! {
             seed,
             ..ClusterConfig::paper_default()
         };
-        let mut world = World::new(config, workload, vec![mix]);
-        world.prime();
+        let mut state = ClusterState::new(config, workload, vec![mix]);
+        let mut queue = EventQueue::new();
+        state.prime(&mut queue);
         let recover_at = crash_at + downtime;
-        world.schedule(SimTime::from_secs(crash_at), Ev::ReplicaCrash { replica: victim });
-        world.schedule(SimTime::from_secs(recover_at), Ev::ReplicaRecover { replica: victim });
+        queue.schedule(SimTime::from_secs(crash_at), Ev::ReplicaCrash { replica: victim });
+        queue.schedule(SimTime::from_secs(recover_at), Ev::ReplicaRecover { replica: victim });
         // Same instant, scheduled after the recovery: FIFO runs it second.
-        world.schedule(SimTime::from_secs(recover_at), Ev::End);
-        world.run_to_end().expect("End event scheduled");
-        prop_assert!(world.node(victim).is_up());
+        queue.schedule(SimTime::from_secs(recover_at), Ev::End);
+        state.run_to_end(&mut queue).expect("End event scheduled");
+        prop_assert!(state.node(victim).is_up());
         prop_assert_eq!(
-            world.replica(victim).applied(),
-            world.certifier().version(),
+            state.node(victim).replica().applied(),
+            state.certifier().version(),
             "log replay must catch the replica up, seed {}", seed
         );
     }
@@ -207,10 +209,11 @@ proptest! {
             ..ClusterConfig::paper_default().with_policy(PolicySpec::malb_sc())
         };
         config.placement = PlacementSpec::Partial { min_copies: 2 };
-        let mut world = World::new(config, workload, vec![mix]);
-        world.prime();
-        world.schedule(SimTime::from_secs(1), Ev::EndWarmup);
-        world.schedule(
+        let mut state = ClusterState::new(config, workload, vec![mix]);
+        let mut queue = EventQueue::new();
+        state.prime(&mut queue);
+        queue.schedule(SimTime::from_secs(1), Ev::EndWarmup);
+        queue.schedule(
             SimTime::from_millis(partition_at_ms),
             Ev::LinkPartition {
                 a: CONTROL_NODE,
@@ -218,10 +221,10 @@ proptest! {
                 heal_at: SimTime::from_millis(partition_at_ms + partition_len_ms),
             },
         );
-        world.schedule(SimTime::from_secs(12), Ev::End);
-        world.run_to_end().expect("End event scheduled");
-        prop_assert!(world.node(victim).is_up(), "a partition never downs a node");
-        let r = world.finish_result();
+        queue.schedule(SimTime::from_secs(12), Ev::End);
+        state.run_to_end(&mut queue).expect("End event scheduled");
+        prop_assert!(state.node(victim).is_up(), "a partition never downs a node");
+        let r = state.finish_result(queue.now());
         let kinds: Vec<FaultKind> = r.faults.iter().map(|f| f.kind).collect();
         prop_assert!(!kinds.contains(&FaultKind::ReplicaDead(victim)));
         prop_assert!(
@@ -236,6 +239,6 @@ proptest! {
         if kinds.contains(&FaultKind::ReplicaSuspected(victim)) {
             prop_assert!(kinds.contains(&FaultKind::ReplicaTrusted(victim)));
         }
-        prop_assert_eq!(world.replica_health(victim), ReplicaHealth::Live);
+        prop_assert_eq!(state.replica_health(victim), ReplicaHealth::Live);
     }
 }

@@ -25,8 +25,8 @@ use tashkent::cluster::detection::{
     DEFAULT_CHECKPOINT_LAG, DEFAULT_CLIENT_TIMEOUT_US, DEFAULT_HEARTBEAT_US,
 };
 use tashkent::cluster::{
-    registry, run_sweep, scenario, Ev, Experiment, FaultKind, PolicySpec, RunResult, ScenarioKnobs,
-    World, CONTROL_NODE,
+    registry, run_sweep, scenario, ClusterState, Ev, Experiment, FaultKind, PolicySpec, RunResult,
+    ScenarioKnobs, CONTROL_NODE,
 };
 use tashkent::engine::Version;
 use tashkent::sim::SimTime;
@@ -371,18 +371,18 @@ fn golden() -> Vec<(&'static str, Fingerprint)> {
         (
             "rebalance",
             Fingerprint {
-                committed: 370,
-                updates: 103,
+                committed: 405,
+                updates: 92,
                 aborts: 0,
                 retries_exhausted: 0,
-                read_kb_per_txn: 0x40901ee02c47f4ee,
-                write_kb_per_txn: 0x404772daa349572e,
-                mean_response_us: 275226,
-                completions: 370,
+                read_kb_per_txn: 0x408efc0ca4587e6b,
+                write_kb_per_txn: 0x40425ed097b425ed,
+                mean_response_us: 260272,
+                completions: 405,
                 faults: vec![
                     (
-                        2000151,
-                        2000151,
+                        4000151,
+                        4000151,
                         FaultKind::Migrate {
                             group: 1,
                             from: 2,
@@ -391,88 +391,38 @@ fn golden() -> Vec<(&'static str, Fingerprint)> {
                         },
                     ),
                     (
-                        4000788,
-                        4000788,
-                        FaultKind::Migrate {
-                            group: 6,
-                            from: 2,
-                            to: 1,
-                            bytes: 1340,
-                        },
-                    ),
-                    (
-                        10000000,
-                        10000000,
-                        FaultKind::Rereplicate {
-                            group: 0,
-                            to: 0,
-                            bytes: 0,
-                        },
-                    ),
-                    (
-                        10002833,
-                        10002833,
-                        FaultKind::Migrate {
-                            group: 5,
-                            from: 0,
-                            to: 2,
-                            bytes: 5628,
-                        },
-                    ),
-                    (
-                        12000000,
-                        12000000,
+                        8000151,
+                        8000151,
                         FaultKind::Migrate {
                             group: 1,
                             from: 3,
-                            to: 2,
-                            bytes: 0,
-                        },
-                    ),
-                    (
-                        14002066,
-                        14002066,
-                        FaultKind::Migrate {
-                            group: 5,
-                            from: 1,
-                            to: 0,
-                            bytes: 4020,
-                        },
-                    ),
-                    (
-                        16000151,
-                        16000151,
-                        FaultKind::Migrate {
-                            group: 1,
-                            from: 1,
                             to: 0,
                             bytes: 0,
                         },
                     ),
                     (
-                        22000973,
-                        22000973,
+                        10001172,
+                        10001172,
+                        FaultKind::Rereplicate {
+                            group: 4,
+                            to: 0,
+                            bytes: 2144,
+                        },
+                    ),
+                    (
+                        18002784,
+                        18002784,
                         FaultKind::Migrate {
                             group: 1,
                             from: 0,
-                            to: 3,
-                            bytes: 0,
-                        },
-                    ),
-                    (
-                        24000151,
-                        24000151,
-                        FaultKind::Migrate {
-                            group: 1,
-                            from: 2,
-                            to: 1,
+                            to: 2,
                             bytes: 0,
                         },
                     ),
                 ],
-                propagated_ws_bytes: 84250,
-                filtered_ws_bytes: 10582,
-                migration_bytes: 10988,
+                propagated_ws_bytes: 64252,
+                filtered_ws_bytes: 9240,
+                migration_bytes: 2144,
                 cert_group_commits: vec![],
                 redo_bytes: 0,
                 redo_us: 0,
@@ -554,19 +504,12 @@ fn fault_runs() -> Vec<(&'static str, Experiment)> {
     ]
 }
 
-/// Runs a one-phase experiment as `run` does, keeping the world so the
-/// test can read its commit log.
-fn run_keeping_world(exp: Experiment) -> (RunResult, World) {
-    let end = SimTime::from_secs(exp.total_secs());
-    let mut world = World::new(exp.config, exp.workload, vec![exp.phases[0].1.clone()]);
-    world.prime();
-    world.schedule(SimTime::from_secs(exp.warmup_secs), Ev::EndWarmup);
-    world.schedule(end, Ev::End);
-    for (at, ev) in exp.injections {
-        world.schedule(at, ev);
-    }
-    world.run_to_end().expect("End event scheduled");
-    (world.finish_result(), world)
+/// Runs an experiment as `run` does, keeping the state so the test can
+/// read its commit log.
+fn run_keeping_state(exp: Experiment) -> (RunResult, ClusterState) {
+    let (mut state, mut queue) = exp.build();
+    state.run_to_end(&mut queue).expect("End event scheduled");
+    (state.finish_result(queue.now()), state)
 }
 
 /// The recorded fingerprint of every run of [`fault_runs`], in order.
@@ -862,10 +805,10 @@ fn fault_runs_reproduce_their_recorded_results_on_a_trimmed_log() {
     let pinned: Vec<&str> = golden.iter().map(|(name, _)| *name).collect();
     assert_eq!(names, pinned, "every fault run is pinned");
     for ((name, want), (_, exp)) in golden.iter().zip(runs) {
-        let (got, world) = run_keeping_world(exp);
+        let (got, state) = run_keeping_state(exp);
         assert_eq!(&Fingerprint::of(&got), want, "{name}: result moved");
         assert!(
-            world.certifier().log().base() > Version(0),
+            state.certifier().log().base() > Version(0),
             "{name}: the commit log was never trimmed"
         );
     }
