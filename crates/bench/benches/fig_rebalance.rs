@@ -10,7 +10,9 @@
 //! copy in chunks that compete with foreground propagation, so copy time
 //! scales inversely with the cap. The `4M/s off` row repeats the cap of
 //! the row above it with the skew-driven rebalancer switched off, so the
-//! two show what migration itself gains or costs.
+//! two show what migration itself gains or costs. Migrations (the
+//! rebalancer's moves) and re-replications (the scenario's injected copy)
+//! are counted apart.
 
 use tashkent_bench::{paper_knobs, run_exps, save_csv, window, ScenarioKnobs};
 use tashkent_cluster::{FaultKind, PolicySpec, Rebalance, Scenario};
@@ -24,8 +26,8 @@ fn main() {
         "== Live rebalancing: migration cost vs backfill cap ({n} replicas, {warmup}+{measured}s) =="
     );
     println!(
-        "{:>10} {:>10} {:>12} {:>10} {:>10} {:>8}",
-        "cap", "tps", "migr KB", "copy ms", "migrations", "aborts"
+        "{:>10} {:>10} {:>12} {:>10} {:>10} {:>8} {:>8}",
+        "cap", "tps", "migr KB", "copy ms", "migrations", "rerepl", "aborts"
     );
 
     // (label, cap, rebalancer on)
@@ -36,8 +38,9 @@ fn main() {
         ("4M/s", 4 * 1024 * 1024, true),
         ("4M/s off", 4 * 1024 * 1024, false),
     ];
-    let mut csv =
-        String::from("cap_bytes_per_sec,tps,migration_kb,copy_ms,migrations,rebalancer\n");
+    let mut csv = String::from(
+        "cap_bytes_per_sec,tps,migration_kb,copy_ms,migrations,rereplications,rebalancer\n",
+    );
     let mut rows = Vec::new();
     let exps = sweep
         .iter()
@@ -48,24 +51,20 @@ fn main() {
         })
         .collect();
     for (&(label, cap, on), r) in sweep.iter().zip(run_exps(exps)) {
-        let migrations = r
-            .faults
-            .iter()
-            .filter(|f| {
-                matches!(
-                    f.kind,
-                    FaultKind::Migrate { .. } | FaultKind::Rereplicate { .. }
-                )
-            })
-            .count();
+        let count = |of: fn(&FaultKind) -> bool| r.faults.iter().filter(|f| of(&f.kind)).count();
+        let migrations = count(|k| matches!(k, FaultKind::Migrate { .. }));
+        let rereplications = count(|k| matches!(k, FaultKind::Rereplicate { .. }));
         let kb = r.migration_bytes as f64 / 1024.0;
         let ms = r.migration_us as f64 / 1000.0;
         println!(
-            "{:>10} {:>10.1} {:>12.1} {:>10.1} {:>10} {:>8}",
-            label, r.tps, kb, ms, migrations, r.aborts
+            "{:>10} {:>10.1} {:>12.1} {:>10.1} {:>10} {:>8} {:>8}",
+            label, r.tps, kb, ms, migrations, rereplications, r.aborts
         );
         let state = if on { "on" } else { "off" };
-        csv.push_str(&format!("{cap},{},{kb},{ms},{migrations},{state}\n", r.tps));
+        csv.push_str(&format!(
+            "{cap},{},{kb},{ms},{migrations},{rereplications},{state}\n",
+            r.tps
+        ));
         if on {
             rows.push((cap, r.migration_bytes, r.migration_us));
         }

@@ -293,11 +293,6 @@ impl Certifier {
         }
     }
 
-    /// How many commits a replica at `applied` is behind the log head.
-    pub fn lag_of(&self, applied: Version) -> u64 {
-        self.version().0.saturating_sub(applied.0)
-    }
-
     /// Each group's commit accounting, indexed by group. Empty with one
     /// group, whose accounting would be the log head's.
     pub fn group_commits(&self) -> &[GroupCommits] {
@@ -390,16 +385,6 @@ mod tests {
         assert_eq!(tail.get(1).0, Version(5));
         assert!(c.log().since(Version(99)).is_empty());
         assert_eq!(c.log().since(Version(0)).len(), 5);
-    }
-
-    #[test]
-    fn lag_reflects_distance_to_head() {
-        let mut c = Certifier::default();
-        for i in 0..30 {
-            c.certify(SimTime::ZERO, ws(i, i, &[(0, i)]));
-        }
-        assert_eq!(c.lag_of(Version(30)), 0);
-        assert_eq!(c.lag_of(Version(5)), 25);
     }
 
     #[test]

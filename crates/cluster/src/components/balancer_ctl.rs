@@ -13,7 +13,7 @@ const LB_TICK_US: u64 = 1_000_000;
 
 /// Consecutive missed heartbeats before a replica is *Suspected*: out of
 /// dispatch, in-flight transactions retried on survivors, no
-/// re-replication yet. Read by [`BalancerCtl::build`].
+/// re-replication yet. Read by [`BalancerCtl::observe_heartbeats`].
 const SUSPECT_MISSES: u32 = 2;
 
 /// Consecutive missed heartbeats before a suspected replica is declared
@@ -100,8 +100,6 @@ pub struct BalancerCtl {
     health: Vec<ReplicaHealth>,
     /// Consecutive missed heartbeats per replica.
     misses: Vec<u32>,
-    suspect_misses: u32,
-    dead_misses: u32,
 }
 
 impl BalancerCtl {
@@ -132,8 +130,6 @@ impl BalancerCtl {
             lb,
             health: vec![ReplicaHealth::Live; config.replicas],
             misses: vec![0; config.replicas],
-            suspect_misses: SUSPECT_MISSES,
-            dead_misses: DEAD_MISSES,
         }
     }
 
@@ -165,14 +161,14 @@ impl BalancerCtl {
                 self.misses[r] = self.misses[r].saturating_add(1);
                 let m = self.misses[r];
                 match self.health[r] {
-                    ReplicaHealth::Live if m >= self.suspect_misses => {
+                    ReplicaHealth::Live if m >= SUSPECT_MISSES => {
                         self.health[r] = ReplicaHealth::Suspected;
                         out.push(HealthTransition::Suspected {
                             replica: r,
                             misses: m,
                         });
                     }
-                    ReplicaHealth::Suspected if m >= self.dead_misses => {
+                    ReplicaHealth::Suspected if m >= DEAD_MISSES => {
                         self.health[r] = ReplicaHealth::Dead;
                         out.push(HealthTransition::Dead { replica: r });
                     }
@@ -219,19 +215,19 @@ impl BalancerCtl {
 mod tests {
     use super::*;
 
-    fn detector(replicas: usize, suspect: u32, dead: u32) -> BalancerCtl {
+    fn detector(replicas: usize) -> BalancerCtl {
         BalancerCtl {
             lb: LoadBalancer::least_connections(replicas),
             health: vec![ReplicaHealth::Live; replicas],
             misses: vec![0; replicas],
-            suspect_misses: suspect,
-            dead_misses: dead,
         }
     }
 
     #[test]
     fn accrual_walks_live_suspected_dead() {
-        let mut d = detector(2, 2, 4);
+        // Both tests walk the thresholds the detector runs with.
+        assert_eq!((SUSPECT_MISSES, DEAD_MISSES), (2, 5));
+        let mut d = detector(2);
         let down = [false, true];
         assert_eq!(
             d.observe_heartbeats(&down),
@@ -249,13 +245,12 @@ mod tests {
         );
         assert_eq!(d.health(0), ReplicaHealth::Suspected);
         // Below the dead threshold a suspected replica keeps missing.
-        assert_eq!(
-            d.observe_heartbeats(&down),
-            vec![HealthTransition::Miss {
-                replica: 0,
-                misses: 3
-            }]
-        );
+        for misses in 3..5 {
+            assert_eq!(
+                d.observe_heartbeats(&down),
+                vec![HealthTransition::Miss { replica: 0, misses }]
+            );
+        }
         assert_eq!(
             d.observe_heartbeats(&down),
             vec![HealthTransition::Dead { replica: 0 }]
@@ -268,8 +263,10 @@ mod tests {
 
     #[test]
     fn answering_restores_trust_from_either_state() {
-        let mut d = detector(1, 1, 2);
-        d.observe_heartbeats(&[false]);
+        let mut d = detector(1);
+        for _ in 0..2 {
+            d.observe_heartbeats(&[false]);
+        }
         assert_eq!(d.health(0), ReplicaHealth::Suspected);
         // A false suspicion: one answered ping restores Live and reports
         // that no re-replication ever started (was_dead = false).
@@ -280,8 +277,9 @@ mod tests {
                 was_dead: false
             }]
         );
-        d.observe_heartbeats(&[false]);
-        d.observe_heartbeats(&[false]);
+        for _ in 0..5 {
+            d.observe_heartbeats(&[false]);
+        }
         assert_eq!(d.health(0), ReplicaHealth::Dead);
         assert_eq!(
             d.observe_heartbeats(&[true]),
@@ -294,7 +292,7 @@ mod tests {
         // Counters reset: the next miss starts the accrual from scratch.
         assert_eq!(
             d.observe_heartbeats(&[false]),
-            vec![HealthTransition::Suspected {
+            vec![HealthTransition::Miss {
                 replica: 0,
                 misses: 1
             }]

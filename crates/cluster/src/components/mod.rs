@@ -4,7 +4,8 @@
 //! handlers and reduces every [`crate::events::Ev`] arm to a thin delegate:
 //!
 //! * [`ClusterNode`] — a replica node inside the cluster: admission,
-//!   execution stepping, slot recycling, and periodic maintenance;
+//!   execution stepping, and the Gatekeeper slots it holds until each
+//!   transaction's release;
 //! * [`CertifierLink`] — the round-trip to the certifier: certification,
 //!   the commit/abort response path, and propagation pulls;
 //! * [`BalancerCtl`] — dispatch plus the `LbTick` reconfiguration loop that
@@ -12,7 +13,7 @@
 //!
 //! Components own their state and translate outcomes into scheduled events;
 //! [`crate::state::ClusterState`] keeps only cross-cutting bookkeeping
-//! (clients, transaction metadata, metrics).
+//! (clients with their one open request each, metrics).
 
 mod balancer_ctl;
 mod certifier_link;

@@ -1,6 +1,8 @@
 //! A replica node wired into the cluster event loop.
 
-use tashkent_engine::{TxnExecutor, TxnId};
+use std::collections::HashMap;
+
+use tashkent_engine::{TxnExecutor, TxnId, TxnTypeId};
 use tashkent_replica::{ReplicaNode, StepOutcome};
 use tashkent_sim::{EventQueue, SimTime};
 
@@ -8,19 +10,29 @@ use crate::config::LAN_HOP_US;
 use crate::events::Ev;
 use crate::trace::{TraceData, Tracer};
 
-/// Wraps a [`ReplicaNode`] with its cluster identity and liveness,
-/// translating execution outcomes into scheduled events.
+/// Wraps a [`ReplicaNode`] with its cluster identity, liveness and the
+/// Gatekeeper slots its proxy holds, translating execution outcomes into
+/// scheduled events.
 pub struct ClusterNode {
     id: usize,
     node: ReplicaNode,
     up: bool,
+    /// Every transaction the proxy has admitted or queued, with its client
+    /// and type, from [`Self::submit`] until [`Self::release`] frees its
+    /// slot. A crash clears it.
+    held: HashMap<TxnId, (usize, TxnTypeId)>,
 }
 
 impl ClusterNode {
     /// Wraps `node` as replica `id`, [`LAN_HOP_US`] away from every other
     /// component.
     pub fn new(id: usize, node: ReplicaNode) -> Self {
-        ClusterNode { id, node, up: true }
+        ClusterNode {
+            id,
+            node,
+            up: true,
+            held: HashMap::new(),
+        }
     }
 
     /// Replica index within the cluster.
@@ -34,12 +46,13 @@ impl ClusterNode {
     }
 
     /// Crashes the replica: cold cache, in-flight work dropped, admission
-    /// queue drained. The cluster state finds the orphaned transactions in
-    /// its own metadata, which also covers those awaiting certification
-    /// that the node's running set does not hold.
+    /// queue drained, and every transaction it held forgotten, so their
+    /// late events free no slot. Their clients still wait on them until the
+    /// suspicion sweep or a timeout answers.
     pub fn crash(&mut self) {
         self.up = false;
         self.node.crash();
+        self.held.clear();
     }
 
     /// Marks the replica up again. The durable prefix (its applied version)
@@ -59,16 +72,19 @@ impl ClusterNode {
         &mut self.node
     }
 
-    /// Offers a transaction to the Gatekeeper; when admitted, schedules its
-    /// first execution step two LAN hops out (client → balancer → replica).
+    /// Offers `client`'s transaction to the Gatekeeper, which holds it until
+    /// its release; when admitted, schedules its first execution step two
+    /// LAN hops out (client → balancer → replica).
     pub fn submit(
         &mut self,
         now: SimTime,
-        txn: TxnId,
+        client: usize,
         executor: TxnExecutor,
         queue: &mut EventQueue<Ev>,
     ) {
         debug_assert!(self.up, "balancer dispatched to a crashed replica");
+        let txn = executor.txn();
+        self.held.insert(txn, (client, executor.txn_type()));
         if self.node.submit(executor) {
             queue.schedule(
                 now + 2 * LAN_HOP_US,
@@ -128,9 +144,23 @@ impl ClusterNode {
         queue.schedule(at, ev);
     }
 
-    /// Frees the Gatekeeper slot after a completion; a queued transaction
-    /// may start immediately.
-    pub fn on_finish(&mut self, now: SimTime, committed: bool, queue: &mut EventQueue<Ev>) {
+    /// The type of `txn` while this node holds it.
+    pub(crate) fn held(&self, txn: TxnId) -> Option<TxnTypeId> {
+        self.held.get(&txn).map(|&(_, txn_type)| txn_type)
+    }
+
+    /// Frees `txn`'s Gatekeeper slot after a completion, or after the proxy
+    /// lost its certifier connection, and returns its client; a queued
+    /// transaction may start immediately. A transaction the node does not
+    /// hold (a crash dropped it) frees nothing.
+    pub(crate) fn release(
+        &mut self,
+        now: SimTime,
+        txn: TxnId,
+        committed: bool,
+        queue: &mut EventQueue<Ev>,
+    ) -> Option<usize> {
+        let (client, _) = self.held.remove(&txn)?;
         if let Some(next) = self.node.finish(committed) {
             queue.schedule(
                 now,
@@ -140,5 +170,6 @@ impl ClusterNode {
                 },
             );
         }
+        Some(client)
     }
 }

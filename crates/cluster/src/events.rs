@@ -216,10 +216,12 @@ pub enum Ev {
     /// request is abandoned on its (possibly dead or partitioned) replica
     /// and retried after a capped exponential backoff through the usual
     /// [`Ev::TxnRetry`] path. Scheduled only when
-    /// `ClusterConfig::client_timeout_us > 0`; a no-op if the transaction
-    /// already completed.
+    /// `ClusterConfig::client_timeout_us > 0`; a no-op unless `txn` is
+    /// still the client's latest attempt, unanswered.
     ClientTimeout {
-        /// The timed-out transaction.
+        /// The waiting client.
+        client: usize,
+        /// The timed-out attempt.
         txn: TxnId,
     },
     /// End of warm-up: reset the measurement window.

@@ -2,8 +2,8 @@
 //!
 //! [`ClusterState`] owns the per-component handlers — one
 //! [`ClusterNode`] per replica, the [`CertifierLink`], the [`BalancerCtl`] —
-//! plus the cross-cutting state no single component owns: the client pool,
-//! in-flight transaction metadata, the experiment RNG, and metrics. It
+//! plus the cross-cutting state no single component owns: the client pool
+//! with each client's one open request, the experiment RNG, and metrics. It
 //! exposes exactly one mutation entry point, [`ClusterState::handle`], which
 //! routes a timestamped [`Ev`] to its component handler and schedules the
 //! consequences into the [`EventQueue`] it is handed.
@@ -20,8 +20,11 @@
 //! detector's *Dead* and *Suspected* transitions apply once heartbeats
 //! miss: durability first, then the retries of the replica's in-flight
 //! transactions.
+//!
+//! Every request ends exactly once by construction: only a client's current
+//! attempt has client-side effects, and a late event frees a Gatekeeper
+//! slot only if the [`ClusterNode`] that owns it still holds the attempt.
 
-use std::collections::HashMap;
 use std::fmt;
 
 use tashkent_certifier::{CertMap, Certifier, CertifierParams};
@@ -65,23 +68,20 @@ impl fmt::Display for RunError {
 
 impl std::error::Error for RunError {}
 
-/// Bookkeeping for one in-flight transaction.
+/// A client's open request, at its latest attempt.
 #[derive(Clone, Copy)]
 struct TxnMeta {
+    /// The latest attempt; each retry is a fresh transaction.
+    txn: TxnId,
     client: usize,
     txn_type: TxnTypeId,
     /// First submission time (retries keep the original arrival).
     arrived: SimTime,
     retries: u32,
     is_update: bool,
-    /// Replica the transaction was dispatched to — a crash there orphans
-    /// the transaction and the client retries elsewhere.
+    /// Replica the attempt was dispatched to — a crash there orphans the
+    /// attempt and the client retries elsewhere.
     replica: usize,
-    /// The client stopped waiting (request timeout or suspicion sweep) and
-    /// was already retried elsewhere; the transaction may still be running
-    /// on its replica, so the meta lingers only to free the Gatekeeper slot
-    /// when the stale completion arrives — no client-side effects then.
-    abandoned: bool,
 }
 
 /// Bytes shipped per [`Ev::BackfillChunk`] under a bandwidth cap. Small
@@ -148,7 +148,9 @@ pub struct ClusterState {
     clients: ClientPool,
     rng: SimRng,
     next_txn: u64,
-    txns: HashMap<TxnId, TxnMeta>,
+    /// Each client's open request, indexed by client; `None` while the
+    /// client thinks or backs off.
+    txns: Vec<Option<TxnMeta>>,
     /// Where every relation group lives; [`PlacementMap::full`] (no groups,
     /// everything held everywhere) under full replication. Unless the map
     /// is full, the placement filter is authoritative on every node — it
@@ -267,7 +269,7 @@ impl ClusterState {
             clients,
             rng,
             next_txn: 0,
-            txns: HashMap::new(),
+            txns: vec![None; config.clients],
             placement,
             backfills: Vec::new(),
             group_dispatches,
@@ -530,15 +532,11 @@ impl ClusterState {
                 if self.partitioned(replica, CONTROL_NODE) {
                     // The writeset never reaches the certifier. The
                     // replica-side proxy sees the connection drop and frees
-                    // the Gatekeeper slot (the executor already left at
+                    // the Gatekeeper slot, if a crash has not dropped the
+                    // transaction (the executor already left at
                     // ReadyToCommit); the client is rescued later by its
-                    // timeout or the suspicion sweep, unless it already gave
-                    // up waiting — then this was the transaction's last
-                    // event and the meta can go too.
-                    self.nodes[replica].on_finish(now, false, queue);
-                    if self.txns.get(&txn).is_some_and(|m| m.abandoned) {
-                        self.txns.remove(&txn);
-                    }
+                    // timeout or the suspicion sweep.
+                    self.nodes[replica].release(now, txn, false, queue);
                 } else {
                     self.certifier
                         .on_send(now, replica, txn, ws, &mut self.tracer, queue);
@@ -636,7 +634,16 @@ impl ClusterState {
                 self.on_link_partition(now, a, b, heal_at, queue)
             }
             Ev::LinkHeal { a, b } => self.on_link_heal(now, a, b),
-            Ev::ClientTimeout { txn } => self.on_client_timeout(now, txn, queue),
+            Ev::ClientTimeout { client, txn } => {
+                // Unless the client heard back or was swept first, it stops
+                // waiting and retries with capped exponential backoff. The
+                // attempt may still run; its completion then only frees the
+                // node's Gatekeeper slot.
+                if let Some(meta) = self.take_request(client, txn) {
+                    let backoff_us = self.backoff_us(meta.retries);
+                    self.retry_or_give_up(now, &meta, now, backoff_us, queue);
+                }
+            }
             Ev::EndWarmup => self.on_end_warmup(now),
             Ev::End => self.ended = true,
         }
@@ -665,7 +672,8 @@ impl ClusterState {
     ///   which certification checks against the log after it;
     /// * the snapshot of every writeset on its way to the certifier: an
     ///   [`Ev::CertifySend`] still queued (it outlives its executor, and a
-    ///   crash may drop its meta) or a request parked in queue-and-wait;
+    ///   crash may drop its transaction) or a request parked in
+    ///   queue-and-wait;
     /// * version 0 under partial placement, whose backfills replay from
     ///   there.
     fn log_floor(&self, queue: &EventQueue<Ev>) -> Version {
@@ -693,8 +701,9 @@ impl ClusterState {
             .unwrap_or(Version::ZERO)
     }
 
-    /// Dispatches a new transaction instance: the balancer picks the
-    /// replica, the node admits or queues it.
+    /// Dispatches a new attempt of `client`'s request into the client's
+    /// slot, which must be empty: the balancer picks the replica, the node
+    /// admits or queues it.
     fn submit_txn(
         &mut self,
         now: SimTime,
@@ -704,6 +713,10 @@ impl ClusterState {
         retries: u32,
         queue: &mut EventQueue<Ev>,
     ) {
+        assert!(
+            self.txns[client].is_none(),
+            "client {client} submitted with a request open"
+        );
         let txn = TxnId(self.next_txn);
         self.next_txn += 1;
         if self.tracer.on() {
@@ -727,13 +740,13 @@ impl ClusterState {
             },
         );
         let meta = TxnMeta {
+            txn,
             client,
             txn_type,
             arrived,
             retries,
             is_update: self.workload.types[txn_type.0 as usize].plan.is_update(),
             replica,
-            abandoned: false,
         };
         // With the detector on, the balancer may still dispatch to a
         // physically dead replica it has not suspected yet — the oracle
@@ -743,7 +756,7 @@ impl ClusterState {
         if self.detection_on() && !self.node(replica).is_up() {
             self.balancer.lb.complete(ReplicaId(replica));
             let refused_at = now + 2 * LAN_HOP_US;
-            self.retry_or_give_up(now, txn, &meta, refused_at, self.backoff_us(retries), queue);
+            self.retry_or_give_up(now, &meta, refused_at, self.backoff_us(retries), queue);
             return;
         }
         if let Some(g) = self.placement.group_of_type(txn_type) {
@@ -764,12 +777,12 @@ impl ClusterState {
         let plan = self.workload.types[txn_type.0 as usize].plan.clone();
         let node = &mut self.nodes[replica];
         let executor = TxnExecutor::new(txn, txn_type, plan, node.replica().snapshot());
-        self.txns.insert(txn, meta);
-        node.submit(now, txn, executor, queue);
+        self.txns[client] = Some(meta);
+        node.submit(now, client, executor, queue);
         if self.config.client_timeout_us > 0 {
             queue.schedule(
                 now + self.config.client_timeout_us,
-                Ev::ClientTimeout { txn },
+                Ev::ClientTimeout { client, txn },
             );
         }
     }
@@ -793,7 +806,7 @@ impl ClusterState {
     /// Crashes a replica: cold cache, admission queue drained, every
     /// in-flight transaction lost with it. With the detector on that is
     /// all: the balancer learns of the crash only when heartbeats miss, and
-    /// the in-flight metas stay put for the suspicion sweep, or for the
+    /// the requests open on it wait for the suspicion sweep, or for the
     /// recovery if that comes first. With it off,
     /// the crash instant applies what the detector's *Dead* and *Suspected*
     /// transitions apply, durability first: dispatch routes around the
@@ -868,7 +881,7 @@ impl ClusterState {
             self.nodes[r].replica_mut().set_filter(filter);
         }
         let masks = self.placement.type_masks(self.workload.types.len());
-        self.balancer.lb.set_type_eligibility(Some(masks));
+        self.balancer.lb.set_type_eligibility(masks);
     }
 
     /// Copies relation group `group` onto one more live replica: widens the
@@ -1366,54 +1379,31 @@ impl ClusterState {
         }
     }
 
-    /// Retries a replica's in-flight transactions on survivors, at its
-    /// *Suspected* transition (or at its recovery, when that comes first)
-    /// or, with the detector off, at its crash.
-    /// Requests a client timeout already abandoned were retried then and
-    /// keep their one retry. A merely-unreachable (still up) replica may
-    /// still be running them: those metas are kept as *abandoned* so the
-    /// stale completions free their Gatekeeper slots; a physically dead
-    /// replica's metas are dropped outright.
+    /// Retries the requests open on `replica` on survivors, in `TxnId`
+    /// order, at its *Suspected* transition (or at its recovery, when that
+    /// comes first) or, with the detector off, at its crash. A request a
+    /// client timeout already took was retried then and keeps its one
+    /// retry. A merely unreachable (still up) replica may still be running
+    /// the swept attempts: their completions free only the Gatekeeper
+    /// slots the node holds.
     fn sweep_suspected(&mut self, now: SimTime, replica: usize, queue: &mut EventQueue<Ev>) {
-        let up = self.node(replica).is_up();
-        let mut orphans: Vec<TxnId> = self
+        let mut orphans: Vec<(TxnId, usize)> = self
             .txns
             .iter()
-            .filter(|(_, meta)| meta.replica == replica && !meta.abandoned)
-            .map(|(txn, _)| *txn)
+            .flatten()
+            .filter(|meta| meta.replica == replica)
+            .map(|meta| (meta.txn, meta.client))
             .collect();
         orphans.sort_unstable();
-        for txn in orphans {
-            let (client, txn_type, arrived, retries) = {
-                let meta = self.txns.get_mut(&txn).expect("swept meta present");
-                meta.abandoned = true;
-                (meta.client, meta.txn_type, meta.arrived, meta.retries)
-            };
-            if !up {
-                self.txns.remove(&txn);
-            }
-            self.balancer.lb.complete(ReplicaId(replica));
-            if retries < self.clients.max_retries {
-                self.submit_txn(now, client, txn_type, arrived, retries + 1, queue);
+        for (txn, client) in orphans {
+            let meta = self
+                .take_request(client, txn)
+                .expect("a swept client still waits on its attempt");
+            if meta.retries < self.clients.max_retries {
+                let retries = meta.retries + 1;
+                self.submit_txn(now, client, meta.txn_type, meta.arrived, retries, queue);
             } else {
-                self.metrics.record_gave_up();
-                self.tracer
-                    .emit(now, TraceData::GaveUp { txn: txn.0, client });
-                self.schedule_next_arrival(now, client, queue);
-            }
-        }
-        if !up {
-            // Previously-abandoned metas (client timeouts) on a dead node
-            // can never complete — drop them too. Pure map cleanup, no
-            // side effects, so iteration order is immaterial.
-            let stale: Vec<TxnId> = self
-                .txns
-                .iter()
-                .filter(|(_, meta)| meta.replica == replica)
-                .map(|(txn, _)| *txn)
-                .collect();
-            for txn in stale {
-                self.txns.remove(&txn);
+                self.give_up(now, &meta, now, queue);
             }
         }
     }
@@ -1513,31 +1503,21 @@ impl ClusterState {
         }
     }
 
-    /// The client stopped waiting for `txn`: release its balancer
-    /// connection, mark the meta abandoned (the transaction may still be
-    /// running — its eventual completion then only frees the slot), and
-    /// retry with capped exponential backoff.
-    fn on_client_timeout(&mut self, now: SimTime, txn: TxnId, queue: &mut EventQueue<Ev>) {
-        let Some(meta) = self.txns.get_mut(&txn) else {
-            return; // Completed (or swept away) before the timeout fired.
-        };
-        if meta.abandoned {
-            return; // Already rescued by the suspicion sweep.
-        }
-        meta.abandoned = true;
-        let meta = *meta;
+    /// Takes `client`'s open request if `txn` is its latest attempt and
+    /// closes the client's balancer connection; `None` when the client no
+    /// longer waits on `txn` (a timeout or the sweep already took it).
+    fn take_request(&mut self, client: usize, txn: TxnId) -> Option<TxnMeta> {
+        let meta = self.txns[client].take_if(|meta| meta.txn == txn)?;
         self.balancer.lb.complete(ReplicaId(meta.replica));
-        self.retry_or_give_up(now, txn, &meta, now, self.backoff_us(meta.retries), queue);
+        Some(meta)
     }
 
-    /// Answers a client whose request `txn` failed; the answer reaches it
+    /// Answers a client whose attempt `meta` failed; the answer reaches it
     /// at `reply_at`. With retries left, the client retries `backoff_us`
-    /// later; out of retries, it gives up and thinks before its next
-    /// request.
+    /// later; out of retries, it gives up.
     fn retry_or_give_up(
         &mut self,
         now: SimTime,
-        txn: TxnId,
         meta: &TxnMeta,
         reply_at: SimTime,
         backoff_us: u64,
@@ -1554,16 +1534,28 @@ impl ClusterState {
                 },
             );
         } else {
-            self.metrics.record_gave_up();
-            self.tracer.emit(
-                now,
-                TraceData::GaveUp {
-                    txn: txn.0,
-                    client: meta.client,
-                },
-            );
-            self.schedule_next_arrival(reply_at, meta.client, queue);
+            self.give_up(now, meta, reply_at, queue);
         }
+    }
+
+    /// The client of `meta` gives up on its request, hears so at
+    /// `reply_at`, and thinks before its next one.
+    fn give_up(
+        &mut self,
+        now: SimTime,
+        meta: &TxnMeta,
+        reply_at: SimTime,
+        queue: &mut EventQueue<Ev>,
+    ) {
+        self.metrics.record_gave_up();
+        self.tracer.emit(
+            now,
+            TraceData::GaveUp {
+                txn: meta.txn.0,
+                client: meta.client,
+            },
+        );
+        self.schedule_next_arrival(reply_at, meta.client, queue);
     }
 
     fn on_client_arrive(&mut self, now: SimTime, client: usize, queue: &mut EventQueue<Ev>) {
@@ -1583,31 +1575,21 @@ impl ClusterState {
         version: Option<Version>,
         queue: &mut EventQueue<Ev>,
     ) {
-        if !self.txns.contains_key(&txn) {
-            // Orphaned by a crash on the origin replica: the client already
-            // retried elsewhere. A commit still exists in the certifier's
-            // log and reaches the replica through recovery replay or
-            // propagation, so the response is simply dropped.
+        let Some(txn_type) = self.nodes[replica].held(txn) else {
+            // A crash on the origin replica dropped the transaction: the
+            // response has nowhere to land, and the suspicion sweep (or the
+            // recovery, or the client's timeout) answers the client. A
+            // commit still exists in the certifier's log and reaches the
+            // replica through recovery replay or propagation.
             return;
-        }
-        if !self.node(replica).is_up() {
-            // Detection mode: the origin died after sending — the response
-            // has nowhere to land. The meta stays for the suspicion sweep
-            // (or the recovery) to retry the client. (With the detector
-            // off, a crash removes every meta synchronously, so this is
-            // unreachable.)
-            return;
-        }
+        };
         if self.partitioned(replica, CONTROL_NODE) {
             // The response is dropped on the severed link. The replica-side
             // proxy sees the certifier connection break and aborts the
             // waiting transaction locally, freeing the Gatekeeper slot; the
             // commit (if any) reaches the replica later through propagation
             // after heal, and the client is rescued by timeout or sweep.
-            self.nodes[replica].on_finish(now, false, queue);
-            if self.txns.get(&txn).is_some_and(|m| m.abandoned) {
-                self.txns.remove(&txn);
-            }
+            self.nodes[replica].release(now, txn, false, queue);
             return;
         }
         let done_at = match version {
@@ -1617,8 +1599,7 @@ impl ClusterState {
                     .on_return_commit(now, node, v, &self.placement)
             }
             None => {
-                let txn_type = self.txns[&txn].txn_type.0;
-                self.metrics.record_abort(txn_type);
+                self.metrics.record_abort(txn_type.0);
                 now
             }
         };
@@ -1645,27 +1626,16 @@ impl ClusterState {
         committed: bool,
         queue: &mut EventQueue<Ev>,
     ) {
-        if !self.txns.contains_key(&txn) {
-            // Orphaned by a crash: the Gatekeeper slot and the balancer
-            // connection were both released in the orphan sweep.
+        // A transaction the node no longer holds died in a crash, and its
+        // response with it; the sweep answers the client.
+        let Some(client) = self.nodes[replica].release(now, txn, committed, queue) else {
             return;
-        }
-        if !self.node(replica).is_up() {
-            // Detection mode: the node died between scheduling and delivery
-            // of this completion — the response died with it. The meta
-            // stays; the suspicion sweep retries the client.
+        };
+        // A client that stopped waiting (timeout or suspicion sweep) has
+        // its retry in flight already: only the Gatekeeper slot mattered.
+        let Some(meta) = self.take_request(client, txn) else {
             return;
-        }
-        let meta = self.txns.remove(&txn).expect("presence checked above");
-        self.nodes[replica].on_finish(now, committed, queue);
-        if meta.abandoned {
-            // The client stopped waiting (timeout or suspicion sweep) and
-            // its retry is already in flight elsewhere; the balancer
-            // connection was released at abandonment, so only the
-            // Gatekeeper slot mattered here.
-            return;
-        }
-        self.balancer.lb.complete(ReplicaId(replica));
+        };
         let response_at = now + 2 * LAN_HOP_US;
         self.tracer.emit(
             now,
@@ -1685,7 +1655,7 @@ impl ClusterState {
             );
             self.schedule_next_arrival(response_at, meta.client, queue);
         } else {
-            self.retry_or_give_up(now, txn, &meta, response_at, 0, queue);
+            self.retry_or_give_up(now, &meta, response_at, 0, queue);
         }
     }
 

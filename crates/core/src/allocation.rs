@@ -16,7 +16,6 @@
 //!   Utilization Transaction Groups").
 
 use crate::grouping::GroupId;
-use crate::types::ReplicaId;
 
 /// Per-group load summary fed to allocation decisions.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -211,23 +210,11 @@ impl Allocator {
         loads.iter().zip(alloc).map(|(g, n)| (g.group, n)).collect()
     }
 
-    /// Finds a pair of single-replica groups that both substantially
-    /// under-utilize their replicas and should share one (§2.4): returns the
-    /// two least-loaded qualifying groups.
-    pub fn decide_merge(&self, loads: &[GroupLoads]) -> Option<(GroupId, GroupId)> {
-        let c = self.merge_candidates(loads);
-        if c.len() < 2 {
-            None
-        } else {
-            Some((c[0], c[1]))
-        }
-    }
-
-    /// All merge candidates (single-replica groups under the threshold),
-    /// least loaded first. The caller picks the first *pair whose combined
-    /// working set fits a replica* — sharing a replica between groups whose
-    /// union exceeds memory would create exactly the contention MALB exists
-    /// to avoid.
+    /// The groups that could share a replica (§2.4): single-replica groups
+    /// under the merge threshold, least loaded first. The caller picks the
+    /// first *pair whose combined working set fits a replica* — sharing a
+    /// replica between groups whose union exceeds memory would create
+    /// exactly the contention MALB exists to avoid.
     pub fn merge_candidates(&self, loads: &[GroupLoads]) -> Vec<GroupId> {
         let mut candidates: Vec<&GroupLoads> = loads
             .iter()
@@ -250,43 +237,6 @@ impl Allocator {
         let max_load = loads.iter().map(|g| g.load).fold(0.0, f64::max);
         merged_load >= self.config.merge_threshold * 2.0 && merged_load >= max_load - 0.05
     }
-}
-
-/// Assigns concrete replicas to groups from a target allocation, minimizing
-/// movement relative to the current assignment.
-///
-/// `current` maps each replica to its group (or `None` if unassigned).
-/// Returns the new mapping. Replicas stay with their group when possible;
-/// surplus replicas of shrinking groups move to growing groups in id order.
-pub fn assign_replicas(
-    current: &[(ReplicaId, Option<GroupId>)],
-    target: &[(GroupId, usize)],
-) -> Vec<(ReplicaId, GroupId)> {
-    let mut remaining: Vec<(GroupId, usize)> = target.to_vec();
-    let mut out: Vec<(ReplicaId, GroupId)> = Vec::with_capacity(current.len());
-    let mut unplaced: Vec<ReplicaId> = Vec::new();
-    // First pass: keep replicas where their group still wants them.
-    for (rid, g) in current {
-        match g.and_then(|g| remaining.iter_mut().find(|(tg, n)| *tg == g && *n > 0)) {
-            Some(slot) => {
-                slot.1 -= 1;
-                out.push((*rid, slot.0));
-            }
-            None => unplaced.push(*rid),
-        }
-    }
-    // Second pass: fill remaining slots in group order.
-    unplaced.sort_unstable();
-    let mut iter = unplaced.into_iter();
-    for (g, n) in remaining {
-        for _ in 0..n {
-            if let Some(rid) = iter.next() {
-                out.push((rid, g));
-            }
-        }
-    }
-    out.sort_by_key(|(rid, _)| *rid);
-    out
 }
 
 #[cfg(test)]
@@ -392,14 +342,17 @@ mod tests {
             gl(2, 0.10, 1),
             gl(3, 0.02, 2), // not a singleton
         ];
-        assert_eq!(a.decide_merge(&loads), Some((GroupId(0), GroupId(2))));
+        assert_eq!(a.merge_candidates(&loads), vec![GroupId(0), GroupId(2)]);
     }
 
     #[test]
     fn no_merge_without_two_candidates() {
         let a = Allocator::default();
-        assert_eq!(a.decide_merge(&[gl(0, 0.05, 1), gl(1, 0.50, 1)]), None);
-        assert_eq!(a.decide_merge(&[]), None);
+        assert_eq!(
+            a.merge_candidates(&[gl(0, 0.05, 1), gl(1, 0.50, 1)]),
+            vec![GroupId(0)]
+        );
+        assert!(a.merge_candidates(&[]).is_empty());
     }
 
     #[test]
@@ -435,39 +388,5 @@ mod tests {
         assert!(light.1 >= 6, "light group should get >=6, got {}", light.1);
         let mv = a.decide_move(&loads).unwrap();
         assert_eq!(mv.to, GroupId(4));
-    }
-
-    #[test]
-    fn assign_replicas_minimizes_movement() {
-        let current = [
-            (ReplicaId(0), Some(GroupId(0))),
-            (ReplicaId(1), Some(GroupId(0))),
-            (ReplicaId(2), Some(GroupId(1))),
-            (ReplicaId(3), Some(GroupId(1))),
-        ];
-        // Group 0 shrinks to 1; group 1 grows to 3.
-        let target = [(GroupId(0), 1), (GroupId(1), 3)];
-        let out = assign_replicas(&current, &target);
-        assert_eq!(out.len(), 4);
-        // Replica 0 stays in group 0; replicas 2 and 3 stay in group 1;
-        // replica 1 moves.
-        assert!(out.contains(&(ReplicaId(0), GroupId(0))));
-        assert!(out.contains(&(ReplicaId(1), GroupId(1))));
-        assert!(out.contains(&(ReplicaId(2), GroupId(1))));
-        assert!(out.contains(&(ReplicaId(3), GroupId(1))));
-    }
-
-    #[test]
-    fn assign_replicas_handles_fresh_cluster() {
-        let current = [
-            (ReplicaId(0), None),
-            (ReplicaId(1), None),
-            (ReplicaId(2), None),
-        ];
-        let target = [(GroupId(0), 2), (GroupId(1), 1)];
-        let out = assign_replicas(&current, &target);
-        let g0 = out.iter().filter(|(_, g)| *g == GroupId(0)).count();
-        let g1 = out.iter().filter(|(_, g)| *g == GroupId(1)).count();
-        assert_eq!((g0, g1), (2, 1));
     }
 }

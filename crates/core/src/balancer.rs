@@ -164,14 +164,16 @@ pub struct LoadBalancer {
     loads: Vec<ResourceLoad>,
     alive: Vec<bool>,
     /// Partial-replication eligibility: `masks[t][r]` is whether replica `r`
-    /// holds every relation transaction type `t` touches. `None` (full
-    /// replication) leaves every decision exactly as before.
-    type_eligible: Option<Vec<Vec<bool>>>,
+    /// holds every relation transaction type `t` touches. A missing row
+    /// (every row, under full replication) makes the type eligible
+    /// everywhere.
+    type_eligible: Vec<Vec<bool>>,
     policy: Policy,
     stats: DispatchStats,
 }
 
-/// Whether replica `r` may serve type `t` under an optional eligibility row.
+/// Whether replica `r` may serve type `t` under its eligibility row, if it
+/// has one.
 fn eligible_in(row: Option<&Vec<bool>>, r: usize) -> bool {
     row.is_none_or(|m| m.get(r).copied().unwrap_or(true))
 }
@@ -181,7 +183,7 @@ fn eligible_in(row: Option<&Vec<bool>>, r: usize) -> bool {
 struct ClusterView<'a> {
     loads: &'a [ResourceLoad],
     alive: &'a [bool],
-    elig: Option<&'a [Vec<bool>]>,
+    elig: &'a [Vec<bool>],
 }
 
 impl LoadBalancer {
@@ -285,17 +287,18 @@ impl LoadBalancer {
             conns: vec![0; n],
             loads: vec![ResourceLoad::default(); n],
             alive: vec![true; n],
-            type_eligible: None,
+            type_eligible: Vec::new(),
             policy,
             stats: DispatchStats::default(),
         }
     }
 
-    /// Installs (or clears) partial-replication eligibility masks:
-    /// `masks[t][r]` says replica `r` holds every relation transaction type
-    /// `t` touches. Dispatch then never routes a type to a non-holder, and
-    /// MALB's allocation weighs only resident replicas when sizing groups.
-    pub fn set_type_eligibility(&mut self, masks: Option<Vec<Vec<bool>>>) {
+    /// Installs partial-replication eligibility masks: `masks[t][r]` says
+    /// replica `r` holds every relation transaction type `t` touches.
+    /// Dispatch then never routes a type to a non-holder, and MALB's
+    /// allocation weighs only resident replicas when sizing groups. An empty
+    /// table clears them.
+    pub fn set_type_eligibility(&mut self, masks: Vec<Vec<bool>>) {
         self.type_eligible = masks;
     }
 
@@ -330,10 +333,7 @@ impl LoadBalancer {
     /// type's whole relation group.
     pub fn dispatch(&mut self, txn_type: TxnTypeId) -> ReplicaId {
         self.stats.dispatched += 1;
-        let elig = self
-            .type_eligible
-            .as_ref()
-            .and_then(|m| m.get(txn_type.0 as usize));
+        let elig = self.type_eligible.get(txn_type.0 as usize);
         let choice = match &mut self.policy {
             Policy::LeastConnections => least_conn_alive(&self.conns, &self.alive, elig),
             Policy::Lard(lard) => {
@@ -472,7 +472,7 @@ impl LoadBalancer {
         let view = ClusterView {
             loads: &self.loads,
             alive: &self.alive,
-            elig: self.type_eligible.as_deref(),
+            elig: &self.type_eligible,
         };
         let stats = &mut self.stats;
         match &mut self.policy {
@@ -641,8 +641,7 @@ impl MalbState {
     /// touch — i.e. whether parking `r` in the unit lets it actually serve
     /// the unit's traffic. Trivially true under full replication (no
     /// eligibility masks installed).
-    fn unit_resident(&self, unit: &Unit, r: usize, elig: Option<&[Vec<bool>]>) -> bool {
-        let Some(masks) = elig else { return true };
+    fn unit_resident(&self, unit: &Unit, r: usize, masks: &[Vec<bool>]) -> bool {
         unit.groups
             .iter()
             .flat_map(|g| self.groups[*g].types.iter())
@@ -1264,7 +1263,7 @@ mod tests {
                 1 => LoadBalancer::lard(3, LardConfig::default()),
                 _ => malb(3, &[40, 40], malb_config(100)),
             };
-            lb.set_type_eligibility(Some(masks.clone()));
+            lb.set_type_eligibility(masks.clone());
             lb
         };
         for which in 0..3 {
@@ -1282,7 +1281,7 @@ mod tests {
         }
         // Clearing the masks restores unrestricted dispatch.
         let mut lb = make(0);
-        lb.set_type_eligibility(None);
+        lb.set_type_eligibility(Vec::new());
         lb.dispatch(TxnTypeId(0));
         lb.dispatch(TxnTypeId(0));
         assert!(lb.connections()[1] > 0, "replica 1 serves again");
@@ -1331,10 +1330,10 @@ mod tests {
         let mut cfg = malb_config(100);
         cfg.rebalance_period = SimTime::from_secs(1);
         let mut lb = malb(4, &[80, 80], cfg);
-        lb.set_type_eligibility(Some(vec![
+        lb.set_type_eligibility(vec![
             vec![true, false, false, true],
             vec![false, true, true, true],
-        ]));
+        ]);
         let (hot_unit, cold_unit) = tick_hot_cold(&mut lb);
         assert!(
             hot_unit.contains(&ReplicaId(3)),
@@ -1359,10 +1358,10 @@ mod tests {
         let mut cfg = malb_config(100);
         cfg.rebalance_period = SimTime::from_secs(1);
         let mut lb = malb(4, &[80, 80], cfg);
-        lb.set_type_eligibility(Some(vec![
+        lb.set_type_eligibility(vec![
             vec![true, false, false, false],
             vec![false, true, true, true],
-        ]));
+        ]);
         let before = lb.assignments();
         let (hot_unit, _) = tick_hot_cold(&mut lb);
         assert_eq!(

@@ -100,22 +100,12 @@ impl<E> EventQueue<E> {
         self.heap.push(Scheduled { at, seq, event });
     }
 
-    /// Schedules `event` to fire `delay_us` microseconds from now.
-    pub fn schedule_after(&mut self, delay_us: u64, event: E) {
-        self.schedule(self.now + delay_us, event);
-    }
-
     /// Removes and returns the earliest event, advancing the clock to it.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
         let s = self.heap.pop()?;
         debug_assert!(s.at >= self.now, "event queue time went backwards");
         self.now = s.at;
         Some((s.at, s.event))
-    }
-
-    /// Returns the timestamp of the next event without popping it.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|s| s.at)
     }
 
     /// The sequence number the next [`EventQueue::schedule`] will consume:
@@ -193,16 +183,6 @@ mod tests {
     }
 
     #[test]
-    fn schedule_after_is_relative() {
-        let mut q = EventQueue::new();
-        q.schedule(SimTime::from_micros(10), 0);
-        q.pop();
-        q.schedule_after(7, 1);
-        let (at, _) = q.pop().unwrap();
-        assert_eq!(at, SimTime::from_micros(17));
-    }
-
-    #[test]
     fn len_and_empty_track_contents() {
         let mut q = EventQueue::new();
         assert!(q.is_empty());
@@ -217,7 +197,6 @@ mod tests {
     fn peek_does_not_advance() {
         let mut q = EventQueue::new();
         q.schedule(SimTime::from_micros(9), ());
-        assert_eq!(q.peek_time(), Some(SimTime::from_micros(9)));
         assert_eq!(q.peek(), Some((SimTime::from_micros(9), &())));
         assert_eq!(q.now(), SimTime::ZERO);
     }
@@ -243,7 +222,7 @@ mod tests {
         q.pop();
         // Popping consumes no sequence number; scheduling does.
         assert_eq!(q.next_seq(), 2);
-        q.schedule_after(1, "c");
+        q.schedule(q.now() + 1, "c");
         assert_eq!(q.next_seq(), 3);
     }
 }

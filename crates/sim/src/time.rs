@@ -45,18 +45,6 @@ impl SimTime {
         SimTime(s * 1_000_000)
     }
 
-    /// Creates a time point from fractional seconds.
-    ///
-    /// Useful when deriving durations from rates (e.g. bytes / bandwidth).
-    /// Negative inputs clamp to zero.
-    pub fn from_secs_f64(s: f64) -> Self {
-        if s <= 0.0 {
-            SimTime(0)
-        } else {
-            SimTime((s * 1e6).round() as u64)
-        }
-    }
-
     /// Returns the number of microseconds since the start of the run.
     pub const fn as_micros(self) -> u64 {
         self.0
@@ -110,12 +98,6 @@ mod tests {
         assert_eq!(SimTime::from_micros(42).as_micros(), 42);
         assert_eq!(SimTime::from_millis(3).as_micros(), 3_000);
         assert_eq!(SimTime::from_secs(2).as_micros(), 2_000_000);
-    }
-
-    #[test]
-    fn from_secs_f64_rounds_and_clamps() {
-        assert_eq!(SimTime::from_secs_f64(0.0000015).as_micros(), 2);
-        assert_eq!(SimTime::from_secs_f64(-1.0).as_micros(), 0);
     }
 
     #[test]

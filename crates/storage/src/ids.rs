@@ -198,13 +198,6 @@ impl GlobalPageId {
     pub fn new(rel: RelationId, page: PageId) -> Self {
         GlobalPageId { rel, page }
     }
-
-    /// Returns `true` when `other` is the immediately following page of the
-    /// same relation — the condition under which a disk read continues a
-    /// sequential transfer instead of seeking.
-    pub fn is_sequential_successor_of(&self, other: &GlobalPageId) -> bool {
-        self.rel == other.rel && other.page.checked_add(1) == Some(self.page)
-    }
 }
 
 impl fmt::Display for GlobalPageId {
@@ -216,30 +209,6 @@ impl fmt::Display for GlobalPageId {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn sequential_successor_detection() {
-        let r = RelationId(3);
-        let a = GlobalPageId::new(r, 10);
-        let b = GlobalPageId::new(r, 11);
-        assert!(b.is_sequential_successor_of(&a));
-        assert!(!a.is_sequential_successor_of(&b));
-        assert!(!a.is_sequential_successor_of(&a));
-    }
-
-    #[test]
-    fn successor_requires_same_relation() {
-        let a = GlobalPageId::new(RelationId(1), 10);
-        let b = GlobalPageId::new(RelationId(2), 11);
-        assert!(!b.is_sequential_successor_of(&a));
-    }
-
-    #[test]
-    fn successor_handles_page_overflow() {
-        let a = GlobalPageId::new(RelationId(1), u32::MAX);
-        let b = GlobalPageId::new(RelationId(1), 0);
-        assert!(!b.is_sequential_successor_of(&a));
-    }
 
     #[test]
     fn display_formats() {
