@@ -6,8 +6,8 @@
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use tashkent_certifier::CommitLog;
 use tashkent_cluster::{
-    BalancerCtl, ClusterConfig, Metrics, PartialReplication, PolicySpec, ReplicationPlanner,
-    Scenario, ScenarioKnobs, TypeGroups,
+    ClusterConfig, Metrics, PartialReplication, PolicySpec, ReplicationPlanner, Scenario,
+    ScenarioKnobs, TypeGroups,
 };
 use tashkent_core::{pack_groups, EstimationMode, Lard, LardConfig, PageTable, WorkingSet};
 use tashkent_engine::{Snapshot, TxnId, TxnTypeId, Version, Writeset, WritesetItem};
@@ -327,7 +327,7 @@ fn bench_estimation(c: &mut Criterion) {
         .with_ram_mb(512)
         .with_policy(PolicySpec::malb_sc_uf());
     c.bench_function("malb_build_tpcw_mid_ordering", |b| {
-        b.iter(|| BalancerCtl::build(&config, Some(&ordering.estimates()), &mix))
+        b.iter(|| config.balancer(Some(&ordering.estimates()), &mix))
     });
 }
 

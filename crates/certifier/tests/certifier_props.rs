@@ -1,4 +1,8 @@
-//! Property-based tests for GSI certification.
+//! Property-based tests for GSI certification. The log-scan [`Certifier`]
+//! must match a per-item last-writer reference model ([`IndexCertifier`])
+//! on outcome, version, reply time and each group's commit accounting, over
+//! random histories with 1–4 certifier groups and a log trimmed as the
+//! cluster trims it.
 
 use std::collections::HashMap;
 

@@ -7,10 +7,10 @@ use tashkent_certifier::{
     PropagationAction, PropagationPolicy,
 };
 use tashkent_engine::{TxnId, Version, Writeset, WS_HEADER_BYTES, WS_ITEM_BYTES};
+use tashkent_replica::ReplicaNode;
 use tashkent_sim::{EventQueue, SimTime};
 use tashkent_storage::RelationSet;
 
-use crate::components::ClusterNode;
 use crate::config::LAN_HOP_US;
 use crate::events::Ev;
 use crate::placement::{PlacementMap, WS_TICK_BYTES};
@@ -217,20 +217,16 @@ impl CertifierLink {
     pub fn on_return_commit(
         &mut self,
         now: SimTime,
-        node: &mut ClusterNode,
+        node: &mut ReplicaNode,
         version: Version,
         placement: &PlacementMap,
     ) -> SimTime {
-        if node.replica().applied() >= version {
+        if node.applied() >= version {
             return now;
         }
-        let pending = self
-            .engine
-            .log()
-            .since(node.replica().applied())
-            .before(version);
+        let pending = self.engine.log().since(node.applied()).before(version);
         let done = self.traffic.deliver(now, node, pending, placement);
-        node.replica_mut().commit_local(version);
+        node.commit_local(version);
         done
     }
 
@@ -243,10 +239,10 @@ impl CertifierLink {
     pub fn catch_up(
         &mut self,
         now: SimTime,
-        node: &mut ClusterNode,
+        node: &mut ReplicaNode,
         placement: &PlacementMap,
     ) -> SimTime {
-        let pending = self.engine.log().since(node.replica().applied());
+        let pending = self.engine.log().since(node.applied());
         // An empty log tail skips the node: applying it would still queue
         // behind the node's CPU.
         let done = if pending.is_empty() {
@@ -266,7 +262,7 @@ impl CertifierLink {
     pub fn backfill(
         &mut self,
         now: SimTime,
-        node: &mut ClusterNode,
+        node: &mut ReplicaNode,
         rels: RelationSet,
     ) -> (SimTime, u64) {
         let upto = self.backfill_upto(node);
@@ -278,8 +274,8 @@ impl CertifierLink {
     /// (later entries arrive through normal propagation once its filter
     /// widens). Fixed when a staged backfill starts, so the chunks have a
     /// stable target.
-    pub fn backfill_upto(&self, node: &ClusterNode) -> Version {
-        node.replica().applied().min(self.version())
+    pub fn backfill_upto(&self, node: &ReplicaNode) -> Version {
+        node.applied().min(self.version())
     }
 
     /// One bandwidth-capped slice of a backfill: re-applies the log entries
@@ -292,13 +288,13 @@ impl CertifierLink {
     pub fn backfill_chunk(
         &mut self,
         now: SimTime,
-        node: &mut ClusterNode,
+        node: &mut ReplicaNode,
         rels: RelationSet,
         from: Version,
         upto: Version,
         max_bytes: u64,
     ) -> (SimTime, u64, Version) {
-        let before = node.replica().stats();
+        let before = node.stats();
         let (done, next) = {
             let log = self.log().since(from).before(upto.next());
             // Pick the chunk end by the same byte formula the accounting
@@ -330,14 +326,13 @@ impl CertifierLink {
                 }
             }
             (
-                node.replica_mut()
-                    .backfill_writesets(now, log.slice(0..end), rels),
+                node.backfill_writesets(now, log.slice(0..end), rels),
                 Version(from.0 + end as u64),
             )
         };
         // The node's backfill counters are the single source of truth for
         // what was actually re-applied; the shipped bytes derive from them.
-        let after = node.replica().stats();
+        let after = node.stats();
         let shipped_ws = after.writesets_backfilled - before.writesets_backfilled;
         let shipped_items = after.items_backfilled - before.items_backfilled;
         let bytes = shipped_ws * WS_HEADER_BYTES + shipped_items * WS_ITEM_BYTES;
@@ -353,19 +348,19 @@ impl CertifierLink {
     pub fn maintenance_pull(
         &mut self,
         now: SimTime,
-        node: &mut ClusterNode,
+        node: &mut ReplicaNode,
         placement: &PlacementMap,
     ) {
         let action = self.propagation.decide(
             now,
             self.last_contact[node.id()],
-            node.replica().applied(),
+            node.applied(),
             self.version(),
         );
         if action == PropagationAction::None {
             return;
         }
-        let pending = self.engine.log().since(node.replica().applied());
+        let pending = self.engine.log().since(node.applied());
         if !pending.is_empty() {
             self.traffic.deliver(now, node, pending, placement);
             self.last_contact[node.id()] = now;
@@ -393,7 +388,7 @@ impl Traffic {
     fn deliver(
         &mut self,
         now: SimTime,
-        node: &mut ClusterNode,
+        node: &mut ReplicaNode,
         pending: LogView<'_>,
         placement: &PlacementMap,
     ) -> SimTime {
@@ -411,7 +406,7 @@ impl Traffic {
                 self.saved += (total - held) * WS_ITEM_BYTES;
             }
         }
-        node.replica_mut().apply_writesets(now, pending)
+        node.apply_writesets(now, pending)
     }
 }
 
@@ -423,7 +418,6 @@ mod tests {
     use tashkent_storage::RelationId;
 
     use super::*;
-    use crate::trace::TraceConfig;
 
     /// A one-replica link with `groups` certifier groups, relation `r`
     /// owned by group `r`.
@@ -474,10 +468,7 @@ mod tests {
     #[test]
     fn certify_is_stamped_when_the_answer_leaves() {
         let mut link = link(4, CertifierParams::default());
-        let mut tracer = Tracer::new(&TraceConfig {
-            jsonl_path: Some(String::new()),
-            ..TraceConfig::default()
-        });
+        let mut tracer = Tracer::in_memory(64);
         let mut queue = EventQueue::new();
         let t = SimTime::from_micros(300);
         // A single-group commit, a cross-group commit, and a conflict with

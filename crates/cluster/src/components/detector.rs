@@ -1,19 +1,8 @@
-//! Dispatch and the `LbTick` reconfiguration loop.
-
-use tashkent_core::{Estimates, LardConfig, LoadBalancer, ReconfigAction, ReplicaId};
-use tashkent_replica::UpdateFilter;
-use tashkent_sim::{EventQueue, SimTime};
-use tashkent_workloads::Mix;
-
-use crate::config::{ClusterConfig, PolicySpec};
-use crate::events::Ev;
-
-/// Interval between balancer rebalance ticks.
-const LB_TICK_US: u64 = 1_000_000;
+//! The balancer's heartbeat failure detector.
 
 /// Consecutive missed heartbeats before a replica is *Suspected*: out of
 /// dispatch, in-flight transactions retried on survivors, no
-/// re-replication yet. Read by [`BalancerCtl::observe_heartbeats`].
+/// re-replication yet. Read by [`Detector::observe_heartbeats`].
 const SUSPECT_MISSES: u32 = 2;
 
 /// Consecutive missed heartbeats before a suspected replica is declared
@@ -87,49 +76,21 @@ pub enum HealthTransition {
     },
 }
 
-/// Wraps the [`LoadBalancer`]: dispatch decisions, load reports, the
-/// periodic reconfiguration tick that applies replica moves and installs
-/// update filters on the affected nodes, and — when the heartbeat detector
-/// is enabled — the per-replica `Live → Suspected → Dead` accrual state
-/// machine.
-pub struct BalancerCtl {
-    /// The balancer: dispatch, completions, load reports, eligibility and
-    /// the replica-failure notices the cluster state drives directly.
-    pub(crate) lb: LoadBalancer,
-    /// Detector belief per replica (all `Live` until heartbeats miss).
+/// The per-replica `Live → Suspected → Dead` accrual state machine the
+/// balancer runs when heartbeat detection is on.
+pub struct Detector {
+    /// Belief per replica (all `Live` until heartbeats miss).
     health: Vec<ReplicaHealth>,
     /// Consecutive missed heartbeats per replica.
     misses: Vec<u32>,
 }
 
-impl BalancerCtl {
-    /// Builds the balancer for a config. MALB packs the working sets of
-    /// `mix`'s active transaction types from `estimates`, the cluster's one
-    /// estimate of every type from `EXPLAIN` + catalog metadata — exactly
-    /// the paper's information channel (§4.2.2).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the policy is MALB and `estimates` is `None`.
-    pub fn build(config: &ClusterConfig, estimates: Option<&Estimates>, mix: &Mix) -> Self {
-        let lb = match config.policy {
-            PolicySpec::LeastConnections => LoadBalancer::least_connections(config.replicas),
-            PolicySpec::Lard => LoadBalancer::lard(config.replicas, LardConfig::default()),
-            PolicySpec::Malb { .. } => {
-                let estimates = estimates.expect("MALB packs the working-set estimates");
-                let sets = mix
-                    .active_types()
-                    .iter()
-                    .map(|t| estimates.sets[t.0 as usize])
-                    .collect();
-                let malb_cfg = config.malb_config().expect("policy is MALB");
-                LoadBalancer::malb(config.replicas, sets, estimates.pages.clone(), malb_cfg)
-            }
-        };
-        BalancerCtl {
-            lb,
-            health: vec![ReplicaHealth::Live; config.replicas],
-            misses: vec![0; config.replicas],
+impl Detector {
+    /// A detector believing all `replicas` live.
+    pub fn new(replicas: usize) -> Self {
+        Detector {
+            health: vec![ReplicaHealth::Live; replicas],
+            misses: vec![0; replicas],
         }
     }
 
@@ -182,52 +143,17 @@ impl BalancerCtl {
         }
         out
     }
-
-    /// Runs one rebalance tick and schedules the next one; returns the
-    /// update filters the reconfiguration wants installed, for the cluster
-    /// state to apply to the affected nodes, and the number of MALB replica
-    /// moves the tick performed (for the trace's `lb` instant events).
-    pub fn on_tick(
-        &mut self,
-        now: SimTime,
-        queue: &mut EventQueue<Ev>,
-    ) -> (Vec<(ReplicaId, UpdateFilter)>, usize) {
-        let mut filters = Vec::new();
-        let mut moves = 0;
-        for action in self.lb.tick(now) {
-            match action {
-                ReconfigAction::SetFilter { replica, tables } => {
-                    let filter = match tables {
-                        Some(t) => UpdateFilter::Only(t),
-                        None => UpdateFilter::all(),
-                    };
-                    filters.push((replica, filter));
-                }
-                ReconfigAction::Moved { .. } => moves += 1,
-            }
-        }
-        queue.schedule(now + LB_TICK_US, Ev::LbTick);
-        (filters, moves)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn detector(replicas: usize) -> BalancerCtl {
-        BalancerCtl {
-            lb: LoadBalancer::least_connections(replicas),
-            health: vec![ReplicaHealth::Live; replicas],
-            misses: vec![0; replicas],
-        }
-    }
-
     #[test]
     fn accrual_walks_live_suspected_dead() {
         // Both tests walk the thresholds the detector runs with.
         assert_eq!((SUSPECT_MISSES, DEAD_MISSES), (2, 5));
-        let mut d = detector(2);
+        let mut d = Detector::new(2);
         let down = [false, true];
         assert_eq!(
             d.observe_heartbeats(&down),
@@ -263,7 +189,7 @@ mod tests {
 
     #[test]
     fn answering_restores_trust_from_either_state() {
-        let mut d = detector(1);
+        let mut d = Detector::new(1);
         for _ in 0..2 {
             d.observe_heartbeats(&[false]);
         }

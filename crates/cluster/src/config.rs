@@ -17,10 +17,11 @@
 //! filter stability rounds and update-filtering `min_copies`
 //! ([`MalbConfig::paper_default`]).
 
-use tashkent_core::{EstimationMode, MalbConfig};
+use tashkent_core::{Estimates, EstimationMode, LardConfig, LoadBalancer, MalbConfig};
 use tashkent_replica::ReplicaConfig;
 use tashkent_sim::SimTime;
 use tashkent_storage::PAGE_SIZE;
+use tashkent_workloads::Mix;
 
 use crate::trace::TraceConfig;
 
@@ -262,6 +263,31 @@ impl ClusterConfig {
                 Some(cfg)
             }
             _ => None,
+        }
+    }
+
+    /// Builds the load balancer. MALB packs the working sets of `mix`'s
+    /// active transaction types from `estimates`, the cluster's one estimate
+    /// of every type from `EXPLAIN` + catalog metadata — exactly the paper's
+    /// information channel (§4.2.2).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the policy is MALB and `estimates` is `None`.
+    pub fn balancer(&self, estimates: Option<&Estimates>, mix: &Mix) -> LoadBalancer {
+        match self.policy {
+            PolicySpec::LeastConnections => LoadBalancer::least_connections(self.replicas),
+            PolicySpec::Lard => LoadBalancer::lard(self.replicas, LardConfig::default()),
+            PolicySpec::Malb { .. } => {
+                let estimates = estimates.expect("MALB packs the working-set estimates");
+                let sets = mix
+                    .active_types()
+                    .iter()
+                    .map(|t| estimates.sets[t.0 as usize])
+                    .collect();
+                let malb_cfg = self.malb_config().expect("policy is MALB");
+                LoadBalancer::malb(self.replicas, sets, estimates.pages.clone(), malb_cfg)
+            }
         }
     }
 

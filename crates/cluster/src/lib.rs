@@ -13,12 +13,14 @@
 //! * [`metrics`] — throughput / response-time / disk-I/O accounting and the
 //!   [`metrics::RunResult`] every experiment produces;
 //! * [`events`] — the event vocabulary ([`events::Ev`]);
-//! * [`components`] — per-component handlers: [`components::ClusterNode`],
-//!   [`components::CertifierLink`], [`components::BalancerCtl`];
-//! * [`state`] — [`state::ClusterState`], the components plus cross-cutting
-//!   transaction/client/metrics state, with a single `handle` entry point
-//!   and the simulator's one event loop ([`state::ClusterState::run_to_end`]):
-//!   pop the earliest event, hand it to `handle`, repeat until `End`;
+//! * [`components`] — the certifier round-trip
+//!   ([`components::CertifierLink`]) and the heartbeat failure detector
+//!   ([`components::Detector`]);
+//! * [`state`] — [`state::ClusterState`]: the replica nodes, the load
+//!   balancer, the components, and the clients with their open requests,
+//!   with a single `handle` entry point and the simulator's one event loop
+//!   ([`state::ClusterState::run_to_end`]): pop the earliest event, hand it
+//!   to `handle`, repeat until `End`;
 //! * [`trace`] — deterministic run tracing: lifecycle span events,
 //!   utilization timelines, JSONL and Chrome `trace_event` exporters, with
 //!   the trace byte-equal across runs of the same seed;
@@ -42,7 +44,7 @@ pub mod rebalance;
 pub mod state;
 pub mod trace;
 
-pub use components::{BalancerCtl, CertifierLink, ClusterNode, HealthTransition, ReplicaHealth};
+pub use components::{CertifierLink, Detector, HealthTransition, ReplicaHealth};
 pub use config::{ClusterConfig, PlacementSpec, PolicySpec};
 pub use detection::{Detection, DetectionSchedule};
 pub use events::{Ev, CONTROL_NODE};

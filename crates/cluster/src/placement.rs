@@ -45,7 +45,7 @@
 //! relations — is a [`tashkent_storage::RelationSet`] bitmap.
 
 use tashkent_certifier::CertMap;
-use tashkent_core::Estimates;
+use tashkent_core::{Estimates, PageTable};
 use tashkent_engine::TxnTypeId;
 use tashkent_replica::UpdateFilter;
 use tashkent_storage::{Catalog, RelationId, RelationSet};
@@ -166,13 +166,8 @@ pub struct PlacementMap {
     /// Every relation referenced by some group (relations outside this set
     /// never appear in a writeset and count as held everywhere).
     referenced: RelationSet,
-    /// Size in pages (catalog `relpages`) per relation id.
-    pages: Vec<u64>,
-}
-
-/// Combined size in pages of `rels`, from a per-relation page table.
-fn pages_of(pages: &[u64], rels: RelationSet) -> u64 {
-    rels.iter().map(|rel| pages[rel.0 as usize]).sum()
+    /// Size in pages (catalog `relpages`) per relation.
+    pages: PageTable,
 }
 
 impl PlacementMap {
@@ -190,7 +185,7 @@ impl PlacementMap {
             held: vec![RelationSet::new(); replicas],
             pending: vec![RelationSet::new(); replicas],
             referenced: RelationSet::new(),
-            pages: Vec::new(),
+            pages: PageTable::default(),
         }
     }
 
@@ -322,7 +317,7 @@ impl PlacementMap {
     /// Pages resident on `replica` under this placement (re-replication
     /// target selection weight).
     pub fn held_pages(&self, replica: usize) -> u64 {
-        pages_of(&self.pages, self.held[replica])
+        self.pages.sum(self.held[replica])
     }
 
     /// The update filter partial replication installs on `replica`:
@@ -388,14 +383,14 @@ impl ReplicationPlanner {
     pub fn plan(&self, catalog: &Catalog, groups: &TypeGroups, replicas: usize) -> PlacementMap {
         assert!(replicas > 0, "placement needs at least one replica");
         let min_copies = self.min_copies.clamp(1, replicas);
-        let pages: Vec<u64> = catalog.relations().iter().map(|r| r.pages as u64).collect();
+        let pages = PageTable::new(catalog);
         let mut placed: Vec<RelationGroup> = groups
             .sets
             .iter()
             .map(|&relations| RelationGroup {
                 types: Vec::new(),
                 relations,
-                pages: pages_of(&pages, relations),
+                pages: pages.sum(relations),
             })
             .collect();
         for (t, g) in groups.of_type.iter().enumerate() {
@@ -426,7 +421,7 @@ impl ReplicationPlanner {
             best.clear();
             for (r, (h, p)) in held.iter().zip(&held_pages).enumerate() {
                 let added = if rels.intersects(*h) {
-                    group_pages - pages_of(&pages, rels.intersection(*h))
+                    group_pages - pages.sum(rels.intersection(*h))
                 } else {
                     group_pages
                 };
@@ -544,7 +539,7 @@ mod tests {
     fn partial_placement_filters_and_spreads() {
         let map = tpcw_map(8, 2);
         assert!(!map.is_full());
-        let total: u64 = pages_of(&map.pages, map.referenced);
+        let total: u64 = map.pages.sum(map.referenced);
         let mut any_filtering = false;
         for r in 0..8 {
             let filter = map.filter_for(r);

@@ -1,12 +1,12 @@
 //! The assembled cluster state, independent of the event loop.
 //!
-//! [`ClusterState`] owns the per-component handlers — one
-//! [`ClusterNode`] per replica, the [`CertifierLink`], the [`BalancerCtl`] —
-//! plus the cross-cutting state no single component owns: the client pool
-//! with each client's one open request, the experiment RNG, and metrics. It
-//! exposes exactly one mutation entry point, [`ClusterState::handle`], which
-//! routes a timestamped [`Ev`] to its component handler and schedules the
-//! consequences into the [`EventQueue`] it is handed.
+//! [`ClusterState`] owns the models it drives — one [`ReplicaNode`] per
+//! replica, the [`LoadBalancer`], the [`CertifierLink`], the heartbeat
+//! [`Detector`] — plus what no model owns: the client pool with each
+//! client's one open request, the experiment RNG, and metrics. It exposes
+//! exactly one mutation entry point, [`ClusterState::handle`], which applies
+//! a timestamped [`Ev`] to the models and schedules the consequences into
+//! the [`EventQueue`] it is handed.
 //!
 //! The queue lives outside the state: [`ClusterState::run_to_end`], the
 //! simulator's one event loop, pops events from the queue it is handed and
@@ -23,19 +23,19 @@
 //!
 //! Every request ends exactly once by construction: only a client's current
 //! attempt has client-side effects, and a late event frees a Gatekeeper
-//! slot only if the [`ClusterNode`] that owns it still holds the attempt.
+//! slot only if the [`ReplicaNode`] that owns it still holds the attempt.
 
 use std::fmt;
 
 use tashkent_certifier::{CertMap, Certifier, CertifierParams};
-use tashkent_core::{LoadBalancer, ReplicaId, ResourceLoad};
+use tashkent_core::{LoadBalancer, ReconfigAction, ReplicaId, ResourceLoad};
 use tashkent_engine::{TxnExecutor, TxnId, TxnTypeId, Version};
-use tashkent_replica::ReplicaNode;
+use tashkent_replica::{ReplicaNode, StepOutcome, UpdateFilter};
 use tashkent_sim::{EventQueue, SimRng, SimTime};
 use tashkent_storage::RelationSet;
 use tashkent_workloads::{ClientPool, Mix, Workload};
 
-use crate::components::{BalancerCtl, CertifierLink, ClusterNode, HealthTransition, ReplicaHealth};
+use crate::components::{CertifierLink, Detector, HealthTransition, ReplicaHealth};
 use crate::config::{ClusterConfig, PlacementSpec, PolicySpec, LAN_HOP_US, MIGRATION_PERIOD};
 use crate::events::{Ev, CONTROL_NODE};
 use crate::metrics::{FaultKind, GroupSnapshot, Metrics};
@@ -98,11 +98,14 @@ const CLIENT_BACKOFF_CAP_US: u64 = 2_000_000;
 
 const _: () = assert!(CLIENT_BACKOFF_CAP_US >= CLIENT_BACKOFF_BASE_US);
 
+/// Interval between balancer reconfiguration ticks ([`Ev::LbTick`]).
+const LB_TICK_US: u64 = 1_000_000;
+
 /// Commits between two scans for the certifier log's trim floor
-/// ([`ClusterState::log_floor`]). A scan walks every node's running set and
-/// the event queue, so one per 1,024 commits costs amortized O(1) per
-/// commit, and a floor held back (by a long-running transaction, say) is
-/// not rescanned on every commit.
+/// ([`ClusterState::log_floor`]). A scan walks every node's held
+/// transactions and the event queue, so one per 1,024 commits costs
+/// amortized O(1) per commit, and a floor held back (by a long-running
+/// transaction, say) is not rescanned on every commit.
 const LOG_TRIM_INTERVAL: u64 = 1_024;
 
 /// One in-flight certifier-log backfill onto a target replica: a durability
@@ -132,8 +135,9 @@ struct BackfillTask {
     drop_source: Option<usize>,
 }
 
-/// Components plus cross-cutting transaction/client/metrics state — the
-/// whole cluster, minus the event loop that drives it.
+/// The replica nodes, the balancer, the components, and the clients with
+/// their open requests — the whole cluster, minus the event loop that
+/// drives it.
 pub struct ClusterState {
     /// Configuration.
     pub config: ClusterConfig,
@@ -142,8 +146,9 @@ pub struct ClusterState {
     /// Mixes selectable via `MixSwitch` (index 0 active initially).
     pub mixes: Vec<Mix>,
     active_mix: usize,
-    balancer: BalancerCtl,
-    nodes: Vec<ClusterNode>,
+    nodes: Vec<ReplicaNode>,
+    lb: LoadBalancer,
+    detector: Detector,
     certifier: CertifierLink,
     clients: ClientPool,
     rng: SimRng,
@@ -223,17 +228,11 @@ impl ClusterState {
         let grouped = config.placement != PlacementSpec::Full || config.cert_groups > 1;
         let estimates = (grouped || matches!(config.policy, PolicySpec::Malb { .. }))
             .then(|| workload.estimates());
-        let balancer = BalancerCtl::build(&config, estimates.as_ref(), &mixes[0]);
-        let nodes: Vec<ClusterNode> = (0..config.replicas)
+        let lb = config.balancer(estimates.as_ref(), &mixes[0]);
+        let nodes: Vec<ReplicaNode> = (0..config.replicas)
             .map(|id| {
-                ClusterNode::new(
-                    id,
-                    ReplicaNode::new(
-                        workload.catalog.clone(),
-                        config.replica_config(),
-                        rng.fork(),
-                    ),
-                )
+                let catalog = workload.catalog.clone();
+                ReplicaNode::new(id, catalog, config.replica_config(), rng.fork())
             })
             .collect();
         // Partial placement and certifier groups both start from the
@@ -263,8 +262,9 @@ impl ClusterState {
         let tracer = Tracer::new(&config.trace);
         let metrics = Metrics::with_hist(config.resp_hist_bucket_s, config.resp_hist_buckets);
         let mut state = ClusterState {
-            balancer,
             nodes,
+            lb,
+            detector: Detector::new(config.replicas),
             certifier,
             clients,
             rng,
@@ -316,7 +316,7 @@ impl ClusterState {
                 Ev::Maintenance { replica, round: 0 },
             );
         }
-        queue.schedule(SimTime::from_secs(1), Ev::LbTick);
+        queue.schedule(SimTime::from_micros(LB_TICK_US), Ev::LbTick);
         // Skew-driven placement rebalancing only makes sense when placement
         // is actually partial — under full replication (or the degenerate
         // all-holders plan) there is nothing to migrate.
@@ -350,7 +350,7 @@ impl ClusterState {
     /// The detector's belief about `replica` (always `Live` with the
     /// detector off).
     pub fn replica_health(&self, replica: usize) -> ReplicaHealth {
-        self.balancer.health(replica)
+        self.detector.health(replica)
     }
 
     /// Whether `replica` is a sane re-replication participant: physically
@@ -358,7 +358,7 @@ impl ClusterState {
     /// belief is always `Live`, so this reduces to `is_up()` — bit-exact
     /// with the oracle semantics.
     fn believed_live(&self, replica: usize) -> bool {
-        self.node(replica).is_up() && self.balancer.health(replica) == ReplicaHealth::Live
+        self.nodes[replica].is_up() && self.detector.health(replica) == ReplicaHealth::Live
     }
 
     /// Capped exponential client backoff for retry number `retries`.
@@ -415,21 +415,21 @@ impl ClusterState {
         let mut read = 0;
         let mut write = 0;
         for n in &self.nodes {
-            let s = n.replica().disk_stats();
+            let s = n.disk_stats();
             read += s.read_bytes();
             write += s.write_bytes();
         }
         (read, write)
     }
 
-    /// Access a cluster node handler (tests and metrics).
-    pub fn node(&self, idx: usize) -> &ClusterNode {
+    /// Replica node `idx` (tests and metrics).
+    pub fn node(&self, idx: usize) -> &ReplicaNode {
         &self.nodes[idx]
     }
 
     /// The balancer (tests and metrics).
     pub fn balancer(&self) -> &LoadBalancer {
-        &self.balancer.lb
+        &self.lb
     }
 
     /// The certification engine (tests and metrics).
@@ -447,8 +447,8 @@ impl ClusterState {
         let mut cpu = 0;
         let mut disk = 0;
         for n in &self.nodes {
-            cpu += n.replica().cpu_busy_us();
-            disk += n.replica().disk_stats().busy_us;
+            cpu += n.cpu_busy_us();
+            disk += n.disk_stats().busy_us;
         }
         (cpu, disk)
     }
@@ -464,14 +464,14 @@ impl ClusterState {
             * self.config.replicas as f64;
         result.cpu_util = (cpu.saturating_sub(self.busy0.0)) as f64 / window_us;
         result.disk_util = (disk.saturating_sub(self.busy0.1)) as f64 / window_us;
-        let stats = self.balancer.lb.stats();
+        let stats = self.lb.stats();
         result.lb = crate::metrics::LbSummary {
             moves: stats.moves,
             merges: stats.merges,
             splits: stats.splits,
             fast_reallocs: stats.fast_reallocs,
             fallback: stats.fallback,
-            filters_installed: self.balancer.lb.filters_installed(),
+            filters_installed: self.lb.filters_installed(),
         };
         let (sent, saved) = self.certifier.propagation_bytes();
         result.propagated_ws_bytes = sent.saturating_sub(self.prop0.0);
@@ -492,9 +492,8 @@ impl ClusterState {
 
     /// Current group → replica assignments with type names resolved.
     pub fn group_snapshots(&self) -> Vec<GroupSnapshot> {
-        let loads = self.balancer.lb.loads();
-        self.balancer
-            .lb
+        let loads = self.lb.loads();
+        self.lb
             .assignments()
             .into_iter()
             .map(|(types, replicas)| GroupSnapshot {
@@ -516,8 +515,8 @@ impl ClusterState {
             .collect()
     }
 
-    /// Routes one event to its component handler. Every arm is a thin
-    /// delegate; the lifecycle lives in [`crate::components`].
+    /// Applies one event: each arm updates the models it concerns and
+    /// schedules what follows.
     ///
     /// The caller delivers events in nondecreasing `(timestamp, FIFO)`
     /// order, as [`EventQueue::pop`] yields them; under that contract the
@@ -525,9 +524,7 @@ impl ClusterState {
     pub fn handle(&mut self, now: SimTime, ev: Ev, queue: &mut EventQueue<Ev>) {
         match ev {
             Ev::ClientArrive { client } => self.on_client_arrive(now, client, queue),
-            Ev::StepTxn { replica, txn } => {
-                self.nodes[replica].on_step(now, txn, &mut self.tracer, queue)
-            }
+            Ev::StepTxn { replica, txn } => self.on_step(now, replica, txn, queue),
             Ev::CertifySend { replica, txn, ws } => {
                 if self.partitioned(replica, CONTROL_NODE) {
                     // The writeset never reaches the certifier. The
@@ -536,7 +533,7 @@ impl ClusterState {
                     // transaction (the executor already left at
                     // ReadyToCommit); the client is rescued later by its
                     // timeout or the suspicion sweep.
-                    self.nodes[replica].release(now, txn, false, queue);
+                    self.release(now, replica, txn, false, queue);
                 } else {
                     self.certifier
                         .on_send(now, replica, txn, ws, &mut self.tracer, queue);
@@ -561,34 +558,34 @@ impl ClusterState {
             } => self.submit_txn(now, client, txn_type, arrived, retries, queue),
             Ev::Maintenance { replica, round } => self.on_maintenance(now, replica, round, queue),
             Ev::LbTick => {
-                let (filters, moves) = self.balancer.on_tick(now, queue);
-                self.tracer.emit(
-                    now,
-                    TraceData::Lb {
-                        filters: filters.len(),
-                        moves,
-                    },
-                );
-                for (replica, filter) in filters {
-                    // Under partial replication, placement *subsumes* §3
-                    // update filtering: the holder sets already are the
-                    // "keep current" lists with an explicit `min_copies`,
-                    // and MALB's lists are placement-unaware — derived from
-                    // its own unit assignment, they may omit relations this
-                    // replica holds for durability. Narrowing below the
-                    // held set would silently break the invariant (a live
-                    // holder dropping its own group's pages), and widening
-                    // would apply items the certifier never shipped here.
-                    // The placement filter therefore stays authoritative.
-                    // A full placement imposes no constraint, so there §3
-                    // filtering applies unchanged.
-                    let effective = if self.placement.is_full() {
-                        filter
-                    } else {
-                        self.placement.filter_for(replica.0)
-                    };
-                    self.nodes[replica.0].replica_mut().set_filter(effective);
+                queue.schedule(now + LB_TICK_US, Ev::LbTick);
+                // Under partial replication, placement *subsumes* §3 update
+                // filtering: the holder sets already are the "keep current"
+                // lists with an explicit `min_copies`, and MALB's lists are
+                // placement-unaware — derived from its own unit assignment,
+                // they may omit relations a replica holds for durability.
+                // Narrowing below the held set would silently break the
+                // invariant (a live holder dropping its own group's pages),
+                // and widening would apply items the certifier never shipped
+                // there. The placement filter therefore stays authoritative.
+                // A full placement imposes no constraint, so there §3
+                // filtering applies unchanged.
+                let (mut filters, mut moves) = (0, 0);
+                for action in self.lb.tick(now) {
+                    match action {
+                        ReconfigAction::Moved { .. } => moves += 1,
+                        ReconfigAction::SetFilter { replica, tables } => {
+                            filters += 1;
+                            let filter = if self.placement.is_full() {
+                                tables.map_or_else(UpdateFilter::all, UpdateFilter::Only)
+                            } else {
+                                self.placement.filter_for(replica.0)
+                            };
+                            self.nodes[replica.0].set_filter(filter);
+                        }
+                    }
                 }
+                self.tracer.emit(now, TraceData::Lb { filters, moves });
             }
             Ev::Rereplicate { group } => {
                 self.rereplicate_group(now, group, queue);
@@ -597,7 +594,7 @@ impl ClusterState {
             Ev::BackfillDone { task } => self.on_backfill_done(now, task),
             Ev::RebalanceTick => self.on_rebalance_tick(now, queue),
             Ev::MixSwitch { mix } => self.active_mix = mix.min(self.mixes.len() - 1),
-            Ev::FreezeLb => self.balancer.lb.freeze(),
+            Ev::FreezeLb => self.lb.freeze(),
             Ev::ReplicaCrash { replica } => self.on_replica_crash(now, replica, queue),
             Ev::ReplicaRecover { replica } => self.on_replica_recover(now, replica, queue),
             Ev::CertifierKill { group, member } => {
@@ -684,11 +681,8 @@ impl ClusterState {
         let applied = self
             .nodes
             .iter()
-            .map(|n| Version(n.replica().applied().0.saturating_sub(k)));
-        let running = self
-            .nodes
-            .iter()
-            .filter_map(|n| n.replica().oldest_snapshot());
+            .map(|n| Version(n.applied().0.saturating_sub(k)));
+        let running = self.nodes.iter().filter_map(ReplicaNode::oldest_snapshot);
         let sending = queue.pending().filter_map(|ev| match ev {
             Ev::CertifySend { ws, .. } => Some(ws.snapshot.version),
             _ => None,
@@ -703,7 +697,8 @@ impl ClusterState {
 
     /// Dispatches a new attempt of `client`'s request into the client's
     /// slot, which must be empty: the balancer picks the replica, the node
-    /// admits or queues it.
+    /// admits or queues it, and an admitted attempt takes its first step
+    /// two LAN hops out (client → balancer → replica).
     fn submit_txn(
         &mut self,
         now: SimTime,
@@ -731,7 +726,7 @@ impl ClusterState {
                 },
             );
         }
-        let replica = self.balancer.lb.dispatch(txn_type).0;
+        let replica = self.lb.dispatch(txn_type).0;
         self.tracer.emit(
             now,
             TraceData::Dispatch {
@@ -753,8 +748,8 @@ impl ClusterState {
         // never tells it. The TCP connect is refused after one round trip
         // and the client retries with capped exponential backoff, which is
         // what bridges the detection window without a storm.
-        if self.detection_on() && !self.node(replica).is_up() {
-            self.balancer.lb.complete(ReplicaId(replica));
+        if self.detection_on() && !self.nodes[replica].is_up() {
+            self.lb.complete(ReplicaId(replica));
             let refused_at = now + 2 * LAN_HOP_US;
             self.retry_or_give_up(now, &meta, refused_at, self.backoff_us(retries), queue);
             return;
@@ -776,15 +771,79 @@ impl ClusterState {
         self.replica_dispatches[replica] += 1;
         let plan = self.workload.types[txn_type.0 as usize].plan.clone();
         let node = &mut self.nodes[replica];
-        let executor = TxnExecutor::new(txn, txn_type, plan, node.replica().snapshot());
+        debug_assert!(node.is_up(), "balancer dispatched to a crashed replica");
+        let executor = TxnExecutor::new(txn, txn_type, plan, node.snapshot());
         self.txns[client] = Some(meta);
-        node.submit(now, client, executor, queue);
+        if node.submit(client, executor) {
+            queue.schedule(now + 2 * LAN_HOP_US, Ev::StepTxn { replica, txn });
+        }
         if self.config.client_timeout_us > 0 {
             queue.schedule(
                 now + self.config.client_timeout_us,
                 Ev::ClientTimeout { client, txn },
             );
         }
+    }
+
+    /// Advances `txn` on `replica` by one quantum, traces the step, and
+    /// schedules what follows: another step, local completion, or the
+    /// certifier round-trip. A *stale* step — one whose transaction a crash
+    /// dropped while its step event was already queued — does nothing.
+    fn on_step(&mut self, now: SimTime, replica: usize, txn: TxnId, queue: &mut EventQueue<Ev>) {
+        let node = &mut self.nodes[replica];
+        if !node.is_running(txn) {
+            return;
+        }
+        let (outcome, ws_bytes, at, ev) = match node.step(txn, now) {
+            StepOutcome::Busy(t) => ("exec", 0, t, Ev::StepTxn { replica, txn }),
+            StepOutcome::Done(t) => (
+                "done",
+                0,
+                t,
+                Ev::TxnComplete {
+                    replica,
+                    txn,
+                    committed: true,
+                },
+            ),
+            StepOutcome::ReadyToCommit(t, ws) => (
+                "cert",
+                ws.bytes(),
+                t + LAN_HOP_US,
+                Ev::CertifySend { replica, txn, ws },
+            ),
+        };
+        self.tracer.emit(
+            now,
+            TraceData::Step {
+                txn: txn.0,
+                replica,
+                outcome,
+                next_at: at.as_micros(),
+                ws_bytes,
+            },
+        );
+        queue.schedule(at, ev);
+    }
+
+    /// Frees `txn`'s Gatekeeper slot on `replica` after its outcome, or
+    /// after the proxy lost its certifier connection, and returns its
+    /// client; a queued transaction admitted in its place steps at once. A
+    /// transaction the node does not hold (a crash dropped it) frees
+    /// nothing.
+    fn release(
+        &mut self,
+        now: SimTime,
+        replica: usize,
+        txn: TxnId,
+        committed: bool,
+        queue: &mut EventQueue<Ev>,
+    ) -> Option<usize> {
+        let (client, next) = self.nodes[replica].release(txn, committed)?;
+        if let Some(next) = next {
+            queue.schedule(now, Ev::StepTxn { replica, txn: next });
+        }
+        Some(client)
     }
 
     /// Records a fault that took effect at `now`, physically injected at
@@ -820,7 +879,7 @@ impl ClusterState {
     /// target, so a fault plan that kills the whole cluster is a mis-built
     /// experiment — failing here beats garbage metrics later.
     fn on_replica_crash(&mut self, now: SimTime, replica: usize, queue: &mut EventQueue<Ev>) {
-        if !self.node(replica).is_up() {
+        if !self.nodes[replica].is_up() {
             return;
         }
         let survivors = self
@@ -844,7 +903,7 @@ impl ClusterState {
             // The detector's transitions apply the rest once heartbeats miss.
             return;
         }
-        self.balancer.lb.replica_failed(ReplicaId(replica));
+        self.lb.replica_failed(ReplicaId(replica));
         // *Dead*'s durability work before *Suspected*'s retries.
         self.cancel_backfills_targeting(replica);
         self.rereplicate_under_copied(now, replica, queue);
@@ -878,10 +937,10 @@ impl ClusterState {
     fn apply_placement(&mut self, changed: impl IntoIterator<Item = usize>) {
         for r in changed {
             let filter = self.placement.filter_for(r);
-            self.nodes[r].replica_mut().set_filter(filter);
+            self.nodes[r].set_filter(filter);
         }
         let masks = self.placement.type_masks(self.workload.types.len());
-        self.balancer.lb.set_type_eligibility(masks);
+        self.lb.set_type_eligibility(masks);
     }
 
     /// Copies relation group `group` onto one more live replica: widens the
@@ -951,10 +1010,7 @@ impl ClusterState {
         drop_source: Option<usize>,
         queue: &mut EventQueue<Ev>,
     ) {
-        let upto = {
-            let node = &self.nodes[target];
-            self.certifier.backfill_upto(node)
-        };
+        let upto = self.certifier.backfill_upto(&self.nodes[target]);
         let task = self.backfills.len();
         self.backfills.push(BackfillTask {
             group,
@@ -1004,7 +1060,7 @@ impl ClusterState {
         // so a chunk may land on a target that died since the last one.
         // The copy died with the cache — cancel here rather than apply
         // pages to a corpse. (Unreachable with the detector off.)
-        if !self.node(target).is_up() {
+        if !self.nodes[target].is_up() {
             self.cancel_backfills_targeting(target);
             return;
         }
@@ -1135,7 +1191,7 @@ impl ClusterState {
         if load == 0 {
             return None;
         }
-        let loads = self.balancer.lb.loads();
+        let loads = self.lb.loads();
         let live = |r: &usize| self.nodes[*r].is_up();
         let src = p.holders(hot).iter().copied().filter(live).max_by(|a, b| {
             loads[*a]
@@ -1165,7 +1221,7 @@ impl ClusterState {
     /// missed from the certifier's persistent log — paying cold-cache page
     /// reads — then the replica rejoins dispatch.
     fn on_replica_recover(&mut self, now: SimTime, replica: usize, queue: &mut EventQueue<Ev>) {
-        if self.node(replica).is_up() {
+        if self.nodes[replica].is_up() {
             return;
         }
         if self.detection_on() {
@@ -1175,15 +1231,15 @@ impl ClusterState {
             // those clients, since the suspicion sweep never comes.
             self.sweep_suspected(now, replica, queue);
         }
-        self.nodes[replica].mark_recovered();
         // Checkpoint-lag crash model: the durable on-disk state is a
         // checkpoint `k` versions behind what the replica had applied when
         // it died, so the replay window covers that redo prefix *plus*
         // whatever committed while it was down.
         let k = self.config.checkpoint_lag;
-        let from = Version(self.nodes[replica].replica().applied().0.saturating_sub(k));
+        let node = &mut self.nodes[replica];
+        let from = Version(node.applied().0.saturating_sub(k));
+        node.recover(from);
         if k > 0 {
-            self.nodes[replica].replica_mut().recover(from);
             let head = self.certifier.version();
             self.tracer.emit(
                 now,
@@ -1224,7 +1280,7 @@ impl ClusterState {
             self.recovering_until[replica] = replay_done;
             return;
         }
-        self.balancer.lb.replica_recovered(ReplicaId(replica));
+        self.lb.replica_recovered(ReplicaId(replica));
         // The crash-time re-replication widened holder sets to keep
         // `min_copies` *live* copies; this recovery may leave groups
         // over-replicated. Shrink back so placement converges instead of
@@ -1313,12 +1369,12 @@ impl ClusterState {
         self.certifier.occupy_nic(now, n as u64);
         let reachable: Vec<bool> = (0..n)
             .map(|r| {
-                self.node(r).is_up()
+                self.nodes[r].is_up()
                     && !self.partitioned(CONTROL_NODE, r)
                     && now >= self.recovering_until[r]
             })
             .collect();
-        for tr in self.balancer.observe_heartbeats(&reachable) {
+        for tr in self.detector.observe_heartbeats(&reachable) {
             self.apply_health_transition(now, tr, queue);
         }
         queue.schedule(now + period, Ev::HeartbeatTick);
@@ -1348,7 +1404,7 @@ impl ClusterState {
                 // Out of dispatch and MALB eligibility; in-flight work
                 // retries on survivors. Re-replication waits for *Dead* —
                 // a false suspicion must cost a filter-widen, not a copy.
-                self.balancer.lb.replica_failed(ReplicaId(replica));
+                self.lb.replica_failed(ReplicaId(replica));
                 self.sweep_suspected(now, replica, queue);
             }
             HealthTransition::Dead { replica } => {
@@ -1371,7 +1427,7 @@ impl ClusterState {
                 // The cheap rejoin: dispatch eligibility back on. Only a
                 // wrongly-declared death needs placement work — shrinking
                 // whatever re-replication over-copied.
-                self.balancer.lb.replica_recovered(ReplicaId(replica));
+                self.lb.replica_recovered(ReplicaId(replica));
                 if was_dead {
                     self.shrink_over_replicated(now);
                 }
@@ -1508,7 +1564,7 @@ impl ClusterState {
     /// longer waits on `txn` (a timeout or the sweep already took it).
     fn take_request(&mut self, client: usize, txn: TxnId) -> Option<TxnMeta> {
         let meta = self.txns[client].take_if(|meta| meta.txn == txn)?;
-        self.balancer.lb.complete(ReplicaId(meta.replica));
+        self.lb.complete(ReplicaId(meta.replica));
         Some(meta)
     }
 
@@ -1589,7 +1645,7 @@ impl ClusterState {
             // waiting transaction locally, freeing the Gatekeeper slot; the
             // commit (if any) reaches the replica later through propagation
             // after heal, and the client is rescued by timeout or sweep.
-            self.nodes[replica].release(now, txn, false, queue);
+            self.release(now, replica, txn, false, queue);
             return;
         }
         let done_at = match version {
@@ -1628,7 +1684,7 @@ impl ClusterState {
     ) {
         // A transaction the node no longer holds died in a crash, and its
         // response with it; the sweep answers the client.
-        let Some(client) = self.nodes[replica].release(now, txn, committed, queue) else {
+        let Some(client) = self.release(now, replica, txn, committed, queue) else {
             return;
         };
         // A client that stopped waiting (timeout or suspicion sweep) has
@@ -1681,13 +1737,13 @@ impl ClusterState {
         // A crashed replica does no maintenance, but the periodic chain
         // keeps ticking so it resumes seamlessly after recovery.
         if node.is_up() {
-            node.replica_mut().maintenance(now);
+            node.maintenance(now);
             if !cut {
                 self.certifier.maintenance_pull(now, node, &self.placement);
             }
             if round % 4 == 3 && !cut {
-                let report = node.replica_mut().sample_load(now);
-                self.balancer.lb.report(
+                let report = node.sample_load(now);
+                self.lb.report(
                     ReplicaId(replica),
                     ResourceLoad {
                         cpu: report.cpu,
@@ -1711,8 +1767,8 @@ impl ClusterState {
                             replica,
                             cpu: report.cpu,
                             disk: report.disk,
-                            queue: node.replica().outstanding(),
-                            resident_bytes: node.replica().resident_bytes(),
+                            queue: node.outstanding(),
+                            resident_bytes: node.resident_bytes(),
                             backfill_bytes,
                         },
                     );
@@ -1805,7 +1861,7 @@ mod tests {
         let head = state.certifier().version();
         assert!(head.0 > 0, "some updates committed");
         for i in 0..2 {
-            let lag = head.0 - state.node(i).replica().applied().0;
+            let lag = head.0 - state.node(i).applied().0;
             assert!(lag <= 30, "replica {i} lags {lag} commits");
         }
     }
@@ -1844,6 +1900,32 @@ mod tests {
         });
         assert_eq!(a, b);
         assert_eq!(a, run_fingerprint());
+    }
+
+    #[test]
+    fn in_memory_tracer_records_and_exports_no_file() {
+        let (mut state, mut queue) = tiny(PolicySpec::LeastConnections, 1, 3).build();
+        state.tracer = Tracer::in_memory(1 << 16);
+        state.run_to_end(&mut queue).expect("End event scheduled");
+        assert!(state
+            .tracer
+            .events()
+            .any(|e| e.data.kind_name() == "complete"));
+        let summary = state.finish_result(queue.now()).trace_summary;
+        assert!(summary.is_some_and(|s| s.emitted > 0 && s.dropped == 0));
+        // The config names no exporter, so exporting writes nothing.
+        assert!(!state.config.trace.enabled());
+        let listing = || {
+            let mut names: Vec<_> = std::fs::read_dir(".")
+                .expect("working directory is readable")
+                .map(|e| e.expect("directory entry").file_name())
+                .collect();
+            names.sort();
+            names
+        };
+        let before = listing();
+        state.export_traces().expect("nothing to write");
+        assert_eq!(listing(), before);
     }
 
     #[test]

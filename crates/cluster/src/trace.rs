@@ -346,7 +346,18 @@ impl Tracer {
     pub fn new(config: &TraceConfig) -> Self {
         Tracer {
             enabled: config.enabled(),
-            max_events: config.max_events.max(1),
+            ..Self::in_memory(config.max_events)
+        }
+    }
+
+    /// A tracer that records up to `max_events` events for its owner to read
+    /// ([`Self::events`]). The exporter paths live on the config, so
+    /// installed on a [`crate::state::ClusterState`] whose config names none,
+    /// it writes no file.
+    pub fn in_memory(max_events: usize) -> Self {
+        Tracer {
+            enabled: true,
+            max_events: max_events.max(1),
             events: VecDeque::new(),
             dropped: 0,
             counts: [0; NKINDS],
@@ -806,14 +817,6 @@ pub fn json_escape(s: &str) -> String {
 mod tests {
     use super::*;
 
-    fn enabled_config(max_events: usize) -> TraceConfig {
-        TraceConfig {
-            jsonl_path: Some("/tmp/unused.jsonl".into()),
-            chrome_path: None,
-            max_events,
-        }
-    }
-
     fn step(txn: u64) -> TraceData {
         TraceData::Step {
             txn,
@@ -860,7 +863,7 @@ mod tests {
 
     #[test]
     fn ring_buffer_drops_oldest_and_accounts() {
-        let mut t = Tracer::new(&enabled_config(3));
+        let mut t = Tracer::in_memory(3);
         for i in 0..5 {
             t.emit(SimTime::from_micros(i), step(i));
         }
@@ -886,7 +889,7 @@ mod tests {
 
     #[test]
     fn jsonl_escapes_type_names_and_descs() {
-        let mut t = Tracer::new(&enabled_config(16));
+        let mut t = Tracer::in_memory(16);
         t.emit(
             SimTime::from_micros(5),
             TraceData::Arrive {
@@ -921,7 +924,7 @@ mod tests {
 
     #[test]
     fn chrome_export_pairs_lifecycle_slices() {
-        let mut t = Tracer::new(&enabled_config(64));
+        let mut t = Tracer::in_memory(64);
         t.emit(
             SimTime::from_micros(100),
             TraceData::Arrive {
@@ -974,7 +977,7 @@ mod tests {
 
     #[test]
     fn detector_kinds_export_and_count() {
-        let mut t = Tracer::new(&enabled_config(64));
+        let mut t = Tracer::in_memory(64);
         t.emit(
             SimTime::from_micros(10),
             TraceData::HeartbeatMiss {
@@ -1040,7 +1043,7 @@ mod tests {
 
     #[test]
     fn summary_counts_every_kind() {
-        let mut t = Tracer::new(&enabled_config(64));
+        let mut t = Tracer::in_memory(64);
         t.emit(
             SimTime::ZERO,
             TraceData::Lb {

@@ -1,6 +1,6 @@
 //! Transaction plans: the memory- and CPU-relevant shape of a transaction type.
 
-use tashkent_storage::{Catalog, RelationId};
+use tashkent_storage::RelationId;
 
 use crate::types::TxnTypeId;
 
@@ -134,59 +134,6 @@ impl TxnPlan {
     pub fn is_update(&self) -> bool {
         self.steps.iter().any(|s| matches!(s, PlanStep::Write(_)))
     }
-
-    /// All relations referenced by the plan (reads and writes), deduplicated,
-    /// in first-reference order.
-    pub fn referenced_relations(&self) -> Vec<RelationId> {
-        let mut out = Vec::new();
-        for step in &self.steps {
-            let rel = match step {
-                PlanStep::Read { rel, .. } => *rel,
-                PlanStep::Write(w) => w.rel,
-            };
-            if !out.contains(&rel) {
-                out.push(rel);
-            }
-        }
-        out
-    }
-
-    /// Relations written by the plan, deduplicated, in first-write order.
-    pub fn written_relations(&self) -> Vec<RelationId> {
-        let mut out = Vec::new();
-        for step in &self.steps {
-            if let PlanStep::Write(w) = step {
-                if !out.contains(&w.rel) {
-                    out.push(w.rel);
-                }
-            }
-        }
-        out
-    }
-
-    /// Expected number of pages processed per execution, given a catalog.
-    ///
-    /// Used for calibration and sanity tests; the executor is the ground
-    /// truth.
-    pub fn expected_pages(&self, catalog: &Catalog) -> f64 {
-        let mut pages = 0.0;
-        for step in &self.steps {
-            match step {
-                PlanStep::Read { rel, access } => {
-                    let n = catalog.get(*rel).pages as f64;
-                    pages += match access {
-                        Access::SeqScan => n,
-                        Access::RangeScan { fraction, .. } => n * fraction,
-                        // Root-ish index page + leaf + heap per lookup ≈ 3,
-                        // counted on the indexed table's side.
-                        Access::IndexLookup { lookups, .. } => *lookups as f64 * 3.0,
-                    };
-                }
-                PlanStep::Write(w) => pages += w.rows as f64,
-            }
-        }
-        pages
-    }
 }
 
 /// A named transaction type: id, name, and plan.
@@ -245,62 +192,6 @@ mod tests {
             }),
         ]);
         assert!(rw.is_update());
-    }
-
-    #[test]
-    fn referenced_relations_dedup_in_order() {
-        let (_, orders, item, idx) = catalog();
-        let plan = TxnPlan::new(vec![
-            PlanStep::Read {
-                rel: idx,
-                access: Access::IndexLookup {
-                    lookups: 2,
-                    theta: 0.0,
-                },
-            },
-            PlanStep::Read {
-                rel: orders,
-                access: Access::SeqScan,
-            },
-            PlanStep::Write(WriteSpec {
-                rel: orders,
-                rows: 1,
-                kind: WriteKind::Update,
-                theta: 0.0,
-            }),
-            PlanStep::Read {
-                rel: item,
-                access: Access::SeqScan,
-            },
-        ]);
-        assert_eq!(plan.referenced_relations(), vec![idx, orders, item]);
-        assert_eq!(plan.written_relations(), vec![orders]);
-    }
-
-    #[test]
-    fn expected_pages_accounts_access_kinds() {
-        let (c, orders, item, idx) = catalog();
-        let plan = TxnPlan::new(vec![
-            PlanStep::Read {
-                rel: orders,
-                access: Access::SeqScan,
-            },
-            PlanStep::Read {
-                rel: item,
-                access: Access::RangeScan {
-                    fraction: 0.5,
-                    recent: true,
-                },
-            },
-            PlanStep::Read {
-                rel: idx,
-                access: Access::IndexLookup {
-                    lookups: 4,
-                    theta: 0.0,
-                },
-            },
-        ]);
-        assert_eq!(plan.expected_pages(&c), 100.0 + 25.0 + 12.0);
     }
 
     #[test]

@@ -2,9 +2,9 @@
 //!
 //! "The load balancer continuously receives replica load information on the
 //! CPU and the disk I/O channel utilization from lightweight daemons running
-//! on each of the replicas" (§2.4). The daemon samples both servers each
-//! period, smooths the utilizations with an EWMA, and emits a
-//! [`LoadReport`].
+//! on each of the replicas" (§2.4). Each time its owner samples (every
+//! second in the cluster), the daemon reads both servers' busy time,
+//! smooths the utilizations with an EWMA, and emits a [`LoadReport`].
 
 use tashkent_sim::{Ewma, SimTime};
 
@@ -28,39 +28,28 @@ impl LoadReport {
     }
 }
 
-/// Samples and smooths CPU/disk utilization for one replica.
+/// Samples and smooths CPU/disk utilization for one replica; its owner
+/// decides when to sample.
 #[derive(Debug, Clone)]
 pub struct LoadDaemon {
-    period: SimTime,
     last_sample: SimTime,
     cpu: Ewma,
     disk: Ewma,
 }
 
 impl LoadDaemon {
-    /// Creates a daemon sampling every `period` with EWMA weight `alpha`.
-    pub fn new(period: SimTime, alpha: f64) -> Self {
+    /// Creates a daemon smoothing with EWMA weight `alpha`.
+    pub fn new(alpha: f64) -> Self {
         LoadDaemon {
-            period,
             last_sample: SimTime::ZERO,
             cpu: Ewma::new(alpha),
             disk: Ewma::new(alpha),
         }
     }
 
-    /// Paper-shaped default: 1 s samples, α = 0.3.
+    /// Paper-shaped default: α = 0.3 (the cluster samples every 1 s).
     pub fn paper_default() -> Self {
-        Self::new(SimTime::from_secs(1), 0.3)
-    }
-
-    /// Sampling period.
-    pub fn period(&self) -> SimTime {
-        self.period
-    }
-
-    /// Time the next sample is due.
-    pub fn next_sample(&self) -> SimTime {
-        self.last_sample + self.period.as_micros()
+        Self::new(0.3)
     }
 
     /// Takes a sample at `now`, draining the servers' busy-time windows.
@@ -124,7 +113,7 @@ mod tests {
 
     #[test]
     fn utilization_is_busy_over_interval() {
-        let mut d = LoadDaemon::new(SimTime::from_secs(1), 1.0);
+        let mut d = LoadDaemon::new(1.0);
         let mut cpu = CpuServer::new();
         let mut disk = DiskModel::default();
         cpu.run(SimTime::ZERO, 250_000); // 0.25 s of work in a 1 s window
@@ -134,7 +123,7 @@ mod tests {
 
     #[test]
     fn saturated_server_clamps_to_one() {
-        let mut d = LoadDaemon::new(SimTime::from_secs(1), 1.0);
+        let mut d = LoadDaemon::new(1.0);
         let mut cpu = CpuServer::new();
         let mut disk = DiskModel::new(DiskParams {
             seek_us: 10_000,
@@ -149,7 +138,7 @@ mod tests {
 
     #[test]
     fn ewma_smooths_between_samples() {
-        let mut d = LoadDaemon::new(SimTime::from_secs(1), 0.5);
+        let mut d = LoadDaemon::new(0.5);
         let mut cpu = CpuServer::new();
         let mut disk = DiskModel::default();
         cpu.run(SimTime::ZERO, 1_000_000);
@@ -170,15 +159,5 @@ mod tests {
             disk: 0.1,
         };
         assert_eq!(r2.bottleneck(), 0.9);
-    }
-
-    #[test]
-    fn next_sample_tracks_period() {
-        let mut d = LoadDaemon::new(SimTime::from_secs(1), 0.3);
-        assert_eq!(d.next_sample(), SimTime::from_secs(1));
-        let mut cpu = CpuServer::new();
-        let mut disk = DiskModel::default();
-        d.sample(SimTime::from_secs(1), &mut cpu, &mut disk);
-        assert_eq!(d.next_sample(), SimTime::from_secs(2));
     }
 }

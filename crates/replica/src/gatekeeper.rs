@@ -45,19 +45,9 @@ impl Gatekeeper {
         }
     }
 
-    /// The multiprogramming limit.
-    pub fn mpl(&self) -> usize {
-        self.mpl
-    }
-
     /// Transactions currently inside the database.
     pub fn in_flight(&self) -> usize {
         self.in_flight
-    }
-
-    /// Transactions waiting at the proxy.
-    pub fn queued(&self) -> usize {
-        self.queue.len()
     }
 
     /// Total load visible to connection-counting balancers: running + queued.
@@ -113,7 +103,6 @@ mod tests {
         assert!(gk.admit(TxnId(3)));
         assert!(!gk.admit(TxnId(4)));
         assert_eq!(gk.in_flight(), 3);
-        assert_eq!(gk.queued(), 1);
         assert_eq!(gk.outstanding(), 4);
     }
 

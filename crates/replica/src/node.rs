@@ -2,15 +2,17 @@
 //!
 //! A [`ReplicaNode`] owns one replica's storage (buffer pool, disk channel,
 //! background writer), its CPU server, the Gatekeeper, the update filter,
-//! and the set of running transactions. The cluster event loop drives it:
+//! its liveness, and the table of transactions its proxy holds. The cluster
+//! event loop drives it:
 //!
-//! 1. [`ReplicaNode::submit`] hands it a transaction executor (admission may
-//!    queue it),
+//! 1. [`ReplicaNode::submit`] hands it a client's transaction executor
+//!    (admission may queue it); the proxy holds it from then on,
 //! 2. [`ReplicaNode::step`] advances one transaction by a CPU quantum or one
 //!    disk read and reports when to call again,
 //! 3. on [`StepOutcome::ReadyToCommit`] the cluster certifies the writeset,
 //!    applies remote writesets via [`ReplicaNode::apply_writesets`], and
-//!    finishes with [`ReplicaNode::finish`].
+//!    frees the Gatekeeper slot with [`ReplicaNode::release`], which
+//!    returns the client.
 //!
 //! Modelling note: a missed page is installed in the buffer pool at submit
 //! time while its read completes later on the simulated disk; concurrent
@@ -20,7 +22,7 @@
 
 use std::collections::HashMap;
 
-use tashkent_engine::{Snapshot, TxnExecutor, TxnId, Version, Writeset};
+use tashkent_engine::{Snapshot, TxnExecutor, TxnId, TxnTypeId, Version, Writeset};
 use tashkent_sim::{SimRng, SimTime};
 use tashkent_storage::{
     BackgroundWriter, BufferPool, Catalog, DiskModel, DiskParams, DiskRequest, RelationSet,
@@ -99,8 +101,20 @@ pub struct ReplicaStats {
     pub items_backfilled: u64,
 }
 
-/// One replica: storage, CPU, proxy, and running transactions.
+/// A transaction the proxy holds, from [`ReplicaNode::submit`] until
+/// [`ReplicaNode::release`].
+struct Held {
+    client: usize,
+    txn_type: TxnTypeId,
+    /// The executor while the plan runs (or waits for admission); `None`
+    /// once it has ended and the outcome is pending.
+    exec: Option<TxnExecutor>,
+}
+
+/// One replica: storage, CPU, proxy, and the transactions it holds.
 pub struct ReplicaNode {
+    id: usize,
+    up: bool,
     catalog: Catalog,
     pool: BufferPool,
     disk: DiskModel,
@@ -112,14 +126,18 @@ pub struct ReplicaNode {
     rng: SimRng,
     config: ReplicaConfig,
     applied: Version,
-    running: HashMap<TxnId, TxnExecutor>,
+    /// Every transaction the proxy has admitted or queued. A crash clears
+    /// it.
+    held: HashMap<TxnId, Held>,
     stats: ReplicaStats,
 }
 
 impl ReplicaNode {
-    /// Creates a cold replica over `catalog`.
-    pub fn new(catalog: Catalog, config: ReplicaConfig, rng: SimRng) -> Self {
+    /// Creates cold, live replica `id` over `catalog`.
+    pub fn new(id: usize, catalog: Catalog, config: ReplicaConfig, rng: SimRng) -> Self {
         ReplicaNode {
+            id,
+            up: true,
             pool: BufferPool::with_capacity_bytes(config.mem_bytes, catalog.clone()),
             disk: DiskModel::new(DiskParams::default()),
             cpu: CpuServer::new(),
@@ -131,9 +149,19 @@ impl ReplicaNode {
             catalog,
             config,
             applied: Version::ZERO,
-            running: HashMap::new(),
+            held: HashMap::new(),
             stats: ReplicaStats::default(),
         }
+    }
+
+    /// Replica index within the cluster.
+    pub fn id(&self) -> usize {
+        self.id
+    }
+
+    /// Whether the replica is serving (not crashed).
+    pub fn is_up(&self) -> bool {
+        self.up
     }
 
     /// The replica's applied database version.
@@ -204,27 +232,40 @@ impl ReplicaNode {
         self.filter = filter;
     }
 
-    /// Whether `txn` is executing (or queued) on this replica. A crash
-    /// drops all running transactions, so step events scheduled before the
-    /// crash may refer to transactions that no longer exist.
+    /// Whether `txn`'s plan is executing (or queued) on this replica. A
+    /// crash drops every held transaction, so step events scheduled before
+    /// the crash may refer to transactions that no longer exist.
     pub fn is_running(&self, txn: TxnId) -> bool {
-        self.running.contains_key(&txn)
+        self.held.get(&txn).is_some_and(|h| h.exec.is_some())
     }
 
     /// The oldest snapshot among the transactions executing or queued here,
     /// if any: the certifier may still check their writesets against the
     /// log entries after it.
     pub fn oldest_snapshot(&self) -> Option<Version> {
-        self.running.values().map(|e| e.snapshot().version).min()
+        self.held
+            .values()
+            .filter_map(|h| h.exec.as_ref())
+            .map(|e| e.snapshot().version)
+            .min()
     }
 
-    /// Submits a transaction; returns `true` when admitted (step it now) or
-    /// `false` when queued behind the Gatekeeper.
-    pub fn submit(&mut self, executor: TxnExecutor) -> bool {
-        let id = executor.txn();
-        let admitted = self.gatekeeper.admit(id);
-        self.running.insert(id, executor);
-        admitted
+    /// The type of `txn` while the proxy holds it.
+    pub fn held(&self, txn: TxnId) -> Option<TxnTypeId> {
+        self.held.get(&txn).map(|h| h.txn_type)
+    }
+
+    /// Holds `client`'s transaction until its release; returns `true` when
+    /// admitted (step it now) or `false` when queued behind the Gatekeeper.
+    pub fn submit(&mut self, client: usize, executor: TxnExecutor) -> bool {
+        let txn = executor.txn();
+        let held = Held {
+            client,
+            txn_type: executor.txn_type(),
+            exec: Some(executor),
+        };
+        self.held.insert(txn, held);
+        self.gatekeeper.admit(txn)
     }
 
     /// Advances transaction `txn` from time `now`.
@@ -237,20 +278,20 @@ impl ReplicaNode {
     ///
     /// Panics if `txn` is not running on this replica.
     pub fn step(&mut self, txn: TxnId, now: SimTime) -> StepOutcome {
-        let executor = self
-            .running
+        let slot = &mut self
+            .held
             .get_mut(&txn)
-            .unwrap_or_else(|| panic!("step of unknown transaction {txn}"));
+            .unwrap_or_else(|| panic!("step of unknown transaction {txn}"))
+            .exec;
+        let executor = slot
+            .as_mut()
+            .unwrap_or_else(|| panic!("step of finished transaction {txn}"));
         let mut cpu_accum: u64 = 0;
         loop {
             match executor.next_touch(&self.catalog, &mut self.rng) {
                 None => {
                     let done = self.cpu.run(now, cpu_accum);
-                    let ws = self
-                        .running
-                        .remove(&txn)
-                        .expect("stepped above")
-                        .into_writeset();
+                    let ws = slot.take().expect("stepped above").into_writeset();
                     return if ws.is_empty() {
                         StepOutcome::Done(done)
                     } else {
@@ -297,13 +338,17 @@ impl ReplicaNode {
         }
     }
 
-    /// Completes a transaction (after commit, read-only completion, or
-    /// abort); returns the next Gatekeeper-admitted transaction, if any.
-    pub fn finish(&mut self, committed: bool) -> Option<TxnId> {
+    /// Frees `txn`'s Gatekeeper slot after its outcome (commit, read-only
+    /// completion, abort, or a lost certifier connection) and returns its
+    /// client with the queued transaction now admitted, if any. A
+    /// transaction the proxy does not hold (a crash dropped it) frees
+    /// nothing.
+    pub fn release(&mut self, txn: TxnId, committed: bool) -> Option<(usize, Option<TxnId>)> {
+        let held = self.held.remove(&txn)?;
         if committed {
             self.stats.local_completed += 1;
         }
-        self.gatekeeper.release()
+        Some((held.client, self.gatekeeper.release()))
     }
 
     /// Marks a committed local update as applied: the replica's own writes
@@ -454,17 +499,22 @@ impl ReplicaNode {
         self.daemon.sample(now, &mut self.cpu, &mut self.disk)
     }
 
-    /// Crashes the replica: cold cache, all in-flight work lost (the
-    /// cluster retries the dropped transactions' clients elsewhere).
+    /// Crashes the replica: marked down, cold cache, admission queue
+    /// drained, and every held transaction forgotten, so their late events
+    /// free no slot. Their clients still wait on them until the cluster
+    /// answers (suspicion sweep or timeout).
     pub fn crash(&mut self) {
+        self.up = false;
         self.pool = BufferPool::with_capacity_bytes(self.config.mem_bytes, self.catalog.clone());
-        self.running.clear();
+        self.held.clear();
         self.gatekeeper.clear();
     }
 
-    /// Recovers the replica to `version` (standard recovery from the
-    /// certifier's persistent log or a peer copy, §3); the cache stays cold.
+    /// Brings the replica up at `version`, its durable prefix (standard
+    /// recovery from the certifier's persistent log or a peer copy, §3);
+    /// the cache stays cold.
     pub fn recover(&mut self, version: Version) {
+        self.up = true;
         self.applied = version;
     }
 }
@@ -491,7 +541,7 @@ mod tests {
             mem_bytes: pages * tashkent_storage::PAGE_SIZE,
             ..ReplicaConfig::default()
         };
-        ReplicaNode::new(catalog(), config, SimRng::seed_from(7))
+        ReplicaNode::new(0, catalog(), config, SimRng::seed_from(7))
     }
 
     fn scan_plan(c: &Catalog, rel: &str) -> TxnPlan {
@@ -520,7 +570,7 @@ mod tests {
             scan_plan(&c, "item"),
             node.snapshot(),
         );
-        assert!(node.submit(ex));
+        assert!(node.submit(0, ex));
         let out = run_to_completion(&mut node, TxnId(1), SimTime::ZERO);
         match out {
             StepOutcome::Done(t) => assert!(t > SimTime::ZERO),
@@ -528,7 +578,7 @@ mod tests {
         }
         // Cold cache: all 16 pages read from disk.
         assert_eq!(node.disk_stats().read_pages, 16);
-        assert_eq!(node.finish(true), None);
+        assert_eq!(node.release(TxnId(1), true), Some((0, None)));
         assert_eq!(node.stats().local_completed, 1);
     }
 
@@ -543,9 +593,9 @@ mod tests {
                 scan_plan(&c, "item"),
                 node.snapshot(),
             );
-            node.submit(ex);
+            node.submit(0, ex);
             run_to_completion(&mut node, TxnId(i), SimTime::ZERO);
-            node.finish(true);
+            node.release(TxnId(i), true);
         }
         // Second scan hit entirely in memory.
         assert_eq!(node.disk_stats().read_pages, 16);
@@ -564,9 +614,9 @@ mod tests {
                 scan_plan(&c, "orders"),
                 node.snapshot(),
             );
-            node.submit(ex);
+            node.submit(0, ex);
             run_to_completion(&mut node, TxnId(i), SimTime::ZERO);
-            node.finish(true);
+            node.release(TxnId(i), true);
         }
         assert_eq!(node.disk_stats().read_pages, 128, "no reuse when thrashing");
     }
@@ -582,7 +632,7 @@ mod tests {
             theta: 0.0,
         })]);
         let ex = TxnExecutor::new(TxnId(5), TxnTypeId(1), plan, node.snapshot());
-        node.submit(ex);
+        node.submit(0, ex);
         match run_to_completion(&mut node, TxnId(5), SimTime::ZERO) {
             StepOutcome::ReadyToCommit(_, ws) => {
                 assert!(!ws.is_empty());
@@ -592,7 +642,7 @@ mod tests {
         }
         node.commit_local(Version(1));
         assert_eq!(node.applied(), Version(1));
-        node.finish(true);
+        node.release(TxnId(5), true);
     }
 
     #[test]
@@ -677,9 +727,9 @@ mod tests {
                 scan_plan(&c, rel),
                 node.snapshot(),
             );
-            node.submit(ex);
+            node.submit(0, ex);
             run_to_completion(&mut node, TxnId(i as u64), SimTime::ZERO);
-            node.finish(true);
+            node.release(TxnId(i as u64), true);
         }
         node.set_filter(UpdateFilter::only([item]));
         // Orders (and its index) evicted; item stays warm.
@@ -730,7 +780,7 @@ mod tests {
             mpl: 1,
             ..ReplicaConfig::default()
         };
-        let mut node = ReplicaNode::new(catalog(), config, SimRng::seed_from(1));
+        let mut node = ReplicaNode::new(0, catalog(), config, SimRng::seed_from(1));
         let c = node.catalog().clone();
         let ex1 = TxnExecutor::new(
             TxnId(1),
@@ -744,11 +794,11 @@ mod tests {
             scan_plan(&c, "item"),
             node.snapshot(),
         );
-        assert!(node.submit(ex1));
-        assert!(!node.submit(ex2));
+        assert!(node.submit(0, ex1));
+        assert!(!node.submit(1, ex2));
         assert_eq!(node.outstanding(), 2);
         run_to_completion(&mut node, TxnId(1), SimTime::ZERO);
-        assert_eq!(node.finish(true), Some(TxnId(2)));
+        assert_eq!(node.release(TxnId(1), true), Some((0, Some(TxnId(2)))));
     }
 
     #[test]
@@ -762,7 +812,7 @@ mod tests {
             scan_plan(&c, "item"),
             node.snapshot(),
         );
-        node.submit(ex);
+        node.submit(0, ex);
         node.crash();
         assert_eq!(node.outstanding(), 0);
         node.recover(Version(5));
@@ -779,5 +829,103 @@ mod tests {
         // Heap pages of both rows plus the orders_pk maintenance page.
         assert_eq!(flushed, 3);
         assert_eq!(node.disk_stats().write_pages, 3);
+    }
+
+    /// Node with MPL 1 holding `scan`s of `item` as transactions `txns`,
+    /// client `10 + id` each, all at the node's current snapshot.
+    fn mpl1_node_holding(txns: &[u64]) -> ReplicaNode {
+        let config = ReplicaConfig {
+            mpl: 1,
+            ..ReplicaConfig::default()
+        };
+        let mut node = ReplicaNode::new(0, catalog(), config, SimRng::seed_from(1));
+        let c = node.catalog().clone();
+        for &id in txns {
+            let ex = TxnExecutor::new(
+                TxnId(id),
+                TxnTypeId(3),
+                scan_plan(&c, "item"),
+                node.snapshot(),
+            );
+            node.submit(10 + id as usize, ex);
+        }
+        node
+    }
+
+    #[test]
+    fn held_until_release_returns_client_and_admits_next() {
+        let mut node = mpl1_node_holding(&[1, 2]);
+        run_to_completion(&mut node, TxnId(1), SimTime::ZERO);
+        // The plan has ended; the proxy still holds the outcome's slot.
+        assert!(!node.is_running(TxnId(1)));
+        assert_eq!(node.held(TxnId(1)), Some(TxnTypeId(3)));
+        assert_eq!(node.outstanding(), 2);
+        assert_eq!(
+            node.release(TxnId(1), true),
+            Some((11, Some(TxnId(2)))),
+            "client of txn 1 answered, queued txn 2 admitted"
+        );
+        assert_eq!(node.held(TxnId(1)), None);
+        assert_eq!(node.release(TxnId(1), true), None, "released once");
+        assert!(node.is_running(TxnId(2)));
+        assert_eq!(node.stats().local_completed, 1);
+    }
+
+    #[test]
+    fn crash_forgets_held_transactions_and_stays_down_until_recover() {
+        let mut node = mpl1_node_holding(&[1, 2]);
+        run_to_completion(&mut node, TxnId(1), SimTime::ZERO);
+        node.crash();
+        assert!(!node.is_up());
+        assert_eq!(node.held(TxnId(1)), None);
+        assert!(!node.is_running(TxnId(2)));
+        assert_eq!(node.outstanding(), 0);
+        // A late outcome frees nothing: an empty Gatekeeper would panic.
+        assert_eq!(node.release(TxnId(1), true), None);
+        assert!(!node.is_up(), "a late release does not revive the node");
+        node.recover(node.applied());
+        assert!(node.is_up());
+        let c = node.catalog().clone();
+        let ex = TxnExecutor::new(
+            TxnId(3),
+            TxnTypeId(0),
+            scan_plan(&c, "item"),
+            node.snapshot(),
+        );
+        assert!(node.submit(13, ex));
+        // Neither dropped transaction touches the new one's slot.
+        assert_eq!(node.release(TxnId(2), false), None);
+        assert_eq!(node.outstanding(), 1);
+        assert_eq!(node.stats().local_completed, 0);
+    }
+
+    #[test]
+    fn running_and_oldest_snapshot_count_only_running_plans() {
+        let mut node = node_with_mem(128);
+        let c = node.catalog().clone();
+        let old = TxnExecutor::new(
+            TxnId(1),
+            TxnTypeId(0),
+            scan_plan(&c, "item"),
+            node.snapshot(),
+        );
+        node.submit(0, old);
+        node.apply_writesets(SimTime::ZERO, log_of(&[&[(2, 1)]]).since(Version(0)));
+        let new = TxnExecutor::new(
+            TxnId(2),
+            TxnTypeId(0),
+            scan_plan(&c, "item"),
+            node.snapshot(),
+        );
+        node.submit(1, new);
+        assert_eq!(node.oldest_snapshot(), Some(Version(0)));
+        run_to_completion(&mut node, TxnId(1), SimTime::ZERO);
+        // Txn 1 is held until its release but no longer counts.
+        assert!(node.held(TxnId(1)).is_some());
+        assert!(!node.is_running(TxnId(1)));
+        assert_eq!(node.oldest_snapshot(), Some(Version(1)));
+        run_to_completion(&mut node, TxnId(2), SimTime::ZERO);
+        assert!(!node.is_running(TxnId(2)));
+        assert_eq!(node.oldest_snapshot(), None);
     }
 }

@@ -124,11 +124,6 @@ impl DiskModel {
         }
     }
 
-    /// Timing parameters in use.
-    pub fn params(&self) -> DiskParams {
-        self.params
-    }
-
     /// Cumulative counters.
     pub fn stats(&self) -> DiskStats {
         self.stats

@@ -7,19 +7,10 @@
 //! indices; `AboutMe` is the "large, frequent transaction that reads from
 //! almost all the tables in the database".
 
-use tashkent_engine::{
-    Access, CpuCosts, PlanStep, TxnPlan, TxnType, TxnTypeId, WriteKind, WriteSpec,
-};
-use tashkent_storage::{Catalog, RelationId, PAGE_SIZE};
+use tashkent_engine::{Access, CpuCosts, TxnPlan, TxnType, TxnTypeId};
+use tashkent_storage::{Catalog, RelationId};
 
-use crate::spec::{Mix, Workload};
-
-/// Heap fill factor (same as TPC-W).
-const FILL: f64 = 0.85;
-
-fn pages(rows: u64, width: u64) -> u32 {
-    (((rows * width) as f64) / (PAGE_SIZE as f64 * FILL)).ceil() as u32
-}
+use crate::spec::{insert, lookups, pages, read, update, Mix, Workload};
 
 /// Relation ids of the RUBiS schema.
 #[derive(Debug, Clone, Copy)]
@@ -90,32 +81,6 @@ pub fn schema() -> (Catalog, RubisRels) {
         regions,
     };
     (c, rels)
-}
-
-fn read(rel: RelationId, access: Access) -> PlanStep {
-    PlanStep::Read { rel, access }
-}
-
-fn lookups(rel: RelationId, n: u32, theta: f64) -> PlanStep {
-    read(rel, Access::IndexLookup { lookups: n, theta })
-}
-
-fn update(rel: RelationId, rows: u32, theta: f64) -> PlanStep {
-    PlanStep::Write(WriteSpec {
-        rel,
-        rows,
-        kind: WriteKind::Update,
-        theta,
-    })
-}
-
-fn insert(rel: RelationId, rows: u32) -> PlanStep {
-    PlanStep::Write(WriteSpec {
-        rel,
-        rows,
-        kind: WriteKind::Insert,
-        theta: 0.0,
-    })
 }
 
 const OLTP_CPU: CpuCosts = CpuCosts {

@@ -1,9 +1,9 @@
 //! Workload and mix specifications.
 
 use tashkent_core::{Estimates, WorkingSetEstimator};
-use tashkent_engine::{ExplainPlan, TxnType, TxnTypeId};
+use tashkent_engine::{Access, ExplainPlan, PlanStep, TxnType, TxnTypeId, WriteKind, WriteSpec};
 use tashkent_sim::SimRng;
-use tashkent_storage::Catalog;
+use tashkent_storage::{Catalog, RelationId, PAGE_SIZE};
 
 /// A complete workload: schema plus transaction types.
 #[derive(Debug, Clone)]
@@ -107,6 +107,42 @@ impl Mix {
             .map(|(i, _)| TxnTypeId(i as u32))
             .collect()
     }
+}
+
+// Schema and plan building blocks shared by the TPC-W and RUBiS models.
+
+/// Heap fill factor: fraction of each page holding live rows.
+const FILL: f64 = 0.85;
+
+/// Pages needed for `rows` rows of `width` bytes.
+pub(crate) fn pages(rows: u64, width: u64) -> u32 {
+    (((rows * width) as f64) / (PAGE_SIZE as f64 * FILL)).ceil() as u32
+}
+
+pub(crate) fn read(rel: RelationId, access: Access) -> PlanStep {
+    PlanStep::Read { rel, access }
+}
+
+pub(crate) fn lookups(rel: RelationId, n: u32, theta: f64) -> PlanStep {
+    read(rel, Access::IndexLookup { lookups: n, theta })
+}
+
+pub(crate) fn update(rel: RelationId, rows: u32, theta: f64) -> PlanStep {
+    PlanStep::Write(WriteSpec {
+        rel,
+        rows,
+        kind: WriteKind::Update,
+        theta,
+    })
+}
+
+pub(crate) fn insert(rel: RelationId, rows: u32) -> PlanStep {
+    PlanStep::Write(WriteSpec {
+        rel,
+        rows,
+        kind: WriteKind::Insert,
+        theta: 0.0,
+    })
 }
 
 #[cfg(test)]

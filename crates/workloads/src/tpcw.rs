@@ -14,9 +14,9 @@
 use tashkent_engine::{
     Access, CpuCosts, PlanStep, TxnPlan, TxnType, TxnTypeId, WriteKind, WriteSpec,
 };
-use tashkent_storage::{Catalog, RelationId, PAGE_SIZE};
+use tashkent_storage::{Catalog, RelationId};
 
-use crate::spec::{Mix, Workload};
+use crate::spec::{insert, lookups, pages, read, update, Mix, Workload};
 
 /// Database scale presets used throughout the evaluation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -51,14 +51,6 @@ impl TpcwScale {
 
 /// Names of the three TPC-W mixes.
 pub const TPCW_MIXES: [&str; 3] = ["ordering", "shopping", "browsing"];
-
-/// Heap fill factor: fraction of each page holding live rows.
-const FILL: f64 = 0.85;
-
-/// Pages needed for `rows` rows of `width` bytes.
-fn pages(rows: u64, width: u64) -> u32 {
-    (((rows * width) as f64) / (PAGE_SIZE as f64 * FILL)).ceil() as u32
-}
 
 /// Relation ids of the TPC-W schema, for plan construction.
 #[derive(Debug, Clone, Copy)]
@@ -163,23 +155,6 @@ pub fn schema(ebs: u64) -> (Catalog, TpcwRels) {
     (c, rels)
 }
 
-fn read(rel: RelationId, access: Access) -> PlanStep {
-    PlanStep::Read { rel, access }
-}
-
-fn lookups(rel: RelationId, n: u32, theta: f64) -> PlanStep {
-    read(rel, Access::IndexLookup { lookups: n, theta })
-}
-
-fn update(rel: RelationId, rows: u32, theta: f64) -> PlanStep {
-    PlanStep::Write(WriteSpec {
-        rel,
-        rows,
-        kind: WriteKind::Update,
-        theta,
-    })
-}
-
 /// Session-local update: a client writing its own recent row (cart,
 /// customer record) — uniform over the relation's active tail.
 fn update_tail(rel: RelationId, rows: u32, window: u64) -> PlanStep {
@@ -187,15 +162,6 @@ fn update_tail(rel: RelationId, rows: u32, window: u64) -> PlanStep {
         rel,
         rows,
         kind: WriteKind::UpdateTail { window },
-        theta: 0.0,
-    })
-}
-
-fn insert(rel: RelationId, rows: u32) -> PlanStep {
-    PlanStep::Write(WriteSpec {
-        rel,
-        rows,
-        kind: WriteKind::Insert,
         theta: 0.0,
     })
 }
@@ -491,6 +457,7 @@ pub fn workload_with_mix(scale: TpcwScale, name: &str) -> (Workload, Mix) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tashkent_storage::PAGE_SIZE;
 
     const GB: f64 = 1024.0 * 1024.0 * 1024.0;
 

@@ -15,28 +15,7 @@
 
 use std::process::ExitCode;
 
-/// Event kinds the cluster's tracer emits (`crates/cluster/src/trace.rs`
-/// `KIND_NAMES`), plus the `summary` trailer.
-const KNOWN_KINDS: [&str; 18] = [
-    "arrive",
-    "dispatch",
-    "step",
-    "certify",
-    "complete",
-    "gaveup",
-    "util",
-    "fault",
-    "lb",
-    "rebalance",
-    "backfill_chunk",
-    "backfill_done",
-    "suspect",
-    "unsuspect",
-    "heartbeat_miss",
-    "redo_start",
-    "redo_done",
-    "summary",
-];
+use tashkent_cluster::trace::KIND_NAMES;
 
 /// A parsed JSON value (only the shapes the trace schema uses).
 #[derive(Debug, PartialEq)]
@@ -259,7 +238,8 @@ fn check_line(line: &str) -> Result<String, String> {
         Some(_) => return Err("\"k\" is not a string".to_string()),
         None => return Err("missing \"k\" kind tag".to_string()),
     };
-    if !KNOWN_KINDS.contains(&kind.as_str()) {
+    // The tracer's event kinds, plus the `summary` trailer.
+    if kind != "summary" && !KIND_NAMES.contains(&kind.as_str()) {
         return Err(format!("unknown kind {kind:?}"));
     }
     if kind != "summary" {

@@ -97,13 +97,13 @@ fn main() {
     queue.schedule(SimTime::from_secs(8), Ev::End);
     state.run_to_end(&mut queue).expect("End event scheduled");
     assert_eq!(
-        state.node(victim).replica().applied(),
+        state.node(victim).applied(),
         state.certifier().version(),
         "recovery must catch the replica up to the certifier log"
     );
     println!(
         "\nlow-level check: recovered replica applied v{} == certifier v{} ✓",
-        state.node(victim).replica().applied().0,
+        state.node(victim).applied().0,
         state.certifier().version().0
     );
 }

@@ -20,8 +20,8 @@
 use std::collections::HashMap;
 
 use tashkent::cluster::{
-    registry, scenario, ClusterConfig, ClusterState, Ev, Experiment, ScenarioKnobs, TraceConfig,
-    TraceData, CONTROL_NODE,
+    registry, scenario, ClusterConfig, ClusterState, Ev, Experiment, ScenarioKnobs, TraceData,
+    Tracer, CONTROL_NODE,
 };
 use tashkent::sim::{EventQueue, SimTime};
 use tashkent::workloads::tpcw::{self, TpcwScale};
@@ -120,20 +120,15 @@ fn check(name: &str, state: &ClusterState) -> usize {
     retried
 }
 
-/// A tracer that keeps every event. The path only turns it on: these runs
-/// are never exported, and the checker reads the events in memory.
-fn in_memory_trace() -> TraceConfig {
-    TraceConfig {
-        jsonl_path: Some("exactly-once.jsonl".into()),
-        chrome_path: None,
-        max_events: 1 << 22,
-    }
+/// A tracer that keeps every event in memory for the checker.
+fn in_memory_trace() -> Tracer {
+    Tracer::in_memory(1 << 22)
 }
 
 /// Runs `exp` traced to its end and returns the state.
-fn run_traced(mut exp: Experiment) -> ClusterState {
-    exp.config.trace = in_memory_trace();
+fn run_traced(exp: Experiment) -> ClusterState {
     let (mut state, mut queue) = exp.build();
+    state.tracer = in_memory_trace();
     state.run_to_end(&mut queue).expect("End event scheduled");
     state
 }
@@ -185,10 +180,10 @@ fn requests_stranded_by_a_partition_end_once() {
             think_mean_us: 200_000,
             client_timeout_us: 1_000_000,
             seed,
-            trace: in_memory_trace(),
             ..ClusterConfig::paper_default()
         };
         let mut state = ClusterState::new(config, workload, vec![mix]);
+        state.tracer = in_memory_trace();
         let mut queue = EventQueue::new();
         state.prime(&mut queue);
         queue.schedule(SimTime::from_secs(2), Ev::EndWarmup);

@@ -42,6 +42,7 @@ fn commit_n(cert: &mut Certifier, n: u64) {
 fn replica_recovers_from_certifier_log() {
     let mut cert = Certifier::default();
     let mut node = ReplicaNode::new(
+        0,
         mini_catalog(),
         ReplicaConfig::default(),
         SimRng::seed_from(1),
@@ -63,6 +64,7 @@ fn replica_recovers_from_certifier_log() {
 fn recovered_replica_rereads_pages_cold() {
     let mut cert = Certifier::default();
     let mut node = ReplicaNode::new(
+        0,
         mini_catalog(),
         ReplicaConfig::default(),
         SimRng::seed_from(2),
@@ -188,7 +190,7 @@ fn crashed_replica_rejoins_consistent_through_the_harness() {
     state.run_to_end(&mut queue).expect("End event scheduled");
     assert!(state.node(2).is_up());
     assert_eq!(
-        state.node(2).replica().applied(),
+        state.node(2).applied(),
         state.certifier().version(),
         "recovery replays the certifier log to its head"
     );

@@ -44,7 +44,7 @@ fn assert_durable(state: &ClusterState, deep: bool) {
                 }
                 for rel in p.groups()[g].relations.iter() {
                     assert!(
-                        state.node(r).replica().filter().accepts(rel),
+                        state.node(r).filter().accepts(rel),
                         "live holder {r} filters out {rel} of its group {g}"
                     );
                 }
@@ -151,7 +151,7 @@ fn rereplicate_event_widens_the_holder_set() {
         assert!(p.eligible(*t, added), "new holder not eligible for {t}");
     }
     for rel in p.groups()[0].relations.iter() {
-        assert!(state.node(added).replica().filter().accepts(rel));
+        assert!(state.node(added).filter().accepts(rel));
     }
 }
 
@@ -228,7 +228,7 @@ proptest! {
         assert_durable(&state, true);
         prop_assert!(state.node(victim).is_up());
         prop_assert_eq!(
-            state.node(victim).replica().applied(),
+            state.node(victim).applied(),
             state.certifier().version(),
             "partial-replication catch-up must land on the certifier version (seed {})",
             seed

@@ -69,6 +69,7 @@ proptest! {
         }
 
         let mut node = ReplicaNode::new(
+            0,
             mini_catalog(),
             ReplicaConfig::default(),
             SimRng::seed_from(seed),
@@ -115,7 +116,7 @@ proptest! {
         state.run_to_end(&mut queue).expect("End event scheduled");
         prop_assert!(state.node(victim).is_up());
         prop_assert_eq!(
-            state.node(victim).replica().applied(),
+            state.node(victim).applied(),
             state.certifier().version(),
             "log replay must catch the replica up, seed {}", seed
         );
