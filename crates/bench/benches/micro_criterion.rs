@@ -6,7 +6,7 @@
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use tashkent_certifier::CommitLog;
 use tashkent_cluster::{
-    ClusterConfig, Metrics, PartialReplication, PolicySpec, ReplicationPlanner, Scenario,
+    ClusterConfig, Counters, Metrics, PartialReplication, PolicySpec, ReplicationPlanner, Scenario,
     ScenarioKnobs, TypeGroups,
 };
 use tashkent_core::{pack_groups, EstimationMode, Lard, LardConfig, PageTable, WorkingSet};
@@ -290,12 +290,12 @@ fn bench_metrics(c: &mut Criterion) {
     c.bench_function("metrics_record_completions", |b| {
         b.iter(|| {
             let mut m = Metrics::new();
-            m.start_window(start, 0, 0);
+            m.start_window(start, Counters::default());
             for i in 0..COMPLETIONS {
                 let now = start + i * 300_000_000 / COMPLETIONS;
                 m.record_completion_typed(now, start, i % 2 == 0, (i % 14) as u32);
             }
-            m.finish(SimTime::from_secs(450), 0, 0, Vec::new())
+            m.finish(SimTime::from_secs(450), Counters::default(), 1, Vec::new())
                 .timeseries(30)
         })
     });

@@ -3,8 +3,8 @@
 use std::collections::VecDeque;
 
 use tashkent_certifier::{
-    CertMap, Certifier, CertifierGroup, CertifierParams, CommitLog, GroupEvent, LogView,
-    PropagationAction, PropagationPolicy,
+    CertMap, Certifier, CertifierGroup, CertifierParams, GroupEvent, LogView, PropagationAction,
+    PropagationPolicy,
 };
 use tashkent_engine::{TxnId, Version, Writeset, WS_HEADER_BYTES, WS_ITEM_BYTES};
 use tashkent_replica::ReplicaNode;
@@ -79,15 +79,6 @@ impl CertifierLink {
         (self.traffic.sent, self.traffic.saved)
     }
 
-    /// Charges `us` of control-plane occupancy (a heartbeat round's
-    /// ping/ack pairs) against the link's shared NIC: certification
-    /// requests arriving before the probes drain wait behind them, in every
-    /// group. Not propagation traffic, so the fingerprinted byte counters
-    /// are untouched.
-    pub fn occupy_nic(&mut self, now: SimTime, us: u64) {
-        self.engine.occupy(now, us);
-    }
-
     /// Membership and leadership of certifier group `g`.
     pub fn group_of(&self, g: usize) -> &CertifierGroup {
         &self.members[g]
@@ -146,17 +137,6 @@ impl CertifierLink {
     /// certifier still has to check against the log.
     pub(crate) fn parked_snapshots(&self) -> impl Iterator<Item = Version> + '_ {
         self.parked.iter().flatten().map(|w| w.ws.snapshot.version)
-    }
-
-    /// Drops the log entries up to `floor` from host memory; the caller
-    /// guarantees no reader asks for them again.
-    pub(crate) fn trim_log(&mut self, floor: Version) {
-        self.engine.trim(floor);
-    }
-
-    /// The global commit log.
-    fn log(&self) -> &CommitLog {
-        self.engine.log()
     }
 
     /// Certifies an arriving writeset and schedules the response back to the
@@ -254,37 +234,22 @@ impl CertifierLink {
         done
     }
 
-    /// Re-replication backfill (partial replication): ships the log's items
-    /// for `rels` — versions up to the node's applied version; later ones
-    /// arrive through normal propagation once its filter widens — and
-    /// re-applies them so the node's pages for those relations are current.
-    /// Returns when the backfill work completes and the bytes it shipped.
-    pub fn backfill(
-        &mut self,
-        now: SimTime,
-        node: &mut ReplicaNode,
-        rels: RelationSet,
-    ) -> (SimTime, u64) {
-        let upto = self.backfill_upto(node);
-        let (done, bytes, _) = self.backfill_chunk(now, node, rels, Version::ZERO, upto, u64::MAX);
-        (done, bytes)
-    }
-
     /// The version a backfill onto `node` must reach: its applied version
     /// (later entries arrive through normal propagation once its filter
-    /// widens). Fixed when a staged backfill starts, so the chunks have a
-    /// stable target.
+    /// widens). Fixed when a backfill starts, so the chunks have a stable
+    /// target.
     pub fn backfill_upto(&self, node: &ReplicaNode) -> Version {
         node.applied().min(self.version())
     }
 
-    /// One bandwidth-capped slice of a backfill: re-applies the log entries
-    /// with versions in `(from, upto]` whose items touch `rels`, stopping
-    /// once the shipped bytes reach `max_bytes` (always making progress
-    /// past at least one shipping entry, so a tiny cap cannot stall the
-    /// copy forever). Returns `(done, shipped_bytes, next)` — the last
-    /// version the slice covered; the backfill is finished when
-    /// `next == upto`.
+    /// One slice of a backfill (partial replication): re-applies the log
+    /// entries with versions in `(from, upto]` whose items touch `rels`, so
+    /// the node's pages for those relations are current, stopping once the
+    /// shipped bytes reach `max_bytes` (always making progress past at
+    /// least one shipping entry, so a tiny cap cannot stall the copy
+    /// forever; `u64::MAX` ships the whole range). Returns
+    /// `(done, shipped_bytes, next)` — the last version the slice covered;
+    /// the backfill is finished when `next == upto`.
     pub fn backfill_chunk(
         &mut self,
         now: SimTime,
@@ -296,7 +261,7 @@ impl CertifierLink {
     ) -> (SimTime, u64, Version) {
         let before = node.stats();
         let (done, next) = {
-            let log = self.log().since(from).before(upto.next());
+            let log = self.engine.log().since(from).before(upto.next());
             // Pick the chunk end by the same byte formula the accounting
             // below uses: header + per-item bytes for the entries that ship
             // anything; entries touching none of `rels` are free to skip.
@@ -449,7 +414,7 @@ mod tests {
         let answered = |charge: bool| {
             let mut link = link(4, params);
             if charge {
-                link.occupy_nic(t, 16);
+                link.engine.occupy(t, 16);
             }
             let mut queue = EventQueue::new();
             link.on_send(

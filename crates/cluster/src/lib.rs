@@ -10,7 +10,8 @@
 //! run*:
 //!
 //! * [`config`] — cluster configuration (replica count, RAM, policy, …);
-//! * [`metrics`] — throughput / response-time / disk-I/O accounting and the
+//! * [`metrics`] — throughput / response-time / disk-I/O accounting over
+//!   the measurement window, which [`metrics::Metrics`] owns, and the
 //!   [`metrics::RunResult`] every experiment produces;
 //! * [`events`] — the event vocabulary ([`events::Ev`]);
 //! * [`components`] — the certifier round-trip
@@ -20,7 +21,9 @@
 //!   balancer, the components, and the clients with their open requests,
 //!   with a single `handle` entry point and the simulator's one event loop
 //!   ([`state::ClusterState::run_to_end`]): pop the earliest event, hand it
-//!   to `handle`, repeat until `End`;
+//!   to `handle`, repeat until `End`. The copies of relation groups and the
+//!   faults are its two child modules, each the only writer of its
+//!   bookkeeping;
 //! * [`trace`] — deterministic run tracing: lifecycle span events,
 //!   utilization timelines, JSONL and Chrome `trace_event` exporters, with
 //!   the trace byte-equal across runs of the same seed;
@@ -53,7 +56,9 @@ pub use experiment::{
     DynamicReconfig, Experiment, Failover, FailoverSchedule, RubisAuctionMix, Scenario,
     ScenarioKnobs, TpcwSteadyState,
 };
-pub use metrics::{Completions, FaultEvent, FaultKind, GroupSnapshot, Metrics, RunResult};
+pub use metrics::{
+    Completions, Counters, FaultEvent, FaultKind, GroupSnapshot, Metrics, RunResult,
+};
 pub use partial::PartialReplication;
 pub use placement::{PlacementMap, RelationGroup, ReplicationPlanner, TypeGroups, WS_TICK_BYTES};
 pub use rebalance::Rebalance;

@@ -178,7 +178,25 @@ impl Completions {
     }
 }
 
-/// Live accounting during a run.
+/// The cluster's cumulative counters, summed over replicas: what a
+/// measurement window differences between its open and its close.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Counters {
+    /// Disk bytes read.
+    pub read_bytes: u64,
+    /// Disk bytes written.
+    pub write_bytes: u64,
+    /// CPU busy µs.
+    pub cpu_busy_us: u64,
+    /// Disk busy µs.
+    pub disk_busy_us: u64,
+    /// Writeset bytes the certifier link shipped to replicas.
+    pub propagated_ws_bytes: u64,
+    /// Writeset bytes the link withheld from non-holders.
+    pub filtered_ws_bytes: u64,
+}
+
+/// Live accounting during a run; it owns the measurement window.
 #[derive(Debug, Clone)]
 pub struct Metrics {
     window_start: SimTime,
@@ -197,9 +215,8 @@ pub struct Metrics {
     per_type: Vec<OnlineStats>,
     /// Per-transaction-type certification-abort counts, indexed by type id.
     per_type_aborts: Vec<u64>,
-    /// Disk byte counters at the start of the measurement window.
-    read_bytes0: u64,
-    write_bytes0: u64,
+    /// The cluster's counters when the window opened.
+    at_open: Counters,
     /// Injected faults as they took effect (whole run, not just the
     /// measurement window).
     faults: Vec<FaultEvent>,
@@ -235,38 +252,27 @@ impl Metrics {
             completions: Completions::new(),
             per_type: Vec::new(),
             per_type_aborts: Vec::new(),
-            read_bytes0: 0,
-            write_bytes0: 0,
+            at_open: Counters::default(),
             faults: Vec::new(),
         }
     }
 
-    /// Restarts the measurement window (end of warm-up): clears counters and
-    /// snapshots the cluster-wide disk byte counters. The fault log spans
-    /// the whole run, so it survives the reset.
-    pub fn start_window(&mut self, now: SimTime, read_bytes: u64, write_bytes: u64) {
+    /// Restarts the measurement window (end of warm-up): clears counts and
+    /// snapshots the cluster's `counters`. The fault log spans the whole
+    /// run, so it survives the reset.
+    pub fn start_window(&mut self, now: SimTime, counters: Counters) {
         let faults = std::mem::take(&mut self.faults);
         *self = Metrics::with_hist(self.hist_bucket_s, self.hist_buckets);
         self.faults = faults;
         self.window_start = now;
-        self.read_bytes0 = read_bytes;
-        self.write_bytes0 = write_bytes;
+        self.at_open = counters;
     }
 
-    /// Records an injected fault as it takes effect (oracle-observed:
-    /// injection and effect coincide).
-    pub fn record_fault(&mut self, at: SimTime, kind: FaultKind) {
-        self.faults.push(FaultEvent {
-            at,
-            injected_at: at,
-            kind,
-        });
-    }
-
-    /// Records a *detected* fault: the cluster reacted at `at` to a fault
-    /// physically injected at `injected_at` (suspicions, dead declarations,
-    /// trust restorations). The gap is the detection latency.
-    pub fn record_fault_detected(&mut self, at: SimTime, injected_at: SimTime, kind: FaultKind) {
+    /// Records a fault the cluster acted on at `at`, physically injected at
+    /// `injected_at`: the two coincide for an oracle-observed fault, and
+    /// the gap is the detection latency for a detected one (suspicions,
+    /// dead declarations, trust restorations).
+    pub fn record_fault(&mut self, at: SimTime, injected_at: SimTime, kind: FaultKind) {
         self.faults.push(FaultEvent {
             at,
             injected_at,
@@ -334,12 +340,16 @@ impl Metrics {
         self.aborts
     }
 
-    /// Finalizes the run into a [`RunResult`].
+    /// Closes the window at `now` into a [`RunResult`]: the cluster's
+    /// `counters` less those at the window's open give the disk KB per
+    /// transaction, the mean utilizations of its `replicas` and the
+    /// writeset bytes shipped and withheld. The balancer, certifier, copy,
+    /// redo and trace fields are left at their defaults for the caller.
     pub fn finish(
         &self,
         now: SimTime,
-        read_bytes: u64,
-        write_bytes: u64,
+        counters: Counters,
+        replicas: usize,
         assignments: Vec<GroupSnapshot>,
     ) -> RunResult {
         let window_s = (now.saturating_since(self.window_start) as f64 / 1e6).max(1e-9);
@@ -351,6 +361,8 @@ impl Metrics {
                 bytes as f64 / 1024.0 / committed as f64
             }
         };
+        let (c, c0) = (counters, self.at_open);
+        let window_us = (now.saturating_since(self.window_start) as f64).max(1.0) * replicas as f64;
         RunResult {
             tps: committed as f64 / window_s,
             committed,
@@ -360,17 +372,17 @@ impl Metrics {
             mean_response_s: self.resp.mean(),
             p95_response_s: self.resp_hist.percentile(95.0),
             p99_response_s: self.resp_hist.percentile(99.0),
-            read_kb_per_txn: per_txn(read_bytes.saturating_sub(self.read_bytes0)),
-            write_kb_per_txn: per_txn(write_bytes.saturating_sub(self.write_bytes0)),
+            read_kb_per_txn: per_txn(c.read_bytes.saturating_sub(c0.read_bytes)),
+            write_kb_per_txn: per_txn(c.write_bytes.saturating_sub(c0.write_bytes)),
             window_s,
             window_start: self.window_start,
             completions: self.completions.clone(),
             assignments,
-            cpu_util: 0.0,
-            disk_util: 0.0,
+            cpu_util: c.cpu_busy_us.saturating_sub(c0.cpu_busy_us) as f64 / window_us,
+            disk_util: c.disk_busy_us.saturating_sub(c0.disk_busy_us) as f64 / window_us,
             lb: LbSummary::default(),
-            propagated_ws_bytes: 0,
-            filtered_ws_bytes: 0,
+            propagated_ws_bytes: c.propagated_ws_bytes.saturating_sub(c0.propagated_ws_bytes),
+            filtered_ws_bytes: c.filtered_ws_bytes.saturating_sub(c0.filtered_ws_bytes),
             migration_bytes: 0,
             migration_us: 0,
             redo_bytes: 0,
@@ -430,8 +442,7 @@ pub struct RunResult {
     pub completions: Completions,
     /// Final MALB groupings (empty for other policies).
     pub assignments: Vec<GroupSnapshot>,
-    /// Mean CPU utilization across replicas over the window (filled by
-    /// `ClusterState::finish_result`).
+    /// Mean CPU utilization across replicas over the window.
     pub cpu_util: f64,
     /// Mean disk utilization across replicas over the window.
     pub disk_util: f64,
@@ -439,13 +450,12 @@ pub struct RunResult {
     /// `ClusterState::finish_result`).
     pub lb: LbSummary,
     /// Writeset bytes actually shipped to replicas over the measurement
-    /// window: pages to holders, version ticks to non-holders (filled by
-    /// `ClusterState::finish_result`). Under full replication this equals
-    /// the full propagation volume.
+    /// window: pages to holders, version ticks to non-holders. Under full
+    /// replication this equals the full propagation volume.
     pub propagated_ws_bytes: u64,
     /// Writeset bytes partial replication withheld from non-holders over
-    /// the window — propagation traffic saved vs full replication (filled
-    /// by `ClusterState::finish_result`; zero under full replication).
+    /// the window — propagation traffic saved vs full replication (zero
+    /// under full replication).
     pub filtered_ws_bytes: u64,
     /// Bytes shipped by placement backfills (crash re-replication and
     /// skew-driven migration) over the whole run (filled by
@@ -573,7 +583,7 @@ mod tests {
     #[test]
     fn tps_is_committed_over_window() {
         let mut m = Metrics::new();
-        m.start_window(SimTime::from_secs(10), 0, 0);
+        m.start_window(SimTime::from_secs(10), Counters::default());
         for i in 0..50 {
             m.record_completion(
                 SimTime::from_secs(10 + i % 20),
@@ -581,7 +591,7 @@ mod tests {
                 false,
             );
         }
-        let r = m.finish(SimTime::from_secs(35), 0, 0, Vec::new());
+        let r = m.finish(SimTime::from_secs(35), Counters::default(), 1, Vec::new());
         assert_eq!(r.committed, 50);
         assert!((r.tps - 2.0).abs() < 1e-9, "tps {}", r.tps);
     }
@@ -589,22 +599,66 @@ mod tests {
     #[test]
     fn disk_kb_per_txn_uses_window_delta() {
         let mut m = Metrics::new();
-        m.start_window(SimTime::ZERO, 1024 * 100, 1024 * 10);
+        let disk = |read: u64, write: u64| Counters {
+            read_bytes: read,
+            write_bytes: write,
+            ..Counters::default()
+        };
+        m.start_window(SimTime::ZERO, disk(1024 * 100, 1024 * 10));
         for _ in 0..10 {
             m.record_completion(SimTime::from_secs(1), SimTime::ZERO, true);
         }
-        let r = m.finish(SimTime::from_secs(10), 1024 * 820, 1024 * 130, Vec::new());
+        let r = m.finish(
+            SimTime::from_secs(10),
+            disk(1024 * 820, 1024 * 130),
+            1,
+            Vec::new(),
+        );
         assert!((r.read_kb_per_txn - 72.0).abs() < 1e-9);
         assert!((r.write_kb_per_txn - 12.0).abs() < 1e-9);
     }
 
     #[test]
+    fn window_counters_difference_open_and_close() {
+        let at_open = Counters {
+            read_bytes: 1024 * 100,
+            write_bytes: 1024 * 10,
+            cpu_busy_us: 1_000_000,
+            disk_busy_us: 3_000_000,
+            propagated_ws_bytes: 5_000,
+            filtered_ws_bytes: 700,
+        };
+        // 10 s on 4 replicas: 40 s of replica time, half of it CPU-busy
+        // and a quarter disk-busy.
+        let at_close = Counters {
+            read_bytes: 1024 * 820,
+            write_bytes: 1024 * 130,
+            cpu_busy_us: 21_000_000,
+            disk_busy_us: 13_000_000,
+            propagated_ws_bytes: 9_096,
+            filtered_ws_bytes: 1_000,
+        };
+        let mut m = Metrics::new();
+        m.start_window(SimTime::from_secs(10), at_open);
+        for _ in 0..10 {
+            m.record_completion(SimTime::from_secs(11), SimTime::from_secs(10), true);
+        }
+        let r = m.finish(SimTime::from_secs(20), at_close, 4, Vec::new());
+        assert_eq!(r.read_kb_per_txn, 72.0);
+        assert_eq!(r.write_kb_per_txn, 12.0);
+        assert_eq!(r.cpu_util, 0.5);
+        assert_eq!(r.disk_util, 0.25);
+        assert_eq!(r.propagated_ws_bytes, 4_096);
+        assert_eq!(r.filtered_ws_bytes, 300);
+    }
+
+    #[test]
     fn response_stats_accumulate() {
         let mut m = Metrics::new();
-        m.start_window(SimTime::ZERO, 0, 0);
+        m.start_window(SimTime::ZERO, Counters::default());
         m.record_completion(SimTime::from_millis(1500), SimTime::from_millis(500), false);
         m.record_completion(SimTime::from_millis(2500), SimTime::from_millis(500), false);
-        let r = m.finish(SimTime::from_secs(10), 0, 0, Vec::new());
+        let r = m.finish(SimTime::from_secs(10), Counters::default(), 1, Vec::new());
         assert!((r.mean_response_s - 1.5).abs() < 1e-9);
         assert!(r.p95_response_s >= 1.9);
     }
@@ -614,7 +668,7 @@ mod tests {
         let mut m = Metrics::new();
         m.record_completion(SimTime::from_secs(1), SimTime::ZERO, false);
         m.record_abort(0);
-        m.start_window(SimTime::from_secs(60), 0, 0);
+        m.start_window(SimTime::from_secs(60), Counters::default());
         assert_eq!(m.committed(), 0);
         assert_eq!(m.aborts(), 0);
     }
@@ -624,11 +678,11 @@ mod tests {
         // 1 ms buckets up to 10 ms: a 5 ms response lands mid-histogram,
         // which the default 50 ms buckets could not resolve.
         let mut m = Metrics::with_hist(0.001, 10);
-        m.start_window(SimTime::from_secs(1), 0, 0);
+        m.start_window(SimTime::from_secs(1), Counters::default());
         for _ in 0..100 {
             m.record_completion(SimTime::from_millis(1005), SimTime::from_secs(1), false);
         }
-        let r = m.finish(SimTime::from_secs(2), 0, 0, Vec::new());
+        let r = m.finish(SimTime::from_secs(2), Counters::default(), 1, Vec::new());
         assert!(
             r.p95_response_s > 0.004 && r.p95_response_s < 0.007,
             "p95 {} must resolve at 1 ms granularity",
@@ -640,12 +694,12 @@ mod tests {
     #[test]
     fn per_type_aborts_are_counted() {
         let mut m = Metrics::new();
-        m.start_window(SimTime::ZERO, 0, 0);
+        m.start_window(SimTime::ZERO, Counters::default());
         m.record_completion_typed(SimTime::from_secs(1), SimTime::ZERO, true, 0);
         m.record_abort(2);
         m.record_abort(2);
         m.record_abort(0);
-        let r = m.finish(SimTime::from_secs(2), 0, 0, Vec::new());
+        let r = m.finish(SimTime::from_secs(2), Counters::default(), 1, Vec::new());
         assert_eq!(r.aborts, 3);
         assert_eq!(r.per_type.len(), 3, "padded to the aborting type");
         assert_eq!(r.per_type[0].0, 1);
@@ -657,12 +711,12 @@ mod tests {
     #[test]
     fn timeseries_buckets_completions() {
         let mut m = Metrics::new();
-        m.start_window(SimTime::ZERO, 0, 0);
+        m.start_window(SimTime::ZERO, Counters::default());
         // 30 completions in the first 30 s, none after.
         for i in 0..30 {
             m.record_completion(SimTime::from_secs(i), SimTime::ZERO, false);
         }
-        let r = m.finish(SimTime::from_secs(60), 0, 0, Vec::new());
+        let r = m.finish(SimTime::from_secs(60), Counters::default(), 1, Vec::new());
         let ts = r.timeseries(30);
         assert_eq!(ts.len(), 2);
         assert!((ts[0].1 - 1.0).abs() < 1e-9, "first bucket {:?}", ts[0]);
@@ -672,7 +726,7 @@ mod tests {
     #[test]
     fn plateau_averages_buckets_in_window() {
         let mut m = Metrics::new();
-        m.start_window(SimTime::ZERO, 0, 0);
+        m.start_window(SimTime::ZERO, Counters::default());
         // 2 tps for 10 s, then 4 tps for 10 s.
         for i in 0..20 {
             m.record_completion(SimTime::from_millis(i * 500), SimTime::ZERO, false);
@@ -680,7 +734,7 @@ mod tests {
         for i in 0..40 {
             m.record_completion(SimTime::from_millis(10_000 + i * 250), SimTime::ZERO, false);
         }
-        let r = m.finish(SimTime::from_secs(20), 0, 0, Vec::new());
+        let r = m.finish(SimTime::from_secs(20), Counters::default(), 1, Vec::new());
         assert!((r.plateau(5, 0.0, 10.0) - 2.0).abs() < 1e-9);
         assert!((r.plateau(5, 10.0, 20.0) - 4.0).abs() < 1e-9);
         assert_eq!(r.plateau(5, 50.0, 60.0), 0.0, "empty window is 0");
@@ -689,18 +743,19 @@ mod tests {
     #[test]
     fn abort_fraction_bounds() {
         let mut m = Metrics::new();
-        m.start_window(SimTime::ZERO, 0, 0);
+        m.start_window(SimTime::ZERO, Counters::default());
         m.record_completion(SimTime::from_secs(1), SimTime::ZERO, true);
         m.record_abort(0);
-        let r = m.finish(SimTime::from_secs(2), 0, 0, Vec::new());
+        let r = m.finish(SimTime::from_secs(2), Counters::default(), 1, Vec::new());
         assert!((r.abort_fraction() - 0.5).abs() < 1e-9);
     }
 
     #[test]
     fn detected_faults_carry_injection_time() {
         let mut m = Metrics::new();
-        m.record_fault(SimTime::from_secs(1), FaultKind::ReplicaCrash(2));
-        m.record_fault_detected(
+        let crash_at = SimTime::from_secs(1);
+        m.record_fault(crash_at, crash_at, FaultKind::ReplicaCrash(2));
+        m.record_fault(
             SimTime::from_secs(3),
             SimTime::from_secs(1),
             FaultKind::ReplicaSuspected(2),
@@ -710,8 +765,8 @@ mod tests {
         assert_eq!(m.faults()[0].detection_latency_us(), 0);
         assert_eq!(m.faults()[1].detection_latency_us(), 2_000_000);
         // The window reset preserves injection times along with the log.
-        m.start_window(SimTime::from_secs(10), 0, 0);
-        let r = m.finish(SimTime::from_secs(20), 0, 0, Vec::new());
+        m.start_window(SimTime::from_secs(10), Counters::default());
+        let r = m.finish(SimTime::from_secs(20), Counters::default(), 1, Vec::new());
         assert_eq!(r.faults.len(), 2);
         assert_eq!(r.faults[1].injected_at, SimTime::from_secs(1));
         assert_eq!(r.faults[1].at, SimTime::from_secs(3));
@@ -720,7 +775,12 @@ mod tests {
     #[test]
     fn empty_run_is_safe() {
         let m = Metrics::new();
-        let r = m.finish(SimTime::from_secs(1), 100, 100, Vec::new());
+        let counters = Counters {
+            read_bytes: 100,
+            write_bytes: 100,
+            ..Counters::default()
+        };
+        let r = m.finish(SimTime::from_secs(1), counters, 1, Vec::new());
         assert_eq!(r.tps, 0.0);
         assert_eq!(r.read_kb_per_txn, 0.0);
         assert!(r.timeseries(10).is_empty());

@@ -2,11 +2,18 @@
 //!
 //! [`ClusterState`] owns the models it drives — one [`ReplicaNode`] per
 //! replica, the [`LoadBalancer`], the [`CertifierLink`], the heartbeat
-//! [`Detector`] — plus what no model owns: the client pool with each
-//! client's one open request, the experiment RNG, and metrics. It exposes
-//! exactly one mutation entry point, [`ClusterState::handle`], which applies
-//! a timestamped [`Ev`] to the models and schedules the consequences into
-//! the [`EventQueue`] it is handed.
+//! [`Detector`] — plus what no model owns: each client's one open request,
+//! the experiment RNG, and the [`Metrics`], which own the measurement
+//! window. It exposes exactly one mutation entry point,
+//! [`ClusterState::handle`], which applies a timestamped [`Ev`] to the
+//! models and schedules the consequences into the [`EventQueue`] it is
+//! handed.
+//!
+//! This module holds the transaction and client lifecycle and maintenance.
+//! Two lifecycles have child modules, each the only writer of its
+//! bookkeeping: `copies` (re-replication, migration, capped backfill, the
+//! shrink back to `min_copies`) and `faults` (crashes, recoveries, the
+//! detector's rounds and transitions, the suspicion sweep, partitions).
 //!
 //! The queue lives outside the state: [`ClusterState::run_to_end`], the
 //! simulator's one event loop, pops events from the queue it is handed and
@@ -32,15 +39,19 @@ use tashkent_core::{LoadBalancer, ReconfigAction, ReplicaId, ResourceLoad};
 use tashkent_engine::{TxnExecutor, TxnId, TxnTypeId, Version};
 use tashkent_replica::{ReplicaNode, StepOutcome, UpdateFilter};
 use tashkent_sim::{EventQueue, SimRng, SimTime};
-use tashkent_storage::RelationSet;
-use tashkent_workloads::{ClientPool, Mix, Workload};
+use tashkent_workloads::{Mix, Workload};
 
-use crate::components::{CertifierLink, Detector, HealthTransition, ReplicaHealth};
+use crate::components::{CertifierLink, Detector, ReplicaHealth};
 use crate::config::{ClusterConfig, PlacementSpec, PolicySpec, LAN_HOP_US, MIGRATION_PERIOD};
 use crate::events::{Ev, CONTROL_NODE};
-use crate::metrics::{FaultKind, GroupSnapshot, Metrics};
+use crate::metrics::{Counters, FaultKind, GroupSnapshot, LbSummary, Metrics, RunResult};
 use crate::placement::{PlacementMap, ReplicationPlanner, TypeGroups};
 use crate::trace::{TraceData, Tracer};
+
+mod copies;
+mod faults;
+
+use copies::BackfillTask;
 
 /// A failed run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -84,10 +95,9 @@ struct TxnMeta {
     replica: usize,
 }
 
-/// Bytes shipped per [`Ev::BackfillChunk`] under a bandwidth cap. Small
-/// enough that foreground propagation interleaves with a long copy, large
-/// enough that the event count stays negligible next to transaction traffic.
-const BACKFILL_CHUNK_BYTES: u64 = 64 * 1024;
+/// Retries a client makes for one request before it gives up and thinks
+/// before its next one.
+const MAX_RETRIES: u32 = 10;
 
 /// First client retry backoff; each further retry doubles it, up to
 /// [`CLIENT_BACKOFF_CAP_US`]. Read by `ClusterState::backoff_us`.
@@ -108,33 +118,6 @@ const LB_TICK_US: u64 = 1_000_000;
 /// transaction, say) is not rescanned on every commit.
 const LOG_TRIM_INTERVAL: u64 = 1_024;
 
-/// One in-flight certifier-log backfill onto a target replica: a durability
-/// re-replication (crash or explicit [`Ev::Rereplicate`]) or, when
-/// `drop_source` is set, a skew-driven migration that sheds the donor once
-/// the copy completes. Tasks are append-only for the run — `Ev::BackfillChunk
-/// { task }` indexes into [`ClusterState::backfills`] — and a crash of the
-/// target cancels the task rather than removing it.
-struct BackfillTask {
-    group: usize,
-    target: usize,
-    /// Relations being copied (the ones the target did not already hold).
-    rels: RelationSet,
-    /// Last certifier-log version shipped.
-    next: Version,
-    /// Log version the copy must reach — fixed at task creation; later
-    /// versions arrive through normal propagation (the filter is already
-    /// widened), so a busy cluster cannot push completion out forever.
-    upto: Version,
-    /// Bytes shipped so far.
-    bytes: u64,
-    started: SimTime,
-    done: bool,
-    cancelled: bool,
-    /// Migration donor: dropped from the holder set at completion (unless
-    /// that would leave the group under-replicated).
-    drop_source: Option<usize>,
-}
-
 /// The replica nodes, the balancer, the components, and the clients with
 /// their open requests — the whole cluster, minus the event loop that
 /// drives it.
@@ -150,7 +133,6 @@ pub struct ClusterState {
     lb: LoadBalancer,
     detector: Detector,
     certifier: CertifierLink,
-    clients: ClientPool,
     rng: SimRng,
     next_txn: u64,
     /// Each client's open request, indexed by client; `None` while the
@@ -162,7 +144,7 @@ pub struct ClusterState {
     /// subsumes §3 update filtering (holder sets are the "keep current"
     /// lists).
     placement: PlacementMap,
-    /// Every backfill started this run, live and finished (event payloads
+    /// Every copy started this run, running and ended (event payloads
     /// index into it, so entries are never removed).
     backfills: Vec<BackfillTask>,
     /// Dispatches per `(relation group, replica)` since the last migration,
@@ -197,18 +179,12 @@ pub struct ClusterState {
     redo_us: u64,
     /// Log head at which the next trim-floor scan runs.
     next_trim_scan: Version,
-    /// Metrics accumulator.
+    /// Metrics accumulator and measurement window.
     pub metrics: Metrics,
     /// Run tracer (disabled unless the config sets an exporter path). Every
     /// emission happens inside a handler, in exact event pop order, so the
     /// trace is byte-equal across runs of the same seed.
     pub tracer: Tracer,
-    /// CPU/disk busy totals at the start of the measurement window.
-    busy0: (u64, u64),
-    /// Propagation byte counters `(sent, saved)` at the start of the
-    /// measurement window.
-    prop0: (u64, u64),
-    window_started: SimTime,
     ended: bool,
 }
 
@@ -257,7 +233,6 @@ impl ClusterState {
             .as_ref()
             .map_or_else(CertMap::default, |g| g.cert_map(config.cert_groups));
         let certifier = CertifierLink::new(CertifierParams::default(), cert_map, config.replicas);
-        let clients = ClientPool::new(config.clients, config.think_mean_us);
         let group_dispatches = vec![0; placement.group_count() * config.replicas];
         let tracer = Tracer::new(&config.trace);
         let metrics = Metrics::with_hist(config.resp_hist_bucket_s, config.resp_hist_buckets);
@@ -266,7 +241,6 @@ impl ClusterState {
             lb,
             detector: Detector::new(config.replicas),
             certifier,
-            clients,
             rng,
             next_txn: 0,
             txns: vec![None; config.clients],
@@ -288,9 +262,6 @@ impl ClusterState {
             config,
             workload,
             mixes,
-            busy0: (0, 0),
-            prop0: (0, 0),
-            window_started: SimTime::ZERO,
             ended: false,
         };
         // Thread a constraining placement through the layers: placement
@@ -342,23 +313,10 @@ impl ClusterState {
         self.config.heartbeat_period_us > 0
     }
 
-    /// Whether a partition currently severs the `a`–`b` link.
-    fn partitioned(&self, a: usize, b: usize) -> bool {
-        self.partitions.contains(&(a.min(b), a.max(b)))
-    }
-
     /// The detector's belief about `replica` (always `Live` with the
     /// detector off).
     pub fn replica_health(&self, replica: usize) -> ReplicaHealth {
         self.detector.health(replica)
-    }
-
-    /// Whether `replica` is a sane re-replication participant: physically
-    /// up *and* believed live by the detector. With the detector off the
-    /// belief is always `Live`, so this reduces to `is_up()` — bit-exact
-    /// with the oracle semantics.
-    fn believed_live(&self, replica: usize) -> bool {
-        self.nodes[replica].is_up() && self.detector.health(replica) == ReplicaHealth::Live
     }
 
     /// Capped exponential client backoff for retry number `retries`.
@@ -410,16 +368,24 @@ impl ClusterState {
         Ok(())
     }
 
-    /// Cluster-wide disk byte counters `(read, write)`.
-    pub fn disk_bytes(&self) -> (u64, u64) {
-        let mut read = 0;
-        let mut write = 0;
+    /// The cluster's cumulative counters: disk bytes and busy time summed
+    /// over replicas, and the writeset bytes the certifier link shipped and
+    /// withheld.
+    pub fn counters(&self) -> Counters {
+        let (propagated_ws_bytes, filtered_ws_bytes) = self.certifier.propagation_bytes();
+        let mut c = Counters {
+            propagated_ws_bytes,
+            filtered_ws_bytes,
+            ..Counters::default()
+        };
         for n in &self.nodes {
             let s = n.disk_stats();
-            read += s.read_bytes();
-            write += s.write_bytes();
+            c.read_bytes += s.read_bytes();
+            c.write_bytes += s.write_bytes();
+            c.cpu_busy_us += n.cpu_busy_us();
+            c.disk_busy_us += s.busy_us;
         }
-        (read, write)
+        c
     }
 
     /// Replica node `idx` (tests and metrics).
@@ -442,47 +408,32 @@ impl ClusterState {
         &self.certifier
     }
 
-    /// Total CPU and disk busy microseconds across replicas.
-    fn busy_totals(&self) -> (u64, u64) {
-        let mut cpu = 0;
-        let mut disk = 0;
-        for n in &self.nodes {
-            cpu += n.cpu_busy_us();
-            disk += n.disk_stats().busy_us;
-        }
-        (cpu, disk)
-    }
-
-    /// Finalizes the run into a [`crate::metrics::RunResult`], including
-    /// mean CPU/disk utilizations over the measurement window.
-    pub fn finish_result(&self, now: SimTime) -> crate::metrics::RunResult {
-        let (read, write) = self.disk_bytes();
-        let snaps = self.group_snapshots();
-        let mut result = self.metrics.finish(now, read, write, snaps);
-        let (cpu, disk) = self.busy_totals();
-        let window_us = (now.saturating_since(self.window_started) as f64).max(1.0)
-            * self.config.replicas as f64;
-        result.cpu_util = (cpu.saturating_sub(self.busy0.0)) as f64 / window_us;
-        result.disk_util = (disk.saturating_sub(self.busy0.1)) as f64 / window_us;
+    /// Closes the measurement window at `now` into a [`RunResult`], adding
+    /// to what the [`Metrics`] recorded the balancer's activity, the
+    /// certifier groups' commits, the copy and redo totals, and the trace
+    /// summary.
+    pub fn finish_result(&self, now: SimTime) -> RunResult {
         let stats = self.lb.stats();
-        result.lb = crate::metrics::LbSummary {
-            moves: stats.moves,
-            merges: stats.merges,
-            splits: stats.splits,
-            fast_reallocs: stats.fast_reallocs,
-            fallback: stats.fallback,
-            filters_installed: self.lb.filters_installed(),
-        };
-        let (sent, saved) = self.certifier.propagation_bytes();
-        result.propagated_ws_bytes = sent.saturating_sub(self.prop0.0);
-        result.filtered_ws_bytes = saved.saturating_sub(self.prop0.1);
-        result.cert_group_commits = self.certifier().group_commits().to_vec();
-        result.migration_bytes = self.migration_bytes;
-        result.migration_us = self.migration_us;
-        result.redo_bytes = self.redo_bytes;
-        result.redo_us = self.redo_us;
-        result.trace_summary = self.tracer.summary();
-        result
+        let counters = self.counters();
+        RunResult {
+            lb: LbSummary {
+                moves: stats.moves,
+                merges: stats.merges,
+                splits: stats.splits,
+                fast_reallocs: stats.fast_reallocs,
+                fallback: stats.fallback,
+                filters_installed: self.lb.filters_installed(),
+            },
+            cert_group_commits: self.certifier().group_commits().to_vec(),
+            migration_bytes: self.migration_bytes,
+            migration_us: self.migration_us,
+            redo_bytes: self.redo_bytes,
+            redo_us: self.redo_us,
+            trace_summary: self.tracer.summary(),
+            ..self
+                .metrics
+                .finish(now, counters, self.config.replicas, self.group_snapshots())
+        }
     }
 
     /// The placement map ([`PlacementMap::full`] under full replication).
@@ -591,7 +542,7 @@ impl ClusterState {
                 self.rereplicate_group(now, group, queue);
             }
             Ev::BackfillChunk { task } => self.on_backfill_chunk(now, task, queue),
-            Ev::BackfillDone { task } => self.on_backfill_done(now, task),
+            Ev::BackfillDone { task } => self.land_copy(now, task),
             Ev::RebalanceTick => self.on_rebalance_tick(now, queue),
             Ev::MixSwitch { mix } => self.active_mix = mix.min(self.mixes.len() - 1),
             Ev::FreezeLb => self.lb.freeze(),
@@ -641,7 +592,7 @@ impl ClusterState {
                     self.retry_or_give_up(now, &meta, now, backoff_us, queue);
                 }
             }
-            Ev::EndWarmup => self.on_end_warmup(now),
+            Ev::EndWarmup => self.metrics.start_window(now, self.counters()),
             Ev::End => self.ended = true,
         }
     }
@@ -655,7 +606,7 @@ impl ClusterState {
             return;
         }
         let floor = self.log_floor(queue);
-        self.certifier.trim_log(floor);
+        self.certifier.engine.trim(floor);
         self.next_trim_scan = Version(head.0 + LOG_TRIM_INTERVAL);
     }
 
@@ -790,11 +741,10 @@ impl ClusterState {
     /// certifier round-trip. A *stale* step — one whose transaction a crash
     /// dropped while its step event was already queued — does nothing.
     fn on_step(&mut self, now: SimTime, replica: usize, txn: TxnId, queue: &mut EventQueue<Ev>) {
-        let node = &mut self.nodes[replica];
-        if !node.is_running(txn) {
+        let Some(step) = self.nodes[replica].step(txn, now) else {
             return;
-        }
-        let (outcome, ws_bytes, at, ev) = match node.step(txn, now) {
+        };
+        let (outcome, ws_bytes, at, ev) = match step {
             StepOutcome::Busy(t) => ("exec", 0, t, Ev::StepTxn { replica, txn }),
             StepOutcome::Done(t) => (
                 "done",
@@ -846,719 +796,6 @@ impl ClusterState {
         Some(client)
     }
 
-    /// Records a fault that took effect at `now`, physically injected at
-    /// `injected_at`, and traces it as `desc()`, which runs only when
-    /// tracing is on.
-    fn record_fault(
-        &mut self,
-        now: SimTime,
-        injected_at: SimTime,
-        kind: FaultKind,
-        desc: impl FnOnce() -> String,
-    ) {
-        self.metrics.record_fault_detected(now, injected_at, kind);
-        if self.tracer.on() {
-            self.tracer.emit(now, TraceData::Fault { desc: desc() });
-        }
-    }
-
-    /// Crashes a replica: cold cache, admission queue drained, every
-    /// in-flight transaction lost with it. With the detector on that is
-    /// all: the balancer learns of the crash only when heartbeats miss, and
-    /// the requests open on it wait for the suspicion sweep, or for the
-    /// recovery if that comes first. With it off,
-    /// the crash instant applies what the detector's *Dead* and *Suspected*
-    /// transitions apply, durability first: dispatch routes around the
-    /// replica, any group left below `min_copies` live holders is
-    /// re-replicated onto a survivor, and only then do the clients of its
-    /// in-flight transactions retry — so dispatch always has a live holder.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `replica` is the last live replica: dispatch needs a
-    /// target, so a fault plan that kills the whole cluster is a mis-built
-    /// experiment — failing here beats garbage metrics later.
-    fn on_replica_crash(&mut self, now: SimTime, replica: usize, queue: &mut EventQueue<Ev>) {
-        if !self.nodes[replica].is_up() {
-            return;
-        }
-        let survivors = self
-            .nodes
-            .iter()
-            .filter(|n| n.is_up() && n.id() != replica)
-            .count();
-        assert!(
-            survivors > 0,
-            "cannot crash replica {replica}: it is the last live replica \
-             (at least one must stay up for dispatch)"
-        );
-        self.nodes[replica].crash();
-        if self.fault_started[replica].is_none() {
-            self.fault_started[replica] = Some(now);
-        }
-        self.record_fault(now, now, FaultKind::ReplicaCrash(replica), || {
-            format!("crash replica={replica}")
-        });
-        if self.detection_on() {
-            // The detector's transitions apply the rest once heartbeats miss.
-            return;
-        }
-        self.lb.replica_failed(ReplicaId(replica));
-        // *Dead*'s durability work before *Suspected*'s retries.
-        self.cancel_backfills_targeting(replica);
-        self.rereplicate_under_copied(now, replica, queue);
-        self.sweep_suspected(now, replica, queue);
-    }
-
-    /// Cancels every in-flight backfill onto `replica` and rolls back the
-    /// holder membership each had optimistically widened, so durability
-    /// scans see the true copy counts. Shared by the crash path, the
-    /// detector's *Dead* transition, and the chunk handler's dead-target
-    /// guard.
-    fn cancel_backfills_targeting(&mut self, replica: usize) {
-        let mut rolled_back = false;
-        for t in &mut self.backfills {
-            if t.target != replica || t.done || t.cancelled {
-                continue;
-            }
-            t.cancelled = true;
-            self.placement.complete_backfill(replica, t.rels);
-            self.placement.remove_holder(t.group, replica);
-            rolled_back = true;
-        }
-        if rolled_back {
-            self.apply_placement([replica]);
-        }
-    }
-
-    /// Applies a placement change to the layers it constrains: the update
-    /// filter of each replica in `changed`, then the balancer's per-type
-    /// eligibility masks.
-    fn apply_placement(&mut self, changed: impl IntoIterator<Item = usize>) {
-        for r in changed {
-            let filter = self.placement.filter_for(r);
-            self.nodes[r].set_filter(filter);
-        }
-        let masks = self.placement.type_masks(self.workload.types.len());
-        self.lb.set_type_eligibility(masks);
-    }
-
-    /// Copies relation group `group` onto one more live replica: widens the
-    /// target's holder membership and update filter *immediately* (so the
-    /// copy converges through foreground propagation while it backfills),
-    /// marks the target pending (dispatch eligibility waits for
-    /// [`Ev::BackfillDone`]), and starts the backfill — instantaneous when
-    /// `backfill_bytes_per_sec` is zero, staged through bandwidth-capped
-    /// [`Ev::BackfillChunk`]s otherwise. The fault is recorded at
-    /// completion, carrying the shipped bytes.
-    ///
-    /// The target is the live non-holder with the fewest placed pages (ties
-    /// to the lowest id) — deterministic, so every run of a seed
-    /// re-replicates identically. Returns the new holder, or `None` when there
-    /// is no such group (full replication has none) or every believed-live
-    /// replica already holds it.
-    fn rereplicate_group(
-        &mut self,
-        now: SimTime,
-        group: usize,
-        queue: &mut EventQueue<Ev>,
-    ) -> Option<usize> {
-        let p = &self.placement;
-        if group >= p.group_count() {
-            return None;
-        }
-        // Targets must be believed live — with the detector on, a
-        // suspected-but-up replica is unreachable from the control side
-        // and would receive a copy nobody can use; with it off this is
-        // exactly the `is_up()` filter.
-        let target = (0..self.config.replicas)
-            .filter(|r| self.believed_live(*r) && !p.holds_group(*r, group))
-            .min_by_key(|r| (p.held_pages(*r), *r))?;
-        // Only the relations the target does not already hold through other
-        // groups need backfilling — overlap makes close standbys cheap,
-        // exactly like §3's standby choice.
-        let rels = p.missing_relations(target, group);
-        self.widen_holder(group, target, rels);
-        self.start_backfill(now, group, target, rels, None, queue);
-        Some(target)
-    }
-
-    /// Adds `target` as a holder of `group` with `rels` pending: the filter
-    /// widens now (foreground propagation keeps the copy converging during
-    /// the backfill) while the recomputed eligibility masks exclude the
-    /// still-pending holder from dispatch.
-    fn widen_holder(&mut self, group: usize, target: usize, rels: RelationSet) {
-        self.placement.add_holder(group, target);
-        self.placement.mark_pending(target, rels);
-        self.apply_placement([target]);
-    }
-
-    /// Creates a [`BackfillTask`] and schedules its copy. With no bandwidth
-    /// cap (or nothing to ship) the whole log prefix is charged through the
-    /// target's CPU/disk models at `now` — the historical instantaneous
-    /// path — and only the completion event is scheduled. Under a cap the
-    /// copy is staged through [`Ev::BackfillChunk`]s paced at
-    /// `backfill_bytes_per_sec`, so the shipped pages compete with
-    /// foreground propagation for the target's disk and the copy takes
-    /// simulated time proportional to its volume.
-    fn start_backfill(
-        &mut self,
-        now: SimTime,
-        group: usize,
-        target: usize,
-        rels: RelationSet,
-        drop_source: Option<usize>,
-        queue: &mut EventQueue<Ev>,
-    ) {
-        let upto = self.certifier.backfill_upto(&self.nodes[target]);
-        let task = self.backfills.len();
-        self.backfills.push(BackfillTask {
-            group,
-            target,
-            rels,
-            next: Version::ZERO,
-            upto,
-            bytes: 0,
-            started: now,
-            done: false,
-            cancelled: false,
-            drop_source,
-        });
-        let cap = self.config.backfill_bytes_per_sec;
-        let t = &self.backfills[task];
-        if cap == 0 || t.upto == Version::ZERO || t.rels.is_empty() {
-            // Uncapped (or empty) copy: charge the whole log prefix through
-            // the target's models and complete *synchronously* — the
-            // historical semantics, where a crash-triggered re-replication
-            // leaves the new holder dispatch-eligible before the orphan
-            // sweep retries its clients.
-            let rels = t.rels;
-            let node = &mut self.nodes[target];
-            let (done, bytes) = self.certifier.backfill(now, node, rels);
-            let t = &mut self.backfills[task];
-            t.bytes = bytes;
-            t.next = t.upto;
-            self.on_backfill_done(done, task);
-        } else {
-            // The first chunk pays the request's LAN hop; each chunk then
-            // paces itself by the bytes it actually shipped.
-            queue.schedule(now + LAN_HOP_US, Ev::BackfillChunk { task });
-        }
-    }
-
-    /// Ships one bandwidth-capped slice of backfill task `task` and
-    /// schedules the next chunk (or completion) paced by the cap.
-    fn on_backfill_chunk(&mut self, now: SimTime, task: usize, queue: &mut EventQueue<Ev>) {
-        let (finished, target) = {
-            let t = &self.backfills[task];
-            (t.done || t.cancelled, t.target)
-        };
-        if finished {
-            return;
-        }
-        // Detection mode: the oracle no longer cancels tasks at crash time,
-        // so a chunk may land on a target that died since the last one.
-        // The copy died with the cache — cancel here rather than apply
-        // pages to a corpse. (Unreachable with the detector off.)
-        if !self.nodes[target].is_up() {
-            self.cancel_backfills_targeting(target);
-            return;
-        }
-        let (from, upto, rels) = {
-            let t = &self.backfills[task];
-            (t.next, t.upto, t.rels)
-        };
-        let node = &mut self.nodes[target];
-        let (_applied_at, bytes, next) =
-            self.certifier
-                .backfill_chunk(now, node, rels, from, upto, BACKFILL_CHUNK_BYTES);
-        let t = &mut self.backfills[task];
-        t.bytes += bytes;
-        t.next = next;
-        self.tracer
-            .emit(now, TraceData::BackfillChunk { task, bytes });
-        let cap = self.config.backfill_bytes_per_sec.max(1);
-        let delay = (bytes.saturating_mul(1_000_000) / cap).max(1);
-        if next >= upto {
-            // Completion pays the last chunk's transfer time too, so the
-            // total copy duration scales inversely with the cap.
-            queue.schedule(now + delay, Ev::BackfillDone { task });
-        } else {
-            queue.schedule(now + delay, Ev::BackfillChunk { task });
-        }
-    }
-
-    /// Finishes backfill task `task`: clears the target's pending set (it
-    /// becomes dispatch-eligible), sheds the migration donor when safe,
-    /// recomputes the eligibility masks, and records the fault with the
-    /// shipped volume.
-    fn on_backfill_done(&mut self, now: SimTime, task: usize) {
-        let t = &mut self.backfills[task];
-        if t.done || t.cancelled {
-            return;
-        }
-        t.done = true;
-        let (group, target, bytes, started, drop_source) =
-            (t.group, t.target, t.bytes, t.started, t.drop_source);
-        let rels = t.rels;
-        self.migration_us += now.saturating_since(started);
-        self.migration_bytes += bytes;
-        // Migration: drop the donor now that the copy is complete — never
-        // below `min_copies` holders (a concurrent crash may have shed
-        // other copies since the migration started).
-        let p = &mut self.placement;
-        p.complete_backfill(target, rels);
-        let dropped = drop_source
-            .filter(|&src| p.holds_group(src, group) && p.holders(group).len() > p.min_copies());
-        if let Some(src) = dropped {
-            p.remove_holder(group, src);
-        }
-        self.apply_placement(dropped);
-        let kind = match dropped {
-            Some(from) => crate::metrics::FaultKind::Migrate {
-                group,
-                from,
-                to: target,
-                bytes,
-            },
-            None => crate::metrics::FaultKind::Rereplicate {
-                group,
-                to: target,
-                bytes,
-            },
-        };
-        self.metrics.record_fault(now, kind);
-        self.tracer.emit(
-            now,
-            TraceData::BackfillDone {
-                task,
-                group,
-                to: target,
-                bytes,
-            },
-        );
-    }
-
-    /// Periodic skew check: when moving the hottest group off its busiest
-    /// holder onto the idlest live non-holder lowers the holder's load
-    /// ([`migration_lowers_donor`]), migrate it there — capped backfill
-    /// onto the target, donor dropped at completion. Single-flight: at most
-    /// one backfill runs at a time, so copy traffic stays bounded by the
-    /// cap.
-    fn on_rebalance_tick(&mut self, now: SimTime, queue: &mut EventQueue<Ev>) {
-        if !self.config.migration {
-            return;
-        }
-        queue.schedule(now + MIGRATION_PERIOD.as_micros(), Ev::RebalanceTick);
-        if self.backfills.iter().any(|t| !t.done && !t.cancelled) {
-            self.tracer
-                .emit(now, TraceData::Rebalance { migration: None });
-            return;
-        }
-        let Some((hot, src, dst, rels)) = self.pick_migration() else {
-            self.tracer
-                .emit(now, TraceData::Rebalance { migration: None });
-            return;
-        };
-        self.tracer.emit(
-            now,
-            TraceData::Rebalance {
-                migration: Some((hot, src, dst)),
-            },
-        );
-        self.widen_holder(hot, dst, rels);
-        self.start_backfill(now, hot, dst, rels, Some(src), queue);
-        // Restart the skew window so the next tick judges post-migration
-        // traffic, not the history that triggered this move.
-        self.group_dispatches.fill(0);
-        self.replica_dispatches.fill(0);
-    }
-
-    /// Chooses the migration for this rebalance round: hottest group by
-    /// dispatch count, donor = its busiest live holder, target = idlest
-    /// live non-holder, all ties to the lowest id. Returns `None` when
-    /// there is no skew signal, no candidate pair (a full map has no
-    /// non-holder), or the move would not lower the donor's load.
-    fn pick_migration(&self) -> Option<(usize, usize, usize, RelationSet)> {
-        let p = &self.placement;
-        let n = self.config.replicas;
-        let (hot, load) = self
-            .group_dispatches
-            .chunks(n)
-            .map(|per_replica| per_replica.iter().sum::<u64>())
-            .enumerate()
-            .max_by(|a, b| a.1.cmp(&b.1).then(b.0.cmp(&a.0)))?;
-        if load == 0 {
-            return None;
-        }
-        let loads = self.lb.loads();
-        let live = |r: &usize| self.nodes[*r].is_up();
-        let src = p.holders(hot).iter().copied().filter(live).max_by(|a, b| {
-            loads[*a]
-                .bottleneck()
-                .total_cmp(&loads[*b].bottleneck())
-                .then(b.cmp(a))
-        })?;
-        let dst = (0..n)
-            .filter(|r| live(r) && !p.holds_group(*r, hot))
-            .min_by(|a, b| {
-                loads[*a]
-                    .bottleneck()
-                    .total_cmp(&loads[*b].bottleneck())
-                    .then(a.cmp(b))
-            })?;
-        migration_lowers_donor(
-            loads[src].bottleneck(),
-            loads[dst].bottleneck(),
-            self.group_dispatches[hot * n + src],
-            self.replica_dispatches[src],
-        )
-        .then(|| (hot, src, dst, p.missing_relations(dst, hot)))
-    }
-
-    /// Recovers a crashed replica: the durable prefix (its applied version)
-    /// survived, so §3 standard recovery replays only the writesets it
-    /// missed from the certifier's persistent log — paying cold-cache page
-    /// reads — then the replica rejoins dispatch.
-    fn on_replica_recover(&mut self, now: SimTime, replica: usize, queue: &mut EventQueue<Ev>) {
-        if self.nodes[replica].is_up() {
-            return;
-        }
-        if self.detection_on() {
-            // The restarted proxy resets the connections its crash lost. A
-            // replica suspected before it recovered was swept then and has
-            // none left; one that recovers first would otherwise strand
-            // those clients, since the suspicion sweep never comes.
-            self.sweep_suspected(now, replica, queue);
-        }
-        // Checkpoint-lag crash model: the durable on-disk state is a
-        // checkpoint `k` versions behind what the replica had applied when
-        // it died, so the replay window covers that redo prefix *plus*
-        // whatever committed while it was down.
-        let k = self.config.checkpoint_lag;
-        let node = &mut self.nodes[replica];
-        let from = Version(node.applied().0.saturating_sub(k));
-        node.recover(from);
-        if k > 0 {
-            let head = self.certifier.version();
-            self.tracer.emit(
-                now,
-                TraceData::RedoStart {
-                    replica,
-                    from: from.0,
-                    head: head.0,
-                },
-            );
-        }
-        // The replay's CPU and disk work is charged through the node's
-        // queueing models at `now`, so transactions dispatched to the
-        // rejoining replica queue behind it — the completion time itself
-        // needs no separate event. Under partial replication the replay
-        // carries pages only for held groups (the rest are version ticks).
-        let (sent0, _) = self.certifier.propagation_bytes();
-        let replay_done = {
-            let node = &mut self.nodes[replica];
-            self.certifier.catch_up(now, node, &self.placement)
-        };
-        let (sent1, _) = self.certifier.propagation_bytes();
-        let bytes = sent1.saturating_sub(sent0);
-        let us = replay_done.saturating_since(now);
-        self.redo_bytes += bytes;
-        self.redo_us += us;
-        if k > 0 {
-            self.tracer
-                .emit(now, TraceData::RedoDone { replica, bytes, us });
-        }
-        self.record_fault(now, now, FaultKind::ReplicaRecover(replica), || {
-            format!("recover replica={replica}")
-        });
-        if self.detection_on() {
-            // The replica does not answer heartbeats until the replay
-            // drains; dispatch eligibility and the over-replication shrink
-            // follow at the detector's *Trusted* transition, never from
-            // oracle knowledge.
-            self.recovering_until[replica] = replay_done;
-            return;
-        }
-        self.lb.replica_recovered(ReplicaId(replica));
-        // The crash-time re-replication widened holder sets to keep
-        // `min_copies` *live* copies; this recovery may leave groups
-        // over-replicated. Shrink back so placement converges instead of
-        // ratcheting wider with every crash/recover cycle.
-        self.shrink_over_replicated(now);
-    }
-
-    /// Drops surplus holders until every group is back at exactly
-    /// `min_copies` copies. Victims are chosen deterministically: first a
-    /// holder whose backfill is still in flight (the copy is cancelled —
-    /// cheaper to abandon than to finish), then crashed holders (their
-    /// pages are stale until replay anyway), then the live holder with the
-    /// most placed pages; ties to the highest id. Dropping a holder only
-    /// narrows its update filter — no transaction state is touched, so the
-    /// shrink can never abort anything.
-    fn shrink_over_replicated(&mut self, now: SimTime) {
-        if self.placement.is_full() {
-            return;
-        }
-        let min_copies = self.placement.min_copies();
-        for g in 0..self.placement.group_count() {
-            while self.placement.holders(g).len() > min_copies {
-                let pending_task = self
-                    .backfills
-                    .iter()
-                    .position(|t| t.group == g && !t.done && !t.cancelled);
-                let victim = match pending_task {
-                    Some(task) => {
-                        let t = &mut self.backfills[task];
-                        t.cancelled = true;
-                        self.placement.complete_backfill(t.target, t.rels);
-                        t.target
-                    }
-                    None => {
-                        let p = &self.placement;
-                        let live_holders = p
-                            .holders(g)
-                            .iter()
-                            .filter(|r| self.nodes[**r].is_up())
-                            .count();
-                        p.holders(g)
-                            .iter()
-                            .copied()
-                            .filter(|r| {
-                                let up = self.nodes[*r].is_up();
-                                // Never shed a live copy if that would
-                                // leave fewer than `min_copies` live.
-                                !up || live_holders > min_copies
-                            })
-                            .max_by_key(|r| {
-                                let up = self.nodes[*r].is_up();
-                                (!up, p.held_pages(*r), *r)
-                            })
-                            .expect("over-replicated group has a droppable holder")
-                    }
-                };
-                self.placement.remove_holder(g, victim);
-                self.apply_placement([victim]);
-                self.record_fault(
-                    now,
-                    now,
-                    FaultKind::ShrinkHolder {
-                        group: g,
-                        from: victim,
-                    },
-                    || format!("shrink group={g} holder={victim}"),
-                );
-            }
-        }
-    }
-
-    /// One heartbeat round: the balancer pings every replica, the probe
-    /// pairs occupy the control-side NIC, and the answers feed the
-    /// per-replica accrual counters. The resulting transitions — and only
-    /// they — change dispatch eligibility, retry in-flight work, trigger
-    /// re-replication, or restore trust.
-    fn on_heartbeat_tick(&mut self, now: SimTime, queue: &mut EventQueue<Ev>) {
-        let period = self.config.heartbeat_period_us;
-        if period == 0 {
-            return;
-        }
-        let n = self.config.replicas;
-        // The round's ping/ack pairs serialize on the control-side NIC:
-        // certification requests arriving behind them wait — detection is
-        // cheap, not free.
-        self.certifier.occupy_nic(now, n as u64);
-        let reachable: Vec<bool> = (0..n)
-            .map(|r| {
-                self.nodes[r].is_up()
-                    && !self.partitioned(CONTROL_NODE, r)
-                    && now >= self.recovering_until[r]
-            })
-            .collect();
-        for tr in self.detector.observe_heartbeats(&reachable) {
-            self.apply_health_transition(now, tr, queue);
-        }
-        queue.schedule(now + period, Ev::HeartbeatTick);
-    }
-
-    /// Applies one detector transition's cluster-side consequences.
-    fn apply_health_transition(
-        &mut self,
-        now: SimTime,
-        tr: HealthTransition,
-        queue: &mut EventQueue<Ev>,
-    ) {
-        match tr {
-            HealthTransition::Miss { replica, misses } => {
-                self.tracer
-                    .emit(now, TraceData::HeartbeatMiss { replica, misses });
-            }
-            HealthTransition::Suspected { replica, misses } => {
-                let injected = self.fault_started[replica].unwrap_or(now);
-                self.metrics.record_fault_detected(
-                    now,
-                    injected,
-                    FaultKind::ReplicaSuspected(replica),
-                );
-                self.tracer
-                    .emit(now, TraceData::Suspect { replica, misses });
-                // Out of dispatch and MALB eligibility; in-flight work
-                // retries on survivors. Re-replication waits for *Dead* —
-                // a false suspicion must cost a filter-widen, not a copy.
-                self.lb.replica_failed(ReplicaId(replica));
-                self.sweep_suspected(now, replica, queue);
-            }
-            HealthTransition::Dead { replica } => {
-                let injected = self.fault_started[replica].unwrap_or(now);
-                self.record_fault(now, injected, FaultKind::ReplicaDead(replica), || {
-                    format!("dead replica={replica}")
-                });
-                self.cancel_backfills_targeting(replica);
-                self.rereplicate_under_copied(now, replica, queue);
-            }
-            HealthTransition::Trusted { replica, was_dead } => {
-                let injected = self.fault_started[replica].unwrap_or(now);
-                self.fault_started[replica] = None;
-                self.metrics.record_fault_detected(
-                    now,
-                    injected,
-                    FaultKind::ReplicaTrusted(replica),
-                );
-                self.tracer.emit(now, TraceData::Unsuspect { replica });
-                // The cheap rejoin: dispatch eligibility back on. Only a
-                // wrongly-declared death needs placement work — shrinking
-                // whatever re-replication over-copied.
-                self.lb.replica_recovered(ReplicaId(replica));
-                if was_dead {
-                    self.shrink_over_replicated(now);
-                }
-            }
-        }
-    }
-
-    /// Retries the requests open on `replica` on survivors, in `TxnId`
-    /// order, at its *Suspected* transition (or at its recovery, when that
-    /// comes first) or, with the detector off, at its crash. A request a
-    /// client timeout already took was retried then and keeps its one
-    /// retry. A merely unreachable (still up) replica may still be running
-    /// the swept attempts: their completions free only the Gatekeeper
-    /// slots the node holds.
-    fn sweep_suspected(&mut self, now: SimTime, replica: usize, queue: &mut EventQueue<Ev>) {
-        let mut orphans: Vec<(TxnId, usize)> = self
-            .txns
-            .iter()
-            .flatten()
-            .filter(|meta| meta.replica == replica)
-            .map(|meta| (meta.txn, meta.client))
-            .collect();
-        orphans.sort_unstable();
-        for (txn, client) in orphans {
-            let meta = self
-                .take_request(client, txn)
-                .expect("a swept client still waits on its attempt");
-            if meta.retries < self.clients.max_retries {
-                let retries = meta.retries + 1;
-                self.submit_txn(now, client, meta.txn_type, meta.arrived, retries, queue);
-            } else {
-                self.give_up(now, &meta, now, queue);
-            }
-        }
-    }
-
-    /// Re-replicates every group the dead `replica` holds that has fallen
-    /// below `min_copies` believed-live holders (clamped by the number of
-    /// believed-live replicas) — at its *Dead* transition, deferred from
-    /// suspicion so a false suspicion never ships a byte, or at its crash
-    /// with the detector off.
-    fn rereplicate_under_copied(
-        &mut self,
-        now: SimTime,
-        replica: usize,
-        queue: &mut EventQueue<Ev>,
-    ) {
-        let affected: Vec<usize> = (0..self.placement.group_count())
-            .filter(|g| self.placement.holds_group(replica, *g))
-            .collect();
-        let live = (0..self.config.replicas)
-            .filter(|r| self.believed_live(*r))
-            .count();
-        let target = self.placement.min_copies().min(live);
-        for g in affected {
-            loop {
-                let live_holders = self
-                    .placement
-                    .holders(g)
-                    .iter()
-                    .filter(|r| self.believed_live(**r))
-                    .count();
-                if live_holders >= target || self.rereplicate_group(now, g, queue).is_none() {
-                    break;
-                }
-            }
-        }
-    }
-
-    /// Installs a partition between `a` and `b`: messages between them drop
-    /// until `heal_at`. Partitioning a replica against [`CONTROL_NODE`]
-    /// severs it from heartbeats, certification, and propagation without
-    /// killing it — the false-suspicion injection.
-    fn on_link_partition(
-        &mut self,
-        now: SimTime,
-        a: usize,
-        b: usize,
-        heal_at: SimTime,
-        queue: &mut EventQueue<Ev>,
-    ) {
-        let pair = (a.min(b), a.max(b));
-        if !self.partitions.contains(&pair) {
-            self.partitions.push(pair);
-            // The fault clock detection latency is measured from starts
-            // the moment a replica loses its control link (`CONTROL_NODE`
-            // is `usize::MAX`, so it always normalizes to `pair.1`).
-            if pair.1 == CONTROL_NODE
-                && pair.0 < self.config.replicas
-                && self.fault_started[pair.0].is_none()
-            {
-                self.fault_started[pair.0] = Some(now);
-            }
-            self.record_fault(
-                now,
-                now,
-                FaultKind::Partition {
-                    a: pair.0,
-                    b: pair.1,
-                },
-                || {
-                    format!(
-                        "partition {}<->{}",
-                        endpoint_name(pair.0),
-                        endpoint_name(pair.1)
-                    )
-                },
-            );
-        }
-        queue.schedule(heal_at, Ev::LinkHeal { a, b });
-    }
-
-    /// Removes a partition; traffic between the pair flows again. Trust is
-    /// *not* restored here — the detector re-trusts the replica only once
-    /// heartbeats actually answer again.
-    fn on_link_heal(&mut self, now: SimTime, a: usize, b: usize) {
-        let pair = (a.min(b), a.max(b));
-        if let Some(i) = self.partitions.iter().position(|p| *p == pair) {
-            self.partitions.remove(i);
-            self.record_fault(
-                now,
-                now,
-                FaultKind::PartitionHealed {
-                    a: pair.0,
-                    b: pair.1,
-                },
-                || format!("heal {}<->{}", endpoint_name(pair.0), endpoint_name(pair.1)),
-            );
-        }
-    }
-
     /// Takes `client`'s open request if `txn` is its latest attempt and
     /// closes the client's balancer connection; `None` when the client no
     /// longer waits on `txn` (a timeout or the sweep already took it).
@@ -1579,7 +816,7 @@ impl ClusterState {
         backoff_us: u64,
         queue: &mut EventQueue<Ev>,
     ) {
-        if meta.retries < self.clients.max_retries {
+        if meta.retries < MAX_RETRIES {
             queue.schedule(
                 reply_at + backoff_us,
                 Ev::TxnRetry {
@@ -1615,9 +852,7 @@ impl ClusterState {
     }
 
     fn on_client_arrive(&mut self, now: SimTime, client: usize, queue: &mut EventQueue<Ev>) {
-        let txn_type = self
-            .clients
-            .next_type(&self.mixes[self.active_mix], &mut self.rng);
+        let txn_type = self.mixes[self.active_mix].pick(&mut self.rng);
         self.submit_txn(now, client, txn_type, now, 0, queue);
     }
 
@@ -1717,7 +952,7 @@ impl ClusterState {
 
     /// Schedules a client's next arrival after its think time.
     fn schedule_next_arrival(&mut self, from: SimTime, client: usize, queue: &mut EventQueue<Ev>) {
-        let think = self.clients.think(&mut self.rng);
+        let think = self.rng.exp_micros(self.config.think_mean_us);
         queue.schedule(from + think, Ev::ClientArrive { client });
     }
 
@@ -1755,12 +990,8 @@ impl ClusterState {
                 // balancer sees plus the node's queue/memory state and any
                 // in-flight backfill traffic targeting it.
                 if self.tracer.on() {
-                    let backfill_bytes = self
-                        .backfills
-                        .iter()
-                        .filter(|t| t.target == replica && !t.done && !t.cancelled)
-                        .map(|t| t.bytes)
-                        .sum();
+                    let backfill_bytes = self.running_copy_bytes(replica);
+                    let node = &self.nodes[replica];
                     self.tracer.emit(
                         now,
                         TraceData::Util {
@@ -1782,40 +1013,6 @@ impl ClusterState {
                 round: round + 1,
             },
         );
-    }
-
-    /// Resets the measurement window at the end of warm-up.
-    fn on_end_warmup(&mut self, now: SimTime) {
-        let (read, write) = self.disk_bytes();
-        self.metrics.start_window(now, read, write);
-        self.busy0 = self.busy_totals();
-        self.prop0 = self.certifier.propagation_bytes();
-        self.window_started = now;
-    }
-}
-
-/// Whether migrating a group off a donor at bottleneck load `donor` onto a
-/// target at `target` lowers the donor's load: the donor's share of the
-/// group is its load times the group's fraction of its dispatches
-/// (`donor_group` of `donor_all`), and the move pays only when the target
-/// carrying that share stays below the donor's load now. A donor whose load
-/// is all the group's never moves — the move would carry the hotspot
-/// whole onto a colder cache.
-fn migration_lowers_donor(donor: f64, target: f64, donor_group: u64, donor_all: u64) -> bool {
-    let share = if donor_all == 0 {
-        0.0
-    } else {
-        donor * donor_group as f64 / donor_all as f64
-    };
-    target + share < donor
-}
-
-/// Human-readable partition endpoint for trace descriptions.
-fn endpoint_name(n: usize) -> String {
-    if n == CONTROL_NODE {
-        "ctl".to_string()
-    } else {
-        n.to_string()
     }
 }
 
@@ -1878,9 +1075,9 @@ mod tests {
 
     fn run_fingerprint() -> (u64, u64, u64, u64) {
         let (state, now) = run_keeping_state(tiny(PolicySpec::LeastConnections, 2, 15));
-        let (read, write) = state.disk_bytes();
+        let c = state.counters();
         let r = state.finish_result(now);
-        (r.committed, r.aborts, read, write)
+        (r.committed, r.aborts, c.read_bytes, c.write_bytes)
     }
 
     #[test]
@@ -1942,19 +1139,6 @@ mod tests {
                 at: SimTime::from_secs(1)
             }
         );
-    }
-
-    #[test]
-    fn migration_moves_only_a_donor_carrying_other_load() {
-        // All of the donor's dispatches were the hot group's: the target
-        // would end up as loaded as the donor is now, even idle.
-        assert!(!migration_lowers_donor(0.9, 0.0, 40, 40));
-        assert!(!migration_lowers_donor(0.9, 0.5, 40, 40));
-        // A quarter of them: the donor sheds 0.225, which an idle target
-        // takes on and a target already at 0.7 cannot.
-        assert!(migration_lowers_donor(0.9, 0.0, 10, 40));
-        assert!(migration_lowers_donor(0.9, 0.6, 10, 40));
-        assert!(!migration_lowers_donor(0.9, 0.7, 10, 40));
     }
 
     #[test]

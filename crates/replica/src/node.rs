@@ -268,35 +268,27 @@ impl ReplicaNode {
         self.gatekeeper.admit(txn)
     }
 
-    /// Advances transaction `txn` from time `now`.
+    /// Advances transaction `txn` from time `now`, or returns `None` when its
+    /// plan is not running here: it has ended, or a crash dropped it while
+    /// its step was queued.
     ///
     /// Consumes up to one CPU quantum of page touches; a buffer-pool miss
     /// submits the disk read (plus a write-back when the victim was dirty)
     /// and yields.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `txn` is not running on this replica.
-    pub fn step(&mut self, txn: TxnId, now: SimTime) -> StepOutcome {
-        let slot = &mut self
-            .held
-            .get_mut(&txn)
-            .unwrap_or_else(|| panic!("step of unknown transaction {txn}"))
-            .exec;
-        let executor = slot
-            .as_mut()
-            .unwrap_or_else(|| panic!("step of finished transaction {txn}"));
+    pub fn step(&mut self, txn: TxnId, now: SimTime) -> Option<StepOutcome> {
+        let slot = &mut self.held.get_mut(&txn)?.exec;
+        let executor = slot.as_mut()?;
         let mut cpu_accum: u64 = 0;
         loop {
             match executor.next_touch(&self.catalog, &mut self.rng) {
                 None => {
                     let done = self.cpu.run(now, cpu_accum);
                     let ws = slot.take().expect("stepped above").into_writeset();
-                    return if ws.is_empty() {
+                    return Some(if ws.is_empty() {
                         StepOutcome::Done(done)
                     } else {
                         StepOutcome::ReadyToCommit(done, ws)
-                    };
+                    });
                 }
                 Some(touch) => {
                     cpu_accum += touch.cpu_us;
@@ -306,7 +298,7 @@ impl ReplicaNode {
                                 self.pool.mark_dirty(touch.page);
                             }
                             if cpu_accum >= CPU_QUANTUM_US {
-                                return StepOutcome::Busy(self.cpu.run(now, cpu_accum));
+                                return Some(StepOutcome::Busy(self.cpu.run(now, cpu_accum)));
                             }
                         }
                         Touch::Miss { evicted } => {
@@ -330,7 +322,7 @@ impl ReplicaNode {
                                     kind: ReqKind::Read,
                                 },
                             );
-                            return StepOutcome::Busy(t_read);
+                            return Some(StepOutcome::Busy(t_read));
                         }
                     }
                 }
@@ -553,7 +545,7 @@ mod tests {
 
     fn run_to_completion(node: &mut ReplicaNode, txn: TxnId, mut now: SimTime) -> StepOutcome {
         loop {
-            match node.step(txn, now) {
+            match node.step(txn, now).expect("the plan runs") {
                 StepOutcome::Busy(t) => now = t,
                 done => return done,
             }
@@ -733,18 +725,11 @@ mod tests {
         }
         node.set_filter(UpdateFilter::only([item]));
         // Orders (and its index) evicted; item stays warm.
-        let pool_orders = {
-            let mut count = 0;
-            for page in 0..64 {
-                if node.pool_stats().hits.checked_add(0).is_some() {
-                    // Residency probe via touch-free API:
-                    count += usize::from(
-                        node.is_page_resident(tashkent_storage::GlobalPageId::new(orders, page)),
-                    );
-                }
-            }
-            count
-        };
+        let pool_orders = (0..64)
+            .filter(|&page| {
+                node.is_page_resident(tashkent_storage::GlobalPageId::new(orders, page))
+            })
+            .count();
         assert_eq!(pool_orders, 0);
     }
 
@@ -858,6 +843,10 @@ mod tests {
         run_to_completion(&mut node, TxnId(1), SimTime::ZERO);
         // The plan has ended; the proxy still holds the outcome's slot.
         assert!(!node.is_running(TxnId(1)));
+        assert!(
+            node.step(TxnId(1), SimTime::ZERO).is_none(),
+            "no step after the plan"
+        );
         assert_eq!(node.held(TxnId(1)), Some(TxnTypeId(3)));
         assert_eq!(node.outstanding(), 2);
         assert_eq!(
@@ -879,6 +868,7 @@ mod tests {
         assert!(!node.is_up());
         assert_eq!(node.held(TxnId(1)), None);
         assert!(!node.is_running(TxnId(2)));
+        assert!(node.step(TxnId(2), SimTime::ZERO).is_none(), "a stale step");
         assert_eq!(node.outstanding(), 0);
         // A late outcome frees nothing: an empty Gatekeeper would panic.
         assert_eq!(node.release(TxnId(1), true), None);

@@ -10,14 +10,13 @@
 //!
 //! Each workload contributes a schema ([`tashkent_storage::Catalog`]), a set
 //! of transaction types with execution plans ([`tashkent_engine::TxnPlan`]),
-//! and mixes (type frequency vectors). A closed-loop [`client::ClientPool`]
-//! model supplies think times and type selection.
+//! and mixes (type frequency vectors) from which [`Mix::pick`] draws each
+//! request's type. The closed-loop clients themselves — think time, retries
+//! and backoff — are the cluster's (`tashkent-cluster`'s `ClusterState`).
 
-pub mod client;
 pub mod rubis;
 pub mod spec;
 pub mod tpcw;
 
-pub use client::ClientPool;
 pub use spec::{Mix, Workload};
 pub use tpcw::{TpcwScale, TPCW_MIXES};

@@ -9,7 +9,7 @@
 //! `timeseries` and `plateau` must match the reference bit for bit.
 
 use proptest::prelude::*;
-use tashkent::cluster::{Metrics, RunResult};
+use tashkent::cluster::{Counters, Metrics, RunResult};
 use tashkent::sim::SimTime;
 
 /// Completions kept as timestamps.
@@ -68,11 +68,11 @@ fn bits(series: &[(f64, f64)]) -> Vec<(u64, u64)> {
 /// Records `times` in a window opened at `start` and closed at `end`.
 fn finished(start: SimTime, end: SimTime, times: &[SimTime]) -> RunResult {
     let mut m = Metrics::new();
-    m.start_window(start, 0, 0);
+    m.start_window(start, Counters::default());
     for &t in times {
         m.record_completion(t, start, false);
     }
-    m.finish(end, 0, 0, Vec::new())
+    m.finish(end, Counters::default(), 1, Vec::new())
 }
 
 proptest! {
