@@ -308,7 +308,7 @@ fn bench_dispatch(c: &mut Criterion) {
         let mut i = 0u32;
         b.iter(|| {
             i = (i + 1) % 13;
-            lard.dispatch(TxnTypeId(i), &conns)
+            lard.dispatch(TxnTypeId(i), &conns, |_| true)
         })
     });
 }
@@ -364,9 +364,8 @@ fn bench_placement(c: &mut Criterion) {
         b.iter(|| {
             let groups = TypeGroups::derive(&workload);
             let map = ReplicationPlanner::new(2).plan(&workload.catalog, &groups, 16);
-            let masks = map.type_masks(workload.types.len());
             let filters: Vec<_> = (0..16).map(|r| map.filter_for(r)).collect();
-            (masks, filters)
+            (map, filters)
         })
     });
     let groups = TypeGroups::derive(&workload);

@@ -259,48 +259,36 @@ impl CertifierLink {
         upto: Version,
         max_bytes: u64,
     ) -> (SimTime, u64, Version) {
-        let before = node.stats();
-        let (done, next) = {
-            let log = self.engine.log().since(from).before(upto.next());
-            // Pick the chunk end by the same byte formula the accounting
-            // below uses: header + per-item bytes for the entries that ship
-            // anything; entries touching none of `rels` are free to skip.
-            let mut end = 0;
-            let mut used = 0u64;
-            let mut shipped_any = false;
-            while end < log.len() {
-                let items = log
-                    .get(end)
-                    .1
-                    .iter()
-                    .filter(|i| rels.contains(i.rel()))
-                    .count() as u64;
-                let cost = if items > 0 {
-                    WS_HEADER_BYTES + items * WS_ITEM_BYTES
-                } else {
-                    0
-                };
-                if shipped_any && used.saturating_add(cost) > max_bytes {
-                    break;
-                }
-                used = used.saturating_add(cost);
-                shipped_any |= cost > 0;
-                end += 1;
-                if used >= max_bytes {
-                    break;
-                }
+        let log = self.engine.log().since(from).before(upto.next());
+        // Header + per-item bytes for the entries that ship anything;
+        // entries touching none of `rels` are free to skip.
+        let mut end = 0;
+        let mut bytes = 0u64;
+        let mut shipped_any = false;
+        while end < log.len() {
+            let items = log
+                .get(end)
+                .1
+                .iter()
+                .filter(|i| rels.contains(i.rel()))
+                .count() as u64;
+            let cost = if items > 0 {
+                WS_HEADER_BYTES + items * WS_ITEM_BYTES
+            } else {
+                0
+            };
+            if shipped_any && bytes.saturating_add(cost) > max_bytes {
+                break;
             }
-            (
-                node.backfill_writesets(now, log.slice(0..end), rels),
-                Version(from.0 + end as u64),
-            )
-        };
-        // The node's backfill counters are the single source of truth for
-        // what was actually re-applied; the shipped bytes derive from them.
-        let after = node.stats();
-        let shipped_ws = after.writesets_backfilled - before.writesets_backfilled;
-        let shipped_items = after.items_backfilled - before.items_backfilled;
-        let bytes = shipped_ws * WS_HEADER_BYTES + shipped_items * WS_ITEM_BYTES;
+            bytes = bytes.saturating_add(cost);
+            shipped_any |= cost > 0;
+            end += 1;
+            if bytes >= max_bytes {
+                break;
+            }
+        }
+        let done = node.backfill_writesets(now, log.slice(0..end), rels);
+        let next = Version(from.0 + end as u64);
         self.traffic.sent += bytes;
         self.last_contact[node.id()] = now;
         (done, bytes, next)

@@ -104,8 +104,9 @@ impl Detector {
     /// is whether replica `r`'s ping was answered (physically up, no
     /// partition on the control link, not mid-replay). Returns the state
     /// transitions in replica order; the caller applies their cluster-side
-    /// consequences (eligibility masks, orphan sweeps, re-replication) so
-    /// that — with the detector on — those change *only* through here.
+    /// consequences (the balancer's liveness, orphan sweeps,
+    /// re-replication) so that — with the detector on — those change *only*
+    /// through here.
     pub fn observe_heartbeats(&mut self, reachable: &[bool]) -> Vec<HealthTransition> {
         let mut out = Vec::new();
         for (r, &ok) in reachable.iter().enumerate() {

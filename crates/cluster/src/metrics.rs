@@ -1,6 +1,7 @@
 //! Run metrics: throughput, response times, disk I/O per transaction.
 
 use tashkent_certifier::GroupCommits;
+use tashkent_core::DispatchStats;
 use tashkent_sim::{fnv1a_fold, Histogram, OnlineStats, SimTime, FNV1A_BASIS};
 
 use crate::trace::TraceSummary;
@@ -380,7 +381,7 @@ impl Metrics {
             assignments,
             cpu_util: c.cpu_busy_us.saturating_sub(c0.cpu_busy_us) as f64 / window_us,
             disk_util: c.disk_busy_us.saturating_sub(c0.disk_busy_us) as f64 / window_us,
-            lb: LbSummary::default(),
+            lb: DispatchStats::default(),
             propagated_ws_bytes: c.propagated_ws_bytes.saturating_sub(c0.propagated_ws_bytes),
             filtered_ws_bytes: c.filtered_ws_bytes.saturating_sub(c0.filtered_ws_bytes),
             migration_bytes: 0,
@@ -448,7 +449,7 @@ pub struct RunResult {
     pub disk_util: f64,
     /// Load-balancer activity over the whole run (filled by
     /// `ClusterState::finish_result`).
-    pub lb: LbSummary,
+    pub lb: DispatchStats,
     /// Writeset bytes actually shipped to replicas over the measurement
     /// window: pages to holders, version ticks to non-holders. Under full
     /// replication this equals the full propagation volume.
@@ -497,23 +498,6 @@ pub struct RunResult {
     /// by type id (types never completed nor aborted may be missing from
     /// the tail).
     pub per_type: Vec<(u64, f64, f64, u64)>,
-}
-
-/// Summary of load-balancer reconfiguration activity.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct LbSummary {
-    /// Replica moves performed by MALB.
-    pub moves: u64,
-    /// Group merges.
-    pub merges: u64,
-    /// Group splits.
-    pub splits: u64,
-    /// Wholesale fast re-allocations.
-    pub fast_reallocs: u64,
-    /// Dispatches that fell back outside the type's group.
-    pub fallback: u64,
-    /// Whether update filters were installed.
-    pub filters_installed: bool,
 }
 
 impl RunResult {

@@ -15,8 +15,9 @@
 //! every layer:
 //!
 //! * **Dispatch** routes a transaction only to replicas holding *every*
-//!   relation it touches (the balancer consumes per-type eligibility masks
-//!   derived here);
+//!   relation it touches: the balancer asks [`PlacementMap::eligible`] at
+//!   every dispatch and rebalance tick, so it never holds a copy of the
+//!   placement;
 //! * **Propagation** ships a committed writeset's pages only to replicas
 //!   holding the touched relations; a replica holding none of them receives
 //!   a bare *version tick* ([`WS_TICK_BYTES`]) so its applied version stays
@@ -267,8 +268,9 @@ impl PlacementMap {
     /// Removes `replica` from `group`'s holder set, recomputing its held
     /// relations as the union over its remaining groups (a relation shared
     /// with another held group stays held); returns whether it was a
-    /// holder. Pending relations the replica no longer holds are dropped
-    /// with it.
+    /// holder. Pending relations are left alone: only
+    /// [`PlacementMap::mark_pending`] and
+    /// [`PlacementMap::complete_backfill`] write them.
     pub fn remove_holder(&mut self, group: usize, replica: usize) -> bool {
         match self.holders[group].binary_search(&replica) {
             Err(_) => false,
@@ -279,7 +281,6 @@ impl PlacementMap {
                     .fold(RelationSet::new(), |held, g| {
                         held.union(self.groups[g].relations)
                     });
-                self.pending[replica] = self.pending[replica].intersection(held);
                 self.held[replica] = held;
                 true
             }
@@ -329,19 +330,6 @@ impl PlacementMap {
         } else {
             UpdateFilter::Only(self.held[replica])
         }
-    }
-
-    /// Per-type eligibility masks for the load balancer: `masks[t][r]` is
-    /// whether replica `r` holds every relation transaction type `t`
-    /// touches.
-    pub fn type_masks(&self, n_types: usize) -> Vec<Vec<bool>> {
-        (0..n_types)
-            .map(|t| {
-                (0..self.n_replicas)
-                    .map(|r| self.eligible(TxnTypeId(t as u32), r))
-                    .collect()
-            })
-            .collect()
     }
 }
 
@@ -526,8 +514,9 @@ mod tests {
                     assert!(map.holds(r, rel.id), "replica {r} misses {}", rel.id);
                 }
             }
-            let masks = map.type_masks(13);
-            assert!(masks.iter().all(|row| row.iter().all(|b| *b)));
+            for t in 0..13 {
+                assert!((0..4).all(|r| map.eligible(TxnTypeId(t), r)));
+            }
         }
         assert_eq!(PlacementMap::full(4).group_count(), 0);
         // Over-asking clamps to the cluster size.
@@ -628,10 +617,6 @@ mod tests {
         }
         for t in &map.groups()[g].types.clone() {
             assert!(!map.eligible(*t, outsider), "pending holder dispatched");
-        }
-        let masks = map.type_masks(13);
-        for t in &map.groups()[g].types {
-            assert!(!masks[t.0 as usize][outsider]);
         }
         map.complete_backfill(outsider, missing);
         assert!(map.pending_relations(outsider).is_empty());

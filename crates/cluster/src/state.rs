@@ -44,7 +44,7 @@ use tashkent_workloads::{Mix, Workload};
 use crate::components::{CertifierLink, Detector, ReplicaHealth};
 use crate::config::{ClusterConfig, PlacementSpec, PolicySpec, LAN_HOP_US, MIGRATION_PERIOD};
 use crate::events::{Ev, CONTROL_NODE};
-use crate::metrics::{Counters, FaultKind, GroupSnapshot, LbSummary, Metrics, RunResult};
+use crate::metrics::{Counters, FaultKind, GroupSnapshot, Metrics, RunResult};
 use crate::placement::{PlacementMap, ReplicationPlanner, TypeGroups};
 use crate::trace::{TraceData, Tracer};
 
@@ -264,10 +264,10 @@ impl ClusterState {
             mixes,
             ended: false,
         };
-        // Thread a constraining placement through the layers: placement
-        // filters on the nodes (the "must not receive" tier) and per-type
-        // eligibility masks on the balancer (dispatch routes only to
-        // holders). A full map constrains nothing, so it installs neither.
+        // A constraining placement installs its filters on the nodes (the
+        // "must not receive" tier); the balancer asks the map itself at
+        // every dispatch and tick. A full map constrains nothing, so it
+        // installs no filter.
         if !state.placement.is_full() {
             state.apply_placement(0..state.config.replicas);
         }
@@ -413,17 +413,9 @@ impl ClusterState {
     /// certifier groups' commits, the copy and redo totals, and the trace
     /// summary.
     pub fn finish_result(&self, now: SimTime) -> RunResult {
-        let stats = self.lb.stats();
         let counters = self.counters();
         RunResult {
-            lb: LbSummary {
-                moves: stats.moves,
-                merges: stats.merges,
-                splits: stats.splits,
-                fast_reallocs: stats.fast_reallocs,
-                fallback: stats.fallback,
-                filters_installed: self.lb.filters_installed(),
-            },
+            lb: self.lb.stats(),
             cert_group_commits: self.certifier().group_commits().to_vec(),
             migration_bytes: self.migration_bytes,
             migration_us: self.migration_us,
@@ -522,7 +514,7 @@ impl ClusterState {
                 // A full placement imposes no constraint, so there §3
                 // filtering applies unchanged.
                 let (mut filters, mut moves) = (0, 0);
-                for action in self.lb.tick(now) {
+                for action in self.lb.tick(now, |t, r| self.placement.eligible(t, r)) {
                     match action {
                         ReconfigAction::Moved { .. } => moves += 1,
                         ReconfigAction::SetFilter { replica, tables } => {
@@ -677,7 +669,10 @@ impl ClusterState {
                 },
             );
         }
-        let replica = self.lb.dispatch(txn_type).0;
+        let replica = self
+            .lb
+            .dispatch(txn_type, |t, r| self.placement.eligible(t, r))
+            .0;
         self.tracer.emit(
             now,
             TraceData::Dispatch {

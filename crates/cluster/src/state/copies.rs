@@ -44,16 +44,14 @@ pub(super) struct BackfillTask {
 }
 
 impl ClusterState {
-    /// Applies a placement change to the layers it constrains: the update
-    /// filter of each replica in `changed`, then the balancer's per-type
-    /// eligibility masks.
+    /// Installs the placement's update filter on each replica in `changed`.
+    /// Dispatch needs nothing installed: the balancer asks
+    /// [`PlacementMap::eligible`] at every dispatch and tick.
     pub(super) fn apply_placement(&mut self, changed: impl IntoIterator<Item = usize>) {
         for r in changed {
             let filter = self.placement.filter_for(r);
             self.nodes[r].set_filter(filter);
         }
-        let masks = self.placement.type_masks(self.workload.types.len());
-        self.lb.set_type_eligibility(masks);
     }
 
     /// Whether `replica` is a sane re-replication participant: physically
@@ -154,9 +152,9 @@ impl ClusterState {
     }
 
     /// Lands copy `task`: the target's relations stop being pending (it
-    /// becomes dispatch-eligible), the migration donor is shed when safe,
-    /// the eligibility masks are recomputed, and the fault is recorded with
-    /// the shipped volume. A copy that already ended does nothing.
+    /// becomes dispatch-eligible at the next dispatch), the migration donor
+    /// is shed when safe and its filter narrowed, and the fault is recorded
+    /// with the shipped volume. A copy that already ended does nothing.
     pub(super) fn land_copy(&mut self, now: SimTime, task: usize) {
         let t = &mut self.backfills[task];
         if t.ended {

@@ -6,6 +6,14 @@
 //! connections per replica (the only signal LeastConnections and LARD get)
 //! and consumes smoothed load reports from the replica daemons (the signal
 //! MALB's allocation uses).
+//!
+//! Which replicas may serve a type is not the balancer's to keep: the
+//! cluster passes its placement's test as an `eligible(type, replica)`
+//! predicate to every [`LoadBalancer::dispatch`] and
+//! [`LoadBalancer::tick`]. One servability test — alive and eligible —
+//! then serves every policy: least-connections and LARD choose among the
+//! servable replicas, MALB among its unit's, and MALB's allocation weighs
+//! and moves only replicas servable for every type of a unit.
 
 use tashkent_engine::TxnTypeId;
 use tashkent_sim::SimTime;
@@ -15,7 +23,7 @@ use crate::allocation::{AllocationConfig, Allocator, GroupLoads};
 use crate::estimator::{EstimationMode, PageTable, WorkingSet};
 use crate::filtering::filter_lists;
 use crate::grouping::{pack_groups, GroupId, TxnGroup};
-use crate::lard::{Lard, LardConfig};
+use crate::lard::{least_loaded, Lard, LardConfig};
 use crate::types::ReplicaId;
 
 /// A replica load report as seen by the balancer (mirrors the daemon's
@@ -95,13 +103,12 @@ pub enum ReconfigAction {
     },
 }
 
-/// Dispatch counters.
+/// The balancer's activity over a run: dispatch fallbacks, MALB's
+/// reconfigurations, and whether it installed update filters.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct DispatchStats {
-    /// Total dispatches.
-    pub dispatched: u64,
     /// Dispatches that fell back to least-connections because the type had
-    /// no group (should stay zero in configured experiments).
+    /// no group, or its unit no servable replica.
     pub fallback: u64,
     /// Replica moves performed by MALB allocation.
     pub moves: u64,
@@ -111,12 +118,17 @@ pub struct DispatchStats {
     pub splits: u64,
     /// Fast re-allocations performed.
     pub fast_reallocs: u64,
+    /// Whether MALB has installed update filters (§3; always `false` for
+    /// other policies).
+    pub filters_installed: bool,
 }
 
 /// An allocation unit: one or more groups sharing a replica set.
 ///
 /// Units usually hold a single group; merging two under-utilized groups
-/// (§2.4) yields a unit with two groups on one replica.
+/// (§2.4) yields a unit with two groups on one replica. Every member is
+/// alive: [`LoadBalancer::replica_failed`] removes a replica from every
+/// unit, and only [`LoadBalancer::replica_recovered`] adds it back.
 #[derive(Debug, Clone)]
 struct Unit {
     groups: Vec<usize>,
@@ -138,7 +150,6 @@ struct MalbState {
     allocator: Allocator,
     next_rebalance: SimTime,
     stable_rounds: u32,
-    filters_installed: bool,
     /// Rebalance round counter.
     round: u32,
     /// No merges before this round (set after a split to damp
@@ -159,31 +170,27 @@ enum Policy {
 
 /// The load balancer fronting the cluster.
 pub struct LoadBalancer {
-    n: usize,
     conns: Vec<usize>,
     loads: Vec<ResourceLoad>,
     alive: Vec<bool>,
-    /// Partial-replication eligibility: `masks[t][r]` is whether replica `r`
-    /// holds every relation transaction type `t` touches. A missing row
-    /// (every row, under full replication) makes the type eligible
-    /// everywhere.
-    type_eligible: Vec<Vec<bool>>,
     policy: Policy,
     stats: DispatchStats,
 }
 
-/// Whether replica `r` may serve type `t` under its eligibility row, if it
-/// has one.
-fn eligible_in(row: Option<&Vec<bool>>, r: usize) -> bool {
-    row.is_none_or(|m| m.get(r).copied().unwrap_or(true))
+/// The one servability test every policy routes by: replica `r` may take a
+/// transaction of type `t` when it is alive and `eligible(t, r)` holds.
+fn servable<'a>(
+    alive: &'a [bool],
+    eligible: impl Fn(TxnTypeId, usize) -> bool + 'a,
+) -> impl Fn(TxnTypeId, usize) -> bool + 'a {
+    move |t, r| alive[r] && eligible(t, r)
 }
 
-/// Immutable cluster signals a rebalance round reads: per-replica loads,
-/// liveness, and (under partial replication) per-type eligibility masks.
+/// What a rebalance round reads of the cluster: per-replica loads and the
+/// servability test.
 struct ClusterView<'a> {
     loads: &'a [ResourceLoad],
-    alive: &'a [bool],
-    elig: &'a [Vec<bool>],
+    servable: &'a dyn Fn(TxnTypeId, usize) -> bool,
 }
 
 impl LoadBalancer {
@@ -273,7 +280,6 @@ impl LoadBalancer {
             allocator,
             next_rebalance,
             stable_rounds: 0,
-            filters_installed: false,
             round: 0,
             merge_cooldown_until: 0,
         };
@@ -283,31 +289,15 @@ impl LoadBalancer {
     fn with_policy(n: usize, policy: Policy) -> Self {
         assert!(n > 0, "balancer needs at least one replica");
         LoadBalancer {
-            n,
             conns: vec![0; n],
             loads: vec![ResourceLoad::default(); n],
             alive: vec![true; n],
-            type_eligible: Vec::new(),
             policy,
             stats: DispatchStats::default(),
         }
     }
 
-    /// Installs partial-replication eligibility masks: `masks[t][r]` says
-    /// replica `r` holds every relation transaction type `t` touches.
-    /// Dispatch then never routes a type to a non-holder, and MALB's
-    /// allocation weighs only resident replicas when sizing groups. An empty
-    /// table clears them.
-    pub fn set_type_eligibility(&mut self, masks: Vec<Vec<bool>>) {
-        self.type_eligible = masks;
-    }
-
-    /// Number of replicas.
-    pub fn replicas(&self) -> usize {
-        self.n
-    }
-
-    /// Dispatch counters.
+    /// The balancer's activity so far.
     pub fn stats(&self) -> DispatchStats {
         self.stats
     }
@@ -328,51 +318,48 @@ impl LoadBalancer {
     }
 
     /// Chooses a replica for a transaction of `txn_type` and opens a
-    /// connection to it. Under partial replication (eligibility masks
-    /// installed), every policy restricts its choice to replicas holding the
-    /// type's whole relation group.
-    pub fn dispatch(&mut self, txn_type: TxnTypeId) -> ReplicaId {
-        self.stats.dispatched += 1;
-        let elig = self.type_eligible.get(txn_type.0 as usize);
+    /// connection to it. Every policy chooses among the live replicas
+    /// `eligible` accepts for the type; the cluster passes its placement's
+    /// test (under partial replication, the replicas holding the type's
+    /// whole relation group with none of it still pending).
+    ///
+    /// # Panics
+    ///
+    /// Panics if no live replica is eligible for `txn_type`.
+    pub fn dispatch(
+        &mut self,
+        txn_type: TxnTypeId,
+        eligible: impl Fn(TxnTypeId, usize) -> bool,
+    ) -> ReplicaId {
+        let servable = servable(&self.alive, eligible);
+        let servable = |r: usize| servable(txn_type, r);
+        let conns = &self.conns;
         let choice = match &mut self.policy {
-            Policy::LeastConnections => least_conn_alive(&self.conns, &self.alive, elig),
-            Policy::Lard(lard) => {
-                // LARD sees live replicas' connection counts; dead and
-                // non-holder replicas are masked with a saturating count.
-                let mut masked = self.conns.clone();
-                for (i, alive) in self.alive.iter().enumerate() {
-                    if !alive || !eligible_in(elig, i) {
-                        masked[i] = usize::MAX;
-                    }
-                }
-                lard.dispatch(txn_type, &masked)
-            }
-            Policy::Malb(state) => match state.group_of_type.get(txn_type.0 as usize) {
-                Some(Some(gi)) => {
-                    let unit = state
+            Policy::LeastConnections => least_loaded(conns, servable),
+            Policy::Lard(lard) => lard.dispatch(txn_type, conns, servable),
+            Policy::Malb(state) => {
+                let group = state
+                    .group_of_type
+                    .get(txn_type.0 as usize)
+                    .copied()
+                    .flatten();
+                let home = group.and_then(|gi| {
+                    state
                         .units
                         .iter()
-                        .find(|u| u.groups.contains(gi))
-                        .expect("every group belongs to a unit");
-                    let live: Vec<ReplicaId> = unit
+                        .find(|u| u.groups.contains(&gi))
+                        .expect("every group belongs to a unit")
                         .replicas
                         .iter()
                         .copied()
-                        .filter(|r| self.alive[r.0] && eligible_in(elig, r.0))
-                        .collect();
-                    match live.iter().min_by_key(|r| (self.conns[r.0], r.0)).copied() {
-                        Some(r) => r,
-                        None => {
-                            self.stats.fallback += 1;
-                            least_conn_alive(&self.conns, &self.alive, elig)
-                        }
-                    }
-                }
-                _ => {
+                        .filter(|r| servable(r.0))
+                        .min_by_key(|r| (conns[r.0], r.0))
+                });
+                home.unwrap_or_else(|| {
                     self.stats.fallback += 1;
-                    least_conn_alive(&self.conns, &self.alive, elig)
-                }
-            },
+                    least_loaded(conns, servable)
+                })
+            }
         };
         self.conns[choice.0] += 1;
         choice
@@ -446,15 +433,6 @@ impl LoadBalancer {
         }
     }
 
-    /// Whether MALB has installed update filters (always `false` for other
-    /// policies).
-    pub fn filters_installed(&self) -> bool {
-        match &self.policy {
-            Policy::Malb(state) => state.filters_installed,
-            _ => false,
-        }
-    }
-
     /// The packed groups (for inspection/benches). Empty for non-MALB.
     pub fn groups(&self) -> Vec<TxnGroup> {
         match &self.policy {
@@ -465,33 +443,25 @@ impl LoadBalancer {
 
     /// Runs one balancer tick at `now`: MALB rebalances (moves, merges,
     /// splits, fast re-allocation) and, once stable, installs update
-    /// filters. Other policies do nothing. Under partial replication MALB's
-    /// load estimates weigh only *resident* replicas — ones holding every
-    /// relation a unit's types touch.
-    pub fn tick(&mut self, now: SimTime) -> Vec<ReconfigAction> {
+    /// filters. Other policies do nothing. MALB weighs a unit's load over
+    /// its *resident* replicas, the ones servable for every type the unit
+    /// serves under `eligible` (see [`LoadBalancer::dispatch`]), and moves
+    /// only resident replicas into a unit.
+    pub fn tick(
+        &mut self,
+        now: SimTime,
+        eligible: impl Fn(TxnTypeId, usize) -> bool,
+    ) -> Vec<ReconfigAction> {
+        let servable = servable(&self.alive, eligible);
         let view = ClusterView {
             loads: &self.loads,
-            alive: &self.alive,
-            elig: &self.type_eligible,
+            servable: &servable,
         };
-        let stats = &mut self.stats;
         match &mut self.policy {
-            Policy::Malb(state) => state.tick(now, &view, stats),
+            Policy::Malb(state) => state.tick(now, &view, &mut self.stats),
             _ => Vec::new(),
         }
     }
-}
-
-/// Least-connections choice over live (and, under partial replication,
-/// holder) replicas.
-fn least_conn_alive(conns: &[usize], alive: &[bool], elig: Option<&Vec<bool>>) -> ReplicaId {
-    conns
-        .iter()
-        .enumerate()
-        .filter(|(i, _)| alive[*i] && eligible_in(elig, *i))
-        .min_by_key(|(i, c)| (**c, *i))
-        .map(|(i, _)| ReplicaId(i))
-        .expect("at least one live holder replica")
 }
 
 impl MalbState {
@@ -506,7 +476,7 @@ impl MalbState {
             return actions;
         }
         self.next_rebalance = now + self.config.rebalance_period.as_micros();
-        if !self.config.dynamic && self.filters_installed {
+        if !self.config.dynamic && stats.filters_installed {
             return actions;
         }
 
@@ -524,10 +494,10 @@ impl MalbState {
         // Install filters once the configuration has been stable long
         // enough; dynamic allocation is disabled from then on (§4.2.3).
         if self.config.update_filtering
-            && !self.filters_installed
+            && !stats.filters_installed
             && self.stable_rounds >= self.config.stable_rounds_for_filter
         {
-            self.filters_installed = true;
+            stats.filters_installed = true;
             self.config.dynamic = false;
             let assignment: Vec<Vec<ReplicaId>> = {
                 // Per *group* replica lists, in group order.
@@ -637,15 +607,14 @@ impl MalbState {
         false
     }
 
-    /// Whether replica `r` holds every relation `unit`'s transaction types
-    /// touch — i.e. whether parking `r` in the unit lets it actually serve
-    /// the unit's traffic. Trivially true under full replication (no
-    /// eligibility masks installed).
-    fn unit_resident(&self, unit: &Unit, r: usize, masks: &[Vec<bool>]) -> bool {
+    /// Whether replica `r` is servable for every transaction type `unit`
+    /// serves — i.e. whether parking `r` in the unit lets it actually serve
+    /// the unit's traffic. Under full replication, whether it is alive.
+    fn unit_resident(&self, unit: &Unit, r: usize, view: &ClusterView) -> bool {
         unit.groups
             .iter()
             .flat_map(|g| self.groups[*g].types.iter())
-            .all(|t| eligible_in(masks.get(t.0 as usize), r))
+            .all(|t| (view.servable)(*t, r))
     }
 
     /// Whether two units' combined working-set estimate fits one replica.
@@ -659,27 +628,29 @@ impl MalbState {
         self.pages.sum(union) <= self.config.capacity_pages
     }
 
-    /// Per-unit load estimates. Under partial replication (`elig` masks
-    /// installed) a unit is weighed over its *resident* replicas only — the
-    /// ones eligible for every transaction type the unit serves; a
-    /// non-resident replica parked in the unit neither serves its traffic
-    /// nor should count toward its capacity. When no live resident exists
-    /// the live set is used as a fallback so the allocator still sees the
-    /// unit.
+    /// Per-unit load estimates. A unit is weighed over its *resident*
+    /// replicas only — the ones servable for every transaction type the
+    /// unit serves; a non-resident replica parked in the unit (under
+    /// partial replication, one not holding the unit's relations) neither
+    /// serves its traffic nor should count toward its capacity. When no
+    /// resident exists the whole unit is used as a fallback so the
+    /// allocator still sees it.
     fn unit_loads(&self, view: &ClusterView) -> Vec<GroupLoads> {
-        let resident = |unit: &Unit, r: usize| -> bool { self.unit_resident(unit, r, view.elig) };
         self.units
             .iter()
             .enumerate()
             .map(|(ui, unit)| {
-                let live: Vec<&ReplicaId> =
-                    unit.replicas.iter().filter(|r| view.alive[r.0]).collect();
-                let serving: Vec<&ReplicaId> = live
+                let serving: Vec<ReplicaId> = unit
+                    .replicas
                     .iter()
                     .copied()
-                    .filter(|r| resident(unit, r.0))
+                    .filter(|r| self.unit_resident(unit, r.0, view))
                     .collect();
-                let pool = if serving.is_empty() { &live } else { &serving };
+                let pool = if serving.is_empty() {
+                    &unit.replicas
+                } else {
+                    &serving
+                };
                 let load = if pool.is_empty() {
                     0.0
                 } else {
@@ -718,7 +689,7 @@ impl MalbState {
         let Some(rid) = self.units[from]
             .replicas
             .iter()
-            .filter(|r| self.unit_resident(&self.units[to], r.0, view.elig))
+            .filter(|r| self.unit_resident(&self.units[to], r.0, view))
             .min_by_key(|r| r.0)
             .copied()
         else {
@@ -763,7 +734,7 @@ impl MalbState {
             while self.units[g.0].replicas.len() < *want {
                 let Some(pos) = spares
                     .iter()
-                    .rposition(|(r, _)| self.unit_resident(&self.units[g.0], r.0, view.elig))
+                    .rposition(|(r, _)| self.unit_resident(&self.units[g.0], r.0, view))
                 else {
                     break;
                 };
@@ -783,7 +754,7 @@ impl MalbState {
             let emptiest = |resident_only: bool| {
                 (0..self.units.len())
                     .filter(|ui| {
-                        !resident_only || self.unit_resident(&self.units[*ui], rid.0, view.elig)
+                        !resident_only || self.unit_resident(&self.units[*ui], rid.0, view)
                     })
                     .min_by_key(|ui| (self.units[*ui].replicas.len(), *ui))
             };
@@ -823,7 +794,7 @@ impl MalbState {
         for rid in freed {
             let most = by_load
                 .iter()
-                .find(|g| self.unit_resident(&self.units[g.group.0], rid.0, view.elig))
+                .find(|g| self.unit_resident(&self.units[g.group.0], rid.0, view))
                 .or_else(|| by_load.first())
                 .map(|g| g.group.0);
             if let Some(most) = most {
@@ -865,7 +836,7 @@ impl MalbState {
             self.units[donor.group.0]
                 .replicas
                 .iter()
-                .filter(|r| self.unit_resident(&split_off, r.0, view.elig))
+                .filter(|r| self.unit_resident(&split_off, r.0, view))
                 .min_by_key(|r| r.0)
                 .copied()
                 .map(|rid| (donor.group.0, rid))
@@ -910,15 +881,26 @@ mod tests {
         MalbConfig::paper_default(EstimationMode::SizeContent, capacity)
     }
 
+    /// Full replication's eligibility: every type anywhere.
+    fn anywhere(_: TxnTypeId, _: usize) -> bool {
+        true
+    }
+
+    /// An eligibility table: `rows[t][r]` is whether replica `r` may serve
+    /// type `t`.
+    fn table<'a>(rows: &'a [&'a [bool]]) -> impl Fn(TxnTypeId, usize) -> bool + 'a {
+        move |t, r| rows[t.0 as usize][r]
+    }
+
     #[test]
     fn least_connections_picks_min() {
         let mut lb = LoadBalancer::least_connections(3);
-        let a = lb.dispatch(TxnTypeId(0));
-        let b = lb.dispatch(TxnTypeId(1));
-        let c = lb.dispatch(TxnTypeId(2));
+        let a = lb.dispatch(TxnTypeId(0), anywhere);
+        let b = lb.dispatch(TxnTypeId(1), anywhere);
+        let c = lb.dispatch(TxnTypeId(2), anywhere);
         assert_eq!((a.0, b.0, c.0), (0, 1, 2));
         lb.complete(ReplicaId(1));
-        assert_eq!(lb.dispatch(TxnTypeId(3)).0, 1);
+        assert_eq!(lb.dispatch(TxnTypeId(3), anywhere).0, 1);
     }
 
     #[test]
@@ -931,8 +913,8 @@ mod tests {
     fn malb_routes_types_to_their_groups() {
         // Two disjoint 80-page types on a 100-page capacity → 2 groups.
         let mut lb = malb(4, &[80, 80], malb_config(100));
-        let r0 = lb.dispatch(TxnTypeId(0));
-        let r1 = lb.dispatch(TxnTypeId(1));
+        let r0 = lb.dispatch(TxnTypeId(0), anywhere);
+        let r1 = lb.dispatch(TxnTypeId(1), anywhere);
         // Same type always lands in the same unit's replica set.
         let a = lb.assignments();
         assert_eq!(a.len(), 2);
@@ -991,7 +973,7 @@ mod tests {
         }
         let mut moved = 0;
         for s in 1..20 {
-            let actions = lb.tick(SimTime::from_secs(s));
+            let actions = lb.tick(SimTime::from_secs(s), anywhere);
             moved += actions
                 .iter()
                 .filter(|a| matches!(a, ReconfigAction::Moved { .. }))
@@ -1043,7 +1025,7 @@ mod tests {
                 disk: 0.1,
             },
         );
-        lb.tick(SimTime::from_secs(1));
+        lb.tick(SimTime::from_secs(1), anywhere);
         assert_eq!(lb.stats().merges, 1);
         let after = lb.assignments();
         // Two units remain; the merged one serves two types on one replica.
@@ -1092,7 +1074,7 @@ mod tests {
                 disk: 0.1,
             },
         );
-        lb.tick(SimTime::from_secs(1));
+        lb.tick(SimTime::from_secs(1), anywhere);
         assert_eq!(lb.stats().merges, 1);
         // Now the merged replica becomes the hottest: memory contention.
         lb.report(
@@ -1109,7 +1091,7 @@ mod tests {
                 disk: 0.1,
             },
         );
-        lb.tick(SimTime::from_secs(2));
+        lb.tick(SimTime::from_secs(2), anywhere);
         assert_eq!(lb.stats().splits, 1, "contended merge must split");
         let after = lb.assignments();
         assert!(after.iter().all(|(t, _)| t.len() == 1));
@@ -1139,7 +1121,7 @@ mod tests {
                 lb.report(*r, load);
             }
         }
-        lb.tick(SimTime::from_secs(1));
+        lb.tick(SimTime::from_secs(1), anywhere);
         assert!(lb.stats().fast_reallocs >= 1);
         let after = lb.assignments();
         let hot = after
@@ -1169,7 +1151,7 @@ mod tests {
         }
         let mut filter_actions = Vec::new();
         for s in 1..10 {
-            for act in lb.tick(SimTime::from_secs(s)) {
+            for act in lb.tick(SimTime::from_secs(s), anywhere) {
                 if matches!(act, ReconfigAction::SetFilter { .. }) {
                     filter_actions.push(act);
                 }
@@ -1198,7 +1180,7 @@ mod tests {
                 },
             );
         }
-        let acts = lb.tick(SimTime::from_secs(30));
+        let acts = lb.tick(SimTime::from_secs(30), anywhere);
         assert!(acts.is_empty());
     }
 
@@ -1207,10 +1189,12 @@ mod tests {
         let mut lb = LoadBalancer::least_connections(3);
         lb.replica_failed(ReplicaId(0));
         for _ in 0..10 {
-            assert_ne!(lb.dispatch(TxnTypeId(0)).0, 0);
+            assert_ne!(lb.dispatch(TxnTypeId(0), anywhere).0, 0);
         }
         lb.replica_recovered(ReplicaId(0));
-        let hits = (0..10).filter(|_| lb.dispatch(TxnTypeId(0)).0 == 0).count();
+        let hits = (0..10)
+            .filter(|_| lb.dispatch(TxnTypeId(0), anywhere).0 == 0)
+            .count();
         assert!(hits > 0, "recovered replica serves again");
     }
 
@@ -1221,7 +1205,7 @@ mod tests {
         let a = lb.assignments();
         let victim = a.iter().find(|(t, _)| t.contains(&TxnTypeId(0))).unwrap().1[0];
         lb.replica_failed(victim);
-        let r = lb.dispatch(TxnTypeId(0));
+        let r = lb.dispatch(TxnTypeId(0), anywhere);
         assert_ne!(r, victim);
         assert_eq!(lb.stats().fallback, 1);
     }
@@ -1248,7 +1232,7 @@ mod tests {
             lb.report(ReplicaId(r), load);
         }
         for s in 1..10 {
-            assert!(lb.tick(SimTime::from_secs(s)).is_empty());
+            assert!(lb.tick(SimTime::from_secs(s), anywhere).is_empty());
         }
         assert_eq!(lb.stats().moves, 0);
     }
@@ -1256,21 +1240,19 @@ mod tests {
     #[test]
     fn eligibility_masks_restrict_every_policy() {
         // Replica 0 holds type 0's group; replica 2 holds type 1's.
-        let masks = vec![vec![true, false, false], vec![false, false, true]];
+        let masks: &[&[bool]] = &[&[true, false, false], &[false, false, true]];
         let make = |which: u8| -> LoadBalancer {
-            let mut lb = match which {
+            match which {
                 0 => LoadBalancer::least_connections(3),
                 1 => LoadBalancer::lard(3, LardConfig::default()),
                 _ => malb(3, &[40, 40], malb_config(100)),
-            };
-            lb.set_type_eligibility(masks.clone());
-            lb
+            }
         };
         for which in 0..3 {
             let mut lb = make(which);
             for i in 0..12 {
                 let t = TxnTypeId(i % 2);
-                let choice = lb.dispatch(t);
+                let choice = lb.dispatch(t, table(masks));
                 let expect = if t.0 == 0 { 0 } else { 2 };
                 assert_eq!(
                     choice.0, expect,
@@ -1281,40 +1263,103 @@ mod tests {
         }
         // Clearing the masks restores unrestricted dispatch.
         let mut lb = make(0);
-        lb.set_type_eligibility(Vec::new());
-        lb.dispatch(TxnTypeId(0));
-        lb.dispatch(TxnTypeId(0));
+        lb.dispatch(TxnTypeId(0), anywhere);
+        lb.dispatch(TxnTypeId(0), anywhere);
         assert!(lb.connections()[1] > 0, "replica 1 serves again");
     }
 
-    /// Drives the hot/cold load shape until the allocator reconfigures,
-    /// returning the replica sets of type 0's and type 1's units.
-    fn tick_hot_cold(lb: &mut LoadBalancer) -> (Vec<ReplicaId>, Vec<ReplicaId>) {
-        let unit_of = |lb: &LoadBalancer, t: TxnTypeId| {
-            lb.assignments()
-                .iter()
-                .find(|(types, _)| types.contains(&t))
-                .expect("type has a unit")
-                .1
-                .clone()
-        };
-        for s in 1..20 {
-            let hot: Vec<ReplicaId> = unit_of(lb, TxnTypeId(0));
-            for r in 0..lb.replicas() {
-                let load = if hot.contains(&ReplicaId(r)) {
-                    ResourceLoad {
-                        cpu: 0.95,
-                        disk: 0.2,
-                    }
-                } else {
-                    ResourceLoad {
-                        cpu: 0.05,
-                        disk: 0.01,
-                    }
-                };
-                lb.report(ReplicaId(r), load);
+    #[test]
+    fn every_policy_follows_the_predicate_at_once() {
+        // Type 0 may run only on replica `r`. The predicate changes between
+        // two dispatches and between two ticks with nothing installed in
+        // between, and the next dispatch follows.
+        let only = |r: usize| move |t: TxnTypeId, x: usize| t.0 != 0 || x == r;
+        for which in 0..3 {
+            let mut lb = match which {
+                0 => LoadBalancer::least_connections(3),
+                1 => LoadBalancer::lard(3, LardConfig::default()),
+                _ => malb(3, &[40, 40], malb_config(100)),
+            };
+            for (s, r) in [0, 2, 0, 1].into_iter().enumerate() {
+                assert_eq!(
+                    lb.dispatch(TxnTypeId(0), only(r)).0,
+                    r,
+                    "policy {which}: dispatch {s}"
+                );
+                assert!(lb
+                    .tick(SimTime::from_secs(s as u64 + 1), only(r))
+                    .is_empty());
+                assert_eq!(
+                    lb.dispatch(TxnTypeId(0), only(r)).0,
+                    r,
+                    "policy {which}: dispatch after tick {s}"
+                );
             }
-            lb.tick(SimTime::from_secs(s));
+            assert_eq!(lb.stats().fallback, 0, "policy {which}");
+        }
+    }
+
+    #[test]
+    fn malb_moves_follow_the_predicate_at_once() {
+        // The hot/cold shape below, one tick at a time: while type 0 may
+        // run only on its seed replicas {0, 2}, no donor replica is
+        // resident and the tick moves nothing; the very next tick after
+        // replica 3 becomes eligible moves it into type 0's unit.
+        let mut cfg = malb_config(100);
+        cfg.rebalance_period = SimTime::from_secs(1);
+        let mut lb = malb(4, &[80, 80], cfg);
+        let seeded: &[&[bool]] = &[&[true, false, true, false], &[true; 4]];
+        let widened: &[&[bool]] = &[&[true, false, true, true], &[true; 4]];
+        report_hot_cold(&mut lb);
+        let before = lb.assignments();
+        assert!(lb.tick(SimTime::from_secs(1), table(seeded)).is_empty());
+        assert_eq!(lb.assignments(), before, "no resident donor: no move");
+        let actions = lb.tick(SimTime::from_secs(2), table(widened));
+        assert!(
+            actions.contains(&ReconfigAction::Moved {
+                replica: ReplicaId(3)
+            }),
+            "replica 3 moves once eligible: {actions:?}"
+        );
+        assert!(unit_of(&lb, TxnTypeId(0)).contains(&ReplicaId(3)));
+    }
+
+    /// The replica set of the unit serving type `t`.
+    fn unit_of(lb: &LoadBalancer, t: TxnTypeId) -> Vec<ReplicaId> {
+        lb.assignments()
+            .iter()
+            .find(|(types, _)| types.contains(&t))
+            .expect("type has a unit")
+            .1
+            .clone()
+    }
+
+    /// Reports type 0's unit hot and every other replica cold.
+    fn report_hot_cold(lb: &mut LoadBalancer) {
+        let hot = unit_of(lb, TxnTypeId(0));
+        for r in 0..lb.connections().len() {
+            let load = if hot.contains(&ReplicaId(r)) {
+                ResourceLoad {
+                    cpu: 0.95,
+                    disk: 0.2,
+                }
+            } else {
+                ResourceLoad {
+                    cpu: 0.05,
+                    disk: 0.01,
+                }
+            };
+            lb.report(ReplicaId(r), load);
+        }
+    }
+
+    /// Drives the hot/cold load shape until the allocator reconfigures
+    /// under the eligibility table `masks`, returning the replica sets of
+    /// type 0's and type 1's units.
+    fn tick_hot_cold(lb: &mut LoadBalancer, masks: &[&[bool]]) -> (Vec<ReplicaId>, Vec<ReplicaId>) {
+        for s in 1..20 {
+            report_hot_cold(lb);
+            lb.tick(SimTime::from_secs(s), table(masks));
         }
         (unit_of(lb, TxnTypeId(0)), unit_of(lb, TxnTypeId(1)))
     }
@@ -1330,11 +1375,8 @@ mod tests {
         let mut cfg = malb_config(100);
         cfg.rebalance_period = SimTime::from_secs(1);
         let mut lb = malb(4, &[80, 80], cfg);
-        lb.set_type_eligibility(vec![
-            vec![true, false, false, true],
-            vec![false, true, true, true],
-        ]);
-        let (hot_unit, cold_unit) = tick_hot_cold(&mut lb);
+        let masks: &[&[bool]] = &[&[true, false, false, true], &[false, true, true, true]];
+        let (hot_unit, cold_unit) = tick_hot_cold(&mut lb, masks);
         assert!(
             hot_unit.contains(&ReplicaId(3)),
             "the holder replica must reinforce the hot unit: {hot_unit:?}"
@@ -1358,12 +1400,9 @@ mod tests {
         let mut cfg = malb_config(100);
         cfg.rebalance_period = SimTime::from_secs(1);
         let mut lb = malb(4, &[80, 80], cfg);
-        lb.set_type_eligibility(vec![
-            vec![true, false, false, false],
-            vec![false, true, true, true],
-        ]);
+        let masks: &[&[bool]] = &[&[true, false, false, false], &[false, true, true, true]];
         let before = lb.assignments();
-        let (hot_unit, _) = tick_hot_cold(&mut lb);
+        let (hot_unit, _) = tick_hot_cold(&mut lb, masks);
         assert_eq!(
             hot_unit,
             before

@@ -95,10 +95,6 @@ pub struct ReplicaStats {
     pub items_filtered: u64,
     /// Writesets fully dropped by the update filter.
     pub writesets_filtered: u64,
-    /// Writesets touched by re-replication backfill (partial replication).
-    pub writesets_backfilled: u64,
-    /// Writeset items re-applied by re-replication backfill.
-    pub items_backfilled: u64,
 }
 
 /// A transaction the proxy holds, from [`ReplicaNode::submit`] until
@@ -468,13 +464,11 @@ impl ReplicaNode {
                     continue;
                 }
                 any = true;
-                self.stats.items_backfilled += 1;
                 cpu_us += APPLY_ITEM_US;
                 self.apply_item_pages(now, item, &mut last_io);
             }
             if any {
                 cpu_us += APPLY_BASE_US;
-                self.stats.writesets_backfilled += 1;
             }
         }
         let t_cpu = self.cpu.run(now, cpu_us);
@@ -744,12 +738,16 @@ mod tests {
         node.apply_writesets(SimTime::ZERO, log.since(Version(0)));
         assert_eq!(node.stats().items_filtered, 1);
         let reads_before = node.disk_stats().read_pages;
+        let cpu_before = node.cpu_busy_us();
         // Backfill the orders group from the log: re-applies only its items.
         let rels: RelationSet = [orders_rel].into_iter().collect();
         let done = node.backfill_writesets(SimTime::from_secs(1), log.since(Version(0)), rels);
         assert!(done > SimTime::from_secs(1));
-        assert_eq!(node.stats().items_backfilled, 1);
-        assert_eq!(node.stats().writesets_backfilled, 1);
+        // One writeset with one item re-applied.
+        assert_eq!(
+            node.cpu_busy_us() - cpu_before,
+            APPLY_BASE_US + APPLY_ITEM_US
+        );
         // Orders heap page + orders_pk page read; version unchanged.
         assert_eq!(node.disk_stats().read_pages, reads_before + 2);
         assert_eq!(

@@ -108,11 +108,13 @@ fn balancer_soft_state_is_reconstructible() {
     // and the connection counts rebuild naturally.
     let mut primary = LoadBalancer::least_connections(4);
     for _ in 0..8 {
-        primary.dispatch(TxnTypeId(0));
+        primary.dispatch(TxnTypeId(0), |_, _| true);
     }
     // Fail over: a fresh balancer with zero soft state.
     let mut backup = LoadBalancer::least_connections(4);
-    let choices: Vec<usize> = (0..8).map(|_| backup.dispatch(TxnTypeId(0)).0).collect();
+    let choices: Vec<usize> = (0..8)
+        .map(|_| backup.dispatch(TxnTypeId(0), |_, _| true).0)
+        .collect();
     // It spreads evenly immediately — no dependence on lost state.
     for r in 0..4 {
         assert_eq!(choices.iter().filter(|c| **c == r).count(), 2);

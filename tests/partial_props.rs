@@ -180,7 +180,7 @@ fn malb_update_filtering_never_narrows_a_holder_below_its_held_set() {
     let (mut state, mut queue) = scenario.experiment(&knobs).build();
     state.run_to_end(&mut queue).expect("End event scheduled");
     assert!(
-        state.balancer().filters_installed(),
+        state.balancer().stats().filters_installed,
         "MALB must have installed its update filters for the regression to bite"
     );
     // Every live holder still keeps every relation of its groups current.

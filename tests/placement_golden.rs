@@ -7,9 +7,9 @@
 //! The values below were recorded from the `BTreeSet`-based planner and
 //! certifier map, before relation sets became bitmaps. The benchmark's
 //! fingerprint covers only one seed's outcome; this test pins the plan
-//! itself: every group's relations, types, holders and size, the
-//! per-type eligibility masks, each replica's update filter and held
-//! pages, and the owning certifier group of every catalog relation.
+//! itself: every group's relations, types, holders and size, which
+//! replicas each type is eligible on, each replica's update filter and
+//! held pages, and the owning certifier group of every catalog relation.
 
 use tashkent::certifier::CertMap;
 use tashkent::cluster::{PlacementMap, ReplicationPlanner, TypeGroups};
@@ -28,7 +28,7 @@ struct Golden {
     /// Per group, in group order.
     groups: &'static [GroupRow],
     /// Per transaction type: one character per replica, `1` when eligible.
-    type_masks: &'static [&'static str],
+    eligible: &'static [&'static str],
     /// Per replica: `None` for the pass-through filter, otherwise the
     /// accepted relation ids.
     filters: &'static [Option<&'static [u32]>],
@@ -53,7 +53,7 @@ const MID_16X2: Golden = Golden {
         (&[0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16], &[10], &[0, 1], 207821),
         (&[6, 7, 8, 9, 10, 13, 14, 15, 16], &[12], &[6, 7], 134359),
     ],
-    type_masks: &[
+    eligible: &[
         "1111000000110000",
         "0000110000000011",
         "0000110000000000",
@@ -107,7 +107,7 @@ const SMALL_8X2: Golden = Golden {
         (&[0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16], &[10], &[0, 1], 70256),
         (&[6, 7, 8, 9, 10, 13, 14, 15, 16], &[12], &[6, 7], 45765),
     ],
-    type_masks: &[
+    eligible: &[
         "11111111",
         "00001100",
         "00001100",
@@ -167,14 +167,22 @@ fn check(golden: &Golden, scale: TpcwScale, replicas: usize, min_copies: usize) 
             assert_eq!(map.group_of_type(*t), Some(g), "type {t} group");
         }
     }
-    let masks = map.type_masks(workload.types.len());
-    assert_eq!(masks.len(), golden.type_masks.len(), "one mask per type");
-    for (t, (row, want)) in masks.iter().zip(golden.type_masks).enumerate() {
-        let got: String = row.iter().map(|b| if *b { '1' } else { '0' }).collect();
-        assert_eq!(got, *want, "type {t} mask");
-        for (r, eligible) in row.iter().enumerate() {
-            assert_eq!(map.eligible(TxnTypeId(t as u32), r), *eligible);
-        }
+    assert_eq!(
+        workload.types.len(),
+        golden.eligible.len(),
+        "one row per type"
+    );
+    for (t, want) in golden.eligible.iter().enumerate() {
+        let got: String = (0..replicas)
+            .map(|r| {
+                if map.eligible(TxnTypeId(t as u32), r) {
+                    '1'
+                } else {
+                    '0'
+                }
+            })
+            .collect();
+        assert_eq!(got, *want, "type {t} eligibility");
     }
     for r in 0..replicas {
         let want = match golden.filters[r] {

@@ -162,7 +162,7 @@ proptest! {
             lb.replica_failed(ReplicaId(r));
         }
         for i in 0..dispatches {
-            let choice = lb.dispatch(TxnTypeId((i % 2) as u32));
+            let choice = lb.dispatch(TxnTypeId((i % 2) as u32), |_, _| true);
             prop_assert!(
                 !dead.contains(&choice.0),
                 "policy {} dispatched to dead replica {}", policy, choice.0
@@ -176,7 +176,7 @@ proptest! {
         }
         if policy == 0 {
             for _ in 0..replicas * 3 {
-                lb.dispatch(TxnTypeId(0));
+                lb.dispatch(TxnTypeId(0), |_, _| true);
             }
             for &r in &dead {
                 prop_assert!(
